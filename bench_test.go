@@ -248,6 +248,91 @@ func BenchmarkPivotEmbed(b *testing.B) {
 	}
 }
 
+// benchLeaf bulk-loads one full leaf (fill 32, d = 2) holding gene g of the
+// given sources.
+func benchLeaf(b *testing.B, rng *randgen.Rand, g gene.ID, sources []int) *index.LeafTable {
+	b.Helper()
+	items := make([]rstar.Item, len(sources))
+	for i, s := range sources {
+		pt := []float64{rng.UniformIn(0, 1.5), rng.UniformIn(0, 1.5), rng.UniformIn(0, 1.5), rng.UniformIn(0, 1.5), float64(g)}
+		items[i] = rstar.Item{Point: pt, Ref: index.PackRef(s, i)}
+	}
+	tree, err := rstar.NewTree(rstar.Config{Dim: 5, MaxFill: len(sources)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tree.BulkLoad(items); err != nil {
+		b.Fatal(err)
+	}
+	if !tree.Root().IsLeaf() {
+		b.Fatal("fixture is not a single leaf")
+	}
+	return index.NewLeafTable(tree.Root())
+}
+
+// BenchmarkTraverseLeafJoin measures one leaf-pair check of the pairwise
+// descent (Fig. 4 lines 16–21): a full g_s leaf joined with a full
+// neighbor-gene leaf on source ID, sweeping the share of the 32 sources
+// the two leaves have in common (each match also prices the pivot bound).
+func BenchmarkTraverseLeafJoin(b *testing.B) {
+	const fill = 32
+	for _, hit := range []float64{0, 0.25, 0.5, 1} {
+		b.Run(fmt.Sprintf("hit=%.2f", hit), func(b *testing.B) {
+			rng := randgen.New(21)
+			sa, sb := make([]int, fill), make([]int, fill)
+			for i := range sa {
+				sa[i] = 2 * i
+				sb[i] = 2*i + 1 // interleaved, never equal
+				if float64(i) < hit*fill {
+					sb[i] = 2 * i
+				}
+			}
+			ta, tb := benchLeaf(b, rng, 3, sa), benchLeaf(b, rng, 7, sb)
+			pt := index.PivotTest{D: 2, Gamma: 0.4}
+			matched := 0
+			count := func(source, sCol, tCol int, pruned bool) { matched++ }
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				index.JoinLeaves(ta, tb, 3, 7, pt, count)
+			}
+			if want := int(hit*fill) * b.N; matched != want {
+				b.Fatalf("%d matches, want %d", matched, want)
+			}
+		})
+	}
+}
+
+// BenchmarkIndexAddRemove measures one online AddMatrix plus one
+// RemoveMatrix of the same source on an N=300 index (the durable-mixed
+// workload's shape, server index options): embedding, R*-tree insertion
+// and deletion, and the refresh of the touched nodes' augmentations.
+func BenchmarkIndexAddRemove(b *testing.B) {
+	ds, err := synth.GenerateDatabase(synth.DBParams{
+		N: 301, NMin: 20, NMax: 40, LMin: 10, LMax: 20,
+		Dist: synth.Uniform, GenePool: 40, Seed: 22,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	extra := ds.DB.Matrix(300)
+	ds.DB.Remove(extra.Source)
+	idx, err := index.Build(ds.DB, index.Options{D: 2, Seed: 42, BufferPages: 1024})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := idx.AddMatrix(extra); err != nil {
+			b.Fatal(err)
+		}
+		if err := idx.RemoveMatrix(extra.Source); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchItems(n, dim int, seed uint64) []rstar.Item {
 	rng := randgen.New(seed)
 	items := make([]rstar.Item, n)

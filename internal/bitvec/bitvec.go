@@ -77,24 +77,23 @@ func (v *Vector) Intersects(o *Vector) bool {
 // IntersectsAll reports whether the AND of v with every vector in os is
 // non-zero, the four-way test qV_d(s) ∧ V_d(E_a) ∧ qV_d(t) ∧ V_d(E_b) ≠ 0.
 func (v *Vector) IntersectsAll(os ...*Vector) bool {
-	acc := make([]uint64, len(v.words))
-	copy(acc, v.words)
 	for _, o := range os {
 		if o.size != v.size {
 			panic("bitvec: IntersectsAll width mismatch")
 		}
-		zero := true
-		for i := range acc {
-			acc[i] &= o.words[i]
-			if acc[i] != 0 {
-				zero = false
+	}
+	// Word-wise: the AND of all operands is non-zero iff some word of it is.
+	for i, w := range v.words {
+		for _, o := range os {
+			if w &= o.words[i]; w == 0 {
+				break
 			}
 		}
-		if zero {
-			return false
+		if w != 0 {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // PopCount returns the number of set bits.

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -495,21 +495,22 @@ func groupTraversals(members []*batchMember) [][]*batchMember {
 // one shared descent serves. Larger groups chunk into several descents.
 const maskWidth = 64
 
-// travState is one member's per-query traversal state: the highest-degree
-// query vertex, its neighbor set, and the bit-vector signatures of the
-// line 9–13 admission tests (mirrors Processor.traverse's prologue).
+// travState is one query's traversal state: the highest-degree query
+// vertex, its neighbor genes, and the bit-vector signatures of the line
+// 9–13 admission tests. The solo descent builds one; the batch descent one
+// per member.
 type travState struct {
-	gsGene        gene.ID
-	gsF           float64
-	neighborGenes map[gene.ID]bool
-	neighborF     []float64
-	qVfS, qVfT    *bitvec.Vector
-	qVdS, qVdT    *bitvec.Vector
+	gsGene     gene.ID
+	gsF        float64
+	neighbors  []gene.ID // distinct, ascending
+	neighborF  []float64 // neighbors as gene-axis coordinates
+	qVfS, qVfT *bitvec.Vector
+	qVdS, qVdT *bitvec.Vector
 }
 
 func buildTravState(p *Processor, q *grn.Graph) *travState {
 	b := p.idx.Bits()
-	ts := &travState{neighborGenes: make(map[gene.ID]bool)}
+	ts := &travState{}
 	gs := q.MaxDegreeVertex()
 	ts.gsGene = q.Gene(gs)
 	ts.gsF = float64(ts.gsGene)
@@ -520,14 +521,15 @@ func buildTravState(p *Processor, q *grn.Graph) *travState {
 	ts.qVdT = bitvec.New(b)
 	for _, t := range q.Neighbors(gs) {
 		tg := q.Gene(t)
-		ts.neighborGenes[tg] = true
+		ts.neighbors = append(ts.neighbors, tg)
 		ts.qVfT.Set(bitvec.HashGene(tg, b))
 		ts.qVdT.OrInPlace(p.idx.Inverted().Sources(tg))
 	}
-	for g := range ts.neighborGenes {
+	slices.Sort(ts.neighbors)
+	ts.neighbors = slices.Compact(ts.neighbors)
+	for _, g := range ts.neighbors {
 		ts.neighborF = append(ts.neighborF, float64(g))
 	}
-	sort.Float64s(ts.neighborF)
 	return ts
 }
 
@@ -545,34 +547,6 @@ func (ts *travState) anyNeighborIn(mbr rstar.Rect, geneDim int) bool {
 	return i < len(ts.neighborF) && ts.neighborF[i] <= hi
 }
 
-// maskedPairItem is one shared-queue element: a node pair plus the
-// liveness mask of the member queries whose admission chain reached it.
-type maskedPairItem struct {
-	key  int // node level: smaller pops first => depth-first descent
-	seq  int // insertion sequence for deterministic tie-breaking
-	a, b *rstar.Node
-	mask uint64
-}
-
-type maskedPairQueue []maskedPairItem
-
-func (q maskedPairQueue) Len() int { return len(q) }
-func (q maskedPairQueue) Less(i, j int) bool {
-	if q[i].key != q[j].key {
-		return q[i].key < q[j].key
-	}
-	return q[i].seq < q[j].seq
-}
-func (q maskedPairQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *maskedPairQueue) Push(x any)   { *q = append(*q, x.(maskedPairItem)) }
-func (q *maskedPairQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
 // batchTraverse is the shared pairwise priority-queue descent for one
 // γ-group (Figure 4 lines 2–27, evaluated per member at every entry).
 // The priority key of a pair is the minimum of its member queries' solo
@@ -587,10 +561,9 @@ func (q *maskedPairQueue) Pop() any {
 // group context aborts the whole group at the next check boundary.
 func batchTraverse(ctx context.Context, idx *index.Index, group []*batchMember) error {
 	p0 := group[0].proc.params
-	d := idx.D()
+	pt := p0.pivotTest(idx.D())
+	d, gamma, oneSided := pt.D, pt.Gamma, pt.OneSided
 	geneDim := 2 * d
-	gamma := p0.Gamma
-	oneSided := p0.OneSided
 	io := idx.NewReader()
 	defer func() {
 		iost := io.Stats()
@@ -600,36 +573,23 @@ func batchTraverse(ctx context.Context, idx *index.Index, group []*batchMember) 
 		}
 	}()
 
-	// Group-level neighbor-gene → member-mask table: one leaf-entry scan
-	// serves every member at once (leafScanGroup) instead of one scan per
-	// live member, and the pivot upper bound — a function of the point
-	// pair and the group-uniform (γ, side) alone — is computed once per
-	// point pair for the whole group.
-	maxNbr := gene.ID(0)
-	for _, m := range group {
-		for g := range m.trav.neighborGenes {
-			if g > maxNbr {
-				maxNbr = g
-			}
-		}
-	}
-	nbrMask := make([]uint64, int(maxNbr)+1)
+	// Group-level gene → member-mask lists: one leaf join per distinct
+	// (g_s, neighbor gene) combination serves every member that asked for
+	// it (leafScanGroup).
+	var sGenes, tGenes []geneMask
 	for bi, m := range group {
 		bit := uint64(1) << uint(bi)
-		for g := range m.trav.neighborGenes {
-			nbrMask[g] |= bit
+		sGenes = addGeneMask(sGenes, m.trav.gsGene, bit)
+		for _, g := range m.trav.neighbors {
+			tGenes = addGeneMask(tGenes, g, bit)
 		}
 	}
 
-	tree := idx.Tree()
-	root := tree.Root()
-	pq := make(maskedPairQueue, 0, 64)
-	heap.Init(&pq)
-	seq := 0
-	push := func(key int, a, b *rstar.Node, mask uint64) {
-		heap.Push(&pq, maskedPairItem{key: key, seq: seq, a: a, b: b, mask: mask})
-		seq++
-	}
+	arena := exec.GrabArena()
+	defer arena.Release()
+	pq := &queryScratchIn(arena).batchHeap
+	pq.reset()
+	root := idx.Tree().Root()
 
 	// Seed with the root paired against itself; admission per member.
 	idx.TouchNodeTo(io, root)
@@ -640,17 +600,17 @@ func batchTraverse(ctx context.Context, idx *index.Index, group []*batchMember) 
 		}
 	}
 	if rootMask != 0 {
-		push(root.Level(), root, root, rootMask)
+		pq.push(root.Level(), maskedNodePair{root, root, rootMask})
 	}
 
 	pops := 0
-	for pq.Len() > 0 {
+	for pq.len() > 0 {
 		if pops%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		it := heap.Pop(&pq).(maskedPairItem)
+		key, it := pq.pop()
 		pops++
 		for ms := it.mask; ms != 0; ms &= ms - 1 {
 			group[bits.TrailingZeros64(ms)].st.NodePairsVisited++
@@ -661,10 +621,9 @@ func batchTraverse(ctx context.Context, idx *index.Index, group []*batchMember) 
 			idx.TouchNodeTo(io, eb)
 		}
 		if ea.IsLeaf() {
-			// Lines 16–21: one shared pass over the leaf entry pairs serves
+			// Lines 16–21: one shared join per gene combination serves
 			// every live member.
-			leafScanGroup(group, nbrMask, it.mask, ea, eb,
-				d, gamma, oneSided, p0.DisablePivotPruning)
+			leafScanGroup(group, sGenes, tGenes, it.mask, idx.LeafTable(ea), idx.LeafTable(eb), pt)
 			continue
 		}
 		// Lines 22–27: expand child pairs, admission per member.
@@ -727,7 +686,7 @@ func batchTraverse(ctx context.Context, idx *index.Index, group []*batchMember) 
 					cMask |= 1 << uint(bi)
 				}
 				if cMask != 0 {
-					push(it.key-1, ca, cb, cMask)
+					pq.push(key-1, maskedNodePair{ca, cb, cMask})
 				}
 			}
 		}
@@ -735,66 +694,57 @@ func batchTraverse(ctx context.Context, idx *index.Index, group []*batchMember) 
 	return nil
 }
 
-// leafScanGroup runs the leaf-level point-pair checks (lines 16–21) for
-// every live member in one pass over the entry pairs. Per member it is
-// byte-identical to the solo scan — the same pairs pass the same gene,
-// source and pivot filters in the same (i, j) order — but the entry
-// iteration, the gene lookups and the pivot upper bound are paid once
-// per pair for the whole group instead of once per member (the bound
-// depends only on the points and the group-uniform γ and side). The
-// s-side gene filter stays a direct per-member integer comparison —
-// cheaper than hashing for the group sizes the mask admits — while the
-// t-side neighbor filter indexes a dense gene-ID -> member-mask table
-// built once per group — catalog gene IDs are small dense integers, so
-// the array load replaces the per-iteration map hash a solo scan pays
-// and answers for every member at once.
-func leafScanGroup(group []*batchMember, nbrMask []uint64, mask uint64,
-	ea, eb *rstar.Node, d int, gamma float64, oneSided, disPivot bool) {
-	for i := 0; i < ea.NumEntries(); i++ {
-		ia := ea.Item(i)
-		ga := gene.ID(int32(ia.Point[len(ia.Point)-1]))
-		aMask := uint64(0)
-		for ms := mask; ms != 0; ms &= ms - 1 {
-			bi := bits.TrailingZeros64(ms)
-			if group[bi].trav.gsGene == ga {
-				aMask |= 1 << uint(bi)
-			}
+// geneMask pairs a gene with the bitmask of the group members that use it
+// (as g_s, or as a neighbor of g_s).
+type geneMask struct {
+	gene gene.ID
+	mask uint64
+}
+
+func addGeneMask(list []geneMask, g gene.ID, bit uint64) []geneMask {
+	for i := range list {
+		if list[i].gene == g {
+			list[i].mask |= bit
+			return list
 		}
-		if aMask == 0 {
+	}
+	return append(list, geneMask{gene: g, mask: bit})
+}
+
+// leafScanGroup runs the leaf-level point-pair checks (lines 16–21) for
+// every live member of the group. Per member the outcome is exactly the
+// solo descent's — the same point pairs pass the same gene, source and
+// pivot filters — but each distinct (g_s, neighbor gene) combination is
+// joined once (index.JoinLeaves) for all the members that asked for it, and the
+// pivot upper bound, which depends only on the points and the
+// group-uniform γ and side, is priced once per matched pair.
+func leafScanGroup(group []*batchMember, sGenes, tGenes []geneMask, live uint64,
+	ta, tb *index.LeafTable, pt index.PivotTest) {
+	var users uint64 // members served by the join in progress
+	share := func(source, sCol, tCol int, pruned bool) {
+		for ms := users; ms != 0; ms &= ms - 1 {
+			m := group[bits.TrailingZeros64(ms)]
+			m.st.PointPairsChecked++
+			if pruned {
+				m.st.PointPairsPruned++
+				continue
+			}
+			m.pairs = append(m.pairs, candidatePair{source: source, sCol: sCol, tCol: tCol})
+		}
+	}
+	for _, sg := range sGenes {
+		if sg.mask&live == 0 {
 			continue
 		}
-		srcA, colA := index.UnpackRef(ia.Ref)
-		for j := 0; j < eb.NumEntries(); j++ {
-			ib := eb.Item(j)
-			gb := int(int32(ib.Point[len(ib.Point)-1]))
-			if gb >= len(nbrMask) {
-				continue
-			}
-			bMask := nbrMask[gb] & aMask
-			if bMask == 0 {
-				continue
-			}
-			srcB, colB := index.UnpackRef(ib.Ref)
-			if srcA != srcB {
-				continue // line 19: data source IDs must agree
-			}
-			// Line 20: pivot-based pruning on embedded points, shared.
-			pruned := !disPivot &&
-				index.PointUpperBound(ia.Point, ib.Point, d, oneSided) <= gamma
-			for ms := bMask; ms != 0; ms &= ms - 1 {
-				m := group[bits.TrailingZeros64(ms)]
-				m.st.PointPairsChecked++
-				if pruned {
-					m.st.PointPairsPruned++
-					continue
-				}
-				m.pairs = append(m.pairs, candidatePair{source: srcA, sCol: colA, tCol: colB})
+		for _, tg := range tGenes {
+			if users = sg.mask & tg.mask & live; users != 0 {
+				index.JoinLeaves(ta, tb, sg.gene, tg.gene, pt, share)
 			}
 		}
 	}
 }
 
-// rootAdmissibleFor mirrors rootAdmissible for one member's signatures.
+// rootAdmissibleFor is the line 9–13 admission test on the root itself.
 func rootAdmissibleFor(idx *index.Index, root *rstar.Node, ts *travState) bool {
 	f, dsig := idx.NodeSignature(root)
 	return ts.qVfS.Intersects(f) && ts.qVfT.Intersects(f) && ts.qVdS.IntersectsAll(dsig, ts.qVdT)

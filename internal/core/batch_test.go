@@ -3,11 +3,13 @@ package core_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
 	"github.com/imgrn/imgrn/internal/core"
 	"github.com/imgrn/imgrn/internal/gene"
+	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/synth"
 )
@@ -322,5 +324,53 @@ func TestBatchItemTimeout(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
+	}
+}
+
+// TestBatchOutOfRangeGeneLabels: gene labels are caller-supplied int32s, so
+// a neighbor gene may be negative or 2³¹−1. The batch descent used to index
+// a dense per-gene table with the raw ID (panic on a negative label, a
+// 16 GiB allocation for 2³¹−1); it must answer such items exactly like the
+// solo path — no answers, same traversal counters — beside a valid sibling.
+func TestBatchOutOfRangeGeneLabels(t *testing.T) {
+	ds, idx := buildConcFixture(t, 113)
+	known := ds.DB.Matrix(0).Gene(0)
+	params := core.Params{Gamma: 0.5, Alpha: 0.3, Seed: 7, Analytic: true}
+	graphWith := func(a, b gene.ID) *grn.Graph {
+		g := grn.NewGraph([]gene.ID{a, b})
+		g.SetEdge(0, 1, 0.9)
+		return g
+	}
+	valid := extractMixedQueries(t, ds, 1, 115)[0]
+	items := []core.BatchItem{
+		{Graph: graphWith(known, -11), Params: params},
+		{Graph: graphWith(-11, known), Params: params},
+		{Graph: graphWith(known, math.MaxInt32), Params: params},
+		{Graph: graphWith(math.MaxInt32, known), Params: params},
+		{Matrix: valid, Params: params},
+	}
+	results, bst := core.QueryBatch(context.Background(), idx, items, core.BatchOptions{})
+	if bst.Errors != 0 {
+		t.Fatalf("batch errors = %d", bst.Errors)
+	}
+	for i, it := range items {
+		proc, err := core.NewProcessor(idx, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ref []core.Answer
+		var refSt core.Stats
+		if it.Graph != nil {
+			ref, refSt, err = proc.QueryGraph(it.Graph)
+		} else {
+			ref, refSt, err = proc.Query(it.Matrix)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it.Graph != nil && len(ref) != 0 {
+			t.Fatalf("item %d: solo path answered %d sources for an unknown gene", i, len(ref))
+		}
+		assertBatchItemMatches(t, fmt.Sprintf("item %d", i), ref, refSt, results[i])
 	}
 }

@@ -1,0 +1,81 @@
+package core
+
+import "github.com/imgrn/imgrn/internal/rstar"
+
+// levelHeap is the traversal priority queue: a slice-backed binary min-heap
+// ordered by (key, insertion sequence). The key is the node level, so
+// deeper pairs pop first (depth-first descent); the sequence number makes
+// the order total, so the pop sequence is the same for any correct heap —
+// in particular the one container/heap produced. The backing slice lives in
+// the pooled query scratch and is reused across queries.
+type levelHeap[T any] struct {
+	items []heapItem[T]
+	seq   int
+}
+
+type heapItem[T any] struct {
+	key, seq int
+	val      T
+}
+
+func (h *levelHeap[T]) less(i, j int) bool {
+	a, b := &h.items[i], &h.items[j]
+	return a.key < b.key || (a.key == b.key && a.seq < b.seq)
+}
+
+// reset empties the heap, dropping references a cancelled descent left
+// behind.
+func (h *levelHeap[T]) reset() {
+	clear(h.items)
+	h.items = h.items[:0]
+	h.seq = 0
+}
+
+func (h *levelHeap[T]) len() int { return len(h.items) }
+
+func (h *levelHeap[T]) push(key int, v T) {
+	h.items = append(h.items, heapItem[T]{key: key, seq: h.seq, val: v})
+	h.seq++
+	for i := len(h.items) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		i = parent
+	}
+}
+
+func (h *levelHeap[T]) pop() (key int, v T) {
+	top := h.items[0]
+	n := len(h.items) - 1
+	h.items[0] = h.items[n]
+	h.items[n] = heapItem[T]{} // the pooled slice must not pin tree nodes
+	h.items = h.items[:n]
+	for i := 0; ; {
+		min := i
+		if l := 2*i + 1; l < n && h.less(l, min) {
+			min = l
+		}
+		if r := 2*i + 2; r < n && h.less(r, min) {
+			min = r
+		}
+		if min == i {
+			break
+		}
+		h.items[i], h.items[min] = h.items[min], h.items[i]
+		i = min
+	}
+	return top.key, top.val
+}
+
+// nodePair is a pair of same-level index nodes that may contain an
+// interacting (query gene, neighbor gene) pair.
+type nodePair struct{ a, b *rstar.Node }
+
+// maskedNodePair is a node pair of the shared batch descent plus the
+// liveness mask of the member queries whose admission chain reached it.
+type maskedNodePair struct {
+	a, b *rstar.Node
+	mask uint64
+}

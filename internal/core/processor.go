@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -15,7 +14,6 @@ import (
 	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/pagestore"
-	"github.com/imgrn/imgrn/internal/rstar"
 	"github.com/imgrn/imgrn/internal/vecmath"
 )
 
@@ -168,28 +166,6 @@ func (p *Processor) inferQueryGraph(ec *exec.Context, mq *gene.Matrix) (*grn.Gra
 	}
 	return g, err
 }
-
-// pairItem is one priority-queue element: a pair of same-level index nodes
-// that may contain an interacting (query gene, neighbor gene) pair.
-type pairItem struct {
-	key  int // node level; smaller pops first => depth-first descent
-	seq  int // insertion sequence for deterministic tie-breaking
-	a, b *rstar.Node
-}
-
-type pairQueue []pairItem
-
-func (q pairQueue) Len() int { return len(q) }
-func (q pairQueue) Less(i, j int) bool {
-	if q[i].key != q[j].key {
-		return q[i].key < q[j].key
-	}
-	return q[i].seq < q[j].seq
-}
-func (q pairQueue) Swap(i, j int)        { q[i], q[j] = q[j], q[i] }
-func (q *pairQueue) Push(x any)          { *q = append(*q, x.(pairItem)) }
-func (q *pairQueue) Pop() any            { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-func (q *pairQueue) PushItem(i pairItem) { heap.Push(q, i) }
 
 // candidatePair is a surviving (source, column, column) gene pair.
 type candidatePair struct {
@@ -369,6 +345,12 @@ func (p *Processor) sourcesContainingAll(genes []gene.ID) []int {
 	return out
 }
 
+// pivotTest is the leaf-level point check (line 20 of Figure 4) these
+// parameters ask for, over an index with d pivots per matrix.
+func (p Params) pivotTest(d int) index.PivotTest {
+	return index.PivotTest{D: d, Gamma: p.Gamma, OneSided: p.OneSided, Disabled: p.DisablePivotPruning}
+}
+
 // cancelCheckInterval bounds how many priority-queue pops the traversal
 // performs between context checks.
 const cancelCheckInterval = 64
@@ -379,153 +361,92 @@ const cancelCheckInterval = 64
 // aborts with ctx.Err() when the context is cancelled.
 func (p *Processor) traverse(ec *exec.Context, q *grn.Graph, st *Stats) ([]candidatePair, error) {
 	io := ec.IO()
-	b := p.idx.Bits()
-	gs := q.MaxDegreeVertex()
-	gsGene := q.Gene(gs)
-	neighborGenes := make(map[gene.ID]bool)
-	qVfS := bitvec.New(b)
-	qVfS.Set(bitvec.HashGene(gsGene, b))
-	qVfT := bitvec.New(b)
-	qVdS := p.idx.Inverted().Sources(gsGene).Clone()
-	qVdT := bitvec.New(b)
-	for _, t := range q.Neighbors(gs) {
-		tg := q.Gene(t)
-		neighborGenes[tg] = true
-		qVfT.Set(bitvec.HashGene(tg, b))
-		qVdT.OrInPlace(p.idx.Inverted().Sources(tg))
-	}
+	ts := buildTravState(p, q)
+	pt := p.params.pivotTest(p.idx.D())
+	geneDim := 2 * pt.D
 
-	tree := p.idx.Tree()
-	root := tree.Root()
-	pq := make(pairQueue, 0, 64)
-	heap.Init(&pq)
-	seq := 0
-	push := func(key int, a, b *rstar.Node) {
-		pq.PushItem(pairItem{key: key, seq: seq, a: a, b: b})
-		seq++
+	qs := queryScratchFor(ec)
+	pq := &qs.soloHeap
+	pq.reset()
+	out := qs.candPairs[:0]
+	keep := func(source, sCol, tCol int, pruned bool) {
+		st.PointPairsChecked++
+		if pruned {
+			st.PointPairsPruned++
+			return
+		}
+		out = append(out, candidatePair{source: source, sCol: sCol, tCol: tCol})
 	}
-
-	gamma := p.params.Gamma
-	d := p.idx.D()
-	geneDim := 2 * d
-	gsF := float64(gsGene)
-	neighborF := make([]float64, 0, len(neighborGenes))
-	for g := range neighborGenes {
-		neighborF = append(neighborF, float64(g))
-	}
-	sort.Float64s(neighborF)
-	// anyNeighborIn reports whether some neighbor gene ID lies within the
-	// node's gene-ID MBR range — exact, since gene IDs are stored as an
-	// index dimension (Section 5.1's rationale for the (2d+1)-th axis).
-	anyNeighborIn := func(mbr rstar.Rect) bool {
-		lo, hi := mbr.Min[geneDim], mbr.Max[geneDim]
-		i := sort.SearchFloat64s(neighborF, lo)
-		return i < len(neighborF) && neighborF[i] <= hi
-	}
-	sideContainsS := func(mbr rstar.Rect) bool {
-		return mbr.Min[geneDim] <= gsF && gsF <= mbr.Max[geneDim]
-	}
-	var out []candidatePair
 
 	// Seed with the root paired against itself; the loop below performs
 	// the lines 9–13 pairwise entry expansion uniformly.
+	root := p.idx.Tree().Root()
 	p.idx.TouchNodeTo(io, root)
-	if p.params.DisableSignatures || p.rootAdmissible(root, qVfS, qVfT, qVdS, qVdT) {
-		push(root.Level(), root, root)
+	if p.params.DisableSignatures || rootAdmissibleFor(p.idx, root, ts) {
+		pq.push(root.Level(), nodePair{root, root})
 	}
 
-	for pq.Len() > 0 {
+	for pq.len() > 0 {
 		if st.NodePairsVisited%cancelCheckInterval == 0 {
 			if err := ec.Err(); err != nil {
 				return nil, err
 			}
 		}
-		it := heap.Pop(&pq).(pairItem)
+		key, pair := pq.pop()
 		st.NodePairsVisited++
-		ea, eb := it.a, it.b
-		if ea.IsLeaf() {
-			// Lines 16–21: pairwise point checks.
-			p.idx.TouchNodeTo(io, ea)
-			if eb != ea {
-				p.idx.TouchNodeTo(io, eb)
-			}
-			for i := 0; i < ea.NumEntries(); i++ {
-				ia := ea.Item(i)
-				ga := gene.ID(int32(ia.Point[len(ia.Point)-1]))
-				if ga != gsGene {
-					continue
-				}
-				srcA, colA := index.UnpackRef(ia.Ref)
-				for j := 0; j < eb.NumEntries(); j++ {
-					ib := eb.Item(j)
-					gb := gene.ID(int32(ib.Point[len(ib.Point)-1]))
-					if !neighborGenes[gb] {
-						continue
-					}
-					srcB, colB := index.UnpackRef(ib.Ref)
-					if srcA != srcB {
-						continue // line 19: data source IDs must agree
-					}
-					st.PointPairsChecked++
-					// Line 20: pivot-based pruning on embedded points.
-					if !p.params.DisablePivotPruning &&
-						index.PointUpperBound(ia.Point, ib.Point, d, p.params.OneSided) <= gamma {
-						st.PointPairsPruned++
-						continue
-					}
-					out = append(out, candidatePair{source: srcA, sCol: colA, tCol: colB})
-				}
-			}
-			continue
-		}
-		// Lines 22–27: expand child pairs.
+		ea, eb := pair.a, pair.b
 		p.idx.TouchNodeTo(io, ea)
 		if eb != ea {
 			p.idx.TouchNodeTo(io, eb)
 		}
+		if ea.IsLeaf() {
+			// Lines 16–21: pairwise point checks, as a source join per
+			// neighbor gene.
+			ta, tb := p.idx.LeafTable(ea), p.idx.LeafTable(eb)
+			for _, tg := range ts.neighbors {
+				index.JoinLeaves(ta, tb, ts.gsGene, tg, pt, keep)
+			}
+			continue
+		}
+		// Lines 22–27: expand child pairs.
 		for i := 0; i < ea.NumEntries(); i++ {
 			ca := ea.Child(i)
 			// Gene-ID range test: the s-side subtree must contain g_s.
-			if !p.params.DisableGeneRange && !sideContainsS(ca.MBR()) {
+			if !p.params.DisableGeneRange && !ts.sideContainsS(ca.MBR(), geneDim) {
 				st.NodePairsPruned += eb.NumEntries()
 				continue
 			}
 			fa, da := p.idx.NodeSignature(ca)
-			if !p.params.DisableSignatures && !qVfS.Intersects(fa) {
+			if !p.params.DisableSignatures && !ts.qVfS.Intersects(fa) {
 				st.NodePairsPruned += eb.NumEntries()
 				continue
 			}
 			for j := 0; j < eb.NumEntries(); j++ {
 				cb := eb.Child(j)
 				// Gene-ID range test on the t side.
-				if !p.params.DisableGeneRange && !anyNeighborIn(cb.MBR()) {
+				if !p.params.DisableGeneRange && !ts.anyNeighborIn(cb.MBR(), geneDim) {
 					st.NodePairsPruned++
 					continue
 				}
 				fb, db := p.idx.NodeSignature(cb)
 				// Line 25: gene-name and data-source signature tests.
 				if !p.params.DisableSignatures &&
-					(!qVfT.Intersects(fb) || !qVdS.IntersectsAll(da, qVdT, db)) {
+					(!ts.qVfT.Intersects(fb) || !ts.qVdS.IntersectsAll(da, ts.qVdT, db)) {
 					st.NodePairsPruned++
 					continue
 				}
 				// Line 25 (cont.): Lemma 6 index pruning.
 				if !p.params.DisableIndexPruning &&
-					index.IndexPrunable(ca.MBR(), cb.MBR(), d, gamma, p.params.OneSided) {
+					index.IndexPrunable(ca.MBR(), cb.MBR(), pt.D, pt.Gamma, pt.OneSided) {
 					st.NodePairsPruned++
 					continue
 				}
-				push(it.key-1, ca, cb)
+				pq.push(key-1, nodePair{ca, cb})
 			}
 		}
 	}
+	qs.candPairs = out // keep the grown capacity for the next query
 	return out, nil
-}
-
-// rootAdmissible mirrors the line 9–13 admission test on the root itself.
-func (p *Processor) rootAdmissible(root *rstar.Node, qVfS, qVfT, qVdS, qVdT *bitvec.Vector) bool {
-	f, d := p.idx.NodeSignature(root)
-	return qVfS.Intersects(f) && qVfT.Intersects(f) && qVdS.IntersectsAll(d, qVdT)
 }
 
 // collectSources reduces candidate pairs to a sorted distinct source list

@@ -3,8 +3,10 @@
 // matrix's pivots into a (2d+1)-dimensional point (2d pivot coordinates
 // plus the integer gene ID), the points are stored in an R*-tree whose
 // nodes carry bit-vector signatures of the gene IDs (V_f) and data-source
-// IDs (V_d) beneath them, and an inverted bit-vector file IF maps each gene
-// to the signature of the sources containing it. Index nodes and matrix
+// IDs (V_d) beneath them and whose leaves carry a (gene, source)-sorted
+// join table for the leaf-level point check (leaftable.go), and an inverted
+// bit-vector file IF maps each gene to the signature of the sources
+// containing it. Index nodes and matrix
 // columns are mapped onto simulated disk pages so queries report the I/O
 // cost metric of Section 6.
 //
@@ -23,13 +25,15 @@
 // RestoreOptions reinstalls them — the durable store (internal/shard)
 // persists the full Options in its MANIFEST for exactly this purpose.
 // The R*-tree itself is not stored; it is rebuilt deterministically by
-// bulk-loading the points, and signatures, page mapping and the inverted
-// file are recomputed at load time (all cheap relative to embedding).
+// bulk-loading the points, and signatures, leaf tables, page mapping and
+// the inverted file are recomputed at load time (all cheap relative to
+// embedding).
 // See persist.go for the byte-level layout and DESIGN.md §12 for the
 // snapshot container that wraps this format.
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -100,12 +104,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// signature is the node augmentation: V_f and V_d of Section 5.1.
-type signature struct {
-	f *bitvec.Vector // gene-ID signature
-	d *bitvec.Vector // data-source signature
-}
-
 // heapInfo locates one matrix's column data in the simulated heap file.
 type heapInfo struct {
 	first    pagestore.PageID
@@ -128,18 +126,7 @@ func encodeStdColumns(m *gene.Matrix) []byte {
 }
 
 func putFloat64(b []byte, v float64) {
-	bits := math.Float64bits(v)
-	for k := 0; k < 8; k++ {
-		b[k] = byte(bits >> (8 * k))
-	}
-}
-
-func getFloat64(b []byte) float64 {
-	var bits uint64
-	for k := 0; k < 8; k++ {
-		bits |= uint64(b[k]) << (8 * k)
-	}
-	return math.Float64frombits(bits)
+	binary.LittleEndian.PutUint64(b, math.Float64bits(v))
 }
 
 // BuildStats reports index construction effort (Figure 13).
@@ -268,28 +255,6 @@ func newInvertedFromDB(db *gene.Database, bits int) *bitvec.InvertedFile {
 	return inv
 }
 
-// buildSignatures computes V_f and V_d bottom-up (bit-OR aggregation).
-func (x *Index) buildSignatures() {
-	b := x.opts.Bits
-	x.tree.WalkBottomUp(func(n *rstar.Node) {
-		sig := signature{f: bitvec.New(b), d: bitvec.New(b)}
-		for i := 0; i < n.NumEntries(); i++ {
-			if n.IsLeaf() {
-				it := n.Item(i)
-				source, _ := UnpackRef(it.Ref)
-				g := gene.ID(int32(it.Point[len(it.Point)-1]))
-				sig.f.Set(bitvec.HashGene(g, b))
-				sig.d.Set(bitvec.HashSource(source, b))
-			} else {
-				child := n.Child(i).Aug.(signature)
-				sig.f.OrInPlace(child.f)
-				sig.d.OrInPlace(child.d)
-			}
-		}
-		n.Aug = sig
-	})
-}
-
 // DB returns the underlying database.
 func (x *Index) DB() *gene.Database { return x.db }
 
@@ -327,12 +292,6 @@ func (x *Index) NewReader() *pagestore.Reader { return x.acc.NewReader() }
 // Stats returns construction statistics.
 func (x *Index) Stats() BuildStats { return x.stats }
 
-// NodeSignature returns the V_f/V_d signatures of a tree node.
-func (x *Index) NodeSignature(n *rstar.Node) (f, d *bitvec.Vector) {
-	sig := n.Aug.(signature)
-	return sig.f, sig.d
-}
-
 // TouchNode charges one read of node n to the shared accountant.
 func (x *Index) TouchNode(n *rstar.Node) { rstar.TouchNode(x.acc, n) }
 
@@ -357,8 +316,8 @@ func (x *Index) FetchStdColumnTo(to pagestore.Toucher, source, col int, dst []fl
 	if !ok {
 		return nil, fmt.Errorf("index: source %d not in heap", source)
 	}
-	raw := make([]byte, h.colBytes)
-	if err := x.store.ReadAtTo(to, h.first, col*h.colBytes, h.colBytes, raw); err != nil {
+	raw, err := x.store.ViewTo(to, h.first, col*h.colBytes, h.colBytes)
+	if err != nil {
 		return nil, fmt.Errorf("index: fetching column %d of source %d: %w", col, source, err)
 	}
 	l := h.colBytes / 8
@@ -367,7 +326,7 @@ func (x *Index) FetchStdColumnTo(to pagestore.Toucher, source, col int, dst []fl
 	}
 	dst = dst[:l]
 	for i := range dst {
-		dst[i] = getFloat64(raw[8*i:])
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return dst, nil
 }
@@ -443,10 +402,15 @@ func IndexPrunable(ea, eb rstar.Rect, d int, gamma float64, oneSided bool) bool 
 // PointUpperBound computes the pivot-based probability upper bound from
 // two embedded (2d+1)-dimensional leaf points of the same data source.
 func PointUpperBound(ps, pt []float64, d int, oneSided bool) float64 {
-	xs := make([]float64, d)
-	ys := make([]float64, d)
-	xt := make([]float64, d)
-	yt := make([]float64, d)
+	// De-interleave (x at 2r, y at 2r+1) into stack scratch: this runs once
+	// per matched point pair of every query, and four heap slices per call
+	// were the query path's largest allocation source.
+	var buf [16]float64 // d ≤ 4 (Table 2 sweeps d over 1..4)
+	co := buf[:]
+	if 4*d > len(buf) {
+		co = make([]float64, 4*d)
+	}
+	xs, ys, xt, yt := co[0:d], co[d:2*d], co[2*d:3*d], co[3*d:4*d]
 	for r := 0; r < d; r++ {
 		xs[r], ys[r] = ps[2*r], ps[2*r+1]
 		xt[r], yt[r] = pt[2*r], pt[2*r+1]

@@ -35,9 +35,9 @@ import (
 //	  ref    uint64
 //
 // The R*-tree is rebuilt deterministically by bulk loading the stored
-// points; node signatures, page mapping and the inverted file are
-// recomputed at load time (they are cheap relative to the Monte Carlo
-// embedding, which is what persistence avoids repeating).
+// points; node signatures, leaf join tables, page mapping and the inverted
+// file are recomputed at load time (they are cheap relative to the Monte
+// Carlo embedding, which is what persistence avoids repeating).
 
 var idxMagic = [8]byte{'I', 'M', 'G', 'R', 'N', 'I', 'X', '1'}
 

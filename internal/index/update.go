@@ -12,8 +12,8 @@ import (
 // offline build uses — so an incrementally-grown index answers queries
 // exactly like a fresh build over the enlarged database — and its points
 // are inserted into the R*-tree via the R* insertion algorithm. Node
-// signatures are recomputed bottom-up (they are OR-aggregates and cheap
-// relative to the Monte Carlo embedding).
+// augmentations (signatures, leaf join tables) are recomputed only for the
+// nodes the insertions created or changed (refreshDirty).
 func (x *Index) AddMatrix(m *gene.Matrix) error {
 	if m == nil || m.NumGenes() == 0 {
 		return fmt.Errorf("index: AddMatrix requires a non-empty matrix")
@@ -46,16 +46,9 @@ func (x *Index) AddMatrix(m *gene.Matrix) error {
 	first := x.store.Append(encodeStdColumns(m))
 	x.heap[m.Source] = heapInfo{first: first, colBytes: m.Samples() * 8}
 
-	// Splits may have created nodes without pages/signatures; refresh both.
-	x.tree.Walk(func(n *rstar.Node) bool {
-		if n.Pages() == 0 {
-			id, pages := x.acc.Allocate(x.tree.NodeBytes(n))
-			n.SetPages(id, pages)
-			x.stats.Pages += uint64(pages)
-		}
-		return true
-	})
-	x.buildSignatures()
+	// Splits may have created nodes without pages; every node on an
+	// insertion path needs its augmentation recomputed.
+	x.refreshDirty()
 
 	x.stats.Vectors += m.NumGenes()
 	x.stats.TreeNodes = x.tree.NodeCount()
@@ -65,7 +58,8 @@ func (x *Index) AddMatrix(m *gene.Matrix) error {
 
 // RemoveMatrix drops a data source from the index and the database: its
 // points are deleted from the R*-tree, its embedding and heap mapping are
-// discarded, and the inverted file and node signatures are rebuilt. The
+// discarded, the inverted file is rebuilt and the augmentations of the
+// touched nodes are refreshed. The
 // heap pages themselves are not reclaimed (the simulated store is
 // append-only, as a log-structured heap would be).
 func (x *Index) RemoveMatrix(source int) error {
@@ -91,16 +85,9 @@ func (x *Index) RemoveMatrix(source int) error {
 	x.db.Remove(source)
 	x.inverted = newInvertedFromDB(x.db, x.opts.Bits)
 
-	// Deletion may have restructured nodes; refresh pages and signatures.
-	x.tree.Walk(func(n *rstar.Node) bool {
-		if n.Pages() == 0 {
-			id, pages := x.acc.Allocate(x.tree.NodeBytes(n))
-			n.SetPages(id, pages)
-			x.stats.Pages += uint64(pages)
-		}
-		return true
-	})
-	x.buildSignatures()
+	// Deletion may have restructured nodes; refresh pages and augmentations
+	// along the touched paths.
+	x.refreshDirty()
 
 	x.stats.Vectors -= m.NumGenes()
 	x.stats.TreeNodes = x.tree.NodeCount()

@@ -217,8 +217,11 @@ type lruNode struct {
 	prev, next *lruNode
 }
 
+// newLRU returns an empty cache. The map grows with use instead of being
+// sized to capacity: every query (and every parallel work unit) opens a
+// cold reader, and most touch a small fraction of the buffer's capacity.
 func newLRU(capacity int) *lruCache {
-	return &lruCache{capacity: capacity, nodes: make(map[PageID]*lruNode, capacity)}
+	return &lruCache{capacity: capacity, nodes: make(map[PageID]*lruNode)}
 }
 
 // touch returns true when id was already cached (a buffer hit); otherwise
@@ -240,7 +243,7 @@ func (c *lruCache) touch(id PageID) bool {
 }
 
 func (c *lruCache) reset() {
-	c.nodes = make(map[PageID]*lruNode, c.capacity)
+	clear(c.nodes)
 	c.head, c.tail = nil, nil
 }
 

@@ -57,15 +57,28 @@ func (s *Store) ReadAt(id PageID, off, length int, dst []byte) error {
 // immutable once appended, so concurrent ReadAtTo calls with distinct
 // Touchers are safe as long as no Append runs concurrently.
 func (s *Store) ReadAtTo(to Toucher, id PageID, off, length int, dst []byte) error {
-	run, ok := s.runs[id]
-	if !ok {
-		return fmt.Errorf("pagestore: no run at page %d", id)
-	}
-	if off < 0 || length < 0 || off+length > len(run) {
-		return fmt.Errorf("pagestore: read [%d,%d) out of run of %d bytes", off, off+length, len(run))
-	}
 	if len(dst) < length {
 		return fmt.Errorf("pagestore: destination smaller than read length")
+	}
+	src, err := s.ViewTo(to, id, off, length)
+	if err != nil {
+		return err
+	}
+	copy(dst, src)
+	return nil
+}
+
+// ViewTo charges the same page touches as ReadAtTo and returns the bytes in
+// place instead of copying them: a read-only window into the run, valid for
+// as long as the run is (callers must not write through it). Decoders that
+// consume the bytes once use it to skip the staging buffer.
+func (s *Store) ViewTo(to Toucher, id PageID, off, length int) ([]byte, error) {
+	run, ok := s.runs[id]
+	if !ok {
+		return nil, fmt.Errorf("pagestore: no run at page %d", id)
+	}
+	if off < 0 || length < 0 || off+length > len(run) {
+		return nil, fmt.Errorf("pagestore: read [%d,%d) out of run of %d bytes", off, off+length, len(run))
 	}
 	ps := to.PageSize()
 	firstPage := off / ps
@@ -76,8 +89,7 @@ func (s *Store) ReadAtTo(to Toucher, id PageID, off, length int, dst []byte) err
 	for p := firstPage; p <= lastPage; p++ {
 		to.Touch(id + PageID(p))
 	}
-	copy(dst[:length], run[off:off+length])
-	return nil
+	return run[off : off+length : off+length], nil
 }
 
 // Runs returns the number of stored runs.

@@ -16,6 +16,7 @@ func (t *Tree) BulkLoad(items []Item) error {
 		}
 	}
 	t.size = len(items)
+	t.dirty = nil // the old nodes are gone; the caller augments the new tree whole
 	if len(items) == 0 {
 		t.root = t.newNode(true, 0)
 		return nil

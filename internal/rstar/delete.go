@@ -13,16 +13,20 @@ func (t *Tree) Delete(it Item) bool {
 	if entryIdx < 0 {
 		return false
 	}
+	t.markPath(path)
 	leaf := path[len(path)-1]
 	leaf.entries = append(leaf.entries[:entryIdx], leaf.entries[entryIdx+1:]...)
 	t.size--
 	t.condense(path)
 	// Shrink the root: an internal root with one child is replaced by it.
 	for !t.root.leaf && len(t.root.entries) == 1 {
+		t.root.dead = true
 		t.root = t.root.entries[0].child
 	}
 	if len(t.root.entries) == 0 && !t.root.leaf {
+		t.root.dead = true
 		t.root = t.newNode(true, 0)
+		t.markDirty(t.root)
 	}
 	return true
 }
@@ -75,6 +79,7 @@ func (t *Tree) condense(path []*Node) {
 		parent := path[i-1]
 		if len(n.entries) < t.minFill {
 			// Detach n from its parent and orphan its entries.
+			n.dead = true
 			for j := range parent.entries {
 				if parent.entries[j].child == n {
 					parent.entries = append(parent.entries[:j], parent.entries[j+1:]...)

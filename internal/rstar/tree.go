@@ -25,8 +25,12 @@ type Node struct {
 	pages int
 
 	// Aug is an arbitrary augmentation attached by the index layer
-	// (bit-vector signatures in IM-GRN).
+	// (bit-vector signatures and leaf join tables in IM-GRN).
 	Aug any
+
+	// dirty: queued in Tree.dirty since the last TakeDirty. dead: detached
+	// from the tree by a split, a condense or a root change.
+	dirty, dead bool
 }
 
 type entry struct {
@@ -88,6 +92,10 @@ type Tree struct {
 	// reinsertion during the current insert (R* OverflowTreatment).
 	reinsertLevels map[int]bool
 	reinserting    bool
+
+	// dirty lists, in first-touch order, the nodes Insert and Delete have
+	// created or changed since the last TakeDirty (see dirty.go).
+	dirty []*Node
 }
 
 // DefaultMaxFill is the default node capacity M; the R* paper recommends
@@ -188,6 +196,7 @@ func (t *Tree) Insert(it Item) error {
 // insertEntry places e at the given target level (0 = leaf).
 func (t *Tree) insertEntry(e entry, level int) {
 	leafPath := t.choosePath(e.mbr, level)
+	t.markPath(leafPath)
 	n := leafPath[len(leafPath)-1]
 	n.entries = append(n.entries, e)
 	n.mbr.ExpandRect(e.mbr)
@@ -323,8 +332,12 @@ func (t *Tree) forcedReinsert(path []*Node) {
 func (t *Tree) split(path []*Node) {
 	n := path[len(path)-1]
 	left, right := t.rstarSplit(n)
+	n.dead = true
+	t.markDirty(left)
+	t.markDirty(right)
 	if n == t.root {
 		newRoot := t.newNode(false, n.level+1)
+		t.markDirty(newRoot)
 		newRoot.entries = append(newRoot.entries,
 			entry{mbr: left.mbr.Clone(), child: left},
 			entry{mbr: right.mbr.Clone(), child: right},

@@ -369,3 +369,44 @@ func TestQueryBatchConcurrentWithMutationsDurable(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestQueryBatchOutOfRangeGeneLabels: resolveGenes accepts any numeric
+// label, so a batch item may name a negative gene or 2³¹−1 as the neighbor
+// of a catalogued one. The batch descent used to index a dense table with
+// the raw ID (a panic for -11, a 16 GiB allocation for 2147483647); each
+// such item must come back with no answers and no error, exactly like
+// /query for the same request.
+func TestQueryBatchOutOfRangeGeneLabels(t *testing.T) {
+	s, _, db := fixture(t)
+	m := db.BySource(3)
+	p := ParamsJSON{Gamma: 0.6, Alpha: 0.4, Seed: 3, Analytic: true}
+	var req BatchRequest
+	for _, genes := range [][]string{
+		{"A", "-11"}, {"-11", "A"}, {"A", "2147483647"}, {"2147483647", "A"},
+	} {
+		// Columns A and B of one source correlate strongly, so the inferred
+		// query graph has the edge that sends the item down the descent.
+		q := QueryRequest{Genes: genes, Columns: [][]float64{m.Col(0), m.Col(1)}, Params: p}
+		solo := decodeQuery(t, postJSON(t, s, "/query", q))
+		if solo.Stats.QueryEdges != 1 || len(solo.Answers) != 0 {
+			t.Fatalf("/query %v: %d edges, %d answers; want 1 edge, no answers", genes, solo.Stats.QueryEdges, len(solo.Answers))
+		}
+		req.Queries = append(req.Queries, BatchQueryJSON{Genes: q.Genes, Columns: q.Columns, Params: q.Params})
+	}
+	full := queryReqFor(m, 0.6, 0.4, ParamsJSON{Seed: 3, Analytic: true})
+	want := decodeQuery(t, postJSON(t, s, "/query", full))
+	req.Queries = append(req.Queries, BatchQueryJSON{Genes: full.Genes, Columns: full.Columns, Params: full.Params})
+
+	frames, done := batchFrames(t, postJSON(t, s, "/query-batch", req))
+	if done.Queries != 5 || done.Errors != 0 {
+		t.Fatalf("done frame = %+v", done)
+	}
+	for i := 0; i < 4; i++ {
+		if f := frames[i]; f.Error != "" || len(f.Answers) != 0 || f.Stats == nil || f.Stats.QueryEdges != 1 {
+			t.Fatalf("item %d: %+v", i, f)
+		}
+	}
+	if got := frames[4]; len(got.Answers) != len(want.Answers) || len(want.Answers) == 0 {
+		t.Fatalf("valid sibling: %d answers in the batch, %d solo", len(got.Answers), len(want.Answers))
+	}
+}

@@ -3,6 +3,7 @@ package imgrn_test
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	imgrn "github.com/imgrn/imgrn"
@@ -14,10 +15,10 @@ import (
 // shardBench is the Fig. 5-style large-N workload shared by the sharded
 // scatter-gather sweep: an 800-source database over a small gene pool, so
 // queries touch candidates on every shard (several hundred candidate
-// matrices per query), plus a fixed extracted query set. N is large enough
-// that the superlinear pairwise R*-tree traversal dominates: splitting the
-// sources across P smaller per-shard trees is an algorithmic win even on a
-// single-core host, which is what the scaling gate below relies on.
+// matrices per query), plus a fixed extracted query set. With the leaf-level
+// source join the descent costs about as much over P small trees as over one
+// large one, so on one core P only adds scatter-gather overhead; what P buys
+// is parallel scatter on idle cores and smaller write-lock domains.
 type shardBench struct {
 	db      *imgrn.Database
 	queries []*gene.Matrix
@@ -72,12 +73,12 @@ func shardBenchQuery(tb testing.TB, eng *imgrn.Engine, sb *shardBench, i int) im
 
 // BenchmarkShardQuery sweeps the shard count over the Fig. 5 large-N
 // workload (`make bench-shard` -> BENCH_shard.json). Each P>1 sub-run
-// reports its wall-clock speedup over the P=1 sub-run (at N=800 the
-// smaller per-shard R*-trees beat the single tree even on a single-core
-// host; multicore hosts add parallel scatter on top) and the aggregate
-// simulated page I/O per query, which grows mildly with P because every
-// shard's tree is traversed. allocs/op across the sweep tracks the arena
-// scratch reuse: P=8 must not balloon allocations over P=1.
+// reports its wall-clock speedup over the P=1 sub-run (close to 1 on a
+// single core, where P only adds scatter-gather overhead; the gain comes
+// from parallel scatter on multicore hosts) and the aggregate simulated
+// page I/O per query, which grows mildly with P because every shard's tree
+// is traversed. allocs/op grows by the fixed per-shard query set-up
+// (processor, reader, traversal state, cache family): about 120 per shard.
 func BenchmarkShardQuery(b *testing.B) {
 	sb := setupShardBench(b)
 	var p1NsPerOp float64
@@ -104,16 +105,22 @@ func BenchmarkShardQuery(b *testing.B) {
 }
 
 // TestShardScalingGate is the CI benchmark gate for the sharding
-// subsystem (`make bench-shard-smoke`). On the N=800 workload it enforces
-// two ratios:
+// subsystem (`make bench-shard-smoke`). On the N=800 workload, pinned to
+// one core, it enforces:
 //
-//   - time: P=4 must be at least 1.5x faster than P=1. At this N the win
-//     is algorithmic (P smaller R*-trees cut the superlinear pairwise
-//     traversal), so the bar holds even on a single-core runner; idle
-//     multicore hosts clear it with a wide margin.
-//   - allocations: P=8 allocs/op must stay within 1.1x of P=1, pinning
-//     the arena scratch reuse — before the per-query arenas, fan-out
-//     setup made allocations grow with P.
+//   - time: P=4 ns/op must stay within 1.15x of P=1. Until the leaf-level
+//     source join, P=4 was 2x faster than P=1 on one core — the quadratic
+//     leaf scan shrank with the per-shard trees — and the gate asked for
+//     1.5x; that scan is gone, the descent now costs the same over four
+//     small trees as over one (measured 0.84x–0.88x of P=1), and what is
+//     left to guard is the scatter-gather overhead itself. The margin is
+//     the measured ratio plus runner noise.
+//   - allocations: at most 2500 allocs/op at P=1 and at P=8 (measured 984
+//     and 1816). The former "P=8 within 1.1x of P=1" divided by 12.8k
+//     allocations, 11k of them temporaries of the leaf scan; without them
+//     the fixed per-shard set-up (about 120 allocations) is visible, so
+//     the bound is absolute. It still fails if per-query scratch stops
+//     being pooled (the arenas' purpose): that alone costs thousands.
 //
 // Gated behind BENCH_SHARD=1 so ordinary `go test` runs — and loaded CI
 // machines running the race detector — never flake on timing.
@@ -121,6 +128,7 @@ func TestShardScalingGate(t *testing.T) {
 	if os.Getenv("BENCH_SHARD") != "1" {
 		t.Skip("set BENCH_SHARD=1 to run the shard scaling gate")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sb := setupShardBench(t)
 	run := func(p int) testing.BenchmarkResult {
 		eng := openShardBench(t, sb, p)
@@ -136,15 +144,16 @@ func TestShardScalingGate(t *testing.T) {
 	p1 := run(1)
 	p4 := run(4)
 	p8 := run(8)
-	t.Logf("P=1 %v ns/op %v allocs/op, P=4 %v ns/op (%.2fx), P=8 %v ns/op %v allocs/op",
+	t.Logf("one core: P=1 %v ns/op %v allocs/op, P=4 %v ns/op (%.2fx of P=1), P=8 %v ns/op %v allocs/op",
 		p1.NsPerOp(), p1.AllocsPerOp(), p4.NsPerOp(),
-		float64(p1.NsPerOp())/float64(p4.NsPerOp()), p8.NsPerOp(), p8.AllocsPerOp())
-	if float64(p4.NsPerOp()) > float64(p1.NsPerOp())/1.5 {
-		t.Errorf("P=4 scatter-gather under 1.5x speedup over P=1: %v ns/op vs %v ns/op (%.2fx)",
-			p4.NsPerOp(), p1.NsPerOp(), float64(p1.NsPerOp())/float64(p4.NsPerOp()))
+		float64(p4.NsPerOp())/float64(p1.NsPerOp()), p8.NsPerOp(), p8.AllocsPerOp())
+	if float64(p4.NsPerOp()) > 1.15*float64(p1.NsPerOp()) {
+		t.Errorf("P=4 scatter-gather costs more than 1.15x P=1 on one core: %v ns/op vs %v ns/op (%.2fx)",
+			p4.NsPerOp(), p1.NsPerOp(), float64(p4.NsPerOp())/float64(p1.NsPerOp()))
 	}
-	if float64(p8.AllocsPerOp()) > 1.1*float64(p1.AllocsPerOp()) {
-		t.Errorf("P=8 allocations outgrew P=1 by more than 10%%: %d allocs/op vs %d allocs/op",
-			p8.AllocsPerOp(), p1.AllocsPerOp())
+	const maxAllocs = 2500
+	if p1.AllocsPerOp() > maxAllocs || p8.AllocsPerOp() > maxAllocs {
+		t.Errorf("allocations above %d per query: P=1 %d allocs/op, P=8 %d allocs/op",
+			maxAllocs, p1.AllocsPerOp(), p8.AllocsPerOp())
 	}
 }
