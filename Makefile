@@ -28,10 +28,13 @@ bench-figures:
 	$(GO) test -bench='BenchmarkFig' -benchtime=1x .
 
 # Inference-kernel benchmarks -> BENCH_inference.json (ns/op, allocs/op,
-# derived batch-vs-scalar speedups). ParallelQuery runs at 1x so the sweep
-# stays minutes-scale.
+# derived batch-vs-scalar speedups), from the draw kernel up: one
+# permutation, one Lemma-3 E(Z) estimate, one edge probability, one query
+# graph. ParallelQuery runs at 1x so the sweep stays minutes-scale. The
+# committed file is recorded with GOMAXPROCS=1 in the environment.
 bench-json:
-	{ $(GO) test -run xxx -bench 'BenchmarkInferPruned|BenchmarkEdgeProbabilityScalar|BenchmarkEdgeProbabilityBatch' -benchmem . ; \
+	{ $(GO) test -run xxx -bench 'BenchmarkPermuteInto' -benchmem ./internal/randgen ; \
+	  $(GO) test -run xxx -bench 'BenchmarkExpectedPermDistance|BenchmarkInferPruned|BenchmarkEdgeProbabilityScalar|BenchmarkEdgeProbabilityBatch' -benchmem . ; \
 	  $(GO) test -run xxx -bench 'BenchmarkParallelQuery' -benchtime=1x -benchmem . ; } \
 	| $(GO) run ./cmd/imgrn-benchjson > BENCH_inference.json
 	@cat BENCH_inference.json

@@ -122,9 +122,10 @@ type Params struct {
 }
 
 // Validate reports whether the thresholds are in range, including the
-// Lemma-2 domain of a requested (Eps, Delta). Bad accuracy parameters
-// surface here as an error — never as a stats.SampleSize panic — so the
-// HTTP layer can answer 400.
+// Lemma-2 domain of a requested (Eps, Delta) and the stats.MaxSamples cap
+// on the sample count either knob leads to. Bad accuracy parameters
+// surface here as an error — never as a stats.SampleSize panic or a
+// silently replaced sample count — so the HTTP layer can answer 400.
 func (p Params) Validate() error {
 	if p.Gamma < 0 || p.Gamma >= 1 {
 		return errOutOfRange("Gamma", p.Gamma)
@@ -133,11 +134,10 @@ func (p Params) Validate() error {
 		return errOutOfRange("Alpha", p.Alpha)
 	}
 	if p.Eps != 0 || p.Delta != 0 {
-		if _, err := stats.SampleSizeErr(p.Eps, p.Delta); err != nil {
-			return err
-		}
+		_, err := stats.SampleSizeErr(p.Eps, p.Delta)
+		return err
 	}
-	return nil
+	return stats.CheckSamples(p.Samples)
 }
 
 // planRequest maps the params onto the planner's view of the query: the

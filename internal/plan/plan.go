@@ -136,7 +136,8 @@ func (p *Plan) Mode() string {
 // Resolve builds the fixed default plan for req: the requested stage set
 // verbatim, with Samples either carried through or — when an accuracy is
 // requested — chosen as the Lemma-2 bound R = SampleSize(Eps, Delta).
-// The only error is an invalid (Eps, Delta). Applying a Resolve plan
+// The errors are an invalid (Eps, Delta) and a sample count — requested or
+// implied by the accuracy — above stats.MaxSamples. Applying a Resolve plan
 // back onto the parameters it came from is the identity, which is what
 // keeps the default plan byte-identical to the pre-planner pipeline.
 func Resolve(req Request) (*Plan, error) {
@@ -155,6 +156,8 @@ func Resolve(req Request) (*Plan, error) {
 		p.Samples = r
 		p.FromAccuracy = true
 		p.Eps, p.Delta = req.Eps, req.Delta
+	} else if err := stats.CheckSamples(req.Samples); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

@@ -100,11 +100,24 @@ func TestResolveRejectsBadAccuracy(t *testing.T) {
 		{Eps: 0, Delta: 0.05}, // eps unset while delta is
 		{Eps: 0.1, Delta: 1.5},
 		{Eps: 0.1, Delta: -1},
+		// A Lemma-2 bound that overflows int, and sample counts above the
+		// cap however they are asked for: the plan must not carry a count
+		// the estimators would silently replace.
+		{Eps: 1e-9, Delta: 0.05},
+		{Eps: 0.003, Delta: 0.05},
+		{Samples: stats.MaxSamples + 1},
 	}
 	for _, req := range bad {
-		if _, err := Resolve(req); err == nil {
-			t.Errorf("Resolve(%+v): want error", req)
+		if pl, err := Resolve(req); err == nil {
+			t.Errorf("Resolve(%+v) = %+v: want error", req, pl)
 		}
+	}
+	// An accuracy request overrides Samples, so only the bound is checked.
+	if _, err := Resolve(Request{Eps: 0.1, Delta: 0.05, Samples: stats.MaxSamples + 1}); err != nil {
+		t.Errorf("Resolve with an overridden Samples: %v", err)
+	}
+	if _, err := Resolve(Request{Samples: stats.MaxSamples}); err != nil {
+		t.Errorf("Resolve(Samples = MaxSamples): %v", err)
 	}
 }
 

@@ -10,13 +10,16 @@
 // harness deterministic.
 package randgen
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random generator (xoshiro256**).
 // It is NOT safe for concurrent use; derive per-goroutine generators with
 // Split.
 type Rand struct {
-	s [4]uint64
+	s state
 	// cached second Gaussian from the polar Box–Muller transform
 	gauss    float64
 	hasGauss bool
@@ -36,17 +39,19 @@ func New(seed uint64) *Rand {
 // scorers) reuse one generator instead of allocating a new one each time.
 func (r *Rand) Reseed(seed uint64) {
 	sm := seed
-	for i := range r.s {
+	var s [4]uint64
+	for i := range s {
 		sm += 0x9e3779b97f4a7c15
 		z := sm
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		s[i] = z ^ (z >> 31)
 	}
 	// xoshiro must not start from the all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9e3779b97f4a7c15
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = 0x9e3779b97f4a7c15
 	}
+	r.s = state{s[0], s[1], s[2], s[3]}
 	r.gauss = 0
 	r.hasGauss = false
 }
@@ -75,19 +80,47 @@ func SeedFrom(base uint64, coords ...uint64) uint64 {
 	return z
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// state is the xoshiro256** state as a four-field struct rather than an
+// array: the compiler keeps such a struct in registers when it is a local
+// variable, which is what lets the shuffle loops below run a whole
+// permutation without touching the generator in memory.
+type state struct{ s0, s1, s2, s3 uint64 }
+
+// next returns the next output word and the successor state.
+func (s state) next() (uint64, state) {
+	w := bits.RotateLeft64(s.s1*5, 7) * 9
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = bits.RotateLeft64(s.s3, 45)
+	return w, s
+}
+
+// redraw is the rejection branch of Lemire's nearly-divisionless bounded
+// draw. A word w maps onto [0, n) as the high half of the 128-bit product
+// w·n; the words whose low half falls under 2^64 mod n would bias the
+// result and are drawn again. Callers compute the first product inline and
+// come here only when its low half is below n — at shuffle sizes once in
+// 2^59 draws — which keeps the modulo and the loop out of their hot path.
+// redraw returns the accepted high half, (hi, lo) itself when it already
+// clears the threshold, and the state after any words it consumed.
+func (s state) redraw(hi, lo, n uint64) (uint64, state) {
+	for thresh := -n % n; lo < thresh; {
+		var w uint64
+		w, s = s.next()
+		hi, lo = bits.Mul64(w, n)
+	}
+	return hi, s
+}
 
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *Rand) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var w uint64
+	w, r.s = r.s.next()
+	return w
 }
 
 // Float64 returns a uniform float64 in [0, 1).
@@ -102,31 +135,11 @@ func (r *Rand) Intn(n int) int {
 		panic("randgen: Intn with n <= 0")
 	}
 	un := uint64(n)
-	x := r.Uint64()
-	hi, lo := mul64(x, un)
+	hi, lo := bits.Mul64(r.Uint64(), un)
 	if lo < un {
-		thresh := (-un) % un
-		for lo < thresh {
-			x = r.Uint64()
-			hi, lo = mul64(x, un)
-		}
+		hi, r.s = r.s.redraw(hi, lo, un)
 	}
 	return int(hi)
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return
 }
 
 // UniformIn returns a uniform float64 in [lo, hi).
@@ -170,19 +183,29 @@ func (r *Rand) Gaussian(mean, stddev float64) float64 {
 }
 
 // Shuffle permutes x in place with the Fisher–Yates algorithm.
-func (r *Rand) Shuffle(x []float64) {
-	for i := len(x) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		x[i], x[j] = x[j], x[i]
-	}
-}
+func (r *Rand) Shuffle(x []float64) { shuffle(r, x) }
 
 // ShuffleInts permutes x in place with the Fisher–Yates algorithm.
-func (r *Rand) ShuffleInts(x []int) {
+func (r *Rand) ShuffleInts(x []int) { shuffle(r, x) }
+
+// shuffle is the Fisher–Yates kernel: one bounded draw per position from
+// the top down, the draw being Intn's written out so that the generator
+// state stays in a local (in registers) for the whole permutation. It
+// consumes exactly the words len(x)-1 successive Intn calls would and
+// picks the same indices.
+func shuffle[T any](r *Rand, x []T) {
+	s := r.s
 	for i := len(x) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
+		n := uint64(i) + 1
+		var w uint64
+		w, s = s.next()
+		j, lo := bits.Mul64(w, n)
+		if lo < n {
+			j, s = s.redraw(j, lo, n)
+		}
 		x[i], x[j] = x[j], x[i]
 	}
+	r.s = s
 }
 
 // Perm returns a uniform random permutation of [0, n).

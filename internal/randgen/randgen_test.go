@@ -1,6 +1,7 @@
 package randgen
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -264,4 +265,27 @@ func TestSampleWithoutReplacementPanics(t *testing.T) {
 		}
 	}()
 	New(1).SampleWithoutReplacement(3, 4)
+}
+
+var sinkFloat float64
+
+// BenchmarkPermuteInto times one randomized vector X^R of Definition 2 at
+// the vector lengths the datasets use; ns/op divided by l−1 is the cost
+// of one bounded draw plus swap.
+func BenchmarkPermuteInto(b *testing.B) {
+	for _, l := range []int{10, 20, 50} {
+		b.Run(fmt.Sprintf("l=%d", l), func(b *testing.B) {
+			r := New(1)
+			src := make([]float64, l)
+			for i := range src {
+				src[i] = float64(i)
+			}
+			dst := make([]float64, l)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.PermuteInto(dst, src)
+			}
+			sinkFloat = dst[0]
+		})
+	}
 }

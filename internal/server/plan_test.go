@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/imgrn/imgrn/internal/plan"
+	"github.com/imgrn/imgrn/internal/stats"
 )
 
 // planQueryRequest is the shared accuracy-requesting query fixture.
@@ -41,6 +42,31 @@ func TestQueryBadAccuracy400(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
 			t.Errorf("params %+v: no JSON error body: %s", p, rec.Body)
 		}
+	}
+}
+
+// TestQuerySampleCap400: a request whose sample count cannot be honoured
+// is refused, on the matrix endpoint the load generators use. Before the
+// cap, "eps": 1e-9 overflowed the Lemma-2 bound to a negative count, the
+// query ran with the default 192 samples, and the reply still claimed
+// fromAccuracy with the requested ε.
+func TestQuerySampleCap400(t *testing.T) {
+	s, _, db := fixture(t)
+	for _, p := range []ParamsJSON{
+		{Seed: 3, Eps: 1e-9, Delta: 0.05},
+		{Seed: 3, Eps: 0.003, Delta: 0.05},
+		{Seed: 3, Samples: stats.MaxSamples + 1},
+	} {
+		rec := postJSON(t, s, "/query", queryReqFor(db.BySource(3), 0.6, 0.4, p))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "maximum") {
+			t.Errorf("params %+v: status = %d body %s, want 400 naming the maximum", p, rec.Code, rec.Body)
+		}
+	}
+	// With a Planner installed the same request is refused the same way.
+	s.Planner = plan.NewPlanner(plan.Options{})
+	rec := postJSON(t, s, "/query", queryReqFor(db.BySource(3), 0.6, 0.4, ParamsJSON{Seed: 3, Eps: 1e-9, Delta: 0.05}))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("with a planner: status = %d body %s, want 400", rec.Code, rec.Body)
 	}
 }
 

@@ -20,24 +20,50 @@ import (
 //
 //	S ≥ (3/ε²) · ln(2/δ).
 //
-// It panics outside the lemma's domain; use SampleSizeErr where the
-// parameters arrive from untrusted input (e.g. an HTTP request).
+// It panics outside the lemma's domain and when the bound exceeds
+// MaxSamples; use SampleSizeErr where the parameters arrive from untrusted
+// input (e.g. an HTTP request).
 func SampleSize(eps, delta float64) int {
 	n, err := SampleSizeErr(eps, delta)
 	if err != nil {
-		panic("stats: SampleSize requires eps > 0 and 0 < delta < 1")
+		panic(err.Error())
 	}
 	return n
 }
 
 // SampleSizeErr is SampleSize with the domain violation reported as an
 // error instead of a panic, so query paths can turn a bad requested
-// (ε, δ) into a validation failure.
+// (ε, δ) into a validation failure. An accuracy so tight that the bound
+// exceeds MaxSamples (or overflows: ε = 1e-9 asks for 1.1e19 samples) is
+// such a failure too — never a silently different sample count.
 func SampleSizeErr(eps, delta float64) (int, error) {
 	if eps <= 0 || delta <= 0 || delta >= 1 {
 		return 0, fmt.Errorf("stats: sample size needs eps > 0 and 0 < delta < 1 (got eps=%v, delta=%v)", eps, delta)
 	}
-	return int(math.Ceil(3 / (eps * eps) * math.Log(2/delta))), nil
+	r := math.Ceil(3 / (eps * eps) * math.Log(2/delta))
+	if !(r <= MaxSamples) { // also catches +Inf and NaN
+		return 0, fmt.Errorf("stats: eps=%v, delta=%v needs %.3g Monte Carlo samples, more than the maximum %d", eps, delta, r, MaxSamples)
+	}
+	return int(r), nil
+}
+
+// MaxSamples is the largest Monte Carlo sample count R one estimate may
+// use, whether R is the Lemma-2 bound of a requested (ε, δ) or given
+// explicitly. It bounds what a single request can cost: time is R·l per
+// edge, and the batched kernel materializes R·l floats per target column
+// (PermBatch.Fill) — 160 MiB at the cap for l = 20. 2²⁰ still admits
+// ε ≈ 0.0033 at δ = 0.05, an order of magnitude tighter than the paper's
+// experiments use.
+const MaxSamples = 1 << 20
+
+// CheckSamples reports an explicitly requested sample count above
+// MaxSamples as an error. Zero and negative counts select DefaultSamples
+// and pass.
+func CheckSamples(samples int) error {
+	if samples > MaxSamples {
+		return fmt.Errorf("stats: %d Monte Carlo samples requested, more than the maximum %d", samples, MaxSamples)
+	}
+	return nil
 }
 
 // DefaultSamples is the Monte Carlo sample count used when callers do not
@@ -61,8 +87,8 @@ type Estimator struct {
 // shared a single slice, so a caller holding one routine's permutation
 // buffer across a call to the other would see it silently clobbered).
 type arena struct {
-	edgePerm  []float64 // EdgeProbability / AbsEdgeProbability permutations
-	distPerm  []float64 // ExpectedPermDistance permutations
+	edgePerm  []float64 // EdgeProbability / AbsEdgeProbability permutation block
+	distPerm  []float64 // ExpectedPermDistance permutation block
 	batchMat  []float64 // EdgeProbabilityBatch permutation matrix
 	batchDots []float64 // EdgeProbabilityBatch inner products
 }
@@ -96,6 +122,39 @@ func (e *Estimator) Reseed(seed uint64) {
 	e.rng.Reseed(seed)
 }
 
+// permBlock is the number of permutations the estimators draw back to back
+// before testing them. One squared distance is a chain of l dependent
+// additions; four independent chains advanced together keep the adder
+// busy, and four accumulators, their differences and the loop state still
+// fit the sixteen floating-point registers of amd64 — eight would spill.
+const permBlock = 4
+
+// sqDistBlock draws the next min(permBlock, remaining) uniform permutations
+// of src from the estimator's stream into the arena slot buf and returns
+// their squared distances to fixed, in draw order, in a prefix of out.
+//
+// This is the draw kernel every scalar estimator runs on, and it is
+// draw-identical to the plain loop "PermuteInto, then SquaredEuclidean"
+// once per sample: the permutations consume the stream one after the
+// other, and every distance is summed by one accumulator in ascending
+// index order. Only independent samples are interleaved, so no
+// floating-point result moves.
+func (e *Estimator) sqDistBlock(out *[permBlock]float64, buf *[]float64, fixed, src []float64, remaining int) []float64 {
+	n, l := min(permBlock, remaining), len(src)
+	perm := grow(buf, permBlock*l)
+	for k := 0; k < n; k++ {
+		e.rng.PermuteInto(perm[k*l:(k+1)*l], src)
+	}
+	if n == permBlock {
+		out[0], out[1], out[2], out[3] = vecmath.SquaredEuclidean4(fixed, perm[:l], perm[l:2*l], perm[2*l:3*l], perm[3*l:])
+	} else {
+		for k := 0; k < n; k++ {
+			out[k] = vecmath.SquaredEuclidean(fixed, perm[k*l:(k+1)*l])
+		}
+	}
+	return out[:n]
+}
+
 // EdgeProbability estimates the edge existence probability of Eq. (1),
 // reduced per Lemma 1 to the Euclidean form of Eq. (4):
 //
@@ -109,12 +168,13 @@ func (e *Estimator) EdgeProbability(xs, xt []float64, samples int) float64 {
 		samples = DefaultSamples
 	}
 	d := vecmath.SquaredEuclidean(xs, xt)
-	perm := grow(&e.ar.edgePerm, len(xt))
 	hits := 0
-	for i := 0; i < samples; i++ {
-		e.rng.PermuteInto(perm, xt)
-		if vecmath.SquaredEuclidean(xs, perm) > d {
-			hits++
+	var d2 [permBlock]float64
+	for done := 0; done < samples; done += permBlock {
+		for _, dr := range e.sqDistBlock(&d2, &e.ar.edgePerm, xs, xt, samples-done) {
+			if dr > d {
+				hits++
+			}
 		}
 	}
 	return float64(hits) / float64(samples)
@@ -136,12 +196,13 @@ func (e *Estimator) AbsEdgeProbability(xs, xt []float64, samples int) float64 {
 		samples = DefaultSamples
 	}
 	c := abs(vecmath.SquaredEuclidean(xs, xt) - 2)
-	perm := grow(&e.ar.edgePerm, len(xt))
 	hits := 0
-	for i := 0; i < samples; i++ {
-		e.rng.PermuteInto(perm, xt)
-		if abs(vecmath.SquaredEuclidean(xs, perm)-2) < c {
-			hits++
+	var d2 [permBlock]float64
+	for done := 0; done < samples; done += permBlock {
+		for _, dr := range e.sqDistBlock(&d2, &e.ar.edgePerm, xs, xt, samples-done) {
+			if abs(dr-2) < c {
+				hits++
+			}
 		}
 	}
 	return float64(hits) / float64(samples)
@@ -165,11 +226,12 @@ func (e *Estimator) ExpectedPermDistance(fixed, permuted []float64, samples int)
 	if samples <= 0 {
 		samples = DefaultSamples
 	}
-	perm := grow(&e.ar.distPerm, len(permuted))
 	var sum float64
-	for i := 0; i < samples; i++ {
-		e.rng.PermuteInto(perm, permuted)
-		sum += vecmath.Euclidean(fixed, perm)
+	var d2 [permBlock]float64
+	for done := 0; done < samples; done += permBlock {
+		for _, dr := range e.sqDistBlock(&d2, &e.ar.distPerm, fixed, permuted, samples-done) {
+			sum += math.Sqrt(dr)
+		}
 	}
 	return sum / float64(samples)
 }

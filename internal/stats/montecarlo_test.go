@@ -65,6 +65,47 @@ func TestSampleSizeErr(t *testing.T) {
 	}
 }
 
+// TestSampleSizeErrOverflow is the regression test for the silently voided
+// (ε, δ) guarantee: ε = 1e-9 asks for 1.1e19 samples, whose float→int
+// conversion used to come back as math.MinInt64 with a nil error (and the
+// estimators then fell back to DefaultSamples). Every bound that is not a
+// usable count — above MaxSamples, beyond int, infinite — is an error,
+// and the largest admissible accuracy still resolves.
+func TestSampleSizeErrOverflow(t *testing.T) {
+	for _, eps := range []float64{
+		1e-9,   // 1.1e19 samples: overflows int64
+		1e-200, // 3/ε² = +Inf
+		5e-324, // ε² underflows to 0
+		0.003,  // 1.23e6 samples: representable, above the cap
+	} {
+		if n, err := SampleSizeErr(eps, 0.05); err == nil {
+			t.Errorf("SampleSizeErr(%v, 0.05) = %d, want an error", eps, n)
+		}
+	}
+	// Whatever the floats do at the edges of the domain, a nil error
+	// comes with a usable count.
+	for _, c := range []struct{ eps, delta float64 }{
+		{0.0033, 0.05}, {0.1, 5e-324}, {0.0001, 5e-324}, {math.Inf(1), 0.05},
+		{0.1, math.Nextafter(1, 0)}, {math.NaN(), 0.05}, {0.1, math.NaN()},
+	} {
+		if n, err := SampleSizeErr(c.eps, c.delta); err == nil && (n < 0 || n > MaxSamples) {
+			t.Errorf("SampleSizeErr(%v, %v) = %d with no error", c.eps, c.delta, n)
+		}
+	}
+	if n, err := SampleSizeErr(0.0033, 0.05); err != nil || n <= DefaultSamples {
+		t.Errorf("SampleSizeErr(0.0033, 0.05) = %d, %v; the tightest admitted accuracy must resolve", n, err)
+	}
+	if err := CheckSamples(MaxSamples); err != nil {
+		t.Errorf("CheckSamples(MaxSamples): %v", err)
+	}
+	if err := CheckSamples(MaxSamples + 1); err == nil {
+		t.Error("CheckSamples(MaxSamples+1): want an error")
+	}
+	if err := CheckSamples(-5); err != nil {
+		t.Errorf("CheckSamples(-5) (selects the default): %v", err)
+	}
+}
+
 func stdPair(rng *randgen.Rand, l int) (xs, xt []float64) {
 	for {
 		xs = make([]float64, l)

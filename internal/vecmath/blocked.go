@@ -120,3 +120,23 @@ func MatMulRowsInto(dst, mat []float64, rows, cols int, srcs [][]float64) {
 		}
 	}
 }
+
+// SquaredEuclidean4 returns the squared Euclidean distances from x to four
+// vectors of the same length. Each result is the single ascending
+// s += d*d chain SquaredEuclidean computes — bit-identical to four
+// separate calls — but the four chains advance together, so their
+// latency-bound additions overlap and x is read once. It is the hit-test
+// half of the Monte Carlo draw kernel (DESIGN.md §9).
+func SquaredEuclidean4(x, y0, y1, y2, y3 []float64) (s0, s1, s2, s3 float64) {
+	if len(y0) != len(x) || len(y1) != len(x) || len(y2) != len(x) || len(y3) != len(x) {
+		panic("vecmath: SquaredEuclidean4 length mismatch")
+	}
+	for i, v := range x {
+		d0, d1, d2, d3 := v-y0[i], v-y1[i], v-y2[i], v-y3[i]
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return
+}

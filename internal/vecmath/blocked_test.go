@@ -79,6 +79,7 @@ func TestBlockedKernelPanics(t *testing.T) {
 		func() { MatVecRowsInto(make([]float64, 1), mat, 2, 2, make([]float64, 2)) },
 		func() { MatMulRowsInto(make([]float64, 1), mat, 2, 2, [][]float64{{1, 2}, {3, 4}}) },
 		func() { MatMulRowsInto(make([]float64, 4), mat, 2, 2, [][]float64{{1, 2, 3}}) },
+		func() { SquaredEuclidean4(mat[:2], mat[:2], mat[:2], mat[:3], mat[:2]) },
 	} {
 		func() {
 			defer func() {
@@ -88,6 +89,24 @@ func TestBlockedKernelPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestSquaredEuclidean4BitIdentical: the interleaved kernel must return
+// the exact bits of four separate SquaredEuclidean calls — fixed-seed
+// Monte Carlo estimates compare these sums against a threshold, so one
+// reassociated addition could flip a hit.
+func TestSquaredEuclidean4BitIdentical(t *testing.T) {
+	for l := 0; l <= 67; l++ {
+		mat, srcs := randMatAndSrcs(uint64(100+l), 4, l, 1)
+		x := srcs[0]
+		y := func(r int) []float64 { return mat[r*l : (r+1)*l] }
+		s0, s1, s2, s3 := SquaredEuclidean4(x, y(0), y(1), y(2), y(3))
+		for r, got := range []float64{s0, s1, s2, s3} {
+			if want := SquaredEuclidean(x, y(r)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("l=%d row %d: interleaved %v, scalar %v", l, r, got, want)
+			}
+		}
 	}
 }
 

@@ -19,11 +19,27 @@ import (
 // incompatible shapes are combined.
 var ErrDimensionMismatch = errors.New("vecmath: dimension mismatch")
 
+// lengthMismatch is the panic value of the leaf loops below when their
+// arguments differ in length. It is an error that formats itself on demand
+// rather than a string built at the panic site: a fmt.Sprintf call there —
+// or any call, even to an out-of-line helper — costs more of the
+// compiler's inlining budget than these loops have to spare, and they run
+// once per candidate edge and once per Monte Carlo sample. The text a
+// crash or a recover prints is unchanged.
+type lengthMismatch struct {
+	fn     string
+	nx, ny int
+}
+
+func (e lengthMismatch) Error() string {
+	return fmt.Sprintf("vecmath: %s length mismatch %d != %d", e.fn, e.nx, e.ny)
+}
+
 // Dot returns the inner product of x and y.
 // It panics if the lengths differ; callers validate shapes at ingestion time.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
-		panic(fmt.Sprintf("vecmath: Dot length mismatch %d != %d", len(x), len(y)))
+		panic(lengthMismatch{"Dot", len(x), len(y)})
 	}
 	var s float64
 	for i, v := range x {
@@ -66,7 +82,7 @@ func Variance(x []float64) float64 {
 // Euclidean returns the Euclidean distance between x and y.
 func Euclidean(x, y []float64) float64 {
 	if len(x) != len(y) {
-		panic(fmt.Sprintf("vecmath: Euclidean length mismatch %d != %d", len(x), len(y)))
+		panic(lengthMismatch{"Euclidean", len(x), len(y)})
 	}
 	var s float64
 	for i, v := range x {
@@ -79,7 +95,7 @@ func Euclidean(x, y []float64) float64 {
 // SquaredEuclidean returns the squared Euclidean distance between x and y.
 func SquaredEuclidean(x, y []float64) float64 {
 	if len(x) != len(y) {
-		panic(fmt.Sprintf("vecmath: SquaredEuclidean length mismatch %d != %d", len(x), len(y)))
+		panic(lengthMismatch{"SquaredEuclidean", len(x), len(y)})
 	}
 	var s float64
 	for i, v := range x {

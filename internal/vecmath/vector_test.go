@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -28,6 +29,27 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 		}
 	}()
 	Dot([]float64{1}, []float64{1, 2})
+}
+
+// TestLengthMismatchPanicText pins what a mismatch crash prints: the
+// panic value formats itself lazily, and the text must stay the one the
+// eagerly formatted string used to carry.
+func TestLengthMismatchPanicText(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"Dot":              func() { Dot(make([]float64, 1), make([]float64, 2)) },
+		"Euclidean":        func() { Euclidean(make([]float64, 1), make([]float64, 2)) },
+		"SquaredEuclidean": func() { SquaredEuclidean(make([]float64, 1), make([]float64, 2)) },
+	} {
+		func() {
+			defer func() {
+				want := "vecmath: " + name + " length mismatch 1 != 2"
+				if got := fmt.Sprint(recover()); got != want {
+					t.Errorf("panic text %q, want %q", got, want)
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
 func TestNorm(t *testing.T) {
