@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-figures bench-json bench-smoke bench-shard bench-shard-smoke bench-plan bench-plan-smoke bench-batch bench-batch-smoke bench-traverse experiments experiments-full fmt fmt-check vet metrics-smoke persist-smoke cluster-smoke clean
+.PHONY: all build test race cover bench bench-figures bench-json bench-smoke bench-shard bench-shard-smoke bench-plan bench-plan-smoke bench-traverse experiments experiments-full fmt fmt-check vet metrics-smoke persist-smoke cluster-smoke clean
 
 all: build test
 
@@ -68,19 +68,6 @@ bench-plan:
 # than the fixed pipeline on the mixed easy/hard workload.
 bench-plan-smoke:
 	BENCH_PLAN=1 $(GO) test -run TestPlanNotSlowerThanFixed -v .
-
-# Multi-query batch engine vs a sequential loop on the B=8 mixed-width
-# ad-hoc exploration workload -> BENCH_batch.json (ns/op, allocs/op,
-# derived batch-vs-sequential speedups for both batch modes).
-bench-batch:
-	$(GO) test -run xxx -bench 'BenchmarkBatchQuery' -benchmem . \
-	| $(GO) run ./cmd/imgrn-benchjson > BENCH_batch.json
-	@cat BENCH_batch.json
-
-# CI gate: the B=8 mixed-width batch (byte-identical default mode) must
-# run at no less than 0.85x the speed of 8 sequential queries.
-bench-batch-smoke:
-	BENCH_BATCH=1 $(GO) test -run TestBatchNotSlowerThanSequential -v .
 
 # Traversal micro-benchmarks as JSON on stdout: one leaf-pair source join
 # (fill 32, hit rate swept) and one online add + remove on an N=300 index.

@@ -82,9 +82,6 @@ func TestEngineBatchMatchesSequential(t *testing.T) {
 	if bst.Errors != 0 || bst.Queries != len(queries) {
 		t.Fatalf("batch stats: %+v", bst)
 	}
-	if bst.Groups == 0 {
-		t.Fatal("no shared traversal groups ran")
-	}
 	for i := range results {
 		if results[i].Err != nil {
 			t.Fatalf("item %d: %v", i, results[i].Err)
@@ -181,36 +178,5 @@ func TestShardedBatchTopK(t *testing.T) {
 			t.Fatalf("item %d: %d answers exceed K=%d", i, len(results[i].Answers), k)
 		}
 		assertAnswersEqual(t, fmt.Sprintf("query %d", i), want[i], results[i].Answers)
-	}
-}
-
-// TestEngineBatchSharedPerms: the opt-in shared-permutation mode on the
-// public engine is deterministic across repeated calls and exercises the
-// permutation pool.
-func TestEngineBatchSharedPerms(t *testing.T) {
-	opts := imgrn.IndexOptions{D: 2, Samples: 24, Seed: 77}
-	params := imgrn.QueryParams{Gamma: 0.6, Alpha: 0.3, Samples: 32, Seed: 79}
-	eng, err := imgrn.Open(buildPublicFixture(t, 14, 76), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := batchQueries(t, eng.Database(), 6)
-	mkItems := func() []imgrn.BatchItem {
-		items := make([]imgrn.BatchItem, len(queries))
-		for i, qm := range queries {
-			items[i] = imgrn.BatchItem{Matrix: qm, Params: params}
-		}
-		return items
-	}
-	r1, bst := eng.QueryBatch(mkItems(), imgrn.BatchOptions{SharedPerms: true})
-	if bst.PermProbes > 0 && bst.PermFills == 0 {
-		t.Fatalf("perm counters inconsistent: %+v", bst)
-	}
-	r2, _ := eng.QueryBatch(mkItems(), imgrn.BatchOptions{SharedPerms: true})
-	for i := range r1 {
-		if r1[i].Err != nil || r2[i].Err != nil {
-			t.Fatalf("item %d: %v / %v", i, r1[i].Err, r2[i].Err)
-		}
-		assertAnswersEqual(t, fmt.Sprintf("query %d", i), r1[i].Answers, r2[i].Answers)
 	}
 }

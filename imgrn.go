@@ -6,10 +6,10 @@ import (
 	"io"
 	"sync"
 
-	"github.com/imgrn/imgrn/internal/cluster"
 	"github.com/imgrn/imgrn/internal/core"
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
+	"github.com/imgrn/imgrn/internal/grnclust"
 	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/plan"
@@ -104,11 +104,11 @@ type (
 	// BatchResult is one batch item's outcome: answers, stats, and the
 	// item's own error (items fail independently).
 	BatchResult = core.BatchResult
-	// BatchOptions tunes one QueryBatch call: shared permutation batches,
-	// the per-item timeout, and the streaming result callback.
+	// BatchOptions tunes one QueryBatch call: the per-item timeout and
+	// the streaming result callback.
 	BatchOptions = core.BatchOptions
-	// BatchStats aggregates batch-level counters: traversal groups shared,
-	// permutation batches filled and probed, and per-item error counts.
+	// BatchStats aggregates batch-level counters: items submitted and
+	// items failed.
 	BatchStats = core.BatchStats
 )
 
@@ -522,24 +522,22 @@ func (e *Engine) QueryTopKContext(ctx context.Context, mq *Matrix, params QueryP
 	return answers, stats, nil
 }
 
-// QueryBatch answers a batch of queries in one engine pass (DESIGN.md
-// §14): queries whose traversal parameters agree share a single R*-tree
-// descent per γ-group, plans resolve once per distinct request group,
-// and — with BatchOptions.SharedPerms — Monte Carlo permutation batches
-// are drawn once per probed column per batch. It returns one result per
-// item in item order; opts.OnResult streams each item as it completes.
-// Item errors are reported per item, never as a batch failure.
+// QueryBatch answers a batch of queries in one engine call (DESIGN.md
+// §14): plans resolve once per distinct request group, a sharded engine
+// scatters the whole batch once, and every item then runs the ordinary
+// query pipeline. It returns one result per item in item order;
+// opts.OnResult streams each item as it completes. Item errors are
+// reported per item, never as a batch failure.
 //
-// With SharedPerms off, the results are byte-identical to calling Query
-// for each item sequentially on this engine; see BatchOptions for the
-// SharedPerms determinism contract.
+// The results are byte-identical to calling Query for each item
+// sequentially on this engine.
 func (e *Engine) QueryBatch(items []BatchItem, opts BatchOptions) ([]BatchResult, BatchStats) {
 	return e.QueryBatchContext(context.Background(), items, opts)
 }
 
 // QueryBatchContext is QueryBatch under an explicit context: cancelling
 // ctx aborts the remaining items (each reporting the context error), and
-// opts.ItemTimeout bounds each item's active phases individually.
+// opts.ItemTimeout gives every item one timeout window of its own.
 func (e *Engine) QueryBatchContext(ctx context.Context, items []BatchItem, opts BatchOptions) ([]BatchResult, BatchStats) {
 	if e.coord != nil {
 		return e.coord.QueryBatch(ctx, items, opts)
@@ -637,9 +635,9 @@ func NewCalibratedScorer(label string, fn VectorScore, seed uint64, samples int)
 // similarity of their inferred regulatory structures.
 type (
 	// ClusterOptions tunes the GRN distance (scorer, threshold, panel cap).
-	ClusterOptions = cluster.Options
+	ClusterOptions = grnclust.Options
 	// ClusterResult is a clustering assignment with representatives.
-	ClusterResult = cluster.Result
+	ClusterResult = grnclust.Result
 	// DistanceMatrix is a dense symmetric source-by-source distance
 	// matrix; index it with At(i, j).
 	DistanceMatrix = vecmath.Matrix
@@ -648,28 +646,28 @@ type (
 // GRNDistanceMatrix computes pairwise regulatory-structure distances
 // between all database matrices.
 func GRNDistanceMatrix(db *Database, opts ClusterOptions) (*DistanceMatrix, error) {
-	return cluster.DistanceMatrix(db, opts)
+	return grnclust.DistanceMatrix(db, opts)
 }
 
 // GRNDistance is the pairwise form of GRNDistanceMatrix.
 func GRNDistance(a, b *Matrix, opts ClusterOptions) (float64, error) {
-	return cluster.Distance(a, b, opts)
+	return grnclust.Distance(a, b, opts)
 }
 
 // ClusterKMedoids clusters the distance matrix into k groups with
 // PAM-style k-medoids; the medoid matrices are natural IM-GRN query
 // patterns for their clusters.
 func ClusterKMedoids(dm *DistanceMatrix, k, restarts int, seed uint64) (ClusterResult, error) {
-	return cluster.KMedoids(dm, k, restarts, randgen.New(seed))
+	return grnclust.KMedoids(dm, k, restarts, randgen.New(seed))
 }
 
 // ClusterAgglomerative cuts an average-linkage dendrogram at k clusters.
 func ClusterAgglomerative(dm *DistanceMatrix, k int) (ClusterResult, error) {
-	return cluster.Agglomerative(dm, k)
+	return grnclust.Agglomerative(dm, k)
 }
 
 // ClusterPurity scores a clustering against ground-truth labels.
-func ClusterPurity(assign, labels []int) float64 { return cluster.Purity(assign, labels) }
+func ClusterPurity(assign, labels []int) float64 { return grnclust.Purity(assign, labels) }
 
 // MatchSubgraph finds embeddings of query q in data graph g whose
 // appearance probability exceeds alpha — general label-constrained

@@ -13,13 +13,12 @@ import (
 // Distributed batch execution: the remote analogue of the in-process
 // batch scatter (DESIGN.md §14). The coordinator resolves every item's
 // plan once, then ships the WHOLE batch to each global shard in a single
-// BatchExecRequest, so the per-shard prologue, γ-group traversal sharing
-// and permutation sharing still happen once per shard per batch — the
-// sharing structure is identical to the in-process scatter; only the
-// transport changed. Matrix items are inferred on each shard server at
-// the base seed (inference reads only the query matrix, so every server
-// derives the identical graph), and each server rewrites the per-item
-// seed for its GLOBAL shard exactly like the local scatter.
+// BatchExecRequest — one RPC per shard per batch; the structure is that
+// of the in-process scatter, only the transport changed. Matrix items
+// are inferred on each shard server at the base seed (inference reads
+// only the query matrix, so every server derives the identical graph),
+// and each server rewrites the per-item seed for its GLOBAL shard exactly
+// like the local scatter.
 //
 // Top-k items use per-(item, shard) local sinks merged here, not the
 // networked floor push: batch items retire too quickly for the push
@@ -102,7 +101,6 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 		QueryID:       c.nextQueryID(),
 		NumShards:     c.topo.NumShards,
 		Solo:          solo,
-		SharedPerms:   opts.SharedPerms,
 		ItemTimeoutMs: opts.ItemTimeout.Milliseconds(),
 		Items:         wire,
 	}
@@ -200,16 +198,7 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 					mergeItem(fr.Index)
 				}
 			}
-			done, err := c.execBatchShard(scatterCtx, g, req, onItem)
-			if err != nil {
-				legErrs[g] = err
-				return
-			}
-			bstMu.Lock()
-			bst.Groups += done.Groups
-			bst.PermFills += done.PermFills
-			bst.PermProbes += done.PermProbes
-			bstMu.Unlock()
+			legErrs[g] = c.execBatchShard(scatterCtx, g, req, onItem)
 		}(g)
 	}
 	wg.Wait()
@@ -243,17 +232,16 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 // execBatchShard is execShard's batch twin: hedged replicated execution
 // of one batch leg. Frame replay across attempts is handled by the
 // caller's first-wins dedup.
-func (c *Coordinator) execBatchShard(ctx context.Context, g int, req BatchExecRequest, onItem func(BatchItemFrame)) (*BatchExecDone, error) {
+func (c *Coordinator) execBatchShard(ctx context.Context, g int, req BatchExecRequest, onItem func(BatchItemFrame)) error {
 	req.Shard = g
 	urls := c.replicaOrder(g)
 	if len(urls) == 0 {
-		return nil, fmt.Errorf("%w: shard %d has no replicas", ErrShardUnavailable, g)
+		return fmt.Errorf("%w: shard %d has no replicas", ErrShardUnavailable, g)
 	}
 	attemptCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	type result struct {
-		done    *BatchExecDone
 		err     error
 		attempt int
 	}
@@ -267,8 +255,7 @@ func (c *Coordinator) execBatchShard(ctx context.Context, g int, req BatchExecRe
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			done, err := c.client.ExecBatch(attemptCtx, url, &legReq, onItem)
-			ch <- result{done, err, attempt}
+			ch <- result{c.client.ExecBatch(attemptCtx, url, &legReq, onItem), attempt}
 		}()
 	}
 	launch()
@@ -284,7 +271,7 @@ func (c *Coordinator) execBatchShard(ctx context.Context, g int, req BatchExecRe
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-hedge:
 			hedge = nil
 			if launched < len(urls) {
@@ -298,17 +285,17 @@ func (c *Coordinator) execBatchShard(ctx context.Context, g int, req BatchExecRe
 				if r.attempt > 0 {
 					c.met.hedgeWin()
 				}
-				return r.done, nil
+				return nil
 			}
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return ctx.Err()
 			}
 			errs = append(errs, fmt.Errorf("replica %s: %w", urls[r.attempt], r.err))
 			if launched < len(urls) {
 				launch()
 				pending++
 			} else if pending == 0 {
-				return nil, joinShardErr(g, errs)
+				return joinShardErr(g, errs)
 			}
 		}
 	}

@@ -213,27 +213,21 @@ func (c *Client) execOnce(ctx context.Context, url string, body []byte, onAccept
 }
 
 // ExecBatch runs one BatchExecRequest against one shard server,
-// streaming per-item frames into onItem as items retire and returning
-// the terminal counters. Idempotent like Exec; the caller must keep the
-// FIRST frame per (item, shard) since a retry replays earlier items.
-func (c *Client) ExecBatch(ctx context.Context, baseURL string, req *BatchExecRequest, onItem func(BatchItemFrame)) (*BatchExecDone, error) {
+// streaming per-item frames into onItem as items retire, and returns once
+// the terminal frame lands. Idempotent like Exec; the caller must keep
+// the FIRST frame per (item, shard) since a retry replays earlier items.
+func (c *Client) ExecBatch(ctx context.Context, baseURL string, req *BatchExecRequest, onItem func(BatchItemFrame)) error {
 	req.Proto = ProtoVersion
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var done *BatchExecDone
-	err = c.retryIdempotent(ctx, func() error {
-		done = nil
-		return c.execBatchOnce(ctx, baseURL+PathExecBatch, body, onItem, &done)
+	return c.retryIdempotent(ctx, func() error {
+		return c.execBatchOnce(ctx, baseURL+PathExecBatch, body, onItem)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return done, nil
 }
 
-func (c *Client) execBatchOnce(ctx context.Context, url string, body []byte, onItem func(BatchItemFrame), out **BatchExecDone) error {
+func (c *Client) execBatchOnce(ctx context.Context, url string, body []byte, onItem func(BatchItemFrame)) error {
 	resp, cancel, err := c.post(ctx, url, body)
 	if err != nil {
 		return err
@@ -259,8 +253,7 @@ func (c *Client) execBatchOnce(ctx context.Context, url string, body []byte, onI
 			if onItem != nil {
 				onItem(*frame.Item)
 			}
-		case frame.Done != nil:
-			*out = frame.Done
+		case frame.Done:
 			return nil
 		case frame.Error != "":
 			return fmt.Errorf("cluster: %s: %s", url, frame.Error)

@@ -1,3 +1,14 @@
+// Package cluster is the distributed serving tier (DESIGN.md §15): a
+// scatter-gather Coordinator that fans IM-GRN queries, batches and
+// mutations out to remote shard servers over HTTP, with consistent-hash
+// placement of sources onto global shards (ring.go), R-way replication
+// of every shard with hedged replicated reads (client.go,
+// coordinator.go), coordinator-resolved plans shipped in every request
+// envelope (proto.go), and cross-shard top-k floor propagation so remote
+// shards early-terminate like in-process ones. The in-process
+// shard.Coordinator is the single-node degenerate case of the same code
+// path: at the same shard count and placement the remote answers are
+// byte-identical (pinned by goldens).
 package cluster
 
 import (

@@ -33,8 +33,9 @@ import (
 // an explicit 400, never a best-effort execution. The plan payload is
 // versioned separately (plan.WireVersion).
 
-// ProtoVersion is the cluster protocol version.
-const ProtoVersion = 1
+// ProtoVersion is the cluster protocol version. 2: the exec-batch
+// envelope lost sharedPerms and its terminal frame became {"done":true}.
+const ProtoVersion = 2
 
 // ErrProtoVersion reports a protocol version mismatch between
 // coordinator and shard server. Matchable with errors.Is.
@@ -285,16 +286,13 @@ type ExecDone struct {
 }
 
 // BatchExecRequest is the /cluster/exec-batch envelope: the whole batch
-// for one global shard, so the shard server preserves the per-shard
-// γ-group traversal and permutation sharing of the in-process batch
-// scatter.
+// for one global shard in one RPC.
 type BatchExecRequest struct {
 	Proto         int             `json:"proto"`
 	QueryID       string          `json:"queryId"`
 	NumShards     int             `json:"numShards"`
 	Shard         int             `json:"shard"`
 	Solo          bool            `json:"solo,omitempty"`
-	SharedPerms   bool            `json:"sharedPerms,omitempty"`
 	ItemTimeoutMs int64           `json:"itemTimeoutMs,omitempty"`
 	Items         []BatchExecItem `json:"items"`
 }
@@ -311,10 +309,11 @@ type BatchExecItem struct {
 }
 
 // BatchExecFrame is one NDJSON response frame of /cluster/exec-batch:
-// per-item frames as items retire on the shard, then one terminal frame.
+// per-item frames as items retire on the shard, then one terminal frame
+// (Done, or Error).
 type BatchExecFrame struct {
 	Item  *BatchItemFrame `json:"item,omitempty"`
-	Done  *BatchExecDone  `json:"done,omitempty"`
+	Done  bool            `json:"done,omitempty"`
 	Error string          `json:"error,omitempty"`
 }
 
@@ -326,14 +325,6 @@ type BatchItemFrame struct {
 	Stats   WireStats    `json:"stats"`
 	Infer   *WireStats   `json:"infer,omitempty"`
 	Error   string       `json:"error,omitempty"`
-}
-
-// BatchExecDone is the terminal batch frame: the shard's batch-level
-// sharing counters.
-type BatchExecDone struct {
-	Groups     int `json:"groups"`
-	PermFills  int `json:"permFills,omitempty"`
-	PermProbes int `json:"permProbes,omitempty"`
 }
 
 // MutateRequest is the /cluster/mutate envelope. The coordinator places

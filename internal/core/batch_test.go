@@ -10,6 +10,7 @@ import (
 	"github.com/imgrn/imgrn/internal/core"
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
+	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/synth"
 )
@@ -34,11 +35,18 @@ func extractMixedQueries(t *testing.T, ds *synth.Dataset, n int, seed uint64) []
 	return out
 }
 
+// statCounters is st with its durations and plan pointer cleared: what is
+// left is every counter of a run, comparable with ==.
+func statCounters(st core.Stats) core.Stats {
+	st.InferQuery, st.Traversal, st.Refinement = 0, 0, 0
+	st.MarkovPrune, st.MonteCarlo, st.Total = 0, 0, 0
+	st.Plan = nil
+	return st
+}
+
 // assertBatchItemMatches compares one batch item's outcome against its
-// solo-run reference: answers bit-for-bit, and every counter the shared
-// traversal claims to preserve exactly. I/O counters are excluded by
-// design — the shared descent touches each page once per group, so a
-// member's I/O accounting differs from a solo run (see DESIGN.md §14).
+// solo-run reference: answers bit-for-bit, and every counter of the run,
+// page I/O included — a batch item is a solo run.
 func assertBatchItemMatches(t *testing.T, label string, ref []core.Answer, refSt core.Stats, got core.BatchResult) {
 	t.Helper()
 	if got.Err != nil {
@@ -61,21 +69,81 @@ func assertBatchItemMatches(t *testing.T, label string, ref []core.Answer, refSt
 			}
 		}
 	}
-	st := got.Stats
-	if refSt.NodePairsVisited != st.NodePairsVisited || refSt.NodePairsPruned != st.NodePairsPruned ||
-		refSt.PointPairsChecked != st.PointPairsChecked || refSt.PointPairsPruned != st.PointPairsPruned {
-		t.Fatalf("%s: traversal counters differ:\nseq:   %+v\nbatch: %+v", label, refSt, st)
+	if statCounters(refSt) != statCounters(got.Stats) {
+		t.Fatalf("%s: counters differ:\nseq:   %+v\nbatch: %+v", label, refSt, got.Stats)
 	}
-	if refSt.CandidateMatrices != st.CandidateMatrices || refSt.CandidateGenes != st.CandidateGenes ||
-		refSt.MatricesPrunedL5 != st.MatricesPrunedL5 || refSt.Answers != st.Answers ||
-		refSt.CacheHits != st.CacheHits || refSt.CacheMisses != st.CacheMisses ||
-		refSt.QueryVertices != st.QueryVertices || refSt.QueryEdges != st.QueryEdges {
-		t.Fatalf("%s: refinement counters differ:\nseq:   %+v\nbatch: %+v", label, refSt, st)
+}
+
+// soloReference answers items one by one on fresh processors — the
+// sequential loop a batch must equal.
+func soloReference(t *testing.T, idx *index.Index, items []core.BatchItem) ([][]core.Answer, []core.Stats) {
+	t.Helper()
+	answers := make([][]core.Answer, len(items))
+	sts := make([]core.Stats, len(items))
+	for i, it := range items {
+		proc, err := core.NewProcessor(idx, it.Params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it.Graph != nil {
+			answers[i], sts[i], err = proc.QueryGraph(it.Graph)
+		} else {
+			answers[i], sts[i], err = proc.Query(it.Matrix)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return answers, sts
+}
+
+// TestBatchItemStatsEqualSolo is the per-item contract: under the scalar
+// and the batched inference kernel, for matrix and for pre-inferred graph
+// items, a batch item's answers and every counter of its Stats — IOCost
+// and IOHits too — are those of the solo run. Both sides share one
+// edge-probability cache across their items, as an engine does.
+func TestBatchItemStatsEqualSolo(t *testing.T) {
+	ds, idx := buildConcFixture(t, 107)
+	queries := extractMixedQueries(t, ds, 6, 109)
+	for _, scalar := range []bool{true, false} {
+		for _, asGraph := range []bool{false, true} {
+			t.Run(fmt.Sprintf("scalarKernel=%v/graphItems=%v", scalar, asGraph), func(t *testing.T) {
+				mkItems := func() []core.BatchItem {
+					params := core.Params{Gamma: 0.5, Alpha: 0.3, Samples: 32, Seed: 9,
+						DisableBatchInference: scalar, Cache: core.NewEdgeProbCache(1 << 12)}
+					items := make([]core.BatchItem, len(queries))
+					for i, q := range queries {
+						items[i] = core.BatchItem{Matrix: q, Params: params}
+						if asGraph {
+							g, err := grn.Infer(q, grn.AnalyticScorer{}, params.Gamma)
+							if err != nil {
+								t.Fatal(err)
+							}
+							items[i] = core.BatchItem{Graph: g, Params: params}
+						}
+					}
+					return items
+				}
+				refAnswers, refStats := soloReference(t, idx, mkItems())
+				results, bst := core.QueryBatch(context.Background(), idx, mkItems(), core.BatchOptions{})
+				if bst.Queries != len(queries) || bst.Errors != 0 {
+					t.Fatalf("batch stats: %+v", bst)
+				}
+				pages := uint64(0)
+				for i := range results {
+					assertBatchItemMatches(t, fmt.Sprintf("query %d", i), refAnswers[i], refStats[i], results[i])
+					pages += results[i].Stats.IOCost
+				}
+				if pages == 0 {
+					t.Fatal("no item touched a page: the I/O comparison is vacuous")
+				}
+			})
+		}
 	}
 }
 
 // TestBatchMatchesSequentialMC pins the headline determinism contract:
-// a default-mode batch is byte-identical to running the same queries
+// a batch is byte-identical to running the same queries
 // sequentially against the same engine (fresh per-query processors, one
 // shared MC edge-probability cache), for the Monte Carlo kernel.
 func TestBatchMatchesSequentialMC(t *testing.T) {
@@ -93,21 +161,7 @@ func TestBatchMatchesSequentialMC(t *testing.T) {
 	}
 
 	// Sequential reference with its own (fresh) shared cache.
-	seqCache := core.NewEdgeProbCache(1 << 12)
-	seqItems := mkItems(seqCache)
-	refAnswers := make([][]core.Answer, len(seqItems))
-	refStats := make([]core.Stats, len(seqItems))
-	for i, it := range seqItems {
-		proc, err := core.NewProcessor(idx, it.Params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, st, err := proc.Query(it.Matrix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refAnswers[i], refStats[i] = a, st
-	}
+	refAnswers, refStats := soloReference(t, idx, mkItems(core.NewEdgeProbCache(1<<12)))
 
 	// Batch run with an equally fresh cache.
 	batchItems := mkItems(core.NewEdgeProbCache(1 << 12))
@@ -117,9 +171,6 @@ func TestBatchMatchesSequentialMC(t *testing.T) {
 	})
 	if bst.Queries != len(queries) || bst.Errors != 0 {
 		t.Fatalf("batch stats: %+v", bst)
-	}
-	if bst.Groups < 1 {
-		t.Fatalf("expected at least one shared traversal group, got %+v", bst)
 	}
 	for i := range results {
 		assertBatchItemMatches(t, fmt.Sprintf("query %d", i), refAnswers[i], refStats[i], results[i])
@@ -140,135 +191,35 @@ func TestBatchMatchesSequentialAnalytic(t *testing.T) {
 	params := core.Params{Gamma: 0.5, Alpha: 0.3, Seed: 5, Analytic: true}
 
 	items := make([]core.BatchItem, len(queries))
-	refAnswers := make([][]core.Answer, len(queries))
-	refStats := make([]core.Stats, len(queries))
 	for i, q := range queries {
 		items[i] = core.BatchItem{Matrix: q, Params: params}
-		proc, err := core.NewProcessor(idx, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, st, err := proc.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refAnswers[i], refStats[i] = a, st
 	}
+	refAnswers, refStats := soloReference(t, idx, items)
 	results, _ := core.QueryBatch(context.Background(), idx, items, core.BatchOptions{})
 	for i := range results {
 		assertBatchItemMatches(t, fmt.Sprintf("query %d", i), refAnswers[i], refStats[i], results[i])
 	}
 }
 
-// TestBatchMixedGammasGroupSeparately: items with different γ cannot share
-// a descent; they split into groups and each still matches its solo run.
+// TestBatchMixedGammasGroupSeparately: items of one batch may differ in
+// every parameter; with alternating γ each item still matches its solo run
+// in answers and in every counter.
 func TestBatchMixedGammasGroupSeparately(t *testing.T) {
 	ds, idx := buildConcFixture(t, 79)
 	queries := extractMixedQueries(t, ds, 4, 95)
 	gammas := []float64{0.4, 0.6, 0.4, 0.6}
 
 	items := make([]core.BatchItem, len(queries))
-	refAnswers := make([][]core.Answer, len(queries))
-	refStats := make([]core.Stats, len(queries))
 	for i, q := range queries {
-		p := core.Params{Gamma: gammas[i], Alpha: 0.3, Samples: 24, Seed: 11}
-		items[i] = core.BatchItem{Matrix: q, Params: p}
-		proc, err := core.NewProcessor(idx, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, st, err := proc.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refAnswers[i], refStats[i] = a, st
+		items[i] = core.BatchItem{Matrix: q, Params: core.Params{Gamma: gammas[i], Alpha: 0.3, Samples: 24, Seed: 11}}
 	}
+	refAnswers, refStats := soloReference(t, idx, items)
 	results, bst := core.QueryBatch(context.Background(), idx, items, core.BatchOptions{})
-	if bst.Groups != 2 {
-		t.Fatalf("groups = %d, want 2 (one per γ)", bst.Groups)
+	if bst.Queries != len(items) || bst.Errors != 0 {
+		t.Fatalf("batch stats: %+v", bst)
 	}
 	for i := range results {
 		assertBatchItemMatches(t, fmt.Sprintf("query %d", i), refAnswers[i], refStats[i], results[i])
-	}
-}
-
-// TestBatchSharedPermsDeterministic: the shared-permutation mode is
-// deterministic and independent of batch composition — every item's
-// answers are a pure function of (Seed, source, column), so the same item
-// must produce identical answers in different batches and orders.
-func TestBatchSharedPermsDeterministic(t *testing.T) {
-	ds, idx := buildConcFixture(t, 83)
-	queries := extractMixedQueries(t, ds, 4, 97)
-	params := core.Params{Gamma: 0.5, Alpha: 0.3, Samples: 32, Seed: 13}
-
-	run := func(order []int) map[int]core.BatchResult {
-		items := make([]core.BatchItem, len(order))
-		for pos, qi := range order {
-			items[pos] = core.BatchItem{Matrix: queries[qi], Params: params}
-		}
-		results, bst := core.QueryBatch(context.Background(), idx, items, core.BatchOptions{SharedPerms: true})
-		if bst.PermFills == 0 && bst.PermProbes > 0 {
-			t.Fatalf("perm pool counters inconsistent: %+v", bst)
-		}
-		out := make(map[int]core.BatchResult, len(order))
-		for pos, qi := range order {
-			if results[pos].Err != nil {
-				t.Fatal(results[pos].Err)
-			}
-			out[qi] = results[pos]
-		}
-		return out
-	}
-
-	full := run([]int{0, 1, 2, 3})
-	rev := run([]int{3, 2, 1, 0})
-	sub := run([]int{2, 0})
-	for qi, res := range full {
-		for name, other := range map[string]map[int]core.BatchResult{"reversed": rev, "subset": sub} {
-			o, ok := other[qi]
-			if !ok {
-				continue
-			}
-			if len(res.Answers) != len(o.Answers) {
-				t.Fatalf("query %d: %s batch changed answer count", qi, name)
-			}
-			for i := range res.Answers {
-				if res.Answers[i].Source != o.Answers[i].Source || res.Answers[i].Prob != o.Answers[i].Prob {
-					t.Fatalf("query %d: %s batch changed answer %d", qi, name, i)
-				}
-			}
-		}
-	}
-}
-
-// TestBatchSharedPermsAnalyticIdentity: under the analytic kernel
-// SharedPerms must be a no-op — no RNG exists to share.
-func TestBatchSharedPermsAnalyticIdentity(t *testing.T) {
-	ds, idx := buildConcFixture(t, 89)
-	queries := extractMixedQueries(t, ds, 3, 99)
-	params := core.Params{Gamma: 0.5, Alpha: 0.3, Seed: 7, Analytic: true}
-	mkItems := func() []core.BatchItem {
-		items := make([]core.BatchItem, len(queries))
-		for i, q := range queries {
-			items[i] = core.BatchItem{Matrix: q, Params: params}
-		}
-		return items
-	}
-	plain, _ := core.QueryBatch(context.Background(), idx, mkItems(), core.BatchOptions{})
-	shared, bst := core.QueryBatch(context.Background(), idx, mkItems(), core.BatchOptions{SharedPerms: true})
-	if bst.PermFills != 0 || bst.PermProbes != 0 {
-		t.Fatalf("analytic batch used the perm pool: %+v", bst)
-	}
-	for i := range plain {
-		if len(plain[i].Answers) != len(shared[i].Answers) {
-			t.Fatalf("query %d: answer count differs", i)
-		}
-		for j := range plain[i].Answers {
-			a, b := plain[i].Answers[j], shared[i].Answers[j]
-			if a.Source != b.Source || a.Prob != b.Prob {
-				t.Fatalf("query %d answer %d differs", i, j)
-			}
-		}
 	}
 }
 
@@ -328,10 +279,9 @@ func TestBatchItemTimeout(t *testing.T) {
 }
 
 // TestBatchOutOfRangeGeneLabels: gene labels are caller-supplied int32s, so
-// a neighbor gene may be negative or 2³¹−1. The batch descent used to index
-// a dense per-gene table with the raw ID (panic on a negative label, a
-// 16 GiB allocation for 2³¹−1); it must answer such items exactly like the
-// solo path — no answers, same traversal counters — beside a valid sibling.
+// a neighbor gene may be negative or 2³¹−1. A batch must answer such items
+// exactly like the solo path — no answers, same counters — beside a valid
+// sibling.
 func TestBatchOutOfRangeGeneLabels(t *testing.T) {
 	ds, idx := buildConcFixture(t, 113)
 	known := ds.DB.Matrix(0).Gene(0)
@@ -353,24 +303,11 @@ func TestBatchOutOfRangeGeneLabels(t *testing.T) {
 	if bst.Errors != 0 {
 		t.Fatalf("batch errors = %d", bst.Errors)
 	}
+	refAnswers, refStats := soloReference(t, idx, items)
 	for i, it := range items {
-		proc, err := core.NewProcessor(idx, params)
-		if err != nil {
-			t.Fatal(err)
+		if it.Graph != nil && len(refAnswers[i]) != 0 {
+			t.Fatalf("item %d: solo path answered %d sources for an unknown gene", i, len(refAnswers[i]))
 		}
-		var ref []core.Answer
-		var refSt core.Stats
-		if it.Graph != nil {
-			ref, refSt, err = proc.QueryGraph(it.Graph)
-		} else {
-			ref, refSt, err = proc.Query(it.Matrix)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if it.Graph != nil && len(ref) != 0 {
-			t.Fatalf("item %d: solo path answered %d sources for an unknown gene", i, len(ref))
-		}
-		assertBatchItemMatches(t, fmt.Sprintf("item %d", i), ref, refSt, results[i])
+		assertBatchItemMatches(t, fmt.Sprintf("item %d", i), refAnswers[i], refStats[i], results[i])
 	}
 }

@@ -16,10 +16,10 @@ import (
 // golden_test.go pins the solo pipeline: the fixed-seed workload runs
 // once through core.QueryBatch and once as a sequential loop of fresh
 // per-query processors over the same shared edge-probability cache (the
-// documented byte-identity reference), the two fingerprints must match
-// each other exactly, and the batch fingerprint is pinned to a golden
-// file. I/O counters are excluded: a shared γ-group traversal charges
-// the group's page touches to every member (DESIGN.md §14).
+// documented byte-identity reference), the two must match each other
+// exactly — fingerprint and page-I/O counters — and the batch fingerprint
+// is pinned to a golden file (which predates the I/O comparison and does
+// not carry those two counters).
 func goldenBatchFingerprint(t *testing.T, params core.Params) string {
 	t.Helper()
 	ds, err := synth.GenerateDatabase(synth.DBParams{N: 120, NMin: 20, NMax: 40, LMin: 20, LMax: 30, Seed: 7, Dist: synth.Gaussian})
@@ -52,6 +52,7 @@ func goldenBatchFingerprint(t *testing.T, params core.Params) string {
 		}
 		return sb.String()
 	}
+	ioLine := func(st core.Stats) string { return fmt.Sprintf("  io=%d hits=%d\n", st.IOCost, st.IOHits) }
 
 	// Sequential reference: fresh processor per query, shared cache.
 	var seq strings.Builder
@@ -67,7 +68,7 @@ func goldenBatchFingerprint(t *testing.T, params core.Params) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq.WriteString(fingerprint(i, a, st))
+		seq.WriteString(fingerprint(i, a, st) + ioLine(st))
 	}
 
 	batchCache := core.NewEdgeProbCache(1 << 12)
@@ -78,18 +79,20 @@ func goldenBatchFingerprint(t *testing.T, params core.Params) string {
 	if bst.Errors != 0 {
 		t.Fatalf("batch stats: %+v", bst)
 	}
-	var got strings.Builder
+	var got, golden strings.Builder
 	for i, r := range results {
 		if r.Err != nil {
 			t.Fatalf("item %d: %v", i, r.Err)
 		}
-		got.WriteString(fingerprint(i, r.Answers, r.Stats))
+		fp := fingerprint(i, r.Answers, r.Stats)
+		golden.WriteString(fp)
+		got.WriteString(fp + ioLine(r.Stats))
 	}
 	if got.String() != seq.String() {
 		t.Errorf("batch diverged from its sequential reference:\n batch:\n%s\n sequential:\n%s",
 			got.String(), seq.String())
 	}
-	return got.String()
+	return golden.String()
 }
 
 // TestMultiQueryGoldenFingerprint pins QueryBatch under the scalar

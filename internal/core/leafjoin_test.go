@@ -236,9 +236,9 @@ func sameTraversalCounters(a, b Stats) bool {
 		a.PointPairsChecked == b.PointPairsChecked && a.PointPairsPruned == b.PointPairsPruned
 }
 
-// checkDescentsAgainstReference runs the solo and the batch descent for
-// one query graph under params and compares both with the reference.
-func checkDescentsAgainstReference(t testing.TB, idx *index.Index, params Params, q *grn.Graph) (checked int) {
+// checkDescentAgainstReference runs the descent for one query graph under
+// params and compares it with the reference.
+func checkDescentAgainstReference(t testing.TB, idx *index.Index, params Params, q *grn.Graph) (checked int) {
 	p, err := NewProcessor(idx, params)
 	if err != nil {
 		t.Fatal(err)
@@ -246,31 +246,15 @@ func checkDescentsAgainstReference(t testing.TB, idx *index.Index, params Params
 	want, wantSt := referenceTraverse(p, q)
 
 	ec := p.newExec(context.Background())
+	defer ec.Close()
 	var st Stats
 	got, err := p.traverse(ec, q, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sameTraversalCounters(st, wantSt) || !samePairMultiset(got, want) {
-		t.Errorf("solo descent (%+v): %d pairs, counters %+v; reference %d pairs, counters %+v",
+		t.Errorf("descent (%+v): %d pairs, counters %+v; reference %d pairs, counters %+v",
 			params, len(got), st, len(want), wantSt)
-	}
-	ec.Close()
-
-	// The same query twice in one group, so shared joins fan out to two
-	// members.
-	group := []*batchMember{
-		{proc: p, trav: buildTravState(p, q)},
-		{proc: p, trav: buildTravState(p, q)},
-	}
-	if err := batchTraverse(context.Background(), idx, group); err != nil {
-		t.Fatal(err)
-	}
-	for bi, m := range group {
-		if !sameTraversalCounters(m.st, wantSt) || !samePairMultiset(m.pairs, want) {
-			t.Errorf("batch member %d (%+v): %d pairs, counters %+v; reference %d pairs, counters %+v",
-				bi, params, len(m.pairs), m.st, len(want), wantSt)
-		}
 	}
 	return wantSt.PointPairsChecked
 }
@@ -283,8 +267,8 @@ func ablationParams(mask int, gamma float64, oneSided bool) Params {
 
 // TestDescentMatchesReferenceUnderAblations is the descent-level
 // differential: for every combination of the four ablation switches the
-// solo and the batch descent must produce the reference's candidate-pair
-// multiset and its four traversal counters.
+// descent must produce the reference's candidate-pair multiset and its
+// four traversal counters.
 func TestDescentMatchesReferenceUnderAblations(t *testing.T) {
 	checked := 0
 	for seed := uint64(0); seed < 3; seed++ {
@@ -303,7 +287,7 @@ func TestDescentMatchesReferenceUnderAblations(t *testing.T) {
 				continue
 			}
 			for mask := 0; mask < 16; mask++ {
-				checked += checkDescentsAgainstReference(t, idx, ablationParams(mask, 0.3, qi%2 == 1), q)
+				checked += checkDescentAgainstReference(t, idx, ablationParams(mask, 0.3, qi%2 == 1), q)
 			}
 		}
 	}
@@ -362,7 +346,7 @@ func TestDescentMatchesReferenceBesideWriters(t *testing.T) {
 				default:
 				}
 				mu.RLock()
-				checkDescentsAgainstReference(errorOnly{t}, idx, ablationParams((n+r)%16, 0.3, false), graphs[(n+r)%len(graphs)])
+				checkDescentAgainstReference(errorOnly{t}, idx, ablationParams((n+r)%16, 0.3, false), graphs[(n+r)%len(graphs)])
 				mu.RUnlock()
 			}
 		}(r)
@@ -400,7 +384,8 @@ func (e errorOnly) Fatal(args ...any) { e.T.Error(args...) }
 // gave the descent, on which NodePairsVisited and page-touch order rest.
 func TestLevelHeapPopsInKeySeqOrder(t *testing.T) {
 	rng := randgen.New(630)
-	var h levelHeap[int]
+	var h levelHeap
+	nodes := make([]rstar.Node, 200) // the values pushed: distinct node identities
 	type pushed struct{ key, id int }
 	for round := 0; round < 50; round++ {
 		h.reset()
@@ -409,7 +394,7 @@ func TestLevelHeapPopsInKeySeqOrder(t *testing.T) {
 		for op := 0; op < 200; op++ {
 			if len(live) == 0 || rng.Float64() < 0.6 {
 				k := rng.Intn(4)
-				h.push(k, id)
+				h.push(k, nodePair{a: &nodes[id]})
 				live = append(live, pushed{k, id})
 				id++
 				continue
@@ -421,9 +406,9 @@ func TestLevelHeapPopsInKeySeqOrder(t *testing.T) {
 				}
 			}
 			key, v := h.pop()
-			if key != live[best].key || v != live[best].id {
-				t.Fatalf("round %d op %d: popped (key %d, #%d), want (key %d, #%d)",
-					round, op, key, v, live[best].key, live[best].id)
+			if key != live[best].key || v.a != &nodes[live[best].id] {
+				t.Fatalf("round %d op %d: popped key %d, want (key %d, #%d)",
+					round, op, key, live[best].key, live[best].id)
 			}
 			live = append(live[:best], live[best+1:]...)
 		}

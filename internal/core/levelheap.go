@@ -8,33 +8,33 @@ import "github.com/imgrn/imgrn/internal/rstar"
 // the order total, so the pop sequence is the same for any correct heap —
 // in particular the one container/heap produced. The backing slice lives in
 // the pooled query scratch and is reused across queries.
-type levelHeap[T any] struct {
-	items []heapItem[T]
+type levelHeap struct {
+	items []heapItem
 	seq   int
 }
 
-type heapItem[T any] struct {
+type heapItem struct {
 	key, seq int
-	val      T
+	val      nodePair
 }
 
-func (h *levelHeap[T]) less(i, j int) bool {
+func (h *levelHeap) less(i, j int) bool {
 	a, b := &h.items[i], &h.items[j]
 	return a.key < b.key || (a.key == b.key && a.seq < b.seq)
 }
 
 // reset empties the heap, dropping references a cancelled descent left
 // behind.
-func (h *levelHeap[T]) reset() {
+func (h *levelHeap) reset() {
 	clear(h.items)
 	h.items = h.items[:0]
 	h.seq = 0
 }
 
-func (h *levelHeap[T]) len() int { return len(h.items) }
+func (h *levelHeap) len() int { return len(h.items) }
 
-func (h *levelHeap[T]) push(key int, v T) {
-	h.items = append(h.items, heapItem[T]{key: key, seq: h.seq, val: v})
+func (h *levelHeap) push(key int, v nodePair) {
+	h.items = append(h.items, heapItem{key: key, seq: h.seq, val: v})
 	h.seq++
 	for i := len(h.items) - 1; i > 0; {
 		parent := (i - 1) / 2
@@ -46,11 +46,11 @@ func (h *levelHeap[T]) push(key int, v T) {
 	}
 }
 
-func (h *levelHeap[T]) pop() (key int, v T) {
+func (h *levelHeap) pop() (key int, v nodePair) {
 	top := h.items[0]
 	n := len(h.items) - 1
 	h.items[0] = h.items[n]
-	h.items[n] = heapItem[T]{} // the pooled slice must not pin tree nodes
+	h.items[n] = heapItem{} // the pooled slice must not pin tree nodes
 	h.items = h.items[:n]
 	for i := 0; ; {
 		min := i
@@ -72,10 +72,3 @@ func (h *levelHeap[T]) pop() (key int, v T) {
 // nodePair is a pair of same-level index nodes that may contain an
 // interacting (query gene, neighbor gene) pair.
 type nodePair struct{ a, b *rstar.Node }
-
-// maskedNodePair is a node pair of the shared batch descent plus the
-// liveness mask of the member queries whose admission chain reached it.
-type maskedNodePair struct {
-	a, b *rstar.Node
-	mask uint64
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/pagestore"
+	"github.com/imgrn/imgrn/internal/rstar"
 	"github.com/imgrn/imgrn/internal/vecmath"
 )
 
@@ -37,12 +39,6 @@ type Processor struct {
 	scorer   *grn.RandomizedScorer
 	analytic grn.AnalyticScorer
 	pruner   *grn.Pruner
-
-	// permPool, when non-nil, replaces per-candidate Monte Carlo draws in
-	// verifyExact with probes against a batch-wide shared permutation
-	// store (QueryBatch's SharedPerms mode). Never set on analytic
-	// processors.
-	permPool *permPool
 }
 
 // NewProcessor returns a processor for idx with the given parameters.
@@ -351,6 +347,63 @@ func (p Params) pivotTest(d int) index.PivotTest {
 	return index.PivotTest{D: d, Gamma: p.Gamma, OneSided: p.OneSided, Disabled: p.DisablePivotPruning}
 }
 
+// travState is a query's traversal state: the highest-degree query
+// vertex, its neighbor genes, and the bit-vector signatures of the line
+// 9–13 admission tests.
+type travState struct {
+	gsGene     gene.ID
+	gsF        float64
+	neighbors  []gene.ID // distinct, ascending
+	neighborF  []float64 // neighbors as gene-axis coordinates
+	qVfS, qVfT *bitvec.Vector
+	qVdS, qVdT *bitvec.Vector
+}
+
+func buildTravState(p *Processor, q *grn.Graph) *travState {
+	b := p.idx.Bits()
+	ts := &travState{}
+	gs := q.MaxDegreeVertex()
+	ts.gsGene = q.Gene(gs)
+	ts.gsF = float64(ts.gsGene)
+	ts.qVfS = bitvec.New(b)
+	ts.qVfS.Set(bitvec.HashGene(ts.gsGene, b))
+	ts.qVfT = bitvec.New(b)
+	ts.qVdS = p.idx.Inverted().Sources(ts.gsGene).Clone()
+	ts.qVdT = bitvec.New(b)
+	for _, t := range q.Neighbors(gs) {
+		tg := q.Gene(t)
+		ts.neighbors = append(ts.neighbors, tg)
+		ts.qVfT.Set(bitvec.HashGene(tg, b))
+		ts.qVdT.OrInPlace(p.idx.Inverted().Sources(tg))
+	}
+	slices.Sort(ts.neighbors)
+	ts.neighbors = slices.Compact(ts.neighbors)
+	for _, g := range ts.neighbors {
+		ts.neighborF = append(ts.neighborF, float64(g))
+	}
+	return ts
+}
+
+// sideContainsS reports whether the node's gene-ID MBR range contains the
+// highest-degree query gene (the s-side range test).
+func (ts *travState) sideContainsS(mbr rstar.Rect, geneDim int) bool {
+	return mbr.Min[geneDim] <= ts.gsF && ts.gsF <= mbr.Max[geneDim]
+}
+
+// anyNeighborIn reports whether some neighbor gene ID lies within the
+// node's gene-ID MBR range (the t-side range test).
+func (ts *travState) anyNeighborIn(mbr rstar.Rect, geneDim int) bool {
+	lo, hi := mbr.Min[geneDim], mbr.Max[geneDim]
+	i := sort.SearchFloat64s(ts.neighborF, lo)
+	return i < len(ts.neighborF) && ts.neighborF[i] <= hi
+}
+
+// rootAdmissibleFor is the line 9–13 admission test on the root itself.
+func rootAdmissibleFor(idx *index.Index, root *rstar.Node, ts *travState) bool {
+	f, dsig := idx.NodeSignature(root)
+	return ts.qVfS.Intersects(f) && ts.qVfT.Intersects(f) && ts.qVdS.IntersectsAll(dsig, ts.qVdT)
+}
+
 // cancelCheckInterval bounds how many priority-queue pops the traversal
 // performs between context checks.
 const cancelCheckInterval = 64
@@ -366,7 +419,7 @@ func (p *Processor) traverse(ec *exec.Context, q *grn.Graph, st *Stats) ([]candi
 	geneDim := 2 * pt.D
 
 	qs := queryScratchFor(ec)
-	pq := &qs.soloHeap
+	pq := &qs.heap
 	pq.reset()
 	out := qs.candPairs[:0]
 	keep := func(source, sCol, tCol int, pruned bool) {
@@ -739,15 +792,7 @@ func (p *Processor) verifyExact(io pagestore.Toucher, q *grn.Graph, qEdges []grn
 			}
 		}
 		if !cached {
-			if p.permPool != nil {
-				// Batch shared-permutation mode: the target column's R
-				// permutations are drawn once per batch from a (seed,
-				// source, column)-addressed stream and probed here.
-				ep = p.permPool.prob(p.params.Seed, src, bcol, p.params.Samples,
-					p.params.OneSided, bufs.a, bufs.b)
-			} else {
-				ep = p.edgeProbVecWith(sc, bufs.a, bufs.b)
-			}
+			ep = p.edgeProbVecWith(sc, bufs.a, bufs.b)
 			if p.params.Cache != nil {
 				p.params.Cache.Put(src, a, bcol, ep)
 			}

@@ -49,10 +49,9 @@ type queryScratch struct {
 	scores   []float64
 	pairs    []genePair
 
-	// Traversal scratch: the priority queues of the solo and the shared
-	// batch descent, and the solo descent's candidate-pair output.
-	soloHeap  levelHeap[nodePair]
-	batchHeap levelHeap[maskedNodePair]
+	// Traversal scratch: the descent's priority queue and its
+	// candidate-pair output.
+	heap      levelHeap
 	candPairs []candidatePair
 
 	sourceSet map[int]bool
@@ -65,11 +64,8 @@ type genePair struct{ s, t int }
 // queryScratchFor returns the query's pooled scratch, creating and
 // registering it on first use. Without an arena (legacy Background
 // contexts) it degrades to a fresh, unpooled scratch per call.
-func queryScratchFor(ec *exec.Context) *queryScratch { return queryScratchIn(ec.Arena()) }
-
-// queryScratchIn is queryScratchFor on a bare arena (the shared batch
-// descent runs outside any one member's execution context).
-func queryScratchIn(a *exec.Arena) *queryScratch {
+func queryScratchFor(ec *exec.Context) *queryScratch {
+	a := ec.Arena()
 	if qs, ok := a.Slot(exec.ArenaQueryScratch).(*queryScratch); ok {
 		return qs
 	}

@@ -25,7 +25,6 @@ var Registry = map[string]Runner{
 	"fig15": Fig15,
 	// Extensions beyond the paper's figures (DESIGN.md §5).
 	"ablation": Ablation,
-	"batch":    Batch,
 	"latency":  Latency,
 	"measures": Measures,
 	"plans":    Plans,

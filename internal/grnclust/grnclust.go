@@ -1,25 +1,12 @@
-// Package cluster is the distributed serving tier (DESIGN.md §15): a
-// scatter-gather Coordinator that fans IM-GRN queries, batches and
-// mutations out to remote shard servers over HTTP, with consistent-hash
-// placement of sources onto global shards (ring.go), R-way replication
-// of every shard with hedged replicated reads (client.go,
-// coordinator.go), coordinator-resolved plans shipped in every request
-// envelope (proto.go), and cross-shard top-k floor propagation so remote
-// shards early-terminate like in-process ones. The in-process
-// shard.Coordinator is the single-node degenerate case of the same code
-// path: at the same shard count and placement the remote answers are
-// byte-identical (pinned by goldens).
-//
-// The package also retains the original data-clustering workflows this
-// package grew from — grouping data sources by the similarity of their
+// Package grnclust groups data sources by the similarity of their
 // inferred GRNs, the disease-clustering workflow of the paper's
-// Example 2 (this file): the distance between two data sources compares
+// Example 2: the distance between two data sources compares
 // their edge existence probabilities over the gene pairs both sources
 // measure, so sources with the same wiring are close regardless of
 // sample counts. Both k-medoids (PAM-style) and average-linkage
 // agglomerative clustering are provided; everything operates on an
 // explicit distance matrix so alternative distances plug in directly.
-package cluster
+package grnclust
 
 import (
 	"fmt"

@@ -14,17 +14,18 @@ import (
 )
 
 // POST /query-batch: many queries, one request, one engine batch
-// (DESIGN.md §14). The whole batch shares plan resolution, γ-group index
-// traversals and — on sharded servers — a single scatter, so B queries
-// cost far less than B /query round trips. The response streams NDJSON:
+// (DESIGN.md §14). The whole batch shares one decode, one admission
+// decision, plan resolution and — on sharded servers — a single scatter;
+// each query then runs the /query pipeline. The response streams NDJSON:
 // one frame per query the moment it retires (not necessarily in request
 // order on sharded servers), then a terminal {"done":true,...} frame
 // with the batch-level counters. Item errors are per item: a frame with
 // an "error" field never aborts its siblings.
 //
-// QueryTimeout bounds each ITEM, not the batch: a B-item batch may
-// legitimately run up to B×QueryTimeout, and one slow query cannot
-// starve its batch siblings of their own full window. MaxConcurrent
+// QueryTimeout bounds each ITEM, not the batch: every item's pipeline
+// run gets one full window of its own, so a B-item batch may legitimately
+// run up to B×QueryTimeout, and a slow query times out alone without
+// eating into its siblings' windows. MaxConcurrent
 // shedding counts a batch as its item count — a 64-query batch claims
 // 64 slots or is shed with 503, so batching cannot bypass the load
 // bound.
@@ -33,11 +34,6 @@ import (
 type BatchRequest struct {
 	// Queries are the batch items, answered independently.
 	Queries []BatchQueryJSON `json:"queries"`
-	// SharedPerms opts into shared permutation batches (core
-	// BatchOptions.SharedPerms): Monte Carlo items probing the same
-	// (source, column, R) reuse one permutation fill. Deterministic, but
-	// a different byte stream than sequential /query calls.
-	SharedPerms bool `json:"sharedPerms,omitempty"`
 }
 
 // BatchQueryJSON is one batch item: a feature matrix (genes + columns,
@@ -65,9 +61,6 @@ type BatchDoneJSON struct {
 	Done         bool    `json:"done"`
 	Queries      int     `json:"queries"`
 	Errors       int     `json:"errors"`
-	Groups       int     `json:"groups"`
-	PermFills    int     `json:"permFills,omitempty"`
-	PermProbes   int     `json:"permProbes,omitempty"`
 	TotalSeconds float64 `json:"totalSeconds"`
 }
 
@@ -172,10 +165,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	batchTr := obs.NewTracer()
 	mark := batchTr.Start(obs.StageBatch)
-	var bst core.BatchStats
 	if len(live) > 0 {
 		opts := core.BatchOptions{
-			SharedPerms: req.SharedPerms,
 			// Each item gets the full query window; the batch as a whole
 			// is bounded only by the client connection.
 			ItemTimeout: s.QueryTimeout,
@@ -191,7 +182,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 				emit(BatchFrameJSON{Index: i, Answers: resp.Answers, Stats: &st, Trace: resp.Trace})
 			},
 		}
-		_, bst = s.eng.QueryBatch(r.Context(), live, opts)
+		_, bst := s.eng.QueryBatch(r.Context(), live, opts)
 		itemErrs += bst.Errors
 	}
 	mark.End(len(items), len(items)-itemErrs)
@@ -202,17 +193,11 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	m.batchQueries.Add(uint64(len(items)))
 	m.batchSize.Observe(float64(len(items)))
 	m.batchItemErrs.Add(uint64(itemErrs))
-	m.batchGroups.Add(uint64(bst.Groups))
-	m.batchPermFills.Add(uint64(bst.PermFills))
-	m.batchPermProbes.Add(uint64(bst.PermProbes))
 
 	writeDone := BatchDoneJSON{
 		Done:         true,
 		Queries:      len(items),
 		Errors:       itemErrs,
-		Groups:       bst.Groups,
-		PermFills:    bst.PermFills,
-		PermProbes:   bst.PermProbes,
 		TotalSeconds: time.Since(start).Seconds(),
 	}
 	wmu.Lock()

@@ -82,7 +82,7 @@ func TestQueryBatchEndpoint(t *testing.T) {
 		{Genes: gq.Genes, Edges: gq.Edges, Params: gq.Params},
 	}}
 	frames, done := batchFrames(t, postJSON(t, s, "/query-batch", req))
-	if done.Queries != 3 || done.Errors != 0 || done.Groups == 0 {
+	if done.Queries != 3 || done.Errors != 0 {
 		t.Fatalf("done frame = %+v", done)
 	}
 	if len(frames) != 3 {
@@ -136,8 +136,8 @@ func TestQueryBatchItemErrors(t *testing.T) {
 	}
 }
 
-// TestQueryBatchLimits: empty and oversized batches are rejected up
-// front with 400.
+// TestQueryBatchLimits: empty and oversized batches, and the retired
+// sharedPerms knob, are rejected up front with 400.
 func TestQueryBatchLimits(t *testing.T) {
 	s, _, db := fixture(t)
 	if rec := postJSON(t, s, "/query-batch", BatchRequest{}); rec.Code != http.StatusBadRequest {
@@ -153,6 +153,13 @@ func TestQueryBatchLimits(t *testing.T) {
 	req.Queries = req.Queries[:2]
 	if rec := postJSON(t, s, "/query-batch", req); rec.Code != http.StatusOK {
 		t.Errorf("in-limit batch status = %d", rec.Code)
+	}
+	// The strict decoder refuses a field the endpoint no longer has rather
+	// than silently answering in the one remaining mode.
+	retired := map[string]any{"queries": req.Queries, "sharedPerms": true}
+	if rec := postJSON(t, s, "/query-batch", retired); rec.Code != http.StatusBadRequest ||
+		!strings.Contains(rec.Body.String(), "sharedPerms") {
+		t.Errorf("sharedPerms request: status = %d body %s", rec.Code, rec.Body)
 	}
 }
 
@@ -203,7 +210,7 @@ func TestQueryBatchItemTimeout(t *testing.T) {
 }
 
 // TestQueryBatchMetrics: the imgrn_batch_* family tracks requests,
-// items, shared-traversal groups and error frames.
+// items and error frames.
 func TestQueryBatchMetrics(t *testing.T) {
 	s, _, db := fixture(t)
 	q := queryReqFor(db.BySource(3), 0.6, 0.4, ParamsJSON{Analytic: true})
@@ -221,9 +228,6 @@ func TestQueryBatchMetrics(t *testing.T) {
 	if got := s.met.batchItemErrs.Value(); got != 1 {
 		t.Errorf("batch item errors = %d", got)
 	}
-	if got := s.met.batchGroups.Value(); got == 0 {
-		t.Error("no shared traversal groups counted")
-	}
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	body := rec.Body.String()
@@ -235,35 +239,6 @@ func TestQueryBatchMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(body, fam) {
 			t.Errorf("/metrics missing %q", fam)
-		}
-	}
-}
-
-// TestQueryBatchSharedPerms: the opt-in wire flag reaches the engine —
-// the done frame reports permutation pool activity on a Monte Carlo
-// batch — and the answers stay deterministic across repeats.
-func TestQueryBatchSharedPerms(t *testing.T) {
-	s, _, db := fixture(t)
-	q := queryReqFor(db.BySource(3), 0.6, 0.4, ParamsJSON{Seed: 11, Samples: 32})
-	item := BatchQueryJSON{Genes: q.Genes, Columns: q.Columns, Params: q.Params}
-	req := BatchRequest{Queries: []BatchQueryJSON{item, item, item}, SharedPerms: true}
-	frames1, done := batchFrames(t, postJSON(t, s, "/query-batch", req))
-	if done.Errors != 0 {
-		t.Fatalf("done = %+v", done)
-	}
-	if done.PermProbes == 0 || done.PermFills == 0 {
-		t.Fatalf("sharedPerms ran without pool activity: %+v", done)
-	}
-	frames2, _ := batchFrames(t, postJSON(t, s, "/query-batch", req))
-	for i := range req.Queries {
-		a, b := frames1[i].Answers, frames2[i].Answers
-		if len(a) != len(b) {
-			t.Fatalf("item %d: repeat answer count differs", i)
-		}
-		for j := range a {
-			if a[j].Source != b[j].Source || a[j].Prob != b[j].Prob {
-				t.Errorf("item %d answer %d not deterministic", i, j)
-			}
 		}
 	}
 }

@@ -414,7 +414,7 @@ func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) 
 		live = append(live, li)
 	}
 	if len(live) == 0 {
-		out.frame(cluster.BatchExecFrame{Done: &cluster.BatchExecDone{}})
+		out.frame(cluster.BatchExecFrame{Done: true})
 		return
 	}
 
@@ -423,7 +423,6 @@ func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) 
 		items[pos] = live[pos].item
 	}
 	opts := core.BatchOptions{
-		SharedPerms: req.SharedPerms,
 		ItemTimeout: itemTimeout,
 		OnResult: func(pos int, res core.BatchResult) {
 			li := &live[pos]
@@ -441,21 +440,14 @@ func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) 
 			out.frame(cluster.BatchExecFrame{Item: &fr})
 		},
 	}
-	var bst core.BatchStats
-	var err error
 	if req.Solo {
-		_, bst = s.coord.QueryBatch(ctx, items, opts)
-	} else {
-		_, bst, err = s.coord.QueryShardBatch(ctx, local, items, opts)
-	}
-	if err != nil {
+		s.coord.QueryBatch(ctx, items, opts)
+	} else if err := s.coord.QueryShardBatch(ctx, local, items, opts); err != nil {
 		out.frame(cluster.BatchExecFrame{Error: err.Error()})
 		return
 	}
 	s.met.requests.With("cluster-exec-batch").Inc()
-	out.frame(cluster.BatchExecFrame{Done: &cluster.BatchExecDone{
-		Groups: bst.Groups, PermFills: bst.PermFills, PermProbes: bst.PermProbes,
-	}})
+	out.frame(cluster.BatchExecFrame{Done: true})
 }
 
 func (s *Server) handleClusterMutate(w http.ResponseWriter, r *http.Request) {

@@ -58,6 +58,7 @@ import (
 	"github.com/imgrn/imgrn/internal/core"
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
+	"github.com/imgrn/imgrn/internal/grnclust"
 	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/plan"
@@ -188,16 +189,11 @@ type serverMetrics struct {
 	slow         *obs.Counter
 	mutations    obs.CounterVec // by op (add, remove)
 
-	// Batch family: /query-batch request/item accounting plus the
-	// batch-engine sharing counters (γ-group traversals run, permutation
-	// pool fills and probes; see DESIGN.md §14).
-	batchRequests   *obs.Counter
-	batchQueries    *obs.Counter
-	batchSize       *obs.Histogram
-	batchItemErrs   *obs.Counter
-	batchGroups     *obs.Counter
-	batchPermFills  *obs.Counter
-	batchPermProbes *obs.Counter
+	// Batch family: /query-batch request/item accounting (DESIGN.md §14).
+	batchRequests *obs.Counter
+	batchQueries  *obs.Counter
+	batchSize     *obs.Histogram
+	batchItemErrs *obs.Counter
 
 	// Plan decision family: per-query plan modes and stage-skip decisions,
 	// the chosen sample count, and the planner's modeled per-candidate
@@ -265,12 +261,6 @@ func (m *serverMetrics) init(r *obs.Registry) {
 		[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256})
 	m.batchItemErrs = r.Counter("imgrn_batch_item_errors_total",
 		"Batch items answered with an error frame (the batch itself succeeded).")
-	m.batchGroups = r.Counter("imgrn_batch_groups_total",
-		"Shared γ-group index traversals run by the batch engine.")
-	m.batchPermFills = r.Counter("imgrn_batch_perm_fills_total",
-		"Permutation-batch fills in shared-permutation mode (misses).")
-	m.batchPermProbes = r.Counter("imgrn_batch_perm_probes_total",
-		"Edge probabilities served from the shared permutation pool.")
 	m.planQueries = r.CounterVec("imgrn_plan_queries_total",
 		"Queries served, by plan mode (fixed = the default pipeline, adaptive = at least one cost-model decision departed from it).", "mode")
 	m.planSkips = r.CounterVec("imgrn_plan_skips_total",
@@ -892,12 +882,12 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	dm, err := cluster.DistanceMatrix(db, cluster.Options{Gamma: req.Gamma})
+	dm, err := grnclust.DistanceMatrix(db, grnclust.Options{Gamma: req.Gamma})
 	if err != nil {
 		s.error(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	res, err := cluster.KMedoids(dm, req.K, restarts, randgen.New(req.Seed^0x5bd1e995))
+	res, err := grnclust.KMedoids(dm, req.K, restarts, randgen.New(req.Seed^0x5bd1e995))
 	if err != nil {
 		s.error(w, http.StatusInternalServerError, err.Error())
 		return

@@ -16,9 +16,9 @@ import (
 // Sharded batch execution (DESIGN.md §14).
 //
 // P = 1 delegates the whole batch to the single shard's core.QueryBatch —
-// one prologue, shared γ-group traversals, refinement in item order
-// against the shard's caches: byte-identical to running the items
-// sequentially through the unsharded engine.
+// one plan resolution, then the items in order against the shard's
+// caches: byte-identical to running the items sequentially through the
+// unsharded engine.
 //
 // P > 1 runs ONE scatter for the whole batch instead of one per query:
 // plans resolve once per distinct request group, every matrix item's
@@ -26,11 +26,14 @@ import (
 // only the matrix, never the shards), and each shard receives the full
 // batch as pre-inferred graph items with its per-shard params rewrite
 // (derived seed, cache handle, per-item top-k sink). Each shard then runs
-// its own core.QueryBatch — so the per-shard prologue, traversal sharing
-// and permutation sharing all happen once per shard per batch, not once
-// per shard per query. A per-item countdown merges each item as its last
-// shard completes it, so results stream out as individual queries finish
-// (possibly out of item order; the server serializes frames).
+// its own core.QueryBatch under one read-lock acquisition. A per-item
+// countdown merges each item as its last shard completes it, so results
+// stream out as individual queries finish (possibly out of item order;
+// the server serializes frames).
+//
+// opts.ItemTimeout is one window per pipeline run: a matrix item's
+// coordinator-side inference gets one, and each shard's run of the item
+// gets its own.
 //
 // Items with K > 0 refine against a per-item shared core.TopKSink: all
 // shards of one item raise one floor, keeping the cross-shard
@@ -202,7 +205,6 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 			shardItems[pos] = core.BatchItem{Graph: items[li.orig].Graph, Params: sp}
 		}
 		shardOpts := core.BatchOptions{
-			SharedPerms: opts.SharedPerms,
 			ItemTimeout: opts.ItemTimeout,
 			OnResult: func(pos int, res core.BatchResult) {
 				shardResults[s][pos] = res
@@ -215,13 +217,8 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 			},
 		}
 		sh.mu.RLock()
-		_, sbst := core.QueryBatch(ctx, sh.idx, shardItems, shardOpts)
+		core.QueryBatch(ctx, sh.idx, shardItems, shardOpts)
 		sh.mu.RUnlock()
-		bstMu.Lock()
-		bst.Groups += sbst.Groups
-		bst.PermFills += sbst.PermFills
-		bst.PermProbes += sbst.PermProbes
-		bstMu.Unlock()
 		return nil
 	})
 	// A cancelled scatter context can keep some shard closures from ever

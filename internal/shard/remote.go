@@ -51,25 +51,25 @@ func (c *Coordinator) InferGraphContext(ctx context.Context, mq *gene.Matrix, pa
 
 // QueryShardBatch runs a pre-built batch — graph items whose params
 // already carry the per-shard rewrite — on local shard `local` through
-// the shard's core.QueryBatch, preserving the per-shard traversal and
-// permutation sharing of the in-process batch scatter.
-func (c *Coordinator) QueryShardBatch(ctx context.Context, local int, items []core.BatchItem, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats, error) {
+// the shard's core.QueryBatch, exactly as a leg of the in-process batch
+// scatter does. Results arrive through opts.OnResult.
+func (c *Coordinator) QueryShardBatch(ctx context.Context, local int, items []core.BatchItem, opts core.BatchOptions) error {
 	if local < 0 || local >= len(c.shards) {
-		return nil, core.BatchStats{}, fmt.Errorf("shard: local shard %d out of range [0,%d)", local, len(c.shards))
+		return fmt.Errorf("shard: local shard %d out of range [0,%d)", local, len(c.shards))
 	}
 	s := c.shards[local]
 	for i := range items {
 		items[i].Params.Cache = s.cacheFor(items[i].Params)
 	}
 	s.mu.RLock()
-	results, bst := core.QueryBatch(ctx, s.idx, items, opts)
+	results, _ := core.QueryBatch(ctx, s.idx, items, opts)
 	s.mu.RUnlock()
 	for _, r := range results {
 		if r.Err == nil {
 			s.recordQuery(r.Stats)
 		}
 	}
-	return results, bst, nil
+	return nil
 }
 
 // Matrices reports the number of indexed data sources — the Engine

@@ -90,10 +90,7 @@ for family in \
     imgrn_batch_requests_total \
     imgrn_batch_queries_total \
     imgrn_batch_size \
-    imgrn_batch_item_errors_total \
-    imgrn_batch_groups_total \
-    imgrn_batch_perm_fills_total \
-    imgrn_batch_perm_probes_total; do
+    imgrn_batch_item_errors_total; do
     if ! grep -q "^# TYPE $family " "$TMP/metrics.txt"; then
         echo "FAIL: family $family missing from /metrics" >&2
         status=1
