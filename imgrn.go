@@ -519,6 +519,7 @@ func (e *Engine) QueryTopKContext(ctx context.Context, mq *Matrix, params QueryP
 		answers = answers[:k]
 	}
 	mark.End(in, len(answers))
+	stats.Answers = len(answers)
 	return answers, stats, nil
 }
 

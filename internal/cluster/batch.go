@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -10,26 +11,42 @@ import (
 	"github.com/imgrn/imgrn/internal/core"
 )
 
-// Distributed batch execution: the remote analogue of the in-process
-// batch scatter (DESIGN.md §14). The coordinator resolves every item's
-// plan once, then ships the WHOLE batch to each global shard in a single
-// BatchExecRequest — one RPC per shard per batch; the structure is that
-// of the in-process scatter, only the transport changed. Matrix items
-// are inferred on each shard server at the base seed (inference reads
-// only the query matrix, so every server derives the identical graph),
-// and each server rewrites the per-item seed for its GLOBAL shard exactly
-// like the local scatter.
+// Distributed execution: the remote analogue of the in-process scatter
+// (DESIGN.md §10, §14, §15), and the one scatter-gather of this package —
+// QueryBatch fans a request out over the global shards, its mergeItem
+// merges per-shard runs, execBatchShard is the one hedged-leg loop. A solo
+// query is a batch of one (coordinator.go). The coordinator resolves every
+// item's plan once, then ships the WHOLE request to each global shard in
+// a single BatchExecRequest — one RPC per shard per request; the
+// structure is that of the in-process scatter, only the transport
+// changed. Matrix items are inferred on each shard server at the base
+// seed (inference reads only the query matrix, so every server derives
+// the identical graph), and each server rewrites the per-item seed for
+// its GLOBAL shard exactly like the local scatter. With one global shard
+// the envelope is marked Solo and the single server runs every item's
+// params untouched on the unsharded sequential path, exactly like the
+// in-process coordinator at P=1.
 //
-// Top-k items use per-(item, shard) local sinks merged here, not the
-// networked floor push: batch items retire too quickly for the push
-// cadence to pay for its round trips (EXPERIMENTS.md). The merged top-k
-// set is still deterministic — a shard's members of an item's global
-// top-k are necessarily within that shard's local top-k.
+// Top-k items run against per-(item, shard) local sinks on the servers
+// and are merged here by offering every shard's local top-k into a fresh
+// bounded sink — correct and deterministic because a shard's members of
+// an item's global top-k are necessarily within that shard's local
+// top-k. Floor propagation is per item: accept frames feed the item's
+// floorTracker and pushFloors sends a risen floor to every server, so
+// remote shards early-terminate like in-process ones.
 //
 // A per-item countdown merges each item as its last shard's FIRST frame
 // lands: hedged or retried legs replay their item frames wholesale, so
 // later duplicates of a (item, shard) frame are dropped, never merged
-// twice.
+// twice. K-less items concatenate the source-ascending per-shard runs
+// (placement partitions the sources, so a k-way merge of shard-ordered
+// runs is the engine's answer order).
+//
+// A leg that fails on every replica fails the items it still owed and no
+// others; once no item can complete any more the remaining legs are
+// cancelled (for a solo query: on the first failed leg), and every failed
+// item reports the leg whose error is its own, never a sibling's
+// cancellation fallout.
 
 // QueryBatch answers a batch of queries scatter-gather over the cluster.
 // One result per item, in item order; opts.OnResult streams each item as
@@ -110,8 +127,34 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 	scatterCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// One floorTracker per K>0 item, fed by the legs' accept frames and
+	// drained by one pushFloors loop. P=1 has no other shard to tell.
+	var onAccept func(AcceptFrame)
+	if !solo && c.opts.FloorEvery > 0 {
+		var trackers []*floorTracker
+		for pos, w := range wire {
+			if w.K > 0 {
+				if trackers == nil {
+					trackers = make([]*floorTracker, len(wire))
+				}
+				trackers[pos] = newFloorTracker(w.K, w.Params.Alpha)
+			}
+		}
+		if trackers != nil {
+			onAccept = func(fr AcceptFrame) {
+				if fr.Item >= 0 && fr.Item < len(trackers) && trackers[fr.Item] != nil {
+					trackers[fr.Item].accept(fr)
+				}
+			}
+			stop := make(chan struct{})
+			defer close(stop)
+			c.wg.Add(1)
+			go c.pushFloors(scatterCtx, req.QueryID, trackers, stop)
+		}
+	}
+
 	// frames[g][pos] is the FIRST frame shard g produced for wire item
-	// pos; merged[pos] latches so a duplicate frame (hedge/retry replay)
+	// pos; seen[g][pos] latches so a duplicate frame (hedge/retry replay)
 	// can never re-trigger or re-count.
 	frames := make([][]*BatchItemFrame, P)
 	seen := make([][]atomic.Bool, P)
@@ -122,6 +165,27 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 	remaining := make([]atomic.Int32, len(wire))
 	for pos := range remaining {
 		remaining[pos].Store(int32(P))
+	}
+
+	// An item settles when its merge fires or when a leg that still owed
+	// it fails. Once a leg has failed and every item has settled, nothing
+	// in flight can change a result, so the remaining legs are cancelled
+	// instead of run out. (Without a failure the legs end on their own
+	// terminal frames; cancelling them would only tear connections down.)
+	var settleMu sync.Mutex
+	settled := make([]bool, len(wire))
+	open, legFailed := len(wire), false
+	settle := func(pos int, failed bool) {
+		settleMu.Lock()
+		defer settleMu.Unlock()
+		legFailed = legFailed || failed
+		if !settled[pos] {
+			settled[pos] = true
+			open--
+		}
+		if open == 0 && legFailed {
+			cancel()
+		}
 	}
 
 	mergeItem := func(pos int) {
@@ -152,6 +216,9 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 			runs = append(runs, AnswersFromWire(fr.Answers))
 		}
 		core.MergeScatterStats(&st, perShard)
+		// Query-graph inference ran identically on every shard server (base
+		// seed, query matrix only); report shard 0's run once, like the
+		// in-process inferOnce.
 		if inf := frames[0][pos].Infer; inf != nil {
 			ist := inf.Stats()
 			st.InferQuery = ist.InferQuery
@@ -196,48 +263,73 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 				frames[g][fr.Index] = &frCopy
 				if remaining[fr.Index].Add(-1) == 0 {
 					mergeItem(fr.Index)
+					settle(fr.Index, false)
 				}
 			}
-			legErrs[g] = c.execBatchShard(scatterCtx, g, req, onItem)
+			if legErrs[g] = c.execBatchShard(scatterCtx, g, req, onAccept, onItem); legErrs[g] != nil {
+				// The leg's attempts have all returned: seen[g] is final.
+				for pos := range wire {
+					if !seen[g][pos].Load() {
+						settle(pos, true)
+					}
+				}
+			}
 		}(g)
 	}
 	wg.Wait()
 
 	// Items a failed leg still owed fail explicitly (all merges that will
 	// happen have happened: the legs are joined and merges run inside
-	// their frame callbacks).
-	var legErr error
-	for g, err := range legErrs {
-		if err != nil {
+	// their frame callbacks). Report the root cause, not the fallout: legs
+	// cancelled by settle surface context.Canceled, so prefer an owing leg
+	// whose error is its own.
+	for _, err := range legErrs {
+		if errors.Is(err, ErrShardUnavailable) {
 			c.met.partialFailure()
-			legErr = fmt.Errorf("cluster: batch scatter leg %d: %w", g, err)
 			break
 		}
 	}
 	for pos := range remaining {
-		if remaining[pos].Load() > 0 {
-			e := legErr
-			if e == nil {
-				e = ctx.Err()
-			}
-			if e == nil {
-				e = context.Canceled
-			}
-			finish(live[pos], core.BatchResult{Err: e})
+		if remaining[pos].Load() == 0 {
+			continue
 		}
+		leg, legErr := -1, error(nil)
+		for g, err := range legErrs {
+			if seen[g][pos].Load() {
+				continue
+			}
+			if err == nil {
+				err = errNoItemFrame
+			}
+			if legErr == nil || (errors.Is(legErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
+				leg, legErr = g, err
+			}
+		}
+		finish(live[pos], core.BatchResult{Err: fmt.Errorf("cluster: scatter leg %d: %w", leg, legErr)})
 	}
 	return results, bst
 }
 
-// execBatchShard is execShard's batch twin: hedged replicated execution
-// of one batch leg. Frame replay across attempts is handled by the
-// caller's first-wins dedup.
-func (c *Coordinator) execBatchShard(ctx context.Context, g int, req BatchExecRequest, onItem func(BatchItemFrame)) error {
+// errNoItemFrame fails an item whose leg reached its terminal frame
+// without ever sending the item's own.
+var errNoItemFrame = errors.New("cluster: leg ended without the item's frame")
+
+// execBatchShard runs one scatter leg — global shard g of req — with
+// hedged replicated reads: the primary-ordered healthy replicas are tried
+// with an attempt launched immediately, another after each HedgeAfter of
+// silence, and an immediate failover on error; the first success wins and
+// cancels the rest. It returns only after every attempt it launched has
+// returned, so no frame callback runs past it. Frame replay across
+// attempts is the caller's to dedup (first item frame wins, accepts by
+// source). Every replica failing yields ErrShardUnavailable.
+func (c *Coordinator) execBatchShard(ctx context.Context, g int, req BatchExecRequest, onAccept func(AcceptFrame), onItem func(BatchItemFrame)) error {
 	req.Shard = g
 	urls := c.replicaOrder(g)
 	if len(urls) == 0 {
 		return fmt.Errorf("%w: shard %d has no replicas", ErrShardUnavailable, g)
 	}
+	var attempts sync.WaitGroup
+	defer attempts.Wait()
 	attemptCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -251,11 +343,11 @@ func (c *Coordinator) execBatchShard(ctx context.Context, g int, req BatchExecRe
 		attempt := launched
 		url := urls[attempt]
 		launched++
-		legReq := req
-		c.wg.Add(1)
+		legReq := req // per-attempt copy: ExecBatch stamps Proto on its argument
+		attempts.Add(1)
 		go func() {
-			defer c.wg.Done()
-			ch <- result{c.client.ExecBatch(attemptCtx, url, &legReq, onItem), attempt}
+			defer attempts.Done()
+			ch <- result{c.client.ExecBatch(attemptCtx, url, &legReq, onAccept, onItem), attempt}
 		}()
 	}
 	launch()
@@ -295,19 +387,8 @@ func (c *Coordinator) execBatchShard(ctx context.Context, g int, req BatchExecRe
 				launch()
 				pending++
 			} else if pending == 0 {
-				return joinShardErr(g, errs)
+				return fmt.Errorf("%w: shard %d: %w", ErrShardUnavailable, g, errors.Join(errs...))
 			}
 		}
 	}
-}
-
-func joinShardErr(g int, errs []error) error {
-	msg := ""
-	for i, e := range errs {
-		if i > 0 {
-			msg += "; "
-		}
-		msg += e.Error()
-	}
-	return fmt.Errorf("%w: shard %d: %s", ErrShardUnavailable, g, msg)
 }

@@ -16,9 +16,9 @@ import (
 )
 
 // Client is the coordinator's HTTP client for shard-server RPCs. Every
-// hop gets its own timeout; idempotent reads (exec, batch exec, info)
-// retry transient failures — network errors and 502/503/504 — with
-// exponential backoff, while mutations NEVER auto-retry (an add is not
+// hop gets its own timeout; idempotent reads (exec, info) retry transient
+// failures — network errors and 502/503/504 — with exponential backoff,
+// while mutations NEVER auto-retry (an add is not
 // idempotent: a retry racing a slow first attempt could double-apply;
 // the caller surfaces the partial-failure error instead). Streaming
 // endpoints parse NDJSON frames as they arrive so accept frames reach
@@ -148,86 +148,25 @@ func statusError(url string, resp *http.Response) error {
 	return err
 }
 
-// Exec runs one ExecRequest against one shard server, streaming accept
-// frames into onAccept (which may be nil) as they arrive and returning
-// the terminal Done frame. Idempotent: the executed leg is a
-// deterministic read, so transient failures retry the whole request —
-// the caller's floor sink must dedup accepts by source, since a retry
-// (or a hedged duplicate) replays them.
-func (c *Client) Exec(ctx context.Context, baseURL string, req *ExecRequest, onAccept func(AcceptFrame)) (*ExecDone, error) {
-	req.Proto = ProtoVersion
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	var done *ExecDone
-	err = c.retryIdempotent(ctx, func() error {
-		done = nil
-		return c.execOnce(ctx, baseURL+PathExec, body, onAccept, &done)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return done, nil
-}
-
-func (c *Client) execOnce(ctx context.Context, url string, body []byte, onAccept func(AcceptFrame), out **ExecDone) error {
-	resp, cancel, err := c.post(ctx, url, body)
-	if err != nil {
-		return err
-	}
-	defer cancel()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return statusError(url, resp)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		var frame ExecFrame
-		if err := json.Unmarshal(line, &frame); err != nil {
-			return errTransient{fmt.Errorf("cluster: %s: bad frame: %w", url, err)}
-		}
-		switch {
-		case frame.Accept != nil:
-			if onAccept != nil {
-				onAccept(*frame.Accept)
-			}
-		case frame.Done != nil:
-			*out = frame.Done
-			return nil
-		case frame.Error != "":
-			// The server executed and failed: a real error, not transient.
-			return fmt.Errorf("cluster: %s: %s", url, frame.Error)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return errTransient{fmt.Errorf("cluster: %s: stream: %w", url, err)}
-	}
-	// Stream ended without a terminal frame: the server died mid-query.
-	return errTransient{fmt.Errorf("cluster: %s: stream truncated before terminal frame", url)}
-}
-
-// ExecBatch runs one BatchExecRequest against one shard server,
-// streaming per-item frames into onItem as items retire, and returns once
-// the terminal frame lands. Idempotent like Exec; the caller must keep
-// the FIRST frame per (item, shard) since a retry replays earlier items.
-func (c *Client) ExecBatch(ctx context.Context, baseURL string, req *BatchExecRequest, onItem func(BatchItemFrame)) error {
+// ExecBatch runs one BatchExecRequest against one shard server, streaming
+// accept frames into onAccept (which may be nil) and per-item frames into
+// onItem as they arrive, and returns once the terminal frame lands.
+// Idempotent: the executed leg is a deterministic read, so transient
+// failures retry the whole request — and a retry (or a hedged duplicate)
+// replays earlier frames, so the caller must keep the FIRST frame per
+// (item, shard) and dedup accepts by source.
+func (c *Client) ExecBatch(ctx context.Context, baseURL string, req *BatchExecRequest, onAccept func(AcceptFrame), onItem func(BatchItemFrame)) error {
 	req.Proto = ProtoVersion
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
 	return c.retryIdempotent(ctx, func() error {
-		return c.execBatchOnce(ctx, baseURL+PathExecBatch, body, onItem)
+		return c.execBatchOnce(ctx, baseURL+PathExec, body, onAccept, onItem)
 	})
 }
 
-func (c *Client) execBatchOnce(ctx context.Context, url string, body []byte, onItem func(BatchItemFrame)) error {
+func (c *Client) execBatchOnce(ctx context.Context, url string, body []byte, onAccept func(AcceptFrame), onItem func(BatchItemFrame)) error {
 	resp, cancel, err := c.post(ctx, url, body)
 	if err != nil {
 		return err
@@ -249,19 +188,23 @@ func (c *Client) execBatchOnce(ctx context.Context, url string, body []byte, onI
 			return errTransient{fmt.Errorf("cluster: %s: bad frame: %w", url, err)}
 		}
 		switch {
-		case frame.Item != nil:
-			if onItem != nil {
-				onItem(*frame.Item)
+		case frame.Accept != nil:
+			if onAccept != nil {
+				onAccept(*frame.Accept)
 			}
+		case frame.Item != nil:
+			onItem(*frame.Item)
 		case frame.Done:
 			return nil
 		case frame.Error != "":
+			// The server executed and failed: a real error, not transient.
 			return fmt.Errorf("cluster: %s: %s", url, frame.Error)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return errTransient{fmt.Errorf("cluster: %s: stream: %w", url, err)}
 	}
+	// Stream ended without a terminal frame: the server died mid-request.
 	return errTransient{fmt.Errorf("cluster: %s: stream truncated before terminal frame", url)}
 }
 

@@ -2,10 +2,12 @@
 // scatter-gather Coordinator that fans IM-GRN queries, batches and
 // mutations out to remote shard servers over HTTP, with consistent-hash
 // placement of sources onto global shards (ring.go), R-way replication
-// of every shard with hedged replicated reads (client.go,
-// coordinator.go), coordinator-resolved plans shipped in every request
-// envelope (proto.go), and cross-shard top-k floor propagation so remote
-// shards early-terminate like in-process ones. The in-process
+// of every shard with hedged replicated reads (client.go, batch.go),
+// coordinator-resolved plans shipped in every request envelope
+// (proto.go), and per-item cross-shard top-k floor propagation so remote
+// shards early-terminate like in-process ones. Queries and batches share
+// one scatter, one hedged-leg loop and one gather (batch.go): a solo
+// query is a batch of one. The in-process
 // shard.Coordinator is the single-node degenerate case of the same code
 // path: at the same shard count and placement the remote answers are
 // byte-identical (pinned by goldens).
@@ -387,84 +389,6 @@ func (c *Coordinator) nextQueryID() string {
 	return fmt.Sprintf("%s-%d", c.prefix, c.qid.Add(1))
 }
 
-// execShard runs one scatter leg — global shard g of req — with hedged
-// replicated reads: the primary-ordered healthy replicas are tried with
-// an attempt launched immediately, another after each HedgeAfter of
-// silence, and an immediate failover on error; the first success wins
-// and cancels the rest. Accept frames from duplicate attempts are the
-// caller's to dedup (by source). Every replica failing yields
-// ErrShardUnavailable.
-func (c *Coordinator) execShard(ctx context.Context, g int, req ExecRequest, onAccept func(AcceptFrame)) (*ExecDone, error) {
-	req.Shard = g
-	urls := c.replicaOrder(g)
-	if len(urls) == 0 {
-		return nil, fmt.Errorf("%w: shard %d has no replicas", ErrShardUnavailable, g)
-	}
-	attemptCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type result struct {
-		done    *ExecDone
-		err     error
-		attempt int
-	}
-	ch := make(chan result, len(urls))
-	launched := 0
-	launch := func() {
-		attempt := launched
-		url := urls[attempt]
-		launched++
-		legReq := req // per-attempt copy: Exec stamps Proto on its argument
-		c.wg.Add(1)
-		go func() {
-			defer c.wg.Done()
-			done, err := c.client.Exec(attemptCtx, url, &legReq, onAccept)
-			ch <- result{done, err, attempt}
-		}()
-	}
-	launch()
-
-	var hedge <-chan time.Time
-	if c.opts.HedgeAfter > 0 {
-		t := time.NewTimer(c.opts.HedgeAfter)
-		defer t.Stop()
-		hedge = t.C
-	}
-	pending := 1
-	var errs []error
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-hedge:
-			hedge = nil
-			if launched < len(urls) {
-				c.met.hedge()
-				launch()
-				pending++
-			}
-		case r := <-ch:
-			pending--
-			if r.err == nil {
-				if r.attempt > 0 {
-					c.met.hedgeWin()
-				}
-				return r.done, nil
-			}
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			errs = append(errs, fmt.Errorf("replica %s: %w", urls[r.attempt], r.err))
-			if launched < len(urls) {
-				launch()
-				pending++
-			} else if pending == 0 {
-				return nil, fmt.Errorf("%w: shard %d: %w", ErrShardUnavailable, g, errors.Join(errs...))
-			}
-		}
-	}
-}
-
 // floorTracker dedups streamed accept frames by source and maintains the
 // coordinator's view of the global top-k floor. Dedup is load-bearing,
 // not cosmetic: hedged (or retried) attempts replay a shard's accepts,
@@ -491,17 +415,24 @@ func (f *floorTracker) accept(fr AcceptFrame) {
 
 func (f *floorTracker) floor() float64 { return f.sink.Floor() }
 
-// pushFloors runs the floor-propagation loop for one live top-k scatter:
-// every FloorEvery it pushes a risen global floor to every server, so
-// remote sinks raise their local floors and early-terminate refinement
-// on the cross-shard Markov bound — the networked version of the shared
-// in-process sink. Best-effort by design: the terminal merge is computed
-// from Done frames only and never depends on a floor push landing.
-func (c *Coordinator) pushFloors(ctx context.Context, queryID string, ft *floorTracker, stop <-chan struct{}) {
+// pushFloors runs the floor-propagation loop for one live scatter with
+// top-k items (trackers is indexed by wire item, nil for K = 0 items):
+// every FloorEvery it pushes each item's global floor, if it rose within
+// the tick, to every server, so remote sinks raise their local floors and
+// early-terminate refinement on the cross-shard Markov bound — the
+// networked version of the shared in-process sink. Best-effort by design:
+// the merge is computed from item frames only and never depends on a
+// floor push landing.
+func (c *Coordinator) pushFloors(ctx context.Context, queryID string, trackers []*floorTracker, stop <-chan struct{}) {
 	defer c.wg.Done()
 	t := time.NewTicker(c.opts.FloorEvery)
 	defer t.Stop()
-	last := ft.floor() // the alpha floor; only rises are worth pushing
+	last := make([]float64, len(trackers)) // only rises are worth pushing
+	for item, ft := range trackers {
+		if ft != nil {
+			last[item] = ft.floor() // the alpha floor
+		}
+	}
 	for {
 		select {
 		case <-stop:
@@ -509,84 +440,28 @@ func (c *Coordinator) pushFloors(ctx context.Context, queryID string, ft *floorT
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			f := ft.floor()
-			if f <= last {
-				continue
-			}
-			last = f
-			req := FloorRequest{QueryID: queryID, Floor: f}
 			var wg sync.WaitGroup
-			for _, url := range c.topo.Servers {
-				wg.Add(1)
-				go func(url string) {
-					defer wg.Done()
-					r := req
-					_ = c.client.Floor(ctx, url, &r)
-				}(url)
+			for item, ft := range trackers {
+				if ft == nil {
+					continue
+				}
+				f := ft.floor()
+				if f <= last[item] {
+					continue
+				}
+				last[item] = f
+				c.met.floorUpdate()
+				for _, url := range c.topo.Servers {
+					wg.Add(1)
+					go func(url string, req FloorRequest) {
+						defer wg.Done()
+						_ = c.client.Floor(ctx, url, &req)
+					}(url, FloorRequest{QueryID: queryID, Item: item, Floor: f})
+				}
 			}
 			wg.Wait()
-			c.met.floorUpdate()
 		}
 	}
-}
-
-// scatter fans proto out over all global shards (Shard stamped per leg)
-// and gathers the terminal frames in shard order. k > 0 additionally
-// runs the floor-propagation machinery. The first failed leg cancels the
-// rest and surfaces as the scatter's error (partial results are never
-// returned).
-func (c *Coordinator) scatter(ctx context.Context, proto ExecRequest, k int, alpha float64) ([]*ExecDone, error) {
-	c.met.scatter()
-	P := c.topo.NumShards
-	scatterCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var onAccept func(AcceptFrame)
-	if k > 0 && c.opts.FloorEvery > 0 {
-		ft := newFloorTracker(k, alpha)
-		onAccept = ft.accept
-		stop := make(chan struct{})
-		defer close(stop)
-		c.wg.Add(1)
-		go c.pushFloors(scatterCtx, proto.QueryID, ft, stop)
-	}
-
-	dones := make([]*ExecDone, P)
-	errs := make([]error, P)
-	var wg sync.WaitGroup
-	for g := 0; g < P; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			done, err := c.execShard(scatterCtx, g, proto, onAccept)
-			if err != nil {
-				errs[g] = err
-				cancel() // first failure aborts the in-flight legs
-				return
-			}
-			dones[g] = done
-		}(g)
-	}
-	wg.Wait()
-	// Report the root cause, not the fallout: the first leg to fail
-	// cancels its in-flight siblings, so sibling legs surface
-	// context.Canceled. Prefer a leg whose error is its own.
-	firstG, firstErr := -1, error(nil)
-	for g, err := range errs {
-		if err == nil {
-			continue
-		}
-		if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstG, firstErr = g, err
-		}
-	}
-	if firstErr != nil {
-		if errors.Is(firstErr, ErrShardUnavailable) {
-			c.met.partialFailure()
-		}
-		return nil, fmt.Errorf("cluster: scatter leg %d: %w", firstG, firstErr)
-	}
-	return dones, nil
 }
 
 // matrixToWire extracts the query matrix payload (queries are source -1
@@ -615,184 +490,38 @@ func graphToWire(q *grn.Graph) (genes []int32, edges []WireEdge) {
 	return genes, edges
 }
 
-// planOnce validates params and resolves the execution plan — the
-// coordinator-side decision point; shards only execute.
-func (c *Coordinator) planOnce(params core.Params) (core.Params, error) {
-	if err := params.Validate(); err != nil {
-		return params, err
-	}
-	return params.ResolvePlan()
-}
-
-// protoFor assembles the shard-independent part of an exec envelope.
-func (c *Coordinator) protoFor(kind string, genes []int32, columns [][]float64, edges []WireEdge, params core.Params, k int) (ExecRequest, error) {
-	req := ExecRequest{
-		QueryID:   c.nextQueryID(),
-		Kind:      kind,
-		NumShards: c.topo.NumShards,
-		K:         k,
-		Genes:     genes,
-		Columns:   columns,
-		Edges:     edges,
-		Params:    ParamsToWire(params),
-	}
-	if params.Plan != nil {
-		encoded, err := params.Plan.EncodeWire()
-		if err != nil {
-			return req, err
-		}
-		req.Plan = encoded
-	}
-	if c.topo.NumShards == 1 {
-		// The P=1 degenerate case: the single shard runs the caller's
-		// params untouched on the unsharded sequential path, exactly like
-		// the in-process coordinator; top-k ranks at the coordinator.
-		req.Solo = true
-		req.K = 0
-	}
-	return req, nil
-}
-
-// gather merges the terminal frames into the final answer set and the
-// aggregate stats, mirroring shard.Coordinator's merge exactly: K-less
-// scatters concatenate the source-ascending per-shard runs (placement
-// partitions the sources, so a k-way merge of shard-ordered runs is the
-// engine's answer order); top-k scatters offer every shard's local top-k
-// into a fresh bounded sink — correct because a shard's members of the
-// global top-k are necessarily within its local top-k.
-func (c *Coordinator) gather(dones []*ExecDone, params core.Params, k int, start time.Time) ([]core.Answer, core.Stats) {
-	var answers []core.Answer
-	if k > 0 {
-		sink := core.NewTopKSink(k, params.Alpha)
-		for _, d := range dones {
-			for _, wa := range d.Answers {
-				sink.Offer(wa.Answer())
-			}
-		}
-		answers = sink.Results()
-	} else {
-		runs := make([][]core.Answer, len(dones))
-		for i, d := range dones {
-			runs[i] = AnswersFromWire(d.Answers)
-		}
-		answers = core.MergeAnswerRuns(runs)
-	}
-
-	var st core.Stats
-	shardStats := make([]core.Stats, len(dones))
-	for i, d := range dones {
-		shardStats[i] = d.Stats.Stats()
-	}
-	core.MergeScatterStats(&st, shardStats)
-	// Query-graph inference ran identically on every shard server (base
-	// seed, query matrix only); report shard 0's run once, like the
-	// in-process inferOnce.
-	if inf := dones[0].Infer; inf != nil {
-		ist := inf.Stats()
-		st.InferQuery = ist.InferQuery
-		st.QueryVertices = ist.QueryVertices
-		st.QueryEdges = ist.QueryEdges
-	} else {
-		st.QueryVertices = dones[0].Stats.QueryVertices
-		st.QueryEdges = dones[0].Stats.QueryEdges
-	}
-	st.Plan = params.Plan
-	st.Total = time.Since(start)
-	return answers, st
-}
-
-// soloResult unwraps the P=1 terminal frame: the single leg ran the full
-// unsharded query, so its run and stats pass through whole.
-func soloResult(done *ExecDone, params core.Params, k int, start time.Time) ([]core.Answer, core.Stats) {
-	answers := AnswersFromWire(done.Answers)
-	if k > 0 {
-		core.RankAnswers(answers)
-		if len(answers) > k {
-			answers = answers[:k]
-		}
-	}
-	st := done.Stats.Stats()
-	if inf := done.Infer; inf != nil {
-		st.InferQuery = inf.Stats().InferQuery
-	}
-	st.Plan = params.Plan
-	st.Total = time.Since(start)
-	return answers, st
-}
-
 // QueryContext answers an IM-GRN feature-matrix query scatter-gather
 // over the cluster. The query matrix ships to every shard server, each
 // of which infers the query GRN locally at the base seed (inference
 // reads only the query matrix, so every server derives the identical
 // graph) and executes its shard leg at the derived seed.
 func (c *Coordinator) QueryContext(ctx context.Context, mq *gene.Matrix, params core.Params) ([]core.Answer, core.Stats, error) {
-	return c.queryMatrix(ctx, mq, params, 0)
+	return c.queryItem(ctx, core.BatchItem{Matrix: mq, Params: params})
+}
+
+// QueryGraphContext answers a query for an already-inferred query GRN
+// scatter-gather over the cluster.
+func (c *Coordinator) QueryGraphContext(ctx context.Context, q *grn.Graph, params core.Params) ([]core.Answer, core.Stats, error) {
+	return c.queryItem(ctx, core.BatchItem{Graph: q, Params: params})
 }
 
 // QueryTopKContext answers a feature-matrix query keeping the k best
 // matches, with remote floor propagation standing in for the shared
 // in-process sink. k <= 0 ranks all matches.
 func (c *Coordinator) QueryTopKContext(ctx context.Context, mq *gene.Matrix, params core.Params, k int) ([]core.Answer, core.Stats, error) {
-	if k <= 0 {
-		answers, st, err := c.QueryContext(ctx, mq, params)
-		if err != nil {
-			return nil, st, err
-		}
-		in := len(answers)
+	answers, st, err := c.queryItem(ctx, core.BatchItem{Matrix: mq, Params: params, K: k})
+	if err == nil && k <= 0 {
 		mark := params.Trace.Start(obs.StageTopK)
 		core.RankAnswers(answers)
-		mark.End(in, len(answers))
-		return answers, st, nil
+		mark.End(len(answers), len(answers))
 	}
-	return c.queryMatrix(ctx, mq, params, k)
+	return answers, st, err
 }
 
-func (c *Coordinator) queryMatrix(ctx context.Context, mq *gene.Matrix, params core.Params, k int) ([]core.Answer, core.Stats, error) {
-	params, err := c.planOnce(params)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	start := time.Now()
-	genes, columns := matrixToWire(mq)
-	proto, err := c.protoFor(KindMatrix, genes, columns, nil, params, k)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	dones, err := c.scatter(ctx, proto, k, params.Alpha)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	if proto.Solo {
-		answers, st := soloResult(dones[0], params, k, start)
-		return answers, st, nil
-	}
-	answers, st := c.gather(dones, params, k, start)
-	return answers, st, nil
-}
-
-// QueryGraphContext answers a query for an already-inferred query GRN
-// scatter-gather over the cluster.
-func (c *Coordinator) QueryGraphContext(ctx context.Context, q *grn.Graph, params core.Params) ([]core.Answer, core.Stats, error) {
-	params, err := c.planOnce(params)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	start := time.Now()
-	genes, edges := graphToWire(q)
-	proto, err := c.protoFor(KindGraph, genes, nil, edges, params, 0)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	dones, err := c.scatter(ctx, proto, 0, params.Alpha)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	if proto.Solo {
-		answers, st := soloResult(dones[0], params, 0, start)
-		return answers, st, nil
-	}
-	answers, st := c.gather(dones, params, 0, start)
-	return answers, st, nil
+// queryItem runs one query as a one-item batch (batch.go).
+func (c *Coordinator) queryItem(ctx context.Context, item core.BatchItem) ([]core.Answer, core.Stats, error) {
+	results, _ := c.QueryBatch(ctx, []core.BatchItem{item}, core.BatchOptions{})
+	return results[0].Answers, results[0].Stats, results[0].Err
 }
 
 // AddMatrix places m on its ring shard and replicates the add to every

@@ -11,31 +11,33 @@ import (
 )
 
 // Cluster wire protocol (DESIGN.md §15). One coordinator-resolved
-// request envelope per (query, shard): the envelope carries the query
-// payload (matrix columns or explicit pattern), the scalar params, the
+// request envelope per (request, shard): the envelope carries every item
+// of the request — a solo query is the one-item case — each with its
+// query payload (matrix columns or explicit pattern), scalar params,
 // encoded plan (plan.EncodeWire — every shard executes the identical
-// decisions), the GLOBAL shard index to execute (the shard server
-// derives SeedFrom(Seed, global) itself, so answers are a pure function
-// of placement and params, never of which replica served the request),
-// and the top-k bound. Responses stream NDJSON: zero or more accept
-// frames (top-k floor propagation), then exactly one terminal frame with
-// the per-shard answer runs or an error.
+// decisions) and top-k bound, plus the GLOBAL shard index to execute (the
+// shard server derives SeedFrom(Seed, global) itself, so answers are a
+// pure function of placement and params, never of which replica served
+// the request). Responses stream NDJSON: per-item accept frames (top-k
+// floor propagation) and one item frame per item as it retires on the
+// shard, then exactly one terminal frame (done, or an error).
 //
 // Endpoints (served by internal/server in the shard role):
 //
-//	POST /cluster/exec        one query, one global shard (or solo)
-//	POST /cluster/exec-batch  whole batch, one global shard (or solo)
-//	POST /cluster/mutate      routed mutation (replicated by the caller)
-//	POST /cluster/floor       raise a live query's top-k floor
-//	GET  /cluster/info        shard-server membership/health snapshot
+//	POST /cluster/exec    every item of one request, one global shard (or solo)
+//	POST /cluster/mutate  routed mutation (replicated by the caller)
+//	POST /cluster/floor   raise one live item's top-k floor
+//	GET  /cluster/info    shard-server membership/health snapshot
 //
 // Versioning: every request carries Proto; a mismatch is answered with
 // an explicit 400, never a best-effort execution. The plan payload is
 // versioned separately (plan.WireVersion).
 
-// ProtoVersion is the cluster protocol version. 2: the exec-batch
-// envelope lost sharedPerms and its terminal frame became {"done":true}.
-const ProtoVersion = 2
+// ProtoVersion is the cluster protocol version. 3: one execution RPC —
+// /cluster/exec carries the batch envelope, the single-query envelope and
+// /cluster/exec-batch are gone, and accept frames and floor pushes name
+// the item they belong to.
+const ProtoVersion = 3
 
 // ErrProtoVersion reports a protocol version mismatch between
 // coordinator and shard server. Matchable with errors.Is.
@@ -49,12 +51,11 @@ const (
 
 // Endpoint paths.
 const (
-	PathExec      = "/cluster/exec"
-	PathExecBatch = "/cluster/exec-batch"
-	PathMutate    = "/cluster/mutate"
-	PathFloor     = "/cluster/floor"
-	PathInfo      = "/cluster/info"
-	PathMembers   = "/cluster/members"
+	PathExec    = "/cluster/exec"
+	PathMutate  = "/cluster/mutate"
+	PathFloor   = "/cluster/floor"
+	PathInfo    = "/cluster/info"
+	PathMembers = "/cluster/members"
 )
 
 // WireParams is the scalar subset of core.Params that travels in the
@@ -227,26 +228,31 @@ func (w WireStats) Stats() core.Stats {
 	}
 }
 
-// ExecRequest is the /cluster/exec envelope: one query, one global
-// shard. Solo marks the P=1 degenerate case: the shard server runs the
-// caller's params untouched on its single shard — the same sequential
-// stream the unsharded engine uses — instead of the derived-seed scatter
-// leg.
-type ExecRequest struct {
+// BatchExecRequest is the /cluster/exec envelope: every item of one
+// request for one global shard in one RPC. Solo marks the P=1 degenerate
+// case: the shard server runs the caller's params untouched on its single
+// shard — the same sequential stream the unsharded engine uses — instead
+// of the derived-seed scatter leg.
+type BatchExecRequest struct {
 	Proto   int    `json:"proto"`
 	QueryID string `json:"queryId"`
-	Kind    string `json:"kind"`
 	// NumShards is the GLOBAL partition count P; the shard server rejects
 	// a mismatch with its own topology (a misconfigured cluster must fail
 	// loudly, not return wrong-seeded answers).
 	NumShards int `json:"numShards"`
 	// Shard is the GLOBAL shard index to execute.
-	Shard int  `json:"shard"`
-	Solo  bool `json:"solo,omitempty"`
-	// K > 0 runs the shard leg in streamed top-k mode with a local sink
-	// (accept frames + a local top-k run); 0 returns the full run.
-	K int `json:"k,omitempty"`
+	Shard         int             `json:"shard"`
+	Solo          bool            `json:"solo,omitempty"`
+	ItemTimeoutMs int64           `json:"itemTimeoutMs,omitempty"`
+	Items         []BatchExecItem `json:"items"`
+}
 
+// BatchExecItem is one query in the envelope.
+type BatchExecItem struct {
+	Kind string `json:"kind"`
+	// K > 0 runs the item's shard leg in streamed top-k mode with a local
+	// sink (accept frames + a local top-k run); 0 returns the full run.
+	K       int             `json:"k,omitempty"`
 	Genes   []int32         `json:"genes"`
 	Columns [][]float64     `json:"columns,omitempty"` // KindMatrix
 	Edges   []WireEdge      `json:"edges,omitempty"`   // KindGraph
@@ -254,70 +260,31 @@ type ExecRequest struct {
 	Plan    json.RawMessage `json:"plan,omitempty"`
 }
 
-// ExecFrame is one NDJSON response frame of /cluster/exec. Exactly one
-// of the fields is set.
-type ExecFrame struct {
+// BatchExecFrame is one NDJSON response frame of /cluster/exec: accept
+// and item frames as items run and retire on the shard, then one terminal
+// frame (Done, or Error). Exactly one of the fields is set.
+type BatchExecFrame struct {
 	// Accept streams one locally-accepted top-k answer the moment the
-	// shard's sink admits it — the floor-propagation feed. Performance
-	// only: the terminal run is authoritative.
-	Accept *AcceptFrame `json:"accept,omitempty"`
-	// Done is the terminal success frame.
-	Done *ExecDone `json:"done,omitempty"`
-	// Error is the terminal failure frame.
-	Error string `json:"error,omitempty"`
+	// item's sink admits it — the floor-propagation feed. Performance
+	// only: the item frame's run is authoritative.
+	Accept *AcceptFrame    `json:"accept,omitempty"`
+	Item   *BatchItemFrame `json:"item,omitempty"`
+	Done   bool            `json:"done,omitempty"`
+	Error  string          `json:"error,omitempty"`
 }
 
-// AcceptFrame is one streamed top-k acceptance.
+// AcceptFrame is one streamed top-k acceptance of item Item.
 type AcceptFrame struct {
+	Item   int     `json:"item"`
 	Shard  int     `json:"shard"`
 	Source int     `json:"source"`
 	Prob   float64 `json:"prob"`
 }
 
-// ExecDone carries the executed shard's answers. For K > 0 the run is
-// the shard's local top-k (sink results); otherwise the full
+// BatchItemFrame is one item's result on the executed shard. For K > 0
+// the run is the shard's local top-k (sink results); otherwise the full
 // source-ascending run. Infer reports the server-side query-graph
-// inference stats (KindMatrix only).
-type ExecDone struct {
-	Shard   int          `json:"shard"`
-	Answers []WireAnswer `json:"answers"`
-	Stats   WireStats    `json:"stats"`
-	Infer   *WireStats   `json:"infer,omitempty"`
-}
-
-// BatchExecRequest is the /cluster/exec-batch envelope: the whole batch
-// for one global shard in one RPC.
-type BatchExecRequest struct {
-	Proto         int             `json:"proto"`
-	QueryID       string          `json:"queryId"`
-	NumShards     int             `json:"numShards"`
-	Shard         int             `json:"shard"`
-	Solo          bool            `json:"solo,omitempty"`
-	ItemTimeoutMs int64           `json:"itemTimeoutMs,omitempty"`
-	Items         []BatchExecItem `json:"items"`
-}
-
-// BatchExecItem is one batch query in the envelope.
-type BatchExecItem struct {
-	Kind    string          `json:"kind"`
-	K       int             `json:"k,omitempty"`
-	Genes   []int32         `json:"genes"`
-	Columns [][]float64     `json:"columns,omitempty"`
-	Edges   []WireEdge      `json:"edges,omitempty"`
-	Params  WireParams      `json:"params"`
-	Plan    json.RawMessage `json:"plan,omitempty"`
-}
-
-// BatchExecFrame is one NDJSON response frame of /cluster/exec-batch:
-// per-item frames as items retire on the shard, then one terminal frame
-// (Done, or Error).
-type BatchExecFrame struct {
-	Item  *BatchItemFrame `json:"item,omitempty"`
-	Done  bool            `json:"done,omitempty"`
-	Error string          `json:"error,omitempty"`
-}
-
-// BatchItemFrame is one item's result on the executed shard.
+// inference stats (KindMatrix scatter legs only).
 type BatchItemFrame struct {
 	Index   int          `json:"index"`
 	Shard   int          `json:"shard"`
@@ -337,7 +304,7 @@ type MutateRequest struct {
 	Op     string `json:"op"` // "add" | "remove"
 	Source int    `json:"source"`
 	Shard  int    `json:"shard"`
-	// NumShards guards topology agreement like ExecRequest.NumShards.
+	// NumShards guards topology agreement like BatchExecRequest.NumShards.
 	NumShards int         `json:"numShards"`
 	Genes     []int32     `json:"genes,omitempty"`
 	Columns   [][]float64 `json:"columns,omitempty"`
@@ -353,12 +320,14 @@ type MutateWireResponse struct {
 	Matrices int `json:"matrices"`
 }
 
-// FloorRequest is the /cluster/floor envelope: raise the named live
-// query's top-k floor to the coordinator's current global floor.
-// Fire-and-forget; a query that already finished acks trivially.
+// FloorRequest is the /cluster/floor envelope: raise the top-k floor of
+// item Item of the named live request to the coordinator's current global
+// floor for that item. Fire-and-forget; a request that already finished
+// acks trivially.
 type FloorRequest struct {
 	Proto   int     `json:"proto"`
 	QueryID string  `json:"queryId"`
+	Item    int     `json:"item"`
 	Floor   float64 `json:"floor"`
 }
 

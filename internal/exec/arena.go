@@ -4,16 +4,14 @@ import "sync"
 
 // ArenaSlot names one package's scratch compartment inside an Arena.
 // Packages along the query path each own a slot so their per-query
-// scratch structures (candidate slices, per-worker column buffers,
-// per-shard result runs) survive across queries in the pool without the
+// scratch structures (candidate slices, per-worker column buffers)
+// survive across queries in the pool without the
 // packages having to know about one another.
 type ArenaSlot int
 
 const (
 	// ArenaQueryScratch is internal/core's refinement scratch.
 	ArenaQueryScratch ArenaSlot = iota
-	// ArenaScatterScratch is internal/shard's scatter-gather scratch.
-	ArenaScatterScratch
 
 	numArenaSlots
 )

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -367,6 +369,41 @@ func TestClusterAllReplicasDown(t *testing.T) {
 	if !errors.Is(err, cluster.ErrShardUnavailable) {
 		t.Fatalf("err = %v, want ErrShardUnavailable", err)
 	}
+	// Every item of a batch was owed by the lost legs; each fails with the
+	// same matchable error, replica failures joined underneath.
+	res, bst := tc.remote.QueryBatch(context.Background(), []core.BatchItem{
+		{Matrix: tc.queryMatrix(t, 3), Params: clusterParamsFor(true)},
+		{Graph: tc.queryGraph(), Params: clusterParamsFor(false), K: 2},
+	}, core.BatchOptions{})
+	for i, r := range res {
+		if !errors.Is(r.Err, cluster.ErrShardUnavailable) {
+			t.Errorf("batch item %d: err = %v, want ErrShardUnavailable", i, r.Err)
+		}
+	}
+	if bst.Errors != len(res) {
+		t.Errorf("batch errors = %d, want %d", bst.Errors, len(res))
+	}
+}
+
+// assertTopKMatchesRef runs one K>0 query through the remote coordinator
+// and the in-process reference: on a faulty cluster this exercises
+// first-frame-wins dedup of replayed item frames and accept dedup by
+// source.
+func assertTopKMatchesRef(t *testing.T, tc *testCluster) {
+	t.Helper()
+	ctx := context.Background()
+	params := clusterParamsFor(false)
+	q := tc.queryMatrix(t, 5)
+	got, gst, gerr := tc.remote.QueryTopKContext(ctx, q, params, 3)
+	want, _, werr := tc.ref.QueryTopKContext(ctx, q, params, 3)
+	mustAnswers(t, "remote top-k", got, gerr)
+	mustAnswers(t, "in-process top-k", want, werr)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("remote top-k diverges:\n got %+v\nwant %+v", got, want)
+	}
+	if gst.Answers != len(got) {
+		t.Errorf("remote top-k Stats.Answers = %d, want %d (answers returned)", gst.Answers, len(got))
+	}
 }
 
 // TestClusterFailoverOn5xx: a replica that answers 503 on every exec
@@ -396,6 +433,7 @@ func TestClusterFailoverOn5xx(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("5xx failover changed the answer:\n got %+v\nwant %+v", got, want)
 	}
+	assertTopKMatchesRef(t, tc)
 }
 
 // TestClusterHedgedReadWins: a replica that answers, but slowly, loses
@@ -429,6 +467,7 @@ func TestClusterHedgedReadWins(t *testing.T) {
 	if v := metricValue(t, tc.reg, "imgrn_rpc_hedge_wins_total"); v < 1 {
 		t.Errorf("imgrn_rpc_hedge_wins_total = %v, want >= 1 (slow replica should lose the race)", v)
 	}
+	assertTopKMatchesRef(t, tc)
 }
 
 // metricValue renders reg and returns the value of the first sample
@@ -533,12 +572,23 @@ func TestClusterShardServerRejections(t *testing.T) {
 	tc := newTestCluster(t, 3, 2, nil, nil)
 	srv := tc.shards[0]
 
-	rec := postJSON(t, srv, cluster.PathExec, cluster.ExecRequest{Proto: 99, Kind: cluster.KindGraph, NumShards: 3})
+	rec := postJSON(t, srv, cluster.PathExec, cluster.BatchExecRequest{Proto: 99, NumShards: 3})
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "protocol version") {
 		t.Errorf("proto skew: status %d body %s", rec.Code, rec.Body)
 	}
 
-	rec = postJSON(t, srv, cluster.PathExec, cluster.ExecRequest{Proto: cluster.ProtoVersion, Kind: cluster.KindGraph, NumShards: 7})
+	// A ProtoVersion-2 coordinator (either of its two exec envelopes), and
+	// its batch path, which no longer exists.
+	rec = postJSON(t, srv, cluster.PathExec, map[string]any{"proto": 2, "numShards": 3, "items": []any{}})
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "protocol version") {
+		t.Errorf("proto 2: status %d body %s", rec.Code, rec.Body)
+	}
+	rec = postJSON(t, srv, cluster.PathExec+"-batch", map[string]any{"proto": 2, "numShards": 3, "items": []any{}})
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("removed /cluster/exec-batch: status %d body %s, want 404", rec.Code, rec.Body)
+	}
+
+	rec = postJSON(t, srv, cluster.PathExec, cluster.BatchExecRequest{Proto: cluster.ProtoVersion, NumShards: 7})
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "topology") {
 		t.Errorf("topology skew: status %d body %s", rec.Code, rec.Body)
 	}
@@ -719,7 +769,6 @@ func TestClusterMetricsPreseeded(t *testing.T) {
 	body = rec.Body.String()
 	for _, want := range []string{
 		`imgrn_requests_total{endpoint="cluster-exec"}`,
-		`imgrn_requests_total{endpoint="cluster-exec-batch"}`,
 		`imgrn_requests_total{endpoint="cluster-mutate"}`,
 		`imgrn_requests_total{endpoint="cluster-floor"}`,
 		`imgrn_requests_total{endpoint="cluster-info"}`,
@@ -727,5 +776,188 @@ func TestClusterMetricsPreseeded(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("shard-server /metrics missing %q", want)
 		}
+	}
+}
+
+// TestClusterShardServersObserveItems: a shard server observes every
+// item leg it executes, so its query-latency histogram (and with it the
+// stage, candidate, cache and page families) sees coordinator batches.
+func TestClusterShardServersObserveItems(t *testing.T) {
+	tc := newTestCluster(t, 3, 2, nil, nil)
+	items := []core.BatchItem{
+		{Matrix: tc.queryMatrix(t, 3), Params: clusterParamsFor(true)},
+		{Graph: tc.queryGraph(), Params: clusterParamsFor(false), K: 2},
+		{Matrix: tc.queryMatrix(t, 7), Params: clusterParamsFor(false), K: 3},
+	}
+	before := make([]float64, len(tc.shards))
+	for i, srv := range tc.shards {
+		before[i] = metricValue(t, srv.Metrics, "imgrn_query_seconds_count")
+	}
+	res, _ := tc.remote.QueryBatch(context.Background(), items, core.BatchOptions{})
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("item %d: %v", i, r.Err)
+		}
+	}
+	// Unprobed, every leg goes to its shard's primary: one leg per server.
+	for i, srv := range tc.shards {
+		if rose := metricValue(t, srv.Metrics, "imgrn_query_seconds_count") - before[i]; rose != float64(len(items)) {
+			t.Errorf("server %d: imgrn_query_seconds_count rose by %v, want %d", i, rose, len(items))
+		}
+		if v := metricValue(t, srv.Metrics, `imgrn_requests_total{endpoint="cluster-exec"}`); v != float64(len(items)) {
+			t.Errorf("server %d: cluster-exec requests = %v, want %d", i, v, len(items))
+		}
+	}
+}
+
+// execGate interposes on /cluster/exec by the envelope's GLOBAL shard —
+// so it acts on whichever replica serves the leg: each gated shard's
+// response passes its first `pass` item frames, then runs `then` (which
+// may block, or abort the connection by panicking).
+type execGate struct {
+	pass int
+	then func(r *http.Request)
+}
+
+type gatedWriter struct {
+	http.ResponseWriter
+	r     *http.Request
+	gate  execGate
+	items int
+}
+
+func (g *gatedWriter) Write(p []byte) (int, error) {
+	// The NDJSON writer emits one frame per Write.
+	if bytes.HasPrefix(p, []byte(`{"item"`)) {
+		if g.items == g.gate.pass {
+			g.gate.then(g.r)
+		}
+		g.items++
+	}
+	return g.ResponseWriter.Write(p)
+}
+
+func (g *gatedWriter) Flush() { g.ResponseWriter.(http.Flusher).Flush() }
+
+func gateExec(gates map[int]execGate) func(int, http.Handler) http.Handler {
+	return func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != cluster.PathExec {
+				h.ServeHTTP(w, r)
+				return
+			}
+			body, _ := io.ReadAll(r.Body)
+			var env struct {
+				Shard int `json:"shard"`
+			}
+			_ = json.Unmarshal(body, &env)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			if gate, ok := gates[env.Shard]; ok {
+				w = &gatedWriter{ResponseWriter: w, r: r, gate: gate}
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+}
+
+// TestClusterFailedLegCancelsAndNamesRootCause: with every replica of
+// shard 0 dying mid-stream and shard 1's leg held open, a query fails with
+// the dead leg's ErrShardUnavailable — not the held sibling's
+// context.Canceled — without waiting for the held leg; and a batch whose
+// item 0 the dead leg had already delivered still completes item 0.
+func TestClusterFailedLegCancelsAndNamesRootCause(t *testing.T) {
+	for _, tcase := range []struct {
+		name string
+		pass int // item frames the dead and the held leg deliver first
+	}{{"solo", 0}, {"batch", 1}} {
+		t.Run(tcase.name, func(t *testing.T) {
+			release := make(chan struct{})
+			defer close(release) // before the servers close: frees held handlers
+			hold := func(r *http.Request) {
+				select {
+				case <-release:
+				case <-r.Context().Done():
+				}
+			}
+			die := func(*http.Request) { panic(http.ErrAbortHandler) }
+			tc := newTestCluster(t, 3, 2,
+				gateExec(map[int]execGate{0: {tcase.pass, die}, 1: {tcase.pass, hold}}),
+				func(o *cluster.CoordinatorOptions) {
+					o.Client = &cluster.Client{Timeout: 30 * time.Second, Retries: -1, Backoff: time.Millisecond}
+				})
+			items := []core.BatchItem{
+				{Matrix: tc.queryMatrix(t, 3), Params: clusterParamsFor(true)},
+				{Matrix: tc.queryMatrix(t, 7), Params: clusterParamsFor(true)},
+			}
+			want, _ := tc.ref.QueryBatch(context.Background(), items, core.BatchOptions{})
+
+			var res []core.BatchResult
+			returned := make(chan struct{})
+			go func() {
+				defer close(returned)
+				if tcase.pass == 0 {
+					_, _, err := tc.remote.QueryContext(context.Background(), items[1].Matrix, items[1].Params)
+					res = []core.BatchResult{{Err: err}}
+				} else {
+					res, _ = tc.remote.QueryBatch(context.Background(), items, core.BatchOptions{})
+				}
+			}()
+			select {
+			case <-returned:
+			case <-time.After(20 * time.Second):
+				t.Fatal("the scatter waited for the held leg instead of cancelling it")
+			}
+
+			failed := res[len(res)-1].Err
+			if !errors.Is(failed, cluster.ErrShardUnavailable) || errors.Is(failed, context.Canceled) {
+				t.Errorf("err = %v, want the dead leg's ErrShardUnavailable, not cancellation fallout", failed)
+			}
+			if tcase.pass == 1 {
+				if res[0].Err != nil {
+					t.Fatalf("item 0, delivered by every leg before the failure: %v", res[0].Err)
+				}
+				if !reflect.DeepEqual(res[0].Answers, want[0].Answers) {
+					t.Errorf("item 0 diverges:\n got %+v\nwant %+v", res[0].Answers, want[0].Answers)
+				}
+			}
+			if v := metricValue(t, tc.reg, "imgrn_cluster_partial_failures_total"); v != 1 {
+				t.Errorf("imgrn_cluster_partial_failures_total = %v, want 1", v)
+			}
+		})
+	}
+}
+
+// TestClusterBatchFloorsPerItem: every K>0 item of a batch has its own
+// floor — accept frames and /cluster/floor pushes carry the item index —
+// and the merged top-k is each item's in-process top-k. Shard 2's leg is
+// delayed so the other legs' accepts raise both floors while the scatter
+// is still in flight.
+func TestClusterBatchFloorsPerItem(t *testing.T) {
+	delay := func(*http.Request) { time.Sleep(100 * time.Millisecond) }
+	tc := newTestCluster(t, 3, 2, gateExec(map[int]execGate{2: {0, delay}}),
+		func(o *cluster.CoordinatorOptions) { o.FloorEvery = time.Millisecond })
+	items := []core.BatchItem{
+		{Matrix: tc.queryMatrix(t, 5), Params: clusterParamsFor(true), K: 2},
+		{Graph: tc.queryGraph(), Params: clusterParamsFor(false), K: 3},
+	}
+	ctx := context.Background()
+	got, _ := tc.remote.QueryBatch(ctx, items, core.BatchOptions{})
+	want, _ := tc.ref.QueryBatch(ctx, items, core.BatchOptions{})
+	for i := range items {
+		mustAnswers(t, fmt.Sprintf("remote item %d", i), got[i].Answers, got[i].Err)
+		mustAnswers(t, fmt.Sprintf("in-process item %d", i), want[i].Answers, want[i].Err)
+		if !reflect.DeepEqual(got[i].Answers, want[i].Answers) {
+			t.Errorf("item %d top-k diverges:\n got %+v\nwant %+v", i, got[i].Answers, want[i].Answers)
+		}
+	}
+	if v := metricValue(t, tc.reg, "imgrn_cluster_floor_updates_total"); v < float64(len(items)) {
+		t.Errorf("imgrn_cluster_floor_updates_total = %v, want >= %d (one risen floor per item)", v, len(items))
+	}
+	pushed := 0.0
+	for _, srv := range tc.shards {
+		pushed += metricValue(t, srv.Metrics, `imgrn_requests_total{endpoint="cluster-floor"}`)
+	}
+	if pushed == 0 {
+		t.Error("no shard server served a /cluster/floor push")
 	}
 }

@@ -56,48 +56,53 @@ func (role *ShardRole) localOf(global int) int {
 }
 
 // floorRegistry tracks the live top-k sinks of in-flight /cluster/exec
-// queries so /cluster/floor pushes can raise their floors mid-query.
-// Keyed by coordinator query ID; one server may run several shards of
-// the same query concurrently, hence the slice.
+// requests so /cluster/floor pushes can raise their floors mid-query.
+// Keyed by coordinator query ID and item; one server may run several
+// shards of the same request concurrently, hence the slice.
 type floorRegistry struct {
 	mu    sync.Mutex
-	sinks map[string][]*core.TopKSink
+	sinks map[floorKey][]*core.TopKSink
 }
 
-func (f *floorRegistry) register(qid string, sink *core.TopKSink) {
+type floorKey struct {
+	qid  string
+	item int
+}
+
+func (f *floorRegistry) register(key floorKey, sink *core.TopKSink) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.sinks == nil {
-		f.sinks = make(map[string][]*core.TopKSink)
+		f.sinks = make(map[floorKey][]*core.TopKSink)
 	}
-	f.sinks[qid] = append(f.sinks[qid], sink)
+	f.sinks[key] = append(f.sinks[key], sink)
 }
 
-func (f *floorRegistry) deregister(qid string, sink *core.TopKSink) {
+func (f *floorRegistry) deregister(key floorKey, sink *core.TopKSink) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	live := f.sinks[qid][:0]
-	for _, s := range f.sinks[qid] {
+	live := f.sinks[key][:0]
+	for _, s := range f.sinks[key] {
 		if s != sink {
 			live = append(live, s)
 		}
 	}
 	if len(live) == 0 {
-		delete(f.sinks, qid)
+		delete(f.sinks, key)
 	} else {
-		f.sinks[qid] = live
+		f.sinks[key] = live
 	}
 }
 
-// raise lifts every live sink of qid to floor and reports how many it
-// reached. A finished (deregistered) query acks trivially with 0.
-func (f *floorRegistry) raise(qid string, floor float64) int {
+// raise lifts every live sink of key to floor and reports how many it
+// reached. A finished (deregistered) item acks trivially with 0.
+func (f *floorRegistry) raise(key floorKey, floor float64) int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for _, s := range f.sinks[qid] {
+	for _, s := range f.sinks[key] {
 		s.RaiseFloor(floor)
 	}
-	return len(f.sinks[qid])
+	return len(f.sinks[key])
 }
 
 // NewShardServer returns a shard-role server: NewSharded plus the
@@ -122,13 +127,12 @@ func NewDurableShardServer(store *shard.Store, cat *gene.Catalog, role *ShardRol
 func (s *Server) enableShardRole(role *ShardRole) {
 	s.role = role
 	s.mux.HandleFunc(cluster.PathExec, s.handleClusterExec)
-	s.mux.HandleFunc(cluster.PathExecBatch, s.handleClusterExecBatch)
 	s.mux.HandleFunc(cluster.PathMutate, s.handleClusterMutate)
 	s.mux.HandleFunc(cluster.PathFloor, s.handleClusterFloor)
 	s.mux.HandleFunc(cluster.PathInfo, s.handleClusterInfo)
 	// Pre-seed the new endpoint series (PR 2 convention: every series
 	// that can appear exists from the first scrape).
-	for _, ep := range []string{"cluster-exec", "cluster-exec-batch", "cluster-mutate", "cluster-floor", "cluster-info"} {
+	for _, ep := range []string{"cluster-exec", "cluster-mutate", "cluster-floor", "cluster-info"} {
 		s.met.requests.With(ep)
 	}
 }
@@ -222,111 +226,10 @@ func (n *ndjsonWriter) frame(v any) {
 	}
 }
 
+// handleClusterExec executes every item of one coordinator request on one
+// hosted shard (or, Solo, on the whole single-shard engine), streaming
+// accept and item frames as the items run and retire.
 func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
-	var req cluster.ExecRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if !s.checkEnvelope(w, req.Proto, req.NumShards) {
-		return
-	}
-	local := 0
-	if !req.Solo {
-		if local = s.role.localOf(req.Shard); local < 0 {
-			s.error(w, http.StatusBadRequest,
-				fmt.Sprintf("global shard %d is not hosted here (serving %v)", req.Shard, s.role.Shards))
-			return
-		}
-	}
-	tr := obs.NewTracer()
-	params, err := clusterParams(req.Params, req.Plan, tr)
-	if err != nil {
-		s.error(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	mq, q, err := clusterQuery(req.Kind, req.Genes, req.Columns, req.Edges)
-	if err != nil {
-		s.error(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	release, ok := s.acquire(w)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := s.queryContext(r)
-	defer cancel()
-	out := newNDJSON(w)
-
-	if req.Solo {
-		// P=1 degenerate case: the caller's params run untouched through
-		// the full local engine — the same sequential stream the unsharded
-		// engine uses, so solo deployments are byte-identical to Open().
-		var answers []core.Answer
-		var st core.Stats
-		if mq != nil {
-			answers, st, err = s.coord.QueryContext(ctx, mq, params)
-		} else {
-			answers, st, err = s.coord.QueryGraphContext(ctx, q, params)
-		}
-		if err != nil {
-			out.frame(cluster.ExecFrame{Error: err.Error()})
-			return
-		}
-		s.observeQuery("cluster-exec", st, tr)
-		done := cluster.ExecDone{Shard: 0, Answers: cluster.AnswersToWire(answers), Stats: cluster.StatsToWire(st)}
-		out.frame(cluster.ExecFrame{Done: &done})
-		return
-	}
-
-	// Scatter leg: infer at the base seed (matrix queries), then execute
-	// the hosted shard with the per-GLOBAL-shard derived seed — exactly
-	// the rewrite the in-process scatter applies.
-	var infer *cluster.WireStats
-	if mq != nil {
-		var ist core.Stats
-		q, ist, err = s.coord.InferGraphContext(ctx, mq, params)
-		if err != nil {
-			out.frame(cluster.ExecFrame{Error: err.Error()})
-			return
-		}
-		ws := cluster.StatsToWire(ist)
-		infer = &ws
-	}
-	sp := params
-	sp.Seed = randgen.SeedFrom(params.Seed, uint64(req.Shard))
-	if req.K > 0 {
-		sink := core.NewTopKSink(req.K, params.Alpha)
-		sink.SetOnAccept(func(a core.Answer) {
-			// Called with the sink's lock held: emit and return, no sink
-			// methods from here.
-			out.frame(cluster.ExecFrame{Accept: &cluster.AcceptFrame{Shard: req.Shard, Source: a.Source, Prob: a.Prob}})
-		})
-		s.floors.register(req.QueryID, sink)
-		defer s.floors.deregister(req.QueryID, sink)
-		sp.Sink = sink
-		answers, st, err := s.coord.QueryShardGraph(ctx, local, q, sp)
-		if err != nil {
-			out.frame(cluster.ExecFrame{Error: err.Error()})
-			return
-		}
-		_ = answers // the sink owns the shard's top-k run
-		s.observeQuery("cluster-exec", st, tr)
-		done := cluster.ExecDone{Shard: req.Shard, Answers: cluster.AnswersToWire(sink.Results()), Stats: cluster.StatsToWire(st), Infer: infer}
-		out.frame(cluster.ExecFrame{Done: &done})
-		return
-	}
-	answers, st, err := s.coord.QueryShardGraph(ctx, local, q, sp)
-	if err != nil {
-		out.frame(cluster.ExecFrame{Error: err.Error()})
-		return
-	}
-	s.observeQuery("cluster-exec", st, tr)
-	done := cluster.ExecDone{Shard: req.Shard, Answers: cluster.AnswersToWire(answers), Stats: cluster.StatsToWire(st), Infer: infer}
-	out.frame(cluster.ExecFrame{Done: &done})
-}
-
-func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) {
 	var req cluster.BatchExecRequest
 	if !s.decode(w, r, &req) {
 		return
@@ -358,11 +261,14 @@ func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) 
 
 	// Materialize the wire items. Matrix items of a scatter leg are
 	// inferred here at the BASE seed — the shared prologue of the
-	// in-process batch scatter — so every server derives the identical
-	// graph; solo legs hand the matrix to the engine untouched.
+	// in-process scatter — so every server derives the identical graph;
+	// solo legs (the P=1 degenerate case) hand every item to the full local
+	// engine untouched — the same sequential stream the unsharded engine
+	// uses, so solo deployments are byte-identical to Open().
 	type liveItem struct {
 		wire  int // index into req.Items (= the coordinator's frame index)
 		item  core.BatchItem
+		tr    *obs.Tracer
 		infer *cluster.WireStats
 		sink  *core.TopKSink
 	}
@@ -380,7 +286,7 @@ func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) 
 			fail(i, err)
 			continue
 		}
-		li := liveItem{wire: i}
+		li := liveItem{wire: i, tr: tr}
 		if req.Solo {
 			li.item = core.BatchItem{Matrix: mq, Graph: q, Params: params, K: wi.K}
 			live = append(live, li)
@@ -401,6 +307,8 @@ func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) 
 			ws := cluster.StatsToWire(ist)
 			li.infer = &ws
 		}
+		// The per-GLOBAL-shard derived seed — exactly the rewrite the
+		// in-process scatter applies.
 		sp := params
 		sp.Seed = randgen.SeedFrom(params.Seed, uint64(req.Shard))
 		if wi.K > 0 {
@@ -408,6 +316,16 @@ func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) 
 			// shards' local top-k runs, so K stays 0 at the engine level and
 			// the sink owns the trim (exactly the in-process shard leg).
 			li.sink = core.NewTopKSink(wi.K, params.Alpha)
+			li.sink.SetOnAccept(func(a core.Answer) {
+				// Called with the sink's lock held: emit and return, no sink
+				// methods from here.
+				out.frame(cluster.BatchExecFrame{Accept: &cluster.AcceptFrame{Item: i, Shard: req.Shard, Source: a.Source, Prob: a.Prob}})
+			})
+			// Registered until the request ends: a push that lands after the
+			// item retired raises a sink nobody reads any more.
+			key := floorKey{req.QueryID, i}
+			s.floors.register(key, li.sink)
+			defer s.floors.deregister(key, li.sink)
 			sp.Sink = li.sink
 		}
 		li.item = core.BatchItem{Graph: q, Params: sp}
@@ -430,6 +348,7 @@ func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) 
 			if res.Err != nil {
 				fr.Error = res.Err.Error()
 			} else {
+				s.observeQuery("cluster-exec", res.Stats, li.tr)
 				fr.Stats = cluster.StatsToWire(res.Stats)
 				if li.sink != nil {
 					fr.Answers = cluster.AnswersToWire(li.sink.Results())
@@ -446,7 +365,6 @@ func (s *Server) handleClusterExecBatch(w http.ResponseWriter, r *http.Request) 
 		out.frame(cluster.BatchExecFrame{Error: err.Error()})
 		return
 	}
-	s.met.requests.With("cluster-exec-batch").Inc()
 	out.frame(cluster.BatchExecFrame{Done: true})
 }
 
@@ -529,7 +447,7 @@ func (s *Server) handleClusterFloor(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("protocol version mismatch: request speaks %d, this server speaks %d", req.Proto, cluster.ProtoVersion))
 		return
 	}
-	n := s.floors.raise(req.QueryID, req.Floor)
+	n := s.floors.raise(floorKey{req.QueryID, req.Item}, req.Floor)
 	s.met.requests.With("cluster-floor").Inc()
 	writeJSON(w, http.StatusOK, cluster.FloorResponse{Status: "ok", Sinks: n})
 }

@@ -71,7 +71,10 @@ import (
 // NewSharded, NewDurable), the same coordinator under a durable store,
 // and the remote cluster.Coordinator (NewCluster) that scatter-gathers
 // to networked shard servers — the handlers cannot tell them apart,
-// which is the deployment-transparency seam of DESIGN.md §15.
+// which is the deployment-transparency seam of DESIGN.md §15. Both
+// coordinators implement the three solo entry points as one-item
+// QueryBatch calls, so QueryBatch is the one execution path behind this
+// interface; Stats.Answers is the number of answers returned on all four.
 type Engine interface {
 	QueryContext(ctx context.Context, mq *gene.Matrix, params core.Params) ([]core.Answer, core.Stats, error)
 	QueryGraphContext(ctx context.Context, q *grn.Graph, params core.Params) ([]core.Answer, core.Stats, error)
@@ -1053,9 +1056,10 @@ func (s *Server) response(answers []core.Answer, st core.Stats, p ParamsJSON, tr
 		// Answers arrive sorted by source; rank by probability for top-k.
 		mark := tr.Start(obs.StageTopK)
 		in := len(answers)
-		sortByProb(answers)
+		core.RankAnswers(answers)
 		answers = answers[:p.TopK]
 		mark.End(in, len(answers))
+		st.Answers = len(answers)
 	}
 	out := QueryResponse{
 		Answers: make([]AnswerJSON, 0, len(answers)),
@@ -1075,14 +1079,6 @@ func (s *Server) response(answers []core.Answer, st core.Stats, p ParamsJSON, tr
 		out.Answers = append(out.Answers, aj)
 	}
 	return out
-}
-
-func sortByProb(answers []core.Answer) {
-	for i := 1; i < len(answers); i++ {
-		for j := i; j > 0 && answers[j].Prob > answers[j-1].Prob; j-- {
-			answers[j], answers[j-1] = answers[j-1], answers[j]
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
+	"github.com/imgrn/imgrn/internal/core"
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/randgen"
@@ -149,6 +151,28 @@ func TestQueryGraphEndpointWithTopK(t *testing.T) {
 		if resp.Answers[i].Prob > resp.Answers[i-1].Prob {
 			t.Error("topK answers not ranked")
 		}
+	}
+}
+
+// TestTopKResponseTies: the /query-graph top-k trim ranks by probability
+// descending with ties toward the smaller source, and the stats block
+// counts the answers returned.
+func TestTopKResponseTies(t *testing.T) {
+	s, _, _ := fixture(t)
+	answers := []core.Answer{ // source-ascending, as the engine returns them
+		{Source: 1, Prob: 0.5}, {Source: 2, Prob: 0.9}, {Source: 3, Prob: 0.5},
+		{Source: 4, Prob: 0.9}, {Source: 5, Prob: 0.7}, {Source: 6, Prob: 0.5},
+	}
+	resp := s.response(answers, core.Stats{Answers: len(answers)}, ParamsJSON{TopK: 5}, nil)
+	var got []int
+	for _, a := range resp.Answers {
+		got = append(got, a.Source)
+	}
+	if want := []int{2, 4, 5, 1, 3}; !reflect.DeepEqual(got, want) {
+		t.Errorf("top-5 sources = %v, want %v", got, want)
+	}
+	if resp.Stats.Answers != 5 {
+		t.Errorf("stats.answers = %d, want 5 (answers returned)", resp.Stats.Answers)
 	}
 }
 

@@ -13,31 +13,53 @@ import (
 	"github.com/imgrn/imgrn/internal/randgen"
 )
 
-// Sharded batch execution (DESIGN.md §14).
+// Scatter-gather execution (DESIGN.md §10, §14): the one function in this
+// package that fans a request out over the shards (QueryBatch) and the one
+// that merges per-shard runs (its mergeItem). A solo query is a batch of
+// one (query.go).
 //
-// P = 1 delegates the whole batch to the single shard's core.QueryBatch —
-// one plan resolution, then the items in order against the shard's
-// caches: byte-identical to running the items sequentially through the
-// unsharded engine.
+// P = 1 delegates the whole batch to the single shard's core.QueryBatch
+// with the caller's params untouched (plus the shard's cache handle): one
+// plan resolution, then per item one processor on one sequential RNG
+// stream — byte-identical to the unsharded engine (inference and
+// refinement share that stream, so splitting a query across processors
+// would already perturb it).
 //
-// P > 1 runs ONE scatter for the whole batch instead of one per query:
-// plans resolve once per distinct request group, every matrix item's
-// query graph is inferred once at the caller's base seed (inference reads
-// only the matrix, never the shards), and each shard receives the full
-// batch as pre-inferred graph items with its per-shard params rewrite
-// (derived seed, cache handle, per-item top-k sink). Each shard then runs
-// its own core.QueryBatch under one read-lock acquisition. A per-item
-// countdown merges each item as its last shard completes it, so results
-// stream out as individual queries finish (possibly out of item order;
-// the server serializes frames).
+// P > 1 runs ONE scatter for the whole batch: plans resolve once per
+// distinct request group at the coordinator (the resolved *plan.Plan
+// pointer travels in every per-shard params copy, so every shard executes
+// the same decisions), every matrix item's query graph is inferred once at
+// the caller's base seed (inference reads only the matrix, never the
+// shards, so the graph is independent of P), and each shard receives the
+// full batch as pre-inferred graph items with its per-shard params
+// rewrite: Seed derived from (Seed, shard) — so results are a pure
+// function of (placement, Params), never of the schedule — and Cache
+// pointing at the shard's own store. Each shard then runs its own
+// core.QueryBatch under one read-lock acquisition on an exec worker pool.
+// A per-item countdown merges each item as its last shard completes it,
+// so results stream out as individual queries finish (possibly out of
+// item order; the server serializes frames). The item's obs.Tracer
+// (concurrency-safe) collects every shard's pipeline spans, then one
+// scatter span and one merge span; per-shard Stats are summed into one
+// aggregate (durations become aggregate across-shard time, like the
+// Workers>1 refinement sub-stages), except Stats.Answers, which is the
+// number of answers returned.
+//
+// A shard's item error fails that item only; the other shards still run
+// it to completion (nothing cancels them), and the batch context is the
+// only batch-wide abort.
 //
 // opts.ItemTimeout is one window per pipeline run: a matrix item's
 // coordinator-side inference gets one, and each shard's run of the item
 // gets its own.
 //
-// Items with K > 0 refine against a per-item shared core.TopKSink: all
-// shards of one item raise one floor, keeping the cross-shard
-// Markov-bound early termination of QueryTopKContext per batch item.
+// Items with K > 0 refine against a per-item shared core.TopKSink wired
+// through every shard's params, switching their refinement into the
+// streamed mode: candidates verify in descending Lemma-5 upper-bound order
+// and each shard terminates its own refinement as soon as its best
+// remaining upper bound falls below the sink floor — the k-th best
+// probability found so far across ALL shards (cross-shard Markov-bound
+// early termination).
 
 // QueryBatch answers a batch of queries scatter-gather. It returns one
 // result per item in item order; opts.OnResult streams each item as its
@@ -101,7 +123,7 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 
 	// Shared prologue: plan resolution once per distinct request group,
 	// then one inference per matrix item at the caller's base seed so the
-	// scattered graph — like the solo scatter's — is independent of P.
+	// scattered graph is independent of P.
 	start := time.Now()
 	planErrs := core.ResolveBatchPlans(items)
 	type liveItem struct {
@@ -158,6 +180,7 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 	for p := range remaining {
 		remaining[p].Store(int32(nShards))
 	}
+	scatterStart := time.Now()
 	mergeItem := func(pos int) {
 		li := live[pos]
 		st := li.base
@@ -172,27 +195,28 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 			runs = append(runs, r.Answers)
 			perShard = append(perShard, r.Stats)
 		}
-		mergeScatterStats(&st, perShard)
-		st.Plan = li.base.Plan
+		core.MergeScatterStats(&st, perShard)
+		produced := st.Answers
+		tr := items[li.orig].Params.Trace
+		tr.Record(obs.StageScatter, scatterStart, time.Since(scatterStart), nShards, produced)
 		mStart := time.Now()
 		var merged []core.Answer
 		if li.sink != nil {
 			merged = li.sink.Results()
 		} else {
+			// Placement partitions the sources, so the union has no
+			// duplicates; each run is already Source-ascending, and the
+			// streaming k-way merge preserves that order — matching the
+			// unsharded engine's answer order without re-sorting the union.
 			merged = core.MergeAnswerRuns(runs)
 		}
-		produced := st.Answers
+		tr.Record(obs.StageMerge, mStart, time.Since(mStart), produced, len(merged))
 		st.Answers = len(merged)
-		p := items[li.orig].Params
-		p.Trace.Record(obs.StageMerge, mStart, time.Since(mStart), produced, len(merged))
-		p.Trace.Record(obs.StageScatter, start, time.Since(start), nShards, produced)
 		st.Total = time.Since(start)
 		finish(li.orig, core.BatchResult{Answers: merged, Stats: st})
 	}
 
-	ec := exec.New(ctx, nil, c.opts.Workers).WithArena(exec.GrabArena())
-	defer ec.Close()
-	err := ec.ForEach(nShards, func(s int) error {
+	err := exec.New(ctx, nil, c.opts.Workers).ForEach(nShards, func(s int) error {
 		sh := c.shards[s]
 		shardItems := make([]core.BatchItem, len(live))
 		for pos, li := range live {

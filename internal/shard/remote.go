@@ -20,26 +20,6 @@ import (
 // Sink, Plan): that is what keeps a remote shard's answers byte-identical
 // to the same shard of an in-process scatter.
 
-// QueryShardGraph runs one pre-inferred query graph on local shard
-// `local` with the caller's params verbatim (plus the shard's cache
-// handle). Params must already be validated and plan-resolved.
-func (c *Coordinator) QueryShardGraph(ctx context.Context, local int, q *grn.Graph, params core.Params) ([]core.Answer, core.Stats, error) {
-	if local < 0 || local >= len(c.shards) {
-		return nil, core.Stats{}, fmt.Errorf("shard: local shard %d out of range [0,%d)", local, len(c.shards))
-	}
-	s := c.shards[local]
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	params.Cache = s.cacheFor(params)
-	proc, err := core.NewProcessor(s.idx, params)
-	if err != nil {
-		return nil, core.Stats{}, err
-	}
-	answers, st, err := proc.QueryGraphContext(ctx, q)
-	s.recordQuery(st)
-	return answers, st, err
-}
-
 // InferGraphContext infers the query GRN of mq once, at the caller's
 // base seed, with the infer stats and trace span recorded — the shared
 // prologue of a scatter, exposed so a shard server can reproduce the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -251,6 +252,48 @@ func TestTopKMatchesFullRanking(t *testing.T) {
 			if st.QueryEdges == 0 {
 				t.Errorf("query %d k=%d: stats not populated", i, k)
 			}
+		}
+	}
+}
+
+// TestTopKAnswersStatOneMeaning: Stats.Answers under top-k is the number
+// of answers returned, and the solo entry point and a batch item are the
+// same query — equal answers, equal Answers — at P=1 and P=3 alike.
+func TestTopKAnswersStatOneMeaning(t *testing.T) {
+	const k = 2
+	ctx := context.Background()
+	for _, p := range []int{1, 3} {
+		_, _, ds, coord, params := buildBoth(t, p)
+		rng := randgen.New(99)
+		trimmed := false
+		for i := 0; i < 4; i++ {
+			mq, _, err := ds.ExtractQuery(rng, 2) // two genes: a dozen matches each
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, _, err := coord.QueryContext(ctx, mq, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trimmed = trimmed || len(full) > k
+			solo, sst, err := coord.QueryTopKContext(ctx, mq, params, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, _ := coord.QueryBatch(ctx, []core.BatchItem{{Matrix: mq, Params: params, K: k}}, core.BatchOptions{})
+			if res[0].Err != nil {
+				t.Fatal(res[0].Err)
+			}
+			if !reflect.DeepEqual(solo, res[0].Answers) {
+				t.Errorf("P=%d query %d: solo top-k %+v, batch item %+v", p, i, solo, res[0].Answers)
+			}
+			if sst.Answers != len(solo) || res[0].Stats.Answers != len(solo) {
+				t.Errorf("P=%d query %d: Stats.Answers solo %d, batch %d, want %d (answers returned)",
+					p, i, sst.Answers, res[0].Stats.Answers, len(solo))
+			}
+		}
+		if !trimmed {
+			t.Fatalf("P=%d: no query had more than %d matches; the test cannot tell the two meanings apart", p, k)
 		}
 	}
 }
