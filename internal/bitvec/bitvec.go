@@ -60,6 +60,17 @@ func (v *Vector) OrInPlace(o *Vector) {
 	}
 }
 
+// AndInPlace sets v = v ∧ o: the progressive intersection of IF entries
+// (a source must appear under every query gene).
+func (v *Vector) AndInPlace(o *Vector) {
+	if v.size != o.size {
+		panic("bitvec: AndInPlace width mismatch")
+	}
+	for i, w := range o.words {
+		v.words[i] &= w
+	}
+}
+
 // Intersects reports whether v AND o is non-zero — the signature test of
 // Fig. 4 (e.g. qV_f(s) ∧ V_f(E_a) ≠ 0).
 func (v *Vector) Intersects(o *Vector) bool {

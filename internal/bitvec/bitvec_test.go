@@ -62,6 +62,22 @@ func TestOrInPlace(t *testing.T) {
 	}
 }
 
+func TestAndInPlace(t *testing.T) {
+	a := New(70)
+	b := New(70)
+	a.Set(3)
+	a.Set(65)
+	b.Set(65)
+	b.Set(69)
+	a.AndInPlace(b)
+	if a.Test(3) || !a.Test(65) || a.Test(69) || a.PopCount() != 1 {
+		t.Errorf("AndInPlace kept %d bits, want only bit 65", a.PopCount())
+	}
+	if !b.Test(69) || b.PopCount() != 2 {
+		t.Error("AndInPlace mutated argument")
+	}
+}
+
 func TestIntersects(t *testing.T) {
 	a := New(128)
 	b := New(128)
@@ -109,6 +125,7 @@ func TestWidthMismatchPanics(t *testing.T) {
 	a, b := New(64), New(65)
 	for _, f := range []func(){
 		func() { a.OrInPlace(b) },
+		func() { a.AndInPlace(b) },
 		func() { a.Intersects(b) },
 		func() { a.IntersectsAll(b) },
 	} {

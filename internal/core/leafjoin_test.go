@@ -248,7 +248,7 @@ func checkDescentAgainstReference(t testing.TB, idx *index.Index, params Params,
 	ec := p.newExec(context.Background())
 	defer ec.Close()
 	var st Stats
-	got, err := p.traverse(ec, q, &st)
+	got, err := p.traverse(ec, buildTravState(p, q), &st)
 	if err != nil {
 		t.Fatal(err)
 	}

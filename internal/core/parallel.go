@@ -36,8 +36,7 @@ import (
 // charging its own sub-reader with a private cold page buffer — SubReader
 // stays per-candidate so I/O accounting is schedule-independent. Outcomes
 // are aggregated in source order.
-func (p *Processor) refineParallel(ec *exec.Context, q *grn.Graph, sources []int, st *Stats) ([]Answer, error) {
-	qEdges := q.Edges()
+func (p *Processor) refineParallel(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int, st *Stats) ([]Answer, error) {
 	qs := queryScratchFor(ec)
 	outcomes := exec.GrowSlice(&qs.outcomes, len(sources))
 	readers := exec.GrowSlice(&qs.readers, len(sources))

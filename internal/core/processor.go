@@ -246,9 +246,10 @@ func (p *Processor) queryWithGraph(ec *exec.Context, q *grn.Graph, st *Stats) ([
 		return nil, nil
 	}
 	tr := ec.Tracer()
+	qEdges := q.Edges()
 	tStart := time.Now()
 	var sources []int
-	if q.NumEdges() == 0 {
+	if len(qEdges) == 0 {
 		// Degenerate query: no edges to traverse for. Every matrix
 		// containing all query genes matches with Pr{G} = 1 (empty
 		// product); resolve via the inverted file plus exact checks.
@@ -256,19 +257,20 @@ func (p *Processor) queryWithGraph(ec *exec.Context, q *grn.Graph, st *Stats) ([
 		st.Traversal = time.Since(tStart)
 		tr.Record(obs.StageTraverse, tStart, st.Traversal, 0, len(sources))
 	} else {
-		pairs, err := p.traverse(ec, q, st)
+		ts := buildTravState(p, q)
+		pairs, err := p.traverse(ec, ts, st)
 		if err != nil {
 			return nil, err
 		}
 		st.Traversal = time.Since(tStart)
 		tr.Record(obs.StageTraverse, tStart, st.Traversal, st.NodePairsVisited, len(pairs))
 		fStart := time.Now()
-		sources = collectSources(queryScratchFor(ec), pairs, st)
+		sources = reduceCandidates(queryScratchFor(ec), pairs, len(ts.neighbors), st)
 		tr.Record(obs.StageFilter, fStart, time.Since(fStart), len(pairs), st.CandidateMatrices)
 	}
 
 	rStart := time.Now()
-	answers, err := p.refine(ec, q, sources, st)
+	answers, err := p.refine(ec, q, qEdges, sources, st)
 	st.Refinement = time.Since(rStart)
 	if err == nil {
 		// The two refinement sub-stages carry aggregate per-candidate
@@ -283,13 +285,13 @@ func (p *Processor) queryWithGraph(ec *exec.Context, q *grn.Graph, st *Stats) ([
 }
 
 // hasDuplicateGenes reports whether two query vertices share a gene label.
+// Queries hold a handful of vertices, so the quadratic scan beats a map.
 func hasDuplicateGenes(q *grn.Graph) bool {
-	seen := make(map[gene.ID]bool, q.NumVertices())
-	for _, g := range q.Genes() {
-		if seen[g] {
+	genes := q.Genes()
+	for i, g := range genes {
+		if slices.Contains(genes[:i], g) {
 			return true
 		}
-		seen[g] = true
 	}
 	return false
 }
@@ -305,22 +307,11 @@ func (p *Processor) sourcesContainingAll(genes []gene.ID) []int {
 		}
 		return out
 	}
+	// Intersect progressively: a source must appear in every IF entry.
 	b := p.idx.Bits()
-	sig := bitvec.New(b)
-	for i, g := range genes {
-		s := p.idx.Inverted().Sources(g)
-		if i == 0 {
-			sig.OrInPlace(s)
-			continue
-		}
-		// Intersect progressively: a source must appear in every IF entry.
-		next := bitvec.New(b)
-		for bit := 0; bit < b; bit++ {
-			if sig.Test(bit) && s.Test(bit) {
-				next.Set(bit)
-			}
-		}
-		sig = next
+	sig := p.idx.Inverted().Sources(genes[0]).Clone()
+	for _, g := range genes[1:] {
+		sig.AndInPlace(p.idx.Inverted().Sources(g))
 	}
 	var out []int
 	for _, m := range p.idx.DB().Matrices() {
@@ -409,12 +400,11 @@ func rootAdmissibleFor(idx *index.Index, root *rstar.Node, ts *travState) bool {
 const cancelCheckInterval = 64
 
 // traverse implements lines 2–27 of Figure 4: the pairwise priority-queue
-// descent of the index for the highest-degree query gene and its neighbors.
-// Page accesses are charged to the execution context's reader; the descent
-// aborts with ctx.Err() when the context is cancelled.
-func (p *Processor) traverse(ec *exec.Context, q *grn.Graph, st *Stats) ([]candidatePair, error) {
+// descent of the index for ts, the highest-degree query gene and its
+// neighbors. Page accesses are charged to the execution context's reader;
+// the descent aborts with ctx.Err() when the context is cancelled.
+func (p *Processor) traverse(ec *exec.Context, ts *travState, st *Stats) ([]candidatePair, error) {
 	io := ec.IO()
-	ts := buildTravState(p, q)
 	pt := p.params.pivotTest(p.idx.D())
 	geneDim := 2 * pt.D
 
@@ -502,32 +492,39 @@ func (p *Processor) traverse(ec *exec.Context, q *grn.Graph, st *Stats) ([]candi
 	return out, nil
 }
 
-// collectSources reduces candidate pairs to a sorted distinct source list
-// and fills the candidate counters of st. The dedup maps and the result
-// slice live in the query scratch, cleared per query instead of
-// reallocated.
-func collectSources(qs *queryScratch, pairs []candidatePair, st *Stats) []int {
-	if qs.sourceSet == nil {
-		qs.sourceSet = make(map[int]bool)
-		qs.geneSet = make(map[[2]int]bool) // (source, col) distinct vectors
-	} else {
-		clear(qs.sourceSet)
-		clear(qs.geneSet)
-	}
+// reduceCandidates is the hand-off from traversal to refinement: it sorts
+// the sources of the surviving point pairs and keeps, ascending, those
+// holding a pair for every one of g_s's distinct neighbor genes (their
+// count is neighbors). A matrix missing one cannot host the query's
+// highest-degree star, whether the gene is absent or a no-false-dismissal
+// test dismissed the edge; the ablation switches only ever add pairs.
+// Each (source, gene) vector lives in one leaf and a leaf pair is visited
+// once, so a source's run holds each neighbor at most once and its length
+// counts the neighbors that survived. Gene labels are unique per matrix,
+// so the distinct candidate vectors are g_s and its neighbors in every
+// kept source. The result lives in the query scratch.
+func reduceCandidates(qs *queryScratch, pairs []candidatePair, neighbors int, st *Stats) []int {
+	srcs := qs.sources[:0]
 	for _, c := range pairs {
-		qs.sourceSet[c.source] = true
-		qs.geneSet[[2]int{c.source, c.sCol}] = true
-		qs.geneSet[[2]int{c.source, c.tCol}] = true
+		srcs = append(srcs, c.source)
 	}
-	st.CandidateGenes = len(qs.geneSet)
-	st.CandidateMatrices = len(qs.sourceSet)
-	out := qs.sources[:0]
-	for s := range qs.sourceSet {
-		out = append(out, s)
+	qs.sources = srcs // keep the grown capacity for the next query
+	slices.Sort(srcs)
+	kept := 0
+	for i := 0; i < len(srcs); {
+		j := i + 1
+		for j < len(srcs) && srcs[j] == srcs[i] {
+			j++
+		}
+		if j-i >= neighbors {
+			srcs[kept] = srcs[i]
+			kept++
+		}
+		i = j
 	}
-	sort.Ints(out)
-	qs.sources = out
-	return out
+	st.CandidateMatrices = kept
+	st.CandidateGenes = kept * (1 + neighbors)
+	return srcs[:kept]
 }
 
 // candOutcome is the per-candidate result of verifyCandidate, aggregated
@@ -560,14 +557,13 @@ func (st *Stats) applyCandidate(o candOutcome) {
 // worker budget the candidates are verified in parallel (refineParallel);
 // otherwise they are verified sequentially on the processor's single
 // scorer/pruner streams, byte-identical to the pre-parallel implementation.
-func (p *Processor) refine(ec *exec.Context, q *grn.Graph, sources []int, st *Stats) ([]Answer, error) {
+func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int, st *Stats) ([]Answer, error) {
 	if p.params.Sink != nil {
-		return p.refineStreamed(ec, q, sources, st)
+		return p.refineStreamed(ec, q, qEdges, sources, st)
 	}
 	if ec.Parallel() {
-		return p.refineParallel(ec, q, sources, st)
+		return p.refineParallel(ec, q, qEdges, sources, st)
 	}
-	qEdges := q.Edges()
 	sc, pr := p.seqScorers()
 	var answers []Answer
 	bufs := &queryScratchFor(ec).worker(0).bufs
@@ -584,10 +580,11 @@ func (p *Processor) refine(ec *exec.Context, q *grn.Graph, sources []int, st *St
 	return answers, nil
 }
 
-// colBufs is the reusable column scratch space of one verification stream.
+// colBufs is the reusable scratch space of one verification stream.
 type colBufs struct {
-	a, b []float64
-	cols []int // query-vertex → matrix-column mapping scratch
+	a, b  []float64
+	cols  []int      // query-vertex → matrix-column mapping scratch
+	edges []grn.Edge // matched edges so far; copied out only into an Answer
 }
 
 // growCols returns the cols scratch resized to n (contents unspecified).
@@ -618,9 +615,8 @@ func (b *colBufs) growCols(n int) []int {
 // so the streamed path keeps it even under a plan that skips Markov
 // pruning (DisableMarkovPruning); the per-candidate Lemma-5 re-test
 // inside verifyCandidateAt is already skipped via skipMarkov.
-func (p *Processor) refineStreamed(ec *exec.Context, q *grn.Graph, sources []int, st *Stats) ([]Answer, error) {
+func (p *Processor) refineStreamed(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int, st *Stats) ([]Answer, error) {
 	sink := p.params.Sink
-	qEdges := q.Edges()
 	qs := queryScratchFor(ec)
 	ws := qs.worker(0)
 
@@ -704,8 +700,18 @@ func (p *Processor) verifyCandidateAt(io pagestore.Toucher, q *grn.Graph, qEdges
 	// candidates that provably cannot match — but in sequential mode the
 	// extra verifications consume scorer draws, shifting later
 	// candidates' sample streams (same determinism contract as the batch
-	// kernel: deterministic per Seed, statistically equivalent).
-	if !skipMarkov && !p.params.DisableMarkovPruning {
+	// kernel: deterministic per Seed, statistically equivalent). The same
+	// holds for a source reduceCandidates dropped and for a cache hit in
+	// verifyExact, neither of which draws any more: later candidates of a
+	// sequential Monte Carlo query estimate from a fresh stretch of the
+	// same streams.
+	//
+	// The clock is read three times per candidate: the reading that ends
+	// the Lemma-5 stage also starts verification.
+	var vStart time.Time
+	if skipMarkov || p.params.DisableMarkovPruning {
+		vStart = time.Now()
+	} else {
 		mStart := time.Now()
 		if emb := p.idx.Embedding(src); emb != nil && len(qEdges) > 0 {
 			ub := 1.0
@@ -715,15 +721,14 @@ func (p *Processor) verifyCandidateAt(io pagestore.Toucher, q *grn.Graph, qEdges
 					break
 				}
 			}
-			if grn.PruneByGraphExistence(ub, alpha) {
-				out.prunedL5 = true
-				out.markovDur = time.Since(mStart)
-				return out
-			}
+			out.prunedL5 = grn.PruneByGraphExistence(ub, alpha)
 		}
-		out.markovDur = time.Since(mStart)
+		vStart = time.Now()
+		out.markovDur = vStart.Sub(mStart)
+		if out.prunedL5 {
+			return out
+		}
 	}
-	vStart := time.Now()
 	out.answer = p.verifyExact(io, q, qEdges, src, m, cols, gamma, alpha, sc, pr, bufs, &out)
 	out.verifyDur = time.Since(vStart)
 	return out
@@ -758,43 +763,51 @@ func (p *Processor) candidateUpperBound(q *grn.Graph, qEdges []grn.Edge, src int
 }
 
 // verifyExact is the exact-verification tail of verifyCandidate: it infers
-// only the query-mapped edges, reading the standardized vectors from the
-// paged heap file (charged I/O), and returns the answer (nil when the
-// candidate fails). Cache hit/miss counts go into out.
+// only the query-mapped edges and returns the answer (nil when the
+// candidate fails). Under both estimators an edge is resolved in one
+// order: informative check, cache probe, and on a miss only — fetch both
+// standardized vectors from the paged heap file (charged I/O), Lemma 3
+// bound, exact estimate, put. A cached edge therefore reads no pages and
+// draws no permutations, and is never re-tested by the sampled Lemma 3
+// bound: warm and cold runs agree on every edge the cache holds. Cache
+// hit/miss counts go into out.
 func (p *Processor) verifyExact(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
 	m *gene.Matrix, cols []int, gamma, alpha float64,
 	sc *grn.RandomizedScorer, pr *grn.Pruner, bufs *colBufs, out *candOutcome) *Answer {
 	prob := 1.0
-	edges := make([]grn.Edge, 0, len(qEdges))
+	cache := p.params.Cache
+	if cap(bufs.edges) < len(qEdges) {
+		bufs.edges = make([]grn.Edge, 0, len(qEdges))
+	}
+	edges := bufs.edges[:0]
 	for _, e := range qEdges {
 		a, bcol := cols[e.S], cols[e.T]
 		if !m.Informative(a) || !m.Informative(bcol) {
 			return nil
 		}
-		var err error
-		if bufs.a, err = p.idx.FetchStdColumnTo(io, src, a, bufs.a); err != nil {
-			return nil
-		}
-		if bufs.b, err = p.idx.FetchStdColumnTo(io, src, bcol, bufs.b); err != nil {
-			return nil
-		}
-		// Lemma 3 edge inference pruning before the exact estimate.
-		if !p.params.Analytic && pr.UpperBound(bufs.a, bufs.b) <= gamma {
-			return nil
-		}
 		ep, cached := 0.0, false
-		if p.params.Cache != nil {
-			ep, cached = p.params.Cache.Get(src, a, bcol)
-			if cached {
+		if cache != nil {
+			if ep, cached = cache.Get(src, a, bcol); cached {
 				out.cacheHits++
 			} else {
 				out.cacheMisses++
 			}
 		}
 		if !cached {
+			var err error
+			if bufs.a, err = p.idx.FetchStdColumnTo(io, src, a, bufs.a); err != nil {
+				return nil
+			}
+			if bufs.b, err = p.idx.FetchStdColumnTo(io, src, bcol, bufs.b); err != nil {
+				return nil
+			}
+			// Lemma 3 edge inference pruning before the exact estimate.
+			if !p.params.Analytic && pr.UpperBound(bufs.a, bufs.b) <= gamma {
+				return nil
+			}
 			ep = p.edgeProbVecWith(sc, bufs.a, bufs.b)
-			if p.params.Cache != nil {
-				p.params.Cache.Put(src, a, bcol, ep)
+			if cache != nil {
+				cache.Put(src, a, bcol, ep)
 			}
 		}
 		if ep <= gamma {
@@ -806,7 +819,9 @@ func (p *Processor) verifyExact(io pagestore.Toucher, q *grn.Graph, qEdges []grn
 		}
 		edges = append(edges, grn.Edge{S: e.S, T: e.T, P: ep})
 	}
-	genes := make([]gene.ID, q.NumVertices())
-	copy(genes, q.Genes())
-	return &Answer{Source: src, Prob: prob, Edges: edges, Genes: genes}
+	ans := &Answer{Source: src, Prob: prob,
+		Edges: make([]grn.Edge, len(edges)), Genes: make([]gene.ID, q.NumVertices())}
+	copy(ans.Edges, edges)
+	copy(ans.Genes, q.Genes())
+	return ans
 }

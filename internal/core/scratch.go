@@ -18,8 +18,9 @@ import (
 // entry point refills its scratch before reading it), and the flat result
 // slices are resized in place.
 //
-// Nothing stored here may alias memory that escapes into an Answer: the
-// answer's Edges and Genes slices are freshly allocated in verifyExact,
+// Nothing stored here may alias memory that escapes into an Answer:
+// verifyExact builds a candidate's edge list in colBufs and copies it
+// (and the genes) into fresh slices only once the candidate has matched,
 // and the outcome/reader slices are consumed before the query returns.
 
 // workerScratch is the per-worker-slot verification state. ForEachWorker
@@ -53,9 +54,6 @@ type queryScratch struct {
 	// candidate-pair output.
 	heap      levelHeap
 	candPairs []candidatePair
-
-	sourceSet map[int]bool
-	geneSet   map[[2]int]bool
 }
 
 // genePair is one (s, t) work unit of parallel scalar query inference.

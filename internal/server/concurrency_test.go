@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -33,16 +34,31 @@ func decodeQuery(t *testing.T, rec *httptest.ResponseRecorder) QueryResponse {
 // TestConcurrentQueriesIndependentAccounting: concurrent requests must not
 // serialize, and each response's ioPages must equal what the same query
 // reports when run alone — per-request accounting, no shared counters.
+// The concurrent runs all find a warm edge-probability cache, and a cached
+// edge reads no pages, so the serial reference is each query's second
+// (warm) run; the first, cold run must cost strictly more pages for the
+// same answers.
 func TestConcurrentQueriesIndependentAccounting(t *testing.T) {
 	s, _, db := fixture(t)
 	reqs := []QueryRequest{
 		queryReqFor(db.BySource(3), 0.6, 0.4, ParamsJSON{Seed: 3, Analytic: true}),
 		queryReqFor(db.BySource(7), 0.7, 0.5, ParamsJSON{Seed: 4, Analytic: true}),
 	}
-	// Serial reference runs.
+	// Serial reference runs: cold, then warm.
+	cold := make([]QueryResponse, len(reqs))
+	for i, r := range reqs {
+		cold[i] = decodeQuery(t, postJSON(t, s, "/query", r))
+	}
 	want := make([]QueryResponse, len(reqs))
 	for i, r := range reqs {
 		want[i] = decodeQuery(t, postJSON(t, s, "/query", r))
+		if want[i].Stats.IOCost >= cold[i].Stats.IOCost {
+			t.Errorf("query %d: warm repeat read %d pages, cold run %d (cached edges must read none)",
+				i, want[i].Stats.IOCost, cold[i].Stats.IOCost)
+		}
+		if !reflect.DeepEqual(want[i].Answers, cold[i].Answers) {
+			t.Errorf("query %d: warm repeat answers %+v, cold run %+v", i, want[i].Answers, cold[i].Answers)
+		}
 	}
 	const rounds = 8
 	var wg sync.WaitGroup
