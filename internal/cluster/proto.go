@@ -187,6 +187,7 @@ type WireStats struct {
 	Answers           int    `json:"answers,omitempty"`
 	CacheHits         int    `json:"cacheHits,omitempty"`
 	CacheMisses       int    `json:"cacheMisses,omitempty"`
+	Draws             int    `json:"draws,omitempty"`
 	QueryVertices     int    `json:"queryVertices,omitempty"`
 	QueryEdges        int    `json:"queryEdges,omitempty"`
 }
@@ -205,7 +206,7 @@ func StatsToWire(st core.Stats) WireStats {
 		PointPairsChecked: st.PointPairsChecked, PointPairsPruned: st.PointPairsPruned,
 		CandidateGenes: st.CandidateGenes, CandidateMatrices: st.CandidateMatrices,
 		MatricesPrunedL5: st.MatricesPrunedL5, Answers: st.Answers,
-		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses,
+		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses, Draws: st.Draws,
 		QueryVertices: st.QueryVertices, QueryEdges: st.QueryEdges,
 	}
 }
@@ -223,7 +224,7 @@ func (w WireStats) Stats() core.Stats {
 		PointPairsChecked: w.PointPairsChecked, PointPairsPruned: w.PointPairsPruned,
 		CandidateGenes: w.CandidateGenes, CandidateMatrices: w.CandidateMatrices,
 		MatricesPrunedL5: w.MatricesPrunedL5, Answers: w.Answers,
-		CacheHits: w.CacheHits, CacheMisses: w.CacheMisses,
+		CacheHits: w.CacheHits, CacheMisses: w.CacheMisses, Draws: w.Draws,
 		QueryVertices: w.QueryVertices, QueryEdges: w.QueryEdges,
 	}
 }

@@ -155,6 +155,98 @@ func TestEdgeProbCacheShardedCapacity(t *testing.T) {
 	}
 }
 
+// TestEdgeProbCacheBounds: a bound is no estimate (Get misses it), a
+// tighter bound replaces a looser one and never the reverse, an estimate
+// replaces a bound, and a bound never replaces an estimate.
+func TestEdgeProbCacheBounds(t *testing.T) {
+	c := NewEdgeProbCache(16)
+	c.PutBound(1, 2, 3, 0.5)
+	if _, ok := c.Get(1, 2, 3); ok {
+		t.Error("Get returned a bound as an estimate")
+	}
+	c.PutBound(1, 3, 2, 0.7)
+	if e, ok := c.lookup(1, 2, 3); !ok || !e.bound || e.p != 0.5 {
+		t.Errorf("looser bound replaced a tighter one: %+v, %v", e, ok)
+	}
+	c.PutBound(1, 2, 3, 0.25)
+	if e, _ := c.lookup(1, 2, 3); e.p != 0.25 {
+		t.Errorf("tighter bound not kept: %+v", e)
+	}
+	c.Put(1, 2, 3, 0.125)
+	c.PutBound(1, 2, 3, 0.0625)
+	if p, ok := c.Get(1, 2, 3); !ok || p != 0.125 {
+		t.Errorf("estimate = %v, %v; want 0.125 kept over a later bound", p, ok)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d", c.Len())
+	}
+}
+
+// TestCacheTableLRU: 10 000 fresh configurations keep the table at its
+// bound, a configuration in use survives, the lifetime counters keep the
+// dropped caches' hits and misses, and InvalidateSource reaches every
+// live cache.
+func TestCacheTableLRU(t *testing.T) {
+	tab := &CacheTable{}
+	hot := tab.For(Params{Seed: 1})
+	hot.Put(7, 0, 1, 0.5)
+	for seed := uint64(2); seed < 10002; seed++ {
+		c := tab.For(Params{Seed: seed, Samples: 64})
+		c.Get(7, 0, 1) // one miss per configuration
+		c.Put(7, 0, 1, 0.25)
+		if tab.For(Params{Seed: 1}) != hot {
+			t.Fatalf("seed %d: the configuration in use was dropped", seed)
+		}
+		if n := tab.Len(); n > CacheTableSize {
+			t.Fatalf("seed %d: %d live caches, bound %d", seed, n, CacheTableSize)
+		}
+	}
+	if tab.For(Params{Seed: 2, Samples: 64}) == tab.For(Params{Seed: 2, Samples: 32}) {
+		t.Error("two sample counts share a cache")
+	}
+	entries, st := tab.Stats()
+	if st.Misses != 10000 || st.Hits != 0 {
+		t.Errorf("lifetime stats %+v, want the 10000 misses of every cache ever held", st)
+	}
+	if entries > CacheTableSize {
+		t.Errorf("%d entries in %d caches of one entry each", entries, CacheTableSize)
+	}
+	tab.InvalidateSource(7)
+	if entries, _ := tab.Stats(); entries != 0 {
+		t.Errorf("%d entries of the invalidated source survive", entries)
+	}
+}
+
+// TestCacheTableConcurrent drives one table from several goroutines —
+// lookups of shared and fresh configurations, puts, invalidations — for
+// the race detector, and checks the bound and that a shared configuration
+// resolves to one cache.
+func TestCacheTableConcurrent(t *testing.T) {
+	tab := &CacheTable{}
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := randgen.New(uint64(w))
+			for i := 0; i < 500; i++ {
+				c := tab.For(Params{Seed: uint64(rng.Intn(2 * CacheTableSize))})
+				c.Put(rng.Intn(4), 0, 1, rng.Float64())
+				if rng.Intn(10) == 0 {
+					tab.InvalidateSource(rng.Intn(4))
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := tab.Len(); n > CacheTableSize {
+		t.Errorf("%d live caches, bound %d", n, CacheTableSize)
+	}
+	if tab.For(Params{Seed: 9}) != tab.For(Params{Seed: 9}) {
+		t.Error("one configuration resolved to two caches")
+	}
+}
+
 func TestCacheStatsSurfaceInQueryStats(t *testing.T) {
 	ds, idx := buildFixture(t, 74)
 	mq, _, err := ds.ExtractQuery(randgen.New(75), 4)

@@ -37,6 +37,7 @@ func MergeScatterStats(st *Stats, shards []Stats) {
 		st.MatricesPrunedL5 += s.MatricesPrunedL5
 		st.CacheHits += s.CacheHits
 		st.CacheMisses += s.CacheMisses
+		st.Draws += s.Draws
 		answers += s.Answers
 	}
 	// The merge may have trimmed (top-k): report what the shards produced;

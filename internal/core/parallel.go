@@ -17,36 +17,31 @@ import (
 // the goroutine schedule. Two rules enforce it:
 //
 //  1. Randomness is addressed by work unit, not by goroutine. Each work
-//     unit (candidate matrix, query gene pair) derives its scorer and
-//     pruner seeds from the query Seed and its own coordinates via
-//     randgen.SeedFrom, so whichever worker picks it up draws the same
+//     unit (refinement edge, query target column or gene pair) derives its
+//     scorer and pruner seeds from the query Seed and its own coordinates
+//     via randgen.SeedFrom, so whichever worker picks it up draws the same
 //     sample stream.
 //  2. Workers only write into their own pre-assigned slot of a results
 //     slice; aggregation into answers, Stats, and the query's I/O reader
 //     happens afterwards, sequentially, in index order.
 //
-// Note that the Workers > 1 sample streams intentionally differ from the
-// single sequential stream of Workers <= 1 (which remains byte-identical to
-// the pre-parallel implementation); both are deterministic under a fixed
-// Seed.
+// Refinement addresses its randomness the same way at every worker count.
+// Query inference does not: the Workers > 1 streams intentionally differ
+// from the single sequential stream of Workers <= 1; both are
+// deterministic under a fixed Seed.
 
 // refineParallel verifies the candidate matrices concurrently: one work
-// unit per candidate, each drawing from its own (Seed, source)-addressed
-// scorer/pruner streams (reseeded into the worker slot's pooled pair) and
-// charging its own sub-reader with a private cold page buffer — SubReader
-// stays per-candidate so I/O accounting is schedule-independent. Outcomes
-// are aggregated in source order.
+// unit per candidate, each charging its own sub-reader with a private cold
+// page buffer — SubReader stays per-candidate so I/O accounting is
+// schedule-independent. Outcomes are aggregated in source order.
 func (p *Processor) refineParallel(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int, st *Stats) ([]Answer, error) {
 	qs := queryScratchFor(ec)
 	outcomes := exec.GrowSlice(&qs.outcomes, len(sources))
 	readers := exec.GrowSlice(&qs.readers, len(sources))
 	qs.growWorkers(ec.Workers())
 	err := ec.ForEachWorker(len(sources), ec.Grain(), func(w, i int) error {
-		src := sources[i]
-		ws := qs.worker(w)
-		sc, pr := p.primeScorers(ws, uint64(int64(src)))
 		sub := ec.IO().SubReader()
-		outcomes[i] = p.verifyCandidate(sub, q, qEdges, src, sc, pr, &ws.bufs)
+		outcomes[i] = p.verifyCandidate(sub, q, qEdges, sources[i], qs.worker(w))
 		readers[i] = sub
 		return nil
 	})

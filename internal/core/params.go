@@ -53,11 +53,12 @@ type Params struct {
 
 	// Workers bounds intra-query parallelism: candidate refinement and
 	// Monte Carlo query-graph inference fan out across up to Workers
-	// goroutines. 0 or 1 runs the exact sequential algorithm (one RNG
-	// stream, byte-identical to the pre-parallel implementation under a
-	// fixed Seed). For Workers > 1 every work unit (candidate matrix, gene
-	// pair) derives its randomness from (Seed, unit) alone, so answers are
-	// deterministic regardless of the goroutine schedule.
+	// goroutines. Refinement answers do not depend on it: every edge
+	// estimate draws from its own (Seed, source, column pair) stream. Query
+	// inference does: 0 or 1 runs it on one sequential RNG stream, and for
+	// Workers > 1 every work unit (target column, gene pair) derives its
+	// randomness from (Seed, unit) alone, so answers are deterministic
+	// regardless of the goroutine schedule.
 	Workers int
 
 	// Grain is the work-stealing scheduler's chunk size: the number of
@@ -82,8 +83,8 @@ type Params struct {
 	// Sink optionally streams verified answers into a shared bounded top-k
 	// merge (the sharded scatter-gather path, DESIGN.md §10). When set,
 	// refinement switches to the streamed mode: candidates are verified in
-	// descending Lemma-5 upper-bound order with per-candidate (Seed, source)
-	// RNG streams, each answer is offered to the sink as it is found, and
+	// descending Lemma-5 upper-bound order, each answer is offered to the
+	// sink as it is found, and
 	// the loop terminates early once the best remaining upper bound falls
 	// below the sink's floor (the current k-th probability across all
 	// shards). Answer content is deterministic; which candidates are pruned
@@ -236,9 +237,17 @@ type Stats struct {
 	Answers           int
 
 	// Edge-probability cache effectiveness during refinement (zero when no
-	// cache is configured).
+	// cache is configured). A candidate probes each edge once, before any
+	// draw: a hit is an estimate, or a bound that already fails; a miss is
+	// an edge left to draw, whether or not the candidate gets to it.
 	CacheHits   int
 	CacheMisses int
+
+	// Draws counts the Monte Carlo permutations refinement's edge
+	// estimates consumed (the Lemma-3 bound draws are not counted). It is
+	// at most R per estimated edge; curtailment stops an edge's draws once
+	// its estimate can no longer pass.
+	Draws int
 
 	// Query graph shape.
 	QueryVertices int

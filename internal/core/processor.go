@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -16,26 +15,27 @@ import (
 	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/pagestore"
 	"github.com/imgrn/imgrn/internal/rstar"
-	"github.com/imgrn/imgrn/internal/vecmath"
+	"github.com/imgrn/imgrn/internal/stats"
 )
 
 // Processor answers IM-GRN queries over one index (Figure 4).
 //
-// A Processor is cheap to construct and is NOT safe for concurrent use in
-// the sequential (Workers <= 1) mode: the Monte Carlo scorer and pruner
-// advance a single deterministic RNG stream across queries. Create one
-// Processor per in-flight query (the public Engine does exactly that) and
-// use QueryContext to attach cancellation, deadlines, and a worker budget.
+// Refinement draws every Monte Carlo edge estimate from that edge's own
+// stream, so a refinement estimate is a function of (Seed, source, column
+// pair, R) alone. Sequential (Workers <= 1) query inference is the one
+// stream a Processor carries across queries, which makes a Processor NOT
+// safe for concurrent use in that mode. Create one Processor per in-flight
+// query (the public Engine does exactly that) and use QueryContext to
+// attach cancellation, deadlines, and a worker budget.
 type Processor struct {
 	idx    *index.Index
 	params Params
 
-	// scorer/pruner hold the single sequential (Workers <= 1) RNG streams.
-	// They are built lazily (seqScorers): the parallel and streamed paths
-	// address their randomness per work unit and never touch them, and the
-	// sharded scatter path constructs one Processor per shard per query, so
-	// eager construction charged every scatter an estimator pair it never
-	// used.
+	// scorer/pruner hold the sequential (Workers <= 1) query-inference
+	// streams. They are built lazily (seqScorers): refinement and parallel
+	// inference address their randomness per work unit and never touch
+	// them, and the sharded scatter path constructs one Processor per shard
+	// per query on pre-inferred graphs.
 	scorer   *grn.RandomizedScorer
 	analytic grn.AnalyticScorer
 	pruner   *grn.Pruner
@@ -98,32 +98,6 @@ func (p *Processor) newExec(ctx context.Context) *exec.Context {
 		WithTracer(p.params.Trace).
 		WithGrain(p.params.Grain).
 		WithArena(exec.GrabArena())
-}
-
-// edgeProbVecWith computes the exact edge existence probability of two
-// standardized vectors under the configured estimator, drawing Monte Carlo
-// samples from the given scorer's stream.
-func (p *Processor) edgeProbVecWith(sc *grn.RandomizedScorer, xa, xb []float64) float64 {
-	if p.params.Analytic {
-		l := len(xa)
-		if l < 2 {
-			return 0
-		}
-		cor := vecmath.Dot(xa, xb)
-		z := math.Sqrt(float64(l - 1))
-		if p.params.OneSided {
-			return stdNormalCDF(cor * z)
-		}
-		return 2*stdNormalCDF(math.Abs(cor)*z) - 1
-	}
-	if p.params.OneSided {
-		return sc.Est.EdgeProbability(xa, xb, sc.Samples)
-	}
-	return sc.Est.AbsEdgeProbability(xa, xb, sc.Samples)
-}
-
-func stdNormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
 // InferQueryGraph reconstructs the query GRN Q from the query matrix
@@ -534,6 +508,7 @@ type candOutcome struct {
 	prunedL5    bool
 	cacheHits   int
 	cacheMisses int
+	draws       int
 
 	// Stage timings of this candidate: the Lemma-5 upper-bound test and
 	// the exact Monte Carlo verification. Aggregated into
@@ -548,6 +523,7 @@ func (st *Stats) applyCandidate(o candOutcome) {
 	}
 	st.CacheHits += o.cacheHits
 	st.CacheMisses += o.cacheMisses
+	st.Draws += o.draws
 	st.MarkovPrune += o.markovDur
 	st.MonteCarlo += o.verifyDur
 }
@@ -555,8 +531,8 @@ func (st *Stats) applyCandidate(o candOutcome) {
 // refine implements lines 28–30: Lemma-5 graph existence pruning on each
 // candidate matrix followed by exact verification of Definition 4. With a
 // worker budget the candidates are verified in parallel (refineParallel);
-// otherwise they are verified sequentially on the processor's single
-// scorer/pruner streams, byte-identical to the pre-parallel implementation.
+// otherwise one after the other. A candidate's result does not depend on
+// which: every estimate draws from its edge's own stream.
 func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int, st *Stats) ([]Answer, error) {
 	if p.params.Sink != nil {
 		return p.refineStreamed(ec, q, qEdges, sources, st)
@@ -564,14 +540,13 @@ func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, so
 	if ec.Parallel() {
 		return p.refineParallel(ec, q, qEdges, sources, st)
 	}
-	sc, pr := p.seqScorers()
 	var answers []Answer
-	bufs := &queryScratchFor(ec).worker(0).bufs
+	ws := queryScratchFor(ec).worker(0)
 	for _, src := range sources {
 		if err := ec.Err(); err != nil {
 			return nil, err
 		}
-		o := p.verifyCandidate(ec.IO(), q, qEdges, src, sc, pr, bufs)
+		o := p.verifyCandidate(ec.IO(), q, qEdges, src, ws)
 		st.applyCandidate(o)
 		if o.answer != nil {
 			answers = append(answers, *o.answer)
@@ -585,6 +560,20 @@ type colBufs struct {
 	a, b  []float64
 	cols  []int      // query-vertex → matrix-column mapping scratch
 	edges []grn.Edge // matched edges so far; copied out only into an Answer
+
+	// Monte Carlo verification: per query edge its estimate, a bound on
+	// it, or 1 while unknown; the edges left to draw; and per query vertex
+	// its fetched column (nil until fetched).
+	vals    []float64
+	pending []pendingEdge
+	vcols   [][]float64
+}
+
+// pendingEdge is a query edge verifyExact must draw, with its
+// normal-approximation probability, the order key.
+type pendingEdge struct {
+	i   int
+	key float64
 }
 
 // growCols returns the cols scratch resized to n (contents unspecified).
@@ -596,6 +585,19 @@ func (b *colBufs) growCols(n int) []int {
 	return b.cols
 }
 
+// growVCols returns the per-vertex column scratch for n vertices, every
+// column emptied (not yet fetched) with its capacity kept.
+func (b *colBufs) growVCols(n int) [][]float64 {
+	for len(b.vcols) < n {
+		b.vcols = append(b.vcols, nil)
+	}
+	vcols := b.vcols[:n]
+	for v := range vcols {
+		vcols[v] = vcols[v][:0]
+	}
+	return vcols
+}
+
 // refineStreamed is refinement against a shared top-k sink (params.Sink):
 // the cross-shard Markov-bound early-termination mode of the scatter-gather
 // path. Candidates are ordered by descending Lemma-5 upper bound so that
@@ -605,11 +607,10 @@ func (b *colBufs) growCols(n int) []int {
 // pruned in one step — no candidate in it can displace the k-th answer any
 // shard has found.
 //
-// Every candidate draws from its own (Seed, source)-addressed streams (the
-// refineParallel convention), so the answer content is independent of
-// verification order and of how far other shards have raised the floor;
-// only which candidates get pruned — and so the pruning/cache counters —
-// depends on timing.
+// Every edge draws from its own stream, so the answer content is
+// independent of verification order and of how far other shards have
+// raised the floor; only which candidates get pruned — and so the
+// pruning, cache and draw counters — depends on timing.
 //
 // The upper-bound computation here doubles as the top-k floor mechanism,
 // so the streamed path keeps it even under a plan that skips Markov
@@ -648,8 +649,7 @@ func (p *Processor) refineStreamed(ec *exec.Context, q *grn.Graph, qEdges []grn.
 			st.MatricesPrunedL5 += len(cands) - i
 			break
 		}
-		sc, pr := p.primeScorers(ws, uint64(int64(c.src)))
-		o := p.verifyCandidateAt(ec.IO(), q, qEdges, c.src, sc, pr, &ws.bufs, alpha, true)
+		o := p.verifyCandidateAt(ec.IO(), q, qEdges, c.src, ws, alpha, true)
 		st.applyCandidate(o)
 		if o.answer != nil {
 			answers = append(answers, *o.answer)
@@ -663,10 +663,9 @@ func (p *Processor) refineStreamed(ec *exec.Context, q *grn.Graph, qEdges []grn.
 // verifyCandidate checks one candidate matrix: Lemma-5 graph existence
 // pruning on pivot upper bounds, then exact verification of Definition 4,
 // reading standardized vectors from the paged heap file charged to io and
-// drawing Monte Carlo samples from the given scorer/pruner streams.
-func (p *Processor) verifyCandidate(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
-	sc *grn.RandomizedScorer, pr *grn.Pruner, bufs *colBufs) candOutcome {
-	return p.verifyCandidateAt(io, q, qEdges, src, sc, pr, bufs, p.params.Alpha, false)
+// drawing Monte Carlo samples with the estimators of worker scratch ws.
+func (p *Processor) verifyCandidate(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int, ws *workerScratch) candOutcome {
+	return p.verifyCandidateAt(io, q, qEdges, src, ws, p.params.Alpha, false)
 }
 
 // verifyCandidateAt is verifyCandidate at an explicit α cutoff: the
@@ -676,16 +675,15 @@ func (p *Processor) verifyCandidate(io pagestore.Toucher, q *grn.Graph, qEdges [
 // Lemma-5 product when the caller already evaluated it (candidate
 // ordering by upper bound precomputes the same product).
 func (p *Processor) verifyCandidateAt(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
-	sc *grn.RandomizedScorer, pr *grn.Pruner, bufs *colBufs, alpha float64, skipMarkov bool) candOutcome {
+	ws *workerScratch, alpha float64, skipMarkov bool) candOutcome {
 	var out candOutcome
-	gamma := p.params.Gamma
 	m := p.idx.DB().BySource(src)
 	if m == nil {
 		return out
 	}
 	// Map query vertices to columns by gene ID (labels are unique within a
 	// matrix, so the embedding is forced).
-	cols := bufs.growCols(q.NumVertices())
+	cols := ws.bufs.growCols(q.NumVertices())
 	for v := 0; v < q.NumVertices(); v++ {
 		c := m.IndexOf(q.Gene(v))
 		if c < 0 {
@@ -697,14 +695,9 @@ func (p *Processor) verifyCandidateAt(io pagestore.Toucher, q *grn.Graph, qEdges
 	// DisableMarkovPruning (a plan decision when the modeled bound cost
 	// exceeds its savings) sends the candidate straight to verification.
 	// Skipping is answer-safe per candidate — Lemma 5 only removes
-	// candidates that provably cannot match — but in sequential mode the
-	// extra verifications consume scorer draws, shifting later
-	// candidates' sample streams (same determinism contract as the batch
-	// kernel: deterministic per Seed, statistically equivalent). The same
-	// holds for a source reduceCandidates dropped and for a cache hit in
-	// verifyExact, neither of which draws any more: later candidates of a
-	// sequential Monte Carlo query estimate from a fresh stretch of the
-	// same streams.
+	// candidates that provably cannot match — and a verified candidate's
+	// answer is a function of its own edges' streams, so neither this
+	// decision nor any other candidate's (dropped, pruned, cached) moves it.
 	//
 	// The clock is read three times per candidate: the reading that ends
 	// the Lemma-5 stage also starts verification.
@@ -729,7 +722,10 @@ func (p *Processor) verifyCandidateAt(io pagestore.Toucher, q *grn.Graph, qEdges
 			return out
 		}
 	}
-	out.answer = p.verifyExact(io, q, qEdges, src, m, cols, gamma, alpha, sc, pr, bufs, &out)
+	out.answer = p.verifyExact(io, q, qEdges, src, m, cols, alpha, ws, &out)
+	if c := p.params.Cache; c != nil {
+		c.record(out.cacheHits, out.cacheMisses)
+	}
 	out.verifyDur = time.Since(vStart)
 	return out
 }
@@ -762,53 +758,79 @@ func (p *Processor) candidateUpperBound(q *grn.Graph, qEdges []grn.Edge, src int
 	return ub
 }
 
-// verifyExact is the exact-verification tail of verifyCandidate: it infers
-// only the query-mapped edges and returns the answer (nil when the
-// candidate fails). Under both estimators an edge is resolved in one
-// order: informative check, cache probe, and on a miss only — fetch both
-// standardized vectors from the paged heap file (charged I/O), Lemma 3
-// bound, exact estimate, put. A cached edge therefore reads no pages and
-// draws no permutations, and is never re-tested by the sampled Lemma 3
-// bound: warm and cold runs agree on every edge the cache holds. Cache
-// hit/miss counts go into out.
+// verifyExact is the exact-verification tail of verifyCandidate: it
+// estimates only the query-mapped edges and returns the answer (nil when
+// the candidate fails). Cache hits and misses and draws go into out.
+//
+// One pass in query order resolves everything that needs no draw: the
+// informative check, and the cache probe — an estimate, or a bound that
+// already fails γ or the running α product, rejects at once. Under the
+// analytic estimator an edge the cache misses is fetched (charged I/O),
+// estimated and put in the same pass, which therefore resolves every edge.
+// Under Monte Carlo the missed edges are left to drawPending. Either way
+// a cached edge reads no pages and draws nothing, and is never re-tested
+// by the sampled Lemma 3 bound.
+//
+// Answer.Prob is the product of the edge estimates in query order, so its
+// bits do not depend on the order drawPending verifies in.
 func (p *Processor) verifyExact(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
-	m *gene.Matrix, cols []int, gamma, alpha float64,
-	sc *grn.RandomizedScorer, pr *grn.Pruner, bufs *colBufs, out *candOutcome) *Answer {
-	prob := 1.0
-	cache := p.params.Cache
-	if cap(bufs.edges) < len(qEdges) {
-		bufs.edges = make([]grn.Edge, 0, len(qEdges))
+	m *gene.Matrix, cols []int, alpha float64, ws *workerScratch, out *candOutcome) *Answer {
+	gamma, cache := p.params.Gamma, p.params.Cache
+	bufs := &ws.bufs
+	n := len(qEdges)
+	if cap(bufs.edges) < n {
+		bufs.edges = make([]grn.Edge, n)
 	}
-	edges := bufs.edges[:0]
-	for _, e := range qEdges {
-		a, bcol := cols[e.S], cols[e.T]
-		if !m.Informative(a) || !m.Informative(bcol) {
+	if cap(bufs.vals) < n {
+		bufs.vals = make([]float64, n)
+	}
+	edges, vals := bufs.edges[:n], bufs.vals[:n]
+	pending := bufs.pending[:0]
+	prob := 1.0
+	for i, e := range qEdges {
+		a, b := cols[e.S], cols[e.T]
+		if !m.Informative(a) || !m.Informative(b) {
 			return nil
 		}
-		ep, cached := 0.0, false
+		var ent cacheEntry
+		cached, boundFails := false, false
 		if cache != nil {
-			if ep, cached = cache.Get(src, a, bcol); cached {
+			ent, cached = cache.lookup(src, a, b)
+			boundFails = cached && ent.bound && (ent.p <= gamma || prob*ent.p <= alpha)
+			if cached && !ent.bound || boundFails {
 				out.cacheHits++
 			} else {
 				out.cacheMisses++
 			}
 		}
-		if !cached {
+		var ep float64
+		switch {
+		case boundFails:
+			return nil
+		case cached && !ent.bound:
+			ep = ent.p
+		case p.params.Analytic:
 			var err error
 			if bufs.a, err = p.idx.FetchStdColumnTo(io, src, a, bufs.a); err != nil {
 				return nil
 			}
-			if bufs.b, err = p.idx.FetchStdColumnTo(io, src, bcol, bufs.b); err != nil {
+			if bufs.b, err = p.idx.FetchStdColumnTo(io, src, b, bufs.b); err != nil {
 				return nil
 			}
-			// Lemma 3 edge inference pruning before the exact estimate.
-			if !p.params.Analytic && pr.UpperBound(bufs.a, bufs.b) <= gamma {
-				return nil
-			}
-			ep = p.edgeProbVecWith(sc, bufs.a, bufs.b)
+			ep = p.analytic.VecProb(bufs.a, bufs.b)
 			if cache != nil {
-				cache.Put(src, a, bcol, ep)
+				cache.Put(src, a, b, ep)
 			}
+		default:
+			// Left to draw: its bound, or 1, stands in until then.
+			ep = 1
+			if cached {
+				ep = ent.p
+			}
+			prob *= ep
+			vals[i] = ep
+			pending = append(pending, pendingEdge{i: i})
+			continue
 		}
 		if ep <= gamma {
 			return nil
@@ -817,11 +839,117 @@ func (p *Processor) verifyExact(io pagestore.Toucher, q *grn.Graph, qEdges []grn
 		if prob <= alpha {
 			return nil
 		}
-		edges = append(edges, grn.Edge{S: e.S, T: e.T, P: ep})
+		vals[i] = ep
+		edges[i] = grn.Edge{S: e.S, T: e.T, P: ep}
+	}
+	bufs.pending = pending // keep the grown capacity for the next candidate
+	if len(pending) > 0 {
+		if !p.drawPending(io, qEdges, src, cols, alpha, ws, out) {
+			return nil
+		}
+		prob = 1
+		for _, v := range vals {
+			prob *= v
+		}
 	}
 	ans := &Answer{Source: src, Prob: prob,
-		Edges: make([]grn.Edge, len(edges)), Genes: make([]gene.ID, q.NumVertices())}
+		Edges: make([]grn.Edge, n), Genes: make([]gene.ID, q.NumVertices())}
 	copy(ans.Edges, edges)
 	copy(ans.Genes, q.Genes())
 	return ans
+}
+
+// drawPending verifies the edges verifyExact left to draw and reports
+// whether every one passes. It fetches each column they need once, then
+// verifies them in ascending order of the analytic estimator's
+// probability, so the edge likeliest to fail draws first. Each edge draws
+// from its own streams, seeded by (Seed, source, lower column, higher
+// column) with the vectors in that column order: first the Lemma 3 bound,
+// then an estimate that stops drawing once it can no longer pass γ or
+// keep the query-order product above α (exact curtailment, DESIGN.md
+// §9.1). A curtailed edge therefore never changes a decision, and a
+// completed estimate is the full-R estimate bit for bit. Completed
+// estimates go into the cache; a curtailed edge leaves the largest
+// estimate it could still have reached as a bound.
+func (p *Processor) drawPending(io pagestore.Toucher, qEdges []grn.Edge, src int, cols []int,
+	alpha float64, ws *workerScratch, out *candOutcome) bool {
+	gamma, cache := p.params.Gamma, p.params.Cache
+	samples := p.params.Samples
+	if samples <= 0 {
+		samples = stats.DefaultSamples
+	}
+	bufs := &ws.bufs
+	vcols := bufs.growVCols(len(cols))
+	pending := bufs.pending
+	for k := range pending {
+		e := qEdges[pending[k].i]
+		for _, v := range [2]int{e.S, e.T} {
+			if len(vcols[v]) == 0 {
+				var err error
+				if vcols[v], err = p.idx.FetchStdColumnTo(io, src, cols[v], vcols[v]); err != nil {
+					return false
+				}
+			}
+		}
+		pending[k].key = p.analytic.VecProb(vcols[e.S], vcols[e.T])
+	}
+	// Insertion sort: a handful of edges, ties kept in query order.
+	for k := 1; k < len(pending); k++ {
+		for j := k; j > 0 && pending[j].key < pending[j-1].key; j-- {
+			pending[j], pending[j-1] = pending[j-1], pending[j]
+		}
+	}
+	vals, edges := bufs.vals[:len(qEdges)], bufs.edges[:len(qEdges)]
+	for _, pe := range pending {
+		i, e := pe.i, qEdges[pe.i]
+		a, b, xa, xb := cols[e.S], cols[e.T], vcols[e.S], vcols[e.T]
+		if a > b {
+			a, b, xa, xb = b, a, xb, xa
+		}
+		// The largest hit count that fails: γ, or α on the product of the
+		// estimates and bounds known so far (unknown edges count 1). That
+		// product is evaluated in query order, like Answer.Prob, and drops
+		// by monotone rounding as factors ≤ 1 join it, so the cutoff
+		// needs no guard: it fires only when the final product fails too.
+		stop := stats.RejectedHits(samples, func(ep float64) bool {
+			return ep <= gamma || productWith(vals, i, ep) <= alpha
+		})
+		if stop >= samples {
+			return false
+		}
+		sc, pr := p.primeScorers(ws, uint64(int64(src)), uint64(a), uint64(b))
+		if pr.UpperBound(xa, xb) <= gamma {
+			return false // Lemma 3
+		}
+		hits, drawn := sc.Est.EdgeHits(xa, xb, samples, p.params.OneSided, stop)
+		out.draws += drawn
+		if drawn < samples {
+			if cache != nil {
+				cache.PutBound(src, a, b, float64(hits+samples-drawn)/float64(samples))
+			}
+			return false
+		}
+		ep := float64(hits) / float64(samples)
+		if cache != nil {
+			cache.Put(src, a, b, ep)
+		}
+		if hits <= stop {
+			return false
+		}
+		vals[i] = ep
+		edges[i] = grn.Edge{S: e.S, T: e.T, P: ep}
+	}
+	return true
+}
+
+// productWith is the product of vals in order with vals[i] replaced by v.
+func productWith(vals []float64, i int, v float64) float64 {
+	prob := 1.0
+	for j, w := range vals {
+		if j == i {
+			w = v
+		}
+		prob *= w
+	}
+	return prob
 }

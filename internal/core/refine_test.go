@@ -195,7 +195,7 @@ func TestRefineCandidateGenesDerived(t *testing.T) {
 
 // TestRefineCachedCandidateDrawsNothing: under Monte Carlo a candidate
 // whose every edge is cached returns the cached probabilities, reads no
-// pages and leaves the scorer and pruner streams where they were.
+// pages, draws nothing and never primes an edge stream.
 func TestRefineCachedCandidateDrawsNothing(t *testing.T) {
 	ds, idx := buildFixture(t, 80)
 	mq, origin, err := ds.ExtractQuery(randgen.New(81), 4)
@@ -227,8 +227,8 @@ func TestRefineCachedCandidateDrawsNothing(t *testing.T) {
 	}
 	ec := p.newExec(context.Background())
 	defer ec.Close()
-	sc, pr := p.seqScorers()
-	o := p.verifyCandidate(ec.IO(), q, qEdges, origin, sc, pr, &queryScratchFor(ec).worker(0).bufs)
+	ws := &workerScratch{}
+	o := p.verifyCandidate(ec.IO(), q, qEdges, origin, ws)
 	if o.answer == nil || o.answer.Prob != wantProb || !reflect.DeepEqual(o.answer.Edges, wantEdges) {
 		t.Fatalf("cached candidate answered %+v, want Pr %v over edges %+v", o.answer, wantProb, wantEdges)
 	}
@@ -238,19 +238,8 @@ func TestRefineCachedCandidateDrawsNothing(t *testing.T) {
 	if io := ec.IO().Stats(); io.Accesses != 0 || io.Hits != 0 {
 		t.Errorf("cached candidate touched pages: %+v", io)
 	}
-	// A stream that drew anything gives a different next estimate than a
-	// fresh one on the same seed.
-	x, y := m.StdCol(0), m.StdCol(1)
-	fresh, err := NewProcessor(idx, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsc, fpr := fresh.seqScorers()
-	if got, want := pr.Est.ExpectedPermDistance(x, y, 64), fpr.Est.ExpectedPermDistance(x, y, 64); got != want {
-		t.Errorf("pruner stream advanced: next E(Z) %v, fresh stream %v", got, want)
-	}
-	if got, want := sc.Est.ExpectedPermDistance(x, y, 64), fsc.Est.ExpectedPermDistance(x, y, 64); got != want {
-		t.Errorf("scorer stream advanced: next E(Z) %v, fresh stream %v", got, want)
+	if o.draws != 0 || ws.sc != nil || ws.pr != nil {
+		t.Errorf("cached candidate drew %d permutations (edge streams primed: %v)", o.draws, ws.sc != nil)
 	}
 }
 

@@ -9,14 +9,11 @@ import (
 
 // Per-query scratch pooled through the exec.Arena (DESIGN.md §11).
 //
-// The parallel refinement path used to allocate a fresh scorer, pruner
-// (each an estimator with its own RNG and permutation scratch), column
-// buffers, and outcome slices per candidate — a per-query allocation bill
-// that grew with the worker count. The arena keeps one queryScratch alive
-// across queries: per-worker scorer/pruner pairs are Reseed-ed per work
-// unit instead of rebuilt (observationally identical — every estimator
-// entry point refills its scratch before reading it), and the flat result
-// slices are resized in place.
+// The arena keeps one queryScratch alive across queries: per-worker
+// scorer/pruner pairs are Reseed-ed per work unit (a refinement edge, a
+// query target column or gene pair) instead of rebuilt — observationally
+// identical, since every estimator entry point refills its scratch before
+// reading it — and the flat result slices are resized in place.
 //
 // Nothing stored here may alias memory that escapes into an Answer:
 // verifyExact builds a candidate's edge list in colBufs and copies it
@@ -91,10 +88,10 @@ func (qs *queryScratch) growWorkers(n int) {
 
 // primeScorers readies worker scratch ws for one work unit: the pooled
 // scorer/pruner pair is reseeded from the query Seed and the unit's own
-// coordinates, and every params-derived knob is reset (the arena is
-// shared across queries with different Params). The result is
-// observationally identical to the pair scorerFor used to construct per
-// unit.
+// coordinates — (source, lower column, higher column) for a refinement
+// edge, the target column or gene pair for query inference — and every
+// params-derived knob is reset (the arena is shared across queries with
+// different Params).
 func (p *Processor) primeScorers(ws *workerScratch, coords ...uint64) (*grn.RandomizedScorer, *grn.Pruner) {
 	if ws.sc == nil {
 		ws.sc = grn.NewRandomizedScorer(0, 0)

@@ -88,14 +88,17 @@ type Aggregate struct {
 	// Edge-probability cache effectiveness (zero when no cache is set).
 	CacheHits   float64
 	CacheMisses float64
+
+	// Draws is refinement's Monte Carlo permutations (core.Stats.Draws).
+	Draws float64
 }
 
 func (a Aggregate) String() string {
 	return fmt.Sprintf("cpu=%.6fs io=%.1f cand=%.2f ans=%.2f "+
-		"stages[infer=%.6fs traverse=%.6fs markov=%.6fs mc=%.6fs] cacheHit=%.1f cacheMiss=%.1f (over %d queries)",
+		"stages[infer=%.6fs traverse=%.6fs markov=%.6fs mc=%.6fs] cacheHit=%.1f cacheMiss=%.1f draws=%.0f (over %d queries)",
 		a.CPUSeconds, a.IOCost, a.Candidates, a.Answers,
 		a.InferSeconds, a.TraversalSeconds, a.MarkovSeconds, a.MonteCarloSeconds,
-		a.CacheHits, a.CacheMisses, a.Queries)
+		a.CacheHits, a.CacheMisses, a.Draws, a.Queries)
 }
 
 // queryEngine abstracts the three methods (IM-GRN, Baseline, LinearScan).
@@ -121,6 +124,7 @@ func runWorkload(eng queryEngine, queries []*gene.Matrix) (Aggregate, error) {
 		agg.MonteCarloSeconds += st.MonteCarlo.Seconds()
 		agg.CacheHits += float64(st.CacheHits)
 		agg.CacheMisses += float64(st.CacheMisses)
+		agg.Draws += float64(st.Draws)
 		agg.Queries++
 	}
 	if agg.Queries > 0 {
@@ -135,6 +139,7 @@ func runWorkload(eng queryEngine, queries []*gene.Matrix) (Aggregate, error) {
 		agg.MonteCarloSeconds /= n
 		agg.CacheHits /= n
 		agg.CacheMisses /= n
+		agg.Draws /= n
 	}
 	return agg, nil
 }

@@ -8,8 +8,9 @@ import (
 // Stages reports the observability-layer cost breakdown over the γ sweep
 // on the Uni dataset: per-stage query time (query-GRN inference, index
 // traversal, Lemma-5 Markov-bound pruning, exact Monte Carlo
-// verification) plus edge-probability cache hits/misses per query under
-// a cache shared across the workload. This is the harness counterpart of
+// verification), edge-probability cache hits/misses per query under a
+// cache shared across the workload, and the Monte Carlo permutations
+// refinement drew per query. This is the harness counterpart of
 // the server's imgrn_stage_seconds metrics: the filter/verify split it
 // prints is the pruning-power axis of Figures 5–7 (see EXPERIMENTS.md
 // "Reading the numbers").
@@ -28,7 +29,10 @@ func Stages(p Params) ([]Figure, error) {
 	for i, name := range stageSeries {
 		timeS[i] = Series{Name: name}
 	}
+	fDraws := Figure{ID: "stages-draws", Title: "Monte Carlo permutations drawn by refinement vs γ (Uni)",
+		XLabel: "γ", YLabel: "avg per query"}
 	hitS, missS := Series{Name: "cacheHits"}, Series{Name: "cacheMisses"}
+	drawS := Series{Name: "draws"}
 	for _, x := range xs {
 		cp := coreParams(p)
 		cp.Gamma = x
@@ -48,8 +52,11 @@ func Stages(p Params) ([]Figure, error) {
 		hitS.Y = append(hitS.Y, agg.CacheHits)
 		missS.X = append(missS.X, x)
 		missS.Y = append(missS.Y, agg.CacheMisses)
+		drawS.X = append(drawS.X, x)
+		drawS.Y = append(drawS.Y, agg.Draws)
 	}
 	fTime.Series = timeS
 	fCache.Series = []Series{hitS, missS}
-	return []Figure{fTime, fCache}, nil
+	fDraws.Series = []Series{drawS}
+	return []Figure{fTime, fCache, fDraws}, nil
 }

@@ -112,11 +112,17 @@ func (s AnalyticScorer) Score(m *gene.Matrix, a, b int) float64 {
 	if !m.Informative(a) || !m.Informative(b) {
 		return 0
 	}
-	l := m.Samples()
+	return s.VecProb(m.StdCol(a), m.StdCol(b))
+}
+
+// VecProb is the approximate edge probability of two standardized
+// vectors of equal length.
+func (s AnalyticScorer) VecProb(xa, xb []float64) float64 {
+	l := len(xa)
 	if l < 2 {
 		return 0
 	}
-	cor := vecmath.Dot(m.StdCol(a), m.StdCol(b))
+	cor := vecmath.Dot(xa, xb)
 	if s.OneSided {
 		return stdNormalCDF(cor * math.Sqrt(float64(l-1)))
 	}

@@ -630,6 +630,7 @@ type QueryStats struct {
 	IOHits            uint64  `json:"ioBufferHits"`
 	CacheHits         int     `json:"cacheHits"`
 	CacheMisses       int     `json:"cacheMisses"`
+	Draws             int     `json:"draws"`
 	InferSeconds      float64 `json:"inferSeconds"`
 	TraversalSeconds  float64 `json:"traversalSeconds"`
 	RefinementSeconds float64 `json:"refinementSeconds"`
@@ -707,6 +708,7 @@ func statsJSON(st core.Stats) QueryStats {
 		IOHits:            st.IOHits,
 		CacheHits:         st.CacheHits,
 		CacheMisses:       st.CacheMisses,
+		Draws:             st.Draws,
 		InferSeconds:      st.InferQuery.Seconds(),
 		TraversalSeconds:  st.Traversal.Seconds(),
 		RefinementSeconds: st.Refinement.Seconds(),

@@ -20,10 +20,10 @@ import (
 //
 // P = 1 delegates the whole batch to the single shard's core.QueryBatch
 // with the caller's params untouched (plus the shard's cache handle): one
-// plan resolution, then per item one processor on one sequential RNG
-// stream — byte-identical to the unsharded engine (inference and
-// refinement share that stream, so splitting a query across processors
-// would already perturb it).
+// plan resolution, then per item one processor at the caller's seed —
+// byte-identical to the unsharded engine (sequential inference runs on
+// one stream per processor, so splitting a query across processors would
+// already perturb it).
 //
 // P > 1 runs ONE scatter for the whole batch: plans resolve once per
 // distinct request group at the coordinator (the resolved *plan.Plan
@@ -83,7 +83,7 @@ func (c *Coordinator) queryBatchOne(ctx context.Context, items []core.BatchItem,
 	errs := core.ResolveBatchPlans(items)
 	for i := range items {
 		if errs[i] == nil {
-			items[i].Params.Cache = s.cacheFor(items[i].Params)
+			items[i].Params.Cache = s.caches.For(items[i].Params)
 		}
 	}
 	s.mu.RLock()
@@ -223,7 +223,7 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 			sp := items[li.orig].Params
 			sp.Seed = randgen.SeedFrom(sp.Seed, uint64(s))
 			sp.Sink = li.sink
-			sp.Cache = sh.cacheFor(sp)
+			sp.Cache = sh.caches.For(sp)
 			// The plan traveled with the params; K stays 0 at shard level
 			// (the shared sink owns the trim).
 			shardItems[pos] = core.BatchItem{Graph: items[li.orig].Graph, Params: sp}

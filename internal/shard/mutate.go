@@ -77,7 +77,7 @@ func (c *Coordinator) AddMatrix(m *gene.Matrix) error {
 			return fmt.Errorf("shard: global database out of sync: %w", dbErr)
 		}
 	}
-	s.invalidateSource(m.Source)
+	s.caches.InvalidateSource(m.Source)
 	s.mutations.Add(1)
 	c.checkImbalance()
 	return nil
@@ -104,7 +104,7 @@ func (c *Coordinator) RemoveMatrix(source int) error {
 		c.db.Remove(source)
 	}
 	c.mu.Unlock()
-	s.invalidateSource(source)
+	s.caches.InvalidateSource(source)
 	s.mutations.Add(1)
 	c.checkImbalance()
 	return nil

@@ -39,7 +39,7 @@ func (c *Coordinator) QueryShardBatch(ctx context.Context, local int, items []co
 	}
 	s := c.shards[local]
 	for i := range items {
-		items[i].Params.Cache = s.cacheFor(items[i].Params)
+		items[i].Params.Cache = s.caches.For(items[i].Params)
 	}
 	s.mu.RLock()
 	results, _ := core.QueryBatch(ctx, s.idx, items, opts)

@@ -9,6 +9,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/vecmath"
@@ -116,7 +117,7 @@ func (e *Estimator) Split() *Estimator {
 // NewEstimator(seed) would hold, keeping the scratch arena warm. Every
 // estimation entry point fills its scratch before reading it, so a reseeded
 // estimator is observationally identical to a new one — the mechanism that
-// lets refinement reuse one estimator across per-candidate streams without
+// lets refinement reuse one estimator across per-edge streams without
 // reallocating.
 func (e *Estimator) Reseed(seed uint64) {
 	e.rng.Reseed(seed)
@@ -155,6 +156,52 @@ func (e *Estimator) sqDistBlock(out *[permBlock]float64, buf *[]float64, fixed, 
 	return out[:n]
 }
 
+// EdgeHits is the draw loop of both edge estimators, with exact
+// curtailment (DESIGN.md §9.1). It draws up to samples uniform
+// permutations Xt^R of xt, in blocks of permBlock, and counts the hits of
+// the one-sided test of Eq. (4), dist(Xs, Xt^R) > dist(Xs, Xt), or unless
+// oneSided of the two-sided test of Definition 2.
+//
+// Before each block it stops once hits + (samples − drawn) ≤ stop: the
+// full-sample hit count can then be stop at most, which a caller rejecting
+// every estimate k/samples with k ≤ stop already knows to reject (see
+// RejectedHits). stop < 0 never stops. The draws are always a prefix of
+// the full-sample draws, so drawn == samples means hits/samples is the
+// fixed-sample estimate bit for bit. samples must be positive.
+func (e *Estimator) EdgeHits(xs, xt []float64, samples int, oneSided bool, stop int) (hits, drawn int) {
+	d := vecmath.SquaredEuclidean(xs, xt)
+	c := abs(d - 2)
+	var d2 [permBlock]float64
+	for drawn < samples && hits+samples-drawn > stop {
+		block := e.sqDistBlock(&d2, &e.ar.edgePerm, xs, xt, samples-drawn)
+		if oneSided {
+			for _, dr := range block {
+				if dr > d {
+					hits++
+				}
+			}
+		} else {
+			for _, dr := range block {
+				if abs(dr-2) < c {
+					hits++
+				}
+			}
+		}
+		drawn += len(block)
+	}
+	return hits, drawn
+}
+
+// RejectedHits returns the largest hit count k in [0, samples] whose
+// estimate float64(k)/float64(samples) satisfies reject, or −1 when none
+// does: the stop argument of EdgeHits for a caller that rejects exactly
+// the estimates reject holds for. reject must be monotone — holding at p,
+// it holds at every smaller estimate — as a threshold test on the estimate,
+// or on a product with it, is.
+func RejectedHits(samples int, reject func(p float64) bool) int {
+	return sort.Search(samples+1, func(k int) bool { return !reject(float64(k) / float64(samples)) }) - 1
+}
+
 // EdgeProbability estimates the edge existence probability of Eq. (1),
 // reduced per Lemma 1 to the Euclidean form of Eq. (4):
 //
@@ -162,21 +209,12 @@ func (e *Estimator) sqDistBlock(out *[permBlock]float64, buf *[]float64, fixed, 
 //
 // where Xt^R is a uniform random permutation of Xt. xs and xt must be
 // standardized vectors of equal length; samples Monte Carlo draws are used
-// (DefaultSamples if samples <= 0).
+// (DefaultSamples if samples <= 0). It is EdgeHits with no stop rule.
 func (e *Estimator) EdgeProbability(xs, xt []float64, samples int) float64 {
 	if samples <= 0 {
 		samples = DefaultSamples
 	}
-	d := vecmath.SquaredEuclidean(xs, xt)
-	hits := 0
-	var d2 [permBlock]float64
-	for done := 0; done < samples; done += permBlock {
-		for _, dr := range e.sqDistBlock(&d2, &e.ar.edgePerm, xs, xt, samples-done) {
-			if dr > d {
-				hits++
-			}
-		}
-	}
+	hits, _ := e.EdgeHits(xs, xt, samples, true, -1)
 	return float64(hits) / float64(samples)
 }
 
@@ -190,21 +228,12 @@ func (e *Estimator) EdgeProbability(xs, xt []float64, samples int) float64 {
 // EdgeProbability is the literal Eq. (4) reduction; it coincides with this
 // form whenever cor(Xs,Xt) + cor(Xs,Xt^R) ≥ 0 (the regime Lemma 1's proof
 // assumes) and diverges for strong negative correlations, which the
-// absolute form credits as interactions.
+// absolute form credits as interactions. It is EdgeHits with no stop rule.
 func (e *Estimator) AbsEdgeProbability(xs, xt []float64, samples int) float64 {
 	if samples <= 0 {
 		samples = DefaultSamples
 	}
-	c := abs(vecmath.SquaredEuclidean(xs, xt) - 2)
-	hits := 0
-	var d2 [permBlock]float64
-	for done := 0; done < samples; done += permBlock {
-		for _, dr := range e.sqDistBlock(&d2, &e.ar.edgePerm, xs, xt, samples-done) {
-			if abs(dr-2) < c {
-				hits++
-			}
-		}
-	}
+	hits, _ := e.EdgeHits(xs, xt, samples, false, -1)
 	return float64(hits) / float64(samples)
 }
 
