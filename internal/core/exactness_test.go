@@ -11,6 +11,7 @@ import (
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/index"
+	"github.com/imgrn/imgrn/internal/pivot"
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/stats"
 	"github.com/imgrn/imgrn/internal/synth"
@@ -93,9 +94,11 @@ func lemma5Prunes(p *Processor, q *grn.Graph, m *gene.Matrix, alpha float64) boo
 }
 
 // refQuery answers q the reference way: production's candidate sources
-// (descent and complete-star filter) and Lemma 5, then refVerify. It
-// returns the answers, the candidate sources and the fixed-R draws.
-func refQuery(t *testing.T, p *Processor, q *grn.Graph) ([]Answer, []int, int) {
+// (descent and complete-star filter), Lemma 5 evaluated on every candidate
+// unless the plan switches it off, then refVerify. It returns the answers,
+// the candidate sources, the candidates Lemma 5 pruned and the fixed-R
+// draws.
+func refQuery(t *testing.T, p *Processor, q *grn.Graph) (answers []Answer, sources []int, prunedL5, draws int) {
 	t.Helper()
 	ec := p.newExec(context.Background())
 	defer ec.Close()
@@ -105,20 +108,38 @@ func refQuery(t *testing.T, p *Processor, q *grn.Graph) ([]Answer, []int, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources := slices.Clone(reduceCandidates(queryScratchFor(ec), pairs, len(ts.neighbors), &st))
-	var answers []Answer
-	draws := 0
+	sources = slices.Clone(reduceCandidates(queryScratchFor(ec), pairs, len(ts.neighbors), &st))
 	for _, src := range sources {
 		m := p.idx.DB().BySource(src)
-		if p.params.DisableMarkovPruning || !lemma5Prunes(p, q, m, p.params.Alpha) {
-			a, d := refVerify(p.params, q, m, p.params.Alpha)
-			draws += d
-			if a != nil {
-				answers = append(answers, *a)
-			}
+		if !p.params.DisableMarkovPruning && lemma5Prunes(p, q, m, p.params.Alpha) {
+			prunedL5++
+			continue
+		}
+		a, d := refVerify(p.params, q, m, p.params.Alpha)
+		draws += d
+		if a != nil {
+			answers = append(answers, *a)
 		}
 	}
-	return answers, sources, draws
+	return answers, sources, prunedL5, draws
+}
+
+// floorAlphas returns α values on both sides of the Lemma-5 certificate
+// of c: the α just below floor^|E_Q| for the index's point floor
+// (pivot.BoundFloor), where the index certifies that Lemma 5 cannot prune;
+// the floor product itself, the smallest α where Lemma 5 runs; and the α
+// halfway from it to 1, where Lemma 5 prunes. None when the floor product
+// is not a valid α.
+func floorAlphas(c exactCase) []float64 {
+	floor := pivot.BoundFloor(c.idx.YMin(), c.params.OneSided)
+	fk := 1.0
+	for range c.q.Edges() {
+		fk *= floor
+	}
+	if fk <= 0 || fk >= 1 {
+		return nil
+	}
+	return []float64{math.Nextafter(fk, 0), fk, (1 + fk) / 2}
 }
 
 // exactCase is one random (D, Q, γ, α) of the differential sweeps.
@@ -202,64 +223,83 @@ func boundOnlyCache(c exactCase, p Params, sources []int) *EdgeProbCache {
 // TestRefineMatchesFixedRReference is the exactness differential of
 // Monte Carlo refinement (DESIGN.md §7.2): on random (D, Q, γ, α),
 // QueryGraph returns exactly the answers — source, Prob bits, edge bits —
-// of the fixed-R query-order reference, at every worker count, with and
-// without Lemma-5 pruning, and under a cold cache, a cache warmed by the
-// same query, one warmed by a stricter query (estimates and bounds), and
-// one holding only bounds. A query never draws more than R per missed
-// edge, and over the sweep it draws fewer permutations than the reference.
+// and the Lemma-5 prune count of the fixed-R query-order reference, at
+// every worker count, with and without Lemma-5 pruning, and under a cold
+// cache, a cache warmed by the same query, one warmed by a stricter query
+// (estimates and bounds), and one holding only bounds. Each case also runs
+// at the α on both sides of its floor product (floorAlphas), where the
+// index does and does not certify Lemma 5 futile; the reference evaluates
+// Lemma 5 on every candidate regardless. A query never draws more than R
+// per missed edge, and over the sweep it draws fewer permutations than the
+// reference.
 func TestRefineMatchesFixedRReference(t *testing.T) {
 	cacheModes := []string{"none", "cold", "warm", "stricter", "bounds"}
-	answers, drawn, refDrawn := 0, 0, 0
+	answers, drawn, refDrawn, prunedL5 := 0, 0, 0, 0
+	var certified [2]int // cases run with Lemma 5 evaluated, certified futile
 	sweepExactCases(t, func(c exactCase) {
-		for _, noMarkov := range []bool{false, true} {
-			params := c.params
-			params.DisableMarkovPruning = noMarkov
-			refP, err := NewProcessor(c.idx, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, sources, refDraws := refQuery(t, refP, c.q)
-			answers += len(want)
-			for _, workers := range []int{1, 2, 4} {
-				for _, mode := range cacheModes {
-					p := params
-					p.Workers, p.Grain = workers, 1
-					label := fmt.Sprintf("%s noMarkov=%v workers=%d cache=%s", c.label, noMarkov, workers, mode)
-					run := func(p Params) ([]Answer, Stats) {
-						proc, err := NewProcessor(c.idx, p)
-						if err != nil {
-							t.Fatal(err)
+		for _, alpha := range append([]float64{c.params.Alpha}, floorAlphas(c)...) {
+			for _, noMarkov := range []bool{false, true} {
+				params := c.params
+				params.Alpha = alpha
+				params.DisableMarkovPruning = noMarkov
+				refP, err := NewProcessor(c.idx, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !noMarkov {
+					if refP.markovFutile(c.q.NumEdges()) {
+						certified[1]++
+					} else {
+						certified[0]++
+					}
+				}
+				want, sources, wantL5, refDraws := refQuery(t, refP, c.q)
+				answers += len(want)
+				prunedL5 += wantL5
+				for _, workers := range []int{1, 2, 4} {
+					for _, mode := range cacheModes {
+						p := params
+						p.Workers, p.Grain = workers, 1
+						label := fmt.Sprintf("%s α=%v noMarkov=%v workers=%d cache=%s", c.label, alpha, noMarkov, workers, mode)
+						run := func(p Params) ([]Answer, Stats) {
+							proc, err := NewProcessor(c.idx, p)
+							if err != nil {
+								t.Fatal(err)
+							}
+							got, st, err := proc.QueryGraph(c.q)
+							if err != nil {
+								t.Fatal(err)
+							}
+							return got, st
 						}
-						got, st, err := proc.QueryGraph(c.q)
-						if err != nil {
-							t.Fatal(err)
+						switch mode {
+						case "cold", "warm":
+							p.Cache = NewEdgeProbCache(0)
+							if mode == "warm" {
+								run(p)
+							}
+						case "stricter":
+							p.Cache = NewEdgeProbCache(0)
+							strict := p
+							strict.Gamma, strict.Alpha = math.Min(0.95, p.Gamma+0.15), math.Min(0.95, p.Alpha+0.3)
+							run(strict)
+						case "bounds":
+							p.Cache = boundOnlyCache(c, p, sources)
 						}
-						return got, st
-					}
-					switch mode {
-					case "cold", "warm":
-						p.Cache = NewEdgeProbCache(0)
-						if mode == "warm" {
-							run(p)
+						got, st := run(p)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: answers differ from the fixed-R reference:\n got %+v\nwant %+v", label, got, want)
 						}
-					case "stricter":
-						p.Cache = NewEdgeProbCache(0)
-						strict := p
-						strict.Gamma, strict.Alpha = math.Min(0.95, p.Gamma+0.15), math.Min(0.95, p.Alpha+0.3)
-						run(strict)
-					case "bounds":
-						p.Cache = boundOnlyCache(c, p, sources)
-					}
-					got, st := run(p)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: answers differ from the fixed-R reference:\n got %+v\nwant %+v", label, got, want)
-					}
-					if p.Cache != nil && st.Draws > st.CacheMisses*refSamples(p) {
-						t.Errorf("%s: %d draws for %d missed edges at R=%d", label, st.Draws, st.CacheMisses, refSamples(p))
-					}
-					if mode == "none" && workers == 1 {
-						drawn += st.Draws
-						refDrawn += refDraws
+						if st.MatricesPrunedL5 != wantL5 {
+							t.Fatalf("%s: Lemma 5 pruned %d candidates, the reference %d", label, st.MatricesPrunedL5, wantL5)
+						}
+						if p.Cache != nil && st.Draws > st.CacheMisses*refSamples(p) {
+							t.Errorf("%s: %d draws for %d missed edges at R=%d", label, st.Draws, st.CacheMisses, refSamples(p))
+						}
+						if mode == "none" && workers == 1 {
+							drawn += st.Draws
+							refDrawn += refDraws
+						}
 					}
 				}
 			}
@@ -269,8 +309,12 @@ func TestRefineMatchesFixedRReference(t *testing.T) {
 		t.Fatalf("sweep too weak or curtailment ineffective: %d answers, %d draws against %d fixed-R draws",
 			answers, drawn, refDrawn)
 	}
-	t.Logf("%d answers; refinement drew %d permutations, the fixed-R query-order reference %d (%.2f×)",
-		answers, drawn, refDrawn, float64(drawn)/float64(refDrawn))
+	if prunedL5 == 0 || certified[0] == 0 || certified[1] == 0 {
+		t.Fatalf("sweep does not straddle the Lemma-5 floor: %d candidates pruned; %v cases evaluated / certified futile",
+			prunedL5, certified)
+	}
+	t.Logf("%d answers, %d Lemma-5 prunes (%d cases certified futile, %d evaluated); refinement drew %d permutations, the fixed-R query-order reference %d (%.2f×)",
+		answers, prunedL5, certified[1], certified[0], drawn, refDrawn, float64(drawn)/float64(refDrawn))
 }
 
 // TestRefineStreamedMatchesReference: the streamed top-k path verifies a
@@ -287,7 +331,7 @@ func TestRefineStreamedMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, sources, _ := refQuery(t, proc, c.q)
+		want, sources, _, _ := refQuery(t, proc, c.q)
 		rng := randgen.New(uint64(len(sources)) + 7)
 		ws := &workerScratch{}
 		ec := proc.newExec(context.Background())
@@ -340,7 +384,7 @@ func TestRefineCutoffsExactAtTheBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, _ := refQuery(t, proc, c.q)
+		want, _, _, _ := refQuery(t, proc, c.q)
 		for _, a := range want {
 			weakest := a.Edges[0].P
 			for _, e := range a.Edges {

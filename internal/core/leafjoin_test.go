@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/index"
+	"github.com/imgrn/imgrn/internal/pivot"
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/rstar"
 	"github.com/imgrn/imgrn/internal/synth"
@@ -237,8 +239,9 @@ func sameTraversalCounters(a, b Stats) bool {
 }
 
 // checkDescentAgainstReference runs the descent for one query graph under
-// params and compares it with the reference.
-func checkDescentAgainstReference(t testing.TB, idx *index.Index, params Params, q *grn.Graph) (checked int) {
+// params and compares it with the reference, whose point-pair counters it
+// returns.
+func checkDescentAgainstReference(t testing.TB, idx *index.Index, params Params, q *grn.Graph) (checked, pruned int) {
 	p, err := NewProcessor(idx, params)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +259,7 @@ func checkDescentAgainstReference(t testing.TB, idx *index.Index, params Params,
 		t.Errorf("descent (%+v): %d pairs, counters %+v; reference %d pairs, counters %+v",
 			params, len(got), st, len(want), wantSt)
 	}
-	return wantSt.PointPairsChecked
+	return wantSt.PointPairsChecked, wantSt.PointPairsPruned
 }
 
 func ablationParams(mask int, gamma float64, oneSided bool) Params {
@@ -266,11 +269,18 @@ func ablationParams(mask int, gamma float64, oneSided bool) Params {
 }
 
 // TestDescentMatchesReferenceUnderAblations is the descent-level
-// differential: for every combination of the four ablation switches the
-// descent must produce the reference's candidate-pair multiset and its
-// four traversal counters.
+// differential: for every combination of the four ablation switches, under
+// both measures and over a γ grid on both sides of the index's floors
+// (pivot.BoundFloor), the descent must produce the reference's
+// candidate-pair multiset and its four traversal counters. The reference
+// evaluates every test, so where the floor certificate skips Lemma 6 or
+// the leaf pivot bound, it is the oracle that the skipped test could not
+// have pruned.
 func TestDescentMatchesReferenceUnderAblations(t *testing.T) {
-	checked := 0
+	gammas := []float64{0.2, 0.3, 0.45, 0.6, 0.7, 0.8, 0.9, 0.95}
+	checked, pointPruned := 0, 0
+	// Certificate outcomes seen: [node test, point test][skipped?].
+	var seen [2][2]int
 	for seed := uint64(0); seed < 3; seed++ {
 		ds, idx := buildFixture(t, 600+seed)
 		rng := randgen.New(610 + seed)
@@ -286,13 +296,37 @@ func TestDescentMatchesReferenceUnderAblations(t *testing.T) {
 			if q.NumEdges() == 0 {
 				continue
 			}
-			for mask := 0; mask < 16; mask++ {
-				checked += checkDescentAgainstReference(t, idx, ablationParams(mask, 0.3, qi%2 == 1), q)
+			oneSided := qi%2 == 1
+			// The grid plus each floor and the γ just below it.
+			grid := slices.Clone(gammas)
+			for _, f := range []float64{pivot.BoundFloor(idx.YMin(), true), pivot.BoundFloor(idx.YMin(), oneSided)} {
+				grid = append(grid, math.Nextafter(f, 0), f)
+			}
+			for _, gamma := range grid {
+				if pivot.BoundFloor(idx.YMin(), true) > gamma {
+					seen[0][1]++
+				} else {
+					seen[0][0]++
+				}
+				if pivot.BoundFloor(idx.YMin(), oneSided) > gamma {
+					seen[1][1]++
+				} else {
+					seen[1][0]++
+				}
+				for mask := 0; mask < 16; mask++ {
+					c, pruned := checkDescentAgainstReference(t, idx, ablationParams(mask, gamma, oneSided), q)
+					checked += c
+					pointPruned += pruned
+				}
 			}
 		}
 	}
-	if checked == 0 {
-		t.Fatal("no point pair was ever checked: the fixture does not reach the leaf join")
+	if checked == 0 || pointPruned == 0 {
+		t.Fatalf("%d point pairs checked, %d pruned: the fixture does not reach the leaf join and its pivot bound",
+			checked, pointPruned)
+	}
+	if seen[0][0] == 0 || seen[0][1] == 0 || seen[1][0] == 0 || seen[1][1] == 0 {
+		t.Fatalf("the γ grid does not straddle the floors: [node, point][evaluated, skipped] = %v", seen)
 	}
 }
 

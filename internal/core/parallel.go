@@ -34,14 +34,15 @@ import (
 // unit per candidate, each charging its own sub-reader with a private cold
 // page buffer — SubReader stays per-candidate so I/O accounting is
 // schedule-independent. Outcomes are aggregated in source order.
-func (p *Processor) refineParallel(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int, st *Stats) ([]Answer, error) {
+func (p *Processor) refineParallel(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int,
+	skipMarkov bool, st *Stats) ([]Answer, error) {
 	qs := queryScratchFor(ec)
 	outcomes := exec.GrowSlice(&qs.outcomes, len(sources))
 	readers := exec.GrowSlice(&qs.readers, len(sources))
 	qs.growWorkers(ec.Workers())
 	err := ec.ForEachWorker(len(sources), ec.Grain(), func(w, i int) error {
 		sub := ec.IO().SubReader()
-		outcomes[i] = p.verifyCandidate(sub, q, qEdges, sources[i], qs.worker(w))
+		outcomes[i] = p.verifyCandidate(sub, q, qEdges, sources[i], qs.worker(w), skipMarkov)
 		readers[i] = sub
 		return nil
 	})

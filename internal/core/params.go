@@ -212,7 +212,12 @@ type Stats struct {
 	// break Refinement down into its Lemma-5 upper-bound pruning and
 	// exact-verification parts, summed across candidates (so with
 	// Workers > 1 they are aggregate CPU time, not wall clock, and may
-	// exceed Refinement).
+	// exceed Refinement). Without a top-k sink (whose candidate ordering
+	// always computes the bound products), MarkovPrune and
+	// MatricesPrunedL5 read 0 when the query skips Lemma 5: the plan
+	// switched it off, or the index certifies that no candidate's bound
+	// product can fall to α (pivot.BoundFloor). The markov_prune span then
+	// records in == survivors.
 	InferQuery  time.Duration
 	Traversal   time.Duration
 	Refinement  time.Duration

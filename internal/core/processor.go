@@ -14,6 +14,7 @@ import (
 	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/pagestore"
+	"github.com/imgrn/imgrn/internal/pivot"
 	"github.com/imgrn/imgrn/internal/rstar"
 	"github.com/imgrn/imgrn/internal/stats"
 )
@@ -381,6 +382,13 @@ func (p *Processor) traverse(ec *exec.Context, ts *travState, st *Stats) ([]cand
 	io := ec.IO()
 	pt := p.params.pivotTest(p.idx.D())
 	geneDim := 2 * pt.D
+	// The floor certificate (DESIGN.md §2.0 finding 2): no pivot bound over
+	// this index falls below its floor, so a test at a γ under the floor
+	// cannot prune and is not evaluated. Lemma 6's MBR form takes the
+	// one-sided floor under either measure.
+	yMin := p.idx.YMin()
+	pt.Disabled = pt.Disabled || pivot.BoundFloor(yMin, pt.OneSided) > pt.Gamma
+	nodeTest := !p.params.DisableIndexPruning && pivot.BoundFloor(yMin, true) <= pt.Gamma
 
 	qs := queryScratchFor(ec)
 	pq := &qs.heap
@@ -453,8 +461,7 @@ func (p *Processor) traverse(ec *exec.Context, ts *travState, st *Stats) ([]cand
 					continue
 				}
 				// Line 25 (cont.): Lemma 6 index pruning.
-				if !p.params.DisableIndexPruning &&
-					index.IndexPrunable(ca.MBR(), cb.MBR(), pt.D, pt.Gamma, pt.OneSided) {
+				if nodeTest && index.IndexPrunable(ca.MBR(), cb.MBR(), pt.D, pt.Gamma, pt.OneSided) {
 					st.NodePairsPruned++
 					continue
 				}
@@ -533,12 +540,16 @@ func (st *Stats) applyCandidate(o candOutcome) {
 // worker budget the candidates are verified in parallel (refineParallel);
 // otherwise one after the other. A candidate's result does not depend on
 // which: every estimate draws from its edge's own stream.
+//
+// Lemma 5 is skipped for the whole query when the plan switches it off or
+// when the index certifies that it cannot prune (markovFutile).
 func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int, st *Stats) ([]Answer, error) {
 	if p.params.Sink != nil {
 		return p.refineStreamed(ec, q, qEdges, sources, st)
 	}
+	skipMarkov := p.params.DisableMarkovPruning || p.markovFutile(len(qEdges))
 	if ec.Parallel() {
-		return p.refineParallel(ec, q, qEdges, sources, st)
+		return p.refineParallel(ec, q, qEdges, sources, skipMarkov, st)
 	}
 	var answers []Answer
 	ws := queryScratchFor(ec).worker(0)
@@ -546,7 +557,7 @@ func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, so
 		if err := ec.Err(); err != nil {
 			return nil, err
 		}
-		o := p.verifyCandidate(ec.IO(), q, qEdges, src, ws)
+		o := p.verifyCandidate(ec.IO(), q, qEdges, src, ws, skipMarkov)
 		st.applyCandidate(o)
 		if o.answer != nil {
 			answers = append(answers, *o.answer)
@@ -661,19 +672,38 @@ func (p *Processor) refineStreamed(ec *exec.Context, q *grn.Graph, qEdges []grn.
 }
 
 // verifyCandidate checks one candidate matrix: Lemma-5 graph existence
-// pruning on pivot upper bounds, then exact verification of Definition 4,
-// reading standardized vectors from the paged heap file charged to io and
-// drawing Monte Carlo samples with the estimators of worker scratch ws.
-func (p *Processor) verifyCandidate(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int, ws *workerScratch) candOutcome {
-	return p.verifyCandidateAt(io, q, qEdges, src, ws, p.params.Alpha, false)
+// pruning on pivot upper bounds (unless skipMarkov), then exact
+// verification of Definition 4, reading standardized vectors from the
+// paged heap file charged to io and drawing Monte Carlo samples with the
+// estimators of worker scratch ws.
+func (p *Processor) verifyCandidate(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
+	ws *workerScratch, skipMarkov bool) candOutcome {
+	return p.verifyCandidateAt(io, q, qEdges, src, ws, p.params.Alpha, skipMarkov)
+}
+
+// markovFutile reports whether the index certifies that Lemma 5 cannot
+// prune any candidate of a query with the given number of edges at
+// params.Alpha. Each factor of a candidate's product is at least the
+// point floor (pivot.BoundFloor); multiplying that floor the same number
+// of times, from 1, with the same monotone rounding gives a lower bound on
+// the computed product itself, so a floor product above α proves every
+// candidate's product is too.
+func (p *Processor) markovFutile(edges int) bool {
+	floor := pivot.BoundFloor(p.idx.YMin(), p.params.OneSided)
+	prod := 1.0
+	for i := 0; i < edges; i++ {
+		prod *= floor
+	}
+	return prod > p.params.Alpha
 }
 
 // verifyCandidateAt is verifyCandidate at an explicit α cutoff: the
 // streamed refinement path passes the sink floor (the k-th probability so
 // far) instead of params.Alpha, turning the Lemma-5 test and the running
 // product cutoff into cross-shard top-k pruning. skipMarkov skips the
-// Lemma-5 product when the caller already evaluated it (candidate
-// ordering by upper bound precomputes the same product).
+// Lemma-5 product: the plan switched it off, the index certifies it
+// cannot prune (markovFutile), or the caller already evaluated it
+// (candidate ordering by upper bound precomputes the same product).
 func (p *Processor) verifyCandidateAt(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
 	ws *workerScratch, alpha float64, skipMarkov bool) candOutcome {
 	var out candOutcome
@@ -692,17 +722,17 @@ func (p *Processor) verifyCandidateAt(io pagestore.Toucher, q *grn.Graph, qEdges
 		cols[v] = c
 	}
 	// Lemma 5: prune with the product of pivot-based edge upper bounds.
-	// DisableMarkovPruning (a plan decision when the modeled bound cost
-	// exceeds its savings) sends the candidate straight to verification.
-	// Skipping is answer-safe per candidate — Lemma 5 only removes
-	// candidates that provably cannot match — and a verified candidate's
-	// answer is a function of its own edges' streams, so neither this
-	// decision nor any other candidate's (dropped, pruned, cached) moves it.
+	// Skipping it (skipMarkov) sends the candidate straight to
+	// verification. That is answer-safe per candidate — Lemma 5 only
+	// removes candidates that provably cannot match — and a verified
+	// candidate's answer is a function of its own edges' streams, so
+	// neither this decision nor any other candidate's (dropped, pruned,
+	// cached) moves it.
 	//
 	// The clock is read three times per candidate: the reading that ends
 	// the Lemma-5 stage also starts verification.
 	var vStart time.Time
-	if skipMarkov || p.params.DisableMarkovPruning {
+	if skipMarkov {
 		vStart = time.Now()
 	} else {
 		mStart := time.Now()

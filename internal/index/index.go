@@ -274,6 +274,23 @@ func (x *Index) Tree() *rstar.Tree { return x.tree }
 // source ID, or nil.
 func (x *Index) Embedding(source int) *pivot.Embedding { return x.embeddings[source] }
 
+// YMin returns a floor on every y coordinate in the index: the minimum
+// over the y dimensions of the root MBR, which the R*-tree keeps covering
+// every point through inserts and deletes (a root that is not tight after
+// a delete only lowers the floor). +Inf for an empty index.
+// pivot.BoundFloor turns it into the smallest value any pivot bound over
+// the index can take.
+func (x *Index) YMin() float64 {
+	mbr := x.tree.Root().MBR()
+	yMin := math.Inf(1)
+	for r := 0; r < x.opts.D; r++ {
+		if y := mbr.Min[2*r+1]; y < yMin {
+			yMin = y
+		}
+	}
+	return yMin
+}
+
 // Inverted returns the inverted bit-vector file IF.
 func (x *Index) Inverted() *bitvec.InvertedFile { return x.inverted }
 
@@ -358,7 +375,9 @@ func (x *Index) ChargeColumnRead(source, col int) {
 // default two-sided measure, on the |cor|-equivalent distance using the
 // coordinate-sum upper bound). The condition is checked in both
 // randomization directions; a pruned pair has ub_P ≤ γ for every contained
-// same-source (Xs, Xt) pair, so no true edge is lost.
+// same-source (Xs, Xt) pair, so no true edge is lost. At a γ below
+// pivot.BoundFloor(YMin(), true) — the one-sided floor under either
+// measure — it never prunes (see BoundFloor for the proof).
 func IndexPrunable(ea, eb rstar.Rect, d int, gamma float64, oneSided bool) bool {
 	// Lower bound on dist(Xs, Xt) valid for every pair: per-coordinate
 	// interval gap, maximized over pivot coordinates.

@@ -82,7 +82,8 @@ func firstAtLeast(col []int32, v int32) int {
 
 // PivotTest parameterizes line 20 of Fig. 4, the pivot-based pruning of a
 // point pair: the pair is pruned when PointUpperBound ≤ Gamma, unless the
-// test is Disabled (the DisablePivotPruning ablation).
+// test is Disabled — the DisablePivotPruning ablation, or a Gamma below
+// pivot.BoundFloor, where the test cannot prune.
 type PivotTest struct {
 	D        int // pivots per matrix
 	Gamma    float64

@@ -128,6 +128,67 @@ func UpperBoundCoords(xs, ys, xt, yt []float64, oneSided bool) float64 {
 	return ub
 }
 
+// floorMargin is the relative rounding margin carried by the Markov
+// denominator bounds of BoundFloor. An x coordinate is a computed distance
+// between standardized vectors, which exceeds its exact value by about
+// (l+3)·2⁻⁵³ relative for l samples: below 2⁻²⁴ for any l under 2²⁸,
+// leaving room for the few further roundings of the proof.
+const floorMargin = 0x1p-20
+
+// Bounds on every Markov denominator C_w = D_lb − x[w] (see BoundFloor),
+// margin included.
+const (
+	maxDenomOneSided = 2 * (1 + floorMargin)
+	maxDenomTwoSided = math.Sqrt2 * (1 + floorMargin)
+)
+
+// BoundFloor returns the smallest value UpperBoundCoords can take on two
+// embedded vectors of one matrix whose y coordinates are all at least
+// yMin: min(1, yMin/c_max), where c_max bounds every denominator
+// C_w = D_lb − x[w] the bound divides by — 2 for the one-sided measure and
+// √2 for the two-sided one, each enlarged by floorMargin. A pivot test at
+// a γ below the floor cannot prune (DESIGN.md §2.0 finding 2). A yMin
+// below 2⁻¹⁰⁰⁰, where the relative-rounding step of the proof could leave
+// the normal range, or NaN, certifies nothing and yields 0.
+//
+// Proof that fl(C_w) ≤ c_max. Every x coordinate is a computed distance
+// between vectors of norm at most 1 (standardized, or zero for a constant
+// column), so 0 ≤ x ≤ 2(1+κ) with κ ≪ floorMargin; rounding is monotone
+// and x[w] ≥ 0, so fl(D_lb − x[w]) ≤ D_lb, and it suffices to bound D_lb.
+//
+//   - EffectiveDistanceLB, one-sided: D_lb = max_r fl|xs[r] − xt[r]|, and
+//     the difference of two numbers in [0, X] rounds to at most X, so
+//     D_lb ≤ 2(1+κ).
+//   - EffectiveDistanceLB, two-sided: D_lb = min(lbd, √(4 − ubd²)). The
+//     coordinates of one matrix are distances to shared pivots, so the
+//     triangle inequality gives lbd ≤ dist(X_s, X_t) ≤ ubd up to the
+//     rounding of the distances, O(κ). If lbd ≤ √2 the bound holds;
+//     otherwise ubd ≥ √2 − O(κ) and √(4 − ubd²) ≤ √2 + O(κ). Either way
+//     D_lb ≤ √2(1 + O(κ)).
+//   - IndexPrunable's MBR form: its gap bound max_r (Min − Max) is at most
+//     the largest coordinate, 2(1+κ), under either measure. Its two-sided
+//     min with √(4 − ubd²) is no √2 bound, because two nodes may share no
+//     source and then lbd and ubd come from different pivot sets. So the
+//     node test takes the one-sided floor, BoundFloor(yMin, true), under
+//     both measures.
+//
+// Given fl(C_w) ≤ c_max and y ≥ yMin, y/C_w ≥ yMin/c_max, and division
+// rounds monotonically, so each Case-2 term of UpperBoundCoords is at
+// least fl(yMin/c_max); Case-1 terms are 1. IndexPrunable instead tests
+// y ≤ fl(γ·C_w): for γ < BoundFloor(yMin, true) the real product is below
+// yMin·(1+2⁻⁵³)(1+κ)/(1+floorMargin) ≤ yMin·(1 − 2⁻⁵²), so it rounds to at
+// most the float below yMin, and no y ≥ yMin passes the test.
+func BoundFloor(yMin float64, oneSided bool) float64 {
+	if !(yMin >= 0x1p-1000) {
+		return 0
+	}
+	c := maxDenomTwoSided
+	if oneSided {
+		c = maxDenomOneSided
+	}
+	return math.Min(1, yMin/c)
+}
+
 // EffectiveDistanceLB returns the pivot-space lower bound on the distance
 // that enters the Markov denominator: the triangle lower bound
 // max_r |x_s[r] − x_t[r]| for the one-sided measure, or for the two-sided
