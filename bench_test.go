@@ -111,23 +111,53 @@ func benchInferMatrix(b *testing.B, n, l int, seed uint64) *gene.Matrix {
 
 // BenchmarkInferPruned is the headline benchmark of the batched inference
 // kernel: full query-graph inference (Lemma-3 pruning + Monte Carlo
-// estimation) over an n=100, l=50 matrix, scalar path vs batch kernel. The
-// batch sub-run reports its speedup over the scalar sub-run.
+// estimation) over an n=100, l=50 matrix, scalar kernel vs batch kernel.
+// The batch sub-run reports its speedup over the scalar sub-run.
+//
+// The nQ=2 sub-runs infer a two-gene query — one target column with one
+// partner — below the planner's MinBatchGenes of 3, where an adaptive plan
+// picks the scalar kernel. As in core's work units, one scorer/pruner pair
+// is reseeded per inference there instead of rebuilt.
 func BenchmarkInferPruned(b *testing.B) {
 	m := benchInferMatrix(b, 100, 50, 26)
+	benchInferKernels(b, func(batch bool) func() error {
+		return func() error {
+			sc := grn.NewRandomizedScorer(27, stats.DefaultSamples)
+			sc.Batch = batch
+			_, _, err := grn.InferPruned(m, sc, grn.NewPruner(28, 16), 0.5)
+			return err
+		}
+	})
+	b.Run("nQ=2", func(b *testing.B) {
+		q := benchInferMatrix(b, 2, 50, 26)
+		benchInferKernels(b, func(batch bool) func() error {
+			sc, pr := grn.NewRandomizedScorer(27, stats.DefaultSamples), grn.NewPruner(28, 16)
+			sc.Batch = batch
+			return func() error {
+				sc.Reseed(27)
+				pr.Reseed(28)
+				_, _, err := grn.InferPruned(q, sc, pr, 0.5)
+				return err
+			}
+		})
+	})
+}
+
+// benchInferKernels runs the inference infer builds for the scalar kernel,
+// then for the batch kernel, as two sub-benchmarks; the batch sub-run
+// reports its speedup over the scalar one.
+func benchInferKernels(b *testing.B, infer func(batch bool) func() error) {
 	var scalarNsPerOp float64
 	for _, mode := range []struct {
 		name  string
 		batch bool
 	}{{"scalar", false}, {"batch", true}} {
 		b.Run(mode.name, func(b *testing.B) {
+			run := infer(mode.batch)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sc := grn.NewRandomizedScorer(27, stats.DefaultSamples)
-				sc.Batch = mode.batch
-				pr := grn.NewPruner(28, 16)
-				if _, _, err := grn.InferPruned(m, sc, pr, 0.5); err != nil {
+				if err := run(); err != nil {
 					b.Fatal(err)
 				}
 			}

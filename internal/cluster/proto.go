@@ -70,10 +70,9 @@ type WireParams struct {
 	Seed     uint64  `json:"seed"`
 	Analytic bool    `json:"analytic,omitempty"`
 	OneSided bool    `json:"oneSided,omitempty"`
-	// Workers and Grain are shipped because intra-query parallelism
-	// changes the Monte Carlo work-unit streams (Workers) — the shard must
-	// execute with the coordinator's setting for byte-identity — while
-	// Grain only schedules.
+	// Workers and Grain ship as the shard's intra-query worker budget and
+	// scheduling grain. Neither changes a Monte Carlo stream or an answer:
+	// every work unit draws from its own (Seed, unit) stream.
 	Workers int `json:"workers,omitempty"`
 	Grain   int `json:"grain,omitempty"`
 }
@@ -232,8 +231,8 @@ func (w WireStats) Stats() core.Stats {
 // BatchExecRequest is the /cluster/exec envelope: every item of one
 // request for one global shard in one RPC. Solo marks the P=1 degenerate
 // case: the shard server runs the caller's params untouched on its single
-// shard — the same sequential stream the unsharded engine uses — instead
-// of the derived-seed scatter leg.
+// shard — the same streams the unsharded engine uses — instead of the
+// derived-seed scatter leg.
 type BatchExecRequest struct {
 	Proto   int    `json:"proto"`
 	QueryID string `json:"queryId"`

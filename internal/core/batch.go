@@ -23,10 +23,10 @@ import (
 //
 // Determinism contract: batch results are byte-identical to running the
 // same items sequentially against the same engine, and so is every
-// counter of an item's Stats, page I/O included. Each item's processor
-// owns its private sequential inference stream, refinement draws from
-// per-edge streams, and item order makes a shared edge-probability cache
-// warm in exactly the sequential order.
+// counter of an item's Stats, page I/O included. Query inference draws
+// from per-column streams, refinement from per-edge streams, and item
+// order makes a shared edge-probability cache warm in exactly the
+// sequential order.
 
 // BatchItem is one query of a batch: a query matrix (or a pre-inferred
 // query graph) plus its own full parameter set.

@@ -109,8 +109,8 @@ func TestBatchItemStatsEqualSolo(t *testing.T) {
 		for _, asGraph := range []bool{false, true} {
 			t.Run(fmt.Sprintf("scalarKernel=%v/graphItems=%v", scalar, asGraph), func(t *testing.T) {
 				mkItems := func() []core.BatchItem {
-					params := core.Params{Gamma: 0.5, Alpha: 0.3, Samples: 32, Seed: 9,
-						DisableBatchInference: scalar, Cache: core.NewEdgeProbCache(1 << 12)}
+					params := core.Params{Gamma: 0.5, Alpha: 0.3, Seed: 9,
+						Plan: kernelPlan(t, 32, !scalar), Cache: core.NewEdgeProbCache(1 << 12)}
 					items := make([]core.BatchItem, len(queries))
 					for i, q := range queries {
 						items[i] = core.BatchItem{Matrix: q, Params: params}

@@ -127,8 +127,8 @@ func TestParallelMCScheduleIndependent(t *testing.T) {
 	assertSameResults(t, "workers=2 vs workers=8", a2, st2, a8, st8)
 }
 
-// TestSequentialUnchangedByWorkersFlag: Workers=0 and Workers=1 both take
-// the original single-stream path and must agree exactly (MC included).
+// TestSequentialUnchangedByWorkersFlag: Workers=0 and Workers=1 both run
+// every work unit inline and must agree exactly (MC included).
 func TestSequentialUnchangedByWorkersFlag(t *testing.T) {
 	ds, idx := buildConcFixture(t, 47)
 	run := func(workers int) ([]core.Answer, core.Stats) {

@@ -12,6 +12,7 @@ import (
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/pivot"
+	"github.com/imgrn/imgrn/internal/plan"
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/stats"
 	"github.com/imgrn/imgrn/internal/synth"
@@ -446,7 +447,7 @@ func TestEdgeStreamEstimatesInLemma2Envelope(t *testing.T) {
 	outside := 0
 	for trial := 0; trial < trials; trial++ {
 		l := 3 + data.Intn(5)
-		m := randomMatrix(t, data, trial, l)
+		m := randomMatrix(t, data, trial, 2, l)
 		oneSided := data.Intn(2) == 0
 		proc.params.OneSided = oneSided
 		xa, xb := m.StdCol(0), m.StdCol(1)
@@ -470,22 +471,89 @@ func TestEdgeStreamEstimatesInLemma2Envelope(t *testing.T) {
 	}
 }
 
-// randomMatrix is a two-gene matrix of l samples with a random
-// correlation, labelled source.
-func randomMatrix(t *testing.T, rng *randgen.Rand, source, l int) *gene.Matrix {
-	t.Helper()
-	for {
-		rho := 2*rng.Float64() - 1
-		x, y := make([]float64, l), make([]float64, l)
-		for i := range x {
-			x[i] = rng.Gaussian(0, 1)
-			y[i] = rho*x[i] + math.Sqrt(1-rho*rho)*rng.Gaussian(0, 1)
-		}
-		m, err := gene.NewMatrix(source, []gene.ID{1, 2}, [][]float64{x, y})
+// TestColumnInferenceEstimatesInLemma2Envelope is the same gate for query
+// inference: every estimate a target column's work unit draws from its
+// (Seed, column) stream, on either kernel, at R = SampleSize(ε, δ) is an
+// (ε, δ)-approximation of the exact permutation probability. Four-gene
+// query matrices of length l ≤ 7 go through InferQueryGraph at γ = 0, so
+// Lemma 3 keeps every pair; a pair without an edge estimated 0.
+func TestColumnInferenceEstimatesInLemma2Envelope(t *testing.T) {
+	const eps, delta, genes = 0.1, 0.05, 4
+	samples := stats.SampleSize(eps, delta)
+	trials := 200
+	if testing.Short() {
+		trials = 60
+	}
+	for _, batch := range []bool{true, false} {
+		pl, err := plan.Resolve(plan.Request{Samples: samples, Pivot: true, Signatures: true, Markov: true, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Informative(0) && m.Informative(1) {
+		data := randgen.New(0x1e44a4)
+		outside, estimates := 0, 0
+		for trial := 0; trial < trials; trial++ {
+			m := randomMatrix(t, data, trial, genes, 3+data.Intn(5))
+			oneSided := data.Intn(2) == 0
+			proc, err := NewProcessor(nil, Params{Seed: uint64(trial), OneSided: oneSided, Plan: pl})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := proc.InferQueryGraph(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s := 0; s < genes; s++ {
+				for u := s + 1; u < genes; u++ {
+					xs, xu := m.StdCol(s), m.StdCol(u)
+					exact := stats.ExactAbsEdgeProbability(xs, xu)
+					if oneSided {
+						exact = stats.ExactEdgeProbability(xs, xu)
+					}
+					got, _ := g.EdgeProb(s, u)
+					if math.Abs(got-exact) > eps {
+						outside++
+					}
+					estimates++
+				}
+			}
+		}
+		budget := delta*float64(estimates) + 4*math.Sqrt(delta*(1-delta)*float64(estimates))
+		t.Logf("batch=%v: %d of %d estimates outside ±%v, budget %.1f", batch, outside, estimates, eps, budget)
+		if float64(outside) > budget {
+			t.Errorf("batch=%v: %d of %d estimates at R=%d fall outside ±%v of the exact probability, budget %.1f",
+				batch, outside, estimates, samples, eps, budget)
+		}
+	}
+}
+
+// randomMatrix is a matrix of the given number of genes and l samples,
+// labelled source. Every gene correlates with the first at a random ρ.
+func randomMatrix(t *testing.T, rng *randgen.Rand, source, genes, l int) *gene.Matrix {
+	t.Helper()
+	ids := make([]gene.ID, genes)
+	for j := range ids {
+		ids[j] = gene.ID(j + 1)
+	}
+	for {
+		rhos := make([]float64, genes)
+		cols := make([][]float64, genes)
+		for j := range cols {
+			if j > 0 {
+				rhos[j] = 2*rng.Float64() - 1
+			}
+			cols[j] = make([]float64, l)
+		}
+		for i := 0; i < l; i++ {
+			cols[0][i] = rng.Gaussian(0, 1)
+			for j := 1; j < genes; j++ {
+				cols[j][i] = rhos[j]*cols[0][i] + math.Sqrt(1-rhos[j]*rhos[j])*rng.Gaussian(0, 1)
+			}
+		}
+		m, err := gene.NewMatrix(source, ids, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(grn.InformativeColumns(m, nil)) == genes {
 			return m
 		}
 	}

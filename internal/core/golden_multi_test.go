@@ -7,9 +7,6 @@ import (
 	"testing"
 
 	"github.com/imgrn/imgrn/internal/core"
-	"github.com/imgrn/imgrn/internal/index"
-	"github.com/imgrn/imgrn/internal/randgen"
-	"github.com/imgrn/imgrn/internal/synth"
 )
 
 // goldenBatchFingerprint pins the multi-query batch engine the same way
@@ -22,23 +19,10 @@ import (
 // not carry those two counters).
 func goldenBatchFingerprint(t *testing.T, params core.Params) string {
 	t.Helper()
-	ds, err := synth.GenerateDatabase(synth.DBParams{N: 120, NMin: 20, NMax: 40, LMin: 20, LMax: 30, Seed: 7, Dist: synth.Gaussian})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, err := index.Build(ds.DB, index.Options{D: 2, Samples: 24, Seed: 7, Bits: 512, BufferPages: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := randgen.New(99)
-	items := make([]core.BatchItem, 6)
-	for i := range items {
-		q, _, err := ds.ExtractQuery(rng, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := params
-		items[i] = core.BatchItem{Matrix: q, Params: p}
+	idx, queries := goldenFixture(t)
+	items := make([]core.BatchItem, len(queries))
+	for i, q := range queries {
+		items[i] = core.BatchItem{Matrix: q, Params: params}
 	}
 
 	fingerprint := func(i int, a []core.Answer, st core.Stats) string {
@@ -100,7 +84,7 @@ func goldenBatchFingerprint(t *testing.T, params core.Params) string {
 // with GOLDEN_WRITE=1 after an intentional algorithm change.
 func TestMultiQueryGoldenFingerprint(t *testing.T) {
 	got := goldenBatchFingerprint(t, core.Params{Gamma: 0.5, Alpha: 0.4, Samples: 48, Seed: 9,
-		DisableBatchInference: true})
+		Plan: kernelPlan(t, 48, false)})
 	compareGolden(t, "testdata/golden_multi.txt", got)
 }
 

@@ -53,12 +53,10 @@ type Params struct {
 
 	// Workers bounds intra-query parallelism: candidate refinement and
 	// Monte Carlo query-graph inference fan out across up to Workers
-	// goroutines. Refinement answers do not depend on it: every edge
-	// estimate draws from its own (Seed, source, column pair) stream. Query
-	// inference does: 0 or 1 runs it on one sequential RNG stream, and for
-	// Workers > 1 every work unit (target column, gene pair) derives its
-	// randomness from (Seed, unit) alone, so answers are deterministic
-	// regardless of the goroutine schedule.
+	// goroutines (0 or 1 runs every work unit inline). Neither graphs nor
+	// answers depend on it: every refinement edge estimate draws from its
+	// own (Seed, source, column pair) stream and every inference target
+	// column from its own (Seed, column) stream, whichever worker runs it.
 	Workers int
 
 	// Grain is the work-stealing scheduler's chunk size: the number of
@@ -100,7 +98,8 @@ type Params struct {
 	// the server installs adaptive plans from its cost-model Planner.
 	// When set, the plan's decisions override Samples and the stage
 	// switches below (DisableIndexPruning and DisableGeneRange stay
-	// caller-controlled: they are ablation-only and not planned).
+	// caller-controlled: they are ablation-only and not planned), and its
+	// Batch decision picks the query-inference kernel.
 	Plan *plan.Plan
 
 	// Ablation switches (used by the benchmark harness to isolate the
@@ -110,16 +109,6 @@ type Params struct {
 	DisableSignatures    bool // skip bit-vector gene/source node filters
 	DisableGeneRange     bool // skip gene-ID MBR range tests on node pairs
 	DisableMarkovPruning bool // skip Lemma-5 graph existence pruning of candidates
-
-	// DisableBatchInference turns off the batched Monte Carlo inference
-	// kernel for query-graph inference, falling back to the per-pair scalar
-	// estimators (the reference implementation). The batch kernel is on by
-	// default; it consumes the scorer RNG per target column rather than per
-	// pair, so fixed-seed query graphs differ between the two settings
-	// (both deterministic, statistically equivalent). Flip this on to
-	// reproduce pre-kernel golden outputs or to bisect a suspected kernel
-	// discrepancy against the scalar reference.
-	DisableBatchInference bool
 }
 
 // Validate reports whether the thresholds are in range, including the
@@ -142,8 +131,9 @@ func (p Params) Validate() error {
 }
 
 // planRequest maps the params onto the planner's view of the query: the
-// stage switches invert the Disable* ablation flags, and the accuracy
-// and sample knobs pass through.
+// stage switches invert the Disable* ablation flags, the accuracy and
+// sample knobs pass through, and the batch inference kernel is requested
+// (a pinned Plan is the one way to select the scalar kernel).
 func (p Params) planRequest() plan.Request {
 	return plan.Request{
 		Eps:        p.Eps,
@@ -152,7 +142,7 @@ func (p Params) planRequest() plan.Request {
 		Pivot:      !p.DisablePivotPruning,
 		Signatures: !p.DisableSignatures,
 		Markov:     !p.DisableMarkovPruning,
-		Batch:      !p.DisableBatchInference,
+		Batch:      true,
 	}
 }
 
@@ -176,7 +166,6 @@ func (p Params) ResolvePlan() (Params, error) {
 	p.DisablePivotPruning = !pl.Pivot
 	p.DisableSignatures = !pl.Signatures
 	p.DisableMarkovPruning = !pl.Markov
-	p.DisableBatchInference = !pl.Batch
 	return p, nil
 }
 

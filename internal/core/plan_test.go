@@ -13,7 +13,7 @@ import (
 // TestDefaultPlanGoldenFingerprint pins the planner seam's core contract:
 // explicitly resolving the fixed default plan and pinning it on the
 // params reproduces the golden fingerprints byte-for-byte, on both the
-// scalar and the batch-kernel suites. A planner regression that perturbs
+// scalar (a plan resolved with Batch off) and the batch-kernel suites. A planner regression that perturbs
 // the default pipeline (samples, stage set, RNG consumption) fails here
 // before it can silently ship.
 func TestDefaultPlanGoldenFingerprint(t *testing.T) {
@@ -23,7 +23,7 @@ func TestDefaultPlanGoldenFingerprint(t *testing.T) {
 		golden string
 	}{
 		{"scalar", core.Params{Gamma: 0.5, Alpha: 0.4, Samples: 48, Seed: 9,
-			DisableBatchInference: true}, "testdata/golden.txt"},
+			Plan: kernelPlan(t, 48, false)}, "testdata/golden.txt"},
 		{"batch", core.Params{Gamma: 0.5, Alpha: 0.4, Samples: 48, Seed: 9},
 			"testdata/golden_batch.txt"},
 	} {
@@ -140,8 +140,7 @@ func TestResolvePlanIdempotent(t *testing.T) {
 	if once.Samples != twice.Samples ||
 		once.DisablePivotPruning != twice.DisablePivotPruning ||
 		once.DisableSignatures != twice.DisableSignatures ||
-		once.DisableMarkovPruning != twice.DisableMarkovPruning ||
-		once.DisableBatchInference != twice.DisableBatchInference {
+		once.DisableMarkovPruning != twice.DisableMarkovPruning {
 		t.Errorf("resolution not idempotent: %+v vs %+v", once, twice)
 	}
 }

@@ -21,25 +21,16 @@ import (
 
 // Processor answers IM-GRN queries over one index (Figure 4).
 //
-// Refinement draws every Monte Carlo edge estimate from that edge's own
-// stream, so a refinement estimate is a function of (Seed, source, column
-// pair, R) alone. Sequential (Workers <= 1) query inference is the one
-// stream a Processor carries across queries, which makes a Processor NOT
-// safe for concurrent use in that mode. Create one Processor per in-flight
-// query (the public Engine does exactly that) and use QueryContext to
-// attach cancellation, deadlines, and a worker budget.
+// Every Monte Carlo draw comes from a stream addressed by its work unit:
+// a query-inference target column by (Seed, column), a refinement edge by
+// (Seed, source, column pair). A query graph and its answers are therefore
+// functions of the index contents and Params alone, at every Workers. A
+// Processor holds nothing beyond its params and is safe for concurrent
+// use; QueryContext attaches cancellation, deadlines and a worker budget.
 type Processor struct {
-	idx    *index.Index
-	params Params
-
-	// scorer/pruner hold the sequential (Workers <= 1) query-inference
-	// streams. They are built lazily (seqScorers): refinement and parallel
-	// inference address their randomness per work unit and never touch
-	// them, and the sharded scatter path constructs one Processor per shard
-	// per query on pre-inferred graphs.
-	scorer   *grn.RandomizedScorer
+	idx      *index.Index
+	params   Params
 	analytic grn.AnalyticScorer
-	pruner   *grn.Pruner
 }
 
 // NewProcessor returns a processor for idx with the given parameters.
@@ -62,25 +53,8 @@ func NewProcessor(idx *index.Index, params Params) (*Processor, error) {
 	}, nil
 }
 
-// seqScorers returns the processor's sequential scorer/pruner pair,
-// constructing it on first use. The construction parameters are exactly
-// those of the former eager constructor, so the sequential sample streams
-// are byte-identical to the pre-lazy implementation.
-func (p *Processor) seqScorers() (*grn.RandomizedScorer, *grn.Pruner) {
-	if p.scorer == nil {
-		sc := grn.NewRandomizedScorer(p.params.Seed^seedScorer, p.params.Samples)
-		sc.OneSided = p.params.OneSided
-		sc.Batch = !p.params.DisableBatchInference
-		pr := grn.NewPruner(p.params.Seed^seedPruner, p.params.BoundSamples)
-		pr.OneSided = p.params.OneSided
-		p.scorer, p.pruner = sc, pr
-	}
-	return p.scorer, p.pruner
-}
-
-// Seed-space separation constants: the scorer and pruner streams must stay
-// distinct, and the parallel path derives per-work-unit seeds from the
-// same constants so Workers = 1 and the pre-parallel implementation agree.
+// Seed-space separation constants: the scorer and pruner streams of one
+// work unit must stay distinct.
 const (
 	seedScorer = 0xa5b35705f39c2d17
 	seedPruner = 0x94d049bb133111eb
@@ -103,13 +77,13 @@ func (p *Processor) newExec(ctx context.Context) *exec.Context {
 
 // InferQueryGraph reconstructs the query GRN Q from the query matrix
 // (Fig. 4 line 1), with Lemma-3 edge inference pruning ahead of each
-// Monte Carlo estimate.
+// Monte Carlo estimate. It returns the graph Query matches.
 func (p *Processor) InferQueryGraph(mq *gene.Matrix) (*grn.Graph, error) {
 	return p.inferQueryGraph(exec.Background(nil), mq)
 }
 
 // InferQueryGraphContext is InferQueryGraph under an explicit context:
-// cancellation is honored and params.Workers > 1 fans the pair estimates
+// cancellation is honored and params.Workers > 1 fans the target columns
 // out across the worker pool. The sharded coordinator uses it to infer the
 // query graph once before scattering it over the shards.
 func (p *Processor) InferQueryGraphContext(ctx context.Context, mq *gene.Matrix) (*grn.Graph, error) {
@@ -118,24 +92,12 @@ func (p *Processor) InferQueryGraphContext(ctx context.Context, mq *gene.Matrix)
 	return p.inferQueryGraph(ec, mq)
 }
 
-// inferQueryGraph is InferQueryGraph under an execution context: with a
-// worker budget it fans the O(n²) pair estimates out with per-pair seeds
-// (see inferPrunedParallel); sequentially it reproduces the single-stream
-// algorithm exactly.
+// inferQueryGraph is InferQueryGraph under an execution context.
 func (p *Processor) inferQueryGraph(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, error) {
 	if p.params.Analytic {
 		return grn.Infer(mq, p.analytic, p.params.Gamma)
 	}
-	if ec.Parallel() {
-		return p.inferPrunedParallel(ec, mq)
-	}
-	begin := time.Now()
-	sc, pr := p.seqScorers()
-	g, st, err := grn.InferPruned(mq, sc, pr, p.params.Gamma)
-	if err == nil && st.Kernel > 0 {
-		ec.Tracer().Record(obs.StageInferKernel, begin, st.Kernel, st.Pairs, st.Estimated)
-	}
-	return g, err
+	return p.inferPruned(ec, mq)
 }
 
 // candidatePair is a surviving (source, column, column) gene pair.
@@ -509,7 +471,7 @@ func reduceCandidates(qs *queryScratch, pairs []candidatePair, neighbors int, st
 }
 
 // candOutcome is the per-candidate result of verifyCandidate, aggregated
-// into Stats deterministically (in source order) by both refine paths.
+// into Stats deterministically (in source order) by refine.
 type candOutcome struct {
 	answer      *Answer
 	prunedL5    bool
@@ -533,37 +495,6 @@ func (st *Stats) applyCandidate(o candOutcome) {
 	st.Draws += o.draws
 	st.MarkovPrune += o.markovDur
 	st.MonteCarlo += o.verifyDur
-}
-
-// refine implements lines 28–30: Lemma-5 graph existence pruning on each
-// candidate matrix followed by exact verification of Definition 4. With a
-// worker budget the candidates are verified in parallel (refineParallel);
-// otherwise one after the other. A candidate's result does not depend on
-// which: every estimate draws from its edge's own stream.
-//
-// Lemma 5 is skipped for the whole query when the plan switches it off or
-// when the index certifies that it cannot prune (markovFutile).
-func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int, st *Stats) ([]Answer, error) {
-	if p.params.Sink != nil {
-		return p.refineStreamed(ec, q, qEdges, sources, st)
-	}
-	skipMarkov := p.params.DisableMarkovPruning || p.markovFutile(len(qEdges))
-	if ec.Parallel() {
-		return p.refineParallel(ec, q, qEdges, sources, skipMarkov, st)
-	}
-	var answers []Answer
-	ws := queryScratchFor(ec).worker(0)
-	for _, src := range sources {
-		if err := ec.Err(); err != nil {
-			return nil, err
-		}
-		o := p.verifyCandidate(ec.IO(), q, qEdges, src, ws, skipMarkov)
-		st.applyCandidate(o)
-		if o.answer != nil {
-			answers = append(answers, *o.answer)
-		}
-	}
-	return answers, nil
 }
 
 // colBufs is the reusable scratch space of one verification stream.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"github.com/imgrn/imgrn/internal/exec"
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/pagestore"
@@ -10,8 +12,8 @@ import (
 // Per-query scratch pooled through the exec.Arena (DESIGN.md §11).
 //
 // The arena keeps one queryScratch alive across queries: per-worker
-// scorer/pruner pairs are Reseed-ed per work unit (a refinement edge, a
-// query target column or gene pair) instead of rebuilt — observationally
+// scorer/pruner pairs are Reseed-ed per work unit (a refinement edge or a
+// query-inference target column) instead of rebuilt — observationally
 // identical, since every estimator entry point refills its scratch before
 // reading it — and the flat result slices are resized in place.
 //
@@ -28,6 +30,12 @@ type workerScratch struct {
 	sc   *grn.RandomizedScorer
 	pr   *grn.Pruner
 	bufs colBufs
+
+	// Query inference totals of the units this slot ran: kernel time and
+	// pairs estimated. Summed across slots, so the schedule cannot move
+	// them.
+	inferKernel    time.Duration
+	inferEstimated int
 }
 
 // streamCand is one candidate of the streamed (top-k sink) refinement:
@@ -44,17 +52,24 @@ type queryScratch struct {
 	readers  []*pagestore.Reader
 	cands    []streamCand
 	sources  []int
-	scores   []float64
-	pairs    []genePair
+
+	// Refinement's fan-out: the running query's inputs, and the work
+	// function bound to them once per scratch. A closure handed to the
+	// scheduler escapes, so one built per query would be refinement's only
+	// allocation for a query without answers.
+	refine     refineJob
+	verifyUnit func(w, i int) error
+
+	// Query inference: the informative columns and, per target column
+	// cols[k], the estimates of its partners cols[:k] at offset k(k−1)/2.
+	inferCols  []int
+	inferProbs []float64
 
 	// Traversal scratch: the descent's priority queue and its
 	// candidate-pair output.
 	heap      levelHeap
 	candPairs []candidatePair
 }
-
-// genePair is one (s, t) work unit of parallel scalar query inference.
-type genePair struct{ s, t int }
 
 // queryScratchFor returns the query's pooled scratch, creating and
 // registering it on first use. Without an arena (legacy Background
@@ -89,9 +104,9 @@ func (qs *queryScratch) growWorkers(n int) {
 // primeScorers readies worker scratch ws for one work unit: the pooled
 // scorer/pruner pair is reseeded from the query Seed and the unit's own
 // coordinates — (source, lower column, higher column) for a refinement
-// edge, the target column or gene pair for query inference — and every
-// params-derived knob is reset (the arena is shared across queries with
-// different Params).
+// edge, the target column for query inference — and every params-derived
+// knob is reset (the arena is shared across queries with different
+// Params). The inference kernel (sc.Batch) is the caller's to set.
 func (p *Processor) primeScorers(ws *workerScratch, coords ...uint64) (*grn.RandomizedScorer, *grn.Pruner) {
 	if ws.sc == nil {
 		ws.sc = grn.NewRandomizedScorer(0, 0)
@@ -101,7 +116,6 @@ func (p *Processor) primeScorers(ws *workerScratch, coords ...uint64) (*grn.Rand
 	sc.Reseed(randgen.SeedFrom(p.params.Seed^seedScorer, coords...))
 	sc.Samples = p.params.Samples
 	sc.OneSided = p.params.OneSided
-	sc.Batch = !p.params.DisableBatchInference
 	pr.Reseed(randgen.SeedFrom(p.params.Seed^seedPruner, coords...))
 	pr.BoundSamples = p.params.BoundSamples
 	if pr.BoundSamples <= 0 {

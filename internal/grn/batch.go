@@ -1,25 +1,24 @@
 package grn
 
 import (
-	"time"
-
 	"github.com/imgrn/imgrn/internal/gene"
 )
 
 // This file is the grn-level face of the batched Monte Carlo inference
-// kernel (DESIGN.md §9). The scalar path scores each candidate pair (s, t)
-// independently — R fresh permutations of Xt and R distance passes per
-// pair. The batch path fixes the target column t, draws its R permutations
-// once into a stats.PermBatch, and scores every partner s < t against that
-// shared batch with blocked dot-product kernels, turning the O(n²·R·l) hot
-// loop into n shared batch fills plus blocked mat-mat inner products.
+// kernel (DESIGN.md §9). The scalar kernel scores each candidate pair
+// (s, t) independently — R fresh permutations of Xt and R distance passes
+// per pair. The batch kernel fixes the target column t, draws its R
+// permutations once into a stats.PermBatch, and scores every partner s < t
+// against that shared batch with blocked dot-product kernels, turning the
+// O(n²·R·l) hot loop into n shared batch fills plus blocked mat-mat inner
+// products.
 //
-// RNG-consumption order: the scalar path draws R permutations per PAIR in
-// (s, t) lexicographic order; the batch path draws R permutations per
-// COLUMN t (and, under pruning, only scores the survivors). Fixed-seed
-// outputs therefore differ between the paths while both remain
-// deterministic and statistically equivalent estimates of the same
-// probabilities.
+// RNG-consumption order: both kernels run column by column (InferColumn),
+// t ascending. Within a column the scalar kernel draws per PAIR, s
+// ascending; the batch kernel draws once per COLUMN. Under pruning each
+// scores only the survivors. Fixed-seed outputs therefore differ between
+// the kernels while both remain deterministic and statistically equivalent
+// estimates of the same probabilities.
 
 // ScoreColumn scores every source column in srcs against target column t
 // using one shared permutation batch, writing dst[i] for srcs[i]. All
@@ -62,84 +61,10 @@ func gatherStdCols(buf [][]float64, m *gene.Matrix, idx []int) [][]float64 {
 // informative sources s < t in one ScoreColumn call and hands the column's
 // results to visit. The srcs and probs slices are reused across columns.
 func forEachColumnBatch(m *gene.Matrix, sc *RandomizedScorer, visit func(t int, srcs []int, probs []float64)) {
-	n := m.NumGenes()
-	srcs := make([]int, 0, n)
-	probs := make([]float64, 0, n)
-	for t := 1; t < n; t++ {
-		if !m.Informative(t) {
-			continue
-		}
-		srcs = srcs[:0]
-		for s := 0; s < t; s++ {
-			if m.Informative(s) {
-				srcs = append(srcs, s)
-			}
-		}
-		if len(srcs) == 0 {
-			continue
-		}
-		probs = probs[:len(srcs)]
-		sc.ScoreColumn(m, t, srcs, probs)
-		visit(t, srcs, probs)
+	cols := InformativeColumns(m, make([]int, 0, m.NumGenes()))
+	probs := make([]float64, len(cols))
+	for k := 1; k < len(cols); k++ {
+		sc.ScoreColumn(m, cols[k], cols[:k], probs[:k])
+		visit(cols[k], cols[:k], probs[:k])
 	}
-}
-
-// inferPrunedBatch is InferPruned's batched implementation: per target
-// column it bounds all candidate partners against a shared BoundSamples
-// batch (Lemma 3 pruning), then scores only the survivors against a shared
-// Samples batch. The scorer batch is filled lazily — a fully pruned column
-// consumes no scorer RNG, mirroring the scalar path where pruned pairs are
-// never scored.
-func inferPrunedBatch(m *gene.Matrix, sc *RandomizedScorer, pr *Pruner, gamma float64) (*Graph, InferStats, error) {
-	var st InferStats
-	g := NewGraph(m.Genes())
-	n := m.NumGenes()
-	srcs := make([]int, 0, n)
-	survivors := make([]int, 0, n)
-	vals := make([]float64, n)
-	for t := 1; t < n; t++ {
-		if !m.Informative(t) {
-			continue
-		}
-		srcs = srcs[:0]
-		for s := 0; s < t; s++ {
-			if m.Informative(s) {
-				srcs = append(srcs, s)
-			}
-		}
-		if len(srcs) == 0 {
-			continue
-		}
-		st.Pairs += len(srcs)
-		survivors = survivors[:0]
-		if pr != nil {
-			st.BoundCalls += pr.BoundSamples
-			begin := time.Now()
-			pr.UpperBoundColumn(m, t, srcs, vals)
-			st.Kernel += time.Since(begin)
-			for i, s := range srcs {
-				if vals[i] <= gamma {
-					st.Pruned++
-				} else {
-					survivors = append(survivors, s)
-				}
-			}
-		} else {
-			survivors = append(survivors, srcs...)
-		}
-		if len(survivors) == 0 {
-			continue
-		}
-		st.Estimated += len(survivors)
-		begin := time.Now()
-		sc.ScoreColumn(m, t, survivors, vals)
-		st.Kernel += time.Since(begin)
-		for i, s := range survivors {
-			if vals[i] > gamma {
-				g.SetEdge(s, t, vals[i])
-				st.Edges++
-			}
-		}
-	}
-	return g, st, nil
 }

@@ -2,6 +2,8 @@ package grn
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"github.com/imgrn/imgrn/internal/gene"
@@ -123,9 +125,9 @@ type InferStats struct {
 	Estimated int // pairs that required the full Monte Carlo estimate
 	Edges     int // edges in the resulting graph
 	// BoundCalls counts Monte Carlo samples spent on bounds (diagnostic).
-	// On the scalar path this is BoundSamples per non-pruned-out pair; on
-	// the batch path the permutations are shared across a whole target
-	// column, so it is BoundSamples per column with ≥1 candidate pair.
+	// On the scalar kernel this is BoundSamples per pair; on the batch
+	// kernel the permutations are shared across a whole target column, so
+	// it is BoundSamples per column with ≥1 candidate pair.
 	BoundCalls int
 	// Kernel is the time spent inside the batched inference kernel (batch
 	// fills, blocked inner products, bound/score reductions); zero on the
@@ -138,40 +140,105 @@ type InferStats struct {
 // applying the Lemma 3 edge inference pruning before each exact Monte Carlo
 // estimate: when ub_P(e) = E(Z)/dist ≤ γ the edge cannot exist and the
 // expensive estimate is skipped. This is the query-graph inference step of
-// the IM-GRN_Processing algorithm (Fig. 4, line 1).
+// the IM-GRN_Processing algorithm (Fig. 4, line 1). It runs InferColumn on
+// every informative target column t in ascending order, against the
+// informative partners s < t, on the one stream of sc and pr.
 func InferPruned(m *gene.Matrix, sc *RandomizedScorer, pr *Pruner, gamma float64) (*Graph, InferStats, error) {
-	if sc.Batch {
-		return inferPrunedBatch(m, sc, pr, gamma)
-	}
 	var st InferStats
 	g := NewGraph(m.Genes())
-	n := m.NumGenes()
-	for s := 0; s < n; s++ {
-		if !m.Informative(s) {
-			continue
+	cols := InformativeColumns(m, make([]int, 0, m.NumGenes()))
+	probs := make([]float64, len(cols))
+	for k := 1; k < len(cols); k++ {
+		t, srcs := cols[k], cols[:k]
+		st.Pairs += k
+		if pr != nil {
+			calls := pr.BoundSamples
+			if !sc.Batch {
+				calls *= k
+			}
+			st.BoundCalls += calls
 		}
-		xs := m.StdCol(s)
-		for t := s + 1; t < n; t++ {
-			if !m.Informative(t) {
-				continue
-			}
-			st.Pairs++
-			xt := m.StdCol(t)
-			if pr != nil {
-				st.BoundCalls += pr.BoundSamples
-				if pr.UpperBound(xs, xt) <= gamma {
-					st.Pruned++
-					continue
-				}
-			}
-			st.Estimated++
-			if p := sc.Score(m, s, t); p > gamma {
-				g.SetEdge(s, t, p)
+		begin := time.Now()
+		est := sc.InferColumn(m, t, srcs, pr, gamma, probs[:k])
+		if sc.Batch {
+			st.Kernel += time.Since(begin)
+		}
+		st.Estimated += est
+		st.Pruned += k - est
+		for i, s := range srcs {
+			if probs[i] > gamma {
+				g.SetEdge(s, t, probs[i])
 				st.Edges++
 			}
 		}
 	}
 	return g, st, nil
+}
+
+// InformativeColumns appends the informative column indices of m, in
+// ascending order, to buf[:0] and returns it. Column cols[k]'s informative
+// partners s < cols[k] are exactly cols[:k].
+func InformativeColumns(m *gene.Matrix, buf []int) []int {
+	buf = buf[:0]
+	for j := 0; j < m.NumGenes(); j++ {
+		if m.Informative(j) {
+			buf = append(buf, j)
+		}
+	}
+	return buf
+}
+
+// InferColumn is the column step of pruned inference: it bounds every
+// partner s in srcs against target column t (Lemma 3), keeps the partners
+// whose bound exceeds gamma, and scores the survivors. dst[i] receives
+// srcs[i]'s estimate, or NaN where Lemma 3 pruned the pair; the result is
+// the number of survivors. A nil pr keeps every partner. sc.Batch picks
+// the kernel: shared permutation batches of column t (UpperBoundColumn,
+// ScoreColumn), or per-pair UpperBound and Score in srcs order. Either way
+// the scorer draws nothing for a column Lemma 3 prunes entirely. All
+// indices must be informative columns of m, srcs ascending and below t;
+// dst must have length len(srcs).
+func (s *RandomizedScorer) InferColumn(m *gene.Matrix, t int, srcs []int, pr *Pruner, gamma float64, dst []float64) int {
+	switch {
+	case pr == nil:
+		for i := range dst {
+			dst[i] = math.Inf(1)
+		}
+	case s.Batch:
+		pr.UpperBoundColumn(m, t, srcs, dst)
+	default:
+		xt := m.StdCol(t)
+		for i, src := range srcs {
+			dst[i] = pr.UpperBound(m.StdCol(src), xt)
+		}
+	}
+	surv := s.surv[:0]
+	for i, src := range srcs {
+		if dst[i] > gamma {
+			surv = append(surv, src)
+		}
+	}
+	s.surv = surv
+	vals := slices.Grow(s.vals[:0], len(surv))[:len(surv)]
+	s.vals = vals
+	switch {
+	case len(surv) == 0:
+	case s.Batch:
+		s.ScoreColumn(m, t, surv, vals)
+	default:
+		for k, src := range surv {
+			vals[k] = s.Score(m, src, t)
+		}
+	}
+	k := 0
+	for i, src := range srcs {
+		dst[i] = math.NaN()
+		if k < len(surv) && surv[k] == src {
+			dst[i] = vals[k]
+			k++
+		}
+	}
+	return len(surv)
 }
 
 // GraphExistenceUpperBound returns UB_Pr{G} of Lemma 5: the product of

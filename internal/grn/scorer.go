@@ -43,16 +43,18 @@ type RandomizedScorer struct {
 	OneSided bool // use the signed Eq.-(4) form
 
 	// Batch enables the batched inference kernel (DESIGN.md §9): the bulk
-	// entry points (Infer, InferPruned, PairScores) share one permutation
-	// batch per target column and score all its partners with blocked
-	// dot-product kernels. Per-pair Score calls are unaffected. The batch
-	// path consumes the estimator RNG in a different order than the scalar
-	// path, so fixed-seed results differ between the two (both are
+	// entry points (Infer, InferPruned, InferColumn, PairScores) share one
+	// permutation batch per target column and score all its partners with
+	// blocked dot-product kernels. Per-pair Score calls are unaffected. The
+	// batch kernel consumes the estimator RNG in a different order than the
+	// scalar one, so fixed-seed results differ between the two (both are
 	// individually deterministic and statistically equivalent).
 	Batch bool
 
 	batch stats.PermBatch // ScoreColumn shared-permutation scratch
 	cols  [][]float64     // ScoreColumn source-column scratch
+	surv  []int           // InferColumn survivor scratch
+	vals  []float64       // InferColumn survivor-estimate scratch
 }
 
 // NewRandomizedScorer returns the canonical IM-GRN scorer with the batched

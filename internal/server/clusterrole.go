@@ -263,8 +263,8 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 	// inferred here at the BASE seed — the shared prologue of the
 	// in-process scatter — so every server derives the identical graph;
 	// solo legs (the P=1 degenerate case) hand every item to the full local
-	// engine untouched — the same sequential stream the unsharded engine
-	// uses, so solo deployments are byte-identical to Open().
+	// engine untouched — the same streams the unsharded engine uses, so
+	// solo deployments are byte-identical to Open().
 	type liveItem struct {
 		wire  int // index into req.Items (= the coordinator's frame index)
 		item  core.BatchItem

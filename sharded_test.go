@@ -73,6 +73,47 @@ func TestOpenShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
+// TestInferGraphMatchesQuery: InferGraph returns the graph Query matches.
+// Under Monte Carlo, at every worker count and both unsharded and over two
+// shards, QueryGraph of the inferred graph answers bit-identically to
+// Query of the matrix.
+func TestInferGraphMatchesQuery(t *testing.T) {
+	eng, seng, db := openBoth(t, 12, 46, 2)
+	for _, e := range []struct {
+		name string
+		eng  *imgrn.Engine
+	}{{"unsharded", eng}, {"shards=2", seng}} {
+		for _, workers := range []int{0, 2, 4} {
+			params := imgrn.QueryParams{Gamma: 0.5, Alpha: 0.05, Samples: 32, Seed: 47, Workers: workers, Grain: 1}
+			for src := 0; src < db.Len(); src++ {
+				label := fmt.Sprintf("%s workers=%d query %d", e.name, workers, src)
+				qm, err := db.BySource(src).SubMatrix(-1, []int{0, 1, 2, 3, 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wst, err := e.eng.Query(qm, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := e.eng.InferGraph(qm, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _, err := e.eng.QueryGraph(g, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.NumEdges() != wst.QueryEdges {
+					t.Errorf("%s: InferGraph has %d edges, Query matched %d", label, g.NumEdges(), wst.QueryEdges)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: QueryGraph(InferGraph) answers %v, Query %v", label, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestShardedTopKAndStats: sharded QueryTopK returns the ranking prefix,
 // and ShardStats exposes per-shard counters after queries ran.
 func TestShardedTopKAndStats(t *testing.T) {
