@@ -7,6 +7,7 @@
 package imgrn_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -512,12 +513,12 @@ func BenchmarkQueryIMGRN(b *testing.B) {
 // grown Fig. 6 query workload: 8-gene queries (nearly 3x the gene pairs
 // of the 5-gene figure queries) at Samples=4096, so Monte Carlo
 // estimation — the component the worker pool parallelizes — dominates,
-// as in the paper's expensive-query regime, and the work-stealing
-// scheduler has enough work units per fan-out to exercise stealing.
-// Workers=1 is the exact sequential algorithm; each sub-run reports its
-// wall-clock speedup over the workers=1 sub-run (bounded by GOMAXPROCS;
-// on a single-CPU host it stays ~1) and allocs/op, which the per-query
-// scratch arenas keep nearly flat across the sweep.
+// as in the paper's expensive-query regime, and the pool has enough work
+// units per fan-out to balance. Workers=1 runs every unit inline; each
+// sub-run reports its wall-clock speedup over the workers=1 sub-run
+// (bounded by GOMAXPROCS; on a single-CPU host it stays ~1) and
+// allocs/op, which the per-query scratch arenas keep nearly flat across
+// the sweep.
 func BenchmarkParallelQuery(b *testing.B) {
 	qb := setupQueryBench(b, 16)
 	rng := randgen.New(16 ^ 0xfeed)
@@ -551,6 +552,46 @@ func BenchmarkParallelQuery(b *testing.B) {
 				seqNsPerOp = nsPerOp
 			} else if seqNsPerOp > 0 {
 				b.ReportMetric(seqNsPerOp/nsPerOp, "speedup")
+			}
+		})
+	}
+}
+
+// BenchmarkInferQueryGraph times Monte Carlo query-graph inference alone
+// (Fig. 4 line 1) in the mc-cold load-test shape: 8-gene queries taken
+// from the database, R = 1024 samples, at one and two workers. Inference
+// reads no index pages, and its units are the most uneven fan-out of a
+// query (the k-th informative column scores k partners), so this is where
+// the order in which the pool hands units out shows.
+func BenchmarkInferQueryGraph(b *testing.B) {
+	ds := benchDataset(b, 40, 31)
+	idx, err := index.Build(ds.DB, index.Options{D: 2, Samples: 24, Seed: 31})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := randgen.New(31 ^ 0xfeed)
+	var queries []*gene.Matrix
+	for i := 0; i < 8; i++ {
+		q, _, err := ds.ExtractQuery(rng, 8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			proc, err := core.NewProcessor(idx, core.Params{
+				Gamma: 0.4, Alpha: 0.3, Samples: 1024, Seed: 31, Workers: workers,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := proc.InferQueryGraphContext(context.Background(), queries[i%len(queries)]); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -70,11 +70,10 @@ type WireParams struct {
 	Seed     uint64  `json:"seed"`
 	Analytic bool    `json:"analytic,omitempty"`
 	OneSided bool    `json:"oneSided,omitempty"`
-	// Workers and Grain ship as the shard's intra-query worker budget and
-	// scheduling grain. Neither changes a Monte Carlo stream or an answer:
-	// every work unit draws from its own (Seed, unit) stream.
+	// Workers ships as the shard's intra-query worker budget. It changes
+	// no Monte Carlo stream and no answer: every work unit draws from its
+	// own (Seed, unit) stream.
 	Workers int `json:"workers,omitempty"`
-	Grain   int `json:"grain,omitempty"`
 }
 
 // ParamsToWire extracts the wire subset of params.
@@ -82,7 +81,7 @@ func ParamsToWire(p core.Params) WireParams {
 	return WireParams{
 		Gamma: p.Gamma, Alpha: p.Alpha, Samples: p.Samples,
 		Seed: p.Seed, Analytic: p.Analytic, OneSided: p.OneSided,
-		Workers: p.Workers, Grain: p.Grain,
+		Workers: p.Workers,
 	}
 }
 
@@ -91,7 +90,7 @@ func (w WireParams) Params() core.Params {
 	return core.Params{
 		Gamma: w.Gamma, Alpha: w.Alpha, Samples: w.Samples,
 		Seed: w.Seed, Analytic: w.Analytic, OneSided: w.OneSided,
-		Workers: w.Workers, Grain: w.Grain,
+		Workers: w.Workers,
 	}
 }
 

@@ -260,7 +260,7 @@ func TestRefineMatchesFixedRReference(t *testing.T) {
 				for _, workers := range []int{1, 2, 4} {
 					for _, mode := range cacheModes {
 						p := params
-						p.Workers, p.Grain = workers, 1
+						p.Workers = workers
 						label := fmt.Sprintf("%s α=%v noMarkov=%v workers=%d cache=%s", c.label, alpha, noMarkov, workers, mode)
 						run := func(p Params) ([]Answer, Stats) {
 							proc, err := NewProcessor(c.idx, p)

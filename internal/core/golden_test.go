@@ -140,7 +140,7 @@ func TestGoldenAnswersIndependentOfWorkers(t *testing.T) {
 		var want string
 		for _, workers := range []int{1, 2, 4} {
 			p := params
-			p.Workers, p.Grain = workers, 1
+			p.Workers = workers
 			proc, err := core.NewProcessor(idx, p)
 			if err != nil {
 				t.Fatal(err)
@@ -188,7 +188,7 @@ func TestQueryGraphIndependentOfWorkers(t *testing.T) {
 				edges += want.NumEdges()
 				for _, workers := range []int{1, 2, 4} {
 					p := params
-					p.Workers, p.Grain = workers, 1
+					p.Workers = workers
 					proc, err := core.NewProcessor(idx, p)
 					if err != nil {
 						t.Fatal(err)

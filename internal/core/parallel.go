@@ -31,9 +31,12 @@ import (
 // Lemma-3 pruning, one work unit per informative target column t: the unit
 // runs grn's column step on t's informative partners s < t with the scorer
 // and pruner reseeded from (Seed, t), on the kernel the plan picked. The
-// graph is assembled in column order; the summed kernel time is recorded
-// as StageInferKernel (aggregate CPU time across workers, like the
-// refinement sub-stages).
+// k-th informative column scores k partners, so unit cost rises with k and
+// the units are handed out widest column first (unit i is k = len-1-i):
+// the pool's last claims are then its cheapest, and no worker starts the
+// most expensive column while the others run dry. The graph is assembled
+// in column order; the summed kernel time is recorded as StageInferKernel
+// (aggregate CPU time across workers, like the refinement sub-stages).
 func (p *Processor) inferPruned(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, error) {
 	qs := queryScratchFor(ec)
 	cols := grn.InformativeColumns(mq, qs.inferCols)
@@ -46,8 +49,8 @@ func (p *Processor) inferPruned(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, 
 	}
 	gamma, batch := p.params.Gamma, p.params.Plan.Batch
 	begin := time.Now()
-	err := ec.ForEachWorker(len(cols)-1, ec.Grain(), func(w, i int) error {
-		k := i + 1
+	err := ec.ForEachWorker(len(cols)-1, func(w, i int) error {
+		k := len(cols) - 1 - i
 		t, off := cols[k], k*(k-1)/2
 		ws := qs.worker(w)
 		sc, pr := p.primeScorers(ws, uint64(int64(t)))
@@ -108,7 +111,7 @@ func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, so
 	if qs.verifyUnit == nil {
 		qs.verifyUnit = qs.verify
 	}
-	err := ec.ForEachWorker(len(sources), ec.Grain(), qs.verifyUnit)
+	err := ec.ForEachWorker(len(sources), qs.verifyUnit)
 	qs.refine = refineJob{}
 	if err != nil {
 		return nil, err

@@ -52,20 +52,13 @@ type Params struct {
 	OneSided bool
 
 	// Workers bounds intra-query parallelism: candidate refinement and
-	// Monte Carlo query-graph inference fan out across up to Workers
-	// goroutines (0 or 1 runs every work unit inline). Neither graphs nor
-	// answers depend on it: every refinement edge estimate draws from its
-	// own (Seed, source, column pair) stream and every inference target
-	// column from its own (Seed, column) stream, whichever worker runs it.
+	// Monte Carlo query-graph inference run on an exec pool of up to
+	// Workers goroutines, each claiming one work unit at a time (0 or 1
+	// runs every work unit inline). Neither graphs nor answers depend on
+	// it: every refinement edge estimate draws from its own (Seed, source,
+	// column pair) stream and every inference target column from its own
+	// (Seed, column) stream, whichever worker runs it.
 	Workers int
-
-	// Grain is the work-stealing scheduler's chunk size: the number of
-	// consecutive work units (candidates, gene pairs) a worker claims at a
-	// time, and also the fan-out size at or below which a parallel query
-	// stays on the calling goroutine — tiny candidate sets never pay
-	// goroutine or chunk-claim overhead. 0 (the default) picks an automatic
-	// grain per fan-out; it never changes answers, only scheduling.
-	Grain int
 
 	// Cache optionally memoizes exact edge-probability estimates across
 	// queries. The cache must only be shared among queries with identical

@@ -65,13 +65,12 @@ func (p *Processor) Params() Params { return p.params }
 
 // newExec builds the per-query execution context: the caller's ctx, a
 // fresh per-query I/O reader (cold buffer, private counters), the
-// configured worker budget and scheduling grain, the optional trace
-// collector, and a pooled scratch arena. Callers must Close the context
-// (releasing the arena) once the query's answers have been assembled.
+// configured worker budget, the optional trace collector, and a pooled
+// scratch arena. Callers must Close the context (releasing the arena) once
+// the query's answers have been assembled.
 func (p *Processor) newExec(ctx context.Context) *exec.Context {
 	return exec.New(ctx, p.idx.NewReader(), p.params.Workers).
 		WithTracer(p.params.Trace).
-		WithGrain(p.params.Grain).
 		WithArena(exec.GrabArena())
 }
 

@@ -55,7 +55,7 @@ var refineSweepVariants = []struct {
 	{"noSignatures", func(p *Params) { p.DisableSignatures = true }},
 	{"noGeneRange", func(p *Params) { p.DisableGeneRange = true }},
 	{"noMarkovPruning", func(p *Params) { p.DisableMarkovPruning = true }},
-	{"workers4", func(p *Params) { p.Workers, p.Grain = 4, 1 }},
+	{"workers4", func(p *Params) { p.Workers = 4 }},
 }
 
 // sweepHandOffs calls fn with every hand-off of a seed-swept set of random

@@ -1,7 +1,7 @@
 // Package exec bundles the per-query execution state of one IM-GRN query:
 // the caller's context.Context (cancellation and deadlines), a per-query
-// page-I/O reader, a chunked work-stealing scheduler for intra-query
-// parallelism, and a pooled scratch arena.
+// page-I/O reader, a bounded worker pool for intra-query parallelism, and
+// a pooled scratch arena.
 //
 // The IM-GRN_Processing algorithm (paper §5.2) is embarrassingly parallel
 // at the candidate-verification stage: each surviving candidate matrix is
@@ -9,8 +9,8 @@
 // that parallelism safe and deterministic by giving every query its own
 // I/O accountant view (pagestore.Reader) and by addressing randomness per
 // work unit (randgen.SeedFrom) rather than per goroutine, so results never
-// depend on the goroutine schedule — including which worker steals which
-// chunk.
+// depend on the goroutine schedule — including which worker claims which
+// unit.
 //
 // A Context may also carry an obs.Tracer (WithTracer) so the query
 // pipeline can record per-stage spans; a nil tracer is the disabled
@@ -32,13 +32,12 @@ type Context struct {
 	ctx     context.Context
 	io      *pagestore.Reader
 	workers int
-	grain   int // default chunk size for ForEach; 0 = automatic
 	trace   *obs.Tracer
 	arena   *Arena
 }
 
 // New returns an execution context. A nil ctx means context.Background();
-// workers <= 0 means 1 (the exact sequential algorithm). io may be nil for
+// workers <= 0 means 1 (every fan-out runs inline). io may be nil for
 // callers that do not account I/O (e.g. pure in-memory competitors).
 func New(ctx context.Context, io *pagestore.Reader, workers int) *Context {
 	if ctx == nil {
@@ -64,20 +63,6 @@ func (c *Context) WithTracer(t *obs.Tracer) *Context {
 	c.trace = t
 	return c
 }
-
-// WithGrain sets the context's default scheduling grain — the number of
-// consecutive work units a worker claims per steal — and returns c for
-// chaining. Fan-outs of g or fewer units run inline on the calling
-// goroutine, so tiny candidate sets never pay goroutine or chunk-claim
-// overhead. g <= 0 (the default) selects an automatic grain per fan-out;
-// individual fan-outs can override it via ForEachGrain.
-func (c *Context) WithGrain(g int) *Context {
-	c.grain = g
-	return c
-}
-
-// Grain returns the context's default scheduling grain (0 = automatic).
-func (c *Context) Grain() int { return c.grain }
 
 // WithArena attaches a scratch arena (typically from GrabArena) and
 // returns c for chaining. The arena holds per-query scratch structures
@@ -125,28 +110,25 @@ func (c *Context) Parallel() bool { return c.workers > 1 }
 func (c *Context) Err() error { return c.ctx.Err() }
 
 // ForEach runs fn(i) for every i in [0, n), fanning the calls out across
-// the context's worker budget with the work-stealing scheduler (see
-// ForEachWorker). Calls must be independent: fn typically writes its
-// result into slot i of a pre-sized slice, and the caller aggregates the
-// slots in index order afterwards so the outcome is deterministic
-// regardless of scheduling.
+// the context's worker budget (see ForEachWorker). Calls must be
+// independent: fn typically writes its result into slot i of a pre-sized
+// slice, and the caller aggregates the slots in index order afterwards so
+// the outcome is deterministic regardless of scheduling.
 //
 // The first error returned by fn stops the fan-out (in-flight calls finish,
-// queued ones are skipped) and is returned. Cancellation of the underlying
-// context is honored between work units and reported as ctx.Err(). A panic
-// in fn on a worker goroutine is re-thrown in the caller as a *ChunkPanic.
+// unclaimed ones are skipped) and is returned. Cancellation of the
+// underlying context is honored between work units and reported as
+// ctx.Err(). A panic in fn on a worker goroutine is re-thrown in the caller
+// as a *ChunkPanic.
 func (c *Context) ForEach(n int, fn func(i int) error) error {
-	return c.ForEachWorker(n, c.grain, func(_, i int) error { return fn(i) })
+	return c.ForEachWorker(n, func(_, i int) error { return fn(i) })
 }
 
-// ForEachGrain is ForEach with an explicit scheduling grain for this
-// fan-out alone, overriding the context default (see WithGrain).
-func (c *Context) ForEachGrain(n, grain int, fn func(i int) error) error {
-	return c.ForEachWorker(n, grain, func(_, i int) error { return fn(i) })
-}
-
-// ForEachWorker runs fn(w, i) for every i in [0, n) with the chunked
-// work-stealing scheduler. w identifies the worker slot in [0, Workers())
+// ForEachWorker runs fn(w, i) for every i in [0, n) on a bounded pool:
+// up to Workers() workers, the caller among them as worker 0, each
+// claiming one unit at a time from a shared cursor in ascending index
+// order. A caller whose unit costs differ hands out the most expensive
+// first by numbering them first. w identifies the worker slot in [0, Workers())
 // executing the call: calls sharing a w value never run concurrently, so
 // callers can keep per-worker scratch (column buffers, reseedable
 // estimator streams) indexed by w without synchronization. w carries no
@@ -154,19 +136,13 @@ func (c *Context) ForEachGrain(n, grain int, fn func(i int) error) error {
 // schedule — so per-unit randomness must still be addressed by i (via
 // randgen.SeedFrom), never by w.
 //
-// grain is the number of consecutive units per chunk (<= 0 selects an
-// automatic grain). When n <= grain — or the context is sequential — the
-// whole fan-out runs inline on the calling goroutine as w = 0, in
-// ascending index order, byte-identical to the pre-scheduler sequential
-// loop.
-func (c *Context) ForEachWorker(n, grain int, fn func(w, i int) error) error {
+// When the context is sequential or n <= 1 the fan-out runs inline on the
+// calling goroutine as w = 0, in ascending index order, spawning nothing.
+func (c *Context) ForEachWorker(n int, fn func(w, i int) error) error {
 	if n <= 0 {
 		return c.Err()
 	}
-	if grain <= 0 {
-		grain = autoGrain(n, c.workers)
-	}
-	if c.workers <= 1 || n <= grain {
+	if c.workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			if err := c.Err(); err != nil {
 				return err
@@ -177,29 +153,5 @@ func (c *Context) ForEachWorker(n, grain int, fn func(w, i int) error) error {
 		}
 		return nil
 	}
-	return c.forEachSteal(n, grain, fn)
+	return c.forEachPool(n, fn)
 }
-
-// autoGrain picks the default chunk size: enough chunks that stealing can
-// balance skewed per-unit cost (stealRatio chunks per worker), but no
-// chunk larger than maxAutoGrain so one oversized claim cannot serialize
-// the tail of a fan-out.
-func autoGrain(n, workers int) int {
-	g := n / (workers * stealRatio)
-	if g < 1 {
-		g = 1
-	}
-	if g > maxAutoGrain {
-		g = maxAutoGrain
-	}
-	return g
-}
-
-const (
-	// stealRatio is the target number of chunks per worker under the
-	// automatic grain: a worker whose units turn out cheap can steal up to
-	// stealRatio-1 times from a loaded sibling before the fan-out drains.
-	stealRatio = 8
-	// maxAutoGrain caps the automatic chunk size.
-	maxAutoGrain = 256
-)

@@ -1,11 +1,12 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
+	"github.com/imgrn/imgrn/internal/exec"
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/pivot"
 	"github.com/imgrn/imgrn/internal/randgen"
@@ -30,49 +31,29 @@ type embedResult struct {
 	cost float64
 }
 
-// embedAll runs pivot selection and Monte Carlo embedding for every matrix,
-// fanning the work across opts.Workers goroutines. Each matrix's randomness
+// embedAll runs pivot selection and Monte Carlo embedding for every matrix
+// on an exec pool of opts.Workers goroutines. Each matrix's randomness
 // derives from (opts.Seed, m.Source) alone, so the result is bit-identical
-// for any worker count.
+// for any worker count. Every matrix is embedded even when one fails, and
+// the error of the lowest failing index is the one reported.
 func embedAll(db *gene.Database, opts Options) ([]embedResult, error) {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > db.Len() && db.Len() > 0 {
-		workers = db.Len()
-	}
 	results := make([]embedResult, db.Len())
 	errs := make([]error, db.Len())
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= db.Len() {
-					return
-				}
-				m := db.Matrix(i)
-				if m.NumGenes() == 0 {
-					continue
-				}
-				emb, cost, err := embedOne(m, opts)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i] = embedResult{emb: emb, cost: cost}
-			}
-		}()
-	}
-	wg.Wait()
+	// Embedding errors land in errs, so the fan-out itself cannot fail.
+	_ = exec.New(context.Background(), nil, workers).ForEach(db.Len(), func(i int) error {
+		m := db.Matrix(i)
+		if m.NumGenes() == 0 {
+			return nil
+		}
+		emb, cost, err := embedOne(m, opts)
+		errs[i] = err
+		results[i] = embedResult{emb: emb, cost: cost}
+		return nil
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -136,8 +136,8 @@ type Server struct {
 	MaxBatchItems int
 
 	// Workers is the intra-query parallelism passed to every query's
-	// params (see core.Params.Workers). 0 preserves the exact sequential
-	// per-query algorithm.
+	// params (see core.Params.Workers). 0 runs every work unit of a query
+	// inline; answers are the same at every value.
 	Workers int
 
 	// Planner, when non-nil, plans every query adaptively: each request's

@@ -216,7 +216,7 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 		finish(li.orig, core.BatchResult{Answers: merged, Stats: st})
 	}
 
-	err := exec.New(ctx, nil, c.opts.Workers).ForEach(nShards, func(s int) error {
+	err := exec.New(ctx, nil, nShards).ForEach(nShards, func(s int) error {
 		sh := c.shards[s]
 		shardItems := make([]core.BatchItem, len(live))
 		for pos, li := range live {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -12,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/imgrn/imgrn/internal/exec"
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/wal"
@@ -211,7 +213,7 @@ type Store struct {
 // On a warm boot opts.NumShards must match the on-disk shard count
 // (resharding a durable directory is an explicit offline rebuild), or be
 // <= 1 to adopt it; the on-disk index options win over opts.Index except
-// for the runtime-only Workers field.
+// for the runtime-only Index.Workers field.
 func OpenDurable(db *gene.Database, opts Options, dopts DurableOptions) (*Store, error) {
 	start := time.Now()
 	if dopts.Dir == "" {
@@ -297,53 +299,44 @@ func openWarm(man *manifest, opts Options, dopts DurableOptions) (*Store, error)
 		recs int
 	}
 	boots := make([]shardBoot, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dir := shardDirPath(dopts.Dir, i)
-			if err := cleanShardDir(dir, man.Gen); err != nil {
-				errs[i] = err
-				return
-			}
-			partDB, idx, err := readSnapshot(snapPath(dir, man.Gen), man.Gen, i, p)
+	recoverShard := func(i int) error {
+		dir := shardDirPath(dopts.Dir, i)
+		if err := cleanShardDir(dir, man.Gen); err != nil {
+			return err
+		}
+		partDB, idx, err := readSnapshot(snapPath(dir, man.Gen), man.Gen, i, p)
+		if err != nil {
+			return err
+		}
+		if err := idx.RestoreOptions(idxOpts); err != nil {
+			return err
+		}
+		b := shardBoot{idx: idx, db: partDB}
+		w, info, err := wal.Open(walPath(dir, man.Gen), !dopts.DisableFsync, func(payload []byte) error {
+			rec, err := wal.DecodeRecord(payload)
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
-			if err := idx.RestoreOptions(idxOpts); err != nil {
-				errs[i] = err
-				return
+			b.recs++
+			switch rec.Op {
+			case wal.OpAddMatrix:
+				b.adds++
+				return idx.AddMatrix(rec.Matrix)
+			case wal.OpRemoveMatrix:
+				return idx.RemoveMatrix(rec.Source)
+			default:
+				return fmt.Errorf("unknown op %v", rec.Op)
 			}
-			b := shardBoot{idx: idx, db: partDB}
-			w, info, err := wal.Open(walPath(dir, man.Gen), !dopts.DisableFsync, func(payload []byte) error {
-				rec, err := wal.DecodeRecord(payload)
-				if err != nil {
-					return err
-				}
-				b.recs++
-				switch rec.Op {
-				case wal.OpAddMatrix:
-					b.adds++
-					return idx.AddMatrix(rec.Matrix)
-				case wal.OpRemoveMatrix:
-					return idx.RemoveMatrix(rec.Source)
-				default:
-					return fmt.Errorf("unknown op %v", rec.Op)
-				}
-			})
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			b.wal = w
-			b.info = info
-			boots[i] = b
-		}(i)
+		})
+		if err != nil {
+			return err
+		}
+		b.wal = w
+		b.info = info
+		boots[i] = b
+		return nil
 	}
-	wg.Wait()
+	errs := forEachShard(p, recoverShard)
 	for i, err := range errs {
 		if err != nil {
 			for _, b := range boots {
@@ -360,7 +353,7 @@ func openWarm(man *manifest, opts Options, dopts DurableOptions) (*Store, error)
 	// partitions round-robin, which reproduces the original insertion
 	// order for a store that has only grown.
 	coord := &Coordinator{
-		opts:      Options{NumShards: p, Index: idxOpts, Workers: opts.Workers, ImbalanceRatio: opts.ImbalanceRatio, OnImbalance: opts.OnImbalance}.withDefaults(),
+		opts:      Options{NumShards: p, Index: idxOpts, ImbalanceRatio: opts.ImbalanceRatio, OnImbalance: opts.OnImbalance}.withDefaults(),
 		placement: make(map[int]int),
 		db:        gene.NewDatabase(),
 		shards:    make([]*shardState, p),
@@ -396,6 +389,20 @@ func openWarm(man *manifest, opts Options, dopts DurableOptions) (*Store, error)
 	}
 	coord.cursor = man.Cursor + st.stats.ReplayedAdds
 	return st, nil
+}
+
+// forEachShard runs fn for shards 0..p-1 on an exec pool of p workers and
+// returns each shard's error in its own slot. Every shard runs even when
+// another fails, so callers report the lowest failing shard whatever the
+// schedule.
+func forEachShard(p int, fn func(i int) error) []error {
+	errs := make([]error, p)
+	// fn's errors land in errs, so the fan-out itself cannot fail.
+	_ = exec.New(context.Background(), nil, p).ForEach(p, func(i int) error {
+		errs[i] = fn(i)
+		return nil
+	})
+	return errs
 }
 
 // checkpointLoop is the time-based checkpoint trigger: while mutations
@@ -564,26 +571,18 @@ func (st *Store) runCheckpointLocked() error {
 	// committed yet; a crash here leaves uncommitted gen-newGen files
 	// that recovery deletes.
 	sizes := make([]int64, c.NumShards())
-	errs := make([]error, c.NumShards())
-	var wg sync.WaitGroup
-	for i := range c.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			dir := shardDirPath(st.dopts.Dir, i)
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				errs[i] = err
-				return
-			}
-			s := c.shards[i]
-			s.mu.RLock()
-			n, err := writeSnapshot(snapPath(dir, newGen), newGen, i, c.NumShards(), s.idx, doSync)
-			s.mu.RUnlock()
-			sizes[i] = n
-			errs[i] = err
-		}(i)
-	}
-	wg.Wait()
+	errs := forEachShard(c.NumShards(), func(i int) error {
+		dir := shardDirPath(st.dopts.Dir, i)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		s := c.shards[i]
+		s.mu.RLock()
+		n, err := writeSnapshot(snapPath(dir, newGen), newGen, i, c.NumShards(), s.idx, doSync)
+		s.mu.RUnlock()
+		sizes[i] = n
+		return err
+	})
 	var snapBytes int64
 	for i, err := range errs {
 		if err != nil {

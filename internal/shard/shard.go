@@ -14,8 +14,7 @@
 // golden test), and P>1 answers are set-equal under the analytic
 // estimator. Under Monte Carlo estimation P>1 shards draw from
 // (Seed, shard)-derived streams, so probabilities are deterministic for a
-// fixed P and placement but differ from the unsharded stream — the same
-// caveat the Workers>1 path documents.
+// fixed P and placement but differ from the unsharded stream.
 package shard
 
 import (
@@ -47,11 +46,6 @@ type Options struct {
 	// for concurrent use; reopening a durable store must pass the same
 	// function, or recovered placement diverges from new placements.
 	PlaceFunc func(source int) int
-	// Workers bounds the scatter fan-out concurrency (NumShards when <= 0).
-	// Intra-shard parallelism is still governed by the per-query
-	// Params.Workers; with both set the products multiply, so configure one
-	// or the other.
-	Workers int
 	// ImbalanceRatio triggers the rebalance hook when the most loaded
 	// shard holds more than ImbalanceRatio times the sources of the least
 	// loaded one (2 when <= 1). Only meaningful with OnImbalance set.
@@ -78,9 +72,6 @@ func (o Options) placeOf(source int) int {
 func (o Options) withDefaults() Options {
 	if o.NumShards <= 0 {
 		o.NumShards = 1
-	}
-	if o.Workers <= 0 {
-		o.Workers = o.NumShards
 	}
 	if o.ImbalanceRatio <= 1 {
 		o.ImbalanceRatio = 2

@@ -84,7 +84,7 @@ func TestInferGraphMatchesQuery(t *testing.T) {
 		eng  *imgrn.Engine
 	}{{"unsharded", eng}, {"shards=2", seng}} {
 		for _, workers := range []int{0, 2, 4} {
-			params := imgrn.QueryParams{Gamma: 0.5, Alpha: 0.05, Samples: 32, Seed: 47, Workers: workers, Grain: 1}
+			params := imgrn.QueryParams{Gamma: 0.5, Alpha: 0.05, Samples: 32, Seed: 47, Workers: workers}
 			for src := 0; src < db.Len(); src++ {
 				label := fmt.Sprintf("%s workers=%d query %d", e.name, workers, src)
 				qm, err := db.BySource(src).SubMatrix(-1, []int{0, 1, 2, 3, 4})
