@@ -12,6 +12,7 @@ import (
 	"io"
 	"testing"
 
+	imgrn "github.com/imgrn/imgrn"
 	"github.com/imgrn/imgrn/internal/core"
 	"github.com/imgrn/imgrn/internal/experiments"
 	"github.com/imgrn/imgrn/internal/gene"
@@ -593,6 +594,54 @@ func BenchmarkInferQueryGraph(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkQueryTopK times Monte Carlo top-3 queries through a one-shard
+// engine at one and two workers, in the mc-cold load-test database shape
+// (N = 200 matrices of 30 to 34 genes over a pool of 40) with 4-gene
+// queries, R = 1024 samples and a fresh seed per query, so no estimate is
+// cached. Refinement runs against the top-k sink, its candidates handed
+// out in descending Lemma-5 bound order; at two workers the pool verifies
+// two at a time, so this reports whether that fan-out pays once the
+// rising floor prunes the tail.
+func BenchmarkQueryTopK(b *testing.B) {
+	ds, err := synth.GenerateDatabase(synth.DBParams{
+		N: 200, NMin: 30, NMax: 34, LMin: 10, LMax: 20,
+		Dist: synth.Uniform, GenePool: 40, Seed: 37,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := imgrn.Open(ds.DB, imgrn.IndexOptions{D: 2, Samples: 24, Seed: 37})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := randgen.New(37 ^ 0xfeed)
+	var queries []*gene.Matrix
+	for i := 0; i < 8; i++ {
+		q, _, err := ds.ExtractQuery(rng, 4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries = append(queries, q)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			params := imgrn.QueryParams{Gamma: 0.4, Alpha: 0.01, Samples: 1024, Workers: workers}
+			verified := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				params.Seed = uint64(i) + 1
+				_, st, err := eng.QueryTopK(queries[i%len(queries)], params, 3)
+				if err != nil {
+					b.Fatal(err)
+				}
+				verified += st.CandidateMatrices - st.MatricesPrunedL5
+			}
+			b.ReportMetric(float64(verified)/float64(b.N), "verified/op")
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync"
 
 	"github.com/imgrn/imgrn/internal/core"
 	"github.com/imgrn/imgrn/internal/gene"
@@ -156,27 +155,19 @@ var (
 // Methods are safe for concurrent use. Queries run concurrently: each
 // query gets its own execution context (a private page-access accountant
 // view plus an optional intra-query worker pool, see QueryParams.Workers)
-// and takes only a read lock, so many queries proceed in parallel.
-// Mutations (AddMatrix, RemoveMatrix) take the write lock and drain
-// in-flight queries first. Exact edge-probability estimates are memoized
-// across queries with identical estimator settings in a lock-striped
-// cache shared by concurrent queries; the engine keeps the caches of the
-// most recently used estimator settings only (core.CacheTable).
+// and takes only per-shard read locks, so many queries proceed in
+// parallel. Mutations (AddMatrix, RemoveMatrix) write-lock only the shard
+// their source is placed on. Exact edge-probability estimates are
+// memoized across queries with identical estimator settings in
+// lock-striped per-shard caches; each shard keeps the caches of the most
+// recently used estimator settings only (core.CacheTable).
 //
-// An engine opened with OpenSharded partitions the database across
-// NumShards independent index shards and runs every query scatter-gather
-// (see internal/shard and DESIGN.md §10): mutations then lock only the one
-// shard their source is placed on, and per-shard counters are available
-// via ShardStats. The query API is identical either way.
+// Every engine partitions its database across NumShards independent index
+// shards — one for Open and OpenSaved — and runs every query
+// scatter-gather (see internal/shard and DESIGN.md §10). Answers are a
+// function of the database and the QueryParams alone: byte-identical at
+// every shard count. Per-shard counters are available via ShardStats.
 type Engine struct {
-	// mu is the index lock: queries hold it for reading, mutations and
-	// serialization for writing. Unused when coord is set (the coordinator
-	// locks per shard).
-	mu  sync.RWMutex
-	idx *index.Index
-
-	// coord, when non-nil, replaces idx: the engine delegates every
-	// operation to the sharded coordinator.
 	coord *shard.Coordinator
 
 	// store, when non-nil, is the durable lifecycle around coord (which
@@ -184,34 +175,25 @@ type Engine struct {
 	// and fsynced before they are acknowledged, and Checkpoint/Close
 	// rotate the log into snapshots. Queries go through coord unchanged.
 	store *shard.Store
-
-	// caches holds the per-estimator probability caches of an unsharded
-	// engine. Edge probabilities are keyed by (source, gene, gene), so a
-	// mutation drops only its own source's entries (caches.InvalidateSource)
-	// and every other memoized value stays warm. Sharded engines keep
-	// caches per shard inside the coordinator instead.
-	caches core.CacheTable
 }
 
-// Open builds the IM-GRN index over db and returns a query engine.
-// Construction embeds every gene vector via cost-model-selected pivots and
-// bulk-loads the R*-tree; it is the offline step of the system.
+// Open builds the IM-GRN index over db and returns a query engine: a
+// one-shard OpenSharded. Construction embeds every gene vector via
+// cost-model-selected pivots and bulk-loads the R*-tree; it is the offline
+// step of the system.
 func Open(db *Database, opts IndexOptions) (*Engine, error) {
-	idx, err := index.Build(db, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{idx: idx}, nil
+	return OpenSharded(db, opts, 1)
 }
 
 // OpenSharded builds an engine whose database is partitioned round-robin
-// across numShards independent index shards, each with its own R*-tree,
-// page accountant and probability caches; queries run scatter-gather over
-// the shards and mutations lock only the shard their source is placed on.
-// numShards <= 1 builds a single-shard coordinator, which answers
-// byte-identically to Open at any fixed seed; numShards > 1 answers are
-// set-equal under the analytic estimator and statistically equivalent
-// under Monte Carlo (shards draw (Seed, shard)-derived sample streams).
+// across numShards independent index shards (1 when <= 1), each with its
+// own R*-tree, page accountant and probability caches; queries run
+// scatter-gather over the shards and mutations lock only the shard their
+// source is placed on. Every shard runs the caller's QueryParams, and
+// every Monte Carlo draw is addressed by its work unit — (Seed, column) in
+// query inference, (Seed, source, column pair) in refinement — so answers
+// are a function of (database, params), not of placement: any numShards
+// answers byte-identically to Open, under both estimators.
 func OpenSharded(db *Database, opts IndexOptions, numShards int) (*Engine, error) {
 	coord, err := shard.Build(db, shard.Options{NumShards: numShards, Index: opts})
 	if err != nil {
@@ -282,70 +264,39 @@ func (e *Engine) Close() error {
 	return e.store.Close()
 }
 
-// NumShards reports the engine's shard count (1 for an unsharded engine).
-func (e *Engine) NumShards() int {
-	if e.coord != nil {
-		return e.coord.NumShards()
-	}
-	return 1
-}
+// NumShards reports the engine's shard count.
+func (e *Engine) NumShards() int { return e.coord.NumShards() }
 
 // ShardInfo is one shard's observability snapshot: partition size,
 // operation counts, and lifetime I/O and cache counters.
 type ShardInfo = shard.ShardInfo
 
-// ShardStats reports per-shard counters in shard order; nil for an
-// unsharded engine.
-func (e *Engine) ShardStats() []ShardInfo {
-	if e.coord == nil {
-		return nil
-	}
-	return e.coord.Snapshot()
-}
+// ShardStats reports per-shard counters in shard order.
+func (e *Engine) ShardStats() []ShardInfo { return e.coord.Snapshot() }
 
-// OpenSaved reconstructs an engine from an index previously written with
-// SaveIndex, skipping the expensive Monte Carlo embedding phase. db must be
-// the database the index was built over.
+// OpenSaved reconstructs a one-shard engine from an index previously
+// written with SaveIndex, skipping the expensive Monte Carlo embedding
+// phase. db must be the database the index was built over.
 func OpenSaved(r io.Reader, db *Database) (*Engine, error) {
 	idx, err := index.Load(r, db)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{idx: idx}, nil
+	return &Engine{coord: shard.FromIndex(idx)}, nil
 }
 
-// SaveIndex serializes the engine's index so a later process can OpenSaved
-// it without re-embedding the database. Sharded engines cannot be saved
-// yet: rebuild with OpenSharded at startup (per-shard indexes rebuild in
-// parallel).
-func (e *Engine) SaveIndex(w io.Writer) error {
-	if e.coord != nil {
-		return errShardedSave
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.idx.Save(w)
-}
-
-// errShardedSave rejects SaveIndex on sharded engines.
-var errShardedSave = errors.New("imgrn: sharded engine does not support SaveIndex")
+// SaveIndex serializes a one-shard engine's index so a later process can
+// OpenSaved it without re-embedding the database. Engines of more shards
+// cannot be saved yet: rebuild with OpenSharded at startup (per-shard
+// indexes rebuild in parallel).
+func (e *Engine) SaveIndex(w io.Writer) error { return e.coord.SaveIndex(w) }
 
 // Database returns the indexed database.
-func (e *Engine) Database() *Database {
-	if e.coord != nil {
-		return e.coord.Database()
-	}
-	return e.idx.DB()
-}
+func (e *Engine) Database() *Database { return e.coord.Database() }
 
 // IndexStats reports construction statistics (vectors, nodes, pages,
-// build time); for a sharded engine they aggregate across shards.
-func (e *Engine) IndexStats() index.BuildStats {
-	if e.coord != nil {
-		return e.coord.IndexStats()
-	}
-	return e.idx.Stats()
-}
+// build time), aggregated across shards.
+func (e *Engine) IndexStats() index.BuildStats { return e.coord.IndexStats() }
 
 // Query answers an IM-GRN query: it infers the query GRN from mq at
 // params.Gamma and returns every database matrix whose inferred GRN
@@ -364,23 +315,7 @@ func (e *Engine) QueryContext(ctx context.Context, mq *Matrix, params QueryParam
 	if mq == nil {
 		return nil, QueryStats{}, errNilQuery
 	}
-	if e.coord != nil {
-		return e.coord.QueryContext(ctx, mq, params)
-	}
-	// Resolve the plan before cache selection: the cache key includes the
-	// sample count, which an (Eps, Delta) accuracy request rewrites.
-	params, err := params.ResolvePlan()
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	params.Cache = e.caches.For(params)
-	proc, err := core.NewProcessor(e.idx, params)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return proc.QueryContext(ctx, mq)
+	return e.coord.QueryContext(ctx, mq, params)
 }
 
 // QueryGraph answers an IM-GRN query for an already-constructed query GRN
@@ -395,21 +330,7 @@ func (e *Engine) QueryGraphContext(ctx context.Context, q *Graph, params QueryPa
 	if q == nil {
 		return nil, QueryStats{}, errNilQuery
 	}
-	if e.coord != nil {
-		return e.coord.QueryGraphContext(ctx, q, params)
-	}
-	params, err := params.ResolvePlan()
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	params.Cache = e.caches.For(params)
-	proc, err := core.NewProcessor(e.idx, params)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return proc.QueryGraphContext(ctx, q)
+	return e.coord.QueryGraphContext(ctx, q, params)
 }
 
 // AddMatrix indexes a new data source online. The matrix becomes
@@ -419,16 +340,7 @@ func (e *Engine) AddMatrix(m *Matrix) error {
 	if e.store != nil {
 		return e.store.AddMatrix(m)
 	}
-	if e.coord != nil {
-		return e.coord.AddMatrix(m)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.idx.AddMatrix(m); err != nil {
-		return err
-	}
-	e.caches.InvalidateSource(m.Source)
-	return nil
+	return e.coord.AddMatrix(m)
 }
 
 // RemoveMatrix drops a data source from the engine and its database.
@@ -436,16 +348,7 @@ func (e *Engine) RemoveMatrix(source int) error {
 	if e.store != nil {
 		return e.store.RemoveMatrix(source)
 	}
-	if e.coord != nil {
-		return e.coord.RemoveMatrix(source)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.idx.RemoveMatrix(source); err != nil {
-		return err
-	}
-	e.caches.InvalidateSource(source)
-	return nil
+	return e.coord.RemoveMatrix(source)
 }
 
 // QueryTopK answers an IM-GRN query and returns only the k matches with
@@ -461,24 +364,9 @@ func (e *Engine) QueryTopKContext(ctx context.Context, mq *Matrix, params QueryP
 	if mq == nil {
 		return nil, QueryStats{}, errNilQuery
 	}
-	if e.coord != nil {
-		// Sharded top-k streams per-shard answers into a bounded merge with
-		// cross-shard Markov-bound early termination (internal/shard).
-		return e.coord.QueryTopKContext(ctx, mq, params, k)
-	}
-	answers, stats, err := e.QueryContext(ctx, mq, params)
-	if err != nil {
-		return nil, stats, err
-	}
-	mark := params.Trace.Start(obs.StageTopK)
-	in := len(answers)
-	core.RankAnswers(answers)
-	if k > 0 && len(answers) > k {
-		answers = answers[:k]
-	}
-	mark.End(in, len(answers))
-	stats.Answers = len(answers)
-	return answers, stats, nil
+	// Top-k streams per-shard answers into a bounded merge with
+	// cross-shard Markov-bound early termination (internal/shard).
+	return e.coord.QueryTopKContext(ctx, mq, params, k)
 }
 
 // QueryBatch answers a batch of queries in one engine call (DESIGN.md
@@ -498,22 +386,7 @@ func (e *Engine) QueryBatch(items []BatchItem, opts BatchOptions) ([]BatchResult
 // ctx aborts the remaining items (each reporting the context error), and
 // opts.ItemTimeout gives every item one timeout window of its own.
 func (e *Engine) QueryBatchContext(ctx context.Context, items []BatchItem, opts BatchOptions) ([]BatchResult, BatchStats) {
-	if e.coord != nil {
-		return e.coord.QueryBatch(ctx, items, opts)
-	}
-	// Resolve plans before cache selection: the cache key includes the
-	// sample count, which an (Eps, Delta) accuracy request rewrites.
-	// core.QueryBatch re-runs the (idempotent) resolution and re-derives
-	// the same per-item errors for items skipped here.
-	errs := core.ResolveBatchPlans(items)
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for i := range items {
-		if errs[i] == nil {
-			items[i].Params.Cache = e.caches.For(items[i].Params)
-		}
-	}
-	return core.QueryBatch(ctx, e.idx, items, opts)
+	return e.coord.QueryBatch(ctx, items, opts)
 }
 
 // errNilQuery rejects nil query inputs at the public boundary.
@@ -525,16 +398,7 @@ func (e *Engine) InferGraph(m *Matrix, params QueryParams) (*Graph, error) {
 	if m == nil {
 		return nil, errNilQuery
 	}
-	if e.coord != nil {
-		return e.coord.InferGraph(m, params)
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	proc, err := core.NewProcessor(e.idx, params)
-	if err != nil {
-		return nil, err
-	}
-	return proc.InferQueryGraph(m)
+	return e.coord.InferGraph(m, params)
 }
 
 // InferGraph reconstructs a probabilistic GRN from a matrix without an

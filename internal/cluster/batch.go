@@ -19,13 +19,10 @@ import (
 // item's plan once, then ships the WHOLE request to each global shard in
 // a single BatchExecRequest — one RPC per shard per request; the
 // structure is that of the in-process scatter, only the transport
-// changed. Matrix items are inferred on each shard server at the base
-// seed (inference reads only the query matrix, so every server derives
-// the identical graph), and each server rewrites the per-item seed for
-// its GLOBAL shard exactly like the local scatter. With one global shard
-// the envelope is marked Solo and the single server runs every item's
-// params untouched on the unsharded sequential path, exactly like the
-// in-process coordinator at P=1.
+// changed. Matrix items are inferred on each shard server (inference
+// reads only the query matrix, so every server derives the identical
+// graph), and each server runs the caller's params untouched, exactly like
+// the local scatter — one global shard included.
 //
 // Top-k items run against per-(item, shard) local sinks on the servers
 // and are merged here by offering every shard's local top-k into a fresh
@@ -33,7 +30,8 @@ import (
 // an item's global top-k are necessarily within that shard's local
 // top-k. Floor propagation is per item: accept frames feed the item's
 // floorTracker and pushFloors sends a risen floor to every server, so
-// remote shards early-terminate like in-process ones.
+// remote shards early-terminate like in-process ones. With one global
+// shard there is no other shard to tell, and no floor is pushed.
 //
 // A per-item countdown merges each item as its last shard's FIRST frame
 // lands: hedged or retried legs replay their item frames wholesale, so
@@ -44,8 +42,8 @@ import (
 //
 // A leg that fails on every replica fails the items it still owed and no
 // others; once no item can complete any more the remaining legs are
-// cancelled (for a solo query: on the first failed leg), and every failed
-// item reports the leg whose error is its own, never a sibling's
+// cancelled (for a one-item request: on the first failed leg), and every
+// failed item reports the leg whose error is its own, never a sibling's
 // cancellation fallout.
 
 // QueryBatch answers a batch of queries scatter-gather over the cluster.
@@ -79,7 +77,6 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 	// then the wire envelope. Items that fail here never ship.
 	start := time.Now()
 	planErrs := core.ResolveBatchPlans(items)
-	solo := c.topo.NumShards == 1
 	var wire []BatchExecItem
 	var live []int // wire index -> items index
 	for i := range items {
@@ -117,7 +114,6 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 	req := BatchExecRequest{
 		QueryID:       c.nextQueryID(),
 		NumShards:     c.topo.NumShards,
-		Solo:          solo,
 		ItemTimeoutMs: opts.ItemTimeout.Milliseconds(),
 		Items:         wire,
 	}
@@ -130,7 +126,7 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 	// One floorTracker per K>0 item, fed by the legs' accept frames and
 	// drained by one pushFloors loop. P=1 has no other shard to tell.
 	var onAccept func(AcceptFrame)
-	if !solo && c.opts.FloorEvery > 0 {
+	if P > 1 && c.opts.FloorEvery > 0 {
 		var trackers []*floorTracker
 		for pos, w := range wire {
 			if w.K > 0 {
@@ -190,19 +186,6 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 
 	mergeItem := func(pos int) {
 		orig := live[pos]
-		if solo {
-			// The single leg ran the unsharded batch path: its frame is the
-			// item's final result (answers ranked/trimmed server-side by K).
-			fr := frames[0][pos]
-			if fr.Error != "" {
-				finish(orig, core.BatchResult{Err: fmt.Errorf("cluster: batch item %d: %s", orig, fr.Error)})
-				return
-			}
-			st := fr.Stats.Stats()
-			st.Plan = items[orig].Params.Plan
-			finish(orig, core.BatchResult{Answers: AnswersFromWire(fr.Answers), Stats: st})
-			return
-		}
 		var st core.Stats
 		perShard := make([]core.Stats, 0, P)
 		runs := make([][]core.Answer, 0, P)
@@ -216,9 +199,9 @@ func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, op
 			runs = append(runs, AnswersFromWire(fr.Answers))
 		}
 		core.MergeScatterStats(&st, perShard)
-		// Query-graph inference ran identically on every shard server (base
-		// seed, query matrix only); report shard 0's run once, like the
-		// in-process inferOnce.
+		// Query-graph inference ran identically on every shard server (query
+		// matrix only); report shard 0's run once, like the in-process
+		// inferOnce.
 		if inf := frames[0][pos].Infer; inf != nil {
 			ist := inf.Stats()
 			st.InferQuery = ist.InferQuery

@@ -7,10 +7,10 @@
 // (proto.go), and per-item cross-shard top-k floor propagation so remote
 // shards early-terminate like in-process ones. Queries and batches share
 // one scatter, one hedged-leg loop and one gather (batch.go): a solo
-// query is a batch of one. The in-process
-// shard.Coordinator is the single-node degenerate case of the same code
-// path: at the same shard count and placement the remote answers are
-// byte-identical (pinned by goldens).
+// query is a batch of one. The in-process shard.Coordinator is the
+// single-node degenerate case of the same code path: the remote answers
+// are byte-identical to it, and so to a one-shard engine (pinned by
+// goldens).
 package cluster
 
 import (
@@ -34,11 +34,12 @@ import (
 // shard.Coordinator by fanning each query out to the R replicas of every
 // global shard. The determinism contract of DESIGN.md §10 carries over
 // unchanged because the scatter legs are the same legs: the coordinator
-// resolves the plan once, ships it (plan wire format) with the base seed
-// in every envelope, and each shard server derives SeedFrom(Seed,
-// globalShard) exactly as the in-process scatter does — so at the same
-// shard count and placement, remote answers are byte-identical to
-// in-process ones no matter which replica served each leg.
+// resolves the plan once and ships it (plan wire format) with the
+// caller's params in every envelope, and each shard server runs them
+// untouched, exactly as the in-process scatter does — so remote answers
+// are a function of (database, params) alone, byte-identical to
+// in-process ones at any shard count, no matter which replica served
+// each leg.
 
 // ErrShardUnavailable reports a scatter leg that failed on every replica
 // of its shard — the documented partial-failure mode: the query returns

@@ -15,16 +15,17 @@ import (
 // of the request — a solo query is the one-item case — each with its
 // query payload (matrix columns or explicit pattern), scalar params,
 // encoded plan (plan.EncodeWire — every shard executes the identical
-// decisions) and top-k bound, plus the GLOBAL shard index to execute (the
-// shard server derives SeedFrom(Seed, global) itself, so answers are a
-// pure function of placement and params, never of which replica served
-// the request). Responses stream NDJSON: per-item accept frames (top-k
-// floor propagation) and one item frame per item as it retires on the
-// shard, then exactly one terminal frame (done, or an error).
+// decisions) and top-k bound, plus the GLOBAL shard index to execute.
+// Every shard runs the caller's params untouched, so answers are a
+// function of (database, params) alone, never of placement or of which
+// replica served the request. Responses stream NDJSON: per-item accept
+// frames (top-k floor propagation) and one item frame per item as it
+// retires on the shard, then exactly one terminal frame (done, or an
+// error).
 //
 // Endpoints (served by internal/server in the shard role):
 //
-//	POST /cluster/exec    every item of one request, one global shard (or solo)
+//	POST /cluster/exec    every item of one request, one global shard
 //	POST /cluster/mutate  routed mutation (replicated by the caller)
 //	POST /cluster/floor   raise one live item's top-k floor
 //	GET  /cluster/info    shard-server membership/health snapshot
@@ -36,8 +37,10 @@ import (
 // ProtoVersion is the cluster protocol version. 3: one execution RPC —
 // /cluster/exec carries the batch envelope, the single-query envelope and
 // /cluster/exec-batch are gone, and accept frames and floor pushes name
-// the item they belong to.
-const ProtoVersion = 3
+// the item they belong to. 4: every leg runs the caller's Seed (a
+// version-3 server would derive a per-shard seed), and the solo envelope
+// is gone: a one-shard cluster runs the ordinary leg.
+const ProtoVersion = 4
 
 // ErrProtoVersion reports a protocol version mismatch between
 // coordinator and shard server. Matchable with errors.Is.
@@ -228,20 +231,16 @@ func (w WireStats) Stats() core.Stats {
 }
 
 // BatchExecRequest is the /cluster/exec envelope: every item of one
-// request for one global shard in one RPC. Solo marks the P=1 degenerate
-// case: the shard server runs the caller's params untouched on its single
-// shard — the same streams the unsharded engine uses — instead of the
-// derived-seed scatter leg.
+// request for one global shard in one RPC.
 type BatchExecRequest struct {
 	Proto   int    `json:"proto"`
 	QueryID string `json:"queryId"`
 	// NumShards is the GLOBAL partition count P; the shard server rejects
 	// a mismatch with its own topology (a misconfigured cluster must fail
-	// loudly, not return wrong-seeded answers).
+	// loudly, not return answers over the wrong partition).
 	NumShards int `json:"numShards"`
 	// Shard is the GLOBAL shard index to execute.
 	Shard         int             `json:"shard"`
-	Solo          bool            `json:"solo,omitempty"`
 	ItemTimeoutMs int64           `json:"itemTimeoutMs,omitempty"`
 	Items         []BatchExecItem `json:"items"`
 }
@@ -249,8 +248,8 @@ type BatchExecRequest struct {
 // BatchExecItem is one query in the envelope.
 type BatchExecItem struct {
 	Kind string `json:"kind"`
-	// K > 0 runs the item's shard leg in streamed top-k mode with a local
-	// sink (accept frames + a local top-k run); 0 returns the full run.
+	// K > 0 runs the item's shard leg against a local top-k sink (accept
+	// frames + a local top-k run); 0 returns the full run.
 	K       int             `json:"k,omitempty"`
 	Genes   []int32         `json:"genes"`
 	Columns [][]float64     `json:"columns,omitempty"` // KindMatrix

@@ -8,7 +8,6 @@ import (
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/index"
-	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/plan"
 )
 
@@ -42,7 +41,8 @@ type BatchItem struct {
 	Params Params
 	// K keeps only the K best answers by appearance probability (ties
 	// toward smaller source IDs), exactly like Engine.QueryTopK. K <= 0
-	// returns all matches sorted by source.
+	// returns all matches sorted by source. The coordinators honor K
+	// through a top-k sink in Params; QueryBatch itself ignores it.
 	K int
 }
 
@@ -144,8 +144,7 @@ func QueryBatch(ctx context.Context, idx *index.Index, items []BatchItem, opts B
 }
 
 // runBatchItem answers one item exactly as a solo query would — a fresh
-// processor, one execution context, one timeout window — and then applies
-// the item's top-k trim.
+// processor, one execution context, one timeout window.
 func runBatchItem(ctx context.Context, idx *index.Index, it *BatchItem, timeout time.Duration) ([]Answer, Stats, error) {
 	proc, err := NewProcessor(idx, it.Params)
 	if err != nil {
@@ -156,32 +155,13 @@ func runBatchItem(ctx context.Context, idx *index.Index, it *BatchItem, timeout 
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	var answers []Answer
-	var st Stats
 	switch {
 	case it.Graph != nil:
-		answers, st, err = proc.QueryGraphContext(ctx, it.Graph)
+		return proc.QueryGraphContext(ctx, it.Graph)
 	case it.Matrix != nil:
-		answers, st, err = proc.QueryContext(ctx, it.Matrix)
-	default:
-		err = ErrNoBatchQuery
+		return proc.QueryContext(ctx, it.Matrix)
 	}
-	if err != nil {
-		return nil, st, err
-	}
-	// With a sink the sharded scatter owns the trim (the sink is the
-	// cross-shard top-k); otherwise rank and cut here, like QueryTopK.
-	if k := it.K; k > 0 && proc.params.Sink == nil {
-		mark := proc.params.Trace.Start(obs.StageTopK)
-		in := len(answers)
-		RankAnswers(answers)
-		if len(answers) > k {
-			answers = answers[:k]
-		}
-		mark.End(in, len(answers))
-		st.Answers = len(answers)
-	}
-	return answers, st, nil
+	return nil, Stats{}, ErrNoBatchQuery
 }
 
 // ErrNoBatchQuery rejects batch items carrying neither a query matrix

@@ -318,11 +318,11 @@ func TestRefineMatchesFixedRReference(t *testing.T) {
 		answers, prunedL5, certified[1], certified[0], drawn, refDrawn, float64(drawn)/float64(refDrawn))
 }
 
-// TestRefineStreamedMatchesReference: the streamed top-k path verifies a
+// TestRefineStreamedMatchesReference: the top-k sink path verifies a
 // candidate at α raised to the sink floor. Verified at any such α, a
-// candidate's answer is the reference's at that α, and every answer the
-// sink path returns, and every one it keeps, is a reference answer to the
-// bit.
+// candidate's answer is the reference's at that α; every answer the sink
+// path returns is a reference answer to the bit; and at Workers 1, 2 and 4
+// the sink keeps exactly the reference's k best answers.
 func TestRefineStreamedMatchesReference(t *testing.T) {
 	verified, kept := 0, 0
 	sweepExactCases(t, func(c exactCase) {
@@ -338,7 +338,7 @@ func TestRefineStreamedMatchesReference(t *testing.T) {
 		ec := proc.newExec(context.Background())
 		for _, src := range sources {
 			alpha := p.Alpha + rng.Float64()*(1-p.Alpha)*0.5
-			got := proc.verifyCandidateAt(ec.IO(), c.q, c.q.Edges(), src, ws, alpha, true).answer
+			got := proc.verifyCandidate(ec.IO(), c.q, c.q.Edges(), src, ws, alpha, true).answer
 			ref, _ := refVerify(p, c.q, c.idx.DB().BySource(src), alpha)
 			if !reflect.DeepEqual(got, ref) {
 				t.Fatalf("%s: source %d at α=%v: got %+v, reference %+v", c.label, src, alpha, got, ref)
@@ -348,21 +348,30 @@ func TestRefineStreamedMatchesReference(t *testing.T) {
 		ec.Close()
 
 		k := 1 + len(want)/2
-		p.Sink = NewTopKSink(k, p.Alpha)
-		proc, err = NewProcessor(c.idx, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := proc.QueryGraph(c.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, set := range [][]Answer{got, p.Sink.Results()} {
-			for _, a := range set {
+		best := slices.Clone(want)
+		RankAnswers(best)
+		best = best[:min(k, len(best))]
+		for _, workers := range []int{1, 2, 4} {
+			p.Workers = workers
+			p.Sink = NewTopKSink(k, p.Alpha)
+			proc, err = NewProcessor(c.idx, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := proc.QueryGraph(c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range got {
 				if !slices.ContainsFunc(want, func(w Answer) bool { return reflect.DeepEqual(w, a) }) {
-					t.Fatalf("%s: the sink path answered %+v, which is no reference answer", c.label, a)
+					t.Fatalf("%s workers=%d: the sink path answered %+v, which is no reference answer", c.label, workers, a)
 				}
-				kept++
+			}
+			if res := p.Sink.Results(); len(res) > 0 || len(best) > 0 {
+				if !reflect.DeepEqual(res, best) {
+					t.Fatalf("%s workers=%d: the sink kept %+v, the reference's top %d is %+v", c.label, workers, res, k, best)
+				}
+				kept += len(res)
 			}
 		}
 	})
@@ -411,7 +420,7 @@ func TestRefineCutoffsExactAtTheBoundary(t *testing.T) {
 					t.Fatal(err)
 				}
 				ec := bp.newExec(context.Background())
-				got := bp.verifyCandidateAt(ec.IO(), c.q, c.q.Edges(), a.Source, &workerScratch{}, bc.alpha, true).answer
+				got := bp.verifyCandidate(ec.IO(), c.q, c.q.Edges(), a.Source, &workerScratch{}, bc.alpha, true).answer
 				ec.Close()
 				ref, _ := refVerify(p, c.q, c.idx.DB().BySource(a.Source), bc.alpha)
 				if !reflect.DeepEqual(got, ref) || !bc.free && !reflect.DeepEqual(got, bc.want) {

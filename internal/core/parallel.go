@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"github.com/imgrn/imgrn/internal/exec"
@@ -95,10 +97,20 @@ func (p *Processor) inferPruned(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, 
 //
 // Lemma 5 is skipped for the whole query when the plan switches it off or
 // when the index certifies that it cannot prune (markovFutile).
+//
+// With a top-k sink (params.Sink) the units are the candidates in
+// descending order of their full Lemma-5 bound, ties toward smaller
+// sources; the pool claims the lowest unit first, so the likeliest answers
+// raise the sink floor first at every worker count. Each unit reads the
+// floor when it starts: a bound at or below it cannot displace the k-th
+// answer any shard has found, so the unit counts as a Lemma-5 prune;
+// otherwise it verifies at the floor and offers its answer to the sink.
+// The bound doubles as the floor test, so it is computed even when the
+// plan skips Markov pruning. The floor only ever rises to just below a
+// verified k-th probability, so every answer of the final top k verifies
+// exactly; which other candidates the floor prunes, and so the pruning,
+// cache and draw counters, depends on timing.
 func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int, st *Stats) ([]Answer, error) {
-	if p.params.Sink != nil {
-		return p.refineStreamed(ec, q, qEdges, sources, st)
-	}
 	qs := queryScratchFor(ec)
 	qs.outcomes = exec.GrowSlice(&qs.outcomes, len(sources))
 	sub := ec.Parallel()
@@ -106,8 +118,15 @@ func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, so
 		qs.readers = exec.GrowSlice(&qs.readers, len(sources))
 	}
 	qs.growWorkers(ec.Workers())
-	qs.refine = refineJob{p: p, ec: ec, q: q, qEdges: qEdges, sources: sources, sub: sub,
-		skipMarkov: p.params.DisableMarkovPruning || p.markovFutile(len(qEdges))}
+	job := refineJob{p: p, ec: ec, q: q, qEdges: qEdges, sources: sources, sub: sub,
+		sink: p.params.Sink, skipMarkov: p.params.DisableMarkovPruning || p.markovFutile(len(qEdges))}
+	if job.sink != nil {
+		mStart := time.Now()
+		job.order = p.boundOrder(qs, q, qEdges, sources)
+		job.skipMarkov = true
+		st.MarkovPrune += time.Since(mStart)
+	}
+	qs.refine = job
 	if qs.verifyUnit == nil {
 		qs.verifyUnit = qs.verify
 	}
@@ -118,7 +137,7 @@ func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, so
 	}
 	var answers []Answer
 	for i, o := range qs.outcomes {
-		if sub {
+		if sub && qs.readers[i] != nil {
 			ec.IO().AddStats(qs.readers[i].Stats())
 		}
 		st.applyCandidate(o)
@@ -127,6 +146,24 @@ func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, so
 		}
 	}
 	return answers, nil
+}
+
+// boundOrder returns the candidates sorted by descending full Lemma-5
+// bound, ties toward smaller sources (sources is ascending), in the query
+// scratch.
+func (p *Processor) boundOrder(qs *queryScratch, q *grn.Graph, qEdges []grn.Edge, sources []int) []boundCand {
+	bufs := &qs.worker(0).bufs
+	order := exec.GrowSlice(&qs.order, len(sources))
+	for i, src := range sources {
+		order[i] = boundCand{pos: i, ub: p.candidateUpperBound(q, qEdges, src, bufs)}
+	}
+	slices.SortFunc(order, func(a, b boundCand) int {
+		if c := cmp.Compare(b.ub, a.ub); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	return order
 }
 
 // refineJob is the running query's refinement fan-out (Processor.refine).
@@ -138,17 +175,39 @@ type refineJob struct {
 	sources    []int
 	skipMarkov bool
 	sub        bool // charge each candidate to its own SubReader
+
+	// With a top-k sink, unit i is candidate order[i].pos.
+	sink  *TopKSink
+	order []boundCand
 }
 
-// verify is refinement's work unit: candidate i of qs.refine on worker
-// slot w.
+// verify is refinement's work unit: unit i of qs.refine on worker slot w.
+// Its outcome goes to the candidate's own slot, so the aggregation reads
+// source order whatever order the units ran in.
 func (qs *queryScratch) verify(w, i int) error {
 	j := &qs.refine
+	alpha := j.p.params.Alpha
+	if j.sink != nil {
+		c := j.order[i]
+		i = c.pos
+		alpha = max(alpha, j.sink.Floor())
+		if c.ub <= alpha {
+			qs.outcomes[i] = candOutcome{prunedL5: true}
+			if j.sub {
+				qs.readers[i] = nil
+			}
+			return nil
+		}
+	}
 	var io pagestore.Toucher = j.ec.IO()
 	if j.sub {
 		r := j.ec.IO().SubReader()
 		qs.readers[i], io = r, r
 	}
-	qs.outcomes[i] = j.p.verifyCandidate(io, j.q, j.qEdges, j.sources[i], qs.worker(w), j.skipMarkov)
+	o := j.p.verifyCandidate(io, j.q, j.qEdges, j.sources[i], qs.worker(w), alpha, j.skipMarkov)
+	if j.sink != nil && o.answer != nil {
+		j.sink.Offer(*o.answer)
+	}
+	qs.outcomes[i] = o
 	return nil
 }

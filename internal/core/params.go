@@ -72,16 +72,14 @@ type Params struct {
 	Trace *obs.Tracer
 
 	// Sink optionally streams verified answers into a shared bounded top-k
-	// merge (the sharded scatter-gather path, DESIGN.md §10). When set,
-	// refinement switches to the streamed mode: candidates are verified in
-	// descending Lemma-5 upper-bound order, each answer is offered to the
-	// sink as it is found, and
-	// the loop terminates early once the best remaining upper bound falls
-	// below the sink's floor (the current k-th probability across all
-	// shards). Answer content is deterministic; which candidates are pruned
-	// by the rising floor — and therefore the pruning counters — may vary
-	// with cross-shard timing. Nil (the default) keeps the exact
-	// set-returning refinement modes.
+	// merge (the coordinators' top-k path, DESIGN.md §10). When set,
+	// refinement hands its candidates out in descending Lemma-5 upper-bound
+	// order, offers each answer to the sink as it is found, and skips a
+	// candidate whose bound is at or below the sink's floor (the current
+	// k-th probability across all shards) when its unit starts. The sink's
+	// top k is deterministic; which candidates the rising floor prunes, and
+	// therefore the pruning counters, may vary with timing. Nil (the
+	// default) returns every match.
 	Sink *TopKSink
 
 	// Plan pins this query's execution plan. Nil (the usual case) makes

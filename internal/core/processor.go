@@ -539,78 +539,6 @@ func (b *colBufs) growVCols(n int) [][]float64 {
 	return vcols
 }
 
-// refineStreamed is refinement against a shared top-k sink (params.Sink):
-// the cross-shard Markov-bound early-termination mode of the scatter-gather
-// path. Candidates are ordered by descending Lemma-5 upper bound so that
-// the likeliest answers raise the sink floor first; each verification runs
-// at the current effective α (max of params.Alpha and the floor), and once
-// the best remaining upper bound drops to the floor the whole tail is
-// pruned in one step — no candidate in it can displace the k-th answer any
-// shard has found.
-//
-// Every edge draws from its own stream, so the answer content is
-// independent of verification order and of how far other shards have
-// raised the floor; only which candidates get pruned — and so the
-// pruning, cache and draw counters — depends on timing.
-//
-// The upper-bound computation here doubles as the top-k floor mechanism,
-// so the streamed path keeps it even under a plan that skips Markov
-// pruning (DisableMarkovPruning); the per-candidate Lemma-5 re-test
-// inside verifyCandidateAt is already skipped via skipMarkov.
-func (p *Processor) refineStreamed(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, sources []int, st *Stats) ([]Answer, error) {
-	sink := p.params.Sink
-	qs := queryScratchFor(ec)
-	ws := qs.worker(0)
-
-	mStart := time.Now()
-	cands := exec.GrowSlice(&qs.cands, len(sources))
-	for i, src := range sources {
-		cands[i] = streamCand{src: src, ub: p.candidateUpperBound(q, qEdges, src, &ws.bufs)}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].ub != cands[j].ub {
-			return cands[i].ub > cands[j].ub
-		}
-		return cands[i].src < cands[j].src
-	})
-	st.MarkovPrune += time.Since(mStart)
-
-	var answers []Answer
-	for i, c := range cands {
-		if err := ec.Err(); err != nil {
-			return nil, err
-		}
-		alpha := p.params.Alpha
-		if f := sink.Floor(); f > alpha {
-			alpha = f
-		}
-		if c.ub <= alpha {
-			// Sorted descending: every remaining candidate is bounded by
-			// c.ub too. Prune the whole tail (Lemma 5 at the floor).
-			st.MatricesPrunedL5 += len(cands) - i
-			break
-		}
-		o := p.verifyCandidateAt(ec.IO(), q, qEdges, c.src, ws, alpha, true)
-		st.applyCandidate(o)
-		if o.answer != nil {
-			answers = append(answers, *o.answer)
-			sink.Offer(*o.answer)
-		}
-	}
-	sort.Slice(answers, func(i, j int) bool { return answers[i].Source < answers[j].Source })
-	return answers, nil
-}
-
-// verifyCandidate checks one candidate matrix: Lemma-5 graph existence
-// pruning on pivot upper bounds (unless skipMarkov), then exact
-// verification of Definition 4, reading standardized vectors from the
-// paged heap file charged to io and drawing Monte Carlo samples with the
-// estimators of worker scratch ws.
-func (p *Processor) verifyCandidate(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
-	ws *workerScratch, skipMarkov bool) candOutcome {
-	return p.verifyCandidateAt(io, q, qEdges, src, ws, p.params.Alpha, skipMarkov)
-}
-
 // markovFutile reports whether the index certifies that Lemma 5 cannot
 // prune any candidate of a query with the given number of edges at
 // params.Alpha. Each factor of a candidate's product is at least the
@@ -627,14 +555,18 @@ func (p *Processor) markovFutile(edges int) bool {
 	return prod > p.params.Alpha
 }
 
-// verifyCandidateAt is verifyCandidate at an explicit α cutoff: the
-// streamed refinement path passes the sink floor (the k-th probability so
-// far) instead of params.Alpha, turning the Lemma-5 test and the running
-// product cutoff into cross-shard top-k pruning. skipMarkov skips the
-// Lemma-5 product: the plan switched it off, the index certifies it
-// cannot prune (markovFutile), or the caller already evaluated it
-// (candidate ordering by upper bound precomputes the same product).
-func (p *Processor) verifyCandidateAt(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
+// verifyCandidate checks one candidate matrix at the α cutoff alpha:
+// Lemma-5 graph existence pruning on pivot upper bounds (unless
+// skipMarkov), then exact verification of Definition 4, reading
+// standardized vectors from the paged heap file charged to io and drawing
+// Monte Carlo samples with the estimators of worker scratch ws. Refinement
+// passes params.Alpha, or under a top-k sink the sink floor (the k-th
+// probability so far), which turns the running product cutoff into
+// cross-shard top-k pruning. skipMarkov skips the Lemma-5 product: the plan
+// switched it off, the index certifies it cannot prune (markovFutile), or
+// the caller already evaluated it (the sink's bound order precomputes the
+// same product).
+func (p *Processor) verifyCandidate(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
 	ws *workerScratch, alpha float64, skipMarkov bool) candOutcome {
 	var out candOutcome
 	m := p.idx.DB().BySource(src)

@@ -228,7 +228,7 @@ func TestRefineCachedCandidateDrawsNothing(t *testing.T) {
 	ec := p.newExec(context.Background())
 	defer ec.Close()
 	ws := &workerScratch{}
-	o := p.verifyCandidate(ec.IO(), q, qEdges, origin, ws, false)
+	o := p.verifyCandidate(ec.IO(), q, qEdges, origin, ws, p.params.Alpha, false)
 	if o.answer == nil || o.answer.Prob != wantProb || !reflect.DeepEqual(o.answer.Edges, wantEdges) {
 		t.Fatalf("cached candidate answered %+v, want Pr %v over edges %+v", o.answer, wantProb, wantEdges)
 	}

@@ -38,10 +38,10 @@ type workerScratch struct {
 	inferEstimated int
 }
 
-// streamCand is one candidate of the streamed (top-k sink) refinement:
-// its source and full Lemma-5 upper-bound product.
-type streamCand struct {
-	src int
+// boundCand is one candidate of a top-k sink's refinement: its position
+// in the candidate sources and its full Lemma-5 upper-bound product.
+type boundCand struct {
+	pos int
 	ub  float64
 }
 
@@ -50,7 +50,7 @@ type queryScratch struct {
 	workers  []workerScratch
 	outcomes []candOutcome
 	readers  []*pagestore.Reader
-	cands    []streamCand
+	order    []boundCand
 	sources  []int
 
 	// Refinement's fan-out: the running query's inputs, and the work

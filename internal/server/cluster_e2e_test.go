@@ -28,15 +28,18 @@ import (
 // End-to-end cluster tests: real shard servers behind httptest, a remote
 // scatter-gather coordinator in front, and an in-process sharded
 // coordinator over the same database, ring, and index options as the
-// byte-identity reference. DESIGN.md §15's core promise — remote answers
-// identical to in-process at the same shard count and placement — is
-// pinned here for both kernels, for top-k, solo, and batch execution,
-// and across replica failures.
+// byte-identity reference, plus a one-shard coordinator over the same
+// database. DESIGN.md §15's core promise — remote answers identical to
+// in-process ones, and to a one-shard engine's at any shard count — is
+// pinned here for both kernels, for top-k, one-shard, and batch
+// execution, and across replica failures.
 
 var clusterIdxOpts = index.Options{D: 2, Samples: 24, Seed: 2}
 
 // clusterDB builds a planted-module database: genes A, B, C correlated
-// in every source plus one unique gene per source.
+// in every source plus one unique gene per source. The module's noise
+// grows with src mod 4, so Monte Carlo estimates of its edges fall below 1
+// and depend on their streams.
 func clusterDB(t *testing.T, n int) (*gene.Database, *gene.Catalog) {
 	t.Helper()
 	rng := randgen.New(1)
@@ -46,7 +49,7 @@ func clusterDB(t *testing.T, n int) (*gene.Database, *gene.Catalog) {
 	for src := 0; src < n; src++ {
 		m, err := gene.NewMatrix(src,
 			[]gene.ID{idA, idB, idC, gene.ID(100 + src)},
-			moduleColumns(rng, 18))
+			moduleColumns(rng, 18, 1+float64(src%4)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,8 +61,9 @@ func clusterDB(t *testing.T, n int) (*gene.Database, *gene.Catalog) {
 }
 
 // moduleColumns draws four columns over a shared driver signal: three
-// strongly (anti-)correlated module members and one noise column.
-func moduleColumns(rng *randgen.Rand, l int) [][]float64 {
+// (anti-)correlated module members, whose noise scale multiplies, and one
+// noise column.
+func moduleColumns(rng *randgen.Rand, l int, scale float64) [][]float64 {
 	driver := make([]float64, l)
 	for i := range driver {
 		driver[i] = rng.Gaussian(0, 1)
@@ -71,7 +75,7 @@ func moduleColumns(rng *randgen.Rand, l int) [][]float64 {
 		}
 		return col
 	}
-	return [][]float64{mk(1, 0.1), mk(0.9, 0.2), mk(-0.9, 0.2), mk(0, 1)}
+	return [][]float64{mk(1, 0.1*scale), mk(0.9, 0.2*scale), mk(-0.9, 0.2*scale), mk(0, 1)}
 }
 
 type testCluster struct {
@@ -81,6 +85,7 @@ type testCluster struct {
 	shards []*Server // shard-role servers, aligned with topo.Servers
 	remote *cluster.Coordinator
 	ref    *shard.Coordinator // in-process byte-identity reference
+	one    *shard.Coordinator // the same database on one shard
 	reg    *obs.Registry      // coordinator metrics
 	cat    *gene.Catalog
 	db     *gene.Database
@@ -165,6 +170,9 @@ func newTestCluster(t *testing.T, nServers, replication int,
 		t.Fatal(err)
 	}
 	tc.ref = ref
+	if tc.one, err = shard.Build(db, shard.Options{Index: clusterIdxOpts}); err != nil {
+		t.Fatal(err)
+	}
 	return tc
 }
 
@@ -221,10 +229,15 @@ func TestClusterByteIdentityMatrix(t *testing.T) {
 			q := tc.queryMatrix(t, 3)
 			got, _, gerr := tc.remote.QueryContext(ctx, q, params)
 			want, _, werr := tc.ref.QueryContext(ctx, q, params)
+			one, _, oerr := tc.one.QueryContext(ctx, q, params)
 			mustAnswers(t, "remote", got, gerr)
 			mustAnswers(t, "in-process", want, werr)
+			mustAnswers(t, "one shard", one, oerr)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("remote answers diverge from in-process:\n got %+v\nwant %+v", got, want)
+			}
+			if !reflect.DeepEqual(got, one) {
+				t.Errorf("remote answers diverge from one shard:\n got %+v\nwant %+v", got, one)
 			}
 		})
 	}
@@ -237,10 +250,15 @@ func TestClusterByteIdentityGraph(t *testing.T) {
 	params := clusterParamsFor(false)
 	got, _, gerr := tc.remote.QueryGraphContext(ctx, q, params)
 	want, _, werr := tc.ref.QueryGraphContext(ctx, q, params)
+	one, _, oerr := tc.one.QueryGraphContext(ctx, q, params)
 	mustAnswers(t, "remote", got, gerr)
 	mustAnswers(t, "in-process", want, werr)
+	mustAnswers(t, "one shard", one, oerr)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("remote graph answers diverge:\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(got, one) {
+		t.Errorf("remote graph answers diverge from one shard:\n got %+v\nwant %+v", got, one)
 	}
 }
 
@@ -256,21 +274,25 @@ func TestClusterByteIdentityTopK(t *testing.T) {
 			q := tc.queryMatrix(t, 5)
 			got, _, gerr := tc.remote.QueryTopKContext(ctx, q, params, 3)
 			want, _, werr := tc.ref.QueryTopKContext(ctx, q, params, 3)
+			one, _, oerr := tc.one.QueryTopKContext(ctx, q, params, 3)
 			mustAnswers(t, "remote", got, gerr)
 			mustAnswers(t, "in-process", want, werr)
+			mustAnswers(t, "one shard", one, oerr)
 			if len(got) != 3 {
 				t.Errorf("top-3 returned %d answers", len(got))
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("remote top-k diverges:\n got %+v\nwant %+v", got, want)
 			}
+			if !reflect.DeepEqual(got, one) {
+				t.Errorf("remote top-k diverges from one shard:\n got %+v\nwant %+v", got, one)
+			}
 		})
 	}
 }
 
-// TestClusterByteIdentitySolo pins the single-server degenerate case:
-// the coordinator ships the whole query untouched (Solo) and the shard
-// server runs the full local engine path.
+// TestClusterByteIdentitySolo pins the single-server degenerate case: a
+// one-shard cluster runs the ordinary scatter leg.
 func TestClusterByteIdentitySolo(t *testing.T) {
 	tc := newTestCluster(t, 1, 1, nil, nil)
 	ctx := context.Background()
@@ -305,8 +327,9 @@ func TestClusterByteIdentityBatch(t *testing.T) {
 	}
 	got, _ := tc.remote.QueryBatch(ctx, items, core.BatchOptions{})
 	want, _ := tc.ref.QueryBatch(ctx, items, core.BatchOptions{})
-	if len(got) != len(items) || len(want) != len(items) {
-		t.Fatalf("result counts: remote %d, in-process %d", len(got), len(want))
+	one, _ := tc.one.QueryBatch(ctx, items, core.BatchOptions{})
+	if len(got) != len(items) || len(want) != len(items) || len(one) != len(items) {
+		t.Fatalf("result counts: remote %d, in-process %d, one shard %d", len(got), len(want), len(one))
 	}
 	for i := range items {
 		if (got[i].Err == nil) != (want[i].Err == nil) {
@@ -321,6 +344,9 @@ func TestClusterByteIdentityBatch(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got[i].Answers, want[i].Answers) {
 			t.Errorf("item %d answers diverge:\n got %+v\nwant %+v", i, got[i].Answers, want[i].Answers)
+		}
+		if !reflect.DeepEqual(got[i].Answers, one[i].Answers) {
+			t.Errorf("item %d answers diverge from one shard:\n got %+v\nwant %+v", i, got[i].Answers, one[i].Answers)
 		}
 	}
 }
@@ -503,7 +529,7 @@ func TestClusterReplicatedMutations(t *testing.T) {
 	rng := randgen.New(7)
 	m, err := gene.NewMatrix(src,
 		[]gene.ID{tc.cat.Intern("A"), tc.cat.Intern("B"), tc.cat.Intern("C"), gene.ID(100 + src)},
-		moduleColumns(rng, 18))
+		moduleColumns(rng, 18, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,6 +601,12 @@ func TestClusterShardServerRejections(t *testing.T) {
 	rec := postJSON(t, srv, cluster.PathExec, cluster.BatchExecRequest{Proto: 99, NumShards: 3})
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "protocol version") {
 		t.Errorf("proto skew: status %d body %s", rec.Code, rec.Body)
+	}
+
+	// A ProtoVersion-3 coordinator, whose servers derived per-shard seeds.
+	rec = postJSON(t, srv, cluster.PathExec, map[string]any{"proto": 3, "numShards": 3, "items": []any{}})
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "protocol version") {
+		t.Errorf("proto 3: status %d body %s", rec.Code, rec.Body)
 	}
 
 	// A ProtoVersion-2 coordinator (either of its two exec envelopes), and

@@ -15,7 +15,6 @@ import (
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/plan"
-	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/shard"
 )
 
@@ -23,10 +22,11 @@ import (
 // server — every public endpoint keeps working against its local shards —
 // that additionally mounts the /cluster/* execution endpoints a remote
 // cluster.Coordinator scatters to. The contract is byte-identity: the
-// coordinator ships the resolved plan and the GLOBAL shard index, the
-// server derives SeedFrom(Seed, global) itself and executes exactly the
-// per-shard leg of the in-process scatter, so the merged answer depends
-// only on placement and params — never on which replica served the leg.
+// coordinator ships the resolved plan and the GLOBAL shard index, and the
+// server executes exactly the per-shard leg of the in-process scatter
+// under the caller's params, so the merged answer depends only on the
+// database and the params — never on placement or on which replica served
+// the leg.
 
 // ShardRole describes the slice of the global partition this server
 // hosts: the global shard count P, the global indexes of the hosted
@@ -35,7 +35,7 @@ import (
 type ShardRole struct {
 	// NumShards is the GLOBAL partition count P. Requests carrying a
 	// different count are rejected: a misconfigured cluster must fail
-	// loudly, not return wrong-seeded answers.
+	// loudly, not return answers over the wrong partition.
 	NumShards int
 	// Shards lists the hosted global shard indexes; Shards[local] is the
 	// global index of the coordinator's local shard `local`.
@@ -227,8 +227,8 @@ func (n *ndjsonWriter) frame(v any) {
 }
 
 // handleClusterExec executes every item of one coordinator request on one
-// hosted shard (or, Solo, on the whole single-shard engine), streaming
-// accept and item frames as the items run and retire.
+// hosted shard, streaming accept and item frames as the items run and
+// retire.
 func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 	var req cluster.BatchExecRequest
 	if !s.decode(w, r, &req) {
@@ -237,13 +237,11 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 	if !s.checkEnvelope(w, req.Proto, req.NumShards) {
 		return
 	}
-	local := 0
-	if !req.Solo {
-		if local = s.role.localOf(req.Shard); local < 0 {
-			s.error(w, http.StatusBadRequest,
-				fmt.Sprintf("global shard %d is not hosted here (serving %v)", req.Shard, s.role.Shards))
-			return
-		}
+	local := s.role.localOf(req.Shard)
+	if local < 0 {
+		s.error(w, http.StatusBadRequest,
+			fmt.Sprintf("global shard %d is not hosted here (serving %v)", req.Shard, s.role.Shards))
+		return
 	}
 	release, ok := s.acquire(w)
 	if !ok {
@@ -259,12 +257,9 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 		out.frame(cluster.BatchExecFrame{Item: &cluster.BatchItemFrame{Index: i, Shard: req.Shard, Error: err.Error()}})
 	}
 
-	// Materialize the wire items. Matrix items of a scatter leg are
-	// inferred here at the BASE seed — the shared prologue of the
-	// in-process scatter — so every server derives the identical graph;
-	// solo legs (the P=1 degenerate case) hand every item to the full local
-	// engine untouched — the same streams the unsharded engine uses, so
-	// solo deployments are byte-identical to Open().
+	// Materialize the wire items. Matrix items are inferred here — the
+	// shared prologue of the in-process scatter — so every server derives
+	// the identical graph.
 	type liveItem struct {
 		wire  int // index into req.Items (= the coordinator's frame index)
 		item  core.BatchItem
@@ -287,11 +282,6 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		li := liveItem{wire: i, tr: tr}
-		if req.Solo {
-			li.item = core.BatchItem{Matrix: mq, Graph: q, Params: params, K: wi.K}
-			live = append(live, li)
-			continue
-		}
 		if mq != nil {
 			ictx, icancel := ctx, context.CancelFunc(func() {})
 			if itemTimeout > 0 {
@@ -307,10 +297,6 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 			ws := cluster.StatsToWire(ist)
 			li.infer = &ws
 		}
-		// The per-GLOBAL-shard derived seed — exactly the rewrite the
-		// in-process scatter applies.
-		sp := params
-		sp.Seed = randgen.SeedFrom(params.Seed, uint64(req.Shard))
 		if wi.K > 0 {
 			// Per-(item, shard) local sink: the coordinator merges the
 			// shards' local top-k runs, so K stays 0 at the engine level and
@@ -326,9 +312,9 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 			key := floorKey{req.QueryID, i}
 			s.floors.register(key, li.sink)
 			defer s.floors.deregister(key, li.sink)
-			sp.Sink = li.sink
+			params.Sink = li.sink
 		}
-		li.item = core.BatchItem{Graph: q, Params: sp}
+		li.item = core.BatchItem{Graph: q, Params: params}
 		live = append(live, li)
 	}
 	if len(live) == 0 {
@@ -359,9 +345,7 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 			out.frame(cluster.BatchExecFrame{Item: &fr})
 		},
 	}
-	if req.Solo {
-		s.coord.QueryBatch(ctx, items, opts)
-	} else if err := s.coord.QueryShardBatch(ctx, local, items, opts); err != nil {
+	if err := s.coord.QueryShardBatch(ctx, local, items, opts); err != nil {
 		out.frame(cluster.BatchExecFrame{Error: err.Error()})
 		return
 	}

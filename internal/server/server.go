@@ -75,6 +75,9 @@ import (
 // coordinators implement the three solo entry points as one-item
 // QueryBatch calls, so QueryBatch is the one execution path behind this
 // interface; Stats.Answers is the number of answers returned on all four.
+// Every implementation runs the caller's params on every shard, so the
+// answers are a function of (database, params): the same from each of
+// them at any shard count, one included.
 type Engine interface {
 	QueryContext(ctx context.Context, mq *gene.Matrix, params core.Params) ([]core.Answer, core.Stats, error)
 	QueryGraphContext(ctx context.Context, q *grn.Graph, params core.Params) ([]core.Answer, core.Stats, error)

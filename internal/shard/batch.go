@@ -10,40 +10,32 @@ import (
 	"github.com/imgrn/imgrn/internal/core"
 	"github.com/imgrn/imgrn/internal/exec"
 	"github.com/imgrn/imgrn/internal/obs"
-	"github.com/imgrn/imgrn/internal/randgen"
 )
 
 // Scatter-gather execution (DESIGN.md §10, §14): the one function in this
 // package that fans a request out over the shards (QueryBatch) and the one
 // that merges per-shard runs (its mergeItem). A solo query is a batch of
-// one (query.go).
+// one (query.go), and P = 1 is a scatter over one shard.
 //
-// P = 1 delegates the whole batch to the single shard's core.QueryBatch
-// with the caller's params untouched (plus the shard's cache handle): one
-// plan resolution, then per item one processor at the caller's seed —
-// byte-identical to the unsharded engine (sequential inference runs on
-// one stream per processor, so splitting a query across processors would
-// already perturb it).
-//
-// P > 1 runs ONE scatter for the whole batch: plans resolve once per
-// distinct request group at the coordinator (the resolved *plan.Plan
-// pointer travels in every per-shard params copy, so every shard executes
-// the same decisions), every matrix item's query graph is inferred once at
-// the caller's base seed (inference reads only the matrix, never the
-// shards, so the graph is independent of P), and each shard receives the
-// full batch as pre-inferred graph items with its per-shard params
-// rewrite: Seed derived from (Seed, shard) — so results are a pure
-// function of (placement, Params), never of the schedule — and Cache
-// pointing at the shard's own store. Each shard then runs its own
-// core.QueryBatch under one read-lock acquisition on an exec worker pool.
-// A per-item countdown merges each item as its last shard completes it,
-// so results stream out as individual queries finish (possibly out of
-// item order; the server serializes frames). The item's obs.Tracer
-// (concurrency-safe) collects every shard's pipeline spans, then one
-// scatter span and one merge span; per-shard Stats are summed into one
-// aggregate (durations become aggregate across-shard time, like the
-// Workers>1 refinement sub-stages), except Stats.Answers, which is the
-// number of answers returned.
+// One scatter serves the whole batch: plans resolve once per distinct
+// request group at the coordinator (the resolved *plan.Plan pointer
+// travels in every per-shard params copy, so every shard executes the
+// same decisions), every matrix item's query graph is inferred once at
+// the coordinator (inference reads only the matrix, never the shards), and
+// each shard receives the full batch as pre-inferred graph items with the
+// caller's params plus its own cache handle. Every refinement draw is
+// addressed by (Seed, source, column pair) and placement partitions the
+// sources, so answers are a function of (database, params) alone — the
+// same at every P and placement. Each shard runs its own core.QueryBatch
+// under one read-lock acquisition on an exec worker pool. A per-item
+// countdown merges each item as its last shard completes it, so results
+// stream out as individual queries finish (possibly out of item order;
+// the server serializes frames). The item's obs.Tracer (concurrency-safe)
+// collects every shard's pipeline spans, then one scatter span and one
+// merge span; per-shard Stats are summed into one aggregate (durations
+// become aggregate across-shard time, like the Workers>1 refinement
+// sub-stages), except Stats.Answers, which is the number of answers
+// returned.
 //
 // A shard's item error fails that item only; the other shards still run
 // it to completion (nothing cancels them), and the batch context is the
@@ -54,51 +46,16 @@ import (
 // gets its own.
 //
 // Items with K > 0 refine against a per-item shared core.TopKSink wired
-// through every shard's params, switching their refinement into the
-// streamed mode: candidates verify in descending Lemma-5 upper-bound order
-// and each shard terminates its own refinement as soon as its best
-// remaining upper bound falls below the sink floor — the k-th best
-// probability found so far across ALL shards (cross-shard Markov-bound
-// early termination).
+// through every shard's params: candidates verify in descending Lemma-5
+// upper-bound order and a shard skips every candidate whose bound falls
+// to the sink floor — the k-th best probability found so far across ALL
+// shards (cross-shard Markov-bound early termination).
 
 // QueryBatch answers a batch of queries scatter-gather. It returns one
 // result per item in item order; opts.OnResult streams each item as its
 // merge completes. Item errors are per item — a failed item never fails
 // its siblings — and the batch-level counters aggregate across shards.
 func (c *Coordinator) QueryBatch(ctx context.Context, items []core.BatchItem, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats) {
-	if len(c.shards) == 1 {
-		return c.queryBatchOne(ctx, items, opts)
-	}
-	return c.queryBatchScatter(ctx, items, opts)
-}
-
-// queryBatchOne is the P=1 fast path: the whole batch runs on the single
-// shard with the caller's params plus the shard's cache handles.
-func (c *Coordinator) queryBatchOne(ctx context.Context, items []core.BatchItem, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats) {
-	s := c.shards[0]
-	// Resolve plans before cache selection: the cache key includes the
-	// sample count, which an (Eps, Delta) accuracy request rewrites.
-	// QueryBatch re-runs the (idempotent) resolution and re-derives the
-	// same per-item errors for the items skipped here.
-	errs := core.ResolveBatchPlans(items)
-	for i := range items {
-		if errs[i] == nil {
-			items[i].Params.Cache = s.caches.For(items[i].Params)
-		}
-	}
-	s.mu.RLock()
-	results, bst := core.QueryBatch(ctx, s.idx, items, opts)
-	s.mu.RUnlock()
-	for _, r := range results {
-		if r.Err == nil {
-			s.recordQuery(r.Stats)
-		}
-	}
-	return results, bst
-}
-
-// queryBatchScatter is the P>1 path: one scatter for the whole batch.
-func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchItem, opts core.BatchOptions) ([]core.BatchResult, core.BatchStats) {
 	nShards := len(c.shards)
 	results := make([]core.BatchResult, len(items))
 	bst := core.BatchStats{Queries: len(items)}
@@ -122,8 +79,7 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 	}
 
 	// Shared prologue: plan resolution once per distinct request group,
-	// then one inference per matrix item at the caller's base seed so the
-	// scattered graph is independent of P.
+	// then one inference per matrix item.
 	start := time.Now()
 	planErrs := core.ResolveBatchPlans(items)
 	type liveItem struct {
@@ -131,7 +87,7 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 		base core.Stats
 		sink *core.TopKSink
 	}
-	var live []liveItem
+	live := make([]liveItem, 0, len(items))
 	for i := range items {
 		if planErrs[i] != nil {
 			finish(i, core.BatchResult{Err: planErrs[i]})
@@ -206,8 +162,8 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 		} else {
 			// Placement partitions the sources, so the union has no
 			// duplicates; each run is already Source-ascending, and the
-			// streaming k-way merge preserves that order — matching the
-			// unsharded engine's answer order without re-sorting the union.
+			// streaming k-way merge preserves that order without
+			// re-sorting the union.
 			merged = core.MergeAnswerRuns(runs)
 		}
 		tr.Record(obs.StageMerge, mStart, time.Since(mStart), produced, len(merged))
@@ -221,7 +177,6 @@ func (c *Coordinator) queryBatchScatter(ctx context.Context, items []core.BatchI
 		shardItems := make([]core.BatchItem, len(live))
 		for pos, li := range live {
 			sp := items[li.orig].Params
-			sp.Seed = randgen.SeedFrom(sp.Seed, uint64(s))
 			sp.Sink = li.sink
 			sp.Cache = sh.caches.For(sp)
 			// The plan traveled with the params; K stays 0 at shard level

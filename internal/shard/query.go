@@ -15,13 +15,13 @@ import (
 // QueryContext, QueryGraphContext and QueryTopKContext wrap their query in
 // a single core.BatchItem and run it through QueryBatch (batch.go), the
 // one scatter-gather in this package. Everything the protocol promises —
-// the untouched-params P=1 path, the once-inferred query graph, the
-// per-shard derived seed, the shared top-k sink, the scatter and merge
-// spans — is described and implemented there, once.
+// the once-inferred query graph, the caller's params on every shard, the
+// shared top-k sink, the scatter and merge spans — is described and
+// implemented there, once.
 
 // QueryContext answers an IM-GRN query scatter-gather: it infers the query
 // GRN from mq once and fans the match out over the shards. Answers are
-// sorted by source ID, exactly like the unsharded engine.
+// sorted by source ID.
 func (c *Coordinator) QueryContext(ctx context.Context, mq *gene.Matrix, params core.Params) ([]core.Answer, core.Stats, error) {
 	return c.queryItem(ctx, core.BatchItem{Matrix: mq, Params: params})
 }
@@ -33,12 +33,12 @@ func (c *Coordinator) QueryGraphContext(ctx context.Context, q *grn.Graph, param
 }
 
 // QueryTopKContext answers a query keeping only the k best matches by
-// appearance probability (ties toward smaller source IDs). With P>1 and
-// k>0 the shards stream their answers into a shared bounded top-k merge
-// and terminate early on the cross-shard Markov bound; the returned top-k
-// set is deterministic for a fixed placement, though which candidates the
-// rising bound prunes — and so the pruning and cache counters — may vary
-// run to run. k <= 0 ranks all matches.
+// appearance probability (ties toward smaller source IDs). With k>0 the
+// shards stream their answers into a shared bounded top-k merge and
+// terminate early on the cross-shard Markov bound; the returned top-k set
+// is deterministic, though which candidates the rising bound prunes — and
+// so the pruning and cache counters — may vary run to run. k <= 0 ranks
+// all matches.
 func (c *Coordinator) QueryTopKContext(ctx context.Context, mq *gene.Matrix, params core.Params, k int) ([]core.Answer, core.Stats, error) {
 	answers, st, err := c.queryItem(ctx, core.BatchItem{Matrix: mq, Params: params, K: k})
 	if err == nil && k <= 0 {
@@ -76,9 +76,8 @@ func (s *shardState) recordQuery(st core.Stats) {
 	s.ioHits.Add(st.IOHits)
 }
 
-// inferOnce infers the query graph for the P>1 paths: once, up front, on
-// the caller's base Seed (so the inferred graph is independent of P), with
-// the infer span and stats recorded coordinator-side.
+// inferOnce infers a matrix item's query graph once, up front, with the
+// infer span and stats recorded coordinator-side.
 func (c *Coordinator) inferOnce(ctx context.Context, mq *gene.Matrix, params core.Params) (*grn.Graph, core.Stats, error) {
 	var st core.Stats
 	start := time.Now()

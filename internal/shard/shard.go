@@ -9,16 +9,17 @@
 // full ordered union or a bounded top-k merge with cross-shard
 // Markov-bound early termination.
 //
-// Sharding changes the concurrency profile, not the answer set: a P=1
-// coordinator is byte-identical to the unsharded engine (pinned by a
-// golden test), and P>1 answers are set-equal under the analytic
-// estimator. Under Monte Carlo estimation P>1 shards draw from
-// (Seed, shard)-derived streams, so probabilities are deterministic for a
-// fixed P and placement but differ from the unsharded stream.
+// Sharding changes the concurrency profile, not the answers: every shard
+// runs the caller's params, and every refinement draw is addressed by
+// (Seed, source, column pair), so answers are a function of (database,
+// params) alone — byte-identical at every P and placement, under both
+// estimators.
 package shard
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 
@@ -29,8 +30,7 @@ import (
 
 // Options configures a sharded coordinator.
 type Options struct {
-	// NumShards is the partition count P (1 when <= 0). P=1 reproduces the
-	// unsharded engine exactly.
+	// NumShards is the partition count P (1 when <= 0).
 	NumShards int
 	// Index configures each shard's index construction. All shards share
 	// one Options value: embeddings derive their randomness from
@@ -53,9 +53,8 @@ type Options struct {
 	// OnImbalance, when non-nil, is invoked after a mutation that leaves
 	// the placement imbalanced, with the per-shard source counts. The hook
 	// observes — it may schedule a rebuild at a larger P or log — but the
-	// coordinator itself never moves sources between shards (moving a
-	// source changes its shard-derived sample streams, so rebalancing is an
-	// explicit, offline decision). Called outside all coordinator locks.
+	// coordinator itself never moves sources between shards (rebalancing is
+	// an explicit, offline decision). Called outside all coordinator locks.
 	OnImbalance func(loads []int)
 }
 
@@ -107,11 +106,9 @@ type shardState struct {
 	mu  sync.RWMutex
 	idx *index.Index
 
-	// caches are the shard's per-estimator probability caches. For P>1
-	// the params carry the shard-derived seed, so the same base query maps
-	// to distinct caches on distinct shards — exactly right, since their
-	// sample streams differ. A mutation drops only its source's entries
-	// (caches.InvalidateSource), leaving the rest warm.
+	// caches are the shard's per-estimator probability caches, holding
+	// the edges of the shard's own sources. A mutation drops only its
+	// source's entries (caches.InvalidateSource), leaving the rest warm.
 	caches core.CacheTable
 
 	// Lifetime counters for observability (Snapshot, /stats, /metrics).
@@ -165,8 +162,8 @@ func Build(db *gene.Database, opts Options) (*Coordinator, error) {
 }
 
 // FromIndex wraps an already-built index as a single-shard coordinator —
-// the path for indexes loaded from disk, and the degenerate deployment the
-// golden tests pin against the unsharded engine.
+// the path for indexes loaded from disk. The index's database is the
+// coordinator's global view.
 func FromIndex(idx *index.Index) *Coordinator {
 	db := idx.DB()
 	placement := make(map[int]int, db.Len())
@@ -181,6 +178,22 @@ func FromIndex(idx *index.Index) *Coordinator {
 		sharedDB:  true,
 		shards:    []*shardState{{idx: idx}},
 	}
+}
+
+// errSaveSharded rejects SaveIndex on coordinators of more than one shard.
+var errSaveSharded = errors.New("shard: SaveIndex needs a one-shard coordinator")
+
+// SaveIndex serializes a one-shard coordinator's index (index.Save) under
+// the shard's write lock. A coordinator of more shards has no one index to
+// save and returns an error without writing.
+func (c *Coordinator) SaveIndex(w io.Writer) error {
+	if len(c.shards) > 1 {
+		return errSaveSharded
+	}
+	s := c.shards[0]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.idx.Save(w)
 }
 
 // NumShards returns the partition count P.

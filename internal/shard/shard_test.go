@@ -49,12 +49,11 @@ func fingerprint(answers []core.Answer, st core.Stats) string {
 	return sb.String()
 }
 
-// TestP1ByteIdentical pins the sharding tentpole's core invariant: a
-// 1-shard coordinator answers byte-identically to the raw unsharded
-// processor — same answers, same probabilities to the last bit, same
-// pruning/I/O/cache counters — across the golden Monte Carlo workload.
-// P=1 must delegate the whole query to one processor because inference
-// and refinement share the sequential RNG stream.
+// TestP1ByteIdentical pins the one-shard scatter to the raw processor: a
+// 1-shard coordinator answers byte-identically to one processor over the
+// whole index — same answers, same probabilities to the last bit, same
+// pruning/I/O/cache counters — across the golden Monte Carlo workload,
+// although it infers the query graph apart from the shard's run.
 func TestP1ByteIdentical(t *testing.T) {
 	ds := goldenDB(t)
 	idx, err := index.Build(ds.DB, goldenOpts)
@@ -168,10 +167,10 @@ func TestScatterSetEquality(t *testing.T) {
 }
 
 // TestScatterDeterministicMC: under Monte Carlo estimation a P>1 scatter
-// draws (Seed, shard)-derived streams, so results differ from the
-// unsharded stream but must be a pure function of (placement, Params) —
-// identical across repeated runs and across identically-built
-// coordinators, never dependent on goroutine schedule.
+// is a pure function of (database, Params) — identical across repeated
+// runs and across identically-built coordinators, never dependent on
+// goroutine schedule (the root TestAnswersIndependentOfShardCount holds it
+// equal to one shard).
 func TestScatterDeterministicMC(t *testing.T) {
 	params := core.Params{Gamma: 0.5, Alpha: 0.4, Samples: 48, Seed: 9}
 	run := func() string {
@@ -294,6 +293,48 @@ func TestTopKAnswersStatOneMeaning(t *testing.T) {
 		}
 		if !trimmed {
 			t.Fatalf("P=%d: no query had more than %d matches; the test cannot tell the two meanings apart", p, k)
+		}
+	}
+}
+
+// TestBatchItemIsolation: a nil item and a K-trimmed item behave per item
+// without affecting their siblings, and the K item returns the full
+// query's best answer, at P=1 and P=3 alike.
+func TestBatchItemIsolation(t *testing.T) {
+	ctx := context.Background()
+	for _, p := range []int{1, 3} {
+		_, _, ds, coord, params := buildBoth(t, p)
+		mq, _, err := ds.ExtractQuery(randgen.New(101), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, _, err := coord.QueryTopKContext(ctx, mq, params, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full) < 2 {
+			t.Fatalf("P=%d: %d answers; the K=1 item trims nothing", p, len(full))
+		}
+		items := []core.BatchItem{
+			{Matrix: mq, Params: params},
+			{Params: params}, // no matrix, no graph
+			{Matrix: mq, Params: params, K: 1},
+		}
+		results, bst := coord.QueryBatch(ctx, items, core.BatchOptions{})
+		if results[0].Err != nil || results[2].Err != nil {
+			t.Fatalf("P=%d: sibling errors: %v / %v", p, results[0].Err, results[2].Err)
+		}
+		if !errors.Is(results[1].Err, core.ErrNoBatchQuery) {
+			t.Fatalf("P=%d: empty item error = %v, want ErrNoBatchQuery", p, results[1].Err)
+		}
+		if bst.Errors != 1 {
+			t.Fatalf("P=%d: batch errors = %d, want 1", p, bst.Errors)
+		}
+		if len(results[0].Answers) != len(full) {
+			t.Errorf("P=%d: untrimmed item returned %d answers, want %d", p, len(results[0].Answers), len(full))
+		}
+		if !reflect.DeepEqual(results[2].Answers, full[:1]) {
+			t.Errorf("P=%d: K=1 item returned %+v, want %+v", p, results[2].Answers, full[:1])
 		}
 	}
 }

@@ -12,8 +12,9 @@ import (
 	"github.com/imgrn/imgrn/internal/randgen"
 )
 
-// openBoth opens the same fixture database unsharded and sharded; the
-// fixture is rebuilt per engine so the two never share matrices.
+// openBoth opens the same fixture database with Open and at the given
+// shard count; the fixture is rebuilt per engine so the two never share
+// matrices.
 func openBoth(t *testing.T, n int, seed uint64, shards int) (*imgrn.Engine, *imgrn.Engine, *imgrn.Database) {
 	t.Helper()
 	opts := imgrn.IndexOptions{D: 2, Samples: 24, Seed: seed}
@@ -30,45 +31,95 @@ func openBoth(t *testing.T, n int, seed uint64, shards int) (*imgrn.Engine, *img
 	return eng, seng, db
 }
 
-// TestOpenShardedMatchesUnsharded: the public sharded engine answers
-// set-equal to the unsharded one under the analytic estimator, with the
-// identical API surface.
-func TestOpenShardedMatchesUnsharded(t *testing.T) {
-	eng, seng, db := openBoth(t, 18, 40, 3)
-	if got := seng.NumShards(); got != 3 {
-		t.Fatalf("NumShards = %d", got)
+// TestAnswersIndependentOfShardCount: answers are a function of the
+// database and the params, not of placement. At P = 2, 3 and 5 the
+// engine's Query, QueryTopK(k=2) and QueryBatch answers print byte-equal
+// to Open's one shard under both estimators, both sidednesses and Workers
+// 0 and 2, and the engine reports its shards and every indexed vector.
+func TestAnswersIndependentOfShardCount(t *testing.T) {
+	const n, seed, k = 18, 40, 2
+	opts := imgrn.IndexOptions{D: 2, Samples: 24, Seed: seed}
+	ref, err := imgrn.Open(buildPublicFixture(t, n, seed), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := eng.NumShards(); got != 1 {
-		t.Fatalf("unsharded NumShards = %d", got)
+	if got := ref.NumShards(); got != 1 {
+		t.Fatalf("Open NumShards = %d", got)
 	}
-	if v := seng.IndexStats().Vectors; v != eng.IndexStats().Vectors {
-		t.Errorf("sharded index vectors = %d, unsharded %d", v, eng.IndexStats().Vectors)
-	}
-	params := imgrn.QueryParams{Gamma: 0.6, Alpha: 0.4, Seed: 41, Analytic: true}
-	for src := 0; src < 6; src++ {
-		qm, err := db.BySource(src).SubMatrix(-1, []int{0, 1, 2})
+	db := ref.Database()
+	var queries []*imgrn.Matrix
+	for src, cols := range [][]int{{0, 1, 2}, {0, 1, 2, 3}, {0, 1, 2}, {1, 2, 4}} {
+		qm, err := db.BySource(src).SubMatrix(-1, cols)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := eng.Query(qm, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, st, err := seng.Query(qm, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %d: sharded %d answers, unsharded %d", src, len(got), len(want))
-		}
-		for k := range got {
-			if got[k].Source != want[k].Source || got[k].Prob != want[k].Prob {
-				t.Errorf("query %d answer %d differs: sharded (src=%d p=%v), unsharded (src=%d p=%v)",
-					src, k, got[k].Source, got[k].Prob, want[k].Source, want[k].Prob)
+		queries = append(queries, qm)
+	}
+	var params []imgrn.QueryParams
+	for _, analytic := range []bool{true, false} {
+		for _, oneSided := range []bool{false, true} {
+			for _, workers := range []int{0, 2} {
+				params = append(params, imgrn.QueryParams{Gamma: 0.5, Alpha: 0.1, Samples: 32, Seed: 41,
+					Analytic: analytic, OneSided: oneSided, Workers: workers})
 			}
 		}
-		if st.QueryEdges == 0 {
-			t.Errorf("query %d: merged stats empty: %+v", src, st)
+	}
+	// answers prints every answer list of the sweep, with its label.
+	answers := func(eng *imgrn.Engine) (labels, out []string) {
+		for _, p := range params {
+			what := fmt.Sprintf("analytic=%v oneSided=%v workers=%d", p.Analytic, p.OneSided, p.Workers)
+			var items []imgrn.BatchItem
+			for qi, q := range queries {
+				all, _, err := eng.Query(q, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				top, _, err := eng.QueryTopK(q, p, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				labels = append(labels, fmt.Sprintf("%s query %d", what, qi), fmt.Sprintf("%s top-%d %d", what, k, qi))
+				out = append(out, fmt.Sprint(all), fmt.Sprint(top))
+				items = append(items, imgrn.BatchItem{Matrix: q, Params: p}, imgrn.BatchItem{Matrix: q, Params: p, K: k})
+			}
+			results, _ := eng.QueryBatch(items, imgrn.BatchOptions{})
+			for i, r := range results {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				labels = append(labels, fmt.Sprintf("%s batch item %d", what, i))
+				out = append(out, fmt.Sprint(r.Answers))
+			}
+		}
+		return labels, out
+	}
+	labels, want := answers(ref)
+	// The sweep must have Monte Carlo answers, and top-k must trim.
+	for i, p := range params {
+		all, _, err := ref.Query(queries[0], p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(all) <= k {
+			t.Fatalf("params %d: query 0 has %d answers; top-%d trims nothing", i, len(all), k)
+		}
+	}
+	for _, shards := range []int{2, 3, 5} {
+		eng, err := imgrn.OpenSharded(buildPublicFixture(t, n, seed), opts, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.NumShards(); got != shards {
+			t.Fatalf("NumShards = %d, want %d", got, shards)
+		}
+		if v, w := eng.IndexStats().Vectors, ref.IndexStats().Vectors; v != w {
+			t.Errorf("P=%d: index vectors = %d, Open %d", shards, v, w)
+		}
+		_, got := answers(eng)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("P=%d %s:\n got %s\nwant %s", shards, labels[i], got[i], want[i])
+			}
 		}
 	}
 }
@@ -165,13 +216,13 @@ func TestShardedTopKAndStats(t *testing.T) {
 	if queries == 0 {
 		t.Error("ShardStats recorded no queries")
 	}
-	// Unsharded engines report no shards.
+	// Open reports its one shard.
 	eng, err := imgrn.Open(buildPublicFixture(t, 4, 46), imgrn.IndexOptions{D: 1, Samples: 8, Seed: 46})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.ShardStats() != nil {
-		t.Error("unsharded ShardStats should be nil")
+	if infos := eng.ShardStats(); len(infos) != 1 || infos[0].Sources != 4 {
+		t.Errorf("Open ShardStats = %+v, want one shard of 4 sources", infos)
 	}
 }
 
