@@ -566,10 +566,6 @@ func BenchmarkParallelQuery(b *testing.B) {
 // the order in which the pool hands units out shows.
 func BenchmarkInferQueryGraph(b *testing.B) {
 	ds := benchDataset(b, 40, 31)
-	idx, err := index.Build(ds.DB, index.Options{D: 2, Samples: 24, Seed: 31})
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := randgen.New(31 ^ 0xfeed)
 	var queries []*gene.Matrix
 	for i := 0; i < 8; i++ {
@@ -581,16 +577,11 @@ func BenchmarkInferQueryGraph(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			proc, err := core.NewProcessor(idx, core.Params{
-				Gamma: 0.4, Alpha: 0.3, Samples: 1024, Seed: 31, Workers: workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			params := core.Params{Gamma: 0.4, Alpha: 0.3, Samples: 1024, Seed: 31, Workers: workers}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := proc.InferQueryGraphContext(context.Background(), queries[i%len(queries)]); err != nil {
+				if _, _, err := core.InferQuery(context.Background(), queries[i%len(queries)], params); err != nil {
 					b.Fatal(err)
 				}
 			}

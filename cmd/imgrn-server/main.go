@@ -70,7 +70,7 @@ func main() {
 		drainTimeout  = flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on SIGINT/SIGTERM")
 		pprofOn       = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		slowQuery     = flag.Duration("slow-query", 0, "log queries slower than this with their stage breakdown (0 disables)")
-		shards        = flag.Int("shards", 1, "partition the database across this many index shards and query them scatter-gather (1 = unsharded; incompatible with -index)")
+		shards        = flag.Int("shards", 1, "partition the database across this many index shards and query them scatter-gather (1 = one shard; incompatible with -index)")
 		dataDir       = flag.String("data-dir", "", "durable data directory: WAL every mutation and checkpoint into snapshots; restarts warm-boot from it (incompatible with -index)")
 		ckptBytes     = flag.Int64("checkpoint-bytes", 64<<20, "checkpoint when live WAL segments exceed this many bytes (durable mode; <0 disables the size trigger)")
 		ckptEvery     = flag.Duration("checkpoint-every", 0, "background checkpoint interval while mutations are outstanding (durable mode; 0 = size-triggered and shutdown only)")

@@ -398,7 +398,8 @@ func (e *Engine) InferGraph(m *Matrix, params QueryParams) (*Graph, error) {
 	if m == nil {
 		return nil, errNilQuery
 	}
-	return e.coord.InferGraph(m, params)
+	q, _, err := core.InferQuery(context.Background(), m, params)
+	return q, err
 }
 
 // InferGraph reconstructs a probabilistic GRN from a matrix without an

@@ -1,16 +1,15 @@
 // Package cluster is the distributed serving tier (DESIGN.md §15): a
-// scatter-gather Coordinator that fans IM-GRN queries, batches and
-// mutations out to remote shard servers over HTTP, with consistent-hash
-// placement of sources onto global shards (ring.go), R-way replication
-// of every shard with hedged replicated reads (client.go, batch.go),
-// coordinator-resolved plans shipped in every request envelope
-// (proto.go), and per-item cross-shard top-k floor propagation so remote
-// shards early-terminate like in-process ones. Queries and batches share
-// one scatter, one hedged-leg loop and one gather (batch.go): a solo
-// query is a batch of one. The in-process shard.Coordinator is the
-// single-node degenerate case of the same code path: the remote answers
-// are byte-identical to it, and so to a one-shard engine (pinned by
-// goldens).
+// Coordinator that fans IM-GRN queries, batches and mutations out to
+// remote shard servers over HTTP, with consistent-hash placement of
+// sources onto global shards (ring.go), R-way replication of every shard
+// with hedged replicated reads (client.go, batch.go), coordinator-resolved
+// plans and coordinator-inferred query graphs shipped in every request
+// envelope (proto.go), and per-item cross-shard top-k floor propagation
+// so remote shards early-terminate like in-process ones. Queries run
+// through the in-process coordinator's own scatter-gather (shard.Scatter);
+// this package supplies its remote leg (batch.go), so the remote answers
+// are those of an in-process coordinator, and of a one-shard engine
+// (pinned by goldens).
 package cluster
 
 import (
@@ -26,6 +25,7 @@ import (
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/obs"
+	"github.com/imgrn/imgrn/internal/shard"
 )
 
 // Coordinator is the scatter-gather front of the distributed serving
@@ -33,13 +33,12 @@ import (
 // an HTTP client, and answers the same Engine surface as the in-process
 // shard.Coordinator by fanning each query out to the R replicas of every
 // global shard. The determinism contract of DESIGN.md §10 carries over
-// unchanged because the scatter legs are the same legs: the coordinator
-// resolves the plan once and ships it (plan wire format) with the
-// caller's params in every envelope, and each shard server runs them
-// untouched, exactly as the in-process scatter does — so remote answers
-// are a function of (database, params) alone, byte-identical to
-// in-process ones at any shard count, no matter which replica served
-// each leg.
+// unchanged because the scatter is the same scatter: it resolves the
+// plan and infers the query graph once, the envelope ships both (plan
+// wire format) with the caller's params, and each shard server runs the
+// in-process leg on them untouched — so remote answers are a function of
+// (database, params) alone, byte-identical to in-process ones at any
+// shard count, no matter which replica served each leg.
 
 // ErrShardUnavailable reports a scatter leg that failed on every replica
 // of its shard — the documented partial-failure mode: the query returns
@@ -100,6 +99,10 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 // Coordinator fans queries, batches and mutations out to remote shard
 // servers. Safe for concurrent use.
 type Coordinator struct {
+	// Scatter answers every query (batch.go): the in-process
+	// coordinator's scatter-gather with one remote leg per global shard.
+	shard.Scatter
+
 	opts   CoordinatorOptions
 	topo   Topology
 	ring   *Ring
@@ -138,6 +141,7 @@ func New(opts CoordinatorOptions) (*Coordinator, error) {
 		infos:   make([]*InfoResponse, len(opts.Topology.Servers)),
 		stop:    make(chan struct{}),
 	}
+	c.Scatter = shard.Scatter{Shards: opts.Topology.NumShards, Legs: c.legs}
 	c.client.withDefaults()
 	c.client.met = c.met
 	c.met.setMembers(len(c.topo.Servers), 0)
@@ -390,63 +394,35 @@ func (c *Coordinator) nextQueryID() string {
 	return fmt.Sprintf("%s-%d", c.prefix, c.qid.Add(1))
 }
 
-// floorTracker dedups streamed accept frames by source and maintains the
-// coordinator's view of the global top-k floor. Dedup is load-bearing,
-// not cosmetic: hedged (or retried) attempts replay a shard's accepts,
-// and double-offering a source would over-raise the floor past the true
-// global k-th best — which prunes real answers on other shards.
-type floorTracker struct {
-	mu   sync.Mutex
-	seen map[int]struct{}
-	sink *core.TopKSink
-}
-
-func newFloorTracker(k int, alpha float64) *floorTracker {
-	return &floorTracker{seen: make(map[int]struct{}), sink: core.NewTopKSink(k, alpha)}
-}
-
-func (f *floorTracker) accept(fr AcceptFrame) {
-	f.mu.Lock()
-	if _, dup := f.seen[fr.Source]; !dup {
-		f.seen[fr.Source] = struct{}{}
-		f.sink.Offer(core.Answer{Source: fr.Source, Prob: fr.Prob})
-	}
-	f.mu.Unlock()
-}
-
-func (f *floorTracker) floor() float64 { return f.sink.Floor() }
-
-// pushFloors runs the floor-propagation loop for one live scatter with
-// top-k items (trackers is indexed by wire item, nil for K = 0 items):
-// every FloorEvery it pushes each item's global floor, if it rose within
-// the tick, to every server, so remote sinks raise their local floors and
-// early-terminate refinement on the cross-shard Markov bound — the
-// networked version of the shared in-process sink. Best-effort by design:
-// the merge is computed from item frames only and never depends on a
-// floor push landing.
-func (c *Coordinator) pushFloors(ctx context.Context, queryID string, trackers []*floorTracker, stop <-chan struct{}) {
+// pushFloors runs the floor-propagation loop of one batch with top-k
+// items (sinks is indexed by item, nil for K = 0 items): every FloorEvery
+// it pushes each item's floor, if it rose within the tick, to every
+// server, so remote sinks raise their local floors and early-terminate
+// refinement on the cross-shard Markov bound — the networked version of
+// the in-process leg's shared sink. Best-effort by design: the merge is
+// computed from item frames only and never depends on a floor push
+// landing. It returns when ctx ends.
+func (c *Coordinator) pushFloors(ctx context.Context, queryID string, sinks []*core.TopKSink) {
 	defer c.wg.Done()
 	t := time.NewTicker(c.opts.FloorEvery)
 	defer t.Stop()
-	last := make([]float64, len(trackers)) // only rises are worth pushing
-	for item, ft := range trackers {
-		if ft != nil {
-			last[item] = ft.floor() // the alpha floor
+	last := make([]float64, len(sinks)) // only rises are worth pushing
+	for item, sink := range sinks {
+		if sink != nil {
+			last[item] = sink.Floor() // the alpha floor
 		}
 	}
 	for {
 		select {
-		case <-stop:
-			return
 		case <-ctx.Done():
 			return
 		case <-t.C:
 			var wg sync.WaitGroup
-			for item, ft := range trackers {
-				if ft == nil {
+			for item, sink := range sinks {
+				if sink == nil {
 					continue
 				}
-				f := ft.floor()
+				f := sink.Floor()
 				if f <= last[item] {
 					continue
 				}
@@ -465,19 +441,6 @@ func (c *Coordinator) pushFloors(ctx context.Context, queryID string, trackers [
 	}
 }
 
-// matrixToWire extracts the query matrix payload (queries are source -1
-// server-side, mirroring the HTTP handlers).
-func matrixToWire(mq *gene.Matrix) (genes []int32, columns [][]float64) {
-	ids := mq.Genes()
-	genes = make([]int32, len(ids))
-	columns = make([][]float64, len(ids))
-	for j, id := range ids {
-		genes[j] = int32(id)
-		columns[j] = mq.Col(j)
-	}
-	return genes, columns
-}
-
 // graphToWire extracts an already-inferred query graph.
 func graphToWire(q *grn.Graph) (genes []int32, edges []WireEdge) {
 	ids := q.Genes()
@@ -489,40 +452,6 @@ func graphToWire(q *grn.Graph) (genes []int32, edges []WireEdge) {
 		edges = append(edges, WireEdge{S: e.S, T: e.T, Prob: e.P})
 	}
 	return genes, edges
-}
-
-// QueryContext answers an IM-GRN feature-matrix query scatter-gather
-// over the cluster. The query matrix ships to every shard server, each
-// of which infers the query GRN locally at the base seed (inference
-// reads only the query matrix, so every server derives the identical
-// graph) and executes its shard leg at the derived seed.
-func (c *Coordinator) QueryContext(ctx context.Context, mq *gene.Matrix, params core.Params) ([]core.Answer, core.Stats, error) {
-	return c.queryItem(ctx, core.BatchItem{Matrix: mq, Params: params})
-}
-
-// QueryGraphContext answers a query for an already-inferred query GRN
-// scatter-gather over the cluster.
-func (c *Coordinator) QueryGraphContext(ctx context.Context, q *grn.Graph, params core.Params) ([]core.Answer, core.Stats, error) {
-	return c.queryItem(ctx, core.BatchItem{Graph: q, Params: params})
-}
-
-// QueryTopKContext answers a feature-matrix query keeping the k best
-// matches, with remote floor propagation standing in for the shared
-// in-process sink. k <= 0 ranks all matches.
-func (c *Coordinator) QueryTopKContext(ctx context.Context, mq *gene.Matrix, params core.Params, k int) ([]core.Answer, core.Stats, error) {
-	answers, st, err := c.queryItem(ctx, core.BatchItem{Matrix: mq, Params: params, K: k})
-	if err == nil && k <= 0 {
-		mark := params.Trace.Start(obs.StageTopK)
-		core.RankAnswers(answers)
-		mark.End(len(answers), len(answers))
-	}
-	return answers, st, err
-}
-
-// queryItem runs one query as a one-item batch (batch.go).
-func (c *Coordinator) queryItem(ctx context.Context, item core.BatchItem) ([]core.Answer, core.Stats, error) {
-	results, _ := c.QueryBatch(ctx, []core.BatchItem{item}, core.BatchOptions{})
-	return results[0].Answers, results[0].Stats, results[0].Err
 }
 
 // AddMatrix places m on its ring shard and replicates the add to every

@@ -13,9 +13,9 @@ import (
 // Cluster wire protocol (DESIGN.md §15). One coordinator-resolved
 // request envelope per (request, shard): the envelope carries every item
 // of the request — a solo query is the one-item case — each with its
-// query payload (matrix columns or explicit pattern), scalar params,
-// encoded plan (plan.EncodeWire — every shard executes the identical
-// decisions) and top-k bound, plus the GLOBAL shard index to execute.
+// query graph (inferred once at the coordinator), scalar params, encoded
+// plan (plan.EncodeWire — every shard executes the identical decisions)
+// and top-k bound, plus the GLOBAL shard index to execute.
 // Every shard runs the caller's params untouched, so answers are a
 // function of (database, params) alone, never of placement or of which
 // replica served the request. Responses stream NDJSON: per-item accept
@@ -39,18 +39,14 @@ import (
 // /cluster/exec-batch are gone, and accept frames and floor pushes name
 // the item they belong to. 4: every leg runs the caller's Seed (a
 // version-3 server would derive a per-shard seed), and the solo envelope
-// is gone: a one-shard cluster runs the ordinary leg.
-const ProtoVersion = 4
+// is gone: a one-shard cluster runs the ordinary leg. 5: items are query
+// graphs only — the coordinator infers a matrix query once — so the item
+// kind, the matrix columns and the item frame's inference stats are gone.
+const ProtoVersion = 5
 
 // ErrProtoVersion reports a protocol version mismatch between
 // coordinator and shard server. Matchable with errors.Is.
 var ErrProtoVersion = errors.New("cluster: protocol version mismatch")
-
-// Request kinds.
-const (
-	KindMatrix = "matrix" // feature-matrix query: the shard server infers the GRN at the base seed
-	KindGraph  = "graph"  // explicit probabilistic pattern
-)
 
 // Endpoint paths.
 const (
@@ -167,10 +163,10 @@ func AnswersFromWire(ws []WireAnswer) []core.Answer {
 	return out
 }
 
-// WireStats mirrors core.Stats (minus the plan, which the coordinator
-// already holds); durations travel as nanoseconds.
+// WireStats carries a leg's core.Stats: its counters and stage times.
+// The plan, the inference time and the query graph's size are the
+// coordinator's own and do not travel; durations travel as nanoseconds.
 type WireStats struct {
-	InferNs           int64  `json:"inferNs,omitempty"`
 	TraversalNs       int64  `json:"traversalNs,omitempty"`
 	RefinementNs      int64  `json:"refinementNs,omitempty"`
 	MarkovNs          int64  `json:"markovNs,omitempty"`
@@ -189,14 +185,11 @@ type WireStats struct {
 	CacheHits         int    `json:"cacheHits,omitempty"`
 	CacheMisses       int    `json:"cacheMisses,omitempty"`
 	Draws             int    `json:"draws,omitempty"`
-	QueryVertices     int    `json:"queryVertices,omitempty"`
-	QueryEdges        int    `json:"queryEdges,omitempty"`
 }
 
 // StatsToWire / Stats convert between core and wire stats.
 func StatsToWire(st core.Stats) WireStats {
 	return WireStats{
-		InferNs:      st.InferQuery.Nanoseconds(),
 		TraversalNs:  st.Traversal.Nanoseconds(),
 		RefinementNs: st.Refinement.Nanoseconds(),
 		MarkovNs:     st.MarkovPrune.Nanoseconds(),
@@ -208,13 +201,11 @@ func StatsToWire(st core.Stats) WireStats {
 		CandidateGenes: st.CandidateGenes, CandidateMatrices: st.CandidateMatrices,
 		MatricesPrunedL5: st.MatricesPrunedL5, Answers: st.Answers,
 		CacheHits: st.CacheHits, CacheMisses: st.CacheMisses, Draws: st.Draws,
-		QueryVertices: st.QueryVertices, QueryEdges: st.QueryEdges,
 	}
 }
 
 func (w WireStats) Stats() core.Stats {
 	return core.Stats{
-		InferQuery:  time.Duration(w.InferNs),
 		Traversal:   time.Duration(w.TraversalNs),
 		Refinement:  time.Duration(w.RefinementNs),
 		MarkovPrune: time.Duration(w.MarkovNs),
@@ -226,7 +217,6 @@ func (w WireStats) Stats() core.Stats {
 		CandidateGenes: w.CandidateGenes, CandidateMatrices: w.CandidateMatrices,
 		MatricesPrunedL5: w.MatricesPrunedL5, Answers: w.Answers,
 		CacheHits: w.CacheHits, CacheMisses: w.CacheMisses, Draws: w.Draws,
-		QueryVertices: w.QueryVertices, QueryEdges: w.QueryEdges,
 	}
 }
 
@@ -245,17 +235,16 @@ type BatchExecRequest struct {
 	Items         []BatchExecItem `json:"items"`
 }
 
-// BatchExecItem is one query in the envelope.
+// BatchExecItem is one query in the envelope: a query graph over Genes
+// with its probabilistic Edges in query-vertex indexing.
 type BatchExecItem struct {
-	Kind string `json:"kind"`
 	// K > 0 runs the item's shard leg against a local top-k sink (accept
 	// frames + a local top-k run); 0 returns the full run.
-	K       int             `json:"k,omitempty"`
-	Genes   []int32         `json:"genes"`
-	Columns [][]float64     `json:"columns,omitempty"` // KindMatrix
-	Edges   []WireEdge      `json:"edges,omitempty"`   // KindGraph
-	Params  WireParams      `json:"params"`
-	Plan    json.RawMessage `json:"plan,omitempty"`
+	K      int             `json:"k,omitempty"`
+	Genes  []int32         `json:"genes"`
+	Edges  []WireEdge      `json:"edges,omitempty"`
+	Params WireParams      `json:"params"`
+	Plan   json.RawMessage `json:"plan,omitempty"`
 }
 
 // BatchExecFrame is one NDJSON response frame of /cluster/exec: accept
@@ -281,14 +270,12 @@ type AcceptFrame struct {
 
 // BatchItemFrame is one item's result on the executed shard. For K > 0
 // the run is the shard's local top-k (sink results); otherwise the full
-// source-ascending run. Infer reports the server-side query-graph
-// inference stats (KindMatrix scatter legs only).
+// source-ascending run.
 type BatchItemFrame struct {
 	Index   int          `json:"index"`
 	Shard   int          `json:"shard"`
 	Answers []WireAnswer `json:"answers,omitempty"`
 	Stats   WireStats    `json:"stats"`
-	Infer   *WireStats   `json:"infer,omitempty"`
 	Error   string       `json:"error,omitempty"`
 }
 

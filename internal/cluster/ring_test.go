@@ -86,11 +86,11 @@ func TestTopologyValidate(t *testing.T) {
 
 func TestWireStatsRoundTrip(t *testing.T) {
 	st := WireStats{
-		InferNs: 1, TraversalNs: 2, RefinementNs: 3, MarkovNs: 4, MonteCarloNs: 5, TotalNs: 6,
+		TraversalNs: 2, RefinementNs: 3, MarkovNs: 4, MonteCarloNs: 5, TotalNs: 6,
 		IOCost: 7, IOHits: 8, NodePairsVisited: 9, NodePairsPruned: 10,
 		PointPairsChecked: 11, PointPairsPruned: 12, CandidateGenes: 13,
 		CandidateMatrices: 14, MatricesPrunedL5: 15, Answers: 16,
-		CacheHits: 17, CacheMisses: 18, QueryVertices: 19, QueryEdges: 20,
+		CacheHits: 17, CacheMisses: 18, Draws: 19,
 	}
 	if got := StatsToWire(st.Stats()); got != st {
 		t.Errorf("stats round trip: got %+v want %+v", got, st)

@@ -166,8 +166,8 @@ func TestGoldenAnswersIndependentOfWorkers(t *testing.T) {
 // TestQueryGraphIndependentOfWorkers: a Monte Carlo query graph — edge set
 // and probabilities to the bit — is a function of (Seed, matrix, R, plan)
 // alone, on both inference kernels and both sidednesses. It is the same at
-// Workers 1, 2 and 4, and InferQueryGraph (no context) infers the graph
-// InferQueryGraphContext does.
+// Workers 1, 2 and 4 through the index-free InferQuery, and a
+// processor's InferQueryGraph infers the same graph.
 func TestQueryGraphIndependentOfWorkers(t *testing.T) {
 	idx, queries := goldenFixture(t)
 	edges := 0
@@ -189,16 +189,16 @@ func TestQueryGraphIndependentOfWorkers(t *testing.T) {
 				for _, workers := range []int{1, 2, 4} {
 					p := params
 					p.Workers = workers
-					proc, err := core.NewProcessor(idx, p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := proc.InferQueryGraphContext(context.Background(), mq)
+					got, st, err := core.InferQuery(context.Background(), mq, p)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(got.Edges(), want.Edges()) {
 						t.Errorf("%s: workers=%d edges %v, InferQueryGraph %v", label, workers, got.Edges(), want.Edges())
+					}
+					if st.QueryVertices != got.NumVertices() || st.QueryEdges != got.NumEdges() {
+						t.Errorf("%s: workers=%d stats %d vertices %d edges, graph %d/%d",
+							label, workers, st.QueryVertices, st.QueryEdges, got.NumVertices(), got.NumEdges())
 					}
 				}
 			}

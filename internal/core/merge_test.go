@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -86,5 +88,30 @@ func TestRankAnswers(t *testing.T) {
 		if answers[i].Source != want[i].Source {
 			t.Fatalf("rank[%d] = source %d, want %d", i, answers[i].Source, want[i].Source)
 		}
+	}
+}
+
+// TestTopKSinkIgnoresRepeats: offering an answer again — one the sink
+// holds or one it displaced — changes neither the set nor the floor. A
+// hedged remote leg replays its accepts, and a counted repeat would raise
+// the floor past the true k-th answer.
+func TestTopKSinkIgnoresRepeats(t *testing.T) {
+	a, b, c := Answer{Source: 1, Prob: 0.9}, Answer{Source: 2, Prob: 0.5}, Answer{Source: 3, Prob: 0.7}
+	s := NewTopKSink(2, 0.1)
+	s.Offer(a)
+	s.Offer(a)
+	if got := s.Results(); !reflect.DeepEqual(got, []Answer{a}) || s.Floor() != 0.1 {
+		t.Fatalf("after a repeat: %v floor %v, want [a] floor 0.1", got, s.Floor())
+	}
+	s.Offer(b)
+	s.Offer(c) // displaces b
+	for _, rep := range []Answer{b, c, a} {
+		s.Offer(rep)
+	}
+	if got := s.Results(); !reflect.DeepEqual(got, []Answer{a, c}) {
+		t.Errorf("results %v, want [a c]", got)
+	}
+	if want := math.Nextafter(0.7, 0); s.Floor() != want {
+		t.Errorf("floor %v, want %v", s.Floor(), want)
 	}
 }

@@ -64,14 +64,38 @@ const (
 func (p *Processor) Params() Params { return p.params }
 
 // newExec builds the per-query execution context: the caller's ctx, a
-// fresh per-query I/O reader (cold buffer, private counters), the
-// configured worker budget, the optional trace collector, and a pooled
-// scratch arena. Callers must Close the context (releasing the arena) once
-// the query's answers have been assembled.
+// fresh per-query I/O reader (cold buffer, private counters; none for the
+// index-free processor of InferQuery), the configured worker budget, the
+// optional trace collector, and a pooled scratch arena. Callers must Close
+// the context (releasing the arena) once the query's answers have been
+// assembled.
 func (p *Processor) newExec(ctx context.Context) *exec.Context {
-	return exec.New(ctx, p.idx.NewReader(), p.params.Workers).
+	var io *pagestore.Reader
+	if p.idx != nil {
+		io = p.idx.NewReader()
+	}
+	return exec.New(ctx, io, p.params.Workers).
 		WithTracer(p.params.Trace).
 		WithArena(exec.GrabArena())
+}
+
+// InferQuery infers the query GRN of mq under params (Fig. 4 line 1)
+// without an index: inference reads only the query matrix, so a
+// coordinator infers a matrix query once and ships the graph to every
+// shard. Cancellation is honored, and params.Workers > 1 fans the target
+// columns out across the worker pool. The returned Stats carry the
+// inference time and the graph's size; the infer span lands on
+// params.Trace.
+func InferQuery(ctx context.Context, mq *gene.Matrix, params Params) (*grn.Graph, Stats, error) {
+	var st Stats
+	p, err := NewProcessor(nil, params)
+	if err != nil {
+		return nil, st, err
+	}
+	ec := p.newExec(ctx)
+	defer ec.Close()
+	q, err := p.infer(ec, mq, &st)
+	return q, st, err
 }
 
 // InferQueryGraph reconstructs the query GRN Q from the query matrix
@@ -81,22 +105,27 @@ func (p *Processor) InferQueryGraph(mq *gene.Matrix) (*grn.Graph, error) {
 	return p.inferQueryGraph(exec.Background(nil), mq)
 }
 
-// InferQueryGraphContext is InferQueryGraph under an explicit context:
-// cancellation is honored and params.Workers > 1 fans the target columns
-// out across the worker pool. The sharded coordinator uses it to infer the
-// query graph once before scattering it over the shards.
-func (p *Processor) InferQueryGraphContext(ctx context.Context, mq *gene.Matrix) (*grn.Graph, error) {
-	ec := p.newExec(ctx)
-	defer ec.Close()
-	return p.inferQueryGraph(ec, mq)
-}
-
 // inferQueryGraph is InferQueryGraph under an execution context.
 func (p *Processor) inferQueryGraph(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, error) {
 	if p.params.Analytic {
 		return grn.Infer(mq, p.analytic, p.params.Gamma)
 	}
 	return p.inferPruned(ec, mq)
+}
+
+// infer is the infer stage of a query: the query graph, its inference
+// time and size in st, and the infer span.
+func (p *Processor) infer(ec *exec.Context, mq *gene.Matrix, st *Stats) (*grn.Graph, error) {
+	start := time.Now()
+	q, err := p.inferQueryGraph(ec, mq)
+	if err != nil {
+		return nil, fmt.Errorf("core: inferring query graph: %w", err)
+	}
+	st.InferQuery = time.Since(start)
+	st.QueryVertices = q.NumVertices()
+	st.QueryEdges = q.NumEdges()
+	ec.Tracer().Record(obs.StageInfer, start, st.InferQuery, mq.NumGenes(), q.NumEdges())
+	return q, nil
 }
 
 // candidatePair is a surviving (source, column, column) gene pair.
@@ -124,14 +153,10 @@ func (p *Processor) QueryContext(ctx context.Context, mq *gene.Matrix) ([]Answer
 	defer ec.Close()
 
 	// Line 1: infer the exact query graph Q.
-	q, err := p.inferQueryGraph(ec, mq)
+	q, err := p.infer(ec, mq, &st)
 	if err != nil {
-		return nil, st, fmt.Errorf("core: inferring query graph: %w", err)
+		return nil, st, err
 	}
-	st.InferQuery = time.Since(start)
-	st.QueryVertices = q.NumVertices()
-	st.QueryEdges = q.NumEdges()
-	ec.Tracer().Record(obs.StageInfer, start, st.InferQuery, mq.NumGenes(), q.NumEdges())
 
 	answers, err := p.queryWithGraph(ec, q, &st)
 	if err != nil {

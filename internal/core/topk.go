@@ -31,9 +31,9 @@ type TopKSink struct {
 	answers []Answer // sorted by (Prob desc, Source asc), len <= k
 
 	// onAccept, when set, observes every answer that enters the top-k set
-	// at the moment of insertion (it may later be displaced). The networked
-	// coordinator uses it to stream accepted answers to the remote merge so
-	// the cross-shard floor can propagate mid-query. Called with the sink
+	// at the moment of insertion (it may later be displaced). A shard
+	// server uses it to stream accepted answers to the remote coordinator
+	// so the cross-shard floor can propagate mid-query. Called with the sink
 	// lock held: the callback must not call back into the sink.
 	onAccept func(Answer)
 }
@@ -83,8 +83,10 @@ func (s *TopKSink) Floor() float64 {
 }
 
 // Offer merges one answer into the top-k set, raising the floor when the
-// set is full. Answers at or below the current floor are ignored (they
-// cannot enter the top k).
+// set is full. An answer ranked below the k-th cannot enter the top k and
+// is ignored. So is a repeat of an answer the sink already holds (same
+// source and probability): a replayed offer never counts twice, and a
+// repeat of a displaced answer still ranks below the k-th.
 func (s *TopKSink) Offer(a Answer) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -94,7 +96,7 @@ func (s *TopKSink) Offer(a Answer) {
 		}
 		return s.answers[i].Source > a.Source
 	})
-	if i >= s.k {
+	if i >= s.k || (i > 0 && s.answers[i-1].Source == a.Source && s.answers[i-1].Prob == a.Prob) {
 		return
 	}
 	s.answers = append(s.answers, Answer{})

@@ -10,7 +10,7 @@ import (
 // Canonical wire encoding of a resolved Plan (DESIGN.md §15). The
 // distributed coordinator resolves one plan per query and ships it in
 // every shard-server request envelope, so each shard executes the
-// identical decisions the in-process scatter would share by pointer. The
+// identical decisions an in-process leg would share by pointer. The
 // encoding is versioned and decoding is strict: an unknown field or a
 // version mismatch between coordinator and shard server is an explicit
 // error, never a silently zero-valued plan — executing a half-understood

@@ -351,6 +351,56 @@ func TestClusterByteIdentityBatch(t *testing.T) {
 	}
 }
 
+// TestBatchRerunAfterSeedChange: a coordinator infers a matrix item's
+// query graph into its own state, never into the caller's item. Running
+// a Monte Carlo batch, changing its Seed and running it again answers
+// exactly like a fresh batch at the new seed — in process and over the
+// cluster, at P = 1 and 3 — and the caller's items still carry no graph.
+func TestBatchRerunAfterSeedChange(t *testing.T) {
+	ctx := context.Background()
+	for _, p := range []int{1, 3} {
+		tc := newTestCluster(t, p, 1, nil, nil)
+		for _, eng := range []struct {
+			name  string
+			batch func(context.Context, []core.BatchItem, core.BatchOptions) ([]core.BatchResult, core.BatchStats)
+		}{{"in-process", tc.ref.QueryBatch}, {"cluster", tc.remote.QueryBatch}} {
+			label := fmt.Sprintf("P=%d %s", p, eng.name)
+			mkItems := func(seed uint64) []core.BatchItem {
+				var items []core.BatchItem
+				for _, src := range []int{3, 6} {
+					// At γ = 0.97 the inferred edge set of source 6's module
+					// differs between seeds 3 and 11.
+					params := clusterParamsFor(false)
+					params.Gamma, params.Alpha, params.Seed = 0.97, 0.1, seed
+					items = append(items, core.BatchItem{Matrix: tc.queryMatrix(t, src), Params: params})
+				}
+				return items
+			}
+			items := mkItems(3)
+			eng.batch(ctx, items, core.BatchOptions{})
+			for i := range items {
+				items[i].Params.Seed = 11
+			}
+			rerun, _ := eng.batch(ctx, items, core.BatchOptions{})
+			fresh, _ := eng.batch(ctx, mkItems(11), core.BatchOptions{})
+			for i := range items {
+				if items[i].Graph != nil {
+					t.Errorf("%s: item %d: the caller's item carries an inferred graph", label, i)
+				}
+				mustAnswers(t, label+" rerun", rerun[i].Answers, rerun[i].Err)
+				mustAnswers(t, label+" fresh", fresh[i].Answers, fresh[i].Err)
+				if rerun[i].Stats.InferQuery == 0 {
+					t.Errorf("%s: item %d: the rerun did not infer its query graph", label, i)
+				}
+				if !reflect.DeepEqual(rerun[i].Answers, fresh[i].Answers) || rerun[i].Stats.QueryEdges != fresh[i].Stats.QueryEdges {
+					t.Errorf("%s: item %d: rerun at the new seed diverges from a fresh batch:\n got %+v\nwant %+v",
+						label, i, rerun[i].Answers, fresh[i].Answers)
+				}
+			}
+		}
+	}
+}
+
 // TestClusterReplicaFailover kills one shard server outright; every
 // shard it hosted has a live replica, so answers are unchanged.
 func TestClusterReplicaFailover(t *testing.T) {
@@ -603,6 +653,26 @@ func TestClusterShardServerRejections(t *testing.T) {
 		t.Errorf("proto skew: status %d body %s", rec.Code, rec.Body)
 	}
 
+	// A ProtoVersion-4 coordinator, which shipped matrix items for every
+	// server to infer.
+	rec = postJSON(t, srv, cluster.PathExec, map[string]any{"proto": 4, "numShards": 3, "items": []any{}})
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "protocol version") {
+		t.Errorf("proto 4: status %d body %s", rec.Code, rec.Body)
+	}
+
+	// A matrix item: items are query graphs only.
+	m := tc.db.BySource(3)
+	rec = postJSON(t, srv, cluster.PathExec, map[string]any{
+		"proto": cluster.ProtoVersion, "numShards": 3, "shard": tc.topo.ServerShards(0)[0],
+		"items": []any{map[string]any{
+			"kind": "matrix", "genes": []int{0, 1}, "columns": [][]float64{m.Col(0), m.Col(1)},
+			"params": cluster.ParamsToWire(clusterParamsFor(true)),
+		}},
+	})
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "unknown field") {
+		t.Errorf("matrix item: status %d body %s", rec.Code, rec.Body)
+	}
+
 	// A ProtoVersion-3 coordinator, whose servers derived per-shard seeds.
 	rec = postJSON(t, srv, cluster.PathExec, map[string]any{"proto": 3, "numShards": 3, "items": []any{}})
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "protocol version") {
@@ -665,6 +735,7 @@ func TestClusterCoordinatorHTTP(t *testing.T) {
 		Columns: [][]float64{m.Col(0), m.Col(1), m.Col(2)},
 		Params:  ParamsJSON{Gamma: 0.6, Alpha: 0.4, Seed: 3, Analytic: true},
 	}
+	req.Params.Trace = true
 	rec := postJSON(t, srv, "/query", req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/query status %d body %s", rec.Code, rec.Body)
@@ -682,6 +753,22 @@ func TestClusterCoordinatorHTTP(t *testing.T) {
 	}
 	if len(got.Answers) == 0 || !reflect.DeepEqual(got.Answers, want.Answers) {
 		t.Errorf("HTTP answers diverge:\n got %+v\nwant %+v", got.Answers, want.Answers)
+	}
+	// The coordinator infers, scatters and merges like an in-process
+	// server: both replies carry those spans.
+	for _, reply := range []struct {
+		name  string
+		spans []SpanJSON
+	}{{"coordinator", got.Trace}, {"in-process", want.Trace}} {
+		stages := map[string]bool{}
+		for _, sp := range reply.spans {
+			stages[sp.Stage] = true
+		}
+		for _, stage := range []string{"infer", "scatter", "merge"} {
+			if !stages[stage] {
+				t.Errorf("%s reply has no %q span: %+v", reply.name, stage, reply.spans)
+			}
+		}
 	}
 
 	// /query-batch streams NDJSON through the remote engine.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,11 +21,11 @@ import (
 // server — every public endpoint keeps working against its local shards —
 // that additionally mounts the /cluster/* execution endpoints a remote
 // cluster.Coordinator scatters to. The contract is byte-identity: the
-// coordinator ships the resolved plan and the GLOBAL shard index, and the
-// server executes exactly the per-shard leg of the in-process scatter
-// under the caller's params, so the merged answer depends only on the
-// database and the params — never on placement or on which replica served
-// the leg.
+// coordinator ships the query graph, the resolved plan and the GLOBAL
+// shard index, and the server runs the in-process leg
+// (shard.Coordinator.QueryShardBatch) under the caller's params, so the
+// merged answer depends only on the database and the params — never on
+// placement or on which replica served the leg.
 
 // ShardRole describes the slice of the global partition this server
 // hosts: the global shard count P, the global indexes of the hosted
@@ -173,29 +172,20 @@ func clusterParams(wp cluster.WireParams, rawPlan json.RawMessage, tr *obs.Trace
 	return p, nil
 }
 
-// clusterQuery materializes the query payload of an envelope: the query
-// matrix (KindMatrix — inferred server-side at the base seed) or the
-// explicit pattern (KindGraph).
-func clusterQuery(kind string, genes []int32, columns [][]float64, edges []cluster.WireEdge) (*gene.Matrix, *grn.Graph, error) {
+// clusterGraph materializes an envelope item's query graph.
+func clusterGraph(genes []int32, edges []cluster.WireEdge) (*grn.Graph, error) {
 	ids := make([]gene.ID, len(genes))
 	for i, g := range genes {
 		ids[i] = gene.ID(g)
 	}
-	switch kind {
-	case cluster.KindMatrix:
-		mq, err := gene.NewMatrix(-1, ids, columns)
-		return mq, nil, err
-	case cluster.KindGraph:
-		q := grn.NewGraph(ids)
-		for _, e := range edges {
-			if e.S < 0 || e.S >= len(ids) || e.T < 0 || e.T >= len(ids) || e.S == e.T {
-				return nil, nil, fmt.Errorf("bad edge (%d,%d)", e.S, e.T)
-			}
-			q.SetEdge(e.S, e.T, e.Prob)
+	q := grn.NewGraph(ids)
+	for _, e := range edges {
+		if e.S < 0 || e.S >= len(ids) || e.T < 0 || e.T >= len(ids) || e.S == e.T {
+			return nil, fmt.Errorf("bad edge (%d,%d)", e.S, e.T)
 		}
-		return nil, q, nil
+		q.SetEdge(e.S, e.T, e.Prob)
 	}
-	return nil, nil, fmt.Errorf("unknown query kind %q", kind)
+	return q, nil
 }
 
 // ndjson prepares a streaming NDJSON response. Frames after the header
@@ -257,15 +247,13 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 		out.frame(cluster.BatchExecFrame{Item: &cluster.BatchItemFrame{Index: i, Shard: req.Shard, Error: err.Error()}})
 	}
 
-	// Materialize the wire items. Matrix items are inferred here — the
-	// shared prologue of the in-process scatter — so every server derives
-	// the identical graph.
+	// Materialize the wire items: graph items, as the scatter hands every
+	// leg.
 	type liveItem struct {
-		wire  int // index into req.Items (= the coordinator's frame index)
-		item  core.BatchItem
-		tr    *obs.Tracer
-		infer *cluster.WireStats
-		sink  *core.TopKSink
+		wire int // index into req.Items (= the coordinator's frame index)
+		item core.BatchItem
+		tr   *obs.Tracer
+		sink *core.TopKSink
 	}
 	var live []liveItem
 	for i := range req.Items {
@@ -276,27 +264,12 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 			fail(i, err)
 			continue
 		}
-		mq, q, err := clusterQuery(wi.Kind, wi.Genes, wi.Columns, wi.Edges)
+		q, err := clusterGraph(wi.Genes, wi.Edges)
 		if err != nil {
 			fail(i, err)
 			continue
 		}
 		li := liveItem{wire: i, tr: tr}
-		if mq != nil {
-			ictx, icancel := ctx, context.CancelFunc(func() {})
-			if itemTimeout > 0 {
-				ictx, icancel = context.WithTimeout(ctx, itemTimeout)
-			}
-			var ist core.Stats
-			q, ist, err = s.coord.InferGraphContext(ictx, mq, params)
-			icancel()
-			if err != nil {
-				fail(i, err)
-				continue
-			}
-			ws := cluster.StatsToWire(ist)
-			li.infer = &ws
-		}
 		if wi.K > 0 {
 			// Per-(item, shard) local sink: the coordinator merges the
 			// shards' local top-k runs, so K stays 0 at the engine level and
@@ -330,7 +303,7 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 		ItemTimeout: itemTimeout,
 		OnResult: func(pos int, res core.BatchResult) {
 			li := &live[pos]
-			fr := cluster.BatchItemFrame{Index: li.wire, Shard: req.Shard, Infer: li.infer}
+			fr := cluster.BatchItemFrame{Index: li.wire, Shard: req.Shard}
 			if res.Err != nil {
 				fr.Error = res.Err.Error()
 			} else {

@@ -72,12 +72,14 @@ import (
 // and the remote cluster.Coordinator (NewCluster) that scatter-gathers
 // to networked shard servers — the handlers cannot tell them apart,
 // which is the deployment-transparency seam of DESIGN.md §15. Both
-// coordinators implement the three solo entry points as one-item
-// QueryBatch calls, so QueryBatch is the one execution path behind this
-// interface; Stats.Answers is the number of answers returned on all four.
-// Every implementation runs the caller's params on every shard, so the
-// answers are a function of (database, params): the same from each of
-// them at any shard count, one included.
+// coordinators embed the one scatter-gather (shard.Scatter), which runs
+// the three solo entry points as one-item batches, infers a matrix query
+// once and records the infer, scatter and merge spans; they differ only
+// in the leg that runs a batch on one shard (in process, or over HTTP).
+// Stats.Answers is the number of answers returned on all four methods.
+// Every shard runs the caller's params, so the answers are a function of
+// (database, params): the same from each implementation at any shard
+// count, one included.
 type Engine interface {
 	QueryContext(ctx context.Context, mq *gene.Matrix, params core.Params) ([]core.Answer, core.Stats, error)
 	QueryGraphContext(ctx context.Context, q *grn.Graph, params core.Params) ([]core.Answer, core.Stats, error)

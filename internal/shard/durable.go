@@ -358,6 +358,7 @@ func openWarm(man *manifest, opts Options, dopts DurableOptions) (*Store, error)
 		db:        gene.NewDatabase(),
 		shards:    make([]*shardState, p),
 	}
+	coord.Scatter = Scatter{Shards: p, Legs: coord.legs}
 	st := &Store{Coordinator: coord, dopts: dopts, gen: man.Gen, wals: make([]*wal.Writer, p)}
 	st.stats.Gen = man.Gen
 	st.stats.WarmBoot = true

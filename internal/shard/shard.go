@@ -4,10 +4,12 @@
 // below the facade: its own R*-tree index over its partition, its own
 // pagestore accountant (so per-shard I/O is attributable), and its own
 // per-estimator edge-probability caches. A Coordinator routes mutations to
-// shards by a deterministic placement policy and fans queries out across
-// shards with the exec worker pool, merging per-shard answers — either a
-// full ordered union or a bounded top-k merge with cross-shard
-// Markov-bound early termination.
+// shards by a deterministic placement policy and answers queries through
+// Scatter (scatter.go), the one scatter-gather of the repository: the
+// cluster tier's remote coordinator runs it too, with a remote leg in
+// place of the in-process one. It merges per-shard answers into either a
+// full ordered union or a top-k, with cross-shard Markov-bound early
+// termination through a per-item top-k sink.
 //
 // Sharding changes the concurrency profile, not the answers: every shard
 // runs the caller's params, and every refinement draw is addressed by
@@ -85,6 +87,10 @@ func (o Options) withDefaults() Options {
 // different shards, and queries on the other P-1 shards, proceed
 // concurrently.
 type Coordinator struct {
+	// Scatter answers every query over the shards (scatter.go), one
+	// QueryShardBatch leg per shard.
+	Scatter
+
 	opts Options
 
 	// mu guards the placement map, the round-robin cursor, and the global
@@ -151,6 +157,7 @@ func Build(db *gene.Database, opts Options) (*Coordinator, error) {
 		db:        db,
 		shards:    make([]*shardState, p),
 	}
+	c.Scatter = Scatter{Shards: p, Legs: c.legs}
 	for i := range c.shards {
 		idx, err := index.Build(parts[i], opts.Index)
 		if err != nil {
@@ -170,7 +177,7 @@ func FromIndex(idx *index.Index) *Coordinator {
 	for _, m := range db.Matrices() {
 		placement[m.Source] = 0
 	}
-	return &Coordinator{
+	c := &Coordinator{
 		opts:      Options{NumShards: 1, Index: idx.Options()}.withDefaults(),
 		placement: placement,
 		cursor:    db.Len(),
@@ -178,6 +185,8 @@ func FromIndex(idx *index.Index) *Coordinator {
 		sharedDB:  true,
 		shards:    []*shardState{{idx: idx}},
 	}
+	c.Scatter = Scatter{Shards: 1, Legs: c.legs}
+	return c
 }
 
 // errSaveSharded rejects SaveIndex on coordinators of more than one shard.
