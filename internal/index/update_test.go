@@ -196,3 +196,36 @@ func TestDatabaseRemove(t *testing.T) {
 		t.Error("removed a phantom source")
 	}
 }
+
+// TestAddRemoveMatrixAllocs bounds the allocations of one online AddMatrix
+// plus RemoveMatrix on an N = 300 index (BenchmarkIndexAddRemove's shape).
+// The bound guards the R*-tree's insert path: ChooseSubtree builds each
+// candidate's enlarged MBR in per-tree scratch, so an insert allocates
+// per node it changes, not per entry it weighs.
+func TestAddRemoveMatrixAllocs(t *testing.T) {
+	ds, err := synth.GenerateDatabase(synth.DBParams{
+		N: 301, NMin: 20, NMax: 40, LMin: 10, LMax: 20,
+		Dist: synth.Uniform, GenePool: 40, Seed: 22,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := ds.DB.Matrix(300)
+	ds.DB.Remove(extra.Source)
+	idx, err := Build(ds.DB, Options{D: 2, Seed: 42, BufferPages: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(10, func() {
+		if err := idx.AddMatrix(extra); err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.RemoveMatrix(extra.Source); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const bound = 3000 // about 2 500 today; about 6 200 before the scratch
+	if got > bound {
+		t.Errorf("one AddMatrix + RemoveMatrix allocates %.0f times, want ≤ %d", got, bound)
+	}
+}

@@ -93,6 +93,10 @@ type Tree struct {
 	reinsertLevels map[int]bool
 	reinserting    bool
 
+	// grown is writer-side scratch: chooseSubtree builds each candidate
+	// entry's enlarged MBR in it (see grow).
+	grown Rect
+
 	// dirty lists, in first-touch order, the nodes Insert and Delete have
 	// created or changed since the last TakeDirty (see dirty.go).
 	dirty []*Node
@@ -152,6 +156,7 @@ func NewTree(cfg Config) (*Tree, error) {
 	t := &Tree{
 		dim: cfg.Dim, minFill: cfg.MinFill, maxFill: cfg.MaxFill,
 		axisOrder: cfg.AxisOrder, primaryFull: cfg.PrimaryAxisFull,
+		reinsertLevels: make(map[int]bool), grown: EmptyRect(cfg.Dim),
 	}
 	t.root = t.newNode(true, 0)
 	return t, nil
@@ -187,7 +192,7 @@ func (t *Tree) Insert(it Item) error {
 	if len(it.Point) != t.dim {
 		return fmt.Errorf("rstar: point has %d dims, tree has %d", len(it.Point), t.dim)
 	}
-	t.reinsertLevels = make(map[int]bool)
+	clear(t.reinsertLevels)
 	t.insertEntry(entry{mbr: NewRect(it.Point), item: it}, 0)
 	t.size++
 	return nil
@@ -222,26 +227,39 @@ func (t *Tree) choosePath(r Rect, level int) []*Node {
 
 // chooseSubtree picks the entry of n to descend into for rectangle r:
 // minimum overlap enlargement when children are leaves, minimum area
-// enlargement otherwise (ties break to smaller area).
+// enlargement otherwise (ties break to smaller area, then to the lower
+// index).
+//
+// The leaf-parent case is the quadratic R* rule, pruned without changing
+// its answer (the argument is in DESIGN.md §7.1): a pair whose enlarged
+// MBR has zero overlap with the other entry adds exactly 0 and is skipped
+// on comparisons alone, and since no term is negative an entry stops
+// being summed once it can no longer beat the best so far.
 func (t *Tree) chooseSubtree(n *Node, r Rect) int {
-	childrenAreLeaves := n.level == 1
 	best := 0
-	if childrenAreLeaves {
+	if n.level == 1 {
 		bestOverlap, bestEnl, bestArea := 0.0, 0.0, 0.0
 		for i, e := range n.entries {
-			grown := Union(e.mbr, r)
+			area := e.mbr.Area()
+			grown := t.grow(e.mbr, r)
+			enl := grown.Area() - area
+			breaksTie := enl < bestEnl || (enl == bestEnl && area < bestArea)
+			if i > 0 && bestOverlap == 0 && !breaksTie {
+				continue // its overlap enlargement cannot go below 0
+			}
 			var overlapDelta float64
-			for j, o := range n.entries {
-				if j == i {
+			for j := range n.entries {
+				o := n.entries[j].mbr
+				if j == i || zeroOverlap(grown, o) {
 					continue
 				}
-				overlapDelta += OverlapArea(grown, o.mbr) - OverlapArea(e.mbr, o.mbr)
+				overlapDelta += OverlapArea(grown, o) - OverlapArea(e.mbr, o)
+				if i > 0 && overlapDelta > bestOverlap {
+					break // partial sums never decrease: entry i has lost
+				}
 			}
-			enl := grown.Area() - e.mbr.Area()
-			area := e.mbr.Area()
 			if i == 0 || overlapDelta < bestOverlap ||
-				(overlapDelta == bestOverlap && (enl < bestEnl ||
-					(enl == bestEnl && area < bestArea))) {
+				(overlapDelta == bestOverlap && breaksTie) {
 				best, bestOverlap, bestEnl, bestArea = i, overlapDelta, enl, area
 			}
 		}
@@ -249,13 +267,24 @@ func (t *Tree) chooseSubtree(n *Node, r Rect) int {
 	}
 	bestEnl, bestArea := 0.0, 0.0
 	for i, e := range n.entries {
-		enl := e.mbr.Enlargement(r)
 		area := e.mbr.Area()
+		enl := t.grow(e.mbr, r).Area() - area
 		if i == 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
 		}
 	}
 	return best
+}
+
+// grow returns Union(e, r) built in the tree's scratch rectangle, with
+// Union's arithmetic and without its allocation. The result is valid
+// until the next call.
+func (t *Tree) grow(e, r Rect) Rect {
+	g := t.grown
+	copy(g.Min, e.Min)
+	copy(g.Max, e.Max)
+	g.ExpandRect(r)
+	return g
 }
 
 // adjustUpward refreshes MBRs along the path after an entry change.
