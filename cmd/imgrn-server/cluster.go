@@ -18,16 +18,13 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
 	"github.com/imgrn/imgrn/internal/cluster"
 	"github.com/imgrn/imgrn/internal/gene"
-	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/server"
-	"github.com/imgrn/imgrn/internal/shard"
 )
 
 // clusterFlags carries the cluster-role configuration from main.
@@ -64,14 +61,16 @@ func (cf *clusterFlags) topology() (cluster.Topology, error) {
 	return topo, topo.Validate()
 }
 
-// serveShard boots the shard role: filter the database to the global
-// shards this server hosts (per the shared ring), build the local store
-// over exactly those shards, and serve the full HTTP surface plus the
-// /cluster/* execution endpoints.
-func serveShard(cf clusterFlags, dbPath, dataDir string, d int, seed uint64,
-	ckptBytes int64, ckptEvery time.Duration, addr string,
-	queryTimeout time.Duration, maxConcurrent, workers int,
-	pprofOn bool, slowQuery, drainTimeout time.Duration, planAdaptive bool) {
+// shardSlice is a shard server's part of the cluster: its role (the
+// hosted global shards and the shared ring) and the topology.
+type shardSlice struct {
+	role *server.ShardRole
+	topo cluster.Topology
+}
+
+// shardSlice resolves the shard-role flags into the global shards this
+// server hosts on the shared ring.
+func (cf *clusterFlags) shardSlice() *shardSlice {
 	topo, err := cf.topology()
 	if err != nil {
 		fatal(err)
@@ -79,98 +78,24 @@ func serveShard(cf clusterFlags, dbPath, dataDir string, d int, seed uint64,
 	if cf.serverIndex < 0 || cf.serverIndex >= len(topo.Servers) {
 		fatal(fmt.Errorf("-server-index %d out of range [0,%d) for the -shards-at roster", cf.serverIndex, len(topo.Servers)))
 	}
-	ring := cluster.NewRing(topo.NumShards, 0)
-	owned := topo.ServerShards(cf.serverIndex)
-	role := &server.ShardRole{NumShards: topo.NumShards, Shards: owned, Ring: ring}
-	// The local store partitions into len(owned) LOCAL shards; placement
-	// maps a source through the shared ring to its global shard, then to
-	// that shard's local index here.
-	localOf := func(global int) int {
-		for local, g := range owned {
-			if g == global {
-				return local
-			}
-		}
-		return -1
+	return &shardSlice{
+		role: &server.ShardRole{
+			NumShards: topo.NumShards,
+			Shards:    topo.ServerShards(cf.serverIndex),
+			Ring:      cluster.NewRing(topo.NumShards, 0),
+		},
+		topo: topo,
 	}
-	placeLocal := func(source int) int {
-		if local := localOf(ring.Place(source)); local >= 0 {
-			return local
-		}
-		return 0 // unreachable for filtered boots; mutations are placement-checked at the handler
-	}
-	opts := shard.Options{
-		NumShards: len(owned),
-		PlaceFunc: placeLocal,
-		Index:     index.Options{D: d, Seed: seed, BufferPages: 1024},
-	}
-
-	if dataDir != "" {
-		db := loadOwned(dbPath, dataDir, ring, owned, localOf)
-		st, err := shard.OpenDurable(db, opts, shard.DurableOptions{
-			Dir:             dataDir,
-			CheckpointBytes: ckptBytes,
-			CheckpointEvery: ckptEvery,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		ds := st.DurableStats()
-		fmt.Printf("cluster: shard server %d/%d serving global shards %v (R=%d, warm=%v gen=%d)\n",
-			cf.serverIndex, len(topo.Servers), owned, topo.Replication, ds.WarmBoot, ds.Gen)
-		serve(server.NewDurableShardServer(st, nil, role), st, addr, queryTimeout, maxConcurrent,
-			workers, pprofOn, slowQuery, drainTimeout, planAdaptive)
-		return
-	}
-
-	if dbPath == "" {
-		fatal(fmt.Errorf("-db is required for the shard role"))
-	}
-	db, err := gene.LoadDatabase(dbPath)
-	if err != nil {
-		fatal(err)
-	}
-	owndb := filterOwned(db, ring, owned)
-	coord, err := shard.Build(owndb, opts)
-	if err != nil {
-		fatal(err)
-	}
-	bs := coord.IndexStats()
-	fmt.Printf("cluster: shard server %d/%d serving global shards %v (R=%d): %d sources, %d vectors\n",
-		cf.serverIndex, len(topo.Servers), owned, topo.Replication, owndb.Len(), bs.Vectors)
-	serve(server.NewShardServer(coord, nil, role), nil, addr, queryTimeout, maxConcurrent,
-		workers, pprofOn, slowQuery, drainTimeout, planAdaptive)
 }
 
-// loadOwned loads and filters the seed database for a durable shard
-// boot; a warm-bootable data directory skips the load entirely (the
-// snapshots already hold exactly the owned sources).
-func loadOwned(dbPath, dataDir string, ring *cluster.Ring, owned []int, localOf func(int) int) *gene.Database {
-	if _, err := os.Stat(filepath.Join(dataDir, "MANIFEST")); err == nil {
-		return nil // warm boot
-	}
-	if dbPath == "" {
-		fatal(fmt.Errorf("-db is required to initialize a fresh -data-dir"))
-	}
-	db, err := gene.LoadDatabase(dbPath)
-	if err != nil {
-		fatal(err)
-	}
-	return filterOwned(db, ring, owned)
-}
-
-// filterOwned keeps the sources the shared ring places on an owned
-// global shard.
-func filterOwned(db *gene.Database, ring *cluster.Ring, owned []int) *gene.Database {
+// filter keeps the sources the shared ring places on a hosted global
+// shard.
+func (sr *shardSlice) filter(db *gene.Database) *gene.Database {
 	out := gene.NewDatabase()
 	for _, m := range db.Matrices() {
-		g := ring.Place(m.Source)
-		for _, og := range owned {
-			if og == g {
-				if err := out.Add(m); err != nil {
-					fatal(err)
-				}
-				break
+		if slices.Contains(sr.role.Shards, sr.role.Ring.Place(m.Source)) {
+			if err := out.Add(m); err != nil {
+				fatal(err)
 			}
 		}
 	}

@@ -8,6 +8,13 @@
 //	imgrn-server -db db.imgrn -addr :8080
 //	imgrn-server -db db.imgrn -index idx.imgrn   # reuse a saved index
 //	imgrn-server -db db.imgrn -data-dir ./data   # durable: WAL + snapshots
+//	imgrn-server -db db.imgrn -shards 4          # four index shards
+//
+// Every server that holds data — standalone at any -shards, durable or
+// not, and the cluster shard role (cluster.go) — opens one
+// shard.Coordinator in one step: shard.OpenDurable with -data-dir,
+// otherwise shard.Build over the -db database, or shard.FromIndex with
+// -index. The server and the shutdown path hold only that coordinator.
 //
 // With -data-dir the server is durable (DESIGN.md §12): every mutation is
 // fsynced to a per-shard write-ahead log before its HTTP response, the
@@ -93,155 +100,148 @@ func main() {
 		replication: *replication, hedgeAfter: *hedgeAfter, floorEvery: *floorEvery,
 		rpcTimeout: *rpcTimeout, rpcRetries: *rpcRetries,
 	}
-	switch *role {
-	case "":
-	case "shard":
-		serveShard(cf, *dbPath, *dataDir, *d, *seed, *ckptBytes, *ckptEvery,
-			*addr, *queryTimeout, *maxConcurrent, *workers, *pprofOn, *slowQuery, *drainTimeout,
-			*planAdaptive)
-		return
-	case "coordinator":
+	if *role == "coordinator" {
 		serveCoordinator(cf, *addr, *queryTimeout, *maxConcurrent, *workers,
 			*pprofOn, *slowQuery, *drainTimeout, *planAdaptive)
 		return
-	default:
+	}
+	if *role != "" && *role != "shard" {
 		fatal(fmt.Errorf("unknown -role %q (want shard or coordinator)", *role))
 	}
 
-	if *dataDir != "" {
+	// Standalone and shard servers share one in-process open step; a
+	// shard server hosts len(owned) local shards placed through the
+	// cluster ring, a standalone one -shards round-robin shards.
+	opts := shard.Options{
+		NumShards: *shards,
+		Index:     index.Options{D: *d, Seed: *seed, BufferPages: 1024},
+	}
+	var sr *shardSlice
+	if *role == "shard" {
 		if *idxPath != "" {
+			fatal(fmt.Errorf("-index is not supported with -role shard; shard indexes rebuild at startup or warm-boot from -data-dir"))
+		}
+		sr = cf.shardSlice()
+		opts.NumShards = len(sr.role.Shards)
+		opts.PlaceFunc = sr.role.PlaceLocal
+	}
+	coord := openCoordinator(*dbPath, *idxPath, opts, shard.DurableOptions{
+		Dir:             *dataDir,
+		CheckpointBytes: *ckptBytes,
+		CheckpointEvery: *ckptEvery,
+	}, sr)
+
+	var h *server.Server
+	if sr == nil {
+		h = server.New(coord, nil)
+	} else {
+		ds := coord.DurableStats()
+		fmt.Printf("cluster: shard server %d/%d serving global shards %v (R=%d, warm=%v gen=%d): %d sources\n",
+			cf.serverIndex, sr.topo.NumShards, sr.role.Shards, sr.topo.Replication, ds.WarmBoot, ds.Gen,
+			coord.Database().Len())
+		h = server.NewShardServer(coord, nil, sr.role)
+	}
+	serve(h, coord, *addr, *queryTimeout, *maxConcurrent,
+		*workers, *pprofOn, *slowQuery, *drainTimeout, *planAdaptive)
+}
+
+// openCoordinator is the one in-process open step. With dopts.Dir set it
+// opens the durable coordinator there: a directory holding committed
+// state warm-boots without re-embedding and ignores -db, a fresh one
+// cold-boots from the -db database and checkpoints it before serving.
+// Otherwise it builds the coordinator from -db (shard.Build), or wraps
+// the -index file (shard.FromIndex; built and saved there when it cannot
+// be loaded). A shard server's database keeps only the sources the ring
+// places on its hosted shards.
+func openCoordinator(dbPath, idxPath string, opts shard.Options, dopts shard.DurableOptions, sr *shardSlice) *shard.Coordinator {
+	loadDB := func(what string) *gene.Database {
+		if dbPath == "" {
+			fatal(fmt.Errorf("-db is required%s", what))
+		}
+		db, err := gene.LoadDatabase(dbPath)
+		if err != nil {
+			fatal(err)
+		}
+		if sr != nil {
+			db = sr.filter(db)
+		}
+		sum := db.Summary()
+		fmt.Printf("database: %d matrices, %d vectors, %d distinct genes\n",
+			sum.Matrices, sum.TotalVectors, sum.DistinctGenes)
+		return db
+	}
+
+	if dopts.Dir != "" {
+		if idxPath != "" {
 			fatal(fmt.Errorf("-data-dir and -index are mutually exclusive; the data directory holds its own snapshots"))
 		}
-		serveDurable(*dataDir, *dbPath, *shards, *d, *seed, *ckptBytes, *ckptEvery,
-			*addr, *queryTimeout, *maxConcurrent, *workers, *pprofOn, *slowQuery, *drainTimeout,
-			*planAdaptive)
-		return
-	}
-
-	if *dbPath == "" {
-		fatal(fmt.Errorf("-db is required"))
-	}
-	db, err := gene.LoadDatabase(*dbPath)
-	if err != nil {
-		fatal(err)
-	}
-	sum := db.Summary()
-	fmt.Printf("database: %d matrices, %d vectors, %d distinct genes\n",
-		sum.Matrices, sum.TotalVectors, sum.DistinctGenes)
-
-	if *shards > 1 {
-		// Sharded serving: partition round-robin, build one index per
-		// shard, and run queries scatter-gather. Saved indexes are
-		// single-shard only, so -index is rejected here.
-		if *idxPath != "" {
-			fatal(fmt.Errorf("-shards and -index are mutually exclusive; sharded indexes rebuild at startup"))
+		var db *gene.Database
+		if _, err := os.Stat(filepath.Join(dopts.Dir, "MANIFEST")); err != nil {
+			db = loadDB(" to initialize a fresh -data-dir")
 		}
-		coord, err := shard.Build(db, shard.Options{
-			NumShards: *shards,
-			Index:     index.Options{D: *d, Seed: *seed, BufferPages: 1024},
-		})
+		embedBefore := index.EmbedCalls()
+		coord, err := shard.OpenDurable(db, opts, dopts)
+		if err != nil {
+			fatal(err)
+		}
+		embedded := index.EmbedCalls() - embedBefore
+		ds := coord.DurableStats()
+		n := coord.Database().Len()
+		if ds.WarmBoot {
+			// The embedded/n ratio is the warm-boot witness: only mutations
+			// replayed from the WAL re-embed; everything else loads its
+			// vectors from the snapshots.
+			fmt.Printf("store: warm boot gen=%d replayed=%d torn=%dB embedded=%d/%d sources in %v\n",
+				ds.Gen, ds.ReplayedRecords, ds.TornBytes, embedded, n, ds.BootDuration)
+		} else {
+			fmt.Printf("store: cold boot gen=%d embedded=%d/%d sources in %v (checkpointed to %s)\n",
+				ds.Gen, embedded, n, ds.BootDuration, dopts.Dir)
+		}
+		bs := coord.IndexStats()
+		fmt.Printf("index: %d shards, %d vectors, %d nodes\n",
+			coord.NumShards(), bs.Vectors, bs.TreeNodes)
+		return coord
+	}
+
+	db := loadDB("")
+	if idxPath == "" {
+		coord, err := shard.Build(db, opts)
 		if err != nil {
 			fatal(err)
 		}
 		bs := coord.IndexStats()
 		fmt.Printf("index: built %d shards, %d vectors, %d nodes in %v\n",
 			coord.NumShards(), bs.Vectors, bs.TreeNodes, bs.Elapsed)
-		serve(server.NewSharded(coord, nil), nil, *addr, *queryTimeout, *maxConcurrent,
-			*workers, *pprofOn, *slowQuery, *drainTimeout, *planAdaptive)
-		return
+		return coord
 	}
-
-	var idx *index.Index
-	if *idxPath != "" {
-		if idx, err = index.LoadFile(*idxPath, db); err == nil {
-			fmt.Printf("index: loaded from %s (%d vectors) in %v\n",
-				*idxPath, idx.Stats().Vectors, idx.Stats().Elapsed)
-		} else {
-			fmt.Printf("index: cannot load %s (%v); building fresh\n", *idxPath, err)
-		}
+	// Saved indexes are single-shard only.
+	if opts.NumShards > 1 {
+		fatal(fmt.Errorf("-shards and -index are mutually exclusive; sharded indexes rebuild at startup"))
 	}
-	if idx == nil {
-		idx, err = index.Build(db, index.Options{D: *d, Seed: *seed, BufferPages: 1024})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("index: built %d vectors, %d nodes in %v\n",
-			idx.Stats().Vectors, idx.Stats().TreeNodes, idx.Stats().Elapsed)
-		if *idxPath != "" {
-			if err := idx.SaveFile(*idxPath); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("index: saved to %s\n", *idxPath)
-		}
+	idx, err := index.LoadFile(idxPath, db)
+	if err == nil {
+		fmt.Printf("index: loaded from %s (%d vectors) in %v\n",
+			idxPath, idx.Stats().Vectors, idx.Stats().Elapsed)
+		return shard.FromIndex(idx)
 	}
-
-	serve(server.New(idx, nil), nil, *addr, *queryTimeout, *maxConcurrent,
-		*workers, *pprofOn, *slowQuery, *drainTimeout, *planAdaptive)
-}
-
-// serveDurable opens (or initializes) the durable store in dataDir and
-// serves over it. A directory holding committed state warm-boots without
-// re-embedding and ignores -db; a fresh directory cold-boots from the
-// -db database and checkpoints it before serving.
-func serveDurable(dataDir, dbPath string, shards, d int, seed uint64,
-	ckptBytes int64, ckptEvery time.Duration, addr string,
-	queryTimeout time.Duration, maxConcurrent, workers int,
-	pprofOn bool, slowQuery, drainTimeout time.Duration, planAdaptive bool) {
-	var db *gene.Database
-	warmPossible := false
-	if _, err := os.Stat(filepath.Join(dataDir, "MANIFEST")); err == nil {
-		warmPossible = true
-	}
-	if !warmPossible {
-		if dbPath == "" {
-			fatal(fmt.Errorf("-db is required to initialize a fresh -data-dir"))
-		}
-		var err error
-		if db, err = gene.LoadDatabase(dbPath); err != nil {
-			fatal(err)
-		}
-		sum := db.Summary()
-		fmt.Printf("database: %d matrices, %d vectors, %d distinct genes\n",
-			sum.Matrices, sum.TotalVectors, sum.DistinctGenes)
-	}
-
-	embedBefore := index.EmbedCalls()
-	st, err := shard.OpenDurable(db, shard.Options{
-		NumShards: shards,
-		Index:     index.Options{D: d, Seed: seed, BufferPages: 1024},
-	}, shard.DurableOptions{
-		Dir:             dataDir,
-		CheckpointBytes: ckptBytes,
-		CheckpointEvery: ckptEvery,
-	})
-	if err != nil {
+	fmt.Printf("index: cannot load %s (%v); building fresh\n", idxPath, err)
+	if idx, err = index.Build(db, opts.Index); err != nil {
 		fatal(err)
 	}
-	embedded := index.EmbedCalls() - embedBefore
-	ds := st.DurableStats()
-	n := st.Database().Len()
-	if ds.WarmBoot {
-		// The embedded/n ratio is the warm-boot witness: only mutations
-		// replayed from the WAL re-embed; everything else loads its
-		// vectors from the snapshots.
-		fmt.Printf("store: warm boot gen=%d replayed=%d torn=%dB embedded=%d/%d sources in %v\n",
-			ds.Gen, ds.ReplayedRecords, ds.TornBytes, embedded, n, ds.BootDuration)
-	} else {
-		fmt.Printf("store: cold boot gen=%d embedded=%d/%d sources in %v (checkpointed to %s)\n",
-			ds.Gen, embedded, n, ds.BootDuration, dataDir)
+	fmt.Printf("index: built %d vectors, %d nodes in %v\n",
+		idx.Stats().Vectors, idx.Stats().TreeNodes, idx.Stats().Elapsed)
+	if err := idx.SaveFile(idxPath); err != nil {
+		fatal(err)
 	}
-	bs := st.IndexStats()
-	fmt.Printf("index: %d shards, %d vectors, %d nodes\n",
-		st.NumShards(), bs.Vectors, bs.TreeNodes)
-	serve(server.NewDurable(st, nil), st, addr, queryTimeout, maxConcurrent,
-		workers, pprofOn, slowQuery, drainTimeout, planAdaptive)
+	fmt.Printf("index: saved to %s\n", idxPath)
+	return shard.FromIndex(idx)
 }
 
 // serve configures the HTTP server and runs it until SIGINT/SIGTERM,
-// then drains in-flight requests. A non-nil store is closed after the
-// drain — the clean-shutdown checkpoint, so the next boot replays
-// nothing.
-func serve(h *server.Server, st *shard.Store, addr string, queryTimeout time.Duration, maxConcurrent,
+// then drains in-flight requests. A non-nil coordinator is closed after
+// the drain — for a durable one, the clean-shutdown checkpoint, so the
+// next boot replays nothing.
+func serve(h *server.Server, coord *shard.Coordinator, addr string, queryTimeout time.Duration, maxConcurrent,
 	workers int, pprofOn bool, slowQuery, drainTimeout time.Duration, planAdaptive bool) {
 	h.QueryTimeout = queryTimeout
 	h.MaxConcurrent = maxConcurrent
@@ -284,24 +284,27 @@ func serve(h *server.Server, st *shard.Store, addr string, queryTimeout time.Dur
 		if err := srv.Shutdown(shutdownCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "imgrn-server: forced shutdown:", err)
 			_ = srv.Close()
-			closeStore(st)
+			closeCoordinator(coord)
 			os.Exit(1)
 		}
-		closeStore(st)
+		closeCoordinator(coord)
 		fmt.Println("shutdown complete")
 	}
 }
 
-// closeStore checkpoints and closes a durable store (nil-safe).
-func closeStore(st *shard.Store) {
-	if st == nil {
+// closeCoordinator closes the in-process coordinator (nil-safe); a
+// durable one checkpoints first.
+func closeCoordinator(coord *shard.Coordinator) {
+	if coord == nil {
 		return
 	}
-	if err := st.Close(); err != nil {
+	if err := coord.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "imgrn-server: closing store:", err)
 		return
 	}
-	fmt.Printf("store: clean shutdown at gen %d\n", st.Gen())
+	if coord.Durable() {
+		fmt.Printf("store: clean shutdown at gen %d\n", coord.Gen())
+	}
 }
 
 func fatal(err error) {

@@ -168,13 +168,11 @@ var (
 // function of the database and the QueryParams alone: byte-identical at
 // every shard count. Per-shard counters are available via ShardStats.
 type Engine struct {
+	// coord answers every call. A durable coordinator (OpenDurable)
+	// write-ahead logs and fsyncs mutations before acknowledging them and
+	// rotates the log into snapshots on Checkpoint/Close; queries run the
+	// same way on both.
 	coord *shard.Coordinator
-
-	// store, when non-nil, is the durable lifecycle around coord (which
-	// then aliases store.Coordinator): mutations are write-ahead logged
-	// and fsynced before they are acknowledged, and Checkpoint/Close
-	// rotate the log into snapshots. Queries go through coord unchanged.
-	store *shard.Store
 }
 
 // Open builds the IM-GRN index over db and returns a query engine: a
@@ -225,44 +223,29 @@ type DurableStats = shard.DurableStats
 // snapshots when it exceeds DurableOptions.CheckpointBytes, on the
 // optional CheckpointEvery timer, on Checkpoint, and on Close.
 func OpenDurable(db *Database, opts IndexOptions, numShards int, dopts DurableOptions) (*Engine, error) {
-	st, err := shard.OpenDurable(db, shard.Options{NumShards: numShards, Index: opts}, dopts)
+	coord, err := shard.OpenDurable(db, shard.Options{NumShards: numShards, Index: opts}, dopts)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{coord: st.Coordinator, store: st}, nil
+	return &Engine{coord: coord}, nil
 }
 
-// Durable reports whether the engine has a durable store attached.
-func (e *Engine) Durable() bool { return e.store != nil }
+// Durable reports whether the engine was opened with OpenDurable.
+func (e *Engine) Durable() bool { return e.coord.Durable() }
 
-// DurableStats reports the durable store's counters; the zero value for
+// DurableStats reports the durable engine's counters; the zero value for
 // a non-durable engine.
-func (e *Engine) DurableStats() DurableStats {
-	if e.store == nil {
-		return DurableStats{}
-	}
-	return e.store.DurableStats()
-}
+func (e *Engine) DurableStats() DurableStats { return e.coord.DurableStats() }
 
 // Checkpoint forces a durable engine to fold its write-ahead log into a
 // new snapshot generation now. No-op (nil) on a non-durable engine.
-func (e *Engine) Checkpoint() error {
-	if e.store == nil {
-		return nil
-	}
-	return e.store.Checkpoint()
-}
+func (e *Engine) Checkpoint() error { return e.coord.Checkpoint() }
 
 // Close releases the engine. A durable engine checkpoints outstanding
 // mutations first (so the next boot replays nothing) and closes its log
 // segments; a non-durable engine's Close is a no-op. The engine is
 // unusable for mutations afterwards.
-func (e *Engine) Close() error {
-	if e.store == nil {
-		return nil
-	}
-	return e.store.Close()
-}
+func (e *Engine) Close() error { return e.coord.Close() }
 
 // NumShards reports the engine's shard count.
 func (e *Engine) NumShards() int { return e.coord.NumShards() }
@@ -336,20 +319,10 @@ func (e *Engine) QueryGraphContext(ctx context.Context, q *Graph, params QueryPa
 // AddMatrix indexes a new data source online. The matrix becomes
 // immediately queryable, and the grown engine answers exactly like one
 // rebuilt from scratch over the enlarged database.
-func (e *Engine) AddMatrix(m *Matrix) error {
-	if e.store != nil {
-		return e.store.AddMatrix(m)
-	}
-	return e.coord.AddMatrix(m)
-}
+func (e *Engine) AddMatrix(m *Matrix) error { return e.coord.AddMatrix(m) }
 
 // RemoveMatrix drops a data source from the engine and its database.
-func (e *Engine) RemoveMatrix(source int) error {
-	if e.store != nil {
-		return e.store.RemoveMatrix(source)
-	}
-	return e.coord.RemoveMatrix(source)
-}
+func (e *Engine) RemoveMatrix(source int) error { return e.coord.RemoveMatrix(source) }
 
 // QueryTopK answers an IM-GRN query and returns only the k matches with
 // the highest appearance probability (ties break toward smaller source

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,12 +69,6 @@ type CoordinatorOptions struct {
 	FloorEvery time.Duration
 	// HealthEvery is the membership health-probe cadence (2s when 0).
 	HealthEvery time.Duration
-	// ImbalanceRatio and OnImbalance mirror shard.Options: the rebalance
-	// hook fires after a health probe that finds the most loaded global
-	// shard holding more than ImbalanceRatio times the sources of the
-	// least loaded one (2 when <= 1).
-	ImbalanceRatio float64
-	OnImbalance    func(loads []int)
 }
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
@@ -89,9 +84,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.HealthEvery <= 0 {
 		o.HealthEvery = 2 * time.Second
-	}
-	if o.ImbalanceRatio <= 1 {
-		o.ImbalanceRatio = 2
 	}
 	return o
 }
@@ -337,33 +329,21 @@ func (c *Coordinator) Matrices() int {
 	return total
 }
 
-// checkImbalance mirrors shard.Coordinator's rebalance signal over the
-// remote per-shard loads.
+// imbalanceRatio is the max/min per-shard source ratio above which a
+// health probe counts a rebalance signal.
+const imbalanceRatio = 2
+
+// checkImbalance counts a rebalance signal when a health probe finds the
+// most loaded global shard holding more than imbalanceRatio times the
+// sources of the least loaded one (or more than one source beside an
+// empty shard). It only observes: sources never move between shards.
 func (c *Coordinator) checkImbalance() {
 	if c.topo.NumShards < 2 {
 		return
 	}
 	loads := c.Loads()
-	minLoad, maxLoad := loads[0], loads[0]
-	for _, l := range loads[1:] {
-		if l < minLoad {
-			minLoad = l
-		}
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	imbalanced := false
-	if minLoad == 0 {
-		imbalanced = maxLoad > 1
-	} else {
-		imbalanced = float64(maxLoad) > c.opts.ImbalanceRatio*float64(minLoad)
-	}
-	if imbalanced {
+	if slices.Max(loads) > max(imbalanceRatio*slices.Min(loads), 1) {
 		c.met.rebalanceSignal()
-		if c.opts.OnImbalance != nil {
-			c.opts.OnImbalance(loads)
-		}
 	}
 }
 

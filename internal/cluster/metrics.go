@@ -16,7 +16,7 @@ type Metrics struct {
 	Scatters        *obs.Counter // scatter-gather fan-outs issued
 	PartialFailures *obs.Counter // scatters aborted by an unreachable shard
 	FloorUpdates    *obs.Counter // top-k floor pushes to remote shards
-	RebalanceSigs   *obs.Counter // imbalance-hook firings over remote loads
+	RebalanceSigs   *obs.Counter // imbalance signals over remote loads
 
 	// Per-RPC accounting.
 	Requests  obs.CounterVec // by outcome (ok, error, timeout)

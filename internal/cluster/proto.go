@@ -331,7 +331,7 @@ type InfoResponse struct {
 	Role      string          `json:"role"`
 	NumShards int             `json:"numShards"`
 	Shards    []WireShardInfo `json:"shards"`
-	// Durable state, when the server runs over a durable store.
+	// Durable state, when the server runs over a durable coordinator.
 	Gen      uint64 `json:"gen,omitempty"`
 	WarmBoot bool   `json:"warmBoot,omitempty"`
 }

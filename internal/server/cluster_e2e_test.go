@@ -11,7 +11,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,6 +102,20 @@ func newTestCluster(t *testing.T, nServers, replication int,
 	wrap func(i int, h http.Handler) http.Handler,
 	mod func(*cluster.CoordinatorOptions)) *testCluster {
 	t.Helper()
+	build := func(_ int, db *gene.Database, opts shard.Options) (*shard.Coordinator, error) {
+		return shard.Build(db, opts)
+	}
+	return bootTestCluster(t, nServers, replication, wrap, mod, build)
+}
+
+// bootTestCluster is newTestCluster with server i's coordinator opened by
+// open, over the sources the ring places on the server's hosted shards
+// and with the role's local placement.
+func bootTestCluster(t *testing.T, nServers, replication int,
+	wrap func(i int, h http.Handler) http.Handler,
+	mod func(*cluster.CoordinatorOptions),
+	open func(i int, db *gene.Database, opts shard.Options) (*shard.Coordinator, error)) *testCluster {
+	t.Helper()
 	db, cat := clusterDB(t, 16)
 	tc := &testCluster{
 		topo: cluster.Topology{Servers: make([]string, nServers), NumShards: nServers, Replication: replication},
@@ -109,30 +125,20 @@ func newTestCluster(t *testing.T, nServers, replication int,
 		reg:  obs.NewRegistry(),
 	}
 	for i := 0; i < nServers; i++ {
-		owned := tc.topo.ServerShards(i)
-		localOf := make(map[int]int, len(owned))
-		for l, g := range owned {
-			localOf[g] = l
-		}
+		role := tc.role(i)
 		fdb := gene.NewDatabase()
 		for _, m := range db.Matrices() {
-			if _, ok := localOf[tc.ring.Place(m.Source)]; ok {
+			if role.localOf(tc.ring.Place(m.Source)) >= 0 {
 				if err := fdb.Add(m); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		coord, err := shard.Build(fdb, shard.Options{
-			NumShards: len(owned),
-			PlaceFunc: func(src int) int { return localOf[tc.ring.Place(src)] },
-			Index:     clusterIdxOpts,
-		})
+		coord, err := open(i, fdb, tc.shardOptions(role))
 		if err != nil {
 			t.Fatalf("server %d: %v", i, err)
 		}
-		srv := NewShardServer(coord, cat, &ShardRole{
-			NumShards: tc.topo.NumShards, Shards: owned, Ring: tc.ring,
-		})
+		srv := NewShardServer(coord, cat, role)
 		var h http.Handler = srv
 		if wrap != nil {
 			h = wrap(i, h)
@@ -174,6 +180,16 @@ func newTestCluster(t *testing.T, nServers, replication int,
 		t.Fatal(err)
 	}
 	return tc
+}
+
+// role is server i's shard role.
+func (tc *testCluster) role(i int) *ShardRole {
+	return &ShardRole{NumShards: tc.topo.NumShards, Shards: tc.topo.ServerShards(i), Ring: tc.ring}
+}
+
+// shardOptions are the coordinator options of a server in role.
+func (tc *testCluster) shardOptions(role *ShardRole) shard.Options {
+	return shard.Options{NumShards: len(role.Shards), PlaceFunc: role.PlaceLocal, Index: clusterIdxOpts}
 }
 
 // queryMatrix builds an ad-hoc query matrix from source src's module
@@ -641,6 +657,123 @@ func TestClusterReplicatedMutations(t *testing.T) {
 	}
 }
 
+// TestClusterDurableShardServers runs the cluster over durable shard
+// servers, each a durable coordinator opened with its role's local
+// placement: replicated adds are logged on every replica, and after one
+// server is closed and warm-reopened it still files new sources under the
+// global shard the ring names, so replicas keep equal loads and the
+// answers stay byte-identical to the in-process reference.
+func TestClusterDurableShardServers(t *testing.T) {
+	const nServers = 3
+	dirs := make([]string, nServers)
+	open := func(i int, db *gene.Database, opts shard.Options) (*shard.Coordinator, error) {
+		dirs[i] = t.TempDir()
+		return shard.OpenDurable(db, opts, shard.DurableOptions{Dir: dirs[i], DisableFsync: true})
+	}
+	// Every server sits behind a swappable handler, so a reopened server
+	// keeps its URL.
+	var live [nServers]atomic.Pointer[Server]
+	wrap := func(i int, h http.Handler) http.Handler {
+		live[i].Store(h.(*Server))
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { live[i].Load().ServeHTTP(w, r) })
+	}
+	tc := bootTestCluster(t, nServers, 2, wrap, nil, open)
+	t.Cleanup(func() {
+		for i := range live {
+			live[i].Load().coord.Close()
+		}
+	})
+	ctx := context.Background()
+	rng := randgen.New(7)
+	add := func(src int) {
+		t.Helper()
+		m, err := gene.NewMatrix(src,
+			[]gene.ID{tc.cat.Intern("A"), tc.cat.Intern("B"), tc.cat.Intern("C"), gene.ID(100 + src)},
+			moduleColumns(rng, 18, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.remote.AddMatrix(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.ref.AddMatrix(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	add(200)
+	replicas := tc.topo.Replicas(tc.ring.Place(200))
+	for i := range live {
+		want := uint64(0)
+		if slices.Contains(replicas, i) {
+			want = 1
+		}
+		if got := live[i].Load().coord.DurableStats().WALAppends; got != want {
+			t.Errorf("server %d: WALAppends = %d after one replicated add, want %d", i, got, want)
+		}
+	}
+
+	// Close server 0 (a clean checkpoint) and warm-reopen it in place.
+	const restarted = 0
+	if err := live[restarted].Load().coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	role := tc.role(restarted)
+	coord, err := shard.OpenDurable(nil, tc.shardOptions(role),
+		shard.DurableOptions{Dir: dirs[restarted], DisableFsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live[restarted].Store(NewShardServer(coord, tc.cat, role))
+
+	// Four new sources of the reopened server's second local shard: a
+	// placement that ignored the ring would file some of them under the
+	// first, and the replicas' loads would differ.
+	for src, n := 201, 0; n < 4; src++ {
+		if role.localOf(tc.ring.Place(src)) == 1 {
+			add(src)
+			n++
+		}
+	}
+
+	sources := map[int][]int{} // global shard -> Sources per replica
+	for i, url := range tc.topo.Servers {
+		resp, err := http.Get(url + cluster.PathInfo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var info cluster.InfoResponse
+		err = json.NewDecoder(resp.Body).Decode(&info)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm := i == restarted; info.WarmBoot != warm {
+			t.Errorf("server %d: /cluster/info warmBoot = %v, want %v", i, info.WarmBoot, warm)
+		}
+		for _, sh := range info.Shards {
+			sources[sh.Global] = append(sources[sh.Global], sh.Sources)
+		}
+	}
+	for g, per := range sources {
+		if len(per) != 2 || per[0] != per[1] {
+			t.Errorf("global shard %d: sources per replica = %v, want two equal counts", g, per)
+		}
+	}
+
+	for _, analytic := range []bool{true, false} {
+		params := clusterParamsFor(analytic)
+		q := tc.queryMatrix(t, 3)
+		got, _, gerr := tc.remote.QueryContext(ctx, q, params)
+		want, _, werr := tc.ref.QueryContext(ctx, q, params)
+		mustAnswers(t, "remote", got, gerr)
+		mustAnswers(t, "in-process", want, werr)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("analytic=%v: answers after the warm reopen diverge:\n got %+v\nwant %+v", analytic, got, want)
+		}
+	}
+}
+
 // TestClusterShardServerRejections pins the explicit-rejection paths of
 // the shard-role endpoints: protocol version skew, topology skew, and
 // mutations whose placement disagrees with the server's own ring.
@@ -727,7 +860,7 @@ func TestClusterCoordinatorHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Remote().Close() })
-	local := NewSharded(tc.ref, tc.cat)
+	local := New(tc.ref, tc.cat)
 
 	m := tc.db.BySource(3)
 	req := QueryRequest{

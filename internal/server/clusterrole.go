@@ -54,6 +54,15 @@ func (role *ShardRole) localOf(global int) int {
 	return -1
 }
 
+// PlaceLocal is the shard.Options.PlaceFunc of a shard server's
+// coordinator: a source goes through the ring to its global shard, then
+// to that shard's local index here. A source of a shard this server does
+// not host maps to 0; the /cluster/mutate handler rejects such sources
+// before they reach the coordinator.
+func (role *ShardRole) PlaceLocal(source int) int {
+	return max(role.localOf(role.Ring.Place(source)), 0)
+}
+
 // floorRegistry tracks the live top-k sinks of in-flight /cluster/exec
 // requests so /cluster/floor pushes can raise their floors mid-query.
 // Keyed by coordinator query ID and item; one server may run several
@@ -104,36 +113,25 @@ func (f *floorRegistry) raise(key floorKey, floor float64) int {
 	return len(f.sinks[key])
 }
 
-// NewShardServer returns a shard-role server: NewSharded plus the
-// /cluster/* endpoints. coord must host exactly the shards role.Shards
-// names, placed by role.Ring (see cmd/imgrn-server for the boot wiring).
+// NewShardServer returns a shard-role server: New plus the /cluster/*
+// endpoints. coord must host exactly the shards role.Shards names, placed
+// by role.PlaceLocal (see cmd/imgrn-server for the boot wiring). Over a
+// durable coordinator the /cluster/mutate leg is write-ahead logged, so a
+// replicated mutation is fsynced on every replica before the cluster
+// coordinator sees all acks.
 func NewShardServer(coord *shard.Coordinator, cat *gene.Catalog, role *ShardRole) *Server {
-	s := NewSharded(coord, cat)
-	s.enableShardRole(role)
-	return s
-}
-
-// NewDurableShardServer is NewShardServer over a durable store: the
-// /cluster/mutate leg routes through the store's write-ahead log, so a
-// replicated mutation is fsynced on every replica before the coordinator
-// sees all acks.
-func NewDurableShardServer(store *shard.Store, cat *gene.Catalog, role *ShardRole) *Server {
-	s := NewDurable(store, cat)
-	s.enableShardRole(role)
-	return s
-}
-
-func (s *Server) enableShardRole(role *ShardRole) {
+	s := New(coord, cat)
 	s.role = role
 	s.mux.HandleFunc(cluster.PathExec, s.handleClusterExec)
 	s.mux.HandleFunc(cluster.PathMutate, s.handleClusterMutate)
 	s.mux.HandleFunc(cluster.PathFloor, s.handleClusterFloor)
 	s.mux.HandleFunc(cluster.PathInfo, s.handleClusterInfo)
-	// Pre-seed the new endpoint series (PR 2 convention: every series
-	// that can appear exists from the first scrape).
+	// Pre-seed the new endpoint series: every series that can appear
+	// exists from the first scrape.
 	for _, ep := range []string{"cluster-exec", "cluster-mutate", "cluster-floor", "cluster-info"} {
 		s.met.requests.With(ep)
 	}
+	return s
 }
 
 // checkEnvelope validates the shared envelope fields (protocol version,
@@ -362,7 +360,7 @@ func (s *Server) handleClusterMutate(w http.ResponseWriter, r *http.Request) {
 			s.error(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if err := s.addMatrix(m); err != nil {
+		if err := s.eng.AddMatrix(m); err != nil {
 			switch {
 			case errors.Is(err, shard.ErrSourceExists):
 				s.error(w, http.StatusConflict, err.Error())
@@ -375,7 +373,7 @@ func (s *Server) handleClusterMutate(w http.ResponseWriter, r *http.Request) {
 		}
 		s.met.mutations.With("add").Inc()
 	case "remove":
-		if err := s.removeMatrix(req.Source); err != nil {
+		if err := s.eng.RemoveMatrix(req.Source); err != nil {
 			if errors.Is(err, shard.ErrSourceNotFound) {
 				s.error(w, http.StatusNotFound, err.Error())
 				return
@@ -432,11 +430,8 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 			Queries: info.Queries, Mutations: info.Mutations,
 		})
 	}
-	if s.store != nil {
-		ds := s.store.DurableStats()
-		out.Gen = ds.Gen
-		out.WarmBoot = ds.WarmBoot
-	}
+	ds := s.coord.DurableStats()
+	out.Gen, out.WarmBoot = ds.Gen, ds.WarmBoot
 	s.met.requests.With("cluster-info").Inc()
 	writeJSON(w, http.StatusOK, out)
 }

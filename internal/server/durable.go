@@ -1,28 +1,17 @@
 package server
 
 import (
-	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/shard"
 )
 
-// Durable serving. NewDurable wraps a shard.Store: the read path is the
-// ordinary scatter-gather coordinator, while POST /add-matrix and
-// /remove-matrix route through the store so every acknowledged mutation
-// is in the fsynced write-ahead log before the HTTP 200 leaves the
-// server. Durable servers additionally expose the imgrn_wal_* and
-// imgrn_snapshot_* metric families (refreshed from the store on every
-// /metrics scrape, like the per-shard gauges) and a "durability" block
-// in /stats.
-
-// NewDurable returns a server over a durable store; see NewSharded for
-// the shared behavior.
-func NewDurable(store *shard.Store, cat *gene.Catalog) *Server {
-	s := NewSharded(store.Coordinator, cat)
-	s.store = store
-	s.met.initDurable(s.Metrics)
-	return s
-}
+// Durable serving. A server over a durable coordinator
+// (shard.OpenDurable) serves the same handlers: the coordinator's own
+// AddMatrix/RemoveMatrix put every acknowledged mutation in the fsynced
+// write-ahead log before the HTTP 200 leaves the server. Such servers
+// additionally expose the imgrn_wal_* and imgrn_snapshot_* metric
+// families (refreshed from the coordinator on every /metrics scrape, like
+// the per-shard gauges) and a "durability" block in /stats.
 
 // durableMetrics are scrape-refreshed gauges mirroring
 // shard.DurableStats; registered only on durable servers so non-durable
@@ -73,7 +62,7 @@ func (m *serverMetrics) initDurable(r *obs.Registry) {
 		"Wall-clock duration of OpenDurable (snapshot load + WAL replay, or full build) in milliseconds.")
 }
 
-// observeDurable refreshes the durability gauges from the store; called
+// observeDurable refreshes the durability gauges from the coordinator; called
 // on every /metrics scrape of a durable server.
 func (m *serverMetrics) observeDurable(ds shard.DurableStats) {
 	d := &m.durable
@@ -117,12 +106,12 @@ type DurabilityStatsJSON struct {
 // durabilityStats builds the /stats block; nil for non-durable servers
 // (the field is omitted from the JSON).
 func (s *Server) durabilityStats() *DurabilityStatsJSON {
-	if s.store == nil {
+	if !s.coord.Durable() {
 		return nil
 	}
-	ds := s.store.DurableStats()
+	ds := s.coord.DurableStats()
 	return &DurabilityStatsJSON{
-		Dir:                s.store.Dir(),
+		Dir:                s.coord.Dir(),
 		Generation:         ds.Gen,
 		WarmBoot:           ds.WarmBoot,
 		BootMillis:         ds.BootDuration.Milliseconds(),
@@ -136,21 +125,4 @@ func (s *Server) durabilityStats() *DurabilityStatsJSON {
 		LastCheckpointMs:   ds.LastCheckpointDuration.Milliseconds(),
 		LastCheckpointSize: ds.LastCheckpointBytes,
 	}
-}
-
-// addMatrix routes a mutation through the durable store when one is
-// attached (apply → WAL fsync → ack) and directly to the coordinator
-// otherwise.
-func (s *Server) addMatrix(m *gene.Matrix) error {
-	if s.store != nil {
-		return s.store.AddMatrix(m)
-	}
-	return s.eng.AddMatrix(m)
-}
-
-func (s *Server) removeMatrix(source int) error {
-	if s.store != nil {
-		return s.store.RemoveMatrix(source)
-	}
-	return s.eng.RemoveMatrix(source)
 }

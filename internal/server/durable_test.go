@@ -15,7 +15,7 @@ import (
 
 // durableFixture builds a durable server in dir over the standard
 // planted-module database.
-func durableFixture(t *testing.T, dir string, db *gene.Database) (*Server, *shard.Store) {
+func durableFixture(t *testing.T, dir string, db *gene.Database) (*Server, *shard.Coordinator) {
 	t.Helper()
 	st, err := shard.OpenDurable(db, shard.Options{
 		NumShards: 2,
@@ -24,7 +24,7 @@ func durableFixture(t *testing.T, dir string, db *gene.Database) (*Server, *shar
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewDurable(st, nil), st
+	return New(st, nil), st
 }
 
 func testDB(t *testing.T, n int) *gene.Database {

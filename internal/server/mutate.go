@@ -68,7 +68,7 @@ func (s *Server) handleAddMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	if err := s.addMatrix(m); err != nil {
+	if err := s.eng.AddMatrix(m); err != nil {
 		if errors.Is(err, shard.ErrSourceExists) {
 			s.error(w, http.StatusConflict, err.Error())
 			return
@@ -106,7 +106,7 @@ func (s *Server) handleRemoveMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	sh, _ := s.eng.Placement(req.Source)
-	if err := s.removeMatrix(req.Source); err != nil {
+	if err := s.eng.RemoveMatrix(req.Source); err != nil {
 		if errors.Is(err, shard.ErrSourceNotFound) {
 			s.error(w, http.StatusNotFound, err.Error())
 			return

@@ -186,7 +186,7 @@ func shardedFixture(t *testing.T, p int) (*Server, *gene.Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewSharded(coord, cat), db
+	return New(coord, cat), db
 }
 
 // TestShardedServer: a sharded server answers queries, routes mutations,

@@ -20,13 +20,17 @@
 // EnablePprof is set. Requests may opt into a per-request trace summary
 // in the JSON response with "trace": true in their params.
 //
-// The server runs over a shard.Coordinator: one shard wrapping a single
-// index in the default deployment (New), or P independent index shards
-// queried scatter-gather (NewSharded). Sharded servers surface per-shard
-// counters in /stats (the "shards" array) and /metrics (the imgrn_shard_*
-// gauge families, refreshed on scrape). Mutations — POST /add-matrix and
-// /remove-matrix — route to the shard their source is placed on and
-// invalidate only that source's cached edge probabilities.
+// The server runs over a shard.Coordinator (New): P >= 1 independent
+// index shards queried scatter-gather, in memory or durable
+// (shard.OpenDurable). Per-shard counters appear in /stats (the "shards"
+// array) and /metrics (the imgrn_shard_* gauge families, refreshed on
+// scrape); a durable coordinator adds the /stats "durability" block and
+// the imgrn_wal_* / imgrn_snapshot_* families. Mutations — POST
+// /add-matrix and /remove-matrix — route to the shard their source is
+// placed on, invalidate only that source's cached edge probabilities,
+// and on a durable coordinator are fsynced to its write-ahead log before
+// the response is sent. NewShardServer adds the cluster shard role and
+// NewCluster serves the same surface over a remote cluster coordinator.
 //
 // Endpoints:
 //
@@ -59,18 +63,17 @@ import (
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/grnclust"
-	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/obs"
 	"github.com/imgrn/imgrn/internal/plan"
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/shard"
 )
 
-// Engine is the query/mutation surface the HTTP handlers run over. Three
-// implementations serve it: the in-process shard.Coordinator (New,
-// NewSharded, NewDurable), the same coordinator under a durable store,
-// and the remote cluster.Coordinator (NewCluster) that scatter-gathers
-// to networked shard servers — the handlers cannot tell them apart,
+// Engine is the query/mutation surface the HTTP handlers run over. Two
+// implementations serve it: the in-process shard.Coordinator (New and
+// NewShardServer; in memory or durable), and the remote
+// cluster.Coordinator (NewCluster) that scatter-gathers to networked
+// shard servers — the handlers cannot tell them apart,
 // which is the deployment-transparency seam of DESIGN.md §15. Both
 // coordinators embed the one scatter-gather (shard.Scatter), which runs
 // the three solo entry points as one-item batches, infers a matrix query
@@ -96,9 +99,8 @@ type Engine interface {
 }
 
 // Server handles IM-GRN HTTP requests over an Engine: an in-process
-// shard coordinator (a single shard for New, P shards for NewSharded, a
-// durable store for NewDurable) or a remote cluster coordinator
-// (NewCluster). Handlers are safe for concurrent use; queries do not
+// shard coordinator (New, NewShardServer) or a remote cluster
+// coordinator (NewCluster). Handlers are safe for concurrent use; queries do not
 // serialize against each other because each runs on its own execution
 // context, and a mutation locks only the shard its source is placed on.
 type Server struct {
@@ -106,12 +108,8 @@ type Server struct {
 	// coord is the in-process coordinator behind eng, nil on
 	// coordinator-mode servers (NewCluster); the handlers that need
 	// engine INTERNALS — index build stats, the raw database, per-shard
-	// snapshots — guard on it.
+	// snapshots, durability counters — guard on it.
 	coord *shard.Coordinator
-	// store, when non-nil (NewDurable), wraps coord with the durable
-	// lifecycle: mutations route through it so they are write-ahead
-	// logged and fsynced before the response is sent.
-	store *shard.Store
 	// remote is the cluster coordinator behind eng on NewCluster servers.
 	remote *cluster.Coordinator
 	// role marks a shard-role server (NewShardServer): the /cluster/*
@@ -223,8 +221,8 @@ type serverMetrics struct {
 	shardCacheHits   obs.GaugeVec
 	shardCacheMisses obs.GaugeVec
 
-	// durable is populated (initDurable) only on NewDurable servers: the
-	// imgrn_wal_* / imgrn_snapshot_* families, refreshed per scrape.
+	// durable is populated (initDurable) only over durable coordinators:
+	// the imgrn_wal_* / imgrn_snapshot_* families, refreshed per scrape.
 	durable durableMetrics
 }
 
@@ -332,19 +330,17 @@ func (m *serverMetrics) observeShards(infos []shard.ShardInfo) {
 	}
 }
 
-// New returns a server over idx, wrapped as a single-shard coordinator.
-// cat translates gene names in requests; a nil catalog restricts requests
-// to numeric gene IDs.
-func New(idx *index.Index, cat *gene.Catalog) *Server {
-	return NewSharded(shard.FromIndex(idx), cat)
-}
-
-// NewSharded returns a server over an already-built shard coordinator;
-// queries run scatter-gather across its shards and /stats and /metrics
-// carry per-shard counters.
-func NewSharded(coord *shard.Coordinator, cat *gene.Catalog) *Server {
+// New returns a server over an in-process coordinator; queries run
+// scatter-gather across its shards and /stats and /metrics carry
+// per-shard counters, plus the durability block and metric families when
+// coord is durable. cat translates gene names in requests; a nil catalog
+// restricts requests to numeric gene IDs.
+func New(coord *shard.Coordinator, cat *gene.Catalog) *Server {
 	s := newBase(cat)
 	s.eng, s.coord = coord, coord
+	if coord.Durable() {
+		s.met.initDurable(s.Metrics)
+	}
 	return s
 }
 
@@ -395,14 +391,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.coord != nil {
 		s.met.observeShards(s.coord.Snapshot())
+		if s.coord.Durable() {
+			s.met.observeDurable(s.coord.DurableStats())
+		}
 	}
 	if s.remote != nil {
 		// Keep the membership gauges fresh even between health-probe
 		// ticks: a scrape is a natural staleness bound.
 		s.remote.RefreshHealth(r.Context())
-	}
-	if s.store != nil {
-		s.met.observeDurable(s.store.DurableStats())
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.Metrics.WritePrometheus(w)
@@ -486,7 +482,7 @@ type StatsResponse struct {
 	Pivots        int              `json:"pivotsPerMatrix"`
 	NumShards     int              `json:"numShards"`
 	Shards        []ShardStatsJSON `json:"shards"`
-	// Durability is present only on durable servers (NewDurable): boot
+	// Durability is present only over durable coordinators: boot
 	// provenance plus WAL and checkpoint counters.
 	Durability *DurabilityStatsJSON `json:"durability,omitempty"`
 }

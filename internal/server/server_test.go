@@ -12,6 +12,7 @@ import (
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/randgen"
+	"github.com/imgrn/imgrn/internal/shard"
 )
 
 // fixture builds a server over a small database with a planted module on
@@ -49,7 +50,7 @@ func fixture(t *testing.T) (*Server, *gene.Catalog, *gene.Database) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(idx, cat), cat, db
+	return New(shard.FromIndex(idx), cat), cat, db
 }
 
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {

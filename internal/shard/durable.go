@@ -19,12 +19,13 @@ import (
 	"github.com/imgrn/imgrn/internal/wal"
 )
 
-// Durable state (DESIGN.md §12). A Store layers crash safety over a
-// Coordinator: every acknowledged mutation is fsynced to a per-shard
-// write-ahead log before the call returns, and the expensive composite
-// index (Monte Carlo embeddings + R*-tree points) is checkpointed into
-// per-shard snapshot files so a restart loads vectors instead of
-// re-embedding them.
+// Durable state (DESIGN.md §12). OpenDurable returns a Coordinator whose
+// mutations are crash safe: every acknowledged AddMatrix/RemoveMatrix is
+// fsynced to a per-shard write-ahead log before the call returns, and the
+// expensive composite index (Monte Carlo embeddings + R*-tree points) is
+// checkpointed into per-shard snapshot files so a restart loads vectors
+// instead of re-embedding them. The read path is the in-memory one:
+// queries never touch the log.
 //
 // On-disk layout under DurableOptions.Dir:
 //
@@ -34,7 +35,7 @@ import (
 //	shard-000/wal-0000000G.log   mutations since generation G
 //	shard-001/…                  one directory per shard
 //
-// The generation G is store-global: a checkpoint snapshots every shard,
+// The generation G is directory-global: a checkpoint snapshots every shard,
 // then commits by atomically renaming a new MANIFEST. WAL segments are
 // named after the snapshot generation they follow, which ties log and
 // snapshot together without any cross-file sequence numbers.
@@ -49,9 +50,11 @@ import (
 //     index; the Monte Carlo embedding is NOT recomputed), then replay
 //     wal-G.log — truncating a torn tail first — through the index's
 //     online mutation path.
-//  3. Reassemble the coordinator: placement falls out of which shard's
-//     files each source lives in; the round-robin cursor is the manifest
-//     cursor plus the add records replayed.
+//  3. Assemble the coordinator (newCoordinator, like Build and
+//     FromIndex): placement of recovered sources falls out of which
+//     shard's files each lives in; the round-robin cursor is the manifest
+//     cursor plus the add records replayed; new sources are placed by the
+//     caller's Options.PlaceFunc when set.
 //
 // Ordering guarantee: a mutation is applied to the in-memory engine,
 // appended to its shard's WAL, fsynced, and only then acknowledged. A
@@ -63,7 +66,7 @@ import (
 //
 // A snapshot generation G is safe to delete exactly when a MANIFEST with
 // generation > G has been renamed into place and fsynced — which is the
-// only moment the store deletes anything.
+// only moment a checkpoint deletes anything.
 
 // Snapshot container format (little-endian), one file per shard:
 //
@@ -84,7 +87,7 @@ const snapHeaderSize = 8 + 8 + 4 + 4 + 8 + 8 + 4 + 4
 // manifestFormat versions the MANIFEST schema.
 const manifestFormat = 1
 
-// manifest is the committed-state pointer of a durable store. It is
+// manifest is the committed-state pointer of a durable data directory. It is
 // written with the same write-temp + rename + dir-fsync protocol as the
 // snapshots it names.
 type manifest struct {
@@ -102,7 +105,7 @@ type manifest struct {
 	Index index.Options `json:"index"`
 }
 
-// DurableOptions configures the durable lifecycle of a Store.
+// DurableOptions configures the durable lifecycle of a coordinator.
 type DurableOptions struct {
 	// Dir is the data directory (required). It is created if absent.
 	Dir string
@@ -115,7 +118,7 @@ type DurableOptions struct {
 	// also checkpointed on Close).
 	CheckpointEvery time.Duration
 	// DisableFsync skips every fsync (records are still written and
-	// framed). Only for tests that reopen stores hundreds of times; a
+	// framed). Only for tests that reopen directories hundreds of times; a
 	// server running with this set can lose acknowledged mutations on a
 	// machine crash, though not on a process kill.
 	DisableFsync bool
@@ -128,7 +131,7 @@ func (o DurableOptions) withDefaults() DurableOptions {
 	return o
 }
 
-// DurableStats is an observability snapshot of a Store (the
+// DurableStats is an observability snapshot of a durable coordinator (the
 // imgrn_wal_* / imgrn_snapshot_* metric families and the /stats
 // durability block).
 type DurableStats struct {
@@ -167,21 +170,14 @@ type DurableStats struct {
 	LastCheckpointError string
 }
 
-// Store is a Coordinator with a durable lifecycle: mutations are
-// write-ahead logged and fsynced before they are acknowledged, and
-// Checkpoint/Close rotate the log into crash-safe snapshots. The
-// embedded Coordinator serves the read path unchanged — queries never
-// touch the log. Mutations MUST go through the Store's AddMatrix and
-// RemoveMatrix (the facade enforces this); calling the embedded
-// coordinator's mutation methods directly would bypass the log.
-type Store struct {
-	*Coordinator
-
+// durability is the write-ahead log and checkpoint state of a durable
+// coordinator.
+type durability struct {
 	dopts DurableOptions
 
-	// mutMu serializes mutations and checkpoints against each other.
+	// mu serializes mutations and checkpoints against each other.
 	// Queries are not affected: they take per-shard read locks only.
-	mutMu  sync.Mutex
+	mu     sync.Mutex
 	gen    uint64
 	wals   []*wal.Writer
 	dirty  int // appends since the last checkpoint
@@ -202,22 +198,23 @@ type Store struct {
 	stats   DurableStats
 }
 
-// OpenDurable opens (or initializes) the durable store in
-// dopts.Dir. When the directory holds a committed MANIFEST the store
-// warm-boots: per-shard snapshots are loaded (skipping the Monte Carlo
-// embedding) and the WAL segments are replayed over them; db is ignored
-// and may be nil. Otherwise the store cold-boots: the coordinator is
+// OpenDurable opens (or initializes) a durable coordinator over the data
+// directory dopts.Dir. When the directory holds a committed MANIFEST the
+// coordinator warm-boots: per-shard snapshots are loaded (skipping the
+// Monte Carlo embedding) and the WAL segments are replayed over them; db
+// is ignored and may be nil. Otherwise it cold-boots: the coordinator is
 // built from db exactly like Build, and a generation-1 checkpoint is
 // written so the state is durable before OpenDurable returns.
 //
 // On a warm boot opts.NumShards must match the on-disk shard count
 // (resharding a durable directory is an explicit offline rebuild), or be
 // <= 1 to adopt it; the on-disk index options win over opts.Index except
-// for the runtime-only Index.Workers field.
-func OpenDurable(db *gene.Database, opts Options, dopts DurableOptions) (*Store, error) {
+// for the runtime-only Index.Workers field, and opts.PlaceFunc places the
+// sources added from then on.
+func OpenDurable(db *gene.Database, opts Options, dopts DurableOptions) (*Coordinator, error) {
 	start := time.Now()
 	if dopts.Dir == "" {
-		return nil, fmt.Errorf("shard: durable store requires a data directory")
+		return nil, fmt.Errorf("shard: durable coordinator requires a data directory")
 	}
 	dopts = dopts.withDefaults()
 	if err := os.MkdirAll(dopts.Dir, 0o755); err != nil {
@@ -228,28 +225,29 @@ func OpenDurable(db *gene.Database, opts Options, dopts DurableOptions) (*Store,
 	if err != nil {
 		return nil, err
 	}
-	var st *Store
+	var c *Coordinator
 	if man != nil {
-		st, err = openWarm(man, opts, dopts)
+		c, err = openWarm(man, opts, dopts)
 	} else {
-		st, err = openCold(db, opts, dopts)
+		c, err = openCold(db, opts, dopts)
 	}
 	if err != nil {
 		return nil, err
 	}
-	st.stats.BootDuration = time.Since(start)
+	d := c.dur
+	d.stats.BootDuration = time.Since(start)
 	if dopts.CheckpointEvery > 0 {
-		st.stopTicker = make(chan struct{})
-		st.tickerDone = make(chan struct{})
-		go st.checkpointLoop(st.stopTicker)
+		d.stopTicker = make(chan struct{})
+		d.tickerDone = make(chan struct{})
+		go c.checkpointLoop(d.stopTicker)
 	}
-	return st, nil
+	return c, nil
 }
 
 // openCold builds the coordinator from db and commits generation 1.
-func openCold(db *gene.Database, opts Options, dopts DurableOptions) (*Store, error) {
+func openCold(db *gene.Database, opts Options, dopts DurableOptions) (*Coordinator, error) {
 	// Refuse a directory with shard files but no manifest: that is not a
-	// fresh store, it is a corrupted one (or someone else's data).
+	// fresh directory, it is a corrupted one (or someone else's data).
 	entries, err := os.ReadDir(dopts.Dir)
 	if err != nil {
 		return nil, err
@@ -262,22 +260,22 @@ func openCold(db *gene.Database, opts Options, dopts DurableOptions) (*Store, er
 	if db == nil {
 		db = gene.NewDatabase()
 	}
-	coord, err := Build(db, opts)
+	c, err := Build(db, opts)
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{Coordinator: coord, dopts: dopts, wals: make([]*wal.Writer, coord.NumShards())}
-	st.mutMu.Lock()
-	defer st.mutMu.Unlock()
-	if err := st.checkpointLocked(); err != nil {
+	c.dur = &durability{dopts: dopts, wals: make([]*wal.Writer, c.NumShards())}
+	c.dur.mu.Lock()
+	defer c.dur.mu.Unlock()
+	if err := c.checkpointLocked(); err != nil {
 		return nil, err
 	}
-	return st, nil
+	return c, nil
 }
 
-// openWarm restores the store from the committed generation: snapshot
-// load plus WAL replay, per shard in parallel.
-func openWarm(man *manifest, opts Options, dopts DurableOptions) (*Store, error) {
+// openWarm restores the coordinator from the committed generation:
+// snapshot load plus WAL replay, per shard in parallel.
+func openWarm(man *manifest, opts Options, dopts DurableOptions) (*Coordinator, error) {
 	if man.Format != manifestFormat {
 		return nil, fmt.Errorf("shard: MANIFEST format %d not supported", man.Format)
 	}
@@ -287,12 +285,12 @@ func openWarm(man *manifest, opts Options, dopts DurableOptions) (*Store, error)
 			man.NumShards, opts.NumShards)
 	}
 	p := man.NumShards
-	idxOpts := man.Index
-	idxOpts.Workers = opts.Index.Workers // runtime knob, not persisted state
+	workers := opts.Index.Workers // runtime knob, not persisted state
+	opts.Index = man.Index
+	opts.Index.Workers = workers
 
 	type shardBoot struct {
 		idx  *index.Index
-		db   *gene.Database
 		wal  *wal.Writer
 		info wal.RecoveryInfo
 		adds int
@@ -304,14 +302,14 @@ func openWarm(man *manifest, opts Options, dopts DurableOptions) (*Store, error)
 		if err := cleanShardDir(dir, man.Gen); err != nil {
 			return err
 		}
-		partDB, idx, err := readSnapshot(snapPath(dir, man.Gen), man.Gen, i, p)
+		idx, err := readSnapshot(snapPath(dir, man.Gen), man.Gen, i, p)
 		if err != nil {
 			return err
 		}
-		if err := idx.RestoreOptions(idxOpts); err != nil {
+		if err := idx.RestoreOptions(opts.Index); err != nil {
 			return err
 		}
-		b := shardBoot{idx: idx, db: partDB}
+		b := shardBoot{idx: idx}
 		w, info, err := wal.Open(walPath(dir, man.Gen), !dopts.DisableFsync, func(payload []byte) error {
 			rec, err := wal.DecodeRecord(payload)
 			if err != nil {
@@ -348,48 +346,37 @@ func openWarm(man *manifest, opts Options, dopts DurableOptions) (*Store, error)
 		}
 	}
 
-	// Reassemble the coordinator. Placement is implicit in which shard's
-	// files a source lives in; the global database view interleaves the
-	// partitions round-robin, which reproduces the original insertion
-	// order for a store that has only grown.
-	coord := &Coordinator{
-		opts:      Options{NumShards: p, Index: idxOpts, ImbalanceRatio: opts.ImbalanceRatio, OnImbalance: opts.OnImbalance}.withDefaults(),
-		placement: make(map[int]int),
-		db:        gene.NewDatabase(),
-		shards:    make([]*shardState, p),
-	}
-	coord.Scatter = Scatter{Shards: p, Legs: coord.legs}
-	st := &Store{Coordinator: coord, dopts: dopts, gen: man.Gen, wals: make([]*wal.Writer, p)}
-	st.stats.Gen = man.Gen
-	st.stats.WarmBoot = true
+	// The global database view interleaves the partitions round-robin,
+	// which reproduces the original insertion order for a directory that
+	// has only grown.
+	d := &durability{dopts: dopts, gen: man.Gen, wals: make([]*wal.Writer, p)}
+	d.stats.Gen = man.Gen
+	d.stats.WarmBoot = true
+	idxs := make([]*index.Index, p)
 	maxLen := 0
 	for i, b := range boots {
-		coord.shards[i] = &shardState{idx: b.idx}
-		st.wals[i] = b.wal
-		st.stats.WALSegmentBytes += b.wal.Size()
-		st.stats.ReplayedRecords += b.recs
-		st.stats.ReplayedAdds += b.adds
-		st.stats.TornBytes += b.info.TornBytes
-		st.dirty += b.recs
-		for _, m := range b.idx.DB().Matrices() {
-			coord.placement[m.Source] = i
-		}
-		if n := b.idx.DB().Len(); n > maxLen {
-			maxLen = n
-		}
+		idxs[i] = b.idx
+		d.wals[i] = b.wal
+		d.stats.WALSegmentBytes += b.wal.Size()
+		d.stats.ReplayedRecords += b.recs
+		d.stats.ReplayedAdds += b.adds
+		d.stats.TornBytes += b.info.TornBytes
+		d.dirty += b.recs
+		maxLen = max(maxLen, b.idx.DB().Len())
 	}
+	db := gene.NewDatabase()
 	for j := 0; j < maxLen; j++ {
-		for i := 0; i < p; i++ {
-			part := boots[i].idx.DB()
-			if j < part.Len() {
-				if err := coord.db.Add(part.Matrix(j)); err != nil {
+		for _, idx := range idxs {
+			if part := idx.DB(); j < part.Len() {
+				if err := db.Add(part.Matrix(j)); err != nil {
 					return nil, fmt.Errorf("shard: reassembling database view: %w", err)
 				}
 			}
 		}
 	}
-	coord.cursor = man.Cursor + st.stats.ReplayedAdds
-	return st, nil
+	c := newCoordinator(opts, idxs, db, man.Cursor+d.stats.ReplayedAdds)
+	c.dur = d
+	return c, nil
 }
 
 // forEachShard runs fn for shards 0..p-1 on an exec pool of p workers and
@@ -408,20 +395,21 @@ func forEachShard(p int, fn func(i int) error) []error {
 
 // checkpointLoop is the time-based checkpoint trigger: while mutations
 // are outstanding, checkpoint every CheckpointEvery.
-func (st *Store) checkpointLoop(stop <-chan struct{}) {
-	defer close(st.tickerDone)
-	t := time.NewTicker(st.dopts.CheckpointEvery)
+func (c *Coordinator) checkpointLoop(stop <-chan struct{}) {
+	d := c.dur
+	defer close(d.tickerDone)
+	t := time.NewTicker(d.dopts.CheckpointEvery)
 	defer t.Stop()
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
-			st.mutMu.Lock()
-			if !st.closed && st.failed == nil && st.dirty > 0 {
-				_ = st.checkpointLocked() // surfaced via stats; mutations keep logging
+			d.mu.Lock()
+			if !d.closed && d.failed == nil && d.dirty > 0 {
+				_ = c.checkpointLocked() // surfaced via stats; mutations keep logging
 			}
-			st.mutMu.Unlock()
+			d.mu.Unlock()
 		}
 	}
 }
@@ -429,151 +417,121 @@ func (st *Store) checkpointLoop(stop <-chan struct{}) {
 // ErrMutationTooLarge rejects a mutation whose encoded WAL record would
 // exceed wal.MaxRecord. The check runs before the mutation is applied,
 // so an oversized request is an ordinary client error — it does not
-// latch the store read-only.
+// latch the coordinator read-only.
 var ErrMutationTooLarge = errors.New("mutation exceeds WAL record limit")
 
-// AddMatrix indexes a new data source online and makes it durable: the
-// mutation is applied, appended to the owning shard's WAL, fsynced, and
-// only then acknowledged by returning nil.
-func (st *Store) AddMatrix(m *gene.Matrix) error {
-	st.mutMu.Lock()
-	defer st.mutMu.Unlock()
-	if err := st.usableLocked(); err != nil {
-		return err
-	}
-	if m == nil {
-		return fmt.Errorf("shard: nil matrix")
+// addRecordLocked encodes the WAL record of an add before it is applied.
+// The size is validated here: a compact JSON body under the server's
+// request limit can encode to a binary record over wal.MaxRecord (float64
+// columns expand ~4x), and discovering that in logLocked — after the
+// apply — would latch the whole coordinator read-only for one oversized
+// request.
+func (d *durability) addRecordLocked(m *gene.Matrix) ([]byte, error) {
+	if err := d.usableLocked(); err != nil {
+		return nil, err
 	}
 	payload, err := wal.EncodeAddMatrix(m)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	// Validate the record size before applying: a compact JSON body under
-	// the server's request limit can encode to a binary record over
-	// wal.MaxRecord (float64 columns expand ~4x), and discovering that in
-	// logLocked — after the apply — would latch the whole store read-only
-	// for one oversized request.
 	if len(payload) > wal.MaxRecord {
-		return fmt.Errorf("shard: matrix %d encodes to a %d-byte WAL record (limit %d): %w",
+		return nil, fmt.Errorf("shard: matrix %d encodes to a %d-byte WAL record (limit %d): %w",
 			m.Source, len(payload), wal.MaxRecord, ErrMutationTooLarge)
 	}
-	sh := st.Coordinator.peekAddShard(m.Source)
-	if err := st.Coordinator.AddMatrix(m); err != nil {
-		return err
-	}
-	return st.logLocked(sh, payload)
+	return payload, nil
 }
 
-// RemoveMatrix drops a data source and makes the removal durable with
-// the same apply → log → fsync → ack ordering as AddMatrix.
-func (st *Store) RemoveMatrix(source int) error {
-	st.mutMu.Lock()
-	defer st.mutMu.Unlock()
-	if err := st.usableLocked(); err != nil {
-		return err
+func (d *durability) usableLocked() error {
+	if d.closed {
+		return fmt.Errorf("shard: durable coordinator is closed")
 	}
-	sh, ok := st.Coordinator.Placement(source)
-	if !ok {
-		return fmt.Errorf("shard: source %d: %w", source, ErrSourceNotFound)
-	}
-	if err := st.Coordinator.RemoveMatrix(source); err != nil {
-		return err
-	}
-	return st.logLocked(sh, wal.EncodeRemoveMatrix(source))
-}
-
-func (st *Store) usableLocked() error {
-	if st.closed {
-		return fmt.Errorf("shard: durable store is closed")
-	}
-	if st.failed != nil {
-		return fmt.Errorf("shard: durable store is read-only after durability failure: %w", st.failed)
+	if d.failed != nil {
+		return fmt.Errorf("shard: durable coordinator is read-only after durability failure: %w", d.failed)
 	}
 	return nil
 }
 
 // logLocked appends an applied mutation to shard sh's segment. On append
-// failure the in-memory engine is ahead of the log; the store latches
-// read-only so the divergence cannot become durable, and the caller must
-// treat the mutation as unacknowledged (a restart will not have it).
-func (st *Store) logLocked(sh int, payload []byte) error {
-	w := st.wals[sh]
-	if err := w.Append(payload); err != nil {
-		st.failed = err
-		return fmt.Errorf("shard: mutation applied in memory but not logged; store is now read-only: %w", err)
+// failure the in-memory engine is ahead of the log; the coordinator
+// latches read-only so the divergence cannot become durable, and the
+// caller must treat the mutation as unacknowledged (a restart will not
+// have it).
+func (c *Coordinator) logLocked(sh int, payload []byte) error {
+	d := c.dur
+	if err := d.wals[sh].Append(payload); err != nil {
+		d.failed = err
+		return fmt.Errorf("shard: mutation applied in memory but not logged; coordinator is now read-only: %w", err)
 	}
-	st.dirty++
-	st.statsMu.Lock()
-	st.stats.WALAppends++
-	st.stats.WALAppendBytes += uint64(len(payload))
-	if !st.dopts.DisableFsync {
-		st.stats.WALFsyncs++
+	d.dirty++
+	var segBytes int64
+	for _, w := range d.wals {
+		segBytes += w.Size()
 	}
-	st.stats.WALSegmentBytes = st.segmentBytesLocked()
-	segBytes := st.stats.WALSegmentBytes
-	st.statsMu.Unlock()
-	if st.dopts.CheckpointBytes > 0 && segBytes >= st.dopts.CheckpointBytes {
+	d.statsMu.Lock()
+	d.stats.WALAppends++
+	d.stats.WALAppendBytes += uint64(len(payload))
+	if !d.dopts.DisableFsync {
+		d.stats.WALFsyncs++
+	}
+	d.stats.WALSegmentBytes = segBytes
+	d.statsMu.Unlock()
+	if d.dopts.CheckpointBytes > 0 && segBytes >= d.dopts.CheckpointBytes {
 		// The mutation that tripped the size trigger is already applied,
 		// logged and fsynced — it is durable whatever happens to the
 		// checkpoint, so a checkpoint error must not become this
 		// mutation's result (the client would retry an acked add and get
 		// ErrSourceExists). Failures surface via CheckpointFailures and,
 		// past the commit point, the read-only latch.
-		_ = st.checkpointLocked()
+		_ = c.checkpointLocked()
 	}
 	return nil
-}
-
-func (st *Store) segmentBytesLocked() int64 {
-	var n int64
-	for _, w := range st.wals {
-		if w != nil {
-			n += w.Size()
-		}
-	}
-	return n
 }
 
 // Checkpoint writes a new snapshot generation and truncates the WAL: all
 // shards are snapshotted, the MANIFEST is atomically replaced, fresh
 // (empty) segments are opened, and the previous generation's files are
 // deleted. Queries proceed concurrently (snapshots take per-shard read
-// locks); mutations wait.
-func (st *Store) Checkpoint() error {
-	st.mutMu.Lock()
-	defer st.mutMu.Unlock()
-	if err := st.usableLocked(); err != nil {
+// locks); mutations wait. No-op (nil) on an in-memory coordinator.
+func (c *Coordinator) Checkpoint() error {
+	d := c.dur
+	if d == nil {
+		return nil
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err := d.usableLocked(); err != nil {
 		return err
 	}
-	return st.checkpointLocked()
+	return c.checkpointLocked()
 }
 
 // checkpointLocked runs one checkpoint and records any failure in the
 // stats (so triggers that cannot return the error to anyone — the size
 // threshold in logLocked, the timer loop — still surface it).
-func (st *Store) checkpointLocked() error {
-	err := st.runCheckpointLocked()
+func (c *Coordinator) checkpointLocked() error {
+	err := c.runCheckpointLocked()
 	if err != nil {
-		st.statsMu.Lock()
-		st.stats.CheckpointFailures++
-		st.stats.LastCheckpointError = err.Error()
-		st.statsMu.Unlock()
+		d := c.dur
+		d.statsMu.Lock()
+		d.stats.CheckpointFailures++
+		d.stats.LastCheckpointError = err.Error()
+		d.statsMu.Unlock()
 	}
 	return err
 }
 
-func (st *Store) runCheckpointLocked() error {
+func (c *Coordinator) runCheckpointLocked() error {
 	start := time.Now()
-	c := st.Coordinator
-	newGen := st.gen + 1
-	doSync := !st.dopts.DisableFsync
+	d := c.dur
+	newGen := d.gen + 1
+	doSync := !d.dopts.DisableFsync
 
 	// Phase 1: write every shard's snapshot (temp + rename). Nothing is
 	// committed yet; a crash here leaves uncommitted gen-newGen files
 	// that recovery deletes.
 	sizes := make([]int64, c.NumShards())
 	errs := forEachShard(c.NumShards(), func(i int) error {
-		dir := shardDirPath(st.dopts.Dir, i)
+		dir := shardDirPath(d.dopts.Dir, i)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
@@ -604,43 +562,43 @@ func (st *Store) runCheckpointLocked() error {
 		Cursor:    cursor,
 		Index:     c.opts.Index,
 	}
-	committed, err := writeManifest(filepath.Join(st.dopts.Dir, "MANIFEST"), man, doSync)
+	committed, err := writeManifest(filepath.Join(d.dopts.Dir, "MANIFEST"), man, doSync)
 	if err != nil {
 		if !committed {
 			// The old manifest still names the committed state: the new
 			// generation's snapshots are strays recovery deletes, and the
 			// live segments still belong to the committed generation, so
-			// the store keeps logging normally.
+			// the coordinator keeps logging normally.
 			return err
 		}
 		// The rename landed but its durability is unknown (the directory
 		// fsync failed) — recovery may resurrect either generation, so no
 		// further mutation may be acknowledged against segments one of
 		// them would delete.
-		st.failed = fmt.Errorf("shard: checkpoint commit for gen %d not durable: %w", newGen, err)
-		return fmt.Errorf("shard: store is now read-only: %w", st.failed)
+		d.failed = fmt.Errorf("shard: checkpoint commit for gen %d not durable: %w", newGen, err)
+		return fmt.Errorf("shard: coordinator is now read-only: %w", d.failed)
 	}
 
 	// Phase 3: rotate segments and delete the superseded generation. A
 	// *crash* anywhere here is repaired by recovery (missing new segments
 	// are created empty; stale gen files are deleted). An *error* here
-	// latches the store read-only: gen newGen is already committed, so
-	// recovery deletes the old segments — acking further appends to them
-	// would silently lose those mutations, and a retried checkpoint could
-	// os.Remove the very wal-newGen segment it had just opened.
-	oldGen := st.gen
-	st.gen = newGen
-	st.statsMu.Lock()
-	st.stats.Gen = newGen
-	st.statsMu.Unlock()
+	// latches the coordinator read-only: gen newGen is already committed,
+	// so recovery deletes the old segments — acking further appends to
+	// them would silently lose those mutations, and a retried checkpoint
+	// could os.Remove the very wal-newGen segment it had just opened.
+	oldGen := d.gen
+	d.gen = newGen
+	d.statsMu.Lock()
+	d.stats.Gen = newGen
+	d.statsMu.Unlock()
 	for i := range c.shards {
-		dir := shardDirPath(st.dopts.Dir, i)
+		dir := shardDirPath(d.dopts.Dir, i)
 		w, _, err := wal.Open(walPath(dir, newGen), doSync, nil)
 		if err != nil {
-			st.failed = fmt.Errorf("shard: opening segment for gen %d after commit: %w", newGen, err)
-			return fmt.Errorf("shard: store is now read-only: %w", st.failed)
+			d.failed = fmt.Errorf("shard: opening segment for gen %d after commit: %w", newGen, err)
+			return fmt.Errorf("shard: coordinator is now read-only: %w", d.failed)
 		}
-		if old := st.wals[i]; old != nil {
+		if old := d.wals[i]; old != nil {
 			old.Close()
 			// Path equality guards the defense-in-depth case of a rotation
 			// retry: never unlink the segment the live writer holds.
@@ -648,100 +606,102 @@ func (st *Store) runCheckpointLocked() error {
 				os.Remove(old.Path())
 			}
 		}
-		st.wals[i] = w
+		d.wals[i] = w
 		if oldGen > 0 {
 			os.Remove(snapPath(dir, oldGen))
 		}
 	}
-	st.dirty = 0
+	d.dirty = 0
 
-	st.statsMu.Lock()
-	st.stats.Checkpoints++
-	st.stats.LastCheckpointDuration = time.Since(start)
-	st.stats.LastCheckpointBytes = snapBytes
-	st.stats.WALSegmentBytes = 0
-	st.statsMu.Unlock()
+	d.statsMu.Lock()
+	d.stats.Checkpoints++
+	d.stats.LastCheckpointDuration = time.Since(start)
+	d.stats.LastCheckpointBytes = snapBytes
+	d.stats.WALSegmentBytes = 0
+	d.statsMu.Unlock()
 	return nil
 }
 
-// Close checkpoints outstanding mutations (clean-shutdown checkpointing,
-// so the next boot replays nothing) and closes the log segments. The
-// store is unusable afterwards.
-func (st *Store) Close() error {
-	st.mutMu.Lock()
-	defer st.mutMu.Unlock()
-	if st.closed {
+// Close releases the coordinator. A durable coordinator checkpoints
+// outstanding mutations (clean-shutdown checkpointing, so the next boot
+// replays nothing) and closes its log segments; it refuses mutations
+// afterwards. Close of an in-memory coordinator is a no-op (nil).
+func (c *Coordinator) Close() error {
+	d := c.dur
+	if d == nil {
 		return nil
 	}
-	st.stopTickerLocked()
-	var err error
-	if st.failed == nil && st.dirty > 0 {
-		err = st.checkpointLocked()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return nil
 	}
-	st.closeSegmentsLocked()
-	st.closed = true
+	d.stopTickerLocked()
+	var err error
+	if d.failed == nil && d.dirty > 0 {
+		err = c.checkpointLocked()
+	}
+	d.closeSegmentsLocked()
+	d.closed = true
 	return err
 }
 
-// crash abandons the store without checkpointing or syncing — the test
-// seam simulating kill -9: file handles close (the OS would do that
-// anyway) but nothing is flushed, rotated, or committed.
-func (st *Store) crash() {
-	st.mutMu.Lock()
-	defer st.mutMu.Unlock()
-	if st.closed {
+// crash abandons a durable coordinator without checkpointing or syncing —
+// the test seam simulating kill -9: file handles close (the OS would do
+// that anyway) but nothing is flushed, rotated, or committed.
+func (c *Coordinator) crash() {
+	d := c.dur
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
 		return
 	}
-	st.stopTickerLocked()
-	st.closeSegmentsLocked()
-	st.closed = true
+	d.stopTickerLocked()
+	d.closeSegmentsLocked()
+	d.closed = true
 }
 
-func (st *Store) stopTickerLocked() {
-	if st.stopTicker != nil {
-		close(st.stopTicker)
-		// The loop may be blocked on mutMu; it checks closed under the
-		// lock, so just signal and let it drain.
-		st.stopTicker = nil
+func (d *durability) stopTickerLocked() {
+	if d.stopTicker != nil {
+		close(d.stopTicker)
+		// The loop may be blocked on mu; it checks closed under the lock,
+		// so just signal and let it drain.
+		d.stopTicker = nil
 	}
 }
 
-func (st *Store) closeSegmentsLocked() {
-	for _, w := range st.wals {
+func (d *durability) closeSegmentsLocked() {
+	for _, w := range d.wals {
 		if w != nil {
 			w.Close()
 		}
 	}
 }
 
-// Gen reports the committed snapshot generation.
-func (st *Store) Gen() uint64 {
-	st.statsMu.Lock()
-	defer st.statsMu.Unlock()
-	return st.stats.Gen
-}
+// Durable reports whether the coordinator was opened with OpenDurable.
+func (c *Coordinator) Durable() bool { return c.dur != nil }
 
-// Dir reports the data directory.
-func (st *Store) Dir() string { return st.dopts.Dir }
+// Gen reports the committed snapshot generation (0 when in-memory).
+func (c *Coordinator) Gen() uint64 { return c.DurableStats().Gen }
 
-// DurableStats reports the store's durability counters.
-func (st *Store) DurableStats() DurableStats {
-	st.statsMu.Lock()
-	defer st.statsMu.Unlock()
-	return st.stats
-}
-
-// peekAddShard reports the shard an AddMatrix of source will be placed
-// on. The Store's mutation lock keeps the round-robin cursor stable
-// between the peek and the placement; a PlaceFunc placement depends only
-// on the source.
-func (c *Coordinator) peekAddShard(source int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.opts.PlaceFunc != nil {
-		return c.opts.placeOf(source)
+// Dir reports the data directory ("" when in-memory).
+func (c *Coordinator) Dir() string {
+	if c.dur == nil {
+		return ""
 	}
-	return c.cursor % len(c.shards)
+	return c.dur.dopts.Dir
+}
+
+// DurableStats reports the durability counters; the zero value for an
+// in-memory coordinator.
+func (c *Coordinator) DurableStats() DurableStats {
+	d := c.dur
+	if d == nil {
+		return DurableStats{}
+	}
+	d.statsMu.Lock()
+	defer d.statsMu.Unlock()
+	return d.stats
 }
 
 // --- file layout helpers ---
@@ -964,18 +924,18 @@ func writeSnapshot(path string, gen uint64, shardID, numShards int, idx *index.I
 
 // readSnapshot loads one shard snapshot, validating generation, shard
 // identity and the section checksum.
-func readSnapshot(path string, wantGen uint64, wantShard, wantShards int) (*gene.Database, *index.Index, error) {
+func readSnapshot(path string, wantGen uint64, wantShard, wantShards int) (*index.Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	defer f.Close()
 	hdr := make([]byte, snapHeaderSize)
 	if _, err := io.ReadFull(f, hdr); err != nil {
-		return nil, nil, fmt.Errorf("snapshot header: %w", err)
+		return nil, fmt.Errorf("snapshot header: %w", err)
 	}
 	if string(hdr[:8]) != string(snapMagic[:]) {
-		return nil, nil, fmt.Errorf("snapshot %s: bad magic %q", path, hdr[:8])
+		return nil, fmt.Errorf("snapshot %s: bad magic %q", path, hdr[:8])
 	}
 	gen := binary.LittleEndian.Uint64(hdr[8:])
 	shardID := binary.LittleEndian.Uint32(hdr[16:])
@@ -984,32 +944,32 @@ func readSnapshot(path string, wantGen uint64, wantShard, wantShards int) (*gene
 	idxLen := int64(binary.LittleEndian.Uint64(hdr[32:]))
 	wantCRC := binary.LittleEndian.Uint32(hdr[40:])
 	if gen != wantGen || int(shardID) != wantShard || int(numShards) != wantShards {
-		return nil, nil, fmt.Errorf("snapshot %s: header (gen=%d shard=%d/%d) does not match manifest (gen=%d shard=%d/%d)",
+		return nil, fmt.Errorf("snapshot %s: header (gen=%d shard=%d/%d) does not match manifest (gen=%d shard=%d/%d)",
 			path, gen, shardID, numShards, wantGen, wantShard, wantShards)
 	}
 	cr := &crcCountReader{r: f}
 	db, err := gene.ReadDatabase(io.LimitReader(cr, dbLen))
 	if err != nil {
-		return nil, nil, fmt.Errorf("snapshot database section: %w", err)
+		return nil, fmt.Errorf("snapshot database section: %w", err)
 	}
 	// The database section's buffered reader consumed up to dbLen bytes
 	// through cr; account for any it left behind before the index section.
 	if cr.n < dbLen {
 		if _, err := io.CopyN(io.Discard, cr, dbLen-cr.n); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	idx, err := index.Load(io.LimitReader(cr, idxLen), db)
 	if err != nil {
-		return nil, nil, fmt.Errorf("snapshot index section: %w", err)
+		return nil, fmt.Errorf("snapshot index section: %w", err)
 	}
 	if cr.n < dbLen+idxLen {
 		if _, err := io.CopyN(io.Discard, cr, dbLen+idxLen-cr.n); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	if cr.crc != wantCRC {
-		return nil, nil, fmt.Errorf("snapshot %s: checksum mismatch (corrupt file)", path)
+		return nil, fmt.Errorf("snapshot %s: checksum mismatch (corrupt file)", path)
 	}
-	return db, idx, nil
+	return idx, nil
 }

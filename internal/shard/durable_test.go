@@ -51,7 +51,7 @@ func splitDataset(t *testing.T, ds *synth.Dataset, n int) (*gene.Database, []*ge
 	return db, ds.DB.Matrices()[n:]
 }
 
-func openTestStore(t *testing.T, db *gene.Database, p int, dir string) *Store {
+func openTestCoordinator(t *testing.T, db *gene.Database, p int, dir string) *Coordinator {
 	t.Helper()
 	st, err := OpenDurable(db, Options{NumShards: p, Index: durOpts},
 		DurableOptions{Dir: dir, DisableFsync: true})
@@ -100,7 +100,7 @@ func TestDurableCleanShutdownWarmBoot(t *testing.T) {
 	db, muts := splitDataset(t, ds, 10)
 	dir := t.TempDir()
 
-	st := openTestStore(t, db, 2, dir)
+	st := openTestCoordinator(t, db, 2, dir)
 	if stats := st.DurableStats(); stats.WarmBoot || stats.Gen != 1 {
 		t.Fatalf("cold boot stats = %+v, want gen 1 cold", stats)
 	}
@@ -109,13 +109,13 @@ func TestDurableCleanShutdownWarmBoot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := durFingerprint(t, st.Coordinator, ds)
+	want := durFingerprint(t, st, ds)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	before := index.EmbedCalls()
-	st2 := openTestStore(t, nil, 2, dir)
+	st2 := openTestCoordinator(t, nil, 2, dir)
 	defer st2.Close()
 	embedded := index.EmbedCalls() - before
 	stats := st2.DurableStats()
@@ -128,7 +128,7 @@ func TestDurableCleanShutdownWarmBoot(t *testing.T) {
 	if embedded != 0 {
 		t.Fatalf("warm boot after clean shutdown embedded %d matrices, want 0", embedded)
 	}
-	if got := durFingerprint(t, st2.Coordinator, ds); got != want {
+	if got := durFingerprint(t, st2, ds); got != want {
 		t.Errorf("answers diverged across clean restart:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
@@ -141,7 +141,7 @@ func TestDurableCrashRecoversAckedMutations(t *testing.T) {
 	db, muts := splitDataset(t, ds, 10)
 	dir := t.TempDir()
 
-	st := openTestStore(t, db, 3, dir)
+	st := openTestCoordinator(t, db, 3, dir)
 	for _, m := range muts {
 		if err := st.AddMatrix(m); err != nil {
 			t.Fatal(err)
@@ -151,12 +151,12 @@ func TestDurableCrashRecoversAckedMutations(t *testing.T) {
 	if err := st.RemoveMatrix(removed); err != nil {
 		t.Fatal(err)
 	}
-	wantSources := sources(st.Coordinator)
-	want := durFingerprint(t, st.Coordinator, ds)
+	wantSources := sources(st)
+	want := durFingerprint(t, st, ds)
 	st.crash()
 
 	before := index.EmbedCalls()
-	st2 := openTestStore(t, nil, 3, dir)
+	st2 := openTestCoordinator(t, nil, 3, dir)
 	defer st2.Close()
 	embedded := index.EmbedCalls() - before
 	stats := st2.DurableStats()
@@ -172,7 +172,7 @@ func TestDurableCrashRecoversAckedMutations(t *testing.T) {
 	if embedded != uint64(len(muts)) {
 		t.Fatalf("warm boot embedded %d matrices, want only the %d replayed adds", embedded, len(muts))
 	}
-	gotSources := sources(st2.Coordinator)
+	gotSources := sources(st2)
 	if len(gotSources) != len(wantSources) {
 		t.Fatalf("recovered %d sources, want %d", len(gotSources), len(wantSources))
 	}
@@ -184,7 +184,7 @@ func TestDurableCrashRecoversAckedMutations(t *testing.T) {
 	if gotSources[removed] {
 		t.Errorf("acked removal of source %d lost in crash", removed)
 	}
-	if got := durFingerprint(t, st2.Coordinator, ds); got != want {
+	if got := durFingerprint(t, st2, ds); got != want {
 		t.Errorf("answers diverged across crash:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
@@ -201,16 +201,16 @@ func TestDurableTornWALEveryOffset(t *testing.T) {
 	dir := filepath.Join(base, "store")
 
 	baseLen := db.Len() // Build adopts db as the global view, so it grows with the store
-	st := openTestStore(t, db, 1, dir)
+	st := openTestCoordinator(t, db, 1, dir)
 	// Record WAL size after each acked mutation: the frame boundaries.
 	var boundaries []int64
 	for _, m := range muts {
 		if err := st.AddMatrix(m); err != nil {
 			t.Fatal(err)
 		}
-		boundaries = append(boundaries, st.wals[0].Size())
+		boundaries = append(boundaries, st.dur.wals[0].Size())
 	}
-	walFile := st.wals[0].Path()
+	walFile := st.dur.wals[0].Path()
 	st.crash()
 	full, err := os.ReadFile(walFile)
 	if err != nil {
@@ -255,7 +255,7 @@ func TestDurableTornWALEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		st2 := openTestStore(t, nil, 1, tdir)
+		st2 := openTestCoordinator(t, nil, 1, tdir)
 		acked := ackedAt(n)
 		stats := st2.DurableStats()
 		if stats.ReplayedRecords != acked {
@@ -300,14 +300,14 @@ func TestDurableInterruptedCheckpoint(t *testing.T) {
 	ds := durDataset(t, 10)
 	db, muts := splitDataset(t, ds, 8)
 	dir := t.TempDir()
-	st := openTestStore(t, db, 2, dir)
+	st := openTestCoordinator(t, db, 2, dir)
 	for _, m := range muts {
 		if err := st.AddMatrix(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := durFingerprint(t, st.Coordinator, ds)
-	wantSources := sources(st.Coordinator)
+	want := durFingerprint(t, st, ds)
+	wantSources := sources(st)
 	st.crash()
 
 	shard0 := filepath.Join(dir, "shard-000")
@@ -325,8 +325,8 @@ func TestDurableInterruptedCheckpoint(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(shard0, "snap-00000002.snap"), snap1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st2 := openTestStore(t, nil, 2, dir)
-	if got := durFingerprint(t, st2.Coordinator, ds); got != want {
+	st2 := openTestCoordinator(t, nil, 2, dir)
+	if got := durFingerprint(t, st2, ds); got != want {
 		t.Errorf("recovery over uncommitted checkpoint diverged:\n got:\n%s\nwant:\n%s", got, want)
 	}
 	for _, stray := range []string{"snap-00000002.snap.tmp", "snap-00000002.snap"} {
@@ -350,7 +350,7 @@ func TestDurableInterruptedCheckpoint(t *testing.T) {
 	if err := os.WriteFile(staleWAL, []byte("garbage that must never be replayed"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st3 := openTestStore(t, nil, 2, dir)
+	st3 := openTestCoordinator(t, nil, 2, dir)
 	defer st3.Close()
 	stats := st3.DurableStats()
 	if stats.Gen != gen || stats.ReplayedRecords != 0 {
@@ -361,11 +361,11 @@ func TestDurableInterruptedCheckpoint(t *testing.T) {
 			t.Errorf("stale generation file %s survived recovery", stale)
 		}
 	}
-	gotSources := sources(st3.Coordinator)
+	gotSources := sources(st3)
 	if len(gotSources) != len(wantSources) {
 		t.Fatalf("recovered %d sources, want %d", len(gotSources), len(wantSources))
 	}
-	if got := durFingerprint(t, st3.Coordinator, ds); got != want {
+	if got := durFingerprint(t, st3, ds); got != want {
 		t.Errorf("answers diverged after checkpoint+stale-file recovery:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }
@@ -376,7 +376,7 @@ func TestDurableCheckpointRotation(t *testing.T) {
 	ds := durDataset(t, 10)
 	db, muts := splitDataset(t, ds, 8)
 	dir := t.TempDir()
-	st := openTestStore(t, db, 2, dir)
+	st := openTestCoordinator(t, db, 2, dir)
 	defer st.Close()
 	for _, m := range muts {
 		if err := st.AddMatrix(m); err != nil {
@@ -420,18 +420,18 @@ func TestDurableCursorContinuity(t *testing.T) {
 	dirB := t.TempDir()
 
 	// Control: no crash.
-	ctl := openTestStore(t, db, 3, dirA)
+	ctl := openTestCoordinator(t, db, 3, dirA)
 	defer ctl.Close()
 	// Crashing store: crash mid-stream, recover, continue.
 	db2, _ := splitDataset(t, ds, 9)
-	cr := openTestStore(t, db2, 3, dirB)
+	cr := openTestCoordinator(t, db2, 3, dirB)
 	for i, m := range muts {
 		if err := ctl.AddMatrix(m); err != nil {
 			t.Fatal(err)
 		}
 		if i == 3 {
 			cr.crash()
-			cr = openTestStore(t, nil, 3, dirB)
+			cr = openTestCoordinator(t, nil, 3, dirB)
 		}
 		if err := cr.AddMatrix(m); err != nil {
 			t.Fatal(err)
@@ -446,6 +446,52 @@ func TestDurableCursorContinuity(t *testing.T) {
 				m.Source, gotSh, ok2, wantSh, ok1)
 		}
 	}
+}
+
+// TestDurableWarmBootKeepsPlacement: a warm boot keeps the caller's
+// PlaceFunc, so sources added after a reopen land where the function
+// says — not where the recovered round-robin cursor points. A cluster
+// shard server hosting two local shards depends on this to file new
+// sources under the right global shard after a restart.
+func TestDurableWarmBootKeepsPlacement(t *testing.T) {
+	ds := durDataset(t, 16)
+	db, muts := splitDataset(t, ds, 8)
+	place := func(src int) int {
+		if src%3 == 0 {
+			return 1
+		}
+		return 0
+	}
+	opts := Options{NumShards: 2, Index: durOpts, PlaceFunc: place}
+	dopts := DurableOptions{Dir: t.TempDir(), DisableFsync: true}
+	c, err := OpenDurable(db, opts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(c *Coordinator, ms []*gene.Matrix) {
+		t.Helper()
+		for _, m := range ms {
+			if err := c.AddMatrix(m); err != nil {
+				t.Fatal(err)
+			}
+			if sh, _ := c.Placement(m.Source); sh != place(m.Source) {
+				t.Errorf("source %d added on shard %d, PlaceFunc says %d", m.Source, sh, place(m.Source))
+			}
+		}
+	}
+	check(c, muts[:2])
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err = OpenDurable(nil, opts, dopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if !c.DurableStats().WarmBoot {
+		t.Fatal("reopen was not a warm boot")
+	}
+	check(c, muts[2:])
 }
 
 // TestDurableColdBootGuards: refuse a directory that has shard data but
@@ -463,7 +509,7 @@ func TestDurableColdBootGuards(t *testing.T) {
 
 	ds := durDataset(t, 6)
 	dir2 := t.TempDir()
-	st := openTestStore(t, ds.DB, 2, dir2)
+	st := openTestCoordinator(t, ds.DB, 2, dir2)
 	st.Close()
 	_, err = OpenDurable(nil, Options{NumShards: 3, Index: durOpts},
 		DurableOptions{Dir: dir2, DisableFsync: true})
@@ -490,13 +536,13 @@ func TestDurableRotationFailureLatchesReadOnly(t *testing.T) {
 	ds := durDataset(t, 10)
 	db, muts := splitDataset(t, ds, 8)
 	dir := t.TempDir()
-	st := openTestStore(t, db, 1, dir)
+	st := openTestCoordinator(t, db, 1, dir)
 	for _, m := range muts {
 		if err := st.AddMatrix(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantSources := sources(st.Coordinator)
+	wantSources := sources(st)
 
 	// Make phase 3 fail: plant a directory where the gen-2 segment goes.
 	// Phases 1-2 (snapshots + manifest commit) succeed, then wal.Open
@@ -529,12 +575,12 @@ func TestDurableRotationFailureLatchesReadOnly(t *testing.T) {
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
-	st2 := openTestStore(t, nil, 1, dir)
+	st2 := openTestCoordinator(t, nil, 1, dir)
 	defer st2.Close()
 	if got := st2.Gen(); got != 2 {
 		t.Errorf("recovered generation = %d, want committed 2", got)
 	}
-	gotSources := sources(st2.Coordinator)
+	gotSources := sources(st2)
 	if len(gotSources) != len(wantSources) {
 		t.Errorf("recovered %d sources, want %d", len(gotSources), len(wantSources))
 	}
@@ -587,7 +633,7 @@ func TestDurableSizeTriggeredCheckpointFailureKeepsMutationAcked(t *testing.T) {
 	}
 	st.crash()
 
-	st2 := openTestStore(t, nil, 1, dir)
+	st2 := openTestCoordinator(t, nil, 1, dir)
 	defer st2.Close()
 	for _, m := range muts[:2] {
 		if _, ok := st2.Placement(m.Source); !ok {
@@ -604,7 +650,7 @@ func TestDurableOversizedMutationRejectedBeforeApply(t *testing.T) {
 	ds := durDataset(t, 7)
 	db, muts := splitDataset(t, ds, 6)
 	dir := t.TempDir()
-	st := openTestStore(t, db, 2, dir)
+	st := openTestCoordinator(t, db, 2, dir)
 	defer st.Close()
 
 	// 8 columns x 1.05M samples x 8 bytes ≈ 67.2 MB of float64 payload,

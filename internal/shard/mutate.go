@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/imgrn/imgrn/internal/gene"
+	"github.com/imgrn/imgrn/internal/wal"
 )
 
 // Mutation routing errors, matchable with errors.Is so callers (the HTTP
@@ -30,15 +31,57 @@ var (
 
 // AddMatrix places a new data source on its shard (round-robin, or
 // Options.PlaceFunc when set) and indexes it there online. The source
-// becomes immediately queryable.
+// becomes immediately queryable. On a durable coordinator the mutation is
+// applied, appended to its shard's write-ahead log and fsynced before the
+// call returns nil (durable.go).
 func (c *Coordinator) AddMatrix(m *gene.Matrix) error {
 	if m == nil {
 		return fmt.Errorf("shard: nil matrix")
 	}
+	if c.dur == nil {
+		_, err := c.addMatrix(m)
+		return err
+	}
+	c.dur.mu.Lock()
+	defer c.dur.mu.Unlock()
+	payload, err := c.dur.addRecordLocked(m)
+	if err != nil {
+		return err
+	}
+	sh, err := c.addMatrix(m)
+	if err != nil {
+		return err
+	}
+	return c.logLocked(sh, payload)
+}
+
+// RemoveMatrix drops a data source from the shard it is placed on; a
+// durable coordinator logs the removal with the same apply → log → fsync
+// → ack ordering as AddMatrix.
+func (c *Coordinator) RemoveMatrix(source int) error {
+	if c.dur == nil {
+		_, err := c.removeMatrix(source)
+		return err
+	}
+	c.dur.mu.Lock()
+	defer c.dur.mu.Unlock()
+	if err := c.dur.usableLocked(); err != nil {
+		return err
+	}
+	sh, err := c.removeMatrix(source)
+	if err != nil {
+		return err
+	}
+	return c.logLocked(sh, wal.EncodeRemoveMatrix(source))
+}
+
+// addMatrix applies an add in memory and returns the shard it placed the
+// source on.
+func (c *Coordinator) addMatrix(m *gene.Matrix) (int, error) {
 	c.mu.Lock()
 	if sh, ok := c.placement[m.Source]; ok {
 		c.mu.Unlock()
-		return fmt.Errorf("shard: source %d on shard %d: %w", m.Source, sh, ErrSourceExists)
+		return 0, fmt.Errorf("shard: source %d on shard %d: %w", m.Source, sh, ErrSourceExists)
 	}
 	sh := c.cursor % len(c.shards)
 	if c.opts.PlaceFunc != nil {
@@ -59,13 +102,13 @@ func (c *Coordinator) AddMatrix(m *gene.Matrix) error {
 		c.mu.Lock()
 		delete(c.placement, m.Source)
 		// Roll the cursor back too: it must count successful placements
-		// only, or the durable store's recovered cursor (manifest cursor +
-		// replayed adds, none of which include failed adds) would diverge
-		// from the live one and change round-robin placement after a
-		// restart.
+		// only, or the durable coordinator's recovered cursor (manifest
+		// cursor + replayed adds, none of which include failed adds) would
+		// diverge from the live one and change round-robin placement after
+		// a restart.
 		c.cursor--
 		c.mu.Unlock()
-		return err
+		return 0, err
 	}
 	if !c.sharedDB {
 		// FromIndex shares the shard's database as the global view, where
@@ -74,29 +117,29 @@ func (c *Coordinator) AddMatrix(m *gene.Matrix) error {
 		dbErr := c.db.Add(m)
 		c.mu.Unlock()
 		if dbErr != nil {
-			return fmt.Errorf("shard: global database out of sync: %w", dbErr)
+			return 0, fmt.Errorf("shard: global database out of sync: %w", dbErr)
 		}
 	}
 	s.caches.InvalidateSource(m.Source)
 	s.mutations.Add(1)
-	c.checkImbalance()
-	return nil
+	return sh, nil
 }
 
-// RemoveMatrix drops a data source from the shard it is placed on.
-func (c *Coordinator) RemoveMatrix(source int) error {
+// removeMatrix applies a removal in memory and returns the shard the
+// source was placed on.
+func (c *Coordinator) removeMatrix(source int) (int, error) {
 	c.mu.Lock()
 	sh, ok := c.placement[source]
 	c.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("shard: source %d: %w", source, ErrSourceNotFound)
+		return 0, fmt.Errorf("shard: source %d: %w", source, ErrSourceNotFound)
 	}
 	s := c.shards[sh]
 	s.mu.Lock()
 	err := s.idx.RemoveMatrix(source)
 	s.mu.Unlock()
 	if err != nil {
-		return err
+		return 0, err
 	}
 	c.mu.Lock()
 	delete(c.placement, source)
@@ -106,8 +149,7 @@ func (c *Coordinator) RemoveMatrix(source int) error {
 	c.mu.Unlock()
 	s.caches.InvalidateSource(source)
 	s.mutations.Add(1)
-	c.checkImbalance()
-	return nil
+	return sh, nil
 }
 
 // Placement reports which shard a source is placed on.
@@ -122,43 +164,9 @@ func (c *Coordinator) Placement(source int) (shard int, ok bool) {
 func (c *Coordinator) Loads() []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.loadsLocked()
-}
-
-func (c *Coordinator) loadsLocked() []int {
 	loads := make([]int, len(c.shards))
 	for _, sh := range c.placement {
 		loads[sh]++
 	}
 	return loads
-}
-
-// checkImbalance invokes the rebalance hook when removals have skewed the
-// placement beyond Options.ImbalanceRatio. Round-robin keeps additions
-// balanced to within one source, so only deletion patterns trigger it.
-func (c *Coordinator) checkImbalance() {
-	if c.opts.OnImbalance == nil || len(c.shards) < 2 {
-		return
-	}
-	c.mu.Lock()
-	loads := c.loadsLocked()
-	c.mu.Unlock()
-	minLoad, maxLoad := loads[0], loads[0]
-	for _, l := range loads[1:] {
-		if l < minLoad {
-			minLoad = l
-		}
-		if l > maxLoad {
-			maxLoad = l
-		}
-	}
-	imbalanced := false
-	if minLoad == 0 {
-		imbalanced = maxLoad > 1
-	} else {
-		imbalanced = float64(maxLoad) > c.opts.ImbalanceRatio*float64(minLoad)
-	}
-	if imbalanced {
-		c.opts.OnImbalance(loads)
-	}
 }

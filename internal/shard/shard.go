@@ -11,6 +11,13 @@
 // full ordered union or a top-k, with cross-shard Markov-bound early
 // termination through a per-item top-k sink.
 //
+// A Coordinator is built one of three ways, all through one constructor:
+// Build partitions and indexes a database, FromIndex wraps a loaded
+// index, and OpenDurable (durable.go) opens a data directory. A durable
+// coordinator's AddMatrix/RemoveMatrix write-ahead log and fsync each
+// mutation before returning, and Checkpoint/Close rotate the log into
+// snapshots; the query path is the same for both.
+//
 // Sharding changes the concurrency profile, not the answers: every shard
 // runs the caller's params, and every refinement draw is addressed by
 // (Seed, source, column pair), so answers are a function of (database,
@@ -45,19 +52,11 @@ type Options struct {
 	// consistent-hash ring here so placement is a pure function of the
 	// source ID — every coordinator and shard server derives the same
 	// placement independently. The function must be deterministic and safe
-	// for concurrent use; reopening a durable store must pass the same
-	// function, or recovered placement diverges from new placements.
+	// for concurrent use. A durable data directory does not record it:
+	// pass the same function to every OpenDurable of the directory, and a
+	// warm-booted coordinator places new sources exactly as the one that
+	// wrote the directory did.
 	PlaceFunc func(source int) int
-	// ImbalanceRatio triggers the rebalance hook when the most loaded
-	// shard holds more than ImbalanceRatio times the sources of the least
-	// loaded one (2 when <= 1). Only meaningful with OnImbalance set.
-	ImbalanceRatio float64
-	// OnImbalance, when non-nil, is invoked after a mutation that leaves
-	// the placement imbalanced, with the per-shard source counts. The hook
-	// observes — it may schedule a rebuild at a larger P or log — but the
-	// coordinator itself never moves sources between shards (rebalancing is
-	// an explicit, offline decision). Called outside all coordinator locks.
-	OnImbalance func(loads []int)
 }
 
 // placeOf maps a source onto a shard through PlaceFunc, clamped into
@@ -74,9 +73,6 @@ func (o Options) withDefaults() Options {
 	if o.NumShards <= 0 {
 		o.NumShards = 1
 	}
-	if o.ImbalanceRatio <= 1 {
-		o.ImbalanceRatio = 2
-	}
 	return o
 }
 
@@ -85,7 +81,9 @@ func (o Options) withDefaults() Options {
 // proceed in parallel with each other on every shard), while a mutation
 // write-locks only the one shard its source is placed on — mutations on
 // different shards, and queries on the other P-1 shards, proceed
-// concurrently.
+// concurrently. A durable coordinator (OpenDurable) additionally logs
+// every mutation before acknowledging it, and serializes mutations
+// against each other and against checkpoints (durable.go).
 type Coordinator struct {
 	// Scatter answers every query over the shards (scatter.go), one
 	// QueryShardBatch leg per shard.
@@ -102,6 +100,10 @@ type Coordinator struct {
 	sharedDB  bool // db is shard 0's own database (FromIndex); skip double bookkeeping
 
 	shards []*shardState
+
+	// dur is the write-ahead log and checkpoint state of a durable
+	// coordinator (durable.go); nil for in-memory coordinators.
+	dur *durability
 }
 
 // shardState is one shard: an index over its partition plus the shard's
@@ -124,6 +126,30 @@ type shardState struct {
 	ioHits    atomic.Uint64 // per-query buffer-pool absorptions
 }
 
+// newCoordinator assembles a coordinator over built shard indexes — the
+// one constructor behind Build, FromIndex and OpenDurable. Placement falls
+// out of which shard's database holds each source; db is the global view
+// and cursor the round-robin position. opts.NumShards becomes len(idxs).
+func newCoordinator(opts Options, idxs []*index.Index, db *gene.Database, cursor int) *Coordinator {
+	opts.NumShards = len(idxs)
+	c := &Coordinator{
+		opts:      opts,
+		placement: make(map[int]int, db.Len()),
+		cursor:    cursor,
+		db:        db,
+		sharedDB:  len(idxs) == 1 && idxs[0].DB() == db,
+		shards:    make([]*shardState, len(idxs)),
+	}
+	c.Scatter = Scatter{Shards: len(idxs), Legs: c.legs}
+	for i, idx := range idxs {
+		c.shards[i] = &shardState{idx: idx}
+		for _, m := range idx.DB().Matrices() {
+			c.placement[m.Source] = i
+		}
+	}
+	return c
+}
+
 // Build partitions db round-robin into opts.NumShards shards and builds
 // one index per shard. Matrices are shared by pointer between db and the
 // shard partitions; db remains the coordinator's global view (Database).
@@ -138,7 +164,6 @@ func Build(db *gene.Database, opts Options) (*Coordinator, error) {
 	for i := range parts {
 		parts[i] = gene.NewDatabase()
 	}
-	placement := make(map[int]int, db.Len())
 	for i, m := range db.Matrices() {
 		sh := i % p
 		if opts.PlaceFunc != nil {
@@ -147,25 +172,16 @@ func Build(db *gene.Database, opts Options) (*Coordinator, error) {
 		if err := parts[sh].Add(m); err != nil {
 			return nil, fmt.Errorf("shard: partitioning source %d: %w", m.Source, err)
 		}
-		placement[m.Source] = sh
 	}
-
-	c := &Coordinator{
-		opts:      opts,
-		placement: placement,
-		cursor:    db.Len(),
-		db:        db,
-		shards:    make([]*shardState, p),
-	}
-	c.Scatter = Scatter{Shards: p, Legs: c.legs}
-	for i := range c.shards {
-		idx, err := index.Build(parts[i], opts.Index)
+	idxs := make([]*index.Index, p)
+	for i, part := range parts {
+		idx, err := index.Build(part, opts.Index)
 		if err != nil {
 			return nil, fmt.Errorf("shard: building shard %d: %w", i, err)
 		}
-		c.shards[i] = &shardState{idx: idx}
+		idxs[i] = idx
 	}
-	return c, nil
+	return newCoordinator(opts, idxs, db, db.Len()), nil
 }
 
 // FromIndex wraps an already-built index as a single-shard coordinator —
@@ -173,20 +189,7 @@ func Build(db *gene.Database, opts Options) (*Coordinator, error) {
 // coordinator's global view.
 func FromIndex(idx *index.Index) *Coordinator {
 	db := idx.DB()
-	placement := make(map[int]int, db.Len())
-	for _, m := range db.Matrices() {
-		placement[m.Source] = 0
-	}
-	c := &Coordinator{
-		opts:      Options{NumShards: 1, Index: idx.Options()}.withDefaults(),
-		placement: placement,
-		cursor:    db.Len(),
-		db:        db,
-		sharedDB:  true,
-		shards:    []*shardState{{idx: idx}},
-	}
-	c.Scatter = Scatter{Shards: 1, Legs: c.legs}
-	return c
+	return newCoordinator(Options{Index: idx.Options()}, []*index.Index{idx}, db, db.Len())
 }
 
 // errSaveSharded rejects SaveIndex on coordinators of more than one shard.

@@ -413,54 +413,6 @@ func TestMutationRouting(t *testing.T) {
 	}
 }
 
-// TestImbalanceHook: the rebalance hook fires when a mutation leaves the
-// max/min shard load ratio above the threshold, and never moves sources
-// itself.
-func TestImbalanceHook(t *testing.T) {
-	db := gene.NewDatabase()
-	for src := 0; src < 4; src++ {
-		if err := db.Add(mkMatrix(t, src)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var mu sync.Mutex
-	var fired [][]int
-	coord, err := shard.Build(db, shard.Options{
-		NumShards: 2, Index: index.Options{D: 1, Samples: 8, Seed: 1},
-		ImbalanceRatio: 2,
-		OnImbalance: func(loads []int) {
-			mu.Lock()
-			fired = append(fired, append([]int(nil), loads...))
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Balanced 2/2; drain shard 1 (odd build positions: sources 1, 3).
-	if err := coord.RemoveMatrix(1); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	n0 := len(fired)
-	mu.Unlock()
-	if n0 != 0 {
-		t.Fatalf("hook fired at 2/1 load: %v", fired)
-	}
-	if err := coord.RemoveMatrix(3); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(fired) == 0 {
-		t.Fatal("hook did not fire at 2/0 load")
-	}
-	got := fired[len(fired)-1]
-	if len(got) != 2 || got[0]+got[1] != 2 {
-		t.Errorf("hook loads = %v, want two shards holding 2 sources", got)
-	}
-}
-
 // TestSnapshotCounters: Snapshot partitions the sources, counts served
 // queries per shard, and surfaces per-shard I/O and cache counters after
 // queries ran.
