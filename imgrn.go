@@ -53,7 +53,8 @@ type (
 	// Section 6 plus the engine's own accounting: wall-clock stage
 	// durations (InferQuery, Traversal, Refinement, Total) and the
 	// aggregate refinement sub-stage durations (MarkovPrune, MonteCarlo),
-	// simulated page I/O (IOCost accesses, IOHits buffer absorptions),
+	// simulated page I/O (IOCost distinct pages accessed, IOHits repeat
+	// touches of them),
 	// pruning-power counters (NodePairsVisited/Pruned,
 	// PointPairsChecked/Pruned, CandidateGenes, CandidateMatrices,
 	// MatricesPrunedL5), edge-probability cache effectiveness

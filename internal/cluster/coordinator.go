@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -186,7 +185,7 @@ func (c *Coordinator) Close() error {
 }
 
 // RefreshHealth probes every server once, in parallel, updating the
-// health snapshot, the membership gauges and the imbalance signal.
+// health snapshot and the membership gauges.
 func (c *Coordinator) RefreshHealth(ctx context.Context) {
 	ctx, cancel := context.WithTimeout(ctx, c.client.Timeout)
 	defer cancel()
@@ -216,7 +215,6 @@ func (c *Coordinator) RefreshHealth(ctx context.Context) {
 	c.probed = true
 	c.mu.Unlock()
 	c.met.setMembers(len(c.topo.Servers), healthyN)
-	c.checkImbalance()
 }
 
 // ensureProbed runs one synchronous probe if none has happened yet, so
@@ -266,32 +264,6 @@ func (c *Coordinator) Members(ctx context.Context) []Member {
 	return out
 }
 
-// Loads returns per-GLOBAL-shard source counts assembled from the last
-// health snapshot: for each shard, the first replica that reported it.
-// Shards no replica has reported yet count zero.
-func (c *Coordinator) Loads() []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.loadsLocked()
-}
-
-func (c *Coordinator) loadsLocked() []int {
-	loads := make([]int, c.topo.NumShards)
-	seen := make([]bool, c.topo.NumShards)
-	for _, info := range c.infos {
-		if info == nil {
-			continue
-		}
-		for _, sh := range info.Shards {
-			if sh.Global >= 0 && sh.Global < len(loads) && !seen[sh.Global] {
-				loads[sh.Global] = sh.Sources
-				seen[sh.Global] = true
-			}
-		}
-	}
-	return loads
-}
-
 // ShardInfos returns one load row per GLOBAL shard assembled from the
 // last health snapshot (first replica reporting each shard); unreported
 // shards appear as zero rows. The coordinator-mode /stats endpoint is
@@ -323,28 +295,10 @@ func (c *Coordinator) ShardInfos() []WireShardInfo {
 func (c *Coordinator) Matrices() int {
 	c.ensureProbed(context.Background())
 	total := 0
-	for _, n := range c.Loads() {
-		total += n
+	for _, sh := range c.ShardInfos() {
+		total += sh.Sources
 	}
 	return total
-}
-
-// imbalanceRatio is the max/min per-shard source ratio above which a
-// health probe counts a rebalance signal.
-const imbalanceRatio = 2
-
-// checkImbalance counts a rebalance signal when a health probe finds the
-// most loaded global shard holding more than imbalanceRatio times the
-// sources of the least loaded one (or more than one source beside an
-// empty shard). It only observes: sources never move between shards.
-func (c *Coordinator) checkImbalance() {
-	if c.topo.NumShards < 2 {
-		return
-	}
-	loads := c.Loads()
-	if slices.Max(loads) > max(imbalanceRatio*slices.Min(loads), 1) {
-		c.met.rebalanceSignal()
-	}
 }
 
 // replicaOrder returns the URLs to try for shard g: the replica set in

@@ -16,7 +16,6 @@ type Metrics struct {
 	Scatters        *obs.Counter // scatter-gather fan-outs issued
 	PartialFailures *obs.Counter // scatters aborted by an unreachable shard
 	FloorUpdates    *obs.Counter // top-k floor pushes to remote shards
-	RebalanceSigs   *obs.Counter // imbalance signals over remote loads
 
 	// Per-RPC accounting.
 	Requests  obs.CounterVec // by outcome (ok, error, timeout)
@@ -50,8 +49,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 			"Scatters aborted because a shard was unreachable on every replica."),
 		FloorUpdates: r.Counter("imgrn_cluster_floor_updates_total",
 			"Top-k floor updates pushed to remote shard servers."),
-		RebalanceSigs: r.Counter("imgrn_cluster_rebalance_signals_total",
-			"Shard-imbalance signals raised over remote per-shard loads."),
 		Requests: r.CounterVec("imgrn_rpc_requests_total",
 			"Cluster RPC attempts by outcome.", "outcome"),
 		Retries: r.Counter("imgrn_rpc_retries_total",
@@ -112,12 +109,6 @@ func (m *Metrics) partialFailure() {
 func (m *Metrics) floorUpdate() {
 	if m != nil {
 		m.FloorUpdates.Inc()
-	}
-}
-
-func (m *Metrics) rebalanceSignal() {
-	if m != nil {
-		m.RebalanceSigs.Inc()
 	}
 }
 

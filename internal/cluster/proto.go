@@ -325,7 +325,7 @@ type FloorResponse struct {
 
 // InfoResponse is the GET /cluster/info snapshot: the shard server's
 // identity, served shards and per-shard load — the coordinator's health
-// probe and rebalance-signal input.
+// probe input.
 type InfoResponse struct {
 	Proto     int             `json:"proto"`
 	Role      string          `json:"role"`

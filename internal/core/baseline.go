@@ -75,7 +75,6 @@ func BuildBaseline(db *gene.Database, params Params) (*Baseline, error) {
 		b.bytes += uint64(len(tri) * 8)
 	}
 	b.buildTime = time.Since(start)
-	b.acc.ResetStats()
 	return b, nil
 }
 
@@ -120,7 +119,6 @@ func (b *Baseline) Query(mq *gene.Matrix) ([]Answer, Stats, error) {
 func (b *Baseline) QueryContext(ctx context.Context, mq *gene.Matrix) ([]Answer, Stats, error) {
 	var st Stats
 	start := time.Now()
-	b.acc.ResetStats()
 
 	var q *grn.Graph
 	var err error
@@ -140,7 +138,6 @@ func (b *Baseline) QueryContext(ctx context.Context, mq *gene.Matrix) ([]Answer,
 	if err != nil {
 		return nil, st, err
 	}
-	st.IOCost = b.acc.Stats().Accesses
 	st.Total = time.Since(start)
 	st.Answers = len(answers)
 	return answers, st, nil
@@ -155,14 +152,12 @@ func (b *Baseline) QueryGraph(q *grn.Graph) ([]Answer, Stats, error) {
 func (b *Baseline) QueryGraphContext(ctx context.Context, q *grn.Graph) ([]Answer, Stats, error) {
 	var st Stats
 	start := time.Now()
-	b.acc.ResetStats()
 	st.QueryVertices = q.NumVertices()
 	st.QueryEdges = q.NumEdges()
 	answers, err := b.queryWithGraph(ctx, q, &st)
 	if err != nil {
 		return nil, st, err
 	}
-	st.IOCost = b.acc.Stats().Accesses
 	st.Total = time.Since(start)
 	st.Answers = len(answers)
 	return answers, st, nil
@@ -171,6 +166,7 @@ func (b *Baseline) QueryGraphContext(ctx context.Context, q *grn.Graph) ([]Answe
 func (b *Baseline) queryWithGraph(ctx context.Context, q *grn.Graph, st *Stats) ([]Answer, error) {
 	tStart := time.Now()
 	gamma, alpha := b.params.Gamma, b.params.Alpha
+	io := b.acc.NewReader()
 	var answers []Answer
 
 	sources := make([]int, 0, b.db.Len())
@@ -193,7 +189,7 @@ func (b *Baseline) queryWithGraph(ctx context.Context, q *grn.Graph, st *Stats) 
 		tri := b.probs[src]
 		// The baseline reads the entire pre-computed array of each matrix
 		// and materializes the full GRN G_i w.r.t. the ad-hoc γ.
-		b.acc.ChargeBytes(b.pages[src], len(tri)*8)
+		io.ChargeBytes(b.pages[src], len(tri)*8)
 		gi := grn.NewGraph(m.Genes())
 		k := 0
 		for s := 0; s < n; s++ {
@@ -225,6 +221,7 @@ func (b *Baseline) queryWithGraph(ctx context.Context, q *grn.Graph, st *Stats) 
 		answers = append(answers, Answer{Source: src, Prob: match.Prob, Edges: edges, Genes: genes})
 	}
 	st.CandidateGenes = candGenes
+	st.IOCost = io.Stats().Accesses
 	st.Traversal = time.Since(tStart)
 	return answers, nil
 }

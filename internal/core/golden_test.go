@@ -131,7 +131,10 @@ func TestBatchSequentialGoldenFingerprint(t *testing.T) {
 
 // TestGoldenAnswersIndependentOfWorkers: on the golden workload's query
 // matrices, Monte Carlo answers — probabilities and edges to the bit —
-// and the query graphs behind them are the same at every worker count.
+// the query graphs behind them and the page counters are the same at
+// every worker count. A parallel query charges each candidate to its own
+// SubReader and merges them in source order, so the I/O totals pin that
+// merge against the sequential query's single reader.
 func TestGoldenAnswersIndependentOfWorkers(t *testing.T) {
 	idx, queries := goldenFixture(t)
 	params := core.Params{Gamma: 0.5, Alpha: 0.4, Samples: 48, Seed: 9}
@@ -149,12 +152,12 @@ func TestGoldenAnswersIndependentOfWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := fmt.Sprint(st.QueryEdges, a)
+			got := fmt.Sprint(st.QueryEdges, st.IOCost, st.IOHits, a)
 			if workers == 1 {
 				want = got
 				answers += len(a)
 			} else if got != want {
-				t.Errorf("query %d: workers=%d (query edges, answers) %v, workers=1 %v", i, workers, got, want)
+				t.Errorf("query %d: workers=%d (query edges, io, hits, answers) %v, workers=1 %v", i, workers, got, want)
 			}
 		}
 	}

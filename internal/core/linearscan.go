@@ -46,7 +46,6 @@ func NewLinearScan(db *gene.Database, params Params) (*LinearScan, error) {
 		id, _ := ls.acc.Allocate(m.NumGenes() * m.Samples() * 8)
 		ls.heap[m.Source] = id
 	}
-	ls.acc.ResetStats()
 	return ls, nil
 }
 
@@ -61,7 +60,6 @@ func (ls *LinearScan) Query(mq *gene.Matrix) ([]Answer, Stats, error) {
 func (ls *LinearScan) QueryContext(ctx context.Context, mq *gene.Matrix) ([]Answer, Stats, error) {
 	var st Stats
 	start := time.Now()
-	ls.acc.ResetStats()
 	var q *grn.Graph
 	var err error
 	if ls.params.Analytic {
@@ -79,7 +77,6 @@ func (ls *LinearScan) QueryContext(ctx context.Context, mq *gene.Matrix) ([]Answ
 	if err != nil {
 		return nil, st, err
 	}
-	st.IOCost = ls.acc.Stats().Accesses
 	st.Total = time.Since(start)
 	st.Answers = len(answers)
 	return answers, st, nil
@@ -94,14 +91,12 @@ func (ls *LinearScan) QueryGraph(q *grn.Graph) ([]Answer, Stats, error) {
 func (ls *LinearScan) QueryGraphContext(ctx context.Context, q *grn.Graph) ([]Answer, Stats, error) {
 	var st Stats
 	start := time.Now()
-	ls.acc.ResetStats()
 	st.QueryVertices = q.NumVertices()
 	st.QueryEdges = q.NumEdges()
 	answers, err := ls.queryWithGraph(ctx, q, &st)
 	if err != nil {
 		return nil, st, err
 	}
-	st.IOCost = ls.acc.Stats().Accesses
 	st.Total = time.Since(start)
 	st.Answers = len(answers)
 	return answers, st, nil
@@ -112,6 +107,7 @@ func (ls *LinearScan) queryWithGraph(ctx context.Context, q *grn.Graph, st *Stat
 		return nil, nil // unique per-matrix labels make injective embedding impossible
 	}
 	tStart := time.Now()
+	io := ls.acc.NewReader()
 	qEdges := q.Edges()
 	gamma, alpha := ls.params.Gamma, ls.params.Alpha
 	var answers []Answer
@@ -151,7 +147,7 @@ func (ls *LinearScan) queryWithGraph(ctx context.Context, q *grn.Graph, st *Stat
 		pruned := false
 		for _, e := range qEdges {
 			a, b := cols[e.S], cols[e.T]
-			ls.acc.ChargeBytes(ls.heap[src], 2*colBytes(m))
+			io.ChargeBytes(ls.heap[src], 2*colBytes(m))
 			if !m.Informative(a) || !m.Informative(b) {
 				pruned = true
 				break
@@ -202,6 +198,7 @@ func (ls *LinearScan) queryWithGraph(ctx context.Context, q *grn.Graph, st *Stat
 		answers = append(answers, Answer{Source: src, Prob: prob, Edges: edges, Genes: genes})
 	}
 	st.CandidateGenes = len(candGenes)
+	st.IOCost = io.Stats().Accesses
 	st.Traversal = time.Since(tStart)
 	return answers, nil
 }

@@ -9,7 +9,6 @@ import (
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/obs"
-	"github.com/imgrn/imgrn/internal/pagestore"
 )
 
 // Work units and schedule independence.
@@ -91,9 +90,9 @@ func (p *Processor) inferPruned(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, 
 // work unit per candidate under ec.ForEachWorker, with the outcomes
 // aggregated in source order. A candidate's result does not depend on the
 // worker count: every estimate draws from its edge's own stream. Under a
-// worker budget each candidate charges its own SubReader (a private cold
-// page buffer) so the I/O counts cannot depend on the schedule; a
-// sequential query charges the query's reader directly.
+// worker budget each candidate charges its own SubReader (private
+// counters, no pages touched) so the I/O counts cannot depend on the
+// schedule; a sequential query charges the query's reader directly.
 //
 // Lemma 5 is skipped for the whole query when the plan switches it off or
 // when the index certifies that it cannot prune (markovFutile).
@@ -199,7 +198,7 @@ func (qs *queryScratch) verify(w, i int) error {
 			return nil
 		}
 	}
-	var io pagestore.Toucher = j.ec.IO()
+	io := j.ec.IO()
 	if j.sub {
 		r := j.ec.IO().SubReader()
 		qs.readers[i], io = r, r

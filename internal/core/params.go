@@ -205,9 +205,9 @@ type Stats struct {
 	MonteCarlo  time.Duration
 	Total       time.Duration
 
-	// IOCost is the number of simulated page accesses ("disk" reads);
-	// IOHits counts the page touches absorbed by the query's private
-	// buffer pool instead.
+	// IOCost is the number of simulated page accesses ("disk" reads):
+	// the distinct pages the query touched, or every touch when the index
+	// is unbuffered. IOHits counts the repeat touches its buffer absorbed.
 	IOCost uint64
 	IOHits uint64
 

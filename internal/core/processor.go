@@ -64,8 +64,8 @@ const (
 func (p *Processor) Params() Params { return p.params }
 
 // newExec builds the per-query execution context: the caller's ctx, a
-// fresh per-query I/O reader (cold buffer, private counters; none for the
-// index-free processor of InferQuery), the configured worker budget, the
+// fresh per-query I/O reader (no pages touched, private counters; none for
+// the index-free processor of InferQuery), the configured worker budget, the
 // optional trace collector, and a pooled scratch arena. Callers must Close
 // the context (releasing the arena) once the query's answers have been
 // assembled.
@@ -591,7 +591,7 @@ func (p *Processor) markovFutile(edges int) bool {
 // switched it off, the index certifies it cannot prune (markovFutile), or
 // the caller already evaluated it (the sink's bound order precomputes the
 // same product).
-func (p *Processor) verifyCandidate(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
+func (p *Processor) verifyCandidate(io *pagestore.Reader, q *grn.Graph, qEdges []grn.Edge, src int,
 	ws *workerScratch, alpha float64, skipMarkov bool) candOutcome {
 	var out candOutcome
 	m := p.idx.DB().BySource(src)
@@ -690,7 +690,7 @@ func (p *Processor) candidateUpperBound(q *grn.Graph, qEdges []grn.Edge, src int
 //
 // Answer.Prob is the product of the edge estimates in query order, so its
 // bits do not depend on the order drawPending verifies in.
-func (p *Processor) verifyExact(io pagestore.Toucher, q *grn.Graph, qEdges []grn.Edge, src int,
+func (p *Processor) verifyExact(io *pagestore.Reader, q *grn.Graph, qEdges []grn.Edge, src int,
 	m *gene.Matrix, cols []int, alpha float64, ws *workerScratch, out *candOutcome) *Answer {
 	gamma, cache := p.params.Gamma, p.params.Cache
 	bufs := &ws.bufs
@@ -788,7 +788,7 @@ func (p *Processor) verifyExact(io pagestore.Toucher, q *grn.Graph, qEdges []grn
 // completed estimate is the full-R estimate bit for bit. Completed
 // estimates go into the cache; a curtailed edge leaves the largest
 // estimate it could still have reached as a bound.
-func (p *Processor) drawPending(io pagestore.Toucher, qEdges []grn.Edge, src int, cols []int,
+func (p *Processor) drawPending(io *pagestore.Reader, qEdges []grn.Edge, src int, cols []int,
 	alpha float64, ws *workerScratch, out *candOutcome) bool {
 	gamma, cache := p.params.Gamma, p.params.Cache
 	samples := p.params.Samples

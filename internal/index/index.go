@@ -15,9 +15,9 @@
 // Save/Load serialize a built index in the little-endian "IMGRNIX1"
 // format so the Monte Carlo embedding phase runs once. The header after
 // the 8-byte magic is five uint32 structural fields — d (pivots per
-// matrix), bits (signature width B), pageSize, buffer (LRU buffer-pool
-// pages) and maxFill (R*-tree node capacity) — followed by a uint32
-// count of embedded sources; then per source the pivot columns and X/Y
+// matrix), bits (signature width B), pageSize, buffer (BufferPages) and
+// maxFill (R*-tree node capacity) — followed by a uint32 count of
+// embedded sources; then per source the pivot columns and X/Y
 // embedding coordinates, and finally the flat list of (2d+1)-dim leaf
 // points. Only those five Options fields are structural enough to store:
 // behavioural options (Seed, Samples, Workers, pivot selection) are not
@@ -60,8 +60,10 @@ type Options struct {
 	// PageSize is the simulated disk page size (pagestore.DefaultPageSize
 	// when 0).
 	PageSize int
-	// BufferPages is the LRU buffer pool capacity in pages (0 = unbuffered,
-	// every node touch is one page access).
+	// BufferPages > 0 buffers each query's reader: a page counts as one
+	// access the first time the query touches it and as a buffer hit on
+	// every repeat. 0 = unbuffered, every touch is one page access. The
+	// value is not a capacity; only its sign matters.
 	BufferPages int
 	// MaxFill is the R*-tree node capacity (rstar.DefaultMaxFill when 0).
 	MaxFill int
@@ -223,7 +225,6 @@ func Build(db *gene.Database, opts Options) (*Index, error) {
 	idx.stats.Vectors = len(items)
 	idx.stats.TreeNodes = tree.NodeCount()
 	idx.stats.TreeHeight = tree.Height()
-	idx.acc.ResetStats() // construction I/O is not query I/O
 	return idx, nil
 }
 
@@ -294,46 +295,28 @@ func (x *Index) YMin() float64 {
 // Inverted returns the inverted bit-vector file IF.
 func (x *Index) Inverted() *bitvec.InvertedFile { return x.inverted }
 
-// Accountant returns the I/O accountant shared by index and heap pages.
-// It is the allocation namespace and the construction-time counter; query
-// paths account I/O through per-query Readers (NewReader) instead, so
-// concurrent queries never share a mutable counter.
-func (x *Index) Accountant() *pagestore.Accountant { return x.acc }
-
 // NewReader returns a fresh per-query I/O reader over the index's page
-// namespace. Each reader starts with a cold private buffer pool of the
-// configured capacity, preserving the per-query I/O-cost metric of
-// Section 6.1 under concurrency.
+// namespace. Each reader starts with no pages touched, preserving the
+// per-query I/O-cost metric of Section 6.1 under concurrency.
 func (x *Index) NewReader() *pagestore.Reader { return x.acc.NewReader() }
 
 // Stats returns construction statistics.
 func (x *Index) Stats() BuildStats { return x.stats }
 
-// TouchNode charges one read of node n to the shared accountant.
-func (x *Index) TouchNode(n *rstar.Node) { rstar.TouchNode(x.acc, n) }
+// TouchNodeTo charges one read of node n to the query's reader.
+func (x *Index) TouchNodeTo(r *pagestore.Reader, n *rstar.Node) { rstar.TouchNode(r, n) }
 
-// TouchNodeTo charges one read of node n to the given toucher (typically a
-// per-query reader).
-func (x *Index) TouchNodeTo(to pagestore.Toucher, n *rstar.Node) { rstar.TouchNode(to, n) }
-
-// FetchStdColumn reads the standardized feature vector of column col of
+// FetchStdColumnTo reads the standardized feature vector of column col of
 // the given source from the simulated heap file — real byte movement that
-// is charged as page I/O — appending the decoded values to dst and
-// returning the result. The charge goes to the shared accountant; query
-// paths use FetchStdColumnTo with a per-query reader.
-func (x *Index) FetchStdColumn(source, col int, dst []float64) ([]float64, error) {
-	return x.FetchStdColumnTo(x.acc, source, col, dst)
-}
-
-// FetchStdColumnTo is FetchStdColumn with the page charges billed to an
-// explicit toucher. Concurrent calls with distinct touchers are safe while
-// the index is not being mutated.
-func (x *Index) FetchStdColumnTo(to pagestore.Toucher, source, col int, dst []float64) ([]float64, error) {
+// is charged as page I/O to r — writing the decoded values into dst
+// (grown when too small) and returning the result. Concurrent calls with
+// distinct readers are safe while the index is not being mutated.
+func (x *Index) FetchStdColumnTo(r *pagestore.Reader, source, col int, dst []float64) ([]float64, error) {
 	h, ok := x.heap[source]
 	if !ok {
 		return nil, fmt.Errorf("index: source %d not in heap", source)
 	}
-	raw, err := x.store.ViewTo(to, h.first, col*h.colBytes, h.colBytes)
+	raw, err := x.store.ViewTo(r, h.first, col*h.colBytes, h.colBytes)
 	if err != nil {
 		return nil, fmt.Errorf("index: fetching column %d of source %d: %w", col, source, err)
 	}
@@ -346,22 +329,6 @@ func (x *Index) FetchStdColumnTo(to pagestore.Toucher, source, col int, dst []fl
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return dst, nil
-}
-
-// ChargeColumnRead charges the heap-page accesses needed to read column
-// col of the matrix from the given source during refinement, without
-// materializing the bytes (used by engines that keep vectors in memory).
-func (x *Index) ChargeColumnRead(source, col int) {
-	h, ok := x.heap[source]
-	if !ok {
-		return
-	}
-	ps := x.acc.PageSize()
-	startByte := col * h.colBytes
-	endByte := startByte + h.colBytes
-	firstPage := h.first + pagestore.PageID(startByte/ps)
-	lastPage := h.first + pagestore.PageID((endByte-1)/ps)
-	x.acc.TouchRange(firstPage, int(lastPage-firstPage)+1)
 }
 
 // IndexPrunable implements Lemma 6 on a pair of node MBRs: given that node

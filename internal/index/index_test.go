@@ -66,10 +66,6 @@ func TestBuildBasics(t *testing.T) {
 	if msg := idx.Tree().CheckInvariants(); msg != "" {
 		t.Errorf("tree invariants: %s", msg)
 	}
-	// Construction I/O must not leak into query accounting.
-	if got := idx.Accountant().Stats().Accesses; got != 0 {
-		t.Errorf("accesses after build = %d, want 0", got)
-	}
 }
 
 func TestInvertedFileMembership(t *testing.T) {
@@ -186,28 +182,6 @@ func TestIndexPrunableSoundness(t *testing.T) {
 	}
 }
 
-func TestChargeColumnRead(t *testing.T) {
-	ds := smallDataset(t, 5, 4)
-	idx, err := Build(ds.DB, Options{D: 1, Samples: 8, Seed: 4, PageSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := ds.DB.Matrix(0)
-	idx.Accountant().ResetStats()
-	idx.ChargeColumnRead(m.Source, 0)
-	// One column = samples×8 bytes over 64-byte pages.
-	wantPages := (m.Samples()*8 + 63) / 64
-	if got := int(idx.Accountant().Stats().Accesses); got < 1 || got > wantPages+1 {
-		t.Errorf("column read charged %d pages, want ≈ %d", got, wantPages)
-	}
-	// Unknown source is a no-op.
-	idx.Accountant().ResetStats()
-	idx.ChargeColumnRead(9999, 0)
-	if got := idx.Accountant().Stats().Accesses; got != 0 {
-		t.Errorf("unknown source charged %d pages", got)
-	}
-}
-
 func TestRandomPivotsOption(t *testing.T) {
 	ds := smallDataset(t, 10, 5)
 	idx, err := Build(ds.DB, Options{D: 2, Samples: 8, Seed: 5, RandomPivots: true})
@@ -235,11 +209,11 @@ func TestFetchStdColumnRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx.Accountant().ResetStats()
+	r := idx.NewReader()
 	var buf []float64
 	for _, m := range ds.DB.Matrices() {
 		for j := 0; j < m.NumGenes(); j++ {
-			buf, err = idx.FetchStdColumn(m.Source, j, buf)
+			buf, err = idx.FetchStdColumnTo(r, m.Source, j, buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,10 +229,10 @@ func TestFetchStdColumnRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if idx.Accountant().Stats().Accesses == 0 {
+	if r.Stats().Accesses == 0 {
 		t.Error("heap reads were not charged")
 	}
-	if _, err := idx.FetchStdColumn(9999, 0, nil); err == nil {
+	if _, err := idx.FetchStdColumnTo(r, 9999, 0, nil); err == nil {
 		t.Error("unknown source should error")
 	}
 }

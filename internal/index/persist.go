@@ -21,7 +21,7 @@ import (
 //	d        uint32   pivots per matrix
 //	bits     uint32   signature width
 //	pageSize uint32
-//	buffer   uint32   LRU buffer pages
+//	buffer   uint32   BufferPages (> 0: readers absorb repeat touches)
 //	maxFill  uint32   R*-tree node capacity
 //	sources  uint32   number of embedded matrices
 //	repeat sources times:
@@ -202,7 +202,6 @@ func Load(r io.Reader, db *gene.Database) (*Index, error) {
 	idx.stats.Vectors = len(items)
 	idx.stats.TreeNodes = tree.NodeCount()
 	idx.stats.TreeHeight = tree.Height()
-	idx.acc.ResetStats()
 	return idx, nil
 }
 

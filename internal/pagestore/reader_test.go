@@ -1,6 +1,7 @@
 package pagestore
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 )
@@ -21,35 +22,89 @@ func TestReaderCountsIndependently(t *testing.T) {
 	if got := r2.Stats().Accesses; got != 1 {
 		t.Fatalf("r2 accesses = %d, want 1", got)
 	}
-	if got := acc.Stats().Accesses; got != 0 {
-		t.Fatalf("reader touches leaked into the accountant: %d", got)
-	}
 }
 
-// TestReaderMatchesResetAccountant is the metric-preservation property:
-// a fresh Reader reports exactly what the shared accountant reported after
-// ResetStats in the serialized design, for an arbitrary touch trace.
-func TestReaderMatchesResetAccountant(t *testing.T) {
-	trace := []PageID{1, 2, 3, 1, 1, 4, 5, 6, 2, 7, 3, 3, 8, 1}
-	for _, bufferPages := range []int{0, 2, 4} {
-		acc := New(256, bufferPages)
-		acc.Allocate(8 * 256)
-		// Warm the accountant's buffer with unrelated touches, then reset —
-		// the serialized per-query protocol.
-		acc.Touch(7)
-		acc.Touch(8)
-		acc.ResetStats()
-		for _, id := range trace {
-			acc.Touch(id)
-		}
+// pageModel is the reference page counter: the pages one reader touched,
+// with repeats.
+type pageModel struct {
+	touches  uint64
+	distinct map[PageID]bool
+}
 
-		r := New(256, bufferPages).NewReader()
-		for _, id := range trace {
-			r.Touch(id)
-		}
-		if acc.Stats().Accesses != r.Stats().Accesses || acc.Stats().Hits != r.Stats().Hits {
-			t.Fatalf("bufferPages=%d: reader %v != reset accountant %v",
-				bufferPages, r.Stats(), acc.Stats())
+func (m *pageModel) touch(id PageID) {
+	m.touches++
+	m.distinct[id] = true
+}
+
+// want is the Stats a reader holding m's touches must report.
+func (m *pageModel) want(buffered bool) Stats {
+	if !buffered {
+		return Stats{Accesses: m.touches}
+	}
+	d := uint64(len(m.distinct))
+	return Stats{Accesses: d, Hits: m.touches - d}
+}
+
+// TestReaderCountsDistinctPages checks readers against the map model on
+// seeded random traces of Touch, TouchRange and ChargeBytes spread over a
+// root reader and its SubReaders: a buffered reader's Accesses is the
+// number of distinct pages it touched and Hits the rest of its touches; an
+// unbuffered reader's Accesses is every touch. Each SubReader starts empty
+// (a page its parent touched is an access again), and AddStats merges the
+// units' counters into the root in order.
+func TestReaderCountsDistinctPages(t *testing.T) {
+	const pageSize = 64
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 200; trial++ {
+		for _, bufferPages := range []int{0, 4} {
+			buffered := bufferPages > 0
+			root := New(pageSize, bufferPages).NewReader()
+			readers := []*Reader{root}
+			models := []*pageModel{{distinct: map[PageID]bool{}}}
+			for op := rng.Intn(60); op > 0; op-- {
+				if rng.Intn(8) == 0 {
+					parent := readers[rng.Intn(len(readers))]
+					readers = append(readers, parent.SubReader())
+					models = append(models, &pageModel{distinct: map[PageID]bool{}})
+				}
+				k := rng.Intn(len(readers))
+				r, m := readers[k], models[k]
+				id := PageID(1 + rng.Intn(24))
+				switch rng.Intn(3) {
+				case 0:
+					r.Touch(id)
+					m.touch(id)
+				case 1:
+					pages := rng.Intn(4)
+					r.TouchRange(id, pages)
+					for p := 0; p < pages; p++ {
+						m.touch(id + PageID(p))
+					}
+				case 2:
+					n := rng.Intn(4 * pageSize)
+					r.ChargeBytes(id, n)
+					for p := 0; p < max(1, (n+pageSize-1)/pageSize); p++ {
+						m.touch(id + PageID(p))
+					}
+				}
+			}
+			total := models[0].want(buffered)
+			for k, r := range readers {
+				want := models[k].want(buffered)
+				if got := r.Stats(); got != want {
+					t.Fatalf("trial %d buffered=%v reader %d: %v, want %v", trial, buffered, k, got, want)
+				}
+				if k > 0 {
+					total.Accesses += want.Accesses
+					total.Hits += want.Hits
+				}
+			}
+			for _, r := range readers[1:] {
+				root.AddStats(r.Stats())
+			}
+			if got := root.Stats(); got != total {
+				t.Fatalf("trial %d buffered=%v merged: %v, want %v", trial, buffered, got, total)
+			}
 		}
 	}
 }

@@ -10,18 +10,17 @@ func TestStoreAppendReadAt(t *testing.T) {
 	s := NewStore(acc)
 	data := []byte("hello, paged world! 0123456789abcdef tail")
 	id := s.Append(data)
-	if s.Runs() != 1 || s.RunLength(id) != len(data) {
-		t.Fatalf("runs=%d len=%d", s.Runs(), s.RunLength(id))
-	}
-	dst := make([]byte, len(data))
-	if err := s.ReadAt(id, 0, len(data), dst); err != nil {
+	data[0] = 'X' // Append copies: the stored run must not see this
+	r := acc.NewReader()
+	got, err := s.ViewTo(r, id, 0, len(data))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(dst, data) {
-		t.Fatalf("round trip mismatch: %q", dst)
+	if !bytes.Equal(got, []byte("hello, paged world! 0123456789abcdef tail")) {
+		t.Fatalf("round trip mismatch: %q", got)
 	}
 	// Whole run spans ceil(41/16) = 3 pages.
-	if got := acc.Stats().Accesses; got != 3 {
+	if got := r.Stats().Accesses; got != 3 {
 		t.Errorf("full read accesses = %d, want 3", got)
 	}
 }
@@ -34,29 +33,28 @@ func TestStorePartialReadCharging(t *testing.T) {
 		data[i] = byte(i)
 	}
 	id := s.Append(data)
-	acc.ResetStats()
-	dst := make([]byte, 8)
+	r := acc.NewReader()
 	// Bytes 20..28 live entirely in page 1.
-	if err := s.ReadAt(id, 20, 8, dst); err != nil {
+	got, err := s.ViewTo(r, id, 20, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if acc.Stats().Accesses != 1 {
-		t.Errorf("single-page read charged %d pages", acc.Stats().Accesses)
+	if r.Stats().Accesses != 1 {
+		t.Errorf("single-page read charged %d pages", r.Stats().Accesses)
 	}
-	if dst[0] != 20 || dst[7] != 27 {
-		t.Errorf("partial read bytes wrong: %v", dst)
+	if len(got) != 8 || got[0] != 20 || got[7] != 27 {
+		t.Errorf("partial read bytes wrong: %v", got)
 	}
-	acc.ResetStats()
+	if cap(got) != 8 {
+		t.Errorf("view capacity %d reaches past the read", cap(got))
+	}
 	// Bytes 14..30 straddle pages 0 and 1.
-	if err := s.ReadAt(id, 14, 16, dst[:0:0]); err == nil {
-		t.Error("short destination should error")
-	}
-	big := make([]byte, 16)
-	if err := s.ReadAt(id, 14, 16, big); err != nil {
+	r = acc.NewReader()
+	if _, err := s.ViewTo(r, id, 14, 16); err != nil {
 		t.Fatal(err)
 	}
-	if acc.Stats().Accesses != 2 {
-		t.Errorf("straddling read charged %d pages, want 2", acc.Stats().Accesses)
+	if r.Stats().Accesses != 2 {
+		t.Errorf("straddling read charged %d pages, want 2", r.Stats().Accesses)
 	}
 }
 
@@ -64,18 +62,18 @@ func TestStoreReadErrors(t *testing.T) {
 	acc := New(16, 0)
 	s := NewStore(acc)
 	id := s.Append([]byte("abc"))
-	dst := make([]byte, 8)
-	if err := s.ReadAt(id, 2, 5, dst); err == nil {
+	r := acc.NewReader()
+	if _, err := s.ViewTo(r, id, 2, 5); err == nil {
 		t.Error("read past run end should error")
 	}
-	if err := s.ReadAt(id, -1, 1, dst); err == nil {
+	if _, err := s.ViewTo(r, id, -1, 1); err == nil {
 		t.Error("negative offset should error")
 	}
-	if err := s.ReadAt(id+100, 0, 1, dst); err == nil {
+	if _, err := s.ViewTo(r, id+100, 0, 1); err == nil {
 		t.Error("unknown run should error")
 	}
-	if s.RunLength(id+100) != -1 {
-		t.Error("unknown run length should be -1")
+	if got := r.Stats().Accesses; got != 0 {
+		t.Errorf("failed reads charged %d pages", got)
 	}
 }
 
@@ -96,9 +94,13 @@ func TestStoreEmptyRun(t *testing.T) {
 	acc := New(16, 0)
 	s := NewStore(acc)
 	id := s.Append(nil)
-	dst := make([]byte, 0)
-	if err := s.ReadAt(id, 0, 0, dst); err != nil {
+	r := acc.NewReader()
+	got, err := s.ViewTo(r, id, 0, 0)
+	if err != nil {
 		t.Errorf("zero-length read: %v", err)
+	}
+	if len(got) != 0 {
+		t.Errorf("zero-length read returned %d bytes", len(got))
 	}
 }
 

@@ -98,14 +98,13 @@ func (t *Tree) AssignPages(acc *pagestore.Accountant) int {
 	return total
 }
 
-// TouchNode charges a read of node n to the given toucher — the global
-// accountant or a per-query reader (a no-op when pages were never assigned
-// or to is nil).
-func TouchNode(to pagestore.Toucher, n *Node) {
-	if to == nil || n.pages == 0 {
+// TouchNode charges a read of node n to the query's reader (a no-op when
+// pages were never assigned or r is nil).
+func TouchNode(r *pagestore.Reader, n *Node) {
+	if r == nil || n.pages == 0 {
 		return
 	}
-	to.TouchRange(n.page, n.pages)
+	r.TouchRange(n.page, n.pages)
 }
 
 // CheckInvariants validates structural invariants for tests: MBR

@@ -231,14 +231,18 @@ func TestAssignPagesAndTouch(t *testing.T) {
 	if root.Pages() <= 0 {
 		t.Fatal("root has no pages")
 	}
-	TouchNode(acc, root)
-	if got := acc.Stats().Accesses; got != uint64(root.Pages()) {
+	r := acc.NewReader()
+	TouchNode(r, root)
+	if got := r.Stats().Accesses; got != uint64(root.Pages()) {
 		t.Errorf("touch accesses = %d, want %d", got, root.Pages())
 	}
-	// Nil accountant and unassigned nodes are safe no-ops.
+	// Nil reader and unassigned nodes are safe no-ops.
 	TouchNode(nil, root)
 	fresh, _ := NewTree(Config{Dim: 2})
-	TouchNode(acc, fresh.Root())
+	TouchNode(r, fresh.Root())
+	if got := r.Stats().Accesses; got != uint64(root.Pages()) {
+		t.Errorf("unassigned node charged: accesses = %d, want %d", got, root.Pages())
+	}
 }
 
 func TestNodeAccessors(t *testing.T) {

@@ -1000,7 +1000,6 @@ func TestClusterMetricsPreseeded(t *testing.T) {
 		"imgrn_cluster_scatters_total ",
 		"imgrn_cluster_partial_failures_total ",
 		"imgrn_cluster_floor_updates_total ",
-		"imgrn_cluster_rebalance_signals_total ",
 		`imgrn_rpc_requests_total{outcome="ok"}`,
 		`imgrn_rpc_requests_total{outcome="error"}`,
 		`imgrn_rpc_requests_total{outcome="timeout"}`,

@@ -247,7 +247,7 @@ func (m *serverMetrics) init(r *obs.Registry) {
 	m.pageAccesses = r.Counter("imgrn_reader_page_accesses_total",
 		"Simulated disk page accesses charged to per-query readers.")
 	m.bufferHits = r.Counter("imgrn_reader_buffer_hits_total",
-		"Page touches absorbed by per-query buffer pools.")
+		"Repeat page touches within a query, absorbed by its reader's buffer.")
 	m.readerPages = r.Gauge("imgrn_reader_pages",
 		"Page accesses of the most recently completed query.")
 	m.inFlight = r.Gauge("imgrn_requests_in_flight",
@@ -284,7 +284,7 @@ func (m *serverMetrics) init(r *obs.Registry) {
 	m.shardIOPages = r.GaugeVec("imgrn_shard_io_pages",
 		"Simulated page accesses charged against each shard's index.", "shard")
 	m.shardIOHits = r.GaugeVec("imgrn_shard_io_buffer_hits",
-		"Page touches absorbed by per-query buffer pools, per shard.", "shard")
+		"Repeat page touches within a query, absorbed by its reader's buffer, per shard.", "shard")
 	m.shardCacheSize = r.GaugeVec("imgrn_shard_cache_entries",
 		"Memoized edge probabilities held by each shard's caches.", "shard")
 	m.shardCacheHits = r.GaugeVec("imgrn_shard_cache_hits",
