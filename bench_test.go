@@ -280,12 +280,13 @@ func BenchmarkPivotEmbed(b *testing.B) {
 	}
 }
 
-// benchLeaf bulk-loads one full leaf (fill 32, d = 2) holding gene g of the
-// given sources.
-func benchLeaf(b *testing.B, rng *randgen.Rand, g gene.ID, sources []int) *index.LeafTable {
+// benchLeaf bulk-loads one full leaf (fill len(sources), d = 2) whose i-th
+// entry holds gene genes[i%len(genes)] of sources[i].
+func benchLeaf(b *testing.B, rng *randgen.Rand, genes []gene.ID, sources []int) *index.LeafTable {
 	b.Helper()
 	items := make([]rstar.Item, len(sources))
 	for i, s := range sources {
+		g := genes[i%len(genes)]
 		pt := []float64{rng.UniformIn(0, 1.5), rng.UniformIn(0, 1.5), rng.UniformIn(0, 1.5), rng.UniformIn(0, 1.5), float64(g)}
 		items[i] = rstar.Item{Point: pt, Ref: index.PackRef(s, i)}
 	}
@@ -306,8 +307,23 @@ func benchLeaf(b *testing.B, rng *randgen.Rand, g gene.ID, sources []int) *index
 // descent (Fig. 4 lines 16–21): a full g_s leaf joined with a full
 // neighbor-gene leaf on source ID, sweeping the share of the 32 sources
 // the two leaves have in common (each match also prices the pivot bound).
+// neighbors=3 joins the g_s leaf with a leaf mixing three neighbor genes,
+// half its sources shared: one pass finds the three neighbor runs.
 func BenchmarkTraverseLeafJoin(b *testing.B) {
 	const fill = 32
+	pt := index.PivotTest{D: 2, Gamma: 0.4}
+	run := func(b *testing.B, ta, tb *index.LeafTable, neighbors []gene.ID, want int) {
+		matched := 0
+		count := func(source, sCol, tCol int, pruned bool) { matched++ }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			index.JoinLeaves(ta, tb, 3, neighbors, pt, count)
+		}
+		if matched != want*b.N {
+			b.Fatalf("%d matches, want %d", matched, want*b.N)
+		}
+	}
 	for _, hit := range []float64{0, 0.25, 0.5, 1} {
 		b.Run(fmt.Sprintf("hit=%.2f", hit), func(b *testing.B) {
 			rng := randgen.New(21)
@@ -319,20 +335,21 @@ func BenchmarkTraverseLeafJoin(b *testing.B) {
 					sb[i] = 2 * i
 				}
 			}
-			ta, tb := benchLeaf(b, rng, 3, sa), benchLeaf(b, rng, 7, sb)
-			pt := index.PivotTest{D: 2, Gamma: 0.4}
-			matched := 0
-			count := func(source, sCol, tCol int, pruned bool) { matched++ }
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				index.JoinLeaves(ta, tb, 3, 7, pt, count)
-			}
-			if want := int(hit*fill) * b.N; matched != want {
-				b.Fatalf("%d matches, want %d", matched, want)
-			}
+			ta, tb := benchLeaf(b, rng, []gene.ID{3}, sa), benchLeaf(b, rng, []gene.ID{7}, sb)
+			run(b, ta, tb, []gene.ID{7}, int(hit*fill))
 		})
 	}
+	b.Run("neighbors=3", func(b *testing.B) {
+		rng := randgen.New(21)
+		sa, sb := make([]int, fill), make([]int, fill)
+		for i := range sa {
+			sa[i] = 2 * i
+			sb[i] = 2*i + i%2 // every other entry shares its source
+		}
+		neighbors := []gene.ID{5, 7, 9}
+		ta, tb := benchLeaf(b, rng, []gene.ID{3}, sa), benchLeaf(b, rng, neighbors, sb)
+		run(b, ta, tb, neighbors, fill/2)
+	})
 }
 
 // BenchmarkIndexAddRemove measures one online AddMatrix plus one

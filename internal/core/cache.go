@@ -38,8 +38,8 @@ type EdgeProbCache struct {
 type cacheShard struct {
 	mu       sync.Mutex
 	capacity int
-	m        map[edgeKey]float64
-	fifo     []edgeKey
+	m        map[uint64]float64
+	fifo     []uint64
 }
 
 // cacheEntry is an estimate, or with bound set an upper bound on the
@@ -62,11 +62,6 @@ func entryOf(w float64) cacheEntry {
 	return cacheEntry{p: math.Abs(w), bound: math.Signbit(w)}
 }
 
-type edgeKey struct {
-	source int
-	a, b   int
-}
-
 // cacheShards is the stripe count for large caches; small caches collapse
 // to one shard so the configured capacity bound stays exact.
 const cacheShards = 16
@@ -86,26 +81,36 @@ func NewEdgeProbCache(capacity int) *EdgeProbCache {
 	per := (capacity + shards - 1) / shards
 	for i := range c.shards {
 		c.shards[i].capacity = per
-		c.shards[i].m = make(map[edgeKey]float64)
+		c.shards[i].m = make(map[uint64]float64)
 	}
 	return c
 }
 
-func canonicalKey(source, a, b int) edgeKey {
+// keyOf packs edge (a, b) of a source into one word: the source's 32 bits
+// above the index b(b−1)/2 + a of the unordered column pair, a < b. It
+// reports false for an edge the word cannot hold — a source outside int32,
+// a column pair that is not two distinct non-negative columns, or a pair
+// index past 32 bits (only a matrix wider than 92 682 columns has one) —
+// and such an edge bypasses the cache: the cache is a pure memo, so a miss
+// is always a correct answer. The key's stripe is also returned, routed
+// from (source, a, b) with a SplitMix64-style mix so consecutive column
+// indices spread across stripes.
+func (c *EdgeProbCache) keyOf(source, a, b int) (uint64, *cacheShard, bool) {
 	if a > b {
 		a, b = b, a
 	}
-	return edgeKey{source: source, a: a, b: b}
-}
-
-// shardOf routes a key to its stripe with a SplitMix64-style mix so
-// consecutive column indices spread across shards.
-func (c *EdgeProbCache) shardOf(k edgeKey) *cacheShard {
-	z := uint64(k.source)*0x9e3779b97f4a7c15 ^ uint64(k.a)*0xbf58476d1ce4e5b9 ^ uint64(k.b)*0x94d049bb133111eb
+	if a < 0 || a == b || b >= 1<<17 || int(int32(source)) != source {
+		return 0, nil, false
+	}
+	pair := uint64(b)*uint64(b-1)/2 + uint64(a) // b < 2¹⁷: no overflow
+	if pair > math.MaxUint32 {
+		return 0, nil, false
+	}
+	z := uint64(source)*0x9e3779b97f4a7c15 ^ uint64(a)*0xbf58476d1ce4e5b9 ^ uint64(b)*0x94d049bb133111eb
 	z ^= z >> 29
 	z *= 0xff51afd7ed558ccd
 	z ^= z >> 32
-	return &c.shards[z&c.mask]
+	return uint64(uint32(source))<<32 | pair, &c.shards[z&c.mask], true
 }
 
 // Get returns the cached estimate of edge (a, b) in the given source and
@@ -123,8 +128,10 @@ func (c *EdgeProbCache) Get(source, a, b int) (float64, bool) {
 // lookup returns the entry of edge (a, b) without counting the probe;
 // the caller records its probes once it knows which entries answered.
 func (c *EdgeProbCache) lookup(source, a, b int) (cacheEntry, bool) {
-	k := canonicalKey(source, a, b)
-	s := c.shardOf(k)
+	k, s, ok := c.keyOf(source, a, b)
+	if !ok {
+		return cacheEntry{}, false
+	}
 	s.mu.Lock()
 	w, ok := s.m[k]
 	s.mu.Unlock()
@@ -154,8 +161,10 @@ func (c *EdgeProbCache) PutBound(source, a, b int, ub float64) {
 }
 
 func (c *EdgeProbCache) put(source, a, b int, e cacheEntry) {
-	k := canonicalKey(source, a, b)
-	s := c.shardOf(k)
+	k, s, ok := c.keyOf(source, a, b)
+	if !ok {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if w, exists := s.m[k]; exists {
@@ -180,13 +189,16 @@ func (c *EdgeProbCache) put(source, a, b int, e cacheEntry) {
 // the entries of that one source — every other source's entries (and the
 // cache's lifetime hit/miss counters) stay warm.
 func (c *EdgeProbCache) InvalidateSource(source int) int {
+	if int(int32(source)) != source {
+		return 0 // keyOf never stores such a source
+	}
 	removed := 0
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		kept := s.fifo[:0]
 		for _, k := range s.fifo {
-			if k.source == source {
+			if uint32(k>>32) == uint32(source) {
 				delete(s.m, k)
 				removed++
 			} else {

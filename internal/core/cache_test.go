@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -308,5 +309,87 @@ func TestCachedQueriesConsistent(t *testing.T) {
 	}
 	if cache.Len() == 0 && len(first) > 0 {
 		t.Error("cache never populated")
+	}
+}
+
+// TestEdgeProbCachePackedKey pins the one-word key: negative sources keep
+// their own entries, (a, b) and (b, a) are one entry, InvalidateSource of
+// a negative source removes that source's entries only, an edge whose key
+// does not fit the word bypasses the cache, and every key routes to the
+// stripe of the (source, a, b) mix.
+func TestEdgeProbCachePackedKey(t *testing.T) {
+	c := NewEdgeProbCache(64)
+	for _, src := range []int{-1, -2, 1, math.MinInt32, math.MaxInt32} {
+		c.Put(src, 2, 5, 0.5)
+		c.Put(src, 7, 3, 0.25)
+	}
+	for _, src := range []int{-1, -2, 1, math.MinInt32, math.MaxInt32} {
+		if p, ok := c.Get(src, 5, 2); !ok || p != 0.5 {
+			t.Errorf("source %d: reversed Get = %v, %v", src, p, ok)
+		}
+		if p, ok := c.Get(src, 3, 7); !ok || p != 0.25 {
+			t.Errorf("source %d: Get = %v, %v", src, p, ok)
+		}
+	}
+	c.Put(-1, 5, 2, 0.75) // the same entry as (-1, 2, 5)
+	if c.Len() != 10 {
+		t.Errorf("Len = %d, want 10", c.Len())
+	}
+	if n := c.InvalidateSource(-1); n != 2 {
+		t.Errorf("InvalidateSource(-1) removed %d entries, want 2", n)
+	}
+	if _, ok := c.Get(-1, 2, 5); ok {
+		t.Error("invalidated entry of source -1 still cached")
+	}
+	for _, src := range []int{-2, 1, math.MinInt32, math.MaxInt32} {
+		if _, ok := c.Get(src, 2, 5); !ok {
+			t.Errorf("source %d lost its entry to InvalidateSource(-1)", src)
+		}
+	}
+
+	// Keys past the word: the largest pair index of 32 bits is
+	// b(b−1)/2 + a = 2³²−1 at (37074, 92682); one column further is out,
+	// as are a source outside int32 (it would alias a negative one), a
+	// self pair and a negative column.
+	c.Put(0, 37074, 92682, 0.5)
+	if p, ok := c.Get(0, 92682, 37074); !ok || p != 0.5 {
+		t.Errorf("largest packable pair: Get = %v, %v", p, ok)
+	}
+	before := c.Len()
+	for _, k := range [][3]int{{0, 37075, 92682}, {0, 0, 1 << 20}, {1<<32 - 1, 2, 5}, {-1 << 40, 2, 5}, {0, 4, 4}, {0, -1, 4}} {
+		c.Put(k[0], k[1], k[2], 0.5)
+		c.PutBound(k[0], k[1], k[2], 0.5)
+		if _, ok := c.Get(k[0], k[1], k[2]); ok {
+			t.Errorf("unpackable key %v hit", k)
+		}
+		if _, ok := c.lookup(k[0], k[1], k[2]); ok {
+			t.Errorf("unpackable key %v stored", k)
+		}
+	}
+	if c.Len() != before {
+		t.Errorf("unpackable keys grew the cache from %d to %d entries", before, c.Len())
+	}
+	if n := c.InvalidateSource(1<<32 - 1); n != 0 {
+		t.Errorf("InvalidateSource of a source outside int32 removed %d entries", n)
+	}
+
+	// Stripes: routed by the (source, a, b) mix, so eviction order and the
+	// counters do not depend on how the key is packed.
+	striped := NewEdgeProbCache(0)
+	rng := randgen.New(40)
+	for i := 0; i < 5000; i++ {
+		src, a, b := int(int32(rng.Uint64())), rng.Intn(3000), rng.Intn(3000)
+		if a == b {
+			continue
+		}
+		_, s, ok := striped.keyOf(src, a, b)
+		lo, hi := min(a, b), max(a, b)
+		z := uint64(src)*0x9e3779b97f4a7c15 ^ uint64(lo)*0xbf58476d1ce4e5b9 ^ uint64(hi)*0x94d049bb133111eb
+		z ^= z >> 29
+		z *= 0xff51afd7ed558ccd
+		z ^= z >> 32
+		if !ok || s != &striped.shards[z&striped.mask] {
+			t.Fatalf("key (%d, %d, %d) routed off its stripe", src, a, b)
+		}
 	}
 }

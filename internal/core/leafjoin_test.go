@@ -17,11 +17,20 @@ import (
 	"github.com/imgrn/imgrn/internal/synth"
 )
 
+// joinEmit is one emit call of the leaf join: a same-source point pair
+// and whether the pivot bound pruned it.
+type joinEmit struct {
+	candidatePair
+	pruned bool
+}
+
 // The reference the leaf join replaced, kept here as the oracle: the
 // nested-loop scan of lines 16–21 of Figure 4, every entry of ea against
 // every entry of eb, decoding gene and source from the entries themselves.
-func nestedLoopLeafScan(ea, eb *rstar.Node, gs gene.ID, neighbors map[gene.ID]bool,
-	pt index.PivotTest) (out []candidatePair, checked, pruned int) {
+// It returns every same-source pair it checks, in scan order.
+func nestedLoopChecks(ea, eb *rstar.Node, gs gene.ID, neighbors map[gene.ID]bool,
+	pt index.PivotTest) []joinEmit {
+	var out []joinEmit
 	for i := 0; i < ea.NumEntries(); i++ {
 		ia := ea.Item(i)
 		if gene.ID(int32(ia.Point[len(ia.Point)-1])) != gs {
@@ -37,15 +46,39 @@ func nestedLoopLeafScan(ea, eb *rstar.Node, gs gene.ID, neighbors map[gene.ID]bo
 			if srcA != srcB {
 				continue // line 19: data source IDs must agree
 			}
-			checked++
-			if !pt.Disabled && index.PointUpperBound(ia.Point, ib.Point, pt.D, pt.OneSided) <= pt.Gamma {
-				pruned++
-				continue
-			}
-			out = append(out, candidatePair{source: srcA, sCol: colA, tCol: colB})
+			pruned := !pt.Disabled && index.PointUpperBound(ia.Point, ib.Point, pt.D, pt.OneSided) <= pt.Gamma
+			out = append(out, joinEmit{candidatePair{source: srcA, sCol: colA, tCol: colB}, pruned})
 		}
 	}
+	return out
+}
+
+// nestedLoopLeafScan is the nested loop's surviving pairs and its checked
+// and pruned counts.
+func nestedLoopLeafScan(ea, eb *rstar.Node, gs gene.ID, neighbors map[gene.ID]bool,
+	pt index.PivotTest) (out []candidatePair, checked, pruned int) {
+	for _, e := range nestedLoopChecks(ea, eb, gs, neighbors, pt) {
+		checked++
+		if e.pruned {
+			pruned++
+			continue
+		}
+		out = append(out, e.candidatePair)
+	}
 	return out, checked, pruned
+}
+
+// perNeighborOrder is the emission sequence of the join that ran once per
+// neighbor gene: neighbors ascending, and within one neighbor its pairs by
+// ascending source (a source occurs once per gene run).
+func perNeighborOrder(ea, eb *rstar.Node, gs gene.ID, neighbors []gene.ID, pt index.PivotTest) []joinEmit {
+	var out []joinEmit
+	for _, tg := range neighbors {
+		one := nestedLoopChecks(ea, eb, gs, map[gene.ID]bool{tg: true}, pt)
+		sort.Slice(one, func(i, j int) bool { return one[i].source < one[j].source })
+		out = append(out, one...)
+	}
+	return out
 }
 
 func sortPairs(ps []candidatePair) {
@@ -116,9 +149,11 @@ func randomLeaves(t *testing.T, rng *randgen.Rand, d int) []*rstar.Node {
 }
 
 // TestLeafJoinMatchesNestedLoop is the leaf-level differential: on random
-// leaf pairs (including a leaf paired with itself) the join must emit the
-// nested loop's multiset of (source, sCol, tCol) pairs and its checked and
-// pruned counts, with pivot pruning on and off and under both sides.
+// leaf pairs (including a leaf paired with itself) the one-pass join over
+// the full neighbor list must emit the nested loop's same-source pairs,
+// pruned flags included, in the exact sequence of the join that ran once
+// per neighbor gene — neighbors ascending, sources ascending within one —
+// with pivot pruning on and off and under both sides.
 func TestLeafJoinMatchesNestedLoop(t *testing.T) {
 	matches, prunedTotal := 0, 0
 	for seed := uint64(0); seed < 40; seed++ {
@@ -136,35 +171,32 @@ func TestLeafJoinMatchesNestedLoop(t *testing.T) {
 				b = a
 			}
 			gs := genePool[rng.Intn(len(genePool))]
-			neighbors := map[gene.ID]bool{}
+			var neighbors []gene.ID
 			for _, g := range genePool {
 				if g != gs && rng.Float64() < 0.5 {
-					neighbors[g] = true
+					neighbors = append(neighbors, g)
 				}
 			}
+			slices.Sort(neighbors)
 			pt := index.PivotTest{D: d, Gamma: rng.UniformIn(0.2, 0.9),
 				OneSided: trial%2 == 0, Disabled: trial%3 == 0}
-			want, wantChecked, wantPruned := nestedLoopLeafScan(leaves[a], leaves[b], gs, neighbors, pt)
+			want := perNeighborOrder(leaves[a], leaves[b], gs, neighbors, pt)
 
-			var got []candidatePair
-			checked, pruned := 0, 0
-			for tg := range neighbors {
-				index.JoinLeaves(tables[a], tables[b], gs, tg, pt,
-					func(source, sCol, tCol int, p bool) {
-						checked++
-						if p {
-							pruned++
-							return
-						}
-						got = append(got, candidatePair{source: source, sCol: sCol, tCol: tCol})
-					})
+			var got []joinEmit
+			index.JoinLeaves(tables[a], tables[b], gs, neighbors, pt,
+				func(source, sCol, tCol int, p bool) {
+					got = append(got, joinEmit{candidatePair{source: source, sCol: sCol, tCol: tCol}, p})
+				})
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d trial %d (gs %d, neighbors %v, %+v): join emitted %v; per-neighbor order %v",
+					seed, trial, gs, neighbors, pt, got, want)
 			}
-			if checked != wantChecked || pruned != wantPruned || !samePairMultiset(got, want) {
-				t.Fatalf("seed %d trial %d (gs %d, %d neighbors, %+v): join checked %d pruned %d pairs %v; nested loop checked %d pruned %d pairs %v",
-					seed, trial, gs, len(neighbors), pt, checked, pruned, got, wantChecked, wantPruned, want)
+			matches += len(want)
+			for _, e := range want {
+				if e.pruned {
+					prunedTotal++
+				}
 			}
-			matches += wantChecked
-			prunedTotal += wantPruned
 		}
 	}
 	if matches < 200 || prunedTotal == 0 || prunedTotal == matches {

@@ -411,15 +411,15 @@ func (p *Processor) traverse(ec *exec.Context, ts *travState, st *Stats) ([]cand
 			p.idx.TouchNodeTo(io, eb)
 		}
 		if ea.IsLeaf() {
-			// Lines 16–21: pairwise point checks, as a source join per
-			// neighbor gene.
-			ta, tb := p.idx.LeafTable(ea), p.idx.LeafTable(eb)
-			for _, tg := range ts.neighbors {
-				index.JoinLeaves(ta, tb, ts.gsGene, tg, pt, keep)
-			}
+			// Lines 16–21: pairwise point checks, as one source join of
+			// the leaf pair over all neighbor genes.
+			index.JoinLeaves(p.idx.LeafTable(ea), p.idx.LeafTable(eb), ts.gsGene, ts.neighbors, pt, keep)
 			continue
 		}
-		// Lines 22–27: expand child pairs.
+		// Lines 22–27: expand child pairs. The t-side tests depend on eb's
+		// child alone, so they run once per child, on the first s-side
+		// child that passes, and tOK keeps the outcomes.
+		tOK := qs.tOK[:0]
 		for i := 0; i < ea.NumEntries(); i++ {
 			ca := ea.Child(i)
 			// Gene-ID range test: the s-side subtree must contain g_s.
@@ -432,17 +432,26 @@ func (p *Processor) traverse(ec *exec.Context, ts *travState, st *Stats) ([]cand
 				st.NodePairsPruned += eb.NumEntries()
 				continue
 			}
+			if len(tOK) == 0 {
+				for j := 0; j < eb.NumEntries(); j++ {
+					cb := eb.Child(j)
+					fb, _ := p.idx.NodeSignature(cb)
+					// Gene-ID range test on the t side, and line 25's
+					// gene-name signature test.
+					tOK = append(tOK, (p.params.DisableGeneRange || ts.anyNeighborIn(cb.MBR(), geneDim)) &&
+						(p.params.DisableSignatures || ts.qVfT.Intersects(fb)))
+				}
+				qs.tOK = tOK // keep the grown capacity for the next node pair
+			}
 			for j := 0; j < eb.NumEntries(); j++ {
-				cb := eb.Child(j)
-				// Gene-ID range test on the t side.
-				if !p.params.DisableGeneRange && !ts.anyNeighborIn(cb.MBR(), geneDim) {
+				if !tOK[j] {
 					st.NodePairsPruned++
 					continue
 				}
-				fb, db := p.idx.NodeSignature(cb)
-				// Line 25: gene-name and data-source signature tests.
-				if !p.params.DisableSignatures &&
-					(!ts.qVfT.Intersects(fb) || !ts.qVdS.IntersectsAll(da, ts.qVdT, db)) {
+				cb := eb.Child(j)
+				_, db := p.idx.NodeSignature(cb)
+				// Line 25 (cont.): the data-source signature test.
+				if !p.params.DisableSignatures && !ts.qVdS.IntersectsAll(da, ts.qVdT, db) {
 					st.NodePairsPruned++
 					continue
 				}
@@ -476,7 +485,7 @@ func reduceCandidates(qs *queryScratch, pairs []candidatePair, neighbors int, st
 		srcs = append(srcs, c.source)
 	}
 	qs.sources = srcs // keep the grown capacity for the next query
-	slices.Sort(srcs)
+	qs.radixBuf = sortSources(srcs, qs.radixBuf)
 	kept := 0
 	for i := 0; i < len(srcs); {
 		j := i + 1
@@ -492,6 +501,57 @@ func reduceCandidates(qs *queryScratch, pairs []candidatePair, neighbors int, st
 	st.CandidateMatrices = kept
 	st.CandidateGenes = kept * (1 + neighbors)
 	return srcs[:kept]
+}
+
+// radixMin is the length below which sortSources falls back to
+// slices.Sort: a radix pass sweeps the input twice and a 256-bucket
+// histogram once.
+const radixMin = 64
+
+// sortSources sorts v ascending with an LSD radix sort and returns buf,
+// the second buffer, grown to len(v) when needed. Sources fit in int32
+// (index.PackRef), so the four 8-bit digits of the source's 32 bits, with
+// the sign bit flipped, order them; a pass whose digit is the same in
+// every source would move nothing and is skipped.
+func sortSources(v, buf []int) []int {
+	if len(v) < radixMin {
+		slices.Sort(v)
+		return buf
+	}
+	key := func(x int) uint32 { return uint32(int32(x)) ^ 1<<31 }
+	var counts [4][256]int
+	for _, x := range v {
+		k := key(x)
+		counts[0][k&0xff]++
+		counts[1][k>>8&0xff]++
+		counts[2][k>>16&0xff]++
+		counts[3][k>>24]++
+	}
+	if cap(buf) < len(v) {
+		buf = make([]int, len(v))
+	}
+	buf = buf[:len(v)]
+	src, dst := v, buf
+	for d := range counts {
+		c, shift := &counts[d], 8*d
+		if c[key(src[0])>>shift&0xff] == len(v) {
+			continue // every source shares this digit
+		}
+		sum := 0
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, x := range src {
+			b := key(x) >> shift & 0xff
+			dst[c[b]] = x
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &v[0] {
+		copy(v, src)
+	}
+	return buf
 }
 
 // candOutcome is the per-candidate result of verifyCandidate, aggregated

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -311,5 +312,41 @@ func TestRefineAllocatesOnlyForAnswers(t *testing.T) {
 				tc.alpha, st.CandidateMatrices, got, budget, len(answers))
 		}
 		ec.Close()
+	}
+}
+
+// TestRadixSortMatchesSlicesSort is the property test of the hand-off's
+// sort: on random int32 values — negatives, both extremes, duplicates,
+// lengths 0 to 3000 across the slices.Sort fallback, and inputs whose
+// digits are constant in some or all positions — sortSources must leave
+// exactly what slices.Sort does, with a reused second buffer.
+func TestRadixSortMatchesSlicesSort(t *testing.T) {
+	rng := randgen.New(90)
+	var buf []int
+	gens := []func() int{
+		func() int { return int(int32(rng.Uint64())) },                                // full range, both signs
+		func() int { return rng.Intn(1 << 16) },                                       // top two digits constant
+		func() int { return rng.Intn(256) << 8 },                                      // low digit constant too
+		func() int { return -1 - rng.Intn(300) },                                      // negatives only
+		func() int { return []int{math.MinInt32, math.MaxInt32, -1, 0}[rng.Intn(4)] }, // extremes
+		func() int { return 77 },                                                      // every digit constant
+	}
+	lengths := []int{0, 1, 2, radixMin - 1, radixMin, radixMin + 1, 255, 256, 1000, 3000}
+	for trial := 0; trial < 300; trial++ {
+		n := lengths[trial%len(lengths)]
+		if trial >= 2*len(lengths) {
+			n = rng.Intn(3001)
+		}
+		gen := gens[trial%len(gens)]
+		v := make([]int, n)
+		for i := range v {
+			v[i] = gen()
+		}
+		want := slices.Clone(v)
+		slices.Sort(want)
+		buf = sortSources(v, buf)
+		if !slices.Equal(v, want) {
+			t.Fatalf("trial %d (n %d, generator %d): radix sort disagrees with slices.Sort", trial, n, trial%len(gens))
+		}
 	}
 }

@@ -65,10 +65,13 @@ type queryScratch struct {
 	inferCols  []int
 	inferProbs []float64
 
-	// Traversal scratch: the descent's priority queue and its
-	// candidate-pair output.
+	// Traversal scratch: the descent's priority queue, its candidate-pair
+	// output, the t-side test outcomes of one node pair's children, and
+	// the radix hand-off's second buffer.
 	heap      levelHeap
 	candPairs []candidatePair
+	tOK       []bool
+	radixBuf  []int
 }
 
 // queryScratchFor returns the query's pooled scratch, creating and

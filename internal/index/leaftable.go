@@ -1,8 +1,6 @@
 package index
 
 import (
-	"math"
-
 	"github.com/imgrn/imgrn/internal/bitvec"
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/rstar"
@@ -15,7 +13,9 @@ import (
 // the leaf-pair check is an equi-join on source between the g_s rows of one
 // leaf and the neighbor-gene rows of the other; with this order each side
 // of the join is a contiguous run whose rows ascend in source, and a merge
-// of two runs finds the matches in linear time (JoinLeaves).
+// of two runs finds the matches in linear time (JoinLeaves). The neighbor
+// runs of one leaf follow each other in gene order, so one forward pass
+// over the leaf finds them all.
 //
 // Gene labels are unique within a matrix and source IDs unique within a
 // database, so (gene, source) is unique in the tree: a run holds each
@@ -57,13 +57,16 @@ func NewLeafTable(n *rstar.Node) *LeafTable {
 
 // run returns the half-open row range [lo, hi) of gene g; rows inside it
 // ascend in source. The range is empty when the leaf holds no vector of g.
-func (t *LeafTable) run(g gene.ID) (lo, hi int) {
+// The search starts at row from: the rows before it must hold smaller
+// genes.
+func (t *LeafTable) run(g gene.ID, from int) (lo, hi int) {
 	v := int32(g)
-	lo = firstAtLeast(t.gene, v)
-	if v == math.MaxInt32 {
-		return lo, len(t.gene)
+	lo = from + firstAtLeast(t.gene[from:], v)
+	hi = lo
+	for hi < len(t.gene) && t.gene[hi] == v {
+		hi++
 	}
-	return lo, lo + firstAtLeast(t.gene[lo:], v+1)
+	return lo, hi
 }
 
 // firstAtLeast returns the first index of ascending col whose value is at
@@ -91,36 +94,43 @@ type PivotTest struct {
 	Disabled bool
 }
 
-// JoinLeaves answers lines 16–21 of Figure 4 for one leaf pair and one
-// (g_s, neighbor gene) combination: it calls emit once per point pair
-// (X_s in leaf a with gene sGene, X_t in leaf b with gene tGene) whose data
-// sources agree (line 19), passing the source, the two matrix columns and
-// whether the pivot upper bound prunes the pair (line 20).
+// JoinLeaves answers lines 16–21 of Figure 4 for one leaf pair: it calls
+// emit once per point pair (X_s in leaf a with gene sGene, X_t in leaf b
+// with a gene of tGenes) whose data sources agree (line 19), passing the
+// source, the two matrix columns and whether the pivot upper bound prunes
+// the pair (line 20). tGenes must ascend strictly.
 //
 // Instead of testing every entry of a against every entry of b, it
-// merge-joins the two gene runs on source ID: each source occurs at most
-// once per run, so the join is 1:1 and the pivot bound is evaluated on
-// matched pairs only. Pairs are emitted in ascending source order.
-func JoinLeaves(a, b *LeafTable, sGene, tGene gene.ID, pt PivotTest,
+// merge-joins a's sGene run with each neighbor-gene run of b on source ID:
+// each source occurs at most once per run, so every join is 1:1 and the
+// pivot bound is evaluated on matched pairs only. a's run is found once;
+// b's runs ascend in gene like tGenes, so each is found by a search that
+// starts where the previous one ended. Pairs are emitted by ascending
+// neighbor gene, and by ascending source within one neighbor.
+func JoinLeaves(a, b *LeafTable, sGene gene.ID, tGenes []gene.ID, pt PivotTest,
 	emit func(source, sCol, tCol int, pruned bool)) {
-	i, iEnd := a.run(sGene)
-	if i == iEnd {
+	iLo, iEnd := a.run(sGene, 0)
+	if iLo == iEnd {
 		return
 	}
-	j, jEnd := b.run(tGene)
-	for i < iEnd && j < jEnd {
-		switch sa, sb := a.source[i], b.source[j]; {
-		case sa < sb:
-			i++
-		case sa > sb:
-			j++
-		default:
-			pruned := !pt.Disabled && PointUpperBound(
-				a.leaf.Item(int(a.entry[i])).Point, b.leaf.Item(int(b.entry[j])).Point,
-				pt.D, pt.OneSided) <= pt.Gamma
-			emit(int(sa), int(a.col[i]), int(b.col[j]), pruned)
-			i++
-			j++
+	next := 0 // b's rows before next hold genes below the current neighbor
+	for _, tg := range tGenes {
+		j, jEnd := b.run(tg, next)
+		next = jEnd
+		for i := iLo; i < iEnd && j < jEnd; {
+			switch sa, sb := a.source[i], b.source[j]; {
+			case sa < sb:
+				i++
+			case sa > sb:
+				j++
+			default:
+				pruned := !pt.Disabled && PointUpperBound(
+					a.leaf.Item(int(a.entry[i])).Point, b.leaf.Item(int(b.entry[j])).Point,
+					pt.D, pt.OneSided) <= pt.Gamma
+				emit(int(sa), int(a.col[i]), int(b.col[j]), pruned)
+				i++
+				j++
+			}
 		}
 	}
 }

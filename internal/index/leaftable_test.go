@@ -128,14 +128,14 @@ func TestLeafTableLayout(t *testing.T) {
 			seen[key] = true
 			vectors++
 			// Run must bracket exactly the rows of the gene.
-			lo, hi := tab.run(gene.ID(w.g))
+			lo, hi := tab.run(gene.ID(w.g), 0)
 			if r < lo || r >= hi || tab.gene[lo] != w.g || tab.gene[hi-1] != w.g ||
 				(lo > 0 && tab.gene[lo-1] == w.g) || (hi < len(tab.gene) && tab.gene[hi] == w.g) {
 				t.Fatalf("run(%d) = [%d,%d) does not bracket row %d", w.g, lo, hi, r)
 			}
 		}
 		for _, absent := range []gene.ID{-7, math.MaxInt32, math.MinInt32} {
-			if lo, hi := tab.run(absent); lo != hi {
+			if lo, hi := tab.run(absent, 0); lo != hi {
 				t.Fatalf("run(%d) = [%d,%d) on a leaf without that gene", absent, lo, hi)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/imgrn/imgrn/internal/gene"
+	"github.com/imgrn/imgrn/internal/pivot"
 	"github.com/imgrn/imgrn/internal/rstar"
 )
 
@@ -14,27 +15,64 @@ import (
 // are inserted into the R*-tree via the R* insertion algorithm. Node
 // augmentations (signatures, leaf join tables) are recomputed only for the
 // nodes the insertions created or changed (refreshDirty).
+//
+// AddMatrix is Embed under the index's options followed by AddEmbedded; a
+// writer that serializes adds behind a lock runs the two itself, the
+// embedding outside the lock.
 func (x *Index) AddMatrix(m *gene.Matrix) error {
+	e, err := Embed(m, x.opts)
+	if err != nil {
+		return err
+	}
+	return x.AddEmbedded(e)
+}
+
+// Embedded is a matrix with its pivot embedding: the Monte Carlo half of
+// an online add, which reads no index state.
+type Embedded struct {
+	m    *gene.Matrix
+	opts Options // with defaults, as the embedding ran
+	emb  *pivot.Embedding
+	cost float64
+}
+
+// Embed selects pivots for m and embeds it under opts, which must be the
+// construction options of the index the result is added to. It touches no
+// index, so it runs beside readers and writers of any index.
+func Embed(m *gene.Matrix, opts Options) (*Embedded, error) {
 	if m == nil || m.NumGenes() == 0 {
-		return fmt.Errorf("index: AddMatrix requires a non-empty matrix")
+		return nil, fmt.Errorf("index: AddMatrix requires a non-empty matrix")
+	}
+	opts = opts.withDefaults()
+	emb, cost, err := embedOne(m, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Embedded{m: m, opts: opts, emb: emb, cost: cost}, nil
+}
+
+// AddEmbedded applies an embedded matrix to the index: the rest of
+// AddMatrix. It rejects an embedding made under options that embed
+// differently from the index's own.
+func (x *Index) AddEmbedded(e *Embedded) error {
+	m, o := e.m, e.opts
+	if o.D != x.opts.D || o.Samples != x.opts.Samples || o.Seed != x.opts.Seed ||
+		o.Selection != x.opts.Selection || o.RandomPivots != x.opts.RandomPivots {
+		return fmt.Errorf("index: source %d was embedded under other index options", m.Source)
 	}
 	if x.db.BySource(m.Source) != nil {
 		return fmt.Errorf("index: source %d already indexed", m.Source)
 	}
-	emb, cost, err := embedOne(m, x.opts)
-	if err != nil {
-		return err
-	}
 	if err := x.db.Add(m); err != nil {
 		return err
 	}
-	x.embeddings[m.Source] = emb
-	x.stats.PivotCostSum += cost
+	x.embeddings[m.Source] = e.emb
+	x.stats.PivotCostSum += e.cost
 
 	dim := 2*x.opts.D + 1
 	for j := 0; j < m.NumGenes(); j++ {
 		pt := make([]float64, dim)
-		emb.Point(j, pt[:2*x.opts.D])
+		e.emb.Point(j, pt[:2*x.opts.D])
 		pt[dim-1] = float64(m.Gene(j))
 		if err := x.tree.Insert(rstar.Item{Point: pt, Ref: PackRef(m.Source, j)}); err != nil {
 			return err

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/imgrn/imgrn/internal/core"
@@ -186,6 +189,140 @@ func TestDurableCrashRecoversAckedMutations(t *testing.T) {
 	}
 	if got := durFingerprint(t, st2, ds); got != want {
 		t.Errorf("answers diverged across crash:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestDurableConcurrentMutationsMatchFreshBuild races adds and removes,
+// whose embeddings run outside every lock, against queries on a durable
+// two-shard coordinator (run with -race in CI). Each writer owns its
+// sources, so the final database does not depend on the interleaving;
+// once the writers are done, the coordinator's answers must equal those
+// of a fresh Build over that database, under both estimators.
+func TestDurableConcurrentMutationsMatchFreshBuild(t *testing.T) {
+	ds := durDataset(t, 36)
+	db, muts := splitDataset(t, ds, 20)
+	c := openTestCoordinator(t, db, 2, t.TempDir())
+	defer c.Close()
+
+	rng := randgen.New(33)
+	var queries []*gene.Matrix
+	for len(queries) < 8 {
+		mq, _, err := ds.ExtractQuery(rng, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, mq)
+	}
+	params := []core.Params{
+		{Gamma: 0.4, Alpha: 0.2, Seed: 9, Analytic: true},
+		{Gamma: 0.4, Alpha: 0.2, Seed: 9, Samples: 64},
+	}
+
+	// Writer w adds the mutations at positions ≡ w (mod 2), removes every
+	// third of them again, and removes the initial sources at positions
+	// ≡ w (mod 6).
+	const writers = 2
+	removed := make(map[int]bool)
+	for w := 0; w < writers; w++ {
+		for i, m := range muts {
+			if i%writers == w && i/writers%3 == 0 {
+				removed[m.Source] = true
+			}
+		}
+		for i, m := range db.Matrices() {
+			if i%6 == w {
+				removed[m.Source] = true
+			}
+		}
+	}
+	initial := slices.Clone(db.Matrices())
+	var writersWG, readersWG sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		writersWG.Add(1)
+		go func(w int) {
+			defer writersWG.Done()
+			for i, m := range muts {
+				if i%writers != w {
+					continue
+				}
+				if err := c.AddMatrix(m); err != nil {
+					t.Error(err)
+					return
+				}
+				if removed[m.Source] {
+					if err := c.RemoveMatrix(m.Source); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+			for i, m := range initial {
+				if i%6 == w {
+					if err := c.RemoveMatrix(m.Source); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		readersWG.Add(1)
+		go func(r int) {
+			defer readersWG.Done()
+			for n := r; ; n++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if _, _, err := c.QueryContext(context.Background(), queries[n%len(queries)], params[n%len(params)]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	writersWG.Wait()
+	close(done)
+	readersWG.Wait()
+
+	final := gene.NewDatabase()
+	for _, m := range append(initial, muts...) {
+		if !removed[m.Source] {
+			if err := final.Add(m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := sources(c); len(got) != final.Len() {
+		t.Fatalf("coordinator holds %d sources, want %d", len(got), final.Len())
+	}
+	fresh, err := Build(final, Options{NumShards: 2, Index: durOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := 0
+	for qi, mq := range queries {
+		for _, p := range params {
+			got, _, err := c.QueryContext(context.Background(), mq, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _, err := fresh.QueryContext(context.Background(), mq, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want) {
+				t.Errorf("query %d (analytic %v): %d answers after the race, a fresh build gives %d",
+					qi, p.Analytic, len(got), len(want))
+			}
+			answers += len(want)
+		}
+	}
+	if answers == 0 {
+		t.Fatal("no query has an answer: the fixture does not compare anything")
 	}
 }
 

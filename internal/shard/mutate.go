@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/imgrn/imgrn/internal/gene"
+	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/wal"
 )
 
@@ -31,15 +32,22 @@ var (
 
 // AddMatrix places a new data source on its shard (round-robin, or
 // Options.PlaceFunc when set) and indexes it there online. The source
-// becomes immediately queryable. On a durable coordinator the mutation is
-// applied, appended to its shard's write-ahead log and fsynced before the
-// call returns nil (durable.go).
+// becomes immediately queryable. The matrix's pivot embedding, the Monte
+// Carlo bulk of an add, runs first and under no lock: it reads only the
+// index options every shard shares, so neither the shard's readers nor a
+// durable coordinator's other writers wait for it. On a durable
+// coordinator the mutation is then applied, appended to its shard's
+// write-ahead log and fsynced before the call returns nil (durable.go).
 func (c *Coordinator) AddMatrix(m *gene.Matrix) error {
 	if m == nil {
 		return fmt.Errorf("shard: nil matrix")
 	}
+	e, err := index.Embed(m, c.opts.Index)
+	if err != nil {
+		return err
+	}
 	if c.dur == nil {
-		_, err := c.addMatrix(m)
+		_, err := c.addMatrix(m, e)
 		return err
 	}
 	c.dur.mu.Lock()
@@ -48,7 +56,7 @@ func (c *Coordinator) AddMatrix(m *gene.Matrix) error {
 	if err != nil {
 		return err
 	}
-	sh, err := c.addMatrix(m)
+	sh, err := c.addMatrix(m, e)
 	if err != nil {
 		return err
 	}
@@ -75,9 +83,9 @@ func (c *Coordinator) RemoveMatrix(source int) error {
 	return c.logLocked(sh, wal.EncodeRemoveMatrix(source))
 }
 
-// addMatrix applies an add in memory and returns the shard it placed the
-// source on.
-func (c *Coordinator) addMatrix(m *gene.Matrix) (int, error) {
+// addMatrix applies an add of m, embedded as e, in memory and returns the
+// shard it placed the source on.
+func (c *Coordinator) addMatrix(m *gene.Matrix, e *index.Embedded) (int, error) {
 	c.mu.Lock()
 	if sh, ok := c.placement[m.Source]; ok {
 		c.mu.Unlock()
@@ -96,7 +104,7 @@ func (c *Coordinator) addMatrix(m *gene.Matrix) (int, error) {
 
 	s := c.shards[sh]
 	s.mu.Lock()
-	err := s.idx.AddMatrix(m)
+	err := s.idx.AddEmbedded(e)
 	s.mu.Unlock()
 	if err != nil {
 		c.mu.Lock()
