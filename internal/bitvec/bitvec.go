@@ -10,6 +10,7 @@ package bitvec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"github.com/imgrn/imgrn/internal/gene"
 )
@@ -40,6 +41,14 @@ func (v *Vector) Set(i int) {
 		panic(fmt.Sprintf("bitvec: Set(%d) out of range [0,%d)", i, v.size))
 	}
 	v.words[i/64] |= 1 << uint(i%64)
+}
+
+// Clear turns bit i off.
+func (v *Vector) Clear(i int) {
+	if i < 0 || i >= v.size {
+		panic(fmt.Sprintf("bitvec: Clear(%d) out of range [0,%d)", i, v.size))
+	}
+	v.words[i/64] &^= 1 << uint(i%64)
 }
 
 // Test reports whether bit i is on.
@@ -191,14 +200,29 @@ func SourceSignature(b int, sources ...int) *Vector {
 // gene name g, IF[g] is the bit-OR of the source-ID signatures of every
 // matrix containing g. It answers "which data sources may contain gene g"
 // with one-sided error (false positives only).
+//
+// Each set bit of IF[g] carries the number of recorded sources of g that
+// hash to it, so removing a source clears exactly the bits no remaining
+// source of g sets, without rescanning the database.
 type InvertedFile struct {
 	bits    int
-	entries map[gene.ID]*Vector
+	entries map[gene.ID]*invEntry
 }
+
+// invEntry is one gene's signature and, ascending by bit, the number of
+// recorded sources behind each set bit.
+type invEntry struct {
+	sig    *Vector
+	counts []bitCount
+}
+
+type bitCount struct{ bit, n int32 }
+
+func cmpBit(c bitCount, bit int32) int { return int(c.bit - bit) }
 
 // NewInvertedFile returns an empty inverted file with b-bit signatures.
 func NewInvertedFile(b int) *InvertedFile {
-	return &InvertedFile{bits: b, entries: make(map[gene.ID]*Vector)}
+	return &InvertedFile{bits: b, entries: make(map[gene.ID]*invEntry)}
 }
 
 // Bits returns the signature width.
@@ -206,19 +230,49 @@ func (f *InvertedFile) Bits() int { return f.bits }
 
 // Add records that data source `source` contains gene g.
 func (f *InvertedFile) Add(g gene.ID, source int) {
-	v, ok := f.entries[g]
+	e, ok := f.entries[g]
 	if !ok {
-		v = New(f.bits)
-		f.entries[g] = v
+		e = &invEntry{sig: New(f.bits)}
+		f.entries[g] = e
 	}
-	v.Set(HashSource(source, f.bits))
+	bit := int32(HashSource(source, f.bits))
+	if k, found := slices.BinarySearchFunc(e.counts, bit, cmpBit); found {
+		e.counts[k].n++
+	} else {
+		e.counts = slices.Insert(e.counts, k, bitCount{bit: bit, n: 1})
+		e.sig.Set(int(bit))
+	}
+}
+
+// Remove withdraws an earlier Add(g, source), which the caller must have
+// made (the counts cannot tell two sources of one bit apart): the bit of
+// source in IF[g] clears when no other recorded source of g sets it, and g
+// is forgotten with its last source.
+func (f *InvertedFile) Remove(g gene.ID, source int) {
+	e, ok := f.entries[g]
+	if !ok {
+		return
+	}
+	bit := int32(HashSource(source, f.bits))
+	k, found := slices.BinarySearchFunc(e.counts, bit, cmpBit)
+	if !found {
+		return
+	}
+	if e.counts[k].n--; e.counts[k].n > 0 {
+		return
+	}
+	e.counts = slices.Delete(e.counts, k, k+1)
+	e.sig.Clear(int(bit))
+	if len(e.counts) == 0 {
+		delete(f.entries, g)
+	}
 }
 
 // Sources returns the source signature IF[g]; an all-zero vector when g is
 // unknown (no source can contain it).
 func (f *InvertedFile) Sources(g gene.ID) *Vector {
-	if v, ok := f.entries[g]; ok {
-		return v
+	if e, ok := f.entries[g]; ok {
+		return e.sig
 	}
 	return New(f.bits)
 }

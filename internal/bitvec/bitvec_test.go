@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -251,5 +252,42 @@ func TestInvertedFile(t *testing.T) {
 	unknown := f.Sources(99)
 	if unknown.PopCount() != 0 {
 		t.Error("unknown gene should map to the zero signature")
+	}
+}
+
+// TestInvertedFileRemoveMatchesRebuild drives seeded random Add/Remove
+// sequences over a narrow file, where sources of one gene share bits, and
+// requires after every step the file a fresh build over the recorded
+// (gene, source) pairs gives: the same genes, and per gene the same
+// signature. A bit shared by two sources must survive the removal of one.
+func TestInvertedFileRemoveMatchesRebuild(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const b = 8
+		f := NewInvertedFile(b)
+		live := map[[2]int]bool{} // (gene, source)
+		for step := 0; step < 300; step++ {
+			g, s := rng.Intn(6)-2, rng.Intn(20)
+			key := [2]int{g, s}
+			if live[key] {
+				f.Remove(gene.ID(g), s)
+				delete(live, key)
+			} else {
+				f.Add(gene.ID(g), s)
+				live[key] = true
+			}
+			want := NewInvertedFile(b)
+			for k := range live {
+				want.Add(gene.ID(k[0]), k[1])
+			}
+			if f.Genes() != want.Genes() {
+				t.Fatalf("seed %d step %d: %d genes, rebuild has %d", seed, step, f.Genes(), want.Genes())
+			}
+			for g := -2; g < 4; g++ {
+				if got, w := f.Sources(gene.ID(g)).Words(), want.Sources(gene.ID(g)).Words(); got[0] != w[0] {
+					t.Fatalf("seed %d step %d: gene %d signature %08b, rebuild %08b", seed, step, g, got[0], w[0])
+				}
+			}
+		}
 	}
 }

@@ -338,7 +338,7 @@ func TestRefineStreamedMatchesReference(t *testing.T) {
 		ec := proc.newExec(context.Background())
 		for _, src := range sources {
 			alpha := p.Alpha + rng.Float64()*(1-p.Alpha)*0.5
-			got := proc.verifyCandidate(ec.IO(), c.q, c.q.Edges(), src, ws, alpha, true).answer
+			got := proc.verifyCandidate(ec.IO(), c.q, new(geneOrder).sort(c.q), c.q.Edges(), src, ws, alpha, true).answer
 			ref, _ := refVerify(p, c.q, c.idx.DB().BySource(src), alpha)
 			if !reflect.DeepEqual(got, ref) {
 				t.Fatalf("%s: source %d at α=%v: got %+v, reference %+v", c.label, src, alpha, got, ref)
@@ -420,7 +420,7 @@ func TestRefineCutoffsExactAtTheBoundary(t *testing.T) {
 					t.Fatal(err)
 				}
 				ec := bp.newExec(context.Background())
-				got := bp.verifyCandidate(ec.IO(), c.q, c.q.Edges(), a.Source, &workerScratch{}, bc.alpha, true).answer
+				got := bp.verifyCandidate(ec.IO(), c.q, new(geneOrder).sort(c.q), c.q.Edges(), a.Source, &workerScratch{}, bc.alpha, true).answer
 				ec.Close()
 				ref, _ := refVerify(p, c.q, c.idx.DB().BySource(a.Source), bc.alpha)
 				if !reflect.DeepEqual(got, ref) || !bc.free && !reflect.DeepEqual(got, bc.want) {

@@ -445,41 +445,114 @@ type errorOnly struct{ *testing.T }
 
 func (e errorOnly) Fatal(args ...any) { e.T.Error(args...) }
 
-// TestLevelHeapPopsInKeySeqOrder pins the typed queue's order: ascending
-// key, insertion order within a key — the (key, seq) order container/heap
-// gave the descent, on which NodePairsVisited and page-touch order rest.
-func TestLevelHeapPopsInKeySeqOrder(t *testing.T) {
+// refHeap is the queue the level buckets replaced, kept as the oracle: a
+// slice-backed binary min-heap ordered by (key, insertion sequence), the
+// order container/heap gave the descent before it.
+type refHeap struct {
+	items []refHeapItem
+	seq   int
+}
+
+type refHeapItem struct {
+	key, seq int
+	val      nodePair
+}
+
+func (h *refHeap) less(i, j int) bool {
+	a, b := &h.items[i], &h.items[j]
+	return a.key < b.key || (a.key == b.key && a.seq < b.seq)
+}
+
+func (h *refHeap) push(key int, v nodePair) {
+	h.items = append(h.items, refHeapItem{key: key, seq: h.seq, val: v})
+	h.seq++
+	for i := len(h.items) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		i = parent
+	}
+}
+
+func (h *refHeap) pop() (key int, v nodePair) {
+	top := h.items[0]
+	n := len(h.items) - 1
+	h.items[0] = h.items[n]
+	h.items = h.items[:n]
+	for i := 0; ; {
+		least := i
+		if l := 2*i + 1; l < n && h.less(l, least) {
+			least = l
+		}
+		if r := 2*i + 2; r < n && h.less(r, least) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		h.items[i], h.items[least] = h.items[least], h.items[i]
+		i = least
+	}
+	return top.key, top.val
+}
+
+// TestLevelQueueMatchesBinaryHeap pins the level buckets' pop order to the
+// (key, seq) binary heap they replaced — ascending key, insertion order
+// within a key — on random push/pop interleavings, including the descent's
+// own shape (pop a key, push at the key below). NodePairsVisited and the
+// page-touch order rest on that order. Between runs the queue is reset,
+// sometimes with pairs still queued (a cancelled descent), and its pooled
+// buckets must then hold no node reference.
+func TestLevelQueueMatchesBinaryHeap(t *testing.T) {
 	rng := randgen.New(630)
-	var h levelHeap
-	nodes := make([]rstar.Node, 200) // the values pushed: distinct node identities
-	type pushed struct{ key, id int }
-	for round := 0; round < 50; round++ {
-		h.reset()
-		var live []pushed
+	var q levelQueue
+	nodes := make([]rstar.Node, 400) // the values pushed: distinct node identities
+	for round := 0; round < 60; round++ {
+		var ref refHeap
+		descent := round%3 == 0
 		id := 0
-		for op := 0; op < 200; op++ {
-			if len(live) == 0 || rng.Float64() < 0.6 {
-				k := rng.Intn(4)
-				h.push(k, nodePair{a: &nodes[id]})
-				live = append(live, pushed{k, id})
-				id++
+		push := func(k int) {
+			v := nodePair{a: &nodes[id%len(nodes)], b: &nodes[(id*7)%len(nodes)]}
+			q.push(k, v)
+			ref.push(k, v)
+			id++
+		}
+		if descent {
+			push(3)
+		}
+		for op := 0; op < 300; op++ {
+			if len(ref.items) > 0 && (descent || rng.Float64() < 0.4) {
+				key, v := q.pop()
+				wkey, wv := ref.pop()
+				if key != wkey || v != wv {
+					t.Fatalf("round %d op %d: popped (%d, %p), want (%d, %p)", round, op, key, v.a, wkey, wv.a)
+				}
+				if descent && key > 0 {
+					for c := rng.Intn(4); c > 0; c-- {
+						push(key - 1)
+					}
+				}
 				continue
 			}
-			best := 0
-			for i, p := range live {
-				if p.key < live[best].key || (p.key == live[best].key && p.id < live[best].id) {
-					best = i
+			if !descent {
+				push(rng.Intn(5))
+			}
+		}
+		if q.len() != len(ref.items) {
+			t.Fatalf("round %d: queue holds %d pairs, want %d", round, q.len(), len(ref.items))
+		}
+		q.reset()
+		if q.len() != 0 {
+			t.Fatalf("round %d: %d pairs after reset", round, q.len())
+		}
+		for k, b := range q.buckets {
+			for _, v := range b.items[:cap(b.items)] {
+				if v != (nodePair{}) {
+					t.Fatalf("round %d: bucket %d pins a node after reset", round, k)
 				}
 			}
-			key, v := h.pop()
-			if key != live[best].key || v.a != &nodes[live[best].id] {
-				t.Fatalf("round %d op %d: popped key %d, want (key %d, #%d)",
-					round, op, key, live[best].key, live[best].id)
-			}
-			live = append(live[:best], live[best+1:]...)
-		}
-		if h.len() != len(live) {
-			t.Fatalf("heap holds %d items, want %d", h.len(), len(live))
 		}
 	}
 }

@@ -117,11 +117,12 @@ func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, so
 		qs.readers = exec.GrowSlice(&qs.readers, len(sources))
 	}
 	qs.growWorkers(ec.Workers())
-	job := refineJob{p: p, ec: ec, q: q, qEdges: qEdges, sources: sources, sub: sub,
+	genes := qs.geneOrder.sort(q)
+	job := refineJob{p: p, ec: ec, q: q, genes: genes, qEdges: qEdges, sources: sources, sub: sub,
 		sink: p.params.Sink, skipMarkov: p.params.DisableMarkovPruning || p.markovFutile(len(qEdges))}
 	if job.sink != nil {
 		mStart := time.Now()
-		job.order = p.boundOrder(qs, q, qEdges, sources)
+		job.order = p.boundOrder(qs, genes, qEdges, sources)
 		job.skipMarkov = true
 		st.MarkovPrune += time.Since(mStart)
 	}
@@ -150,11 +151,11 @@ func (p *Processor) refine(ec *exec.Context, q *grn.Graph, qEdges []grn.Edge, so
 // boundOrder returns the candidates sorted by descending full Lemma-5
 // bound, ties toward smaller sources (sources is ascending), in the query
 // scratch.
-func (p *Processor) boundOrder(qs *queryScratch, q *grn.Graph, qEdges []grn.Edge, sources []int) []boundCand {
+func (p *Processor) boundOrder(qs *queryScratch, genes *geneOrder, qEdges []grn.Edge, sources []int) []boundCand {
 	bufs := &qs.worker(0).bufs
 	order := exec.GrowSlice(&qs.order, len(sources))
 	for i, src := range sources {
-		order[i] = boundCand{pos: i, ub: p.candidateUpperBound(q, qEdges, src, bufs)}
+		order[i] = boundCand{pos: i, ub: p.candidateUpperBound(genes, qEdges, src, bufs)}
 	}
 	slices.SortFunc(order, func(a, b boundCand) int {
 		if c := cmp.Compare(b.ub, a.ub); c != 0 {
@@ -170,6 +171,7 @@ type refineJob struct {
 	p          *Processor
 	ec         *exec.Context
 	q          *grn.Graph
+	genes      *geneOrder // q's vertices by ascending gene
 	qEdges     []grn.Edge
 	sources    []int
 	skipMarkov bool
@@ -203,7 +205,7 @@ func (qs *queryScratch) verify(w, i int) error {
 		r := j.ec.IO().SubReader()
 		qs.readers[i], io = r, r
 	}
-	o := j.p.verifyCandidate(io, j.q, j.qEdges, j.sources[i], qs.worker(w), alpha, j.skipMarkov)
+	o := j.p.verifyCandidate(io, j.q, j.genes, j.qEdges, j.sources[i], qs.worker(w), alpha, j.skipMarkov)
 	if j.sink != nil && o.answer != nil {
 		j.sink.Offer(*o.answer)
 	}

@@ -377,7 +377,7 @@ func (p *Processor) traverse(ec *exec.Context, ts *travState, st *Stats) ([]cand
 	nodeTest := !p.params.DisableIndexPruning && pivot.BoundFloor(yMin, true) <= pt.Gamma
 
 	qs := queryScratchFor(ec)
-	pq := &qs.heap
+	pq := &qs.queue
 	pq.reset()
 	out := qs.candPairs[:0]
 	keep := func(source, sCol, tCol int, pruned bool) {
@@ -581,10 +581,54 @@ func (st *Stats) applyCandidate(o candOutcome) {
 	st.MonteCarlo += o.verifyDur
 }
 
+// geneOrder is a query's vertices in ascending gene order, sorted once per
+// query so that each candidate maps every vertex to its column in one
+// forward pass over the matrix's gene-sorted lookup.
+type geneOrder struct {
+	genes []gene.ID // ascending
+	verts []int     // verts[k] is the vertex labelled genes[k]
+}
+
+// sort fills o with the vertices of q and returns o. Query graphs hold a
+// handful of vertices, so an insertion sort does.
+func (o *geneOrder) sort(q *grn.Graph) *geneOrder {
+	o.genes = append(o.genes[:0], q.Genes()...)
+	o.verts = o.verts[:0]
+	for v := range o.genes {
+		o.verts = append(o.verts, v)
+	}
+	for k := 1; k < len(o.genes); k++ {
+		for j := k; j > 0 && o.genes[j] < o.genes[j-1]; j-- {
+			o.genes[j], o.genes[j-1] = o.genes[j-1], o.genes[j]
+			o.verts[j], o.verts[j-1] = o.verts[j-1], o.verts[j]
+		}
+	}
+	return o
+}
+
+// columns maps every query vertex to its column of m in bufs.cols,
+// indexed by vertex, and reports false when m lacks a query gene. The
+// query's genes are distinct (queryWithGraph answers a repeating query
+// before refinement).
+func (o *geneOrder) columns(m *gene.Matrix, bufs *colBufs) ([]int, bool) {
+	n := len(o.genes)
+	if cap(bufs.cols) < 2*n {
+		bufs.cols = make([]int, 2*n)
+	}
+	cols, sorted := bufs.cols[:n], bufs.cols[n:2*n]
+	if !m.ColumnsOf(o.genes, sorted) {
+		return nil, false
+	}
+	for k, v := range o.verts {
+		cols[v] = sorted[k]
+	}
+	return cols, true
+}
+
 // colBufs is the reusable scratch space of one verification stream.
 type colBufs struct {
 	a, b  []float64
-	cols  []int      // query-vertex → matrix-column mapping scratch
+	cols  []int      // query-vertex → matrix-column mapping, then its gene-sorted scratch
 	edges []grn.Edge // matched edges so far; copied out only into an Answer
 
 	// Monte Carlo verification: per query edge its estimate, a bound on
@@ -600,15 +644,6 @@ type colBufs struct {
 type pendingEdge struct {
 	i   int
 	key float64
-}
-
-// growCols returns the cols scratch resized to n (contents unspecified).
-func (b *colBufs) growCols(n int) []int {
-	if cap(b.cols) < n {
-		b.cols = make([]int, n)
-	}
-	b.cols = b.cols[:n]
-	return b.cols
 }
 
 // growVCols returns the per-vertex column scratch for n vertices, every
@@ -651,7 +686,7 @@ func (p *Processor) markovFutile(edges int) bool {
 // switched it off, the index certifies it cannot prune (markovFutile), or
 // the caller already evaluated it (the sink's bound order precomputes the
 // same product).
-func (p *Processor) verifyCandidate(io *pagestore.Reader, q *grn.Graph, qEdges []grn.Edge, src int,
+func (p *Processor) verifyCandidate(io *pagestore.Reader, q *grn.Graph, genes *geneOrder, qEdges []grn.Edge, src int,
 	ws *workerScratch, alpha float64, skipMarkov bool) candOutcome {
 	var out candOutcome
 	m := p.idx.DB().BySource(src)
@@ -660,13 +695,9 @@ func (p *Processor) verifyCandidate(io *pagestore.Reader, q *grn.Graph, qEdges [
 	}
 	// Map query vertices to columns by gene ID (labels are unique within a
 	// matrix, so the embedding is forced).
-	cols := ws.bufs.growCols(q.NumVertices())
-	for v := 0; v < q.NumVertices(); v++ {
-		c := m.IndexOf(q.Gene(v))
-		if c < 0 {
-			return out
-		}
-		cols[v] = c
+	cols, ok := genes.columns(m, &ws.bufs)
+	if !ok {
+		return out
 	}
 	// Lemma 5: prune with the product of pivot-based edge upper bounds.
 	// Skipping it (skipMarkov) sends the candidate straight to
@@ -676,13 +707,14 @@ func (p *Processor) verifyCandidate(io *pagestore.Reader, q *grn.Graph, qEdges [
 	// neither this decision nor any other candidate's (dropped, pruned,
 	// cached) moves it.
 	//
-	// The clock is read three times per candidate: the reading that ends
-	// the Lemma-5 stage also starts verification.
-	var vStart time.Time
+	// The clock is read three times per candidate, monotonic readings only
+	// (monoNow): the reading that ends the Lemma-5 stage also starts
+	// verification.
+	var vStart time.Duration
 	if skipMarkov {
-		vStart = time.Now()
+		vStart = monoNow()
 	} else {
-		mStart := time.Now()
+		mStart := monoNow()
 		if emb := p.idx.Embedding(src); emb != nil && len(qEdges) > 0 {
 			ub := 1.0
 			for _, e := range qEdges {
@@ -693,8 +725,8 @@ func (p *Processor) verifyCandidate(io *pagestore.Reader, q *grn.Graph, qEdges [
 			}
 			out.prunedL5 = grn.PruneByGraphExistence(ub, alpha)
 		}
-		vStart = time.Now()
-		out.markovDur = vStart.Sub(mStart)
+		vStart = monoNow()
+		out.markovDur = vStart - mStart
 		if out.prunedL5 {
 			return out
 		}
@@ -703,26 +735,30 @@ func (p *Processor) verifyCandidate(io *pagestore.Reader, q *grn.Graph, qEdges [
 	if c := p.params.Cache; c != nil {
 		c.record(out.cacheHits, out.cacheMisses)
 	}
-	out.verifyDur = time.Since(vStart)
+	out.verifyDur = monoNow() - vStart
 	return out
 }
+
+// clockEpoch anchors monoNow.
+var clockEpoch = time.Now()
+
+// monoNow is a monotonic clock reading, as an offset from clockEpoch. It
+// reads one clock where time.Now reads two: time.Since on a Time that
+// carries a monotonic reading reads only the monotonic clock.
+func monoNow() time.Duration { return time.Since(clockEpoch) }
 
 // candidateUpperBound evaluates the full Lemma-5 pivot upper-bound product
 // of one candidate matrix (no early exit, so candidates are comparable).
 // Returns 1 when the source has no pivot embedding (nothing is provable)
 // and 0 when a query gene is missing from the matrix (cannot match).
-func (p *Processor) candidateUpperBound(q *grn.Graph, qEdges []grn.Edge, src int, bufs *colBufs) float64 {
+func (p *Processor) candidateUpperBound(genes *geneOrder, qEdges []grn.Edge, src int, bufs *colBufs) float64 {
 	m := p.idx.DB().BySource(src)
 	if m == nil {
 		return 0
 	}
-	cols := bufs.growCols(q.NumVertices())
-	for v := 0; v < q.NumVertices(); v++ {
-		c := m.IndexOf(q.Gene(v))
-		if c < 0 {
-			return 0
-		}
-		cols[v] = c
+	cols, ok := genes.columns(m, bufs)
+	if !ok {
+		return 0
 	}
 	emb := p.idx.Embedding(src)
 	if emb == nil || len(qEdges) == 0 {

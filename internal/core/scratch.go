@@ -53,6 +53,10 @@ type queryScratch struct {
 	order    []boundCand
 	sources  []int
 
+	// The running query's vertices by ascending gene, sorted once by
+	// refine for every candidate's column mapping.
+	geneOrder geneOrder
+
 	// Refinement's fan-out: the running query's inputs, and the work
 	// function bound to them once per scratch. A closure handed to the
 	// scheduler escapes, so one built per query would be refinement's only
@@ -68,7 +72,7 @@ type queryScratch struct {
 	// Traversal scratch: the descent's priority queue, its candidate-pair
 	// output, the t-side test outcomes of one node pair's children, and
 	// the radix hand-off's second buffer.
-	heap      levelHeap
+	queue     levelQueue
 	candPairs []candidatePair
 	tOK       []bool
 	radixBuf  []int

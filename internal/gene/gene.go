@@ -6,7 +6,9 @@
 package gene
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/imgrn/imgrn/internal/randgen"
@@ -34,7 +36,11 @@ type Matrix struct {
 	// informative[j] is false when cols[j] has zero variance and therefore
 	// carries no correlation signal.
 	informative []bool
-	byID        map[ID]int
+	// sortedGenes lists the gene IDs ascending and sortedCols[k] is the
+	// column of sortedGenes[k]: the lookup IndexOf, Has and ColumnsOf
+	// search.
+	sortedGenes []ID
+	sortedCols  []int32
 	samples     int
 }
 
@@ -51,7 +57,6 @@ func NewMatrix(source int, genes []ID, cols [][]float64) (*Matrix, error) {
 		cols:        cols,
 		std:         make([][]float64, len(cols)),
 		informative: make([]bool, len(cols)),
-		byID:        make(map[ID]int, len(genes)),
 	}
 	if len(cols) > 0 {
 		m.samples = len(cols[0])
@@ -64,13 +69,34 @@ func NewMatrix(source int, genes []ID, cols [][]float64) (*Matrix, error) {
 		m.std[j] = std
 		m.informative[j] = ok
 	}
-	for j, g := range genes {
-		if _, dup := m.byID[g]; dup {
-			return nil, fmt.Errorf("gene: duplicate gene ID %d in source %d", g, source)
-		}
-		m.byID[g] = j
+	if err := m.sortGenes(); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// sortGenes builds the gene-sorted lookup and rejects a repeated gene ID,
+// naming the gene whose second occurrence comes first in column order.
+func (m *Matrix) sortGenes() error {
+	n := len(m.genes)
+	cols := make([]int32, n)
+	for j := range cols {
+		cols[j] = int32(j)
+	}
+	slices.SortStableFunc(cols, func(a, b int32) int { return cmp.Compare(m.genes[a], m.genes[b]) })
+	dup := int32(-1) // the earliest column repeating a gene
+	sorted := make([]ID, n)
+	for k, j := range cols {
+		sorted[k] = m.genes[j]
+		if k > 0 && sorted[k] == sorted[k-1] && (dup < 0 || j < dup) {
+			dup = j
+		}
+	}
+	if dup >= 0 {
+		return fmt.Errorf("gene: duplicate gene ID %d in source %d", m.genes[dup], m.Source)
+	}
+	m.sortedGenes, m.sortedCols = sorted, cols
+	return nil
 }
 
 // NewMatrixFromRows builds a Matrix from an l×n row-major sample matrix
@@ -110,14 +136,33 @@ func (m *Matrix) Informative(j int) bool { return m.informative[j] }
 
 // IndexOf returns the column index of gene g, or -1 if absent.
 func (m *Matrix) IndexOf(g ID) int {
-	if j, ok := m.byID[g]; ok {
-		return j
+	if k, ok := slices.BinarySearch(m.sortedGenes, g); ok {
+		return int(m.sortedCols[k])
 	}
 	return -1
 }
 
 // Has reports whether gene g appears in this matrix.
-func (m *Matrix) Has(g ID) bool { _, ok := m.byID[g]; return ok }
+func (m *Matrix) Has(g ID) bool { return m.IndexOf(g) >= 0 }
+
+// ColumnsOf maps strictly ascending gene IDs to their columns in one
+// forward pass over the matrix's gene-sorted lookup: dst[k] becomes the
+// column of genes[k]. It reports false, leaving dst partly written, as
+// soon as a gene is absent. dst must hold len(genes) entries.
+func (m *Matrix) ColumnsOf(genes []ID, dst []int) bool {
+	j := 0
+	for k, g := range genes {
+		for j < len(m.sortedGenes) && m.sortedGenes[j] < g {
+			j++
+		}
+		if j == len(m.sortedGenes) || m.sortedGenes[j] != g {
+			return false
+		}
+		dst[k] = int(m.sortedCols[j])
+		j++
+	}
+	return true
+}
 
 // WithNoise returns a copy of m whose raw features have i.i.d. Gaussian
 // noise N(0, sigma²) added, the corruption used in the robustness

@@ -1,6 +1,9 @@
 package gene
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -45,6 +48,94 @@ func TestNewMatrixRejectsDuplicates(t *testing.T) {
 	_, err := NewMatrix(1, []ID{5, 5}, [][]float64{{1, 2}, {3, 4}})
 	if err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("err = %v, want duplicate gene error", err)
+	}
+}
+
+// TestGeneLookupMatchesLinearScan checks IndexOf, Has and ColumnsOf
+// against a linear scan of the column labels on random matrices whose IDs
+// include negatives and the int32 extremes, probing present and absent
+// genes; and that a repeated ID is rejected with the error the map lookup
+// gave: the gene whose second occurrence comes first in column order.
+func TestGeneLookupMatchesLinearScan(t *testing.T) {
+	rng := randgen.New(77)
+	pool := []ID{math.MinInt32, math.MinInt32 + 1, -40, -3, -1, 0, 1, 2, 7, 19, 1 << 20, math.MaxInt32 - 1, math.MaxInt32}
+	linear := func(ids []ID, g ID) int {
+		for j, h := range ids {
+			if h == g {
+				return j
+			}
+		}
+		return -1
+	}
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(len(pool) + 1)
+		ids := make([]ID, 0, n)
+		for _, k := range rng.Perm(len(pool))[:n] {
+			ids = append(ids, pool[k])
+		}
+		dup := trial%4 == 0 && n > 1
+		if dup {
+			// Repeat one or two earlier IDs at random later positions.
+			for r := 1 + rng.Intn(2); r > 0; r-- {
+				at := 1 + rng.Intn(len(ids)-1)
+				ids[at] = ids[rng.Intn(at)]
+			}
+		}
+		cols := make([][]float64, len(ids))
+		for j := range cols {
+			cols[j] = []float64{float64(j), 1}
+		}
+		m, err := NewMatrix(trial, ids, cols)
+		seen := map[ID]bool{}
+		var want error
+		for _, g := range ids {
+			if seen[g] {
+				want = fmt.Errorf("gene: duplicate gene ID %d in source %d", g, trial)
+				break
+			}
+			seen[g] = true
+		}
+		if want != nil {
+			if err == nil || err.Error() != want.Error() {
+				t.Fatalf("ids %v: err %v, want %v", ids, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := append(append([]ID(nil), pool...), -2, 3, 1<<20+1)
+		for _, g := range probes {
+			if got, w := m.IndexOf(g), linear(ids, g); got != w || m.Has(g) != (w >= 0) {
+				t.Fatalf("ids %v: IndexOf(%d) = %d, Has %v; want %d", ids, g, got, m.Has(g), w)
+			}
+		}
+		// ColumnsOf over a random ascending subset of the probes.
+		q := slices.Clone(probes)
+		slices.Sort(q)
+		q = slices.Compact(q)
+		var sub []ID
+		for _, g := range q {
+			if rng.Float64() < 0.4 {
+				sub = append(sub, g)
+			}
+		}
+		dst := make([]int, len(sub))
+		ok := m.ColumnsOf(sub, dst)
+		wantOK := true
+		for k, g := range sub {
+			w := linear(ids, g)
+			if w < 0 {
+				wantOK = false
+				break
+			}
+			if ok && dst[k] != w {
+				t.Fatalf("ids %v: ColumnsOf(%v)[%d] = %d, want %d", ids, sub, k, dst[k], w)
+			}
+		}
+		if ok != wantOK {
+			t.Fatalf("ids %v: ColumnsOf(%v) = %v, want %v", ids, sub, ok, wantOK)
+		}
 	}
 }
 

@@ -13,9 +13,13 @@ import (
 // the leaf-pair check is an equi-join on source between the g_s rows of one
 // leaf and the neighbor-gene rows of the other; with this order each side
 // of the join is a contiguous run whose rows ascend in source, and a merge
-// of two runs finds the matches in linear time (JoinLeaves). The neighbor
-// runs of one leaf follow each other in gene order, so one forward pass
-// over the leaf finds them all.
+// of two runs finds the matches in linear time (JoinLeaves).
+//
+// A run directory lists the leaf's distinct genes, ascending, with the row
+// where each run starts. A leaf holds few distinct genes (a gene-sorted
+// bulk load packs one or two per leaf), so finding a run is a scan of a
+// directory entry or two, and the neighbor runs of one leaf, which follow
+// each other in gene order, are found by one forward pass over it.
 //
 // Gene labels are unique within a matrix and source IDs unique within a
 // database, so (gene, source) is unique in the tree: a run holds each
@@ -29,6 +33,12 @@ type LeafTable struct {
 	source []int32 // data-source ID of the item reference
 	col    []int32 // column of the vector within its matrix
 	entry  []int32 // position of the entry within the leaf: leaf.Item(entry[r])
+
+	// The run directory: runGene[k] is the k-th distinct gene, ascending,
+	// and its rows are [runStart[k], runStart[k+1]); runStart ends with
+	// the row count.
+	runGene  []int32
+	runStart []int32
 }
 
 // NewLeafTable builds the table of leaf n.
@@ -52,35 +62,38 @@ func NewLeafTable(n *rstar.Node) *LeafTable {
 		}
 		t.gene[r], t.source[r], t.col[r], t.entry[r] = g, s, c, e
 	}
+	runs := 0
+	for r := range t.gene {
+		if r == 0 || t.gene[r] != t.gene[r-1] {
+			runs++
+		}
+	}
+	dir := make([]int32, 2*runs+1)
+	t.runGene, t.runStart = dir[:0:runs], dir[runs:runs]
+	for r, g := range t.gene {
+		if r == 0 || g != t.gene[r-1] {
+			t.runGene = append(t.runGene, g)
+			t.runStart = append(t.runStart, int32(r))
+		}
+	}
+	t.runStart = append(t.runStart, int32(k))
 	return t
 }
 
-// run returns the half-open row range [lo, hi) of gene g; rows inside it
-// ascend in source. The range is empty when the leaf holds no vector of g.
-// The search starts at row from: the rows before it must hold smaller
-// genes.
-func (t *LeafTable) run(g gene.ID, from int) (lo, hi int) {
+// run returns the half-open row range [lo, hi) of gene g, whose rows
+// ascend in source, and the directory position after it. The range is
+// empty when the leaf holds no vector of g. The scan starts at directory
+// position from: the runs before it must hold smaller genes.
+func (t *LeafTable) run(g gene.ID, from int) (lo, hi, next int) {
 	v := int32(g)
-	lo = from + firstAtLeast(t.gene[from:], v)
-	hi = lo
-	for hi < len(t.gene) && t.gene[hi] == v {
-		hi++
+	k := from
+	for k < len(t.runGene) && t.runGene[k] < v {
+		k++
 	}
-	return lo, hi
-}
-
-// firstAtLeast returns the first index of ascending col whose value is at
-// least v (len(col) when there is none).
-func firstAtLeast(col []int32, v int32) int {
-	lo, hi := 0, len(col)
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); col[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	if k < len(t.runGene) && t.runGene[k] == v {
+		return int(t.runStart[k]), int(t.runStart[k+1]), k + 1
 	}
-	return lo
+	return int(t.runStart[k]), int(t.runStart[k]), k
 }
 
 // PivotTest parameterizes line 20 of Fig. 4, the pivot-based pruning of a
@@ -104,19 +117,19 @@ type PivotTest struct {
 // merge-joins a's sGene run with each neighbor-gene run of b on source ID:
 // each source occurs at most once per run, so every join is 1:1 and the
 // pivot bound is evaluated on matched pairs only. a's run is found once;
-// b's runs ascend in gene like tGenes, so each is found by a search that
-// starts where the previous one ended. Pairs are emitted by ascending
-// neighbor gene, and by ascending source within one neighbor.
+// b's runs ascend in gene like tGenes, so each is found by a directory
+// scan that starts where the previous one ended. Pairs are emitted by
+// ascending neighbor gene, and by ascending source within one neighbor.
 func JoinLeaves(a, b *LeafTable, sGene gene.ID, tGenes []gene.ID, pt PivotTest,
 	emit func(source, sCol, tCol int, pruned bool)) {
-	iLo, iEnd := a.run(sGene, 0)
+	iLo, iEnd, _ := a.run(sGene, 0)
 	if iLo == iEnd {
 		return
 	}
-	next := 0 // b's rows before next hold genes below the current neighbor
+	next := 0 // b's runs before next hold genes below the current neighbor
 	for _, tg := range tGenes {
-		j, jEnd := b.run(tg, next)
-		next = jEnd
+		var j, jEnd int
+		j, jEnd, next = b.run(tg, next)
 		for i := iLo; i < iEnd && j < jEnd; {
 			switch sa, sb := a.source[i], b.source[j]; {
 			case sa < sb:
@@ -160,9 +173,11 @@ func (x *Index) augment(n *rstar.Node) {
 	}
 	if n.IsLeaf() {
 		aug.leaf = NewLeafTable(n)
-		for r := range aug.leaf.gene {
-			aug.f.Set(bitvec.HashGene(gene.ID(aug.leaf.gene[r]), b))
-			aug.d.Set(bitvec.HashSource(int(aug.leaf.source[r]), b))
+		for _, g := range aug.leaf.runGene {
+			aug.f.Set(bitvec.HashGene(gene.ID(g), b))
+		}
+		for _, s := range aug.leaf.source {
+			aug.d.Set(bitvec.HashSource(int(s), b))
 		}
 		return
 	}

@@ -42,6 +42,9 @@ func snapshotAug(t *testing.T, x *Index) map[*rstar.Node]augSnapshot {
 				source: append([]int32(nil), aug.leaf.source...),
 				col:    append([]int32(nil), aug.leaf.col...),
 				entry:  append([]int32(nil), aug.leaf.entry...),
+
+				runGene:  append([]int32(nil), aug.leaf.runGene...),
+				runStart: append([]int32(nil), aug.leaf.runStart...),
 			}
 		}
 		out[n] = s
@@ -78,7 +81,8 @@ func assertAugmentationFromScratch(t *testing.T, label string, x *Index) {
 			continue
 		}
 		if g.leaf.leaf != n || !slices.Equal(g.leaf.gene, w.leaf.gene) || !slices.Equal(g.leaf.source, w.leaf.source) ||
-			!slices.Equal(g.leaf.col, w.leaf.col) || !slices.Equal(g.leaf.entry, w.leaf.entry) {
+			!slices.Equal(g.leaf.col, w.leaf.col) || !slices.Equal(g.leaf.entry, w.leaf.entry) ||
+			!slices.Equal(g.leaf.runGene, w.leaf.runGene) || !slices.Equal(g.leaf.runStart, w.leaf.runStart) {
 			t.Fatalf("%s: leaf table differs from a from-scratch build:\n got %+v\nwant %+v", label, g.leaf, w.leaf)
 		}
 	}
@@ -128,14 +132,14 @@ func TestLeafTableLayout(t *testing.T) {
 			seen[key] = true
 			vectors++
 			// Run must bracket exactly the rows of the gene.
-			lo, hi := tab.run(gene.ID(w.g), 0)
+			lo, hi, _ := tab.run(gene.ID(w.g), 0)
 			if r < lo || r >= hi || tab.gene[lo] != w.g || tab.gene[hi-1] != w.g ||
 				(lo > 0 && tab.gene[lo-1] == w.g) || (hi < len(tab.gene) && tab.gene[hi] == w.g) {
 				t.Fatalf("run(%d) = [%d,%d) does not bracket row %d", w.g, lo, hi, r)
 			}
 		}
 		for _, absent := range []gene.ID{-7, math.MaxInt32, math.MinInt32} {
-			if lo, hi := tab.run(absent, 0); lo != hi {
+			if lo, hi, _ := tab.run(absent, 0); lo != hi {
 				t.Fatalf("run(%d) = [%d,%d) on a leaf without that gene", absent, lo, hi)
 			}
 		}
@@ -310,5 +314,84 @@ func TestPointUpperBoundMatchesPivotBound(t *testing.T) {
 	ps, pt := []float64{0.3, 0.9, 0.7, 0.8, 5}, []float64{1.1, 0.6, 0.2, 0.9, 7}
 	if n := testing.AllocsPerRun(100, func() { PointUpperBound(ps, pt, 2, false) }); n != 0 {
 		t.Fatalf("PointUpperBound allocates %v times per call at d=2", n)
+	}
+}
+
+// refRun is the run search the directory replaced: a binary search of the
+// gene column from row from, then a walk to the end of the run.
+func refRun(t *LeafTable, g gene.ID, from int) (lo, hi int) {
+	v := int32(g)
+	lo = from + sort.Search(len(t.gene)-from, func(i int) bool { return t.gene[from+i] >= v })
+	hi = lo
+	for hi < len(t.gene) && t.gene[hi] == v {
+		hi++
+	}
+	return lo, hi
+}
+
+// TestLeafRunMatchesBinarySearch compares the directory scan with the
+// binary search and scan it replaced, on random leaves of bulk-loaded and
+// online-grown trees, for every directory start position and for present
+// and absent genes (negative labels and the int32 extremes included). It
+// also pins next: the directory position after the genes up to g.
+func TestLeafRunMatchesBinarySearch(t *testing.T) {
+	rng := randgen.New(391)
+	pool := []gene.ID{math.MinInt32, -11, 0, 3, 4, 9, 40, math.MaxInt32}
+	probes := append([]gene.ID{-12, 1, 5, 41, math.MaxInt32 - 1, math.MinInt32 + 1}, pool...)
+	leaves := 0
+	for trial := 0; trial < 40; trial++ {
+		var items []rstar.Item
+		for _, g := range pool {
+			for s := 0; s < 12; s++ {
+				if rng.Float64() < 0.5 {
+					continue
+				}
+				items = append(items, rstar.Item{
+					Point: []float64{rng.UniformIn(0, 1), rng.UniformIn(0, 1), float64(g)},
+					Ref:   PackRef(s, rng.Intn(30)),
+				})
+			}
+		}
+		tree, err := rstar.NewTree(rstar.Config{Dim: 3, MaxFill: 4 + rng.Intn(30)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		half := len(items) / 2
+		if err := tree.BulkLoad(items[:half]); err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range items[half:] {
+			if err := tree.Insert(it); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tree.Walk(func(n *rstar.Node) bool {
+			if !n.IsLeaf() {
+				return true
+			}
+			leaves++
+			tab := NewLeafTable(n)
+			if len(tab.runStart) != len(tab.runGene)+1 || int(tab.runStart[len(tab.runGene)]) != len(tab.gene) {
+				t.Fatalf("directory of %d genes ends with %v for %d rows", len(tab.runGene), tab.runStart, len(tab.gene))
+			}
+			for from := 0; from <= len(tab.runGene); from++ {
+				for _, g := range probes {
+					if from > 0 && tab.runGene[from-1] >= int32(g) {
+						continue // run requires the runs before from to hold smaller genes
+					}
+					lo, hi, next := tab.run(g, from)
+					wlo, whi := refRun(tab, g, int(tab.runStart[from]))
+					wnext := sort.Search(len(tab.runGene), func(k int) bool { return tab.runGene[k] > int32(g) })
+					if lo != wlo || hi != whi || next != wnext {
+						t.Fatalf("run(%d, %d) = [%d,%d) next %d, want [%d,%d) next %d (genes %v)",
+							g, from, lo, hi, next, wlo, whi, wnext, tab.gene)
+					}
+				}
+			}
+			return true
+		})
+	}
+	if leaves < 100 {
+		t.Fatalf("checked %d leaves", leaves)
 	}
 }

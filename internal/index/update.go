@@ -96,10 +96,10 @@ func (x *Index) AddEmbedded(e *Embedded) error {
 
 // RemoveMatrix drops a data source from the index and the database: its
 // points are deleted from the R*-tree, its embedding and heap mapping are
-// discarded, the inverted file is rebuilt and the augmentations of the
-// touched nodes are refreshed. The
-// heap pages themselves are not reclaimed (the simulated store is
-// append-only, as a log-structured heap would be).
+// discarded, its genes are withdrawn from the inverted file and the
+// augmentations of the touched nodes are refreshed. The heap pages
+// themselves are not reclaimed (the simulated store is append-only, as a
+// log-structured heap would be).
 func (x *Index) RemoveMatrix(source int) error {
 	m := x.db.BySource(source)
 	if m == nil {
@@ -121,7 +121,9 @@ func (x *Index) RemoveMatrix(source int) error {
 	delete(x.embeddings, source)
 	delete(x.heap, source)
 	x.db.Remove(source)
-	x.inverted = newInvertedFromDB(x.db, x.opts.Bits)
+	for _, g := range m.Genes() {
+		x.inverted.Remove(g, source)
+	}
 
 	// Deletion may have restructured nodes; refresh pages and augmentations
 	// along the touched paths.

@@ -1,10 +1,12 @@
 package index
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/imgrn/imgrn/internal/bitvec"
 	"github.com/imgrn/imgrn/internal/gene"
+	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/rstar"
 	"github.com/imgrn/imgrn/internal/synth"
 )
@@ -227,5 +229,51 @@ func TestAddRemoveMatrixAllocs(t *testing.T) {
 	const bound = 3000 // about 2 500 today; about 6 200 before the scratch
 	if got > bound {
 		t.Errorf("one AddMatrix + RemoveMatrix allocates %.0f times, want ≤ %d", got, bound)
+	}
+}
+
+// TestRemoveMatrixMaintainsInvertedFile: after seeded random add/remove
+// sequences, the inverted file that AddMatrix and RemoveMatrix maintained
+// in place equals newInvertedFromDB over the final database — the same
+// genes, and per gene the same source signature. The signatures are 16
+// bits wide, so sources of one gene share bits and a removal must keep a
+// bit another source still sets.
+func TestRemoveMatrixMaintainsInvertedFile(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
+		all := smallDataset(t, 24, 120+seed).DB.Matrices()
+		base := gene.NewDatabase()
+		in := map[int]bool{}
+		for _, m := range all[:8] {
+			if err := base.Add(m); err != nil {
+				t.Fatal(err)
+			}
+			in[m.Source] = true
+		}
+		x, err := Build(base, Options{D: 2, Samples: 8, Seed: 120 + seed, Bits: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := randgen.New(130 + seed)
+		for step := 0; step < 40; step++ {
+			m := all[rng.Intn(len(all))]
+			if in[m.Source] {
+				err = x.RemoveMatrix(m.Source)
+			} else {
+				err = x.AddMatrix(m)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			in[m.Source] = !in[m.Source]
+		}
+		want := newInvertedFromDB(x.DB(), x.Bits())
+		if got := x.Inverted().Genes(); got != want.Genes() {
+			t.Fatalf("seed %d: inverted file holds %d genes, a rebuild %d", seed, got, want.Genes())
+		}
+		for g := gene.ID(-1); g <= 41; g++ {
+			if got, w := x.Inverted().Sources(g).Words(), want.Sources(g).Words(); !slices.Equal(got, w) {
+				t.Fatalf("seed %d: gene %d signature %x, a rebuild %x", seed, g, got, w)
+			}
+		}
 	}
 }

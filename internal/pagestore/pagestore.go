@@ -75,18 +75,21 @@ func (a *Accountant) NewReader() *Reader {
 // unsynchronized: a Reader must not be shared across goroutines. Parallel
 // workers within one query derive a SubReader each and merge the counters
 // back with AddStats once the fan-out has been gathered.
+//
+// A buffered reader keeps the pages it touched as a bitset over a window
+// of page IDs, grown on demand: the Accountant hands out IDs densely from
+// 1, so a query's pages fall in a short range, and a SubReader, which
+// reads one candidate's heap pages, holds a word or two.
 type Reader struct {
 	pageSize int
 	stats    Stats
-	seen     map[PageID]struct{} // pages touched so far; nil means unbuffered
+	buffered bool
+	seen     []uint64 // bit id%64 of seen[id/64-base]: page id was touched
+	base     uint64
 }
 
 func newReader(pageSize int, buffered bool) *Reader {
-	r := &Reader{pageSize: pageSize}
-	if buffered {
-		r.seen = make(map[PageID]struct{})
-	}
-	return r
+	return &Reader{pageSize: pageSize, buffered: buffered}
 }
 
 // PageSize returns the page size inherited from the accountant.
@@ -94,14 +97,38 @@ func (r *Reader) PageSize() int { return r.pageSize }
 
 // Touch records one access of page id against this reader.
 func (r *Reader) Touch(id PageID) {
-	if r.seen != nil {
-		if _, ok := r.seen[id]; ok {
+	if r.buffered {
+		w, bit := uint64(id)>>6, uint64(1)<<(id&63)
+		if w-r.base >= uint64(len(r.seen)) { // below base too: the difference wraps
+			r.grow(w)
+		}
+		p := &r.seen[w-r.base]
+		if *p&bit != 0 {
 			r.stats.Hits++
 			return
 		}
-		r.seen[id] = struct{}{}
+		*p |= bit
 	}
 	r.stats.Accesses++
+}
+
+// grow widens the bitset window to cover word w, at least doubling it so
+// that a run of touches past either end reallocates O(log n) times.
+func (r *Reader) grow(w uint64) {
+	if len(r.seen) == 0 {
+		r.base = w
+	}
+	lo, hi := min(r.base, w), max(r.base+uint64(len(r.seen)), w+1)
+	if n := 2 * uint64(len(r.seen)); hi-lo < n {
+		if w < r.base {
+			lo = hi - min(n, hi) // extend downward, not below word 0
+		} else {
+			hi = lo + n
+		}
+	}
+	seen := make([]uint64, hi-lo)
+	copy(seen[r.base-lo:], r.seen)
+	r.seen, r.base = seen, lo
 }
 
 // TouchRange records an access of each page in [id, id+pages).
@@ -129,7 +156,7 @@ func (r *Reader) Stats() Stats { return r.stats }
 // unit. Each unit's counters are a pure function of the work unit itself,
 // so merged totals are independent of the goroutine schedule.
 func (r *Reader) SubReader() *Reader {
-	return newReader(r.pageSize, r.seen != nil)
+	return newReader(r.pageSize, r.buffered)
 }
 
 // AddStats merges the counters of a finished SubReader (or any Stats

@@ -47,11 +47,14 @@ func (m *pageModel) want(buffered bool) Stats {
 
 // TestReaderCountsDistinctPages checks readers against the map model on
 // seeded random traces of Touch, TouchRange and ChargeBytes spread over a
-// root reader and its SubReaders: a buffered reader's Accesses is the
-// number of distinct pages it touched and Hits the rest of its touches; an
-// unbuffered reader's Accesses is every touch. Each SubReader starts empty
-// (a page its parent touched is an access again), and AddStats merges the
-// units' counters into the root in order.
+// root reader and its SubReaders, nested ones included (a SubReader of a
+// SubReader): a buffered reader's Accesses is the number of distinct pages
+// it touched and Hits the rest of its touches; an unbuffered reader's
+// Accesses is every touch. Each SubReader starts empty (a page its parent
+// touched is an access again), and AddStats merges the units' counters
+// into the root in order. Page IDs mix a dense low range with sparse IDs
+// up to 1<<20 and a cluster just below it, so the bitset window grows
+// upward, downward and across word boundaries.
 func TestReaderCountsDistinctPages(t *testing.T) {
 	const pageSize = 64
 	rng := rand.New(rand.NewSource(37))
@@ -61,7 +64,7 @@ func TestReaderCountsDistinctPages(t *testing.T) {
 			root := New(pageSize, bufferPages).NewReader()
 			readers := []*Reader{root}
 			models := []*pageModel{{distinct: map[PageID]bool{}}}
-			for op := rng.Intn(60); op > 0; op-- {
+			for op := rng.Intn(120); op > 0; op-- {
 				if rng.Intn(8) == 0 {
 					parent := readers[rng.Intn(len(readers))]
 					readers = append(readers, parent.SubReader())
@@ -69,7 +72,15 @@ func TestReaderCountsDistinctPages(t *testing.T) {
 				}
 				k := rng.Intn(len(readers))
 				r, m := readers[k], models[k]
-				id := PageID(1 + rng.Intn(24))
+				var id PageID
+				switch rng.Intn(4) {
+				case 0, 1:
+					id = PageID(1 + rng.Intn(24))
+				case 2:
+					id = PageID(1<<20 - 70 + rng.Intn(80))
+				case 3:
+					id = PageID(1 + rng.Intn(1<<20))
+				}
 				switch rng.Intn(3) {
 				case 0:
 					r.Touch(id)
