@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -135,13 +134,12 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
 	var wmu sync.Mutex
 	emit := func(f BatchFrameJSON) {
 		wmu.Lock()
 		defer wmu.Unlock()
-		_ = enc.Encode(f)
+		encodeFrame(w, &f, appendBatchFrame)
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -201,7 +199,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		TotalSeconds: time.Since(start).Seconds(),
 	}
 	wmu.Lock()
-	_ = enc.Encode(writeDone)
+	encodeFrame(w, &writeDone, appendBatchDone)
 	if flusher != nil {
 		flusher.Flush()
 	}

@@ -55,6 +55,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -795,7 +796,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeQuery("query", st, tr)
-	writeJSON(w, http.StatusOK, s.response(answers, st, req.Params, tr))
+	writeQueryResponse(w, s.response(answers, st, req.Params, tr))
 }
 
 func (s *Server) handleQueryGraph(w http.ResponseWriter, r *http.Request) {
@@ -835,7 +836,7 @@ func (s *Server) handleQueryGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observeQuery("query-graph", st, tr)
-	writeJSON(w, http.StatusOK, s.response(answers, st, req.Params, tr))
+	writeQueryResponse(w, s.response(answers, st, req.Params, tr))
 }
 
 // ClusterRequest is the /cluster payload: group the indexed data sources
@@ -910,14 +911,23 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// decode reads a POST body of at most MaxBodyBytes into into, answering
+// 400 with encoding/json's error on a bad one. The public query and
+// mutation bodies go through the one-pass reader (codec.go); the rest are
+// decoded by encoding/json from the stream.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	if r.Method != http.MethodPost {
 		s.error(w, http.StatusMethodNotAllowed, "use POST")
 		return false
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	body := http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
+	var err error
+	if c, ok := into.(canonicalBody); ok {
+		err = decodeCanonical(body, c)
+	} else {
+		err = decodeJSON(body, into)
+	}
+	if err != nil {
 		s.error(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
 		return false
 	}
@@ -1038,20 +1048,44 @@ func (s *Server) resolveGenes(names []string) ([]gene.ID, error) {
 				continue
 			}
 		}
-		var numeric int64
-		if _, err := fmt.Sscanf(name, "%d", &numeric); err != nil {
-			return nil, fmt.Errorf("unknown gene %q", name)
+		numeric, ok := plainDecimal(name)
+		if !ok {
+			if _, err := fmt.Sscanf(name, "%d", &numeric); err != nil {
+				return nil, fmt.Errorf("unknown gene %q", name)
+			}
 		}
 		ids[i] = gene.ID(numeric)
 	}
 	return ids, nil
 }
 
+// plainDecimal parses the form clients send numeric gene IDs in: an
+// optional minus sign and up to 18 decimal digits, which fmt.Sscanf's %d
+// reads to the same value. Anything else is left to Sscanf.
+func plainDecimal(name string) (int64, bool) {
+	digits := strings.TrimPrefix(name, "-")
+	if len(digits) == 0 || len(digits) > 18 {
+		return 0, false
+	}
+	var n int64
+	for i := 0; i < len(digits); i++ {
+		c := digits[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	if len(digits) < len(name) {
+		n = -n
+	}
+	return n, true
+}
+
 func (s *Server) geneName(id gene.ID) string {
 	if s.cat != nil {
 		return s.cat.Name(id)
 	}
-	return fmt.Sprintf("%d", int(id))
+	return strconv.Itoa(int(id))
 }
 
 func (s *Server) response(answers []core.Answer, st core.Stats, p ParamsJSON, tr *obs.Tracer) QueryResponse {
@@ -1073,11 +1107,17 @@ func (s *Server) response(answers []core.Answer, st core.Stats, p ParamsJSON, tr
 	}
 	for _, a := range answers {
 		aj := AnswerJSON{Source: a.Source, Prob: a.Prob}
-		for _, g := range a.Genes {
-			aj.Genes = append(aj.Genes, s.geneName(g))
+		if len(a.Genes) > 0 {
+			aj.Genes = make([]string, len(a.Genes))
+			for i, g := range a.Genes {
+				aj.Genes[i] = s.geneName(g)
+			}
 		}
-		for _, e := range a.Edges {
-			aj.Edges = append(aj.Edges, EdgeJSON{S: e.S, T: e.T, Prob: e.P})
+		if len(a.Edges) > 0 {
+			aj.Edges = make([]EdgeJSON, len(a.Edges))
+			for i, e := range a.Edges {
+				aj.Edges[i] = EdgeJSON{S: e.S, T: e.T, Prob: e.P}
+			}
 		}
 		out.Answers = append(out.Answers, aj)
 	}
