@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -12,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/imgrn/imgrn/internal/codec"
 	"github.com/imgrn/imgrn/internal/shard"
 )
 
@@ -24,9 +24,10 @@ import (
 // endpoints parse NDJSON frames as they arrive so accept frames reach
 // the floor logic mid-query, not after.
 type Client struct {
-	// HTTP is the underlying transport client (a fresh http.Client when
-	// nil). Its Timeout is left alone; per-hop deadlines come from
-	// Timeout via context.
+	// HTTP is the underlying transport client. When nil, the client gets a
+	// transport of its own (see withDefaults), whose idle connections the
+	// Coordinator's Close closes. Its Timeout is left alone; per-hop
+	// deadlines come from Timeout via context.
 	HTTP *http.Client
 	// Timeout bounds each RPC attempt (default 60s; streaming execs hold
 	// the connection for the query's duration, so this is a query budget,
@@ -38,11 +39,24 @@ type Client struct {
 	Backoff time.Duration
 
 	met *Metrics
+	own *http.Transport // the transport withDefaults made, nil if HTTP was given
 }
 
-func (c *Client) withDefaults() {
+// withDefaults fills the unset fields for a coordinator over servers
+// shard servers. A
+// transport of its own keeps idle connections for the legs' bursts: every
+// request puts a leg on each global shard and a server hosts several, so
+// the legs in flight to one server are its hosted shards times the
+// requests in flight, which the coordinator does not bound. An idle
+// connection costs a descriptor until IdleConnTimeout, a connection closed
+// for want of an idle slot costs the next leg a dial; so instead of
+// http.DefaultTransport's two per host, each server gets an equal share of
+// the idle connections the transport keeps in all.
+func (c *Client) withDefaults(servers int) {
 	if c.HTTP == nil {
-		c.HTTP = &http.Client{}
+		c.own = http.DefaultTransport.(*http.Transport).Clone()
+		c.own.MaxIdleConnsPerHost = max(c.own.MaxIdleConns/servers, http.DefaultMaxIdleConnsPerHost)
+		c.HTTP = &http.Client{Transport: c.own}
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 60 * time.Second
@@ -157,7 +171,9 @@ func statusError(url string, resp *http.Response) error {
 // (item, shard) and dedup accepts by source.
 func (c *Client) ExecBatch(ctx context.Context, baseURL string, req *BatchExecRequest, onAccept func(AcceptFrame), onItem func(BatchItemFrame)) error {
 	req.Proto = ProtoVersion
-	body, err := json.Marshal(req)
+	// Not a pooled buffer: the transport may still be sending the body
+	// when the response has been read.
+	body, err := codec.Marshal(nil, req, AppendBatchExecRequest)
 	if err != nil {
 		return err
 	}
@@ -176,15 +192,24 @@ func (c *Client) execBatchOnce(ctx context.Context, url string, body []byte, onA
 	if resp.StatusCode != http.StatusOK {
 		return statusError(url, resp)
 	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+	fr := newFrameReader(resp.Body)
+	defer fr.release()
+	for {
+		line, err := fr.next()
+		if err != nil {
+			return errTransient{fmt.Errorf("cluster: %s: stream: %w", url, err)}
+		}
+		if line == nil {
+			// Stream ended without a terminal frame: the server died
+			// mid-request.
+			return errTransient{fmt.Errorf("cluster: %s: stream truncated before terminal frame", url)}
+		}
+		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue
 		}
 		var frame BatchExecFrame
-		if err := json.Unmarshal(line, &frame); err != nil {
+		if err := codec.Unmarshal(line, &frame); err != nil {
 			return errTransient{fmt.Errorf("cluster: %s: bad frame: %w", url, err)}
 		}
 		switch {
@@ -201,11 +226,77 @@ func (c *Client) execBatchOnce(ctx context.Context, url string, body []byte, onA
 			return fmt.Errorf("cluster: %s: %s", url, frame.Error)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return errTransient{fmt.Errorf("cluster: %s: stream: %w", url, err)}
+}
+
+// maxFrame bounds one NDJSON response frame.
+const maxFrame = 64 << 20
+
+var errFrameTooLong = errors.New("frame longer than 64 MiB")
+
+// frameReader splits a response stream into lines over one pooled buffer,
+// as bufio.Scanner's ScanLines does with a private one: a last line
+// without its newline is still a line, and a read error ends the stream
+// after the bytes read before it.
+type frameReader struct {
+	r          io.Reader
+	bp         *[]byte
+	buf        []byte // (*bp)[:cap], or a larger buffer grown from it
+	start, end int    // unread bytes are buf[start:end]
+	scanned    int    // buf[start:scanned] holds no newline
+	err        error  // the error that ended the stream, io.EOF included
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	bp := codec.GetBuf()
+	return &frameReader{r: r, bp: bp, buf: (*bp)[:cap(*bp)]}
+}
+
+// next returns the next line, without its newline, aliasing the buffer
+// until the next call; nil at a clean end of stream.
+func (f *frameReader) next() ([]byte, error) {
+	for {
+		if i := bytes.IndexByte(f.buf[f.scanned:f.end], '\n'); i >= 0 {
+			line := f.buf[f.start : f.scanned+i]
+			f.start = f.scanned + i + 1
+			f.scanned = f.start
+			return line, nil
+		}
+		f.scanned = f.end
+		if f.err != nil {
+			if f.start < f.end {
+				line := f.buf[f.start:f.end]
+				f.start, f.scanned = f.end, f.end
+				return line, nil
+			}
+			if f.err == io.EOF {
+				return nil, nil
+			}
+			return nil, f.err
+		}
+		if f.start > 0 {
+			n := copy(f.buf, f.buf[f.start:f.end])
+			f.scanned -= f.start
+			f.start, f.end = 0, n
+		}
+		if f.end == len(f.buf) {
+			if len(f.buf) >= maxFrame {
+				return nil, errFrameTooLong
+			}
+			grown := make([]byte, min(2*len(f.buf), maxFrame))
+			copy(grown, f.buf[:f.end])
+			f.buf = grown
+		}
+		var n int
+		n, f.err = f.r.Read(f.buf[f.end:])
+		f.end += n
 	}
-	// Stream ended without a terminal frame: the server died mid-request.
-	return errTransient{fmt.Errorf("cluster: %s: stream truncated before terminal frame", url)}
+}
+
+// release returns the buffer to the pool; codec.PutBuf keeps out one that
+// grew past codec.MaxPooledBuffer.
+func (f *frameReader) release() {
+	*f.bp = f.buf[:0]
+	codec.PutBuf(f.bp)
 }
 
 // Mutate sends one replicated-mutation leg to one replica. Exactly one
@@ -215,7 +306,7 @@ func (c *Client) execBatchOnce(ctx context.Context, url string, body []byte, onA
 // 413 → ErrMutationTooLarge.
 func (c *Client) Mutate(ctx context.Context, baseURL string, req *MutateRequest) (*MutateWireResponse, error) {
 	req.Proto = ProtoVersion
-	body, err := json.Marshal(req)
+	body, err := codec.Marshal(nil, req, AppendMutateRequest)
 	if err != nil {
 		return nil, err
 	}

@@ -133,7 +133,7 @@ func New(opts CoordinatorOptions) (*Coordinator, error) {
 		stop:    make(chan struct{}),
 	}
 	c.Scatter = shard.Scatter{Shards: opts.Topology.NumShards, Legs: c.legs}
-	c.client.withDefaults()
+	c.client.withDefaults(len(opts.Topology.Servers))
 	c.client.met = c.met
 	c.met.setMembers(len(c.topo.Servers), 0)
 	return c, nil
@@ -177,10 +177,16 @@ func (c *Coordinator) Start() {
 	}()
 }
 
-// Close stops the probe loop and waits for it.
+// Close stops the probe loop and waits for it and for any floor pushes
+// still running (they end with their batches), then closes the idle
+// connections of a transport the client made for itself; a caller's own
+// http.Client is the caller's to close.
 func (c *Coordinator) Close() error {
 	c.stopOnce.Do(func() { close(c.stop) })
 	c.wg.Wait()
+	if c.client.own != nil {
+		c.client.own.CloseIdleConnections()
+	}
 	return nil
 }
 

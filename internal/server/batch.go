@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"sync"
 	"time"
 
 	"github.com/imgrn/imgrn/internal/core"
@@ -132,18 +131,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	var wmu sync.Mutex
-	emit := func(f BatchFrameJSON) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		encodeFrame(w, &f, appendBatchFrame)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	out := newFrameWriter(w, len(items))
+	emit := func(f BatchFrameJSON) { sendFrame(out, itemFrame, &f, appendBatchFrame) }
 
 	// Pre-failed items stream first; the live subset runs as one engine
 	// batch with positions mapped back to request indexes.
@@ -198,12 +187,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 		Errors:       itemErrs,
 		TotalSeconds: time.Since(start).Seconds(),
 	}
-	wmu.Lock()
-	encodeFrame(w, &writeDone, appendBatchDone)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	wmu.Unlock()
+	sendFrame(out, terminalFrame, &writeDone, appendBatchDone)
 }
 
 // buildBatchItem maps one wire item onto a core.BatchItem; an error

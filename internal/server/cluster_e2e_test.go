@@ -11,8 +11,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,7 +44,7 @@ var clusterIdxOpts = index.Options{D: 2, Samples: 24, Seed: 2}
 // in every source plus one unique gene per source. The module's noise
 // grows with src mod 4, so Monte Carlo estimates of its edges fall below 1
 // and depend on their streams.
-func clusterDB(t *testing.T, n int) (*gene.Database, *gene.Catalog) {
+func clusterDB(t testing.TB, n int) (*gene.Database, *gene.Catalog) {
 	t.Helper()
 	rng := randgen.New(1)
 	cat := gene.NewCatalog()
@@ -98,7 +100,7 @@ type testCluster struct {
 // reference coordinator with identical placement. wrap, when non-nil,
 // interposes on server i's handler (fault injection); mod edits the
 // coordinator options before dialing.
-func newTestCluster(t *testing.T, nServers, replication int,
+func newTestCluster(t testing.TB, nServers, replication int,
 	wrap func(i int, h http.Handler) http.Handler,
 	mod func(*cluster.CoordinatorOptions)) *testCluster {
 	t.Helper()
@@ -111,11 +113,12 @@ func newTestCluster(t *testing.T, nServers, replication int,
 // bootTestCluster is newTestCluster with server i's coordinator opened by
 // open, over the sources the ring places on the server's hosted shards
 // and with the role's local placement.
-func bootTestCluster(t *testing.T, nServers, replication int,
+func bootTestCluster(t testing.TB, nServers, replication int,
 	wrap func(i int, h http.Handler) http.Handler,
 	mod func(*cluster.CoordinatorOptions),
 	open func(i int, db *gene.Database, opts shard.Options) (*shard.Coordinator, error)) *testCluster {
 	t.Helper()
+	before := clusterGoroutines()
 	db, cat := clusterDB(t, 16)
 	tc := &testCluster{
 		topo: cluster.Topology{Servers: make([]string, nServers), NumShards: nServers, Replication: replication},
@@ -164,6 +167,10 @@ func bootTestCluster(t *testing.T, nServers, replication int,
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Cleanups run last-in first-out: the leak check runs after every
+	// coordinator's Close and before the shard servers close, so only the
+	// client side can have ended the connections.
+	t.Cleanup(func() { checkNoLeaks(t, before) })
 	t.Cleanup(func() { remote.Close() })
 	tc.remote = remote
 
@@ -182,6 +189,53 @@ func bootTestCluster(t *testing.T, nServers, replication int,
 	return tc
 }
 
+// clusterGoroutines maps the ID of every goroutine running client
+// connection loops (net/http persistConn) or cluster-package code to its
+// stack.
+func clusterGoroutines() map[string]string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "net/http.(*persistConn)") || strings.Contains(g, "imgrn/internal/cluster.") {
+			id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+			out[id] = g
+		}
+	}
+	return out
+}
+
+// checkNoLeaks fails the test if a connection or leg goroutine started
+// since before outlives the coordinators' Close. Connections the test
+// made itself through http.DefaultTransport are not the coordinator's and
+// are closed first.
+func checkNoLeaks(t testing.TB, before map[string]string) {
+	t.Helper()
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	var leaked []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		leaked = leaked[:0]
+		for id, stack := range clusterGoroutines() {
+			if _, ok := before[id]; !ok {
+				leaked = append(leaked, stack)
+			}
+		}
+		if len(leaked) == 0 || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, stack := range leaked {
+		t.Errorf("goroutine outlived the coordinator's Close:\n%s", stack)
+	}
+}
+
 // role is server i's shard role.
 func (tc *testCluster) role(i int) *ShardRole {
 	return &ShardRole{NumShards: tc.topo.NumShards, Shards: tc.topo.ServerShards(i), Ring: tc.ring}
@@ -194,7 +248,7 @@ func (tc *testCluster) shardOptions(role *ShardRole) shard.Options {
 
 // queryMatrix builds an ad-hoc query matrix from source src's module
 // columns (A, B, C).
-func (tc *testCluster) queryMatrix(t *testing.T, src int) *gene.Matrix {
+func (tc *testCluster) queryMatrix(t testing.TB, src int) *gene.Matrix {
 	t.Helper()
 	m := tc.db.BySource(src)
 	q, err := gene.NewMatrix(-1, m.Genes()[:3], [][]float64{m.Col(0), m.Col(1), m.Col(2)})
@@ -1180,12 +1234,46 @@ func TestClusterFailedLegCancelsAndNamesRootCause(t *testing.T) {
 
 // TestClusterBatchFloorsPerItem: every K>0 item of a batch has its own
 // floor — accept frames and /cluster/floor pushes carry the item index —
-// and the merged top-k is each item's in-process top-k. Shard 2's leg is
-// delayed so the other legs' accepts raise both floors while the scatter
-// is still in flight.
+// and the merged top-k is each item's in-process top-k. Shard 2's leg
+// holds its first item frame until a shard server has served a floor push
+// for every item, so the other legs' accepts raise both floors while the
+// scatter is still in flight.
 func TestClusterBatchFloorsPerItem(t *testing.T) {
-	delay := func(*http.Request) { time.Sleep(100 * time.Millisecond) }
-	tc := newTestCluster(t, 3, 2, gateExec(map[int]execGate{2: {0, delay}}),
+	const nItems = 2
+	var mu sync.Mutex
+	floored := map[int]bool{}
+	allFloored := make(chan struct{})
+	hold := func(r *http.Request) {
+		select {
+		case <-allFloored:
+		case <-r.Context().Done():
+		case <-time.After(10 * time.Second): // the floor assertions below then fail
+		}
+	}
+	gate := gateExec(map[int]execGate{2: {0, hold}})
+	wrap := func(i int, h http.Handler) http.Handler {
+		h = gate(i, h)
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != cluster.PathFloor {
+				h.ServeHTTP(w, r)
+				return
+			}
+			body, _ := io.ReadAll(r.Body)
+			var push cluster.FloorRequest
+			_ = json.Unmarshal(body, &push)
+			r.Body = io.NopCloser(bytes.NewReader(body))
+			h.ServeHTTP(w, r)
+			mu.Lock()
+			defer mu.Unlock()
+			if !floored[push.Item] {
+				floored[push.Item] = true
+				if len(floored) == nItems {
+					close(allFloored)
+				}
+			}
+		})
+	}
+	tc := newTestCluster(t, 3, 2, wrap,
 		func(o *cluster.CoordinatorOptions) { o.FloorEvery = time.Millisecond })
 	items := []core.BatchItem{
 		{Matrix: tc.queryMatrix(t, 5), Params: clusterParamsFor(true), K: 2},

@@ -186,34 +186,6 @@ func clusterGraph(genes []int32, edges []cluster.WireEdge) (*grn.Graph, error) {
 	return q, nil
 }
 
-// ndjson prepares a streaming NDJSON response. Frames after the header
-// has been sent cannot change the status code, so every post-header
-// failure travels as an Error frame.
-type ndjsonWriter struct {
-	mu    sync.Mutex
-	enc   *json.Encoder
-	flush http.Flusher
-}
-
-func newNDJSON(w http.ResponseWriter) *ndjsonWriter {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	out := &ndjsonWriter{enc: json.NewEncoder(w)}
-	if f, ok := w.(http.Flusher); ok {
-		out.flush = f
-	}
-	return out
-}
-
-func (n *ndjsonWriter) frame(v any) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	_ = n.enc.Encode(v)
-	if n.flush != nil {
-		n.flush.Flush()
-	}
-}
-
 // handleClusterExec executes every item of one coordinator request on one
 // hosted shard, streaming accept and item frames as the items run and
 // retire.
@@ -238,11 +210,16 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := s.queryContext(r)
 	defer cancel()
-	out := newNDJSON(w)
+	// Frames after the header cannot change the status code, so every
+	// later failure travels as an Error frame.
+	out := newFrameWriter(w, len(req.Items))
+	frame := func(kind frameKind, f cluster.BatchExecFrame) {
+		sendFrame(out, kind, &f, cluster.AppendBatchExecFrame)
+	}
 
 	itemTimeout := time.Duration(req.ItemTimeoutMs) * time.Millisecond
 	fail := func(i int, err error) {
-		out.frame(cluster.BatchExecFrame{Item: &cluster.BatchItemFrame{Index: i, Shard: req.Shard, Error: err.Error()}})
+		frame(itemFrame, cluster.BatchExecFrame{Item: &cluster.BatchItemFrame{Index: i, Shard: req.Shard, Error: err.Error()}})
 	}
 
 	// Materialize the wire items: graph items, as the scatter hands every
@@ -276,7 +253,7 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 			li.sink.SetOnAccept(func(a core.Answer) {
 				// Called with the sink's lock held: emit and return, no sink
 				// methods from here.
-				out.frame(cluster.BatchExecFrame{Accept: &cluster.AcceptFrame{Item: i, Shard: req.Shard, Source: a.Source, Prob: a.Prob}})
+				frame(progressFrame, cluster.BatchExecFrame{Accept: &cluster.AcceptFrame{Item: i, Shard: req.Shard, Source: a.Source, Prob: a.Prob}})
 			})
 			// Registered until the request ends: a push that lands after the
 			// item retired raises a sink nobody reads any more.
@@ -289,7 +266,7 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 		live = append(live, li)
 	}
 	if len(live) == 0 {
-		out.frame(cluster.BatchExecFrame{Done: true})
+		frame(terminalFrame, cluster.BatchExecFrame{Done: true})
 		return
 	}
 
@@ -313,14 +290,14 @@ func (s *Server) handleClusterExec(w http.ResponseWriter, r *http.Request) {
 					fr.Answers = cluster.AnswersToWire(res.Answers)
 				}
 			}
-			out.frame(cluster.BatchExecFrame{Item: &fr})
+			frame(itemFrame, cluster.BatchExecFrame{Item: &fr})
 		},
 	}
 	if err := s.coord.QueryShardBatch(ctx, local, items, opts); err != nil {
-		out.frame(cluster.BatchExecFrame{Error: err.Error()})
+		frame(terminalFrame, cluster.BatchExecFrame{Error: err.Error()})
 		return
 	}
-	out.frame(cluster.BatchExecFrame{Done: true})
+	frame(terminalFrame, cluster.BatchExecFrame{Done: true})
 }
 
 func (s *Server) handleClusterMutate(w http.ResponseWriter, r *http.Request) {

@@ -60,6 +60,7 @@ import (
 	"time"
 
 	"github.com/imgrn/imgrn/internal/cluster"
+	"github.com/imgrn/imgrn/internal/codec"
 	"github.com/imgrn/imgrn/internal/core"
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
@@ -922,10 +923,10 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
 	}
 	body := http.MaxBytesReader(w, r.Body, s.MaxBodyBytes)
 	var err error
-	if c, ok := into.(canonicalBody); ok {
-		err = decodeCanonical(body, c)
+	if c, ok := into.(codec.Canonical); ok {
+		err = codec.Decode(body, c)
 	} else {
-		err = decodeJSON(body, into)
+		err = codec.DecodeJSON(body, into)
 	}
 	if err != nil {
 		s.error(w, http.StatusBadRequest, "invalid JSON: "+err.Error())
@@ -1038,7 +1039,8 @@ func (s *Server) observeQuery(endpoint string, st core.Stats, tr *obs.Tracer) {
 }
 
 // resolveGenes maps request gene names to IDs via the catalog, falling
-// back to numeric parsing.
+// back to reading the whole name as a decimal gene.ID. A name with
+// anything after its digits, or out of gene.ID's range, is unknown.
 func (s *Server) resolveGenes(names []string) ([]gene.ID, error) {
 	ids := make([]gene.ID, len(names))
 	for i, name := range names {
@@ -1050,9 +1052,13 @@ func (s *Server) resolveGenes(names []string) ([]gene.ID, error) {
 		}
 		numeric, ok := plainDecimal(name)
 		if !ok {
-			if _, err := fmt.Sscanf(name, "%d", &numeric); err != nil {
+			var err error
+			if numeric, err = strconv.ParseInt(name, 10, 32); err != nil {
 				return nil, fmt.Errorf("unknown gene %q", name)
 			}
+		}
+		if numeric != int64(gene.ID(numeric)) {
+			return nil, fmt.Errorf("unknown gene %q", name)
 		}
 		ids[i] = gene.ID(numeric)
 	}
@@ -1060,8 +1066,9 @@ func (s *Server) resolveGenes(names []string) ([]gene.ID, error) {
 }
 
 // plainDecimal parses the form clients send numeric gene IDs in: an
-// optional minus sign and up to 18 decimal digits, which fmt.Sscanf's %d
-// reads to the same value. Anything else is left to Sscanf.
+// optional minus sign and up to 18 decimal digits, which
+// strconv.ParseInt reads to the same value. Anything else is left to
+// ParseInt.
 func plainDecimal(name string) (int64, bool) {
 	digits := strings.TrimPrefix(name, "-")
 	if len(digits) == 0 || len(digits) > 18 {
