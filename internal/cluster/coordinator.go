@@ -107,6 +107,12 @@ type Coordinator struct {
 	healthy []bool
 	infos   []*InfoResponse // last successful probe per server; nil until probed
 	probed  bool
+	// writeEpoch advances when a write starts and when it ends, and
+	// writing counts the writes in flight: a probe that overlapped a write
+	// may have counted it before or after the write's own update of infos,
+	// so it does not install its counts (see RefreshHealth).
+	writeEpoch uint64
+	writing    int
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -195,6 +201,9 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) RefreshHealth(ctx context.Context) {
 	ctx, cancel := context.WithTimeout(ctx, c.client.Timeout)
 	defer cancel()
+	c.mu.Lock()
+	epoch, quiet := c.writeEpoch, c.writing == 0
+	c.mu.Unlock()
 	infos := make([]*InfoResponse, len(c.topo.Servers))
 	var wg sync.WaitGroup
 	for i, url := range c.topo.Servers {
@@ -211,14 +220,22 @@ func (c *Coordinator) RefreshHealth(ctx context.Context) {
 
 	healthyN := 0
 	c.mu.Lock()
+	// A probe that overlapped a write keeps only its health flags: the
+	// cached counts, with the write applied to them, are the better ones,
+	// and probed stays as the write left it.
+	fresh := quiet && c.writeEpoch == epoch
 	for i, info := range infos {
 		c.healthy[i] = info != nil
 		if info != nil {
-			c.infos[i] = info
 			healthyN++
+			if fresh {
+				c.infos[i] = info
+			}
 		}
 	}
-	c.probed = true
+	if fresh {
+		c.probed = true
+	}
 	c.mu.Unlock()
 	c.met.setMembers(len(c.topo.Servers), healthyN)
 }
@@ -426,6 +443,10 @@ func (c *Coordinator) mutate(req *MutateRequest) error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.client.Timeout)
 	defer cancel()
 
+	c.mu.Lock()
+	c.writeEpoch++
+	c.writing++
+	c.mu.Unlock()
 	errs := make([]error, len(replicas))
 	var wg sync.WaitGroup
 	for i, server := range replicas {
@@ -448,13 +469,21 @@ func (c *Coordinator) mutate(req *MutateRequest) error {
 			failed = append(failed, fmt.Errorf("replica %s: %w", c.topo.Servers[replicas[i]], err))
 		}
 	}
-	if len(failed) == 0 {
-		// The cached health snapshot now miscounts the mutated shard;
-		// make the next snapshot consumer (Matrices, Members) re-probe
-		// instead of serving pre-mutation loads.
-		c.mu.Lock()
+	delta := 1
+	if req.Op == "remove" {
+		delta = -1
+	}
+	c.mu.Lock()
+	c.writeEpoch++
+	c.writing--
+	if acked > 0 && !(len(failed) == 0 && c.applyLocked(g, replicas, delta)) {
+		// A partial ack, or a replica whose cached row cannot take the
+		// change: make the next snapshot consumer (Matrices, Members)
+		// re-probe instead of serving a wrong count.
 		c.probed = false
-		c.mu.Unlock()
+	}
+	c.mu.Unlock()
+	if len(failed) == 0 {
 		return nil
 	}
 	// Sentinel rejections (source exists / not found) are consistent
@@ -466,4 +495,30 @@ func (c *Coordinator) mutate(req *MutateRequest) error {
 	}
 	return fmt.Errorf("cluster: %s source %d on shard %d acked by %d/%d replicas (divergent replicas need resync): %w",
 		req.Op, req.Source, g, acked, len(replicas), errors.Join(failed...))
+}
+
+// applyLocked adds delta to the cached source count of shard g in the
+// probe row of each replica, so a fully acked write needs no re-probe. It
+// changes nothing and reports false when a replica has no row for g. The
+// caller holds c.mu.
+func (c *Coordinator) applyLocked(g int, replicas []int, delta int) bool {
+	rows := make([]*WireShardInfo, len(replicas))
+	for i, server := range replicas {
+		info := c.infos[server]
+		if info == nil {
+			return false
+		}
+		for j := range info.Shards {
+			if info.Shards[j].Global == g {
+				rows[i] = &info.Shards[j]
+			}
+		}
+		if rows[i] == nil {
+			return false
+		}
+	}
+	for _, row := range rows {
+		row.Sources += delta
+	}
+	return true
 }

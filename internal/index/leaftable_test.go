@@ -165,8 +165,9 @@ func TestIncrementalAugmentation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// A small node capacity forces splits, forced reinserts, condensed
-		// nodes and root changes within a few dozen mutations.
+		// A small node capacity forces splits at run ends and in the middle
+		// of runs, condensed nodes and root changes within a few dozen
+		// mutations of sources in random order.
 		opts := Options{D: 2, Samples: 16, Seed: 80 + seed, MaxFill: 6}
 		x, err := Build(base, opts)
 		if err != nil {
@@ -263,8 +264,12 @@ func TestIncrementalAugmentationConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
+	// Each round adds the late sources in a new order, so most land below
+	// sources already indexed and split nodes inside runs of one gene.
+	rng := randgen.New(96)
 	for round := 0; round < 4; round++ {
-		for _, m := range all[15:] {
+		for _, i := range rng.Perm(len(all) - 15) {
+			m := all[15+i]
 			mu.Lock()
 			err := x.AddMatrix(m)
 			mu.Unlock()

@@ -12,7 +12,11 @@ import (
 // database, embedded with the same (Seed, Source)-derived randomness the
 // offline build uses — so an incrementally-grown index answers queries
 // exactly like a fresh build over the enlarged database — and its points
-// are inserted into the R*-tree via the R* insertion algorithm. Node
+// are inserted into the tree in (gene, source) key order, the order the
+// gene-primary bulk load lays out: each point joins its gene's run, and a
+// full node splits at the end of that run, so a source whose ID is the
+// highest yet splits nodes only between genes and keeps each gene's
+// vectors together, as a bulk build does. Node
 // augmentations (signatures, leaf join tables) are recomputed only for the
 // nodes the insertions created or changed (refreshDirty).
 //
@@ -95,7 +99,8 @@ func (x *Index) AddEmbedded(e *Embedded) error {
 }
 
 // RemoveMatrix drops a data source from the index and the database: its
-// points are deleted from the R*-tree, its embedding and heap mapping are
+// points are found by their (gene, source) keys and deleted from the tree,
+// its embedding and heap mapping are
 // discarded, its genes are withdrawn from the inverted file and the
 // augmentations of the touched nodes are refreshed. The heap pages
 // themselves are not reclaimed (the simulated store is append-only, as a

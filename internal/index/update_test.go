@@ -201,9 +201,9 @@ func TestDatabaseRemove(t *testing.T) {
 
 // TestAddRemoveMatrixAllocs bounds the allocations of one online AddMatrix
 // plus RemoveMatrix on an N = 300 index (BenchmarkIndexAddRemove's shape).
-// The bound guards the R*-tree's insert path: ChooseSubtree builds each
-// candidate's enlarged MBR in per-tree scratch, so an insert allocates
-// per node it changes, not per entry it weighs.
+// The bound guards the tree's insert and delete paths: an insert or a
+// delete allocates per node it splits or dissolves, not per level or
+// entry it passes.
 func TestAddRemoveMatrixAllocs(t *testing.T) {
 	ds, err := synth.GenerateDatabase(synth.DBParams{
 		N: 301, NMin: 20, NMax: 40, LMin: 10, LMax: 20,
@@ -226,7 +226,7 @@ func TestAddRemoveMatrixAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const bound = 3000 // about 2 500 today; about 6 200 before the scratch
+	const bound = 3000 // about 900 today; about 2 500 under the R* rules
 	if got > bound {
 		t.Errorf("one AddMatrix + RemoveMatrix allocates %.0f times, want ≤ %d", got, bound)
 	}

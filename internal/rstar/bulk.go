@@ -8,7 +8,10 @@ import (
 
 // BulkLoad builds the tree from scratch with sort-tile-recursive (STR)
 // packing, which yields well-shaped leaves for the static offline index
-// construction of Section 5.1. Any existing contents are replaced.
+// construction of Section 5.1. Any existing contents are replaced. A
+// PrimaryAxisFull tree comes out in key order, ties on the primary
+// coordinate broken by Ref; any other tree is tiled by several axes and
+// is not in key order.
 func (t *Tree) BulkLoad(items []Item) error {
 	for _, it := range items {
 		if len(it.Point) != t.dim {
@@ -17,6 +20,7 @@ func (t *Tree) BulkLoad(items []Item) error {
 	}
 	t.size = len(items)
 	t.dirty = nil // the old nodes are gone; the caller augments the new tree whole
+	t.ordered = t.primaryFull || len(items) == 0
 	if len(items) == 0 {
 		t.root = t.newNode(true, 0)
 		return nil
@@ -29,7 +33,7 @@ func (t *Tree) BulkLoad(items []Item) error {
 	for _, g := range groups {
 		n := t.newNode(true, 0)
 		for _, it := range g {
-			n.entries = append(n.entries, entry{mbr: NewRect(it.Point), item: it})
+			n.entries = append(n.entries, t.leafEntry(it))
 		}
 		n.recomputeMBR()
 		nodes = append(nodes, n)
@@ -69,7 +73,7 @@ func (t *Tree) packLevel(children []*Node, level int) []*Node {
 		}
 		p := t.newNode(false, level)
 		for _, c := range cs[start:end] {
-			p.entries = append(p.entries, entry{mbr: c.n.mbr.Clone(), child: c.n})
+			p.entries = append(p.entries, t.parentEntry(c.n))
 		}
 		p.recomputeMBR()
 		parents = append(parents, p)
@@ -107,41 +111,36 @@ func (t *Tree) strSortNodes(cs []centeredNode, depth, cap int) {
 // strPartition tiles items into groups of at most cap using recursive STR
 // over the tree's axis order.
 func (t *Tree) strPartition(items []Item, cap, depth int) [][]Item {
+	if depth == 0 && t.primaryFull {
+		// Pure sorted packing in key order: the fewest leaves, of equal
+		// size to within one, each spanning the tightest primary-axis
+		// range.
+		sort.SliceStable(items, func(i, j int) bool { return t.keyOf(items[i]).less(t.keyOf(items[j])) })
+		return chunks(items, strGroups(len(items), strGroups(len(items), cap)))
+	}
 	if len(items) <= cap {
 		return [][]Item{items}
 	}
 	if depth >= t.dim {
-		// Degenerate: slice sequentially.
-		var out [][]Item
-		for start := 0; start < len(items); start += cap {
-			end := start + cap
-			if end > len(items) {
-				end = len(items)
-			}
-			out = append(out, items[start:end])
-		}
-		return out
+		return chunks(items, cap) // degenerate: slice sequentially
 	}
 	axis := t.axisAt(depth)
 	sort.SliceStable(items, func(i, j int) bool { return items[i].Point[axis] < items[j].Point[axis] })
 	leaves := strGroups(len(items), cap)
-	slabs := int(math.Ceil(math.Pow(float64(leaves), 1/float64(t.dim-depth))))
-	if depth == 0 && t.primaryFull {
-		// Pure sorted packing on the primary axis: each group is exactly
-		// one leaf-to-be, spanning the tightest primary-axis range.
-		slabs = leaves
+	slabs := max(int(math.Ceil(math.Pow(float64(leaves), 1/float64(t.dim-depth)))), 1)
+	var out [][]Item
+	for _, slab := range chunks(items, strGroups(len(items), slabs)) {
+		out = append(out, t.strPartition(slab, cap, depth+1)...)
 	}
-	if slabs <= 1 {
-		slabs = 1
-	}
-	per := strGroups(len(items), slabs)
+	return out
+}
+
+// chunks cuts items into consecutive groups of per (the last may be
+// shorter).
+func chunks(items []Item, per int) [][]Item {
 	var out [][]Item
 	for start := 0; start < len(items); start += per {
-		end := start + per
-		if end > len(items) {
-			end = len(items)
-		}
-		out = append(out, t.strPartition(items[start:end], cap, depth+1)...)
+		out = append(out, items[start:min(start+per, len(items))])
 	}
 	return out
 }

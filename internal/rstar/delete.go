@@ -1,23 +1,24 @@
 package rstar
 
-// Delete removes the first stored item with an equal point and reference,
-// using the classic R-tree deletion algorithm: find the leaf, remove the
-// entry, condense the tree (underfull nodes are dissolved and their
-// remaining entries reinserted), and shrink the root when it is left with
-// a single child. It reports whether an item was removed.
+// Delete removes the first stored item with an equal point and reference
+// and reports whether one was removed. It finds the leaf by the key
+// descent Insert uses, removes the entry, then condenses the path
+// (underfull nodes are dissolved and their entries reinserted by key) and
+// shrinks the root while it is an internal node with a single child.
 func (t *Tree) Delete(it Item) bool {
 	if len(it.Point) != t.dim {
 		return false
 	}
-	path, entryIdx := t.findLeaf(t.root, nil, it)
-	if entryIdx < 0 {
+	path, idx, at := t.findLeaf(t.root, nil, []int{0}, it, t.keyOf(it))
+	if at < 0 {
 		return false
 	}
 	t.markPath(path)
 	leaf := path[len(path)-1]
-	leaf.entries = append(leaf.entries[:entryIdx], leaf.entries[entryIdx+1:]...)
+	removed := leaf.entries[at].mbr
+	leaf.removeAt(at)
 	t.size--
-	t.condense(path)
+	t.condense(path, idx, at == 0, removed)
 	// Shrink the root: an internal root with one child is replaced by it.
 	for !t.root.leaf && len(t.root.entries) == 1 {
 		t.root.dead = true
@@ -31,29 +32,46 @@ func (t *Tree) Delete(it Item) bool {
 	return true
 }
 
-// findLeaf locates the leaf containing it, returning the root-to-leaf path
-// and the entry index, or (nil, -1).
-func (t *Tree) findLeaf(n *Node, path []*Node, it Item) ([]*Node, int) {
+// findLeaf locates it below n, returning the root-to-leaf path, each
+// node's entry index in its parent (idx holds n's) and the item's entry
+// index, or (nil, nil, -1). In key order the item sits in the last child whose first
+// key is <= k, or in an earlier one only when the children after it start
+// at exactly k; an unordered tree is searched by MBR containment.
+func (t *Tree) findLeaf(n *Node, path []*Node, idx []int, it Item, k key) ([]*Node, []int, int) {
 	path = append(path, n)
 	if n.leaf {
-		for i := range n.entries {
-			e := &n.entries[i]
-			if e.item.Ref == it.Ref && pointsEqual(e.item.Point, it.Point) {
-				return path, i
+		lo, hi := 0, len(n.entries)
+		if t.ordered {
+			hi = upperBound(n.entries, k)
+			for lo = hi; lo > 0 && n.entries[lo-1].first == k; lo-- {
 			}
 		}
-		return nil, -1
-	}
-	r := NewRect(it.Point)
-	for i := range n.entries {
-		if !n.entries[i].mbr.ContainsRect(r) {
-			continue
+		for i := lo; i < hi; i++ {
+			if e := &n.entries[i]; e.item.Ref == it.Ref && pointsEqual(e.item.Point, it.Point) {
+				return path, idx, i
+			}
 		}
-		if p, idx := t.findLeaf(n.entries[i].child, path, it); idx >= 0 {
-			return p, idx
+		return nil, nil, -1
+	}
+	if !t.ordered {
+		for j := range n.entries {
+			if n.entries[j].mbr.ContainsPoint(it.Point) {
+				if p, ix, at := t.findLeaf(n.entries[j].child, path, append(idx, j), it, k); at >= 0 {
+					return p, ix, at
+				}
+			}
+		}
+		return nil, nil, -1
+	}
+	for j := upperBound(n.entries, k) - 1; j >= 0; j-- {
+		if p, ix, at := t.findLeaf(n.entries[j].child, path, append(idx, j), it, k); at >= 0 {
+			return p, ix, at
+		}
+		if n.entries[j].first != k {
+			break
 		}
 	}
-	return nil, -1
+	return nil, nil, -1
 }
 
 func pointsEqual(a, b []float64) bool {
@@ -65,46 +83,57 @@ func pointsEqual(a, b []float64) bool {
 	return true
 }
 
-// condense walks the path bottom-up: underfull non-root nodes are removed
-// from their parents and their surviving entries queued for reinsertion at
-// the original level; MBRs along the path are tightened.
-func (t *Tree) condense(path []*Node) {
-	type orphan struct {
-		e     entry
-		level int
-	}
-	var orphans []orphan
-	for i := len(path) - 1; i > 0; i-- {
-		n := path[i]
-		parent := path[i-1]
+// condense restores the tree bottom-up along path after its leaf lost an
+// entry with MBR removed (its first entry when lostFirst). An underfull
+// non-root node is detached from its parent and its entries are queued
+// for reinsertion. A node recomputes its MBR only when the rectangle that
+// left it touched its boundary, and passes its first key up only when its
+// first entry left; the walk stops at the first node where neither
+// changed. The queued entries are then reinserted by key, the highest
+// level first, so that a subtree is back in place before the entries
+// whose keys fall after it are.
+func (t *Tree) condense(path []*Node, idx []int, lostFirst bool, removed Rect) {
+	var orphans []*Node
+	r, moved := removed, true
+	i := len(path) - 1
+	for ; i > 0 && (moved || lostFirst); i-- {
+		n, p, j := path[i], path[i-1], idx[i]
 		if len(n.entries) < t.minFill {
-			// Detach n from its parent and orphan its entries.
 			n.dead = true
-			for j := range parent.entries {
-				if parent.entries[j].child == n {
-					parent.entries = append(parent.entries[:j], parent.entries[j+1:]...)
-					break
-				}
-			}
-			for _, e := range n.entries {
-				orphans = append(orphans, orphan{e: e, level: n.level})
-			}
+			p.removeAt(j)
+			orphans = append(orphans, n)
+			r, moved, lostFirst = n.mbr, true, j == 0
 			continue
 		}
-		n.recomputeMBR()
-		for j := range parent.entries {
-			if parent.entries[j].child == n {
-				parent.entries[j].mbr = n.mbr.Clone()
-				break
-			}
+		if lostFirst {
+			p.entries[j].first = n.entries[0].first
+			lostFirst = j == 0
+		}
+		if moved {
+			moved = t.shrink(n, r)
+			r = t.old
 		}
 	}
-	t.root.recomputeMBR()
-	// Reinsert orphans at their original levels (leaf entries re-enter at
-	// level 0; subtree entries re-enter so their leaves stay at depth 0).
-	t.reinserting = true
-	for _, o := range orphans {
-		t.insertEntry(o.e, o.level)
+	if i == 0 && moved {
+		t.shrink(t.root, r)
 	}
-	t.reinserting = false
+	for o := len(orphans) - 1; o >= 0; o-- {
+		n := orphans[o]
+		for _, e := range n.entries {
+			t.insertEntry(e, n.level)
+		}
+	}
+}
+
+// shrink recomputes n's MBR when r, a rectangle that just left n, touched
+// its boundary, and reports whether the MBR changed; the MBR from before
+// is then in t.old.
+func (t *Tree) shrink(n *Node, r Rect) bool {
+	if !r.onBoundary(n.mbr) {
+		return false
+	}
+	copy(t.old.Min, n.mbr.Min)
+	copy(t.old.Max, n.mbr.Max)
+	n.recomputeMBR()
+	return !n.mbr.equal(t.old)
 }

@@ -108,7 +108,9 @@ func TestDeleteFromBulkLoaded(t *testing.T) {
 }
 
 // TestInsertDeleteSearchProperty interleaves random inserts and deletes and
-// cross-checks search results against a model map.
+// cross-checks search results against a model map. The primary coordinate
+// takes few values and references arrive out of order, so inserts land
+// inside runs of equal primary coordinates, and every split rule runs.
 func TestInsertDeleteSearchProperty(t *testing.T) {
 	rng := randgen.New(204)
 	f := func(seed uint64) bool {
@@ -119,15 +121,17 @@ func TestInsertDeleteSearchProperty(t *testing.T) {
 			return false
 		}
 		model := make(map[uint64]Item)
-		nextRef := uint64(0)
 		for op := 0; op < 200; op++ {
 			if r.Float64() < 0.6 || len(model) == 0 {
 				p := make([]float64, dim)
 				for d := range p {
 					p[d] = r.UniformIn(-50, 50)
 				}
-				it := Item{Point: p, Ref: nextRef}
-				nextRef++
+				p[0] = float64(r.Intn(6))
+				it := Item{Point: p, Ref: r.Uint64() % 1000}
+				if _, dup := model[it.Ref]; dup {
+					continue
+				}
 				if err := tree.Insert(it); err != nil {
 					return false
 				}
@@ -146,7 +150,8 @@ func TestInsertDeleteSearchProperty(t *testing.T) {
 		if tree.Size() != len(model) {
 			return false
 		}
-		if tree.CheckInvariants() != "" {
+		if msg := tree.CheckInvariants(); msg != "" {
+			t.Log(msg)
 			return false
 		}
 		lo := make([]float64, dim)

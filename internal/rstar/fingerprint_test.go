@@ -40,35 +40,40 @@ func treeFingerprint(t *rstar.Tree) uint64 {
 	return h.Sum64()
 }
 
-// TestTreeFingerprint pins the exact shape of an R*-tree grown and shrunk
+// fingerprintDB is the synthetic database both fingerprint tests index.
+func fingerprintDB(t *testing.T) *gene.Database {
+	t.Helper()
+	ds, err := synth.GenerateDatabase(synth.DBParams{
+		N: 120, NMin: 20, NMax: 40, LMin: 10, LMax: 20,
+		Dist: synth.Uniform, GenePool: 40, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds.DB
+}
+
+// TestTreeFingerprint pins the exact shape of a tree grown and shrunk
 // online: an index bulk-loaded over 40 synthetic matrices takes 80 more by
-// AddMatrix (ChooseSubtree at every level, forced reinserts, splits) and
-// then drops every third source by RemoveMatrix (condense and orphan
-// reinsertion). Any change to the insertion or deletion rules — a
-// different ChooseSubtree pick, split or reinsert order — changes the
-// hash. The constants were recorded before ChooseSubtree's overlap loop
-// was pruned; the pruned loop must reproduce them bit for bit.
+// AddMatrix (key descent, run-end and middle splits, root splits) and then
+// drops every third source by RemoveMatrix (key descent, condense and
+// reinsertion by key). Any change to the insertion or deletion rules — a
+// different descent, split point or reinsertion order — changes the hash.
 func TestTreeFingerprint(t *testing.T) {
 	for _, tc := range []struct {
 		maxFill int
 		want    uint64
 	}{
-		{0, 0x533f960424961cb9},
-		{8, 0x344ffd8d4e37cac6},
+		{0, 0xb6cdc0e0277c24f8},
+		{8, 0xa5783ea70c7bcd6c},
 	} {
-		ds, err := synth.GenerateDatabase(synth.DBParams{
-			N: 120, NMin: 20, NMax: 40, LMin: 10, LMax: 20,
-			Dist: synth.Uniform, GenePool: 40, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		all := append([]*gene.Matrix(nil), ds.DB.Matrices()...)
+		db := fingerprintDB(t)
+		all := append([]*gene.Matrix(nil), db.Matrices()...)
 		late := all[40:]
 		for _, m := range late {
-			ds.DB.Remove(m.Source)
+			db.Remove(m.Source)
 		}
-		idx, err := index.Build(ds.DB, index.Options{D: 2, Seed: 42, MaxFill: tc.maxFill, Workers: 1})
+		idx, err := index.Build(db, index.Options{D: 2, Seed: 42, MaxFill: tc.maxFill, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,6 +96,38 @@ func TestTreeFingerprint(t *testing.T) {
 		if got := treeFingerprint(tree); got != tc.want {
 			t.Errorf("MaxFill %d: fingerprint %#x (size %d, height %d), want %#x",
 				tc.maxFill, got, tree.Size(), tree.Height(), tc.want)
+		}
+	}
+}
+
+// TestBulkTreeFingerprint pins the shape of a bulk-built index tree, with
+// and without the gene-primary layout. Bulk loading takes its input in
+// ascending source order, so breaking primary-coordinate ties by Ref
+// leaves the layout as it was before the insertion rule followed the key
+// order.
+func TestBulkTreeFingerprint(t *testing.T) {
+	for _, tc := range []struct {
+		maxFill int
+		natural bool
+		want    uint64
+	}{
+		{0, false, 0xd6aa616e83eea1dc},
+		{8, false, 0x3ee2989e1715e086},
+		{8, true, 0xe4e7bc6eb2a4813},
+	} {
+		idx, err := index.Build(fingerprintDB(t), index.Options{
+			D: 2, Seed: 42, MaxFill: tc.maxFill, Workers: 1, NaturalSTRLayout: tc.natural,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := idx.Tree()
+		if msg := tree.CheckInvariants(); msg != "" {
+			t.Fatalf("MaxFill %d natural %v: %s", tc.maxFill, tc.natural, msg)
+		}
+		if got := treeFingerprint(tree); got != tc.want {
+			t.Errorf("MaxFill %d natural %v: fingerprint %#x (size %d, height %d), want %#x",
+				tc.maxFill, tc.natural, got, tree.Size(), tree.Height(), tc.want)
 		}
 	}
 }

@@ -9,8 +9,8 @@ func rect(min, max []float64) Rect { return Rect{Min: min, Max: max} }
 
 func TestNewRectDegenerate(t *testing.T) {
 	r := NewRect([]float64{1, 2})
-	if r.Area() != 0 {
-		t.Errorf("point rect area = %v", r.Area())
+	if !r.equal(Rect{Min: []float64{1, 2}, Max: []float64{1, 2}}) {
+		t.Errorf("point rect = %v", r)
 	}
 	if !r.ContainsPoint([]float64{1, 2}) {
 		t.Error("point rect should contain its point")
@@ -18,13 +18,13 @@ func TestNewRectDegenerate(t *testing.T) {
 }
 
 func TestEmptyRectIsUnionIdentity(t *testing.T) {
-	e := EmptyRect(2)
+	u := EmptyRect(2)
 	r := rect([]float64{1, 2}, []float64{3, 4})
-	u := Union(e, r)
-	for i := 0; i < 2; i++ {
-		if u.Min[i] != r.Min[i] || u.Max[i] != r.Max[i] {
-			t.Fatalf("union with empty changed rect: %v", u)
-		}
+	if !u.ExpandRect(r) || !u.equal(r) {
+		t.Fatalf("empty rect expanded by %v = %v", r, u)
+	}
+	if u.ExpandRect(r) {
+		t.Error("expanding by a covered rect reported a change")
 	}
 }
 
@@ -40,56 +40,14 @@ func TestExpand(t *testing.T) {
 	}
 }
 
-func TestAreaMargin(t *testing.T) {
-	r := rect([]float64{0, 0, 0}, []float64{2, 3, 4})
-	if r.Area() != 24 {
-		t.Errorf("Area = %v", r.Area())
-	}
-	if r.Margin() != 9 {
-		t.Errorf("Margin = %v", r.Margin())
-	}
-}
-
-func TestEnlargement(t *testing.T) {
-	r := rect([]float64{0, 0}, []float64{2, 2})
-	o := rect([]float64{1, 1}, []float64{3, 3})
-	if got := r.Enlargement(o); got != 5 {
-		t.Errorf("Enlargement = %v, want 5 (3x3 - 2x2)", got)
-	}
-	inside := rect([]float64{0.5, 0.5}, []float64{1, 1})
-	if got := r.Enlargement(inside); got != 0 {
-		t.Errorf("contained rect should need no enlargement, got %v", got)
-	}
-}
-
-func TestOverlapArea(t *testing.T) {
-	a := rect([]float64{0, 0}, []float64{2, 2})
-	b := rect([]float64{1, 1}, []float64{3, 3})
-	if got := OverlapArea(a, b); got != 1 {
-		t.Errorf("OverlapArea = %v, want 1", got)
-	}
-	c := rect([]float64{5, 5}, []float64{6, 6})
-	if got := OverlapArea(a, c); got != 0 {
-		t.Errorf("disjoint overlap = %v", got)
-	}
-	// Touching rectangles share zero area.
-	d := rect([]float64{2, 0}, []float64{3, 2})
-	if got := OverlapArea(a, d); got != 0 {
-		t.Errorf("touching overlap = %v", got)
-	}
-}
-
 func TestIntersectsAndContains(t *testing.T) {
 	a := rect([]float64{0, 0}, []float64{2, 2})
 	b := rect([]float64{2, 2}, []float64{3, 3}) // touching corner
 	if !a.Intersects(b) {
 		t.Error("touching rects should intersect (closed rects)")
 	}
-	if !a.ContainsRect(rect([]float64{0.5, 0.5}, []float64{1.5, 1.5})) {
-		t.Error("containment failed")
-	}
-	if a.ContainsRect(b) {
-		t.Error("should not contain outside rect")
+	if a.Intersects(rect([]float64{2.5, 0}, []float64{3, 2})) {
+		t.Error("disjoint rects intersect")
 	}
 	if !a.ContainsPoint([]float64{2, 0}) {
 		t.Error("boundary points are inside")
@@ -102,13 +60,12 @@ func TestIntersectsAndContains(t *testing.T) {
 func TestCenterDistance(t *testing.T) {
 	a := rect([]float64{0, 0}, []float64{2, 2})
 	b := rect([]float64{4, 0}, []float64{6, 2})
-	if got := CenterDistance2(a, b); got != 16 {
-		t.Errorf("CenterDistance2 = %v, want 16", got)
+	ca, cb := a.Center(make([]float64, 2)), b.Center(make([]float64, 2))
+	if ca[0] != 1 || ca[1] != 1 {
+		t.Errorf("Center = %v", ca)
 	}
-	c := make([]float64, 2)
-	a.Center(c)
-	if c[0] != 1 || c[1] != 1 {
-		t.Errorf("Center = %v", c)
+	if d := cb[0] - ca[0]; d != 4 || cb[1] != ca[1] {
+		t.Errorf("centers %v and %v, want 4 apart on the first axis", ca, cb)
 	}
 }
 
@@ -122,12 +79,29 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestNegativeSideArea(t *testing.T) {
-	// Inverted (empty) rect has zero area, infinite margin guards.
+	// The inverted (empty) rect has negative sides: it holds no point and
+	// meets no rect.
 	e := EmptyRect(2)
-	if e.Area() != 0 {
-		t.Errorf("empty area = %v", e.Area())
+	if !math.IsInf(e.Min[0], 1) || !math.IsInf(e.Max[0], -1) {
+		t.Error("empty rect bounds should be +inf..-inf")
 	}
-	if !math.IsInf(e.Min[0], 1) {
-		t.Error("empty rect min should be +inf")
+	if e.ContainsPoint([]float64{0, 0}) || e.Intersects(rect([]float64{-1, -1}, []float64{1, 1})) {
+		t.Error("empty rect holds a point or meets a rect")
+	}
+}
+
+func TestOnBoundary(t *testing.T) {
+	b := rect([]float64{0, 0}, []float64{4, 4})
+	if rect([]float64{1, 1}, []float64{3, 3}).onBoundary(b) {
+		t.Error("interior rect reported on the boundary")
+	}
+	for _, r := range []Rect{
+		rect([]float64{0, 1}, []float64{1, 2}),
+		rect([]float64{1, 1}, []float64{4, 2}),
+		rect([]float64{2, 4}, []float64{2, 4}),
+	} {
+		if !r.onBoundary(b) {
+			t.Errorf("%v touches a face of %v", r, b)
+		}
 	}
 }

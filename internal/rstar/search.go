@@ -107,22 +107,25 @@ func TouchNode(r *pagestore.Reader, n *Node) {
 	r.TouchRange(n.page, n.pages)
 }
 
-// CheckInvariants validates structural invariants for tests: MBR
-// containment, fill factors (root excepted), uniform leaf level, and item
-// count. It returns a descriptive error string, or "" when consistent.
+// CheckInvariants validates structural invariants for tests: tight MBRs
+// (each node's MBR bounds exactly its entries, and each internal entry's
+// MBR is its child's), fill factors (root excepted), uniform leaf level,
+// item count and, for a tree in key order, the order itself: the leaf
+// entries ascend across the whole tree and each internal entry carries
+// its child's first key. It returns a descriptive error string, or "" when
+// consistent.
 func (t *Tree) CheckInvariants() string {
 	if t.root == nil {
 		return "nil root"
 	}
 	items := 0
+	var prev *key
 	var check func(n *Node, isRoot bool) string
 	check = func(n *Node, isRoot bool) string {
-		if !isRoot && len(n.entries) < t.minFill {
-			// Bulk loading may legitimately leave one underfull node per
-			// level; accept any node with at least one entry.
-			if len(n.entries) == 0 {
-				return "empty non-root node"
-			}
+		if !isRoot && len(n.entries) == 0 {
+			// Bulk loading and run-end splits legitimately leave nodes
+			// below the minimum fill; only an empty one is wrong.
+			return "empty non-root node"
 		}
 		if len(n.entries) > t.maxFill {
 			return "overfull node"
@@ -134,20 +137,30 @@ func (t *Tree) CheckInvariants() string {
 				if !e.mbr.ContainsPoint(e.item.Point) {
 					return "leaf MBR does not contain its point"
 				}
-			} else {
-				if e.child.level != n.level-1 {
-					return "child level mismatch"
+				if e.first != t.keyOf(e.item) {
+					return "leaf entry key is not its item's"
 				}
-				if !e.mbr.ContainsRect(e.child.mbr) {
-					return "entry MBR does not contain child MBR"
+				if t.ordered && prev != nil && e.first.less(*prev) {
+					return "leaf entries out of key order"
 				}
-				if s := check(e.child, false); s != "" {
-					return s
-				}
+				prev = &e.first
+				continue
+			}
+			if e.child.level != n.level-1 {
+				return "child level mismatch"
+			}
+			if !e.mbr.equal(e.child.mbr) {
+				return "entry MBR is not its child's MBR"
+			}
+			if len(e.child.entries) > 0 && e.first != e.child.entries[0].first {
+				return "entry key is not its child's first key"
+			}
+			if s := check(e.child, false); s != "" {
+				return s
 			}
 		}
-		if len(n.entries) > 0 && !n.mbr.ContainsRect(boundOf(n)) {
-			return "node MBR too small"
+		if len(n.entries) > 0 && !n.mbr.equal(boundOf(n)) {
+			return "node MBR is not the bound of its entries"
 		}
 		return ""
 	}

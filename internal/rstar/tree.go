@@ -2,6 +2,7 @@ package rstar
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/imgrn/imgrn/internal/pagestore"
 )
@@ -34,9 +35,33 @@ type Node struct {
 }
 
 type entry struct {
-	mbr   Rect
+	mbr   Rect  // an internal entry shares its child's MBR storage
 	child *Node // nil at leaf level
 	item  Item  // valid at leaf level
+	first key   // the item's key, or the first key of the child's subtree
+}
+
+// key is the insertion order of a tree: the primary-axis coordinate, then
+// the item reference. For the IM-GRN index that is (gene, source).
+type key struct {
+	c   float64
+	ref uint64
+}
+
+func (a key) less(b key) bool { return a.c < b.c || (a.c == b.c && a.ref < b.ref) }
+
+// upperBound returns the number of leading entries whose key is <= k.
+func upperBound(es []entry, k key) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if k.less(es[m].first) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
 }
 
 // IsLeaf reports whether n is a leaf.
@@ -66,19 +91,44 @@ func (n *Node) Page() pagestore.PageID { return n.page }
 // Pages returns the page count assigned to this node.
 func (n *Node) Pages() int { return n.pages }
 
+// recomputeMBR rewrites n's MBR in place (its parent's entry shares it)
+// as the bound of its entries.
 func (n *Node) recomputeMBR() {
+	m := n.mbr
 	if len(n.entries) == 0 {
-		n.mbr = EmptyRect(n.mbr.Dims())
+		for i := range m.Min {
+			m.Min[i], m.Max[i] = math.Inf(1), math.Inf(-1)
+		}
 		return
 	}
-	m := n.entries[0].mbr.Clone()
+	copy(m.Min, n.entries[0].mbr.Min)
+	copy(m.Max, n.entries[0].mbr.Max)
 	for _, e := range n.entries[1:] {
 		m.ExpandRect(e.mbr)
 	}
-	n.mbr = m
 }
 
-// Tree is an R*-tree over k-dimensional points.
+// insertAt puts e at index i of n. A full entry array grows to hold one
+// entry past the capacity, all a node ever holds before it splits.
+func (t *Tree) insertAt(n *Node, i int, e entry) {
+	if len(n.entries) == cap(n.entries) {
+		n.entries = append(make([]entry, 0, max(len(n.entries)+1, t.maxFill+1)), n.entries...)
+	}
+	n.entries = n.entries[:len(n.entries)+1]
+	copy(n.entries[i+1:], n.entries[i:])
+	n.entries[i] = e
+}
+
+func (n *Node) removeAt(i int) {
+	copy(n.entries[i:], n.entries[i+1:])
+	n.entries[len(n.entries)-1] = entry{}
+	n.entries = n.entries[:len(n.entries)-1]
+}
+
+// Tree is an R-tree over k-dimensional points whose entries are kept in
+// key order (see key): bulk loading packs them in that order, an insert
+// descends by key and splits where the order suggests, and a delete finds
+// its leaf by key.
 type Tree struct {
 	dim         int
 	minFill     int
@@ -88,22 +138,22 @@ type Tree struct {
 	root        *Node
 	size        int
 
-	// reinsertLevels tracks which levels already performed a forced
-	// reinsertion during the current insert (R* OverflowTreatment).
-	reinsertLevels map[int]bool
-	reinserting    bool
+	// ordered is false after a BulkLoad that tiled by several axes (no
+	// PrimaryAxisFull): its leaves are not in key order, so Delete finds
+	// items by MBR containment instead of by key.
+	ordered bool
 
-	// grown is writer-side scratch: chooseSubtree builds each candidate
-	// entry's enlarged MBR in it (see grow).
-	grown Rect
+	// old is writer-side scratch: Delete keeps a node's MBR from before a
+	// recompute in it.
+	old Rect
 
 	// dirty lists, in first-touch order, the nodes Insert and Delete have
 	// created or changed since the last TakeDirty (see dirty.go).
 	dirty []*Node
 }
 
-// DefaultMaxFill is the default node capacity M; the R* paper recommends
-// m = 40%·M, which Config applies when MinFill is zero.
+// DefaultMaxFill is the default node capacity M; Config sets the minimum
+// fill m to 40%·M, the R*-tree paper's choice, when MinFill is zero.
 const DefaultMaxFill = 32
 
 // Config parameterizes a tree.
@@ -112,19 +162,20 @@ type Config struct {
 	MaxFill int // node capacity M (DefaultMaxFill when 0)
 	MinFill int // minimum fill m (40% of MaxFill when 0)
 	// AxisOrder optionally reorders the dimensions STR bulk loading
-	// partitions by (a permutation of 0..Dim-1). Putting a
+	// partitions by (a permutation of 0..Dim-1). Its first axis is the
+	// primary axis of the key order (axis 0 without AxisOrder). Putting a
 	// high-selectivity dimension first (e.g. the gene-ID coordinate of
 	// the IM-GRN index) clusters equal values into few leaves, so MBR
 	// range tests on that dimension prune most of the tree.
 	AxisOrder []int
-	// PrimaryAxisFull makes bulk loading sort *entirely* by the first
-	// axis of AxisOrder (sequential packing, no slab recursion), so every
-	// node spans the tightest possible range of that dimension. This is
-	// the paper's "group genes with the same IDs together" layout.
+	// PrimaryAxisFull makes bulk loading sort *entirely* by key — the
+	// primary axis, then Ref — and pack sequentially (no slab recursion),
+	// so every node spans the tightest possible range of that dimension.
+	// This is the paper's "group genes with the same IDs together" layout.
 	PrimaryAxisFull bool
 }
 
-// NewTree returns an empty R*-tree.
+// NewTree returns an empty tree.
 func NewTree(cfg Config) (*Tree, error) {
 	if cfg.Dim <= 0 {
 		return nil, fmt.Errorf("rstar: dimension must be positive, got %d", cfg.Dim)
@@ -156,7 +207,7 @@ func NewTree(cfg Config) (*Tree, error) {
 	t := &Tree{
 		dim: cfg.Dim, minFill: cfg.MinFill, maxFill: cfg.MaxFill,
 		axisOrder: cfg.AxisOrder, primaryFull: cfg.PrimaryAxisFull,
-		reinsertLevels: make(map[int]bool), grown: EmptyRect(cfg.Dim),
+		ordered: true, old: EmptyRect(cfg.Dim),
 	}
 	t.root = t.newNode(true, 0)
 	return t, nil
@@ -186,277 +237,120 @@ func (t *Tree) Height() int { return t.root.level + 1 }
 // Root returns the root node for custom traversals.
 func (t *Tree) Root() *Node { return t.root }
 
-// Insert adds an item using the R* insertion algorithm (ChooseSubtree,
-// forced reinsertion, R* split).
+// keyOf returns the key of item it.
+func (t *Tree) keyOf(it Item) key { return key{it.Point[t.axisAt(0)], it.Ref} }
+
+// leafEntry returns the entry of item it. Its degenerate MBR is the
+// item's point itself, which nothing writes to.
+func (t *Tree) leafEntry(it Item) entry {
+	return entry{mbr: Rect{Min: it.Point, Max: it.Point}, item: it, first: t.keyOf(it)}
+}
+
+// Insert adds an item in key order. It descends to the last child whose
+// first key is <= the item's key, places the item after the entries with
+// keys <= its own, and splits an overflowing node where the key order
+// suggests (see split), one level at a time up to the root. Every MBR on
+// the path grows in place, up to the first that already covered the item.
+// It fails only on a point of the wrong dimension.
 func (t *Tree) Insert(it Item) error {
 	if len(it.Point) != t.dim {
 		return fmt.Errorf("rstar: point has %d dims, tree has %d", len(it.Point), t.dim)
 	}
-	clear(t.reinsertLevels)
-	t.insertEntry(entry{mbr: NewRect(it.Point), item: it}, 0)
+	t.insertEntry(t.leafEntry(it), 0)
 	t.size++
 	return nil
 }
 
-// insertEntry places e at the given target level (0 = leaf).
+// insertEntry places e in key order into a node at the given level
+// (0 = leaf).
 func (t *Tree) insertEntry(e entry, level int) {
-	leafPath := t.choosePath(e.mbr, level)
-	t.markPath(leafPath)
-	n := leafPath[len(leafPath)-1]
-	n.entries = append(n.entries, e)
-	n.mbr.ExpandRect(e.mbr)
-	if len(n.entries) > t.maxFill {
-		t.overflow(leafPath)
-	} else {
-		t.adjustUpward(leafPath)
-	}
-}
-
-// choosePath descends from the root to the node at the target level using
-// the R* ChooseSubtree criterion and returns the path (root..target).
-func (t *Tree) choosePath(r Rect, level int) []*Node {
-	path := []*Node{t.root}
-	n := t.root
-	for n.level > level {
-		best := t.chooseSubtree(n, r)
-		n = n.entries[best].child
-		path = append(path, n)
-	}
-	return path
-}
-
-// chooseSubtree picks the entry of n to descend into for rectangle r:
-// minimum overlap enlargement when children are leaves, minimum area
-// enlargement otherwise (ties break to smaller area, then to the lower
-// index).
-//
-// The leaf-parent case is the quadratic R* rule, pruned without changing
-// its answer (the argument is in DESIGN.md §7.1): a pair whose enlarged
-// MBR has zero overlap with the other entry adds exactly 0 and is skipped
-// on comparisons alone, and since no term is negative an entry stops
-// being summed once it can no longer beat the best so far.
-func (t *Tree) chooseSubtree(n *Node, r Rect) int {
-	best := 0
-	if n.level == 1 {
-		bestOverlap, bestEnl, bestArea := 0.0, 0.0, 0.0
-		for i, e := range n.entries {
-			area := e.mbr.Area()
-			grown := t.grow(e.mbr, r)
-			enl := grown.Area() - area
-			breaksTie := enl < bestEnl || (enl == bestEnl && area < bestArea)
-			if i > 0 && bestOverlap == 0 && !breaksTie {
-				continue // its overlap enlargement cannot go below 0
-			}
-			var overlapDelta float64
-			for j := range n.entries {
-				o := n.entries[j].mbr
-				if j == i || zeroOverlap(grown, o) {
-					continue
-				}
-				overlapDelta += OverlapArea(grown, o) - OverlapArea(e.mbr, o)
-				if i > 0 && overlapDelta > bestOverlap {
-					break // partial sums never decrease: entry i has lost
-				}
-			}
-			if i == 0 || overlapDelta < bestOverlap ||
-				(overlapDelta == bestOverlap && breaksTie) {
-				best, bestOverlap, bestEnl, bestArea = i, overlapDelta, enl, area
-			}
+	path, idx := t.descend(e.first, level)
+	t.markPath(path)
+	r := e.mbr // the only rectangle any MBR on the path has to take in
+	i := len(path) - 1
+	pos := upperBound(path[i].entries, e.first)
+	for {
+		n := path[i]
+		t.insertAt(n, pos, e)
+		if pos == 0 {
+			passFirst(path, idx, i)
 		}
-		return best
-	}
-	bestEnl, bestArea := 0.0, 0.0
-	for i, e := range n.entries {
-		area := e.mbr.Area()
-		enl := t.grow(e.mbr, r).Area() - area
-		if i == 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	return best
-}
-
-// grow returns Union(e, r) built in the tree's scratch rectangle, with
-// Union's arithmetic and without its allocation. The result is valid
-// until the next call.
-func (t *Tree) grow(e, r Rect) Rect {
-	g := t.grown
-	copy(g.Min, e.Min)
-	copy(g.Max, e.Max)
-	g.ExpandRect(r)
-	return g
-}
-
-// adjustUpward refreshes MBRs along the path after an entry change.
-func (t *Tree) adjustUpward(path []*Node) {
-	for i := len(path) - 1; i >= 0; i-- {
-		path[i].recomputeMBR()
-		if i > 0 {
-			parent := path[i-1]
-			for j := range parent.entries {
-				if parent.entries[j].child == path[i] {
-					parent.entries[j].mbr = path[i].mbr.Clone()
-					break
-				}
-			}
-		}
-	}
-}
-
-// reinsertFraction is the R* forced-reinsert share p = 30%.
-const reinsertFraction = 0.3
-
-// overflow applies R* OverflowTreatment to the last node of path.
-func (t *Tree) overflow(path []*Node) {
-	n := path[len(path)-1]
-	isRoot := n == t.root
-	if !isRoot && !t.reinserting && !t.reinsertLevels[n.level] {
-		t.reinsertLevels[n.level] = true
-		t.forcedReinsert(path)
-		return
-	}
-	t.split(path)
-}
-
-// forcedReinsert removes the p·M entries of n whose centers are farthest
-// from the node center and reinserts them at the same level.
-func (t *Tree) forcedReinsert(path []*Node) {
-	n := path[len(path)-1]
-	p := int(reinsertFraction * float64(len(n.entries)))
-	if p < 1 {
-		p = 1
-	}
-	center := n.mbr
-	// Selection-sort the p farthest entries to the back (M is small).
-	type distEntry struct {
-		d float64
-		e entry
-	}
-	ds := make([]distEntry, len(n.entries))
-	for i, e := range n.entries {
-		ds[i] = distEntry{CenterDistance2(e.mbr, center), e}
-	}
-	// Sort ascending by distance; the tail p entries get reinserted.
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j].d < ds[j-1].d; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
-	keep := ds[:len(ds)-p]
-	evicted := ds[len(ds)-p:]
-	n.entries = n.entries[:0]
-	for _, de := range keep {
-		n.entries = append(n.entries, de.e)
-	}
-	t.adjustUpward(path)
-	t.reinserting = true
-	for _, de := range evicted {
-		t.insertEntry(de.e, n.level)
-	}
-	t.reinserting = false
-}
-
-// split performs the R* split of the overflowing last node of path,
-// propagating upward as needed.
-func (t *Tree) split(path []*Node) {
-	n := path[len(path)-1]
-	left, right := t.rstarSplit(n)
-	n.dead = true
-	t.markDirty(left)
-	t.markDirty(right)
-	if n == t.root {
-		newRoot := t.newNode(false, n.level+1)
-		t.markDirty(newRoot)
-		newRoot.entries = append(newRoot.entries,
-			entry{mbr: left.mbr.Clone(), child: left},
-			entry{mbr: right.mbr.Clone(), child: right},
-		)
-		newRoot.recomputeMBR()
-		t.root = newRoot
-		return
-	}
-	parent := path[len(path)-2]
-	for j := range parent.entries {
-		if parent.entries[j].child == n {
-			parent.entries[j] = entry{mbr: left.mbr.Clone(), child: left}
+		if len(n.entries) <= t.maxFill {
 			break
 		}
+		s := t.split(n, pos)
+		if i == 0 {
+			root := t.newNode(false, n.level+1)
+			root.entries = append(root.entries, t.parentEntry(n), t.parentEntry(s))
+			root.recomputeMBR()
+			t.markDirty(root)
+			t.root = root
+			return
+		}
+		e, pos = t.parentEntry(s), idx[i]+1
+		i--
 	}
-	parent.entries = append(parent.entries, entry{mbr: right.mbr.Clone(), child: right})
-	if len(parent.entries) > t.maxFill {
-		t.overflow(path[:len(path)-1])
-	} else {
-		t.adjustUpward(path[:len(path)-1])
+	// The node that took e without overflowing, and each ancestor, now
+	// covers r: the nodes split below it hold exactly what it held, and r.
+	for ; i >= 0 && path[i].mbr.ExpandRect(r); i-- {
 	}
 }
 
-// rstarSplit distributes the entries of n into two nodes using the R*
-// axis/index selection: minimize margin sum over candidate axes, then
-// minimize overlap (ties: area) over candidate distributions.
-func (t *Tree) rstarSplit(n *Node) (left, right *Node) {
-	entries := n.entries
-	m := t.minFill
-	M := len(entries) - 1 // capacity before overflow
-
-	bestAxis, bestKind := -1, 0 // kind 0: sort by Min, 1: sort by Max
-	bestMargin := 0.0
-	for axis := 0; axis < t.dim; axis++ {
-		for kind := 0; kind < 2; kind++ {
-			sortEntriesByAxis(entries, axis, kind == 1)
-			margin := 0.0
-			for k := m; k <= M-m+1; k++ {
-				lm, rm := groupMBRs(entries, k)
-				margin += lm.Margin() + rm.Margin()
-			}
-			if bestAxis < 0 || margin < bestMargin {
-				bestAxis, bestKind, bestMargin = axis, kind, margin
-			}
-		}
+// descend follows key k from the root down to the node at the given
+// level, taking the last child whose first key is <= k (the first child
+// when there is none). It returns the path and each node's entry index in
+// its parent (idx[0] is unused).
+func (t *Tree) descend(k key, level int) (path []*Node, idx []int) {
+	n := t.root
+	path = make([]*Node, 1, n.level+1)
+	idx = make([]int, 1, n.level+1)
+	path[0] = n
+	for n.level > level {
+		j := max(upperBound(n.entries, k)-1, 0)
+		n = n.entries[j].child
+		path, idx = append(path, n), append(idx, j)
 	}
-	sortEntriesByAxis(entries, bestAxis, bestKind == 1)
-	bestK := m
-	bestOverlap, bestArea := 0.0, 0.0
-	for k := m; k <= M-m+1; k++ {
-		lm, rm := groupMBRs(entries, k)
-		ov := OverlapArea(lm, rm)
-		ar := lm.Area() + rm.Area()
-		if k == m || ov < bestOverlap || (ov == bestOverlap && ar < bestArea) {
-			bestK, bestOverlap, bestArea = k, ov, ar
-		}
-	}
-	left = t.newNode(n.leaf, n.level)
-	right = t.newNode(n.leaf, n.level)
-	left.entries = append(left.entries, entries[:bestK]...)
-	right.entries = append(right.entries, entries[bestK:]...)
-	left.recomputeMBR()
-	right.recomputeMBR()
-	return left, right
+	return path, idx
 }
 
-func sortEntriesByAxis(es []entry, axis int, byMax bool) {
-	key := func(e entry) float64 {
-		if byMax {
-			return e.mbr.Max[axis]
-		}
-		return e.mbr.Min[axis]
-	}
-	// Insertion sort: M is small (≤ a few dozen) and inputs are
-	// near-sorted across the axis loop.
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && key(es[j]) < key(es[j-1]); j-- {
-			es[j], es[j-1] = es[j-1], es[j]
+// passFirst copies the first key of path[i] into its parent's entry, and
+// on up while the entry it rewrote is its node's first.
+func passFirst(path []*Node, idx []int, i int) {
+	for ; i > 0; i-- {
+		path[i-1].entries[idx[i]].first = path[i].entries[0].first
+		if idx[i] != 0 {
+			return
 		}
 	}
 }
 
-func groupMBRs(es []entry, k int) (Rect, Rect) {
-	lm := es[0].mbr.Clone()
-	for _, e := range es[1:k] {
-		lm.ExpandRect(e.mbr)
+// parentEntry returns the entry that points at n.
+func (t *Tree) parentEntry(n *Node) entry {
+	return entry{mbr: n.mbr, child: n, first: n.entries[0].first}
+}
+
+// split moves the tail of the overflowing node n into a new right sibling,
+// which it returns; n keeps the head. pos is the index of the entry just
+// inserted. An entry appended at the end of the node goes alone into the
+// sibling; an entry that ends its run of equal primary coordinates is the
+// last one n keeps; any other overflow splits at the middle. Entries that
+// end their runs — those of a new source of the index, whose ID is the
+// highest — thus split nodes only between runs, and a later entry of the
+// same run lands in the node the last one opened.
+func (t *Tree) split(n *Node, pos int) *Node {
+	cut := len(n.entries) / 2
+	if last := len(n.entries) - 1; pos == last {
+		cut = last
+	} else if n.entries[pos+1].first.c != n.entries[pos].first.c {
+		cut = pos + 1
 	}
-	rm := es[k].mbr.Clone()
-	for _, e := range es[k+1:] {
-		rm.ExpandRect(e.mbr)
-	}
-	return lm, rm
+	s := t.newNode(n.leaf, n.level)
+	s.entries = make([]entry, len(n.entries)-cut, t.maxFill+1)
+	copy(s.entries, n.entries[cut:])
+	clear(n.entries[cut:])
+	n.entries = n.entries[:cut]
+	n.recomputeMBR()
+	s.recomputeMBR()
+	t.markDirty(s)
+	return s
 }

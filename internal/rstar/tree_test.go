@@ -258,8 +258,8 @@ func TestNodeAccessors(t *testing.T) {
 	}
 	for i := 0; i < root.NumEntries(); i++ {
 		child := root.Child(i)
-		if !root.EntryMBR(i).ContainsRect(child.MBR()) {
-			t.Error("entry MBR does not bound child")
+		if !root.EntryMBR(i).equal(child.MBR()) {
+			t.Error("entry MBR is not the child's MBR")
 		}
 	}
 }

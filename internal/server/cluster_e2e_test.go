@@ -711,6 +711,117 @@ func TestClusterReplicatedMutations(t *testing.T) {
 	}
 }
 
+// TestClusterAckedWritesKeepCountsWithoutProbing: seeded adds and removes
+// through the remote coordinator, each followed by the Matrices call its
+// HTTP reply makes. Every count equals the in-process coordinator's, and
+// after the first probe no write and no reply sends a /cluster/info
+// request: a fully acked write updates the cached counts itself.
+func TestClusterAckedWritesKeepCountsWithoutProbing(t *testing.T) {
+	var probes atomic.Int64
+	wrap := func(_ int, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == cluster.PathInfo {
+				probes.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	}
+	tc := newTestCluster(t, 3, 2, wrap, nil)
+	if got, want := tc.remote.Matrices(), tc.ref.Database().Len(); got != want {
+		t.Fatalf("first count %d, want %d", got, want)
+	}
+	before := probes.Load()
+	rng := randgen.New(44)
+	var live []int
+	for step := 0; step < 24; step++ {
+		if len(live) > 0 && rng.Float64() < 0.4 {
+			k := rng.Intn(len(live))
+			src := live[k]
+			live = append(live[:k], live[k+1:]...)
+			if err := tc.remote.RemoveMatrix(src); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.ref.RemoveMatrix(src); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			src := 300 + step
+			m, err := gene.NewMatrix(src,
+				[]gene.ID{tc.cat.Intern("A"), tc.cat.Intern("B"), gene.ID(100 + src)},
+				moduleColumns(rng, 18, 1)[:3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.remote.AddMatrix(m); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.ref.AddMatrix(m); err != nil {
+				t.Fatal(err)
+			}
+			live = append(live, src)
+		}
+		if got, want := tc.remote.Matrices(), tc.ref.Database().Len(); got != want {
+			t.Fatalf("step %d: count %d, want %d", step, got, want)
+		}
+	}
+	if n := probes.Load() - before; n != 0 {
+		t.Errorf("acked writes sent %d /cluster/info requests, want 0", n)
+	}
+
+	// Writers race a probe loop. A probe that overlaps a write may have
+	// counted it or not, so it must not install its counts over the ones
+	// the write updated itself.
+	var batches [3][]*gene.Matrix
+	for w := range batches {
+		for j := 0; j < 6; j++ {
+			src := 400 + 10*w + j
+			m, err := gene.NewMatrix(src,
+				[]gene.ID{tc.cat.Intern("A"), tc.cat.Intern("C"), gene.ID(100 + src)},
+				moduleColumns(rng, 18, 1)[:3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			batches[w] = append(batches[w], m)
+		}
+	}
+	stop := make(chan struct{})
+	var prober, writers sync.WaitGroup
+	prober.Add(1)
+	go func() {
+		defer prober.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tc.remote.RefreshHealth(context.Background())
+			}
+		}
+	}()
+	for _, batch := range batches {
+		writers.Add(1)
+		go func(batch []*gene.Matrix) {
+			defer writers.Done()
+			for _, m := range batch {
+				if err := tc.remote.AddMatrix(m); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tc.ref.AddMatrix(m); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(batch)
+	}
+	writers.Wait()
+	close(stop)
+	prober.Wait()
+	if got, want := tc.remote.Matrices(), tc.ref.Database().Len(); got != want {
+		t.Errorf("after concurrent writes and probes: count %d, want %d", got, want)
+	}
+}
+
 // TestClusterDurableShardServers runs the cluster over durable shard
 // servers, each a durable coordinator opened with its role's local
 // placement: replicated adds are logged on every replica, and after one

@@ -191,6 +191,10 @@ type durability struct {
 	// refused; the read path is unaffected.
 	failed error
 
+	// failAppend, set only by tests, makes every WAL append fail with it
+	// and write nothing.
+	failAppend error
+
 	stopTicker chan struct{}
 	tickerDone chan struct{}
 
@@ -451,16 +455,24 @@ func (d *durability) usableLocked() error {
 	return nil
 }
 
-// logLocked appends an applied mutation to shard sh's segment. On append
-// failure the in-memory engine is ahead of the log; the coordinator
-// latches read-only so the divergence cannot become durable, and the
-// caller must treat the mutation as unacknowledged (a restart will not
-// have it).
-func (c *Coordinator) logLocked(sh int, payload []byte) error {
+// logLocked appends a checked mutation to shard sh's segment, fsyncs it,
+// and only then runs apply, so no read sees a mutation that is not
+// logged. An append failure latches the coordinator read-only and leaves
+// the mutation unapplied and unacknowledged. Every check that can reject
+// the mutation has run before the append, so apply cannot fail short of
+// a bug; if it does, the log holds a record the engine lacks, and the
+// coordinator latches read-only as well. The size-triggered checkpoint
+// runs last: before the apply it would snapshot without the logged record
+// and then truncate it.
+func (c *Coordinator) logLocked(sh int, payload []byte, apply func() error) error {
 	d := c.dur
-	if err := d.wals[sh].Append(payload); err != nil {
+	err := d.failAppend
+	if err == nil {
+		err = d.wals[sh].Append(payload)
+	}
+	if err != nil {
 		d.failed = err
-		return fmt.Errorf("shard: mutation applied in memory but not logged; coordinator is now read-only: %w", err)
+		return fmt.Errorf("shard: mutation not logged and not applied; coordinator is now read-only: %w", err)
 	}
 	d.dirty++
 	var segBytes int64
@@ -475,9 +487,13 @@ func (c *Coordinator) logLocked(sh int, payload []byte) error {
 	}
 	d.stats.WALSegmentBytes = segBytes
 	d.statsMu.Unlock()
+	if err := apply(); err != nil {
+		d.failed = err
+		return fmt.Errorf("shard: mutation logged but not applied; coordinator is now read-only: %w", err)
+	}
 	if d.dopts.CheckpointBytes > 0 && segBytes >= d.dopts.CheckpointBytes {
-		// The mutation that tripped the size trigger is already applied,
-		// logged and fsynced — it is durable whatever happens to the
+		// The mutation that tripped the size trigger is already logged,
+		// fsynced and applied — it is durable whatever happens to the
 		// checkpoint, so a checkpoint error must not become this
 		// mutation's result (the client would retry an acked add and get
 		// ErrSourceExists). Failures surface via CheckpointFailures and,

@@ -915,3 +915,78 @@ func TestMatchGenVariableWidth(t *testing.T) {
 		t.Error("stale snap-99999999.snap survived cleanShardDir")
 	}
 }
+
+// answered reports whether a query extracted from source m answers with m.
+func answered(t *testing.T, c *Coordinator, ds *synth.Dataset, m *gene.Matrix) bool {
+	t.Helper()
+	rng := randgen.New(uint64(m.Source))
+	q, origin, err := ds.ExtractQuery(rng, 3)
+	for ; err == nil && origin != m.Source; q, origin, err = ds.ExtractQuery(rng, 3) {
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers, _, err := c.QueryContext(context.Background(), q,
+		core.Params{Gamma: 0.5, Alpha: 0.1, Seed: 9, Analytic: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range answers {
+		if a.Source == m.Source {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDurableUnloggedMutationStaysInvisible: a mutation whose WAL append
+// fails is refused, and no read sees it — not before a restart, where the
+// failure latches the coordinator read-only, and not after one.
+func TestDurableUnloggedMutationStaysInvisible(t *testing.T) {
+	ds := durDataset(t, 14)
+	db, muts := splitDataset(t, ds, 10)
+	added, kept := muts[0], ds.DB.Matrix(3)
+
+	// The control: the query finds each source while it is indexed.
+	ctl := openTestCoordinator(t, db, 3, t.TempDir())
+	if err := ctl.AddMatrix(added); err != nil {
+		t.Fatal(err)
+	}
+	if !answered(t, ctl, ds, added) || !answered(t, ctl, ds, kept) {
+		t.Fatal("the query does not find an indexed source")
+	}
+	ctl.Close()
+
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*Coordinator) error
+		m       *gene.Matrix
+		visible bool
+	}{
+		{"add", func(c *Coordinator) error { return c.AddMatrix(added) }, added, false},
+		{"remove", func(c *Coordinator) error { return c.RemoveMatrix(kept.Source) }, kept, true},
+	} {
+		db, _ := splitDataset(t, ds, 10)
+		dir := t.TempDir()
+		st := openTestCoordinator(t, db, 3, dir)
+		st.dur.failAppend = errors.New("injected append failure")
+		if err := tc.mutate(st); err == nil {
+			t.Fatalf("%s: acknowledged with a failed append", tc.name)
+		}
+		check := func(c *Coordinator, when string) {
+			_, placed := c.Placement(tc.m.Source)
+			if placed != tc.visible || sources(c)[tc.m.Source] != tc.visible || answered(t, c, ds, tc.m) != tc.visible {
+				t.Errorf("%s %s: source %d placed %v, in the database %v, answered %v; want %v",
+					tc.name, when, tc.m.Source, placed, sources(c)[tc.m.Source], answered(t, c, ds, tc.m), tc.visible)
+			}
+		}
+		check(st, "before the restart")
+		if err := st.AddMatrix(muts[1]); err == nil {
+			t.Errorf("%s: a mutation was acknowledged after the durability failure", tc.name)
+		}
+		st.crash()
+		st2 := openTestCoordinator(t, nil, 3, dir)
+		check(st2, "after the restart")
+		st2.Close()
+	}
+}

@@ -36,8 +36,10 @@ var (
 // Carlo bulk of an add, runs first and under no lock: it reads only the
 // index options every shard shares, so neither the shard's readers nor a
 // durable coordinator's other writers wait for it. On a durable
-// coordinator the mutation is then applied, appended to its shard's
-// write-ahead log and fsynced before the call returns nil (durable.go).
+// coordinator every check that can reject the add runs next, then the
+// record is appended to its shard's write-ahead log and fsynced, and only
+// then is the add applied (durable.go): no read sees an add that was not
+// logged.
 func (c *Coordinator) AddMatrix(m *gene.Matrix) error {
 	if m == nil {
 		return fmt.Errorf("shard: nil matrix")
@@ -56,16 +58,20 @@ func (c *Coordinator) AddMatrix(m *gene.Matrix) error {
 	if err != nil {
 		return err
 	}
-	sh, err := c.addMatrix(m, e)
+	c.mu.Lock()
+	sh, err := c.targetLocked(m.Source)
+	c.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return c.logLocked(sh, payload)
+	return c.logLocked(sh, payload, func() error {
+		_, err := c.addMatrix(m, e)
+		return err
+	})
 }
 
 // RemoveMatrix drops a data source from the shard it is placed on; a
-// durable coordinator logs the removal with the same apply → log → fsync
-// → ack ordering as AddMatrix.
+// durable coordinator logs the removal before applying it, like AddMatrix.
 func (c *Coordinator) RemoveMatrix(source int) error {
 	if c.dur == nil {
 		_, err := c.removeMatrix(source)
@@ -76,24 +82,36 @@ func (c *Coordinator) RemoveMatrix(source int) error {
 	if err := c.dur.usableLocked(); err != nil {
 		return err
 	}
-	sh, err := c.removeMatrix(source)
-	if err != nil {
-		return err
+	sh, ok := c.Placement(source)
+	if !ok {
+		return fmt.Errorf("shard: source %d: %w", source, ErrSourceNotFound)
 	}
-	return c.logLocked(sh, wal.EncodeRemoveMatrix(source))
+	return c.logLocked(sh, wal.EncodeRemoveMatrix(source), func() error {
+		_, err := c.removeMatrix(source)
+		return err
+	})
+}
+
+// targetLocked returns the shard an add of source is placed on, or
+// ErrSourceExists. The caller holds c.mu.
+func (c *Coordinator) targetLocked(source int) (int, error) {
+	if sh, ok := c.placement[source]; ok {
+		return 0, fmt.Errorf("shard: source %d on shard %d: %w", source, sh, ErrSourceExists)
+	}
+	if c.opts.PlaceFunc != nil {
+		return c.opts.placeOf(source), nil
+	}
+	return c.cursor % len(c.shards), nil
 }
 
 // addMatrix applies an add of m, embedded as e, in memory and returns the
 // shard it placed the source on.
 func (c *Coordinator) addMatrix(m *gene.Matrix, e *index.Embedded) (int, error) {
 	c.mu.Lock()
-	if sh, ok := c.placement[m.Source]; ok {
+	sh, err := c.targetLocked(m.Source)
+	if err != nil {
 		c.mu.Unlock()
-		return 0, fmt.Errorf("shard: source %d on shard %d: %w", m.Source, sh, ErrSourceExists)
-	}
-	sh := c.cursor % len(c.shards)
-	if c.opts.PlaceFunc != nil {
-		sh = c.opts.placeOf(m.Source)
+		return 0, err
 	}
 	// The cursor still counts successful placements even under PlaceFunc:
 	// the durable manifest recovers it as checkpointed-cursor + replayed
@@ -104,7 +122,7 @@ func (c *Coordinator) addMatrix(m *gene.Matrix, e *index.Embedded) (int, error) 
 
 	s := c.shards[sh]
 	s.mu.Lock()
-	err := s.idx.AddEmbedded(e)
+	err = s.idx.AddEmbedded(e)
 	s.mu.Unlock()
 	if err != nil {
 		c.mu.Lock()

@@ -50,7 +50,16 @@ func (s *shardState) recordQuery(st core.Stats) {
 
 // Matrices reports the number of indexed data sources — the Engine
 // surface shared with the cluster coordinator, which has no Database
-// view.
+// view. It counts under the lock the database's writer holds, so it may
+// run beside mutations.
 func (c *Coordinator) Matrices() int {
-	return c.Database().Len()
+	if c.sharedDB {
+		s := c.shards[0]
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		return c.db.Len()
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.db.Len()
 }
