@@ -260,10 +260,12 @@ func BenchmarkPivotSelection(b *testing.B) {
 	ds := benchDataset(b, 1, 7)
 	m := ds.DB.Matrix(0)
 	rng := randgen.New(8)
+	var w pivot.Workspace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pivot.SelectPivots(m, 2, pivot.DefaultSelection, rng)
+		w.Reset(m)
+		w.SelectPivots(2, pivot.DefaultSelection, rng)
 	}
 }
 
@@ -271,10 +273,12 @@ func BenchmarkPivotEmbed(b *testing.B) {
 	ds := benchDataset(b, 1, 9)
 	m := ds.DB.Matrix(0)
 	est := stats.NewEstimator(10)
+	var w pivot.Workspace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pivot.Embed(m, []int{0, 1}, est, 24); err != nil {
+		w.Reset(m)
+		if _, err := w.Embed([]int{0, 1}, est, 24); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -730,9 +734,11 @@ func BenchmarkAblationPivotSelection(b *testing.B) {
 	m := ds.DB.Matrix(0)
 	b.Run("costModel", func(b *testing.B) {
 		rng := randgen.New(21)
+		var w pivot.Workspace
 		var cost float64
 		for i := 0; i < b.N; i++ {
-			piv := pivot.SelectPivots(m, 2, pivot.DefaultSelection, rng)
+			w.Reset(m)
+			piv := w.SelectPivots(2, pivot.DefaultSelection, rng)
 			cost += pivot.Cost(m, piv)
 		}
 		b.ReportMetric(cost/float64(b.N), "T_i")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"github.com/imgrn/imgrn/internal/exec"
@@ -31,11 +32,37 @@ type embedResult struct {
 	cost float64
 }
 
+// embedScratch is one goroutine's reusable embedding state: a generator
+// and an estimator reseeded per matrix, and the pivot workspace with its
+// column-distance table and the estimator's permutation block.
+type embedScratch struct {
+	rng *randgen.Rand
+	est *stats.Estimator
+	ws  pivot.Workspace
+}
+
+// maxKeptSamples is the longest column whose estimator a scratch keeps:
+// the estimator's permutation block holds four permuted pivots, 2 MiB at
+// this length.
+const maxKeptSamples = 1 << 16
+
+// scratchPool recycles embedScratch across builds and online adds.
+var scratchPool = sync.Pool{New: func() any {
+	return &embedScratch{rng: randgen.New(0), est: stats.NewEstimator(0)}
+}}
+
+// release returns sc to scratchPool, unbound from its last matrix.
+func (sc *embedScratch) release() {
+	sc.ws.Release()
+	scratchPool.Put(sc)
+}
+
 // embedAll runs pivot selection and Monte Carlo embedding for every matrix
-// on an exec pool of opts.Workers goroutines. Each matrix's randomness
-// derives from (opts.Seed, m.Source) alone, so the result is bit-identical
-// for any worker count. Every matrix is embedded even when one fails, and
-// the error of the lowest failing index is the one reported.
+// on an exec pool of opts.Workers goroutines, each with its own scratch.
+// Each matrix's randomness derives from (opts.Seed, m.Source) alone, so
+// the result is bit-identical for any worker count. Every matrix is
+// embedded even when one fails, and the error of the lowest failing index
+// is the one reported.
 func embedAll(db *gene.Database, opts Options) ([]embedResult, error) {
 	workers := opts.Workers
 	if workers <= 0 {
@@ -43,17 +70,24 @@ func embedAll(db *gene.Database, opts Options) ([]embedResult, error) {
 	}
 	results := make([]embedResult, db.Len())
 	errs := make([]error, db.Len())
+	scratch := make([]*embedScratch, min(workers, max(db.Len(), 1)))
+	for w := range scratch {
+		scratch[w] = scratchPool.Get().(*embedScratch)
+	}
 	// Embedding errors land in errs, so the fan-out itself cannot fail.
-	_ = exec.New(context.Background(), nil, workers).ForEach(db.Len(), func(i int) error {
+	_ = exec.New(context.Background(), nil, workers).ForEachWorker(db.Len(), func(w, i int) error {
 		m := db.Matrix(i)
 		if m.NumGenes() == 0 {
 			return nil
 		}
-		emb, cost, err := embedOne(m, opts)
+		emb, cost, err := embedOne(m, opts, scratch[w])
 		errs[i] = err
 		results[i] = embedResult{emb: emb, cost: cost}
 		return nil
 	})
+	for _, sc := range scratch {
+		sc.release()
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -63,12 +97,14 @@ func embedAll(db *gene.Database, opts Options) ([]embedResult, error) {
 }
 
 // embedOne selects pivots and embeds one matrix with source-derived
-// deterministic randomness.
-func embedOne(m *gene.Matrix, opts Options) (*pivot.Embedding, float64, error) {
+// deterministic randomness, on the caller's scratch.
+func embedOne(m *gene.Matrix, opts Options, sc *embedScratch) (*pivot.Embedding, float64, error) {
 	embedCalls.Add(1)
 	srcMix := uint64(int64(m.Source))*0x9e3779b97f4a7c15 + 0x6a09e667f3bcc909
-	rng := randgen.New(opts.Seed ^ srcMix ^ 0x5ee0d1a2c3b4f687)
-	est := stats.NewEstimator(opts.Seed ^ srcMix ^ 0x1d872f3a9cbe5041)
+	rng, est, ws := sc.rng, sc.est, &sc.ws
+	rng.Reseed(opts.Seed ^ srcMix ^ 0x5ee0d1a2c3b4f687)
+	est.Reseed(opts.Seed ^ srcMix ^ 0x1d872f3a9cbe5041)
+	ws.Reset(m)
 
 	var pivots []int
 	if opts.RandomPivots {
@@ -82,10 +118,13 @@ func embedOne(m *gene.Matrix, opts Options) (*pivot.Embedding, float64, error) {
 			pivots = rng.SampleWithoutReplacement(m.NumGenes(), d)
 		}
 	} else {
-		pivots = pivot.SelectPivots(m, opts.D, opts.Selection, rng)
+		pivots = ws.SelectPivots(opts.D, opts.Selection, rng)
 	}
-	cost := pivot.Cost(m, pivots)
-	emb, err := pivot.Embed(m, pivots, est, opts.Samples)
+	cost := ws.Cost(pivots)
+	emb, err := ws.Embed(pivots, est, opts.Samples)
+	if m.Samples() > maxKeptSamples {
+		sc.est = stats.NewEstimator(0) // drop a large permutation block before the pool keeps it
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("index: embedding source %d: %w", m.Source, err)
 	}

@@ -205,8 +205,9 @@ func Build(db *gene.Database, opts Options) (*Index, error) {
 		emb := results[i].emb
 		idx.stats.PivotCostSum += results[i].cost
 		idx.embeddings[m.Source] = emb
+		pts := make([]float64, m.NumGenes()*dim) // one matrix's points, freed together
 		for j := 0; j < m.NumGenes(); j++ {
-			pt := make([]float64, dim)
+			pt := pts[j*dim : (j+1)*dim : (j+1)*dim]
 			emb.Point(j, pt[:2*opts.D])
 			pt[dim-1] = float64(m.Gene(j))
 			items = append(items, rstar.Item{Point: pt, Ref: PackRef(m.Source, j)})

@@ -48,7 +48,9 @@ func Embed(m *gene.Matrix, opts Options) (*Embedded, error) {
 		return nil, fmt.Errorf("index: AddMatrix requires a non-empty matrix")
 	}
 	opts = opts.withDefaults()
-	emb, cost, err := embedOne(m, opts)
+	sc := scratchPool.Get().(*embedScratch)
+	emb, cost, err := embedOne(m, opts, sc)
+	sc.release()
 	if err != nil {
 		return nil, err
 	}
@@ -74,8 +76,9 @@ func (x *Index) AddEmbedded(e *Embedded) error {
 	x.stats.PivotCostSum += e.cost
 
 	dim := 2*x.opts.D + 1
+	pts := make([]float64, m.NumGenes()*dim) // one matrix's points, freed together
 	for j := 0; j < m.NumGenes(); j++ {
-		pt := make([]float64, dim)
+		pt := pts[j*dim : (j+1)*dim : (j+1)*dim]
 		e.emb.Point(j, pt[:2*x.opts.D])
 		pt[dim-1] = float64(m.Gene(j))
 		if err := x.tree.Insert(rstar.Item{Point: pt, Ref: PackRef(m.Source, j)}); err != nil {
@@ -115,8 +118,8 @@ func (x *Index) RemoveMatrix(source int) error {
 		return fmt.Errorf("index: source %d has no embedding", source)
 	}
 	dim := 2*x.opts.D + 1
+	pt := make([]float64, dim) // Delete only compares it
 	for j := 0; j < m.NumGenes(); j++ {
-		pt := make([]float64, dim)
 		emb.Point(j, pt[:2*x.opts.D])
 		pt[dim-1] = float64(m.Gene(j))
 		if !x.tree.Delete(rstar.Item{Point: pt, Ref: PackRef(source, j)}) {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/rstar"
+	"github.com/imgrn/imgrn/internal/stats"
 	"github.com/imgrn/imgrn/internal/synth"
 )
 
@@ -226,9 +228,78 @@ func TestAddRemoveMatrixAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const bound = 3000 // about 900 today; about 2 500 under the R* rules
+	const bound = 3000 // about 620 today; about 2 500 under the R* rules
 	if got > bound {
 		t.Errorf("one AddMatrix + RemoveMatrix allocates %.0f times, want ≤ %d", got, bound)
+	}
+}
+
+// TestEmbedManyGenesMemory: embedding one matrix of many genes, as an
+// online add of a large matrix does, allocates a small multiple of the
+// gene count: the column-distance table holds only the columns the pivot
+// search touches, at most GlobalIter·(D + SwapIter) + D of n entries each,
+// never an n×n table (3.2 GB at n = 20 000).
+func TestEmbedManyGenesMemory(t *testing.T) {
+	const n, l = 20000, 2
+	rng := randgen.New(23)
+	genes := make([]gene.ID, n)
+	cols := make([][]float64, n)
+	for j := range cols {
+		genes[j] = gene.ID(j)
+		cols[j] = []float64{rng.Gaussian(0, 1), rng.Gaussian(0, 1)}
+	}
+	m, err := gene.NewMatrix(7, genes, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Seed: 42}.withDefaults()
+	touched := opts.Selection.GlobalIter*(opts.D+opts.Selection.SwapIter) + opts.D
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e, err := Embed(m, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.emb.D; got != opts.D {
+		t.Fatalf("embedding has %d pivots, want %d", got, opts.D)
+	}
+	// The table, plus a few n-long slices of scratch and of the embedding.
+	bound := uint64((touched + 48) * n * 8)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("embedding %d genes allocates %d bytes, bound %d", n, got, bound)
+	if got > bound {
+		t.Errorf("embedding %d genes allocates %d bytes, want ≤ %d", n, got, bound)
+	}
+}
+
+// TestEmbedScratchDropsLongColumnBlock: a scratch that embedded a matrix
+// of columns longer than maxKeptSamples gives up its estimator, whose
+// permutation block grew to four such columns, before it can be pooled;
+// after a matrix of short columns it keeps the estimator.
+func TestEmbedScratchDropsLongColumnBlock(t *testing.T) {
+	rng := randgen.New(24)
+	opts := Options{Seed: 42, Samples: 8}.withDefaults()
+	for _, l := range []int{20, maxKeptSamples + 1} {
+		cols := make([][]float64, 3)
+		for j := range cols {
+			cols[j] = make([]float64, l)
+			for i := range cols[j] {
+				cols[j][i] = rng.Gaussian(0, 1)
+			}
+		}
+		m, err := gene.NewMatrix(1, []gene.ID{4, 5, 6}, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := &embedScratch{rng: randgen.New(0), est: stats.NewEstimator(0)}
+		est := sc.est
+		if _, _, err := embedOne(m, opts, sc); err != nil {
+			t.Fatal(err)
+		}
+		if kept := sc.est == est; kept != (l <= maxKeptSamples) {
+			t.Errorf("columns of %d samples: scratch kept its estimator = %v", l, kept)
+		}
 	}
 }
 

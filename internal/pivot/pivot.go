@@ -31,7 +31,11 @@ type Embedding struct {
 	PivotIdx []int
 	// X[j][r] = dist(X_j, piv_r) on standardized vectors.
 	X [][]float64
-	// Y[j][r] = E(dist(X_j^R, piv_r)), Monte Carlo estimated.
+	// Y[j][r] = E(dist(X_j^R, piv_r)), Monte Carlo estimated. The draws
+	// are shared across the matrix: Y[j][r] = mean_k dist(X_j, piv_r^{σ_k})
+	// over one set of permutations σ_k per pivot (see
+	// stats.ExpectedPermDistances), which estimates the same expectation
+	// with the same per-column distribution.
 	Y [][]float64
 }
 
@@ -47,38 +51,136 @@ func (e *Embedding) Point(j int, dst []float64) []float64 {
 	return dst
 }
 
-// Embed computes the embedding of m over the pivots given by column
-// indices pivotIdx, estimating each expected randomized distance with
-// `samples` Monte Carlo draws (stats.DefaultSamples when <= 0).
-func Embed(m *gene.Matrix, pivotIdx []int, est *stats.Estimator, samples int) (*Embedding, error) {
-	d := len(pivotIdx)
+// Workspace is the reusable scratch of pivot selection and embedding,
+// bound to one matrix at a time by Reset. It holds the matrix's
+// column-distance table dist(X_s, X_p), one column p at a time allocated
+// and filled on first use, which SelectPivots' Cost evaluations, Cost and
+// the x coordinates of Embed all read. The table holds only the columns a
+// search touches, at most GlobalIter·(d + SwapIter) + d of them, so its
+// memory grows with the gene count, not with its square. A Workspace is
+// not safe for concurrent use; keep one per goroutine.
+type Workspace struct {
+	m     *gene.Matrix
+	n     int
+	tab   [][]float64 // tab[p][s] = dist(X_s, X_p); nil until column p is filled
+	bufs  [][]float64 // column buffers; the first used of them back tab
+	used  int
+	inPiv []bool      // SelectPivots: the current pivot set
+	pcols [][]float64 // Cost: the pivots' table columns
+	row   []float64   // Cost: one column's distances to the pivots
+	cols  [][]float64 // Embed: the standardized columns
+	ys    []float64   // Embed: one pivot's y coordinates
+}
+
+// The largest scratch Release keeps: a workspace last bound to more genes,
+// or holding more table entries, gives all its memory back, so a pool of
+// workspaces stays small after one large matrix.
+const (
+	maxKeptGenes = 1 << 13
+	maxKeptTable = 1 << 19 // float64s: 4 MiB
+)
+
+// Reset binds w to m and forgets the previous matrix's table, keeping the
+// scratch memory.
+func (w *Workspace) Reset(m *gene.Matrix) {
+	n := m.NumGenes()
+	w.m, w.n = m, n
+	w.tab = resize(w.tab, n)
+	clear(w.tab)
+	w.used = 0
+}
+
+// Release unbinds w from its matrix, so that a pooled workspace keeps no
+// matrix reachable, and drops all scratch above maxKeptGenes or
+// maxKeptTable. Reset binds it again.
+func (w *Workspace) Release() {
+	table := 0
+	for _, b := range w.bufs {
+		table += cap(b)
+	}
+	if cap(w.tab) > maxKeptGenes || table > maxKeptTable {
+		*w = Workspace{}
+		return
+	}
+	w.m, w.n = nil, 0
+	clear(w.cols[:cap(w.cols)])
+}
+
+// resize returns buf[:n], reallocating only when the capacity is short.
+// Contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// column returns dist(X_s, X_p) for every column s of the bound matrix,
+// filling the table column on first use. An entry whose mirror
+// dist(X_p, X_s) is already in the table is copied from it:
+// vecmath.Euclidean returns the same bits in either argument order, since
+// (a−b)² and (b−a)² are equal and the sum runs in index order.
+func (w *Workspace) column(p int) []float64 {
+	if col := w.tab[p]; col != nil {
+		return col
+	}
+	if w.used == len(w.bufs) {
+		w.bufs = append(w.bufs, nil)
+	}
+	col := resize(w.bufs[w.used], w.n)
+	w.bufs[w.used] = col
+	w.used++
+	xp := w.m.StdCol(p)
+	for s := range col {
+		if t := w.tab[s]; t != nil {
+			col[s] = t[p]
+		} else {
+			col[s] = vecmath.Euclidean(w.m.StdCol(s), xp)
+		}
+	}
+	w.tab[p] = col
+	return col
+}
+
+// Embed computes the embedding of the bound matrix over the pivots given
+// by column indices pivotIdx. The x coordinates come from the
+// column-distance table. For each pivot in turn it draws `samples`
+// permutations of the pivot from est (stats.DefaultSamples when <= 0) and
+// scores every column against them (stats.ExpectedPermDistances): a
+// matrix pays d·samples permutations, not n·d·samples.
+func (w *Workspace) Embed(pivotIdx []int, est *stats.Estimator, samples int) (*Embedding, error) {
+	d, n := len(pivotIdx), w.n
 	if d == 0 {
 		return nil, fmt.Errorf("pivot: need at least one pivot")
 	}
-	pivs := make([][]float64, d)
-	for r, pj := range pivotIdx {
-		if pj < 0 || pj >= m.NumGenes() {
-			return nil, fmt.Errorf("pivot: pivot index %d out of range [0,%d)", pj, m.NumGenes())
+	for _, pj := range pivotIdx {
+		if pj < 0 || pj >= n {
+			return nil, fmt.Errorf("pivot: pivot index %d out of range [0,%d)", pj, n)
 		}
-		pivs[r] = m.StdCol(pj)
 	}
-	n := m.NumGenes()
 	emb := &Embedding{
 		D:        d,
 		PivotIdx: append([]int(nil), pivotIdx...),
 		X:        make([][]float64, n),
 		Y:        make([][]float64, n),
 	}
+	coords := make([]float64, 2*n*d) // the X rows, then the Y rows
 	for j := 0; j < n; j++ {
-		xs := m.StdCol(j)
-		xrow := make([]float64, d)
-		yrow := make([]float64, d)
-		for r := 0; r < d; r++ {
-			xrow[r] = vecmath.Euclidean(xs, pivs[r])
-			yrow[r] = est.ExpectedPermDistance(pivs[r], xs, samples)
+		emb.X[j] = coords[j*d : (j+1)*d : (j+1)*d]
+		emb.Y[j] = coords[(n+j)*d : (n+j+1)*d : (n+j+1)*d]
+	}
+	w.cols = resize(w.cols, n)
+	for j := range w.cols {
+		w.cols[j] = w.m.StdCol(j)
+	}
+	w.ys = resize(w.ys, n)
+	for r, pj := range pivotIdx {
+		xcol := w.column(pj)
+		est.ExpectedPermDistances(w.ys, w.cols, w.m.StdCol(pj), samples)
+		for j := 0; j < n; j++ {
+			emb.X[j][r] = xcol[j]
+			emb.Y[j][r] = w.ys[j]
 		}
-		emb.X[j] = xrow
-		emb.Y[j] = yrow
 	}
 	return emb, nil
 }
@@ -279,6 +381,25 @@ func Cost(m *gene.Matrix, pivotIdx []int) float64 {
 	return total
 }
 
+// Cost is the package-level Cost of the bound matrix, read from the
+// column-distance table: the same distances, scored by VectorCost and
+// summed in the same order, so the same bits.
+func (w *Workspace) Cost(pivotIdx []int) float64 {
+	w.pcols = w.pcols[:0]
+	for _, pj := range pivotIdx {
+		w.pcols = append(w.pcols, w.column(pj))
+	}
+	w.row = resize(w.row, len(pivotIdx))
+	var total float64
+	for s := 0; s < w.n; s++ {
+		for r, c := range w.pcols {
+			w.row[r] = c[s]
+		}
+		total += VectorCost(w.row)
+	}
+	return total
+}
+
 // SelectionParams tunes the randomized swap search of Figure 3.
 type SelectionParams struct {
 	GlobalIter int // restarts with fresh random pivots (line 2)
@@ -290,12 +411,14 @@ type SelectionParams struct {
 // the small d values of Table 2 (d ≤ 4).
 var DefaultSelection = SelectionParams{GlobalIter: 3, SwapIter: 24}
 
-// SelectPivots chooses d pivot columns of m minimizing Cost via the
-// randomized swap search of Figure 3. When m has fewer than d columns the
-// full column set is returned padded by repetition. The rng makes the
-// search deterministic per seed.
-func SelectPivots(m *gene.Matrix, d int, params SelectionParams, rng *randgen.Rand) []int {
-	n := m.NumGenes()
+// SelectPivots chooses d pivot columns of the bound matrix minimizing Cost
+// via the randomized swap search of Figure 3. When the matrix has fewer
+// than d columns the full column set is returned padded by repetition.
+// The rng makes the search deterministic per seed. Its Cost evaluations
+// read the column-distance table, so a search of GlobalIter·(1 + SwapIter)
+// evaluations computes each column distance at most once.
+func (w *Workspace) SelectPivots(d int, params SelectionParams, rng *randgen.Rand) []int {
+	n := w.n
 	if n == 0 || d <= 0 {
 		return nil
 	}
@@ -309,16 +432,18 @@ func SelectPivots(m *gene.Matrix, d int, params SelectionParams, rng *randgen.Ra
 	if params.GlobalIter <= 0 {
 		params.GlobalIter = 1
 	}
+	w.inPiv = resize(w.inPiv, n)
 	var best []int
 	globalCost := float64(0)
 	haveBest := false
 	for a := 0; a < params.GlobalIter; a++ {
 		piv := rng.SampleWithoutReplacement(n, d)
-		inPiv := make(map[int]bool, d)
+		inPiv := w.inPiv
+		clear(inPiv)
 		for _, p := range piv {
 			inPiv[p] = true
 		}
-		localCost := Cost(m, piv)
+		localCost := w.Cost(piv)
 		for b := 0; b < params.SwapIter; b++ {
 			ri := rng.Intn(d)
 			// Draw a non-pivot column.
@@ -328,9 +453,9 @@ func SelectPivots(m *gene.Matrix, d int, params SelectionParams, rng *randgen.Ra
 			}
 			old := piv[ri]
 			piv[ri] = xt
-			if c := Cost(m, piv); c < localCost {
+			if c := w.Cost(piv); c < localCost {
 				localCost = c
-				delete(inPiv, old)
+				inPiv[old] = false
 				inPiv[xt] = true
 			} else {
 				piv[ri] = old

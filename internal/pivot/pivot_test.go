@@ -30,11 +30,18 @@ func randomGeneMatrix(t *testing.T, rng *randgen.Rand, n, l int) *gene.Matrix {
 	return m
 }
 
+// bound returns a fresh workspace bound to m.
+func bound(m *gene.Matrix) *Workspace {
+	var w Workspace
+	w.Reset(m)
+	return &w
+}
+
 func TestEmbedCoordinates(t *testing.T) {
 	rng := randgen.New(70)
 	m := randomGeneMatrix(t, rng, 8, 6)
 	est := stats.NewEstimator(71)
-	emb, err := Embed(m, []int{0, 3}, est, 4000)
+	emb, err := bound(m).Embed([]int{0, 3}, est, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +66,7 @@ func TestEmbedPointLayout(t *testing.T) {
 	rng := randgen.New(72)
 	m := randomGeneMatrix(t, rng, 4, 5)
 	est := stats.NewEstimator(73)
-	emb, err := Embed(m, []int{1, 2}, est, 64)
+	emb, err := bound(m).Embed([]int{1, 2}, est, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +81,10 @@ func TestEmbedValidation(t *testing.T) {
 	rng := randgen.New(74)
 	m := randomGeneMatrix(t, rng, 3, 4)
 	est := stats.NewEstimator(75)
-	if _, err := Embed(m, nil, est, 16); err == nil {
+	if _, err := bound(m).Embed(nil, est, 16); err == nil {
 		t.Error("no pivots should error")
 	}
-	if _, err := Embed(m, []int{7}, est, 16); err == nil {
+	if _, err := bound(m).Embed([]int{7}, est, 16); err == nil {
 		t.Error("out-of-range pivot should error")
 	}
 }
@@ -90,7 +97,7 @@ func TestUpperBoundSoundness(t *testing.T) {
 	est := stats.NewEstimator(77)
 	for trial := 0; trial < 15; trial++ {
 		m := randomGeneMatrix(t, rng, 6, 6)
-		emb, err := Embed(m, []int{0, 1}, est, 6000)
+		emb, err := bound(m).Embed([]int{0, 1}, est, 6000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +118,7 @@ func TestUpperBoundSoundnessOneSided(t *testing.T) {
 	est := stats.NewEstimator(79)
 	for trial := 0; trial < 15; trial++ {
 		m := randomGeneMatrix(t, rng, 6, 6)
-		emb, err := Embed(m, []int{0, 1}, est, 6000)
+		emb, err := bound(m).Embed([]int{0, 1}, est, 6000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +195,7 @@ func TestSelectPivotsImprovesOnRandom(t *testing.T) {
 	rng := randgen.New(82)
 	m := randomGeneMatrix(t, rng, 30, 10)
 	selRng := randgen.New(83)
-	selected := SelectPivots(m, 3, SelectionParams{GlobalIter: 4, SwapIter: 40}, selRng)
+	selected := bound(m).SelectPivots(3, SelectionParams{GlobalIter: 4, SwapIter: 40}, selRng)
 	selCost := Cost(m, selected)
 	// Average cost of random pivot sets.
 	var avg float64
@@ -205,7 +212,7 @@ func TestSelectPivotsImprovesOnRandom(t *testing.T) {
 func TestSelectPivotsSmallMatrix(t *testing.T) {
 	rng := randgen.New(84)
 	m := randomGeneMatrix(t, rng, 2, 5)
-	piv := SelectPivots(m, 4, DefaultSelection, randgen.New(85))
+	piv := bound(m).SelectPivots(4, DefaultSelection, randgen.New(85))
 	if len(piv) != 4 {
 		t.Fatalf("pivot count = %d, want 4 (padded)", len(piv))
 	}
@@ -219,8 +226,8 @@ func TestSelectPivotsSmallMatrix(t *testing.T) {
 func TestSelectPivotsDeterministic(t *testing.T) {
 	rng := randgen.New(86)
 	m := randomGeneMatrix(t, rng, 20, 8)
-	a := SelectPivots(m, 2, DefaultSelection, randgen.New(9))
-	b := SelectPivots(m, 2, DefaultSelection, randgen.New(9))
+	a := bound(m).SelectPivots(2, DefaultSelection, randgen.New(9))
+	b := bound(m).SelectPivots(2, DefaultSelection, randgen.New(9))
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
@@ -234,7 +241,7 @@ func TestSelectPivotsDeterministic(t *testing.T) {
 func TestSelectPivotsEmpty(t *testing.T) {
 	rng := randgen.New(87)
 	m := randomGeneMatrix(t, rng, 3, 4)
-	if piv := SelectPivots(m, 0, DefaultSelection, rng); piv != nil {
+	if piv := bound(m).SelectPivots(0, DefaultSelection, rng); piv != nil {
 		t.Errorf("d=0 should return nil, got %v", piv)
 	}
 }
@@ -243,7 +250,7 @@ func TestPrunable(t *testing.T) {
 	rng := randgen.New(88)
 	m := randomGeneMatrix(t, rng, 6, 6)
 	est := stats.NewEstimator(89)
-	emb, err := Embed(m, []int{0}, est, 200)
+	emb, err := bound(m).Embed([]int{0}, est, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

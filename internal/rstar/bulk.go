@@ -1,9 +1,10 @@
 package rstar
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // BulkLoad builds the tree from scratch with sort-tile-recursive (STR)
@@ -19,6 +20,7 @@ func (t *Tree) BulkLoad(items []Item) error {
 		}
 	}
 	t.size = len(items)
+	t.nodes = 0   // every node below is new
 	t.dirty = nil // the old nodes are gone; the caller augments the new tree whole
 	t.ordered = t.primaryFull || len(items) == 0
 	if len(items) == 0 {
@@ -89,7 +91,7 @@ func (t *Tree) strSortNodes(cs []centeredNode, depth, cap int) {
 		return
 	}
 	axis := t.axisAt(depth)
-	sort.SliceStable(cs, func(i, j int) bool { return cs[i].center[axis] < cs[j].center[axis] })
+	slices.SortStableFunc(cs, func(a, b centeredNode) int { return cmp.Compare(a.center[axis], b.center[axis]) })
 	leaves := strGroups(len(cs), cap)
 	slabs := int(math.Ceil(math.Pow(float64(leaves), 1/float64(t.dim-depth))))
 	if depth == 0 && t.primaryFull {
@@ -115,7 +117,7 @@ func (t *Tree) strPartition(items []Item, cap, depth int) [][]Item {
 		// Pure sorted packing in key order: the fewest leaves, of equal
 		// size to within one, each spanning the tightest primary-axis
 		// range.
-		sort.SliceStable(items, func(i, j int) bool { return t.keyOf(items[i]).less(t.keyOf(items[j])) })
+		slices.SortStableFunc(items, func(a, b Item) int { return t.keyOf(a).compare(t.keyOf(b)) })
 		return chunks(items, strGroups(len(items), strGroups(len(items), cap)))
 	}
 	if len(items) <= cap {
@@ -125,7 +127,7 @@ func (t *Tree) strPartition(items []Item, cap, depth int) [][]Item {
 		return chunks(items, cap) // degenerate: slice sequentially
 	}
 	axis := t.axisAt(depth)
-	sort.SliceStable(items, func(i, j int) bool { return items[i].Point[axis] < items[j].Point[axis] })
+	slices.SortStableFunc(items, func(a, b Item) int { return cmp.Compare(a.Point[axis], b.Point[axis]) })
 	leaves := strGroups(len(items), cap)
 	slabs := max(int(math.Ceil(math.Pow(float64(leaves), 1/float64(t.dim-depth)))), 1)
 	var out [][]Item

@@ -22,10 +22,12 @@ func (t *Tree) Delete(it Item) bool {
 	// Shrink the root: an internal root with one child is replaced by it.
 	for !t.root.leaf && len(t.root.entries) == 1 {
 		t.root.dead = true
+		t.nodes--
 		t.root = t.root.entries[0].child
 	}
 	if len(t.root.entries) == 0 && !t.root.leaf {
 		t.root.dead = true
+		t.nodes--
 		t.root = t.newNode(true, 0)
 		t.markDirty(t.root)
 	}
@@ -84,22 +86,24 @@ func pointsEqual(a, b []float64) bool {
 }
 
 // condense restores the tree bottom-up along path after its leaf lost an
-// entry with MBR removed (its first entry when lostFirst). An underfull
-// non-root node is detached from its parent and its entries are queued
-// for reinsertion. A node recomputes its MBR only when the rectangle that
-// left it touched its boundary, and passes its first key up only when its
-// first entry left; the walk stops at the first node where neither
-// changed. The queued entries are then reinserted by key, the highest
-// level first, so that a subtree is back in place before the entries
-// whose keys fall after it are.
+// entry with MBR removed (its first entry when lostFirst). Every underfull
+// non-root node on the path is detached from its parent and its entries
+// are queued for reinsertion — also one that was underfull before this
+// delete, such as a sibling a run-end split left small, so which nodes
+// are dissolved depends on the keys alone, never on whether some MBR
+// happened to shrink. A node recomputes its MBR only when the rectangle
+// that left it touched its boundary, and passes its first key up only
+// when its first entry left. The queued entries are then reinserted by
+// key, the highest level first, so that a subtree is back in place
+// before the entries whose keys fall after it are.
 func (t *Tree) condense(path []*Node, idx []int, lostFirst bool, removed Rect) {
 	var orphans []*Node
 	r, moved := removed, true
-	i := len(path) - 1
-	for ; i > 0 && (moved || lostFirst); i-- {
+	for i := len(path) - 1; i > 0; i-- {
 		n, p, j := path[i], path[i-1], idx[i]
 		if len(n.entries) < t.minFill {
 			n.dead = true
+			t.nodes--
 			p.removeAt(j)
 			orphans = append(orphans, n)
 			r, moved, lostFirst = n.mbr, true, j == 0
@@ -114,7 +118,7 @@ func (t *Tree) condense(path []*Node, idx []int, lostFirst bool, removed Rect) {
 			r = t.old
 		}
 	}
-	if i == 0 && moved {
+	if moved {
 		t.shrink(t.root, r)
 	}
 	for o := len(orphans) - 1; o >= 0; o-- {

@@ -16,6 +16,11 @@ import (
 // level and entry count, then each entry's MBR bits and, at the leaves,
 // each item's reference.
 func treeFingerprint(t *rstar.Tree) uint64 {
+	return fingerprint(t, func(int) bool { return true })
+}
+
+// fingerprint is treeFingerprint over the MBR axes a with hashAxis(a).
+func fingerprint(t *rstar.Tree, hashAxis func(a int) bool) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -27,9 +32,11 @@ func treeFingerprint(t *rstar.Tree) uint64 {
 		put(uint64(n.NumEntries()))
 		for i := 0; i < n.NumEntries(); i++ {
 			r := n.EntryMBR(i)
-			for d := range r.Min {
-				put(math.Float64bits(r.Min[d]))
-				put(math.Float64bits(r.Max[d]))
+			for a := range r.Min {
+				if hashAxis(a) {
+					put(math.Float64bits(r.Min[a]))
+					put(math.Float64bits(r.Max[a]))
+				}
 			}
 			if n.IsLeaf() {
 				put(n.Item(i).Ref)
@@ -58,14 +65,15 @@ func fingerprintDB(t *testing.T) *gene.Database {
 // AddMatrix (key descent, run-end and middle splits, root splits) and then
 // drops every third source by RemoveMatrix (key descent, condense and
 // reinsertion by key). Any change to the insertion or deletion rules — a
-// different descent, split point or reinsertion order — changes the hash.
+// different descent, split point or reinsertion order — changes the hash,
+// and so does any change to the y coordinates, which are MBR axes.
 func TestTreeFingerprint(t *testing.T) {
 	for _, tc := range []struct {
 		maxFill int
 		want    uint64
 	}{
-		{0, 0xb6cdc0e0277c24f8},
-		{8, 0xa5783ea70c7bcd6c},
+		{0, 0xc168519cad7f8522},
+		{8, 0xe60db7069fc6deff},
 	} {
 		db := fingerprintDB(t)
 		all := append([]*gene.Matrix(nil), db.Matrices()...)
@@ -104,16 +112,17 @@ func TestTreeFingerprint(t *testing.T) {
 // and without the gene-primary layout. Bulk loading takes its input in
 // ascending source order, so breaking primary-coordinate ties by Ref
 // leaves the layout as it was before the insertion rule followed the key
-// order.
+// order. The hash covers the y coordinates, which the natural STR layout
+// also sorts on; TestBulkTreeFingerprintYFree pins the rest.
 func TestBulkTreeFingerprint(t *testing.T) {
 	for _, tc := range []struct {
 		maxFill int
 		natural bool
 		want    uint64
 	}{
-		{0, false, 0xd6aa616e83eea1dc},
-		{8, false, 0x3ee2989e1715e086},
-		{8, true, 0xe4e7bc6eb2a4813},
+		{0, false, 0x26a711a25b581f32},
+		{8, false, 0xa5d059855a52997a},
+		{8, true, 0xb31655518abccf9d},
 	} {
 		idx, err := index.Build(fingerprintDB(t), index.Options{
 			D: 2, Seed: 42, MaxFill: tc.maxFill, Workers: 1, NaturalSTRLayout: tc.natural,
@@ -128,6 +137,31 @@ func TestBulkTreeFingerprint(t *testing.T) {
 		if got := treeFingerprint(tree); got != tc.want {
 			t.Errorf("MaxFill %d natural %v: fingerprint %#x (size %d, height %d), want %#x",
 				tc.maxFill, tc.natural, got, tree.Size(), tree.Height(), tc.want)
+		}
+	}
+}
+
+// TestBulkTreeFingerprintYFree pins a bulk-built gene-primary index tree
+// without its y coordinates: the gene-primary layout sorts by key alone,
+// and pivots and x coordinates are exact distances, so the layout and
+// every x and gene bound stay put whatever estimator draws the y values.
+func TestBulkTreeFingerprintYFree(t *testing.T) {
+	for _, tc := range []struct {
+		maxFill int
+		want    uint64
+	}{
+		{0, 0x610f09e29826029b},
+		{8, 0x939b1feede707767},
+	} {
+		idx, err := index.Build(fingerprintDB(t), index.Options{D: 2, Seed: 42, MaxFill: tc.maxFill, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree := idx.Tree()
+		yFree := func(a int) bool { return a >= 4 || a%2 == 0 } // x_1, x_2 and the gene; not y_r = axis 2r+1
+		if got := fingerprint(tree, yFree); got != tc.want {
+			t.Errorf("MaxFill %d: y-free fingerprint %#x (size %d, height %d), want %#x",
+				tc.maxFill, got, tree.Size(), tree.Height(), tc.want)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package rstar
 
-import "github.com/imgrn/imgrn/internal/pagestore"
+import (
+	"fmt"
+
+	"github.com/imgrn/imgrn/internal/pagestore"
+)
 
 // Search appends to out every item whose point lies inside r and returns
 // the result. The order is deterministic (depth-first, entry order).
@@ -58,12 +62,10 @@ func walkBottomUp(n *Node, fn func(n *Node)) {
 	fn(n)
 }
 
-// NodeCount returns the total number of nodes.
-func (t *Tree) NodeCount() int {
-	count := 0
-	t.Walk(func(*Node) bool { count++; return true })
-	return count
-}
+// NodeCount returns the total number of nodes, kept live by every
+// operation that creates or detaches one (CheckInvariants holds it to a
+// walk).
+func (t *Tree) NodeCount() int { return t.nodes }
 
 // entryBytes estimates the on-page size of one entry: a 2k-float MBR plus
 // a 64-bit child pointer / item reference.
@@ -169,6 +171,11 @@ func (t *Tree) CheckInvariants() string {
 	}
 	if items != t.size {
 		return "item count mismatch"
+	}
+	nodes := 0
+	t.Walk(func(*Node) bool { nodes++; return true })
+	if nodes != t.nodes {
+		return fmt.Sprintf("node count %d, a walk finds %d", t.nodes, nodes)
 	}
 	return ""
 }

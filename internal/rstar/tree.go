@@ -50,6 +50,17 @@ type key struct {
 
 func (a key) less(b key) bool { return a.c < b.c || (a.c == b.c && a.ref < b.ref) }
 
+// compare is less as a three-way comparison, for the sorts of bulk loading.
+func (a key) compare(b key) int {
+	switch {
+	case a.less(b):
+		return -1
+	case b.less(a):
+		return 1
+	}
+	return 0
+}
+
 // upperBound returns the number of leading entries whose key is <= k.
 func upperBound(es []entry, k key) int {
 	lo, hi := 0, len(es)
@@ -137,6 +148,7 @@ type Tree struct {
 	primaryFull bool
 	root        *Node
 	size        int
+	nodes       int // live nodes: each newNode counts, each detached node is taken off
 
 	// ordered is false after a BulkLoad that tiled by several axes (no
 	// PrimaryAxisFull): its leaves are not in key order, so Delete finds
@@ -222,6 +234,7 @@ func (t *Tree) axisAt(depth int) int {
 }
 
 func (t *Tree) newNode(leaf bool, level int) *Node {
+	t.nodes++
 	return &Node{leaf: leaf, level: level, mbr: EmptyRect(t.dim)}
 }
 

@@ -189,9 +189,9 @@ func TestBatchDeterminism(t *testing.T) {
 }
 
 // TestArenaSlotsDistinct is the regression test for the scratch aliasing
-// hazard: EdgeProbability/AbsEdgeProbability, ExpectedPermDistance, and
-// the batch kernel must each own a distinct arena slot, so no call can
-// clobber another call site's in-flight buffer.
+// hazard: EdgeProbability/AbsEdgeProbability, ExpectedPermDistance,
+// ExpectedPermDistances and the batch kernel must each own a distinct
+// arena slot, so no call can clobber another call site's in-flight buffer.
 func TestArenaSlotsDistinct(t *testing.T) {
 	rng := randgen.New(66)
 	xs, xt := stdPair(rng, 10)
@@ -200,8 +200,12 @@ func TestArenaSlotsDistinct(t *testing.T) {
 	e.ExpectedPermDistance(xs, xt, 8)
 	dst := make([]float64, 1)
 	e.EdgeProbabilityBatch(dst, [][]float64{xs}, xt, 8)
+	e.ExpectedPermDistances(dst, [][]float64{xs}, xt, 8)
 	if &e.ar.edgePerm[0] == &e.ar.distPerm[0] {
 		t.Error("EdgeProbability and ExpectedPermDistance share a scratch slot")
+	}
+	if p := &e.ar.sharePerm[0]; p == &e.ar.edgePerm[0] || p == &e.ar.distPerm[0] || p == &e.ar.batchMat[0] {
+		t.Error("ExpectedPermDistances shares a scratch slot")
 	}
 	if &e.ar.edgePerm[0] == &e.ar.batchMat[0] || &e.ar.distPerm[0] == &e.ar.batchMat[0] {
 		t.Error("batch kernel shares a scratch slot with a scalar estimator")

@@ -143,6 +143,64 @@ func TestPermBatchFillMatchesScalarDraws(t *testing.T) {
 	}
 }
 
+// refExpectedPermDistances is the scalar reference of the shared-draw
+// estimator: each permutation of permuted is drawn once and scored
+// against every fixed vector, one distance pass each.
+func refExpectedPermDistances(rng *randgen.Rand, fixed [][]float64, permuted []float64, samples int) []float64 {
+	perm := make([]float64, len(permuted))
+	sums := make([]float64, len(fixed))
+	for i := 0; i < samples; i++ {
+		rng.PermuteInto(perm, permuted)
+		for j, f := range fixed {
+			sums[j] += vecmath.Euclidean(f, perm)
+		}
+	}
+	for j := range sums {
+		sums[j] /= float64(samples)
+	}
+	return sums
+}
+
+// TestDrawKernelSharedMatchesScalar: ExpectedPermDistances against its
+// scalar reference from the same seed, for every tail length, 0 to 9
+// fixed vectors and l = 1..24, on one estimator whose scratch block goes
+// from long to short vectors and back — comparing every estimate's bits,
+// and the generator state left behind, which must be that of samples
+// draws whatever the number of fixed vectors.
+func TestDrawKernelSharedMatchesScalar(t *testing.T) {
+	data := randgen.New(76)
+	est, ref := NewEstimator(77), randgen.New(77)
+	dst := make([]float64, 9)
+	for round := 0; round < 120; round++ {
+		l := 1 + (round*7)%24
+		samples := kernelSamples[round%len(kernelSamples)]
+		if testing.Short() && samples > 192 {
+			continue
+		}
+		fixed := make([][]float64, round%10)
+		for j := range fixed {
+			fixed[j], _ = rawPair(data, l)
+		}
+		_, permuted := rawPair(data, l)
+		for j := range dst {
+			dst[j] = -1
+		}
+		est.ExpectedPermDistances(dst, fixed, permuted, samples)
+		want := refExpectedPermDistances(ref, fixed, permuted, samples)
+		for j := range want {
+			if math.Float64bits(dst[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("round %d (l=%d samples=%d) vector %d: blocked %v, scalar %v", round, l, samples, j, dst[j], want[j])
+			}
+		}
+		if len(fixed) < len(dst) && dst[len(fixed)] != -1 {
+			t.Fatalf("round %d: wrote past the %d fixed vectors", round, len(fixed))
+		}
+		if *est.rng != *ref {
+			t.Fatalf("round %d (l=%d samples=%d): generator state differs after the call", round, l, samples)
+		}
+	}
+}
+
 // rawPair draws two unstandardized Gaussian vectors (l = 1 cannot be
 // standardized, and the kernel contract does not depend on it).
 func rawPair(rng *randgen.Rand, l int) (xs, xt []float64) {

@@ -90,6 +90,7 @@ type Estimator struct {
 type arena struct {
 	edgePerm  []float64 // EdgeProbability / AbsEdgeProbability permutation block
 	distPerm  []float64 // ExpectedPermDistance permutation block
+	sharePerm []float64 // ExpectedPermDistances permutation block
 	batchMat  []float64 // EdgeProbabilityBatch permutation matrix
 	batchDots []float64 // EdgeProbabilityBatch inner products
 }
@@ -141,11 +142,26 @@ const permBlock = 4
 // index order. Only independent samples are interleaved, so no
 // floating-point result moves.
 func (e *Estimator) sqDistBlock(out *[permBlock]float64, buf *[]float64, fixed, src []float64, remaining int) []float64 {
+	perm, n := e.drawBlock(buf, src, remaining)
+	return sqDists(out, fixed, perm, n)
+}
+
+// drawBlock draws the next n = min(permBlock, remaining) uniform
+// permutations of src from the estimator's stream, back to back into the
+// arena slot buf, and returns the block and n.
+func (e *Estimator) drawBlock(buf *[]float64, src []float64, remaining int) ([]float64, int) {
 	n, l := min(permBlock, remaining), len(src)
 	perm := grow(buf, permBlock*l)
 	for k := 0; k < n; k++ {
 		e.rng.PermuteInto(perm[k*l:(k+1)*l], src)
 	}
+	return perm, n
+}
+
+// sqDists returns the squared distances of fixed to the first n vectors of
+// the block perm, in block order, in a prefix of out.
+func sqDists(out *[permBlock]float64, fixed, perm []float64, n int) []float64 {
+	l := len(fixed)
 	if n == permBlock {
 		out[0], out[1], out[2], out[3] = vecmath.SquaredEuclidean4(fixed, perm[:l], perm[l:2*l], perm[2*l:3*l], perm[3*l:])
 	} else {
@@ -246,11 +262,11 @@ func abs(v float64) float64 {
 
 // ExpectedPermDistance estimates E[ dist(permuted^R, fixed) ], the expected
 // Euclidean distance between a uniform random permutation of `permuted` and
-// the fixed vector. This single estimator serves both E(Z) of Lemma 4
-// (fixed = Xs, permuted = Xt) and the embedding coordinates
-// y_s[w] = E(dist(Xs^R, piv_w)) of Section 4.2 (fixed = piv_w,
-// permuted = Xs); the two forms agree in distribution because the inverse of
-// a uniform permutation is uniform.
+// the fixed vector, from samples draws of its own: E(Z) of Lemma 4
+// (fixed = Xs, permuted = Xt). The embedding coordinates
+// y_s[w] = E(dist(Xs^R, piv_w)) of Section 4.2 are the same expectation —
+// the inverse of a uniform permutation is uniform — and are estimated with
+// draws shared across a matrix's columns (ExpectedPermDistances).
 func (e *Estimator) ExpectedPermDistance(fixed, permuted []float64, samples int) float64 {
 	if samples <= 0 {
 		samples = DefaultSamples
@@ -263,6 +279,41 @@ func (e *Estimator) ExpectedPermDistance(fixed, permuted []float64, samples int)
 		}
 	}
 	return sum / float64(samples)
+}
+
+// ExpectedPermDistances estimates E[ dist(fixed[j]^R, permuted) ] for every
+// vector fixed[j] from one shared set of samples uniform permutations σ_k
+// of permuted (DefaultSamples if samples <= 0), writing
+//
+//	dst[j] = (1/samples) · Σ_k dist(fixed[j], permuted^{σ_k})
+//
+// for j < len(fixed). Permuting the other vector is exact:
+// dist(X^π, p) = dist(X, p^{π⁻¹}), and π⁻¹ is uniform when π is, so each
+// dst[j] has the distribution of ExpectedPermDistance(permuted, fixed[j],
+// samples) — the embedding coordinate y_j[w] = E(dist(X_j^R, piv_w)) with
+// permuted = piv_w. Estimates for different j share their draws and so
+// are correlated; each alone has the per-pair distribution. A matrix thus
+// pays samples permutations per pivot instead of samples per (column,
+// pivot) pair. Every fixed[j] must have the length of permuted; dst must
+// have length >= len(fixed).
+func (e *Estimator) ExpectedPermDistances(dst []float64, fixed [][]float64, permuted []float64, samples int) {
+	if samples <= 0 {
+		samples = DefaultSamples
+	}
+	dst = dst[:len(fixed)]
+	clear(dst)
+	var d2 [permBlock]float64
+	for done := 0; done < samples; done += permBlock {
+		perm, n := e.drawBlock(&e.ar.sharePerm, permuted, samples-done)
+		for j, f := range fixed {
+			for _, dr := range sqDists(&d2, f, perm, n) {
+				dst[j] += math.Sqrt(dr)
+			}
+		}
+	}
+	for j := range dst {
+		dst[j] /= float64(samples)
+	}
 }
 
 // MarkovUpperBound returns the Lemma-4 upper bound on an edge existence
