@@ -123,9 +123,9 @@ func (b *Baseline) QueryContext(ctx context.Context, mq *gene.Matrix) ([]Answer,
 	var q *grn.Graph
 	var err error
 	if b.params.Analytic {
-		q, err = grn.Infer(mq, b.an, b.params.Gamma)
+		q, err = grn.InferContext(ctx, mq, b.an, b.params.Gamma)
 	} else {
-		q, err = grn.Infer(mq, b.scorer, b.params.Gamma)
+		q, err = grn.InferContext(ctx, mq, b.scorer, b.params.Gamma)
 	}
 	if err != nil {
 		return nil, st, err

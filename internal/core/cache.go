@@ -13,18 +13,19 @@ import (
 // its edge's own stream (DESIGN.md §7.2), so the cache is a pure memo: a
 // hit returns exactly what recomputing would.
 //
-// Besides estimates it holds upper bounds: refinement stops drawing an
-// edge once its estimate can no longer pass (exact curtailment), and
-// stores the largest estimate still reachable then. A bound rejects a later
-// probe whose threshold it already fails; otherwise the edge is drawn
-// again, and its estimate replaces the bound.
+// Besides estimates it holds what an edge refinement rejected early leaves
+// behind (DESIGN.md §9.1): an upper bound, the largest estimate still
+// reachable when exact curtailment stopped it, or the cutoff a sequential
+// rejection stopped it below. Either rejects a later probe whose threshold
+// it already fails; otherwise the edge is drawn again, and its estimate
+// replaces the entry.
 //
 // A cache is only valid for one estimator configuration (seed, sample
-// count, analytic/one-sided flags); CacheTable keys caches by that
-// configuration. Safe for concurrent use: the key space is lock-striped
-// across shards so parallel refinement workers and concurrent queries do
-// not contend on a single mutex, and hit/miss totals are kept in atomic
-// counters.
+// count, analytic/one-sided flags, sequential budget); CacheTable keys
+// caches by that configuration. Safe for concurrent use: the key space is
+// lock-striped across shards so parallel refinement workers and concurrent
+// queries do not contend on a single mutex, and hit/miss totals are kept
+// in atomic counters.
 type EdgeProbCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -42,24 +43,71 @@ type cacheShard struct {
 	fifo     []uint64
 }
 
-// cacheEntry is an estimate, or with bound set an upper bound on the
-// estimate of a curtailed edge.
+// entryKind says what a cached edge probability p is.
+type entryKind uint8
+
+const (
+	// entryEstimate: p is the edge's full-R estimate.
+	entryEstimate entryKind = iota
+	// entryBound: exact curtailment stopped the edge, and p is an upper
+	// bound on its full-R estimate.
+	entryBound
+	// entryRejected: a sequential rejection stopped the edge, and p is
+	// stop/R for the stop count it was tested against. A probe whose own
+	// stop count is at least as large has a cutoff at least as high, so a
+	// fresh draw would stop it at the same checkpoint or earlier.
+	entryRejected
+)
+
+// cacheEntry is one edge's cached estimate, bound or rejection. A bound
+// or a rejection rejects a probe whose reject test holds at p without a
+// draw; in a probe's running product a bound stands in as p, a rejection
+// as 1.
 type cacheEntry struct {
-	p     float64
-	bound bool
+	p    float64
+	kind entryKind
 }
 
-// stored encodes the entry as one word: both estimates and bounds lie in
-// [0, 1], so a bound is kept as its value with the sign bit set.
+// rejectedScale lifts a rejection's p out of [0, 1]: p = stop/R lies in
+// [2⁻²⁰, 1) (stop ≥ 1, since no cutoff of 1/R ever rejects sequentially,
+// and R ≤ stats.MaxSamples), and scaling by a power of two is exact.
+const rejectedScale = 0x1p64
+
+// stored encodes the entry as one word: estimates and bounds lie in
+// [0, 1], so a bound is kept as its value with the sign bit set, and a
+// rejection as −p·2⁶⁴, below −1.
 func (e cacheEntry) stored() float64 {
-	if e.bound {
+	switch e.kind {
+	case entryBound:
 		return math.Copysign(e.p, -1)
+	case entryRejected:
+		return -e.p * rejectedScale
 	}
 	return e.p
 }
 
 func entryOf(w float64) cacheEntry {
-	return cacheEntry{p: math.Abs(w), bound: math.Signbit(w)}
+	switch {
+	case w < -1:
+		return cacheEntry{p: -w / rejectedScale, kind: entryRejected}
+	case math.Signbit(w):
+		return cacheEntry{p: -w, kind: entryBound}
+	}
+	return cacheEntry{p: w}
+}
+
+// replaces reports whether e should replace the stored entry old: an
+// estimate replaces anything and nothing replaces an estimate; between
+// bounds and rejections the one that rejects more probes (the smaller p)
+// is kept, and on a tie the bound, which is certain.
+func (e cacheEntry) replaces(old cacheEntry) bool {
+	switch {
+	case e.kind == entryEstimate:
+		return true
+	case old.kind == entryEstimate:
+		return false
+	}
+	return e.p < old.p || e.p == old.p && e.kind == entryBound
 }
 
 // cacheShards is the stripe count for large caches; small caches collapse
@@ -114,10 +162,11 @@ func (c *EdgeProbCache) keyOf(source, a, b int) (uint64, *cacheShard, bool) {
 }
 
 // Get returns the cached estimate of edge (a, b) in the given source and
-// records a hit or miss. A bound is not an estimate: it reads as a miss.
+// records a hit or miss. A bound or a rejection is not an estimate: it
+// reads as a miss.
 func (c *EdgeProbCache) Get(source, a, b int) (float64, bool) {
 	e, ok := c.lookup(source, a, b)
-	if ok = ok && !e.bound; ok {
+	if ok = ok && e.kind == entryEstimate; ok {
 		c.record(1, 0)
 	} else {
 		c.record(0, 1)
@@ -148,16 +197,26 @@ func (c *EdgeProbCache) record(hits, misses int) {
 	}
 }
 
-// Put stores the estimate of edge (a, b), replacing a bound, and evicts
-// the oldest entry of the key's shard when that shard is full.
+// Put stores the estimate of edge (a, b), replacing a bound or a
+// rejection, and evicts the oldest entry of the key's shard when that
+// shard is full.
 func (c *EdgeProbCache) Put(source, a, b int, p float64) {
 	c.put(source, a, b, cacheEntry{p: p})
 }
 
 // PutBound stores an upper bound on the estimate of edge (a, b) unless the
-// cache already holds the estimate or a bound at least as tight.
+// cache already holds the estimate, or a bound or rejection at least as
+// tight.
 func (c *EdgeProbCache) PutBound(source, a, b int, ub float64) {
-	c.put(source, a, b, cacheEntry{p: ub, bound: true})
+	c.put(source, a, b, cacheEntry{p: ub, kind: entryBound})
+}
+
+// PutRejected records that a sequential rejection stopped edge (a, b)
+// while refinement rejected every estimate up to cut = stop/R, unless the
+// cache already holds the estimate, or a bound or rejection at least as
+// tight. cut must lie in [2⁻²⁰, 1), as every such cut does.
+func (c *EdgeProbCache) PutRejected(source, a, b int, cut float64) {
+	c.put(source, a, b, cacheEntry{p: cut, kind: entryRejected})
 }
 
 func (c *EdgeProbCache) put(source, a, b int, e cacheEntry) {
@@ -168,7 +227,7 @@ func (c *EdgeProbCache) put(source, a, b int, e cacheEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if w, exists := s.m[k]; exists {
-		if old := entryOf(w); !e.bound || old.bound && e.p < old.p {
+		if e.replaces(entryOf(w)) {
 			s.m[k] = e.stored()
 		}
 		return
@@ -235,8 +294,9 @@ func (c *EdgeProbCache) Stats() CacheStats {
 }
 
 // CacheTable holds the edge-probability caches of the estimator
-// configurations a store has seen (samples, seed, analytic, one-sided:
-// estimates depend on all four, so configurations never share a cache).
+// configurations a store has seen (samples, seed, analytic, one-sided and
+// sequential budget: entries depend on all five, so configurations never
+// share a cache).
 // It keeps at most a fixed number and drops the least recently used: a
 // client sending a fresh Monte Carlo seed per request would otherwise grow
 // one cache per request, forever. The zero value is an empty table. Safe
@@ -257,6 +317,7 @@ type estimatorSig struct {
 	seed     uint64
 	analytic bool
 	oneSided bool
+	seqDelta float64
 }
 
 // CacheTableSize is the number of estimator configurations a CacheTable
@@ -269,7 +330,8 @@ const CacheTableSize = 8
 // first use. Resolve the plan first: an (Eps, Delta) request rewrites the
 // sample count.
 func (t *CacheTable) For(params Params) *EdgeProbCache {
-	sig := estimatorSig{samples: params.Samples, seed: params.Seed, analytic: params.Analytic, oneSided: params.OneSided}
+	sig := estimatorSig{samples: params.Samples, seed: params.Seed, analytic: params.Analytic, oneSided: params.OneSided,
+		seqDelta: params.seqBudget()}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i, e := range t.live {

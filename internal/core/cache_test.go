@@ -1,11 +1,16 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
+	"github.com/imgrn/imgrn/internal/gene"
+	"github.com/imgrn/imgrn/internal/index"
 	"github.com/imgrn/imgrn/internal/randgen"
+	"github.com/imgrn/imgrn/internal/synth"
 )
 
 func TestEdgeProbCacheBasics(t *testing.T) {
@@ -166,7 +171,7 @@ func TestEdgeProbCacheBounds(t *testing.T) {
 		t.Error("Get returned a bound as an estimate")
 	}
 	c.PutBound(1, 3, 2, 0.7)
-	if e, ok := c.lookup(1, 2, 3); !ok || !e.bound || e.p != 0.5 {
+	if e, ok := c.lookup(1, 2, 3); !ok || e.kind != entryBound || e.p != 0.5 {
 		t.Errorf("looser bound replaced a tighter one: %+v, %v", e, ok)
 	}
 	c.PutBound(1, 2, 3, 0.25)
@@ -181,6 +186,151 @@ func TestEdgeProbCacheBounds(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("Len = %d", c.Len())
 	}
+}
+
+// TestEdgeProbCacheRejections: a sequential rejection round-trips
+// through the one-word encoding exactly, reads as a miss to Get, never
+// replaces an estimate and is replaced by one; between bounds and
+// rejections the smaller value is kept, a bound on a tie.
+func TestEdgeProbCacheRejections(t *testing.T) {
+	c := NewEdgeProbCache(16)
+	for _, cut := range []float64{0x1p-20, 1.0 / 1107, 409.0 / 1024, 0.5, 1023.0 / 1024, math.Nextafter(1, 0)} {
+		c.PutRejected(1, 2, 3, cut)
+		if e, ok := c.lookup(1, 2, 3); !ok || e.kind != entryRejected || e.p != cut {
+			t.Errorf("rejection at %v read back as %+v, %v", cut, e, ok)
+		}
+		c.InvalidateSource(1)
+	}
+	c.PutRejected(1, 2, 3, 0.5)
+	if _, ok := c.Get(1, 2, 3); ok {
+		t.Error("Get returned a rejection as an estimate")
+	}
+	for _, step := range []struct {
+		put  func()
+		want cacheEntry
+	}{
+		{func() { c.PutRejected(1, 2, 3, 0.625) }, cacheEntry{0.5, entryRejected}},
+		{func() { c.PutBound(1, 2, 3, 0.75) }, cacheEntry{0.5, entryRejected}},
+		{func() { c.PutBound(1, 2, 3, 0.5) }, cacheEntry{0.5, entryBound}},
+		{func() { c.PutRejected(1, 2, 3, 0.5) }, cacheEntry{0.5, entryBound}},
+		{func() { c.PutRejected(1, 3, 2, 0.25) }, cacheEntry{0.25, entryRejected}},
+		{func() { c.PutBound(1, 2, 3, 0.125) }, cacheEntry{0.125, entryBound}},
+		{func() { c.Put(1, 2, 3, 0.375) }, cacheEntry{0.375, entryEstimate}},
+		{func() { c.PutRejected(1, 2, 3, 0.0625) }, cacheEntry{0.375, entryEstimate}},
+	} {
+		step.put()
+		if e, _ := c.lookup(1, 2, 3); e != step.want {
+			t.Fatalf("after the put the entry is %+v, want %+v", e, step.want)
+		}
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d", c.Len())
+	}
+}
+
+// countRejections returns the sequential rejections a cache holds.
+func countRejections(c *EdgeProbCache) int {
+	n := 0
+	for i := range c.shards {
+		for _, w := range c.shards[i].m {
+			if entryOf(w).kind == entryRejected {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestSeqRejectionsKeepWarmEqualToCold: a cache warmed by Monte Carlo
+// queries whose refinement stops edges sequentially answers a query
+// exactly as a cold cache does at the same γ and at a higher one, and a
+// repeat at the same thresholds draws nothing: a cached rejection rejects
+// only probes whose fresh draw would stop at the same checkpoint or
+// earlier. A cache warmed at stricter thresholds answers a looser query as
+// a cold one does too. The same holds through QueryBatch, whose items
+// share one cache in item order.
+func TestSeqRejectionsKeepWarmEqualToCold(t *testing.T) {
+	ds, err := synth.GenerateDatabase(synth.DBParams{
+		N: 60, NMin: 30, NMax: 34, LMin: 10, LMax: 20, Dist: synth.Uniform, GenePool: 40, Seed: 88,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := index.Build(ds.DB, index.Options{D: 2, Samples: 32, Seed: 88})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := randgen.New(89)
+	run := func(p Params, mq *gene.Matrix) ([]Answer, Stats) {
+		proc, err := NewProcessor(idx, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, st, err := proc.Query(mq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans, st
+	}
+	rejections, answers := 0, 0
+	for qi := 0; qi < 8; qi++ {
+		mq, _, err := ds.ExtractQuery(rng, 4+qi%5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := Params{Gamma: 0.4, Alpha: 0.1, Samples: 1024, Seed: 90 + uint64(qi), Workers: 1 + qi%2}
+		higher := base
+		higher.Gamma = 0.5
+		want, _ := run(base, mq)
+		wantHigher, _ := run(higher, mq)
+		answers += len(want) + len(wantHigher)
+
+		warm := base
+		warm.Cache = NewEdgeProbCache(0)
+		if got, _ := run(warm, mq); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: a cold cache answered %+v, no cache %+v", qi, got, want)
+		}
+		rejections += countRejections(warm.Cache)
+		got, st := run(warm, mq)
+		if !reflect.DeepEqual(got, want) || st.Draws != 0 {
+			t.Fatalf("query %d: the warm repeat answered %+v with %d draws, the cold run %+v", qi, got, st.Draws, want)
+		}
+		warmHigher := higher
+		warmHigher.Cache = warm.Cache
+		if got, _ := run(warmHigher, mq); !reflect.DeepEqual(got, wantHigher) {
+			t.Fatalf("query %d: at γ = %v the warm cache answered %+v, a cold run %+v", qi, higher.Gamma, got, wantHigher)
+		}
+		// Rejections left by a stricter query stand in as 1 for a looser
+		// one, which draws those edges again.
+		strict := higher
+		strict.Alpha, strict.Cache = 0.3, NewEdgeProbCache(0)
+		run(strict, mq)
+		rejections += countRejections(strict.Cache)
+		looser := base
+		looser.Cache = strict.Cache
+		if got, _ := run(looser, mq); !reflect.DeepEqual(got, want) {
+			t.Fatalf("query %d: a cache warmed at γ = %v, α = %v answered %+v, a cold run %+v", qi, strict.Gamma, strict.Alpha, got, want)
+		}
+
+		items := []BatchItem{{Matrix: mq, Params: base}, {Matrix: mq, Params: base}, {Matrix: mq, Params: higher}}
+		shared := NewEdgeProbCache(0)
+		for i := range items {
+			items[i].Params.Cache = shared
+		}
+		res, _ := QueryBatch(context.Background(), idx, items, BatchOptions{})
+		for i, wantItem := range [][]Answer{want, want, wantHigher} {
+			if res[i].Err != nil || !reflect.DeepEqual(res[i].Answers, wantItem) {
+				t.Fatalf("query %d batch item %d: %+v (%v), a cold solo run %+v", qi, i, res[i].Answers, res[i].Err, wantItem)
+			}
+		}
+		if d := res[1].Stats.Draws; d != 0 {
+			t.Fatalf("query %d: the repeated batch item drew %d permutations", qi, d)
+		}
+	}
+	if rejections == 0 || answers == 0 {
+		t.Fatalf("sweep too weak: %d cached rejections, %d answers", rejections, answers)
+	}
+	t.Logf("%d cached rejections, %d answers", rejections, answers)
 }
 
 // TestCacheTableLRU: 10 000 fresh configurations keep the table at its

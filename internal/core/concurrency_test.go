@@ -168,6 +168,30 @@ func TestQueryContextCancellation(t *testing.T) {
 	}
 }
 
+// TestAnalyticInferenceCancellation: analytic query inference scores
+// every pair of a query's genes, so it takes the query's context. A wide
+// query under a cancelled context fails in inference with the context's
+// error instead of scoring all its pairs first.
+func TestAnalyticInferenceCancellation(t *testing.T) {
+	rng := randgen.New(61)
+	ids := make([]gene.ID, 400)
+	cols := make([][]float64, len(ids))
+	for j := range cols {
+		ids[j] = gene.ID(j)
+		cols[j] = []float64{rng.Gaussian(0, 1), rng.Gaussian(0, 1), rng.Gaussian(0, 1)}
+	}
+	mq, err := gene.NewMatrix(0, ids, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g, _, err := core.InferQuery(ctx, mq, core.Params{Gamma: 0.4, Alpha: 0.3, Analytic: true})
+	if !errors.Is(err, context.Canceled) || g != nil {
+		t.Fatalf("cancelled analytic inference returned a graph %v, err = %v", g, err)
+	}
+}
+
 func TestBaselineLinearScanCancellation(t *testing.T) {
 	ds, _ := buildConcFixture(t, 59)
 	params := core.Params{Gamma: 0.5, Alpha: 0.3, Seed: 5, Analytic: true}

@@ -15,6 +15,7 @@ import (
 	"github.com/imgrn/imgrn/internal/plan"
 	"github.com/imgrn/imgrn/internal/randgen"
 	"github.com/imgrn/imgrn/internal/stats"
+	"github.com/imgrn/imgrn/internal/stats/statstest"
 	"github.com/imgrn/imgrn/internal/synth"
 )
 
@@ -441,8 +442,8 @@ func TestRefineCutoffsExactAtTheBoundary(t *testing.T) {
 // own stream at R = SampleSize(ε, δ) is an (ε, δ)-approximation (Lemma 2)
 // of the exact permutation probability. Over random standardized vectors
 // of length l ≤ 7, enumerated exactly, the count of estimates outside ±ε
-// stays within a fixed false-alarm budget: the expected δ share plus four
-// standard deviations.
+// stays within the shared false-alarm budget at rate δ
+// (statstest.FalseAlarms).
 func TestEdgeStreamEstimatesInLemma2Envelope(t *testing.T) {
 	const eps, delta = 0.1, 0.05
 	samples := stats.SampleSize(eps, delta)
@@ -453,7 +454,7 @@ func TestEdgeStreamEstimatesInLemma2Envelope(t *testing.T) {
 	if testing.Short() {
 		trials = 120
 	}
-	outside := 0
+	outside := statstest.FalseAlarms{Delta: delta}
 	for trial := 0; trial < trials; trial++ {
 		l := 3 + data.Intn(5)
 		m := randomMatrix(t, data, trial, 2, l)
@@ -469,15 +470,9 @@ func TestEdgeStreamEstimatesInLemma2Envelope(t *testing.T) {
 		if drawn != samples {
 			t.Fatalf("trial %d: %d of %d draws with no stop rule", trial, drawn, samples)
 		}
-		if math.Abs(float64(hits)/float64(samples)-exact) > eps {
-			outside++
-		}
+		outside.Check(math.Abs(float64(hits)/float64(samples)-exact) <= eps)
 	}
-	budget := delta*float64(trials) + 4*math.Sqrt(delta*(1-delta)*float64(trials))
-	if float64(outside) > budget {
-		t.Errorf("%d of %d estimates at R=%d fall outside ±%v of the exact probability, budget %.1f",
-			outside, trials, samples, eps, budget)
-	}
+	outside.Verify(t, fmt.Sprintf("estimates at R=%d outside ±%v of the exact probability", samples, eps))
 }
 
 // TestColumnInferenceEstimatesInLemma2Envelope is the same gate for query
@@ -499,7 +494,7 @@ func TestColumnInferenceEstimatesInLemma2Envelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		data := randgen.New(0x1e44a4)
-		outside, estimates := 0, 0
+		outside := statstest.FalseAlarms{Delta: delta}
 		for trial := 0; trial < trials; trial++ {
 			m := randomMatrix(t, data, trial, genes, 3+data.Intn(5))
 			oneSided := data.Intn(2) == 0
@@ -519,19 +514,11 @@ func TestColumnInferenceEstimatesInLemma2Envelope(t *testing.T) {
 						exact = stats.ExactEdgeProbability(xs, xu)
 					}
 					got, _ := g.EdgeProb(s, u)
-					if math.Abs(got-exact) > eps {
-						outside++
-					}
-					estimates++
+					outside.Check(math.Abs(got-exact) <= eps)
 				}
 			}
 		}
-		budget := delta*float64(estimates) + 4*math.Sqrt(delta*(1-delta)*float64(estimates))
-		t.Logf("batch=%v: %d of %d estimates outside ±%v, budget %.1f", batch, outside, estimates, eps, budget)
-		if float64(outside) > budget {
-			t.Errorf("batch=%v: %d of %d estimates at R=%d fall outside ±%v of the exact probability, budget %.1f",
-				batch, outside, estimates, samples, eps, budget)
-		}
+		outside.Verify(t, fmt.Sprintf("batch=%v: estimates at R=%d outside ±%v of the exact probability", batch, samples, eps))
 	}
 }
 

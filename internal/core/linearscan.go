@@ -63,7 +63,7 @@ func (ls *LinearScan) QueryContext(ctx context.Context, mq *gene.Matrix) ([]Answ
 	var q *grn.Graph
 	var err error
 	if ls.params.Analytic {
-		q, err = grn.Infer(mq, ls.an, ls.params.Gamma)
+		q, err = grn.InferContext(ctx, mq, ls.an, ls.params.Gamma)
 	} else {
 		q, _, err = grn.InferPruned(mq, ls.scorer, ls.pruner, ls.params.Gamma)
 	}

@@ -62,8 +62,9 @@ type Params struct {
 
 	// Cache optionally memoizes exact edge-probability estimates across
 	// queries. The cache must only be shared among queries with identical
-	// estimator settings (Samples, Seed, Analytic, OneSided); the public
-	// Engine manages this keying automatically.
+	// estimator settings (Samples, Seed, Analytic, OneSided, and the
+	// sequential budget stats.SeqBudget(Delta)); the public Engine manages
+	// this keying automatically.
 	Cache *EdgeProbCache
 
 	// Trace optionally collects per-stage spans (durations plus candidate
@@ -158,6 +159,15 @@ func (p Params) ResolvePlan() (Params, error) {
 	p.DisableSignatures = !pl.Signatures
 	p.DisableMarkovPruning = !pl.Markov
 	return p, nil
+}
+
+// seqBudget is the budget δ′ of refinement's sequential rejection
+// (stats.SeqBudget): the plan's δ when one is resolved, else Delta.
+func (p Params) seqBudget() float64 {
+	if p.Plan != nil {
+		return stats.SeqBudget(p.Plan.Delta)
+	}
+	return stats.SeqBudget(p.Delta)
 }
 
 type paramErr struct {

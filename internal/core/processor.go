@@ -31,6 +31,7 @@ type Processor struct {
 	idx      *index.Index
 	params   Params
 	analytic grn.AnalyticScorer
+	seqDelta float64 // refinement's sequential rejection budget δ′
 }
 
 // NewProcessor returns a processor for idx with the given parameters.
@@ -50,6 +51,7 @@ func NewProcessor(idx *index.Index, params Params) (*Processor, error) {
 		idx:      idx,
 		params:   params,
 		analytic: grn.AnalyticScorer{OneSided: params.OneSided},
+		seqDelta: params.seqBudget(),
 	}, nil
 }
 
@@ -108,7 +110,7 @@ func (p *Processor) InferQueryGraph(mq *gene.Matrix) (*grn.Graph, error) {
 // inferQueryGraph is InferQueryGraph under an execution context.
 func (p *Processor) inferQueryGraph(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, error) {
 	if p.params.Analytic {
-		return grn.Infer(mq, p.analytic, p.params.Gamma)
+		return grn.InferContext(ec.Ctx(), mq, p.analytic, p.params.Gamma)
 	}
 	return p.inferPruned(ec, mq)
 }
@@ -640,10 +642,12 @@ type colBufs struct {
 }
 
 // pendingEdge is a query edge verifyExact must draw, with its
-// normal-approximation probability, the order key.
+// normal-approximation probability, the order key, and the p of its cached
+// bound or rejection (−1 when the cache holds neither).
 type pendingEdge struct {
 	i   int
 	key float64
+	cut float64
 }
 
 // growVCols returns the per-vertex column scratch for n vertices, every
@@ -806,11 +810,12 @@ func (p *Processor) verifyExact(io *pagestore.Reader, q *grn.Graph, qEdges []grn
 			return nil
 		}
 		var ent cacheEntry
-		cached, boundFails := false, false
+		cached, estimated, fails := false, false, false
 		if cache != nil {
 			ent, cached = cache.lookup(src, a, b)
-			boundFails = cached && ent.bound && (ent.p <= gamma || prob*ent.p <= alpha)
-			if cached && !ent.bound || boundFails {
+			estimated = cached && ent.kind == entryEstimate
+			fails = cached && !estimated && (ent.p <= gamma || prob*ent.p <= alpha)
+			if estimated || fails {
 				out.cacheHits++
 			} else {
 				out.cacheMisses++
@@ -818,9 +823,9 @@ func (p *Processor) verifyExact(io *pagestore.Reader, q *grn.Graph, qEdges []grn
 		}
 		var ep float64
 		switch {
-		case boundFails:
+		case fails:
 			return nil
-		case cached && !ent.bound:
+		case estimated:
 			ep = ent.p
 		case p.params.Analytic:
 			var err error
@@ -835,14 +840,18 @@ func (p *Processor) verifyExact(io *pagestore.Reader, q *grn.Graph, qEdges []grn
 				cache.Put(src, a, b, ep)
 			}
 		default:
-			// Left to draw: its bound, or 1, stands in until then.
-			ep = 1
+			// Left to draw: its bound, or 1, stands in until then. A
+			// rejection bounds nothing, since another cutoff may pass.
+			ep, cut := 1.0, -1.0
 			if cached {
-				ep = ent.p
+				cut = ent.p
+				if ent.kind == entryBound {
+					ep = ent.p
+				}
 			}
 			prob *= ep
 			vals[i] = ep
-			pending = append(pending, pendingEdge{i: i})
+			pending = append(pending, pendingEdge{i: i, cut: cut})
 			continue
 		}
 		if ep <= gamma {
@@ -879,11 +888,16 @@ func (p *Processor) verifyExact(io *pagestore.Reader, q *grn.Graph, qEdges []grn
 // from its own streams, seeded by (Seed, source, lower column, higher
 // column) with the vectors in that column order: first the Lemma 3 bound,
 // then an estimate that stops drawing once it can no longer pass γ or
-// keep the query-order product above α (exact curtailment, DESIGN.md
-// §9.1). A curtailed edge therefore never changes a decision, and a
-// completed estimate is the full-R estimate bit for bit. Completed
-// estimates go into the cache; a curtailed edge leaves the largest
-// estimate it could still have reached as a bound.
+// keep the query-order product above α (exact curtailment), or once a
+// Chernoff confidence sequence at budget δ′ puts it below that cutoff
+// (sequential rejection, DESIGN.md §9.1). A curtailed edge never changes a
+// decision; a sequentially rejected one changes it with probability at
+// most δ′; a completed estimate is the full-R estimate bit for bit.
+// Completed estimates go into the cache; a curtailed edge leaves the
+// largest estimate it could still have reached as a bound, a sequentially
+// rejected one its cutoff. An edge whose cached bound or cutoff the
+// cutoff computed here already rejects is rejected without a draw: a fresh
+// draw would stop too.
 func (p *Processor) drawPending(io *pagestore.Reader, qEdges []grn.Edge, src int, cols []int,
 	alpha float64, ws *workerScratch, out *candOutcome) bool {
 	gamma, cache := p.params.Gamma, p.params.Cache
@@ -924,21 +938,26 @@ func (p *Processor) drawPending(io *pagestore.Reader, qEdges []grn.Edge, src int
 		// product is evaluated in query order, like Answer.Prob, and drops
 		// by monotone rounding as factors ≤ 1 join it, so the cutoff
 		// needs no guard: it fires only when the final product fails too.
-		stop := stats.RejectedHits(samples, func(ep float64) bool {
+		reject := func(ep float64) bool {
 			return ep <= gamma || productWith(vals, i, ep) <= alpha
-		})
-		if stop >= samples {
+		}
+		stop := stats.RejectedHits(samples, reject)
+		if stop >= samples || pe.cut >= 0 && reject(pe.cut) {
 			return false
 		}
 		sc, pr := p.primeScorers(ws, uint64(int64(src)), uint64(a), uint64(b))
 		if pr.UpperBound(xa, xb) <= gamma {
 			return false // Lemma 3
 		}
-		hits, drawn := sc.Est.EdgeHits(xa, xb, samples, p.params.OneSided, stop)
+		hits, drawn := sc.Est.SeqEdgeHits(xa, xb, samples, p.params.OneSided, stop, p.seqDelta)
 		out.draws += drawn
 		if drawn < samples {
 			if cache != nil {
-				cache.PutBound(src, a, b, float64(hits+samples-drawn)/float64(samples))
+				if ub := hits + samples - drawn; ub <= stop {
+					cache.PutBound(src, a, b, float64(ub)/float64(samples))
+				} else {
+					cache.PutRejected(src, a, b, float64(stop)/float64(samples))
+				}
 			}
 			return false
 		}

@@ -1,6 +1,8 @@
 package grn
 
 import (
+	"context"
+
 	"github.com/imgrn/imgrn/internal/gene"
 )
 
@@ -60,11 +62,16 @@ func gatherStdCols(buf [][]float64, m *gene.Matrix, idx []int) [][]float64 {
 // Infer and PairScores: for every informative target column t it scores all
 // informative sources s < t in one ScoreColumn call and hands the column's
 // results to visit. The srcs and probs slices are reused across columns.
-func forEachColumnBatch(m *gene.Matrix, sc *RandomizedScorer, visit func(t int, srcs []int, probs []float64)) {
+// It checks ctx before each column and returns its error once it is done.
+func forEachColumnBatch(ctx context.Context, m *gene.Matrix, sc *RandomizedScorer, visit func(t int, srcs []int, probs []float64)) error {
 	cols := InformativeColumns(m, make([]int, 0, m.NumGenes()))
 	probs := make([]float64, len(cols))
 	for k := 1; k < len(cols); k++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		sc.ScoreColumn(m, cols[k], cols[:k], probs[:k])
 		visit(cols[k], cols[:k], probs[:k])
 	}
+	return nil
 }

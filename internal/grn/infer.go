@@ -1,6 +1,7 @@
 package grn
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -16,22 +17,36 @@ import (
 // whenever score(s, t) > gamma. All O(n²) pairs are scored; use
 // InferPruned with a RandomizedScorer to skip pairs Lemma 3 eliminates.
 func Infer(m *gene.Matrix, sc Scorer, gamma float64) (*Graph, error) {
+	return InferContext(context.Background(), m, sc, gamma)
+}
+
+// InferContext is Infer under a context: it checks ctx before scoring each
+// row of pairs (each target column of the batched kernel) and returns
+// ctx's error once it is done, so a deadline stops a wide matrix after
+// scoring part of it.
+func InferContext(ctx context.Context, m *gene.Matrix, sc Scorer, gamma float64) (*Graph, error) {
 	if err := sc.Prepare(m); err != nil {
 		return nil, fmt.Errorf("grn: preparing %s scorer: %w", sc.Name(), err)
 	}
 	g := NewGraph(m.Genes())
 	if rs, ok := sc.(*RandomizedScorer); ok && rs.Batch {
-		forEachColumnBatch(m, rs, func(t int, srcs []int, probs []float64) {
+		err := forEachColumnBatch(ctx, m, rs, func(t int, srcs []int, probs []float64) {
 			for i, s := range srcs {
 				if probs[i] > gamma {
 					g.SetEdge(s, t, probs[i])
 				}
 			}
 		})
+		if err != nil {
+			return nil, err
+		}
 		return g, nil
 	}
 	n := m.NumGenes()
 	for s := 0; s < n; s++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for t := s + 1; t < n; t++ {
 			if p := sc.Score(m, s, t); p > gamma {
 				g.SetEdge(s, t, p)
@@ -51,7 +66,8 @@ func PairScores(m *gene.Matrix, sc Scorer) (*vecmath.Matrix, error) {
 	n := m.NumGenes()
 	out := vecmath.NewMatrix(n, n)
 	if rs, ok := sc.(*RandomizedScorer); ok && rs.Batch {
-		forEachColumnBatch(m, rs, func(t int, srcs []int, probs []float64) {
+		// A Background context is never done, so the loop cannot fail.
+		_ = forEachColumnBatch(context.Background(), m, rs, func(t int, srcs []int, probs []float64) {
 			for i, s := range srcs {
 				out.Set(s, t, probs[i])
 				out.Set(t, s, probs[i])

@@ -1,6 +1,8 @@
 package grn
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -27,6 +29,56 @@ func TestInferThresholdSemantics(t *testing.T) {
 			if ep, ok := g.EdgeProb(s, u); ok && ep != p {
 				t.Errorf("edge (%d,%d) prob %v != score %v", s, u, ep, p)
 			}
+		}
+	}
+}
+
+// cancellingScorer scores like AnalyticScorer and cancels its context at
+// the after-th Score call.
+type cancellingScorer struct {
+	AnalyticScorer
+	calls, after int
+	cancel       context.CancelFunc
+}
+
+func (c *cancellingScorer) Score(m *gene.Matrix, s, t int) float64 {
+	if c.calls++; c.calls == c.after {
+		c.cancel()
+	}
+	return c.AnalyticScorer.Score(m, s, t)
+}
+
+// TestInferContextStopsBetweenRows: a context cancelled while a wide
+// matrix is scored stops inference at the next row with the context's
+// error, after scoring only part of the matrix; a context cancelled before
+// the call scores nothing on either kernel.
+func TestInferContextStopsBetweenRows(t *testing.T) {
+	rng := randgen.New(13)
+	ids := make([]gene.ID, 200)
+	cols := make([][]float64, len(ids))
+	for j := range cols {
+		ids[j] = gene.ID(j)
+		cols[j] = []float64{rng.Gaussian(0, 1), rng.Gaussian(0, 1), rng.Gaussian(0, 1)}
+	}
+	m, err := gene.NewMatrix(0, ids, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	sc := &cancellingScorer{after: 500, cancel: cancel}
+	g, err := InferContext(ctx, m, sc, 0.5)
+	n := m.NumGenes()
+	if !errors.Is(err, context.Canceled) || g != nil {
+		t.Fatalf("cancelled inference returned %v, %v", g, err)
+	}
+	if sc.calls < sc.after || sc.calls >= sc.after+n || sc.calls >= n*(n-1)/2 {
+		t.Errorf("scored %d of %d pairs after a cancel at call %d: not stopped within the row", sc.calls, n*(n-1)/2, sc.after)
+	}
+	rs := NewRandomizedScorer(13, 64)
+	rs.Batch = true
+	for _, sc := range []Scorer{AnalyticScorer{}, rs} {
+		if g, err := InferContext(ctx, m, sc, 0.5); !errors.Is(err, context.Canceled) || g != nil {
+			t.Errorf("%s under a cancelled context returned %v, %v", sc.Name(), g, err)
 		}
 	}
 }

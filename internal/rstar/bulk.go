@@ -116,8 +116,9 @@ func (t *Tree) strPartition(items []Item, cap, depth int) [][]Item {
 	if depth == 0 && t.primaryFull {
 		// Pure sorted packing in key order: the fewest leaves, of equal
 		// size to within one, each spanning the tightest primary-axis
-		// range.
-		slices.SortStableFunc(items, func(a, b Item) int { return t.keyOf(a).compare(t.keyOf(b)) })
+		// range. Keys are unique when Refs are, as the index's are, so an
+		// unstable sort gives the one order.
+		slices.SortFunc(items, func(a, b Item) int { return t.keyOf(a).compare(t.keyOf(b)) })
 		return chunks(items, strGroups(len(items), strGroups(len(items), cap)))
 	}
 	if len(items) <= cap {

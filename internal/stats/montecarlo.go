@@ -183,12 +183,35 @@ func sqDists(out *[permBlock]float64, fixed, perm []float64, n int) []float64 {
 // every estimate k/samples with k ≤ stop already knows to reject (see
 // RejectedHits). stop < 0 never stops. The draws are always a prefix of
 // the full-sample draws, so drawn == samples means hits/samples is the
-// fixed-sample estimate bit for bit. samples must be positive.
+// fixed-sample estimate bit for bit. samples must be positive. It is
+// SeqEdgeHits with no sequential budget.
 func (e *Estimator) EdgeHits(xs, xt []float64, samples int, oneSided bool, stop int) (hits, drawn int) {
+	return e.SeqEdgeHits(xs, xt, samples, oneSided, stop, 0)
+}
+
+// SeqEdgeHits is EdgeHits that may also stop on a sequential rejection
+// test charged to the confidence budget delta (DESIGN.md §9.1). Every
+// seqEvery draws short of samples, with h hits after n draws and
+// t = (stop+1)/samples the smallest estimate that passes, it stops when
+//
+//	h/n < t  and  n·KL(h/n ‖ t) ≥ ln(K/delta),  K = ⌈samples/seqEvery⌉,
+//
+// KL the Bernoulli relative entropy. The draws are i.i.d. Bernoulli(p), so
+// by the Chernoff bound and a union bound over the K checkpoints an edge
+// whose exact p is at least t stops this way with probability at most
+// delta. Exact curtailment is tested first, so the caller tells the two
+// stops apart by the count: drawn < samples with hits + samples − drawn >
+// stop is a sequential rejection. delta <= 0 or stop < 0 turns the test
+// off, leaving EdgeHits's exact contract.
+func (e *Estimator) SeqEdgeHits(xs, xt []float64, samples int, oneSided bool, stop int, delta float64) (hits, drawn int) {
+	seq := newSeqTest(samples, stop, delta)
 	d := vecmath.SquaredEuclidean(xs, xt)
 	c := abs(d - 2)
 	var d2 [permBlock]float64
 	for drawn < samples && hits+samples-drawn > stop {
+		if drawn%seqEvery == 0 && seq.rejects(hits, drawn) {
+			break
+		}
 		block := e.sqDistBlock(&d2, &e.ar.edgePerm, xs, xt, samples-drawn)
 		if oneSided {
 			for _, dr := range block {
@@ -206,6 +229,61 @@ func (e *Estimator) EdgeHits(xs, xt []float64, samples int, oneSided bool, stop 
 		drawn += len(block)
 	}
 	return hits, drawn
+}
+
+// seqEvery is the spacing of the sequential test's checkpoints: four
+// blocks, so the test's two logarithms are paid once per sixteen draws.
+const seqEvery = 4 * permBlock
+
+// seqDelta is the budget δ′ of refinement's sequential rejection when a
+// query states no tighter δ (SeqBudget).
+const seqDelta = 1e-6
+
+// SeqBudget returns the sequential rejection budget δ′ of a query that
+// states the confidence delta of Lemma 2 (0 when it states none):
+// seqDelta, or delta/2 when that is smaller. With δ′ ≤ δ/2 the stated δ
+// covers both the fixed-R estimate and the sequential stop (DESIGN.md
+// §2.1).
+func SeqBudget(delta float64) float64 {
+	if delta > 0 && delta/2 < seqDelta {
+		return delta / 2
+	}
+	return seqDelta
+}
+
+// seqTest is the sequential rejection test of one SeqEdgeHits call: the
+// cutoff t and the level ln(K/δ′). A zero cutoff never rejects.
+type seqTest struct {
+	t, level float64
+}
+
+func newSeqTest(samples, stop int, delta float64) seqTest {
+	if delta <= 0 || stop < 0 {
+		return seqTest{}
+	}
+	k := (samples + seqEvery - 1) / seqEvery
+	return seqTest{t: float64(stop+1) / float64(samples), level: math.Log(float64(k) / delta)}
+}
+
+// rejects reports whether h hits in n draws put the estimate below the
+// cutoff at the test's confidence. No draws reject nothing.
+func (s seqTest) rejects(h, n int) bool {
+	if n == 0 {
+		return false
+	}
+	q := float64(h) / float64(n)
+	return q < s.t && float64(n)*klBernoulli(q, s.t) >= s.level
+}
+
+// klBernoulli is the relative entropy KL(q ‖ t) of Bernoulli(q) from
+// Bernoulli(t), for 0 ≤ q < t ≤ 1 (+Inf at t = 1). The conversions keep
+// each product rounded on its own, so no platform fuses them.
+func klBernoulli(q, t float64) float64 {
+	kl := float64((1 - q) * math.Log((1-q)/(1-t)))
+	if q > 0 {
+		kl += float64(q * math.Log(q/t))
+	}
+	return kl
 }
 
 // RejectedHits returns the largest hit count k in [0, samples] whose
