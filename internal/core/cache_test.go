@@ -333,6 +333,112 @@ func TestSeqRejectionsKeepWarmEqualToCold(t *testing.T) {
 	t.Logf("%d cached rejections, %d answers", rejections, answers)
 }
 
+// TestCachedRejectionStandsInAsOne plants the one event a cached
+// rejection can be wrong about — a sequential stop, at probability δ′,
+// whose cut lies below the edge's full-R estimate — and checks that the
+// entry never stands in as that cut while the candidate's other edges
+// draw. Each case is a cold answer of at least two edges at γ = 0.4. Its
+// edge A, the one verification draws last, gets a planted rejection at
+// 0.8 of its estimate, and α sits between the product with that cut and
+// the answer's probability. The other edges must then draw exactly what
+// the cold run drew — full estimates, the same cache entries — before
+// A's cut test rejects the candidate without drawing A. Standing in as
+// the cut would tighten their cutoffs and curtail the edge drawn just
+// before A.
+func TestCachedRejectionStandsInAsOne(t *testing.T) {
+	ds, err := synth.GenerateDatabase(synth.DBParams{
+		N: 60, NMin: 30, NMax: 34, LMin: 10, LMax: 20, Dist: synth.Uniform, GenePool: 40, Seed: 88,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := index.Build(ds.DB, index.Options{D: 2, Samples: 32, Seed: 88})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const samples, gamma = 1024, 0.4
+	rng := randgen.New(91)
+	cases := 0
+	for qi := 0; qi < 12; qi++ {
+		mq, _, err := ds.ExtractQuery(rng, 3+qi%4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := Params{Gamma: gamma, Alpha: 0.1, Samples: samples, Seed: 92 + uint64(qi)}
+		proc, err := NewProcessor(idx, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers, _, err := proc.Query(mq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := proc.InferQueryGraph(mq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qEdges, genes := q.Edges(), new(geneOrder).sort(q)
+		for _, ans := range answers {
+			if len(ans.Edges) < 2 {
+				continue
+			}
+			m := ds.DB.BySource(ans.Source)
+			col := func(v int) int { return m.IndexOf(q.Genes()[v]) }
+			// A is last in drawPending's order: the largest analytic
+			// probability, ties to the later query edge.
+			last, key := 0, math.Inf(-1)
+			for i, e := range ans.Edges {
+				if k := proc.analytic.VecProb(m.StdCol(col(e.S)), m.StdCol(col(e.T))); k >= key {
+					last, key = i, k
+				}
+			}
+			epA := ans.Edges[last].P
+			cut := math.Floor(0.8*epA*samples) / samples
+			alpha := 0.9 * ans.Prob
+			if cut <= gamma || cut <= alpha {
+				continue // the cut must survive verifyExact's first pass
+			}
+			run := func(c *EdgeProbCache) candOutcome {
+				p := base
+				p.Alpha, p.Cache = alpha, c
+				pr, err := NewProcessor(idx, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ec := pr.newExec(context.Background())
+				defer ec.Close()
+				return pr.verifyCandidate(ec.IO(), q, genes, qEdges, ans.Source, &workerScratch{}, alpha, true)
+			}
+			cold, warm := NewEdgeProbCache(0), NewEdgeProbCache(0)
+			if o := run(cold); !reflect.DeepEqual(o.answer, &ans) || o.draws != samples*len(ans.Edges) {
+				t.Fatalf("query %d source %d: at α = %v the cold run answered %+v with %d draws, want %+v", qi, ans.Source, alpha, o.answer, o.draws, ans)
+			}
+			eA := ans.Edges[last]
+			warm.PutRejected(ans.Source, col(eA.S), col(eA.T), cut)
+			o := run(warm)
+			if o.answer != nil || o.draws != samples*(len(ans.Edges)-1) {
+				t.Fatalf("query %d source %d: a rejection at %v of the edge estimated %v answered %+v with %d draws, want none with %d",
+					qi, ans.Source, cut, epA, o.answer, o.draws, samples*(len(ans.Edges)-1))
+			}
+			for i, e := range ans.Edges {
+				got, _ := warm.lookup(ans.Source, col(e.S), col(e.T))
+				want, _ := cold.lookup(ans.Source, col(e.S), col(e.T))
+				if i == last {
+					want = cacheEntry{kind: entryRejected, p: cut}
+				}
+				if got != want {
+					t.Fatalf("query %d source %d edge %d: warm entry %+v, want %+v", qi, ans.Source, i, got, want)
+				}
+			}
+			cases++
+		}
+	}
+	if cases < 3 {
+		t.Fatalf("sweep too weak: %d planted cases", cases)
+	}
+	t.Logf("%d planted cases", cases)
+}
+
 // TestCacheTableLRU: 10 000 fresh configurations keep the table at its
 // bound, a configuration in use survives, the lifetime counters keep the
 // dropped caches' hits and misses, and InvalidateSource reaches every

@@ -89,8 +89,8 @@ func TestMultiQueryGoldenFingerprint(t *testing.T) {
 }
 
 // TestMultiQueryBatchKernelGoldenFingerprint pins QueryBatch under the
-// batched inference kernel (the default), whose per-column RNG
-// consumption gives it a legitimately different fingerprint.
+// batched inference kernel (the default), whose per-query permutation
+// table gives it a legitimately different fingerprint.
 func TestMultiQueryBatchKernelGoldenFingerprint(t *testing.T) {
 	got := goldenBatchFingerprint(t, core.Params{Gamma: 0.5, Alpha: 0.4, Samples: 48, Seed: 9})
 	compareGolden(t, "testdata/golden_multi_batch.txt", got)

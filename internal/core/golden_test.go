@@ -121,9 +121,10 @@ func TestSequentialGoldenFingerprint(t *testing.T) {
 }
 
 // TestBatchSequentialGoldenFingerprint pins the batched inference kernel
-// (the default) the same way: the kernel consumes the RNG per target
-// column instead of per pair, so its fingerprint legitimately differs from
-// the scalar one, but it must be just as deterministic.
+// (the default) the same way: its estimates read one permutation table
+// per query, drawn from the query's own stream, instead of drawing per
+// pair, so its fingerprint legitimately differs from the scalar one, but
+// it must be just as deterministic.
 func TestBatchSequentialGoldenFingerprint(t *testing.T) {
 	compareGoldenAtWorkers(t, "testdata/golden_batch.txt",
 		core.Params{Gamma: 0.5, Alpha: 0.4, Samples: 48, Seed: 9})

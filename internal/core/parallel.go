@@ -9,6 +9,7 @@ import (
 	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/obs"
+	"github.com/imgrn/imgrn/internal/stats"
 )
 
 // Work units and schedule independence.
@@ -32,12 +33,16 @@ import (
 // Lemma-3 pruning, one work unit per informative target column t: the unit
 // runs grn's column step on t's informative partners s < t with the scorer
 // and pruner reseeded from (Seed, t), on the kernel the plan picked. The
+// batch kernel's estimates read one permutation table per query, drawn
+// before the fan-out from the query's own stream (Seed, seedPerms) and
+// shared read-only by every unit; the pruner still draws per unit. The
 // k-th informative column scores k partners, so unit cost rises with k and
 // the units are handed out widest column first (unit i is k = len-1-i):
 // the pool's last claims are then its cheapest, and no worker starts the
 // most expensive column while the others run dry. The graph is assembled
-// in column order; the summed kernel time is recorded as StageInferKernel
-// (aggregate CPU time across workers, like the refinement sub-stages).
+// in column order; the table draw plus the summed kernel time is recorded
+// as StageInferKernel (aggregate CPU time across workers, like the
+// refinement sub-stages).
 func (p *Processor) inferPruned(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, error) {
 	qs := queryScratchFor(ec)
 	cols := grn.InformativeColumns(mq, qs.inferCols)
@@ -50,6 +55,12 @@ func (p *Processor) inferPruned(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, 
 	}
 	gamma, batch := p.params.Gamma, p.params.Plan.Batch
 	begin := time.Now()
+	var perms *stats.PermTable
+	var drawKernel time.Duration
+	if batch && len(cols) > 1 {
+		perms = qs.drawPerms(p.params, mq)
+		drawKernel = time.Since(begin)
+	}
 	err := ec.ForEachWorker(len(cols)-1, func(w, i int) error {
 		k := len(cols) - 1 - i
 		t, off := cols[k], k*(k-1)/2
@@ -57,7 +68,7 @@ func (p *Processor) inferPruned(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, 
 		sc, pr := p.primeScorers(ws, uint64(int64(t)))
 		sc.Batch = batch
 		kStart := time.Now()
-		ws.inferEstimated += sc.InferColumn(mq, t, cols[:k], pr, gamma, probs[off:off+k])
+		ws.inferEstimated += sc.InferColumn(mq, t, cols[:k], pr, perms, gamma, probs[off:off+k])
 		ws.inferKernel += time.Since(kStart)
 		return nil
 	})
@@ -74,7 +85,7 @@ func (p *Processor) inferPruned(ec *exec.Context, mq *gene.Matrix) (*grn.Graph, 
 		}
 	}
 	if batch {
-		var kernel time.Duration
+		kernel := drawKernel
 		estimated := 0
 		for w := range qs.workers {
 			kernel += qs.workers[w].inferKernel

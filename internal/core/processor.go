@@ -56,10 +56,11 @@ func NewProcessor(idx *index.Index, params Params) (*Processor, error) {
 }
 
 // Seed-space separation constants: the scorer and pruner streams of one
-// work unit must stay distinct.
+// work unit, and the query's permutation-table stream, must stay distinct.
 const (
 	seedScorer = 0xa5b35705f39c2d17
 	seedPruner = 0x94d049bb133111eb
+	seedPerms  = 0xd6e8feb86659fd93
 )
 
 // Params returns the processor's parameters.

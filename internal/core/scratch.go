@@ -4,9 +4,11 @@ import (
 	"time"
 
 	"github.com/imgrn/imgrn/internal/exec"
+	"github.com/imgrn/imgrn/internal/gene"
 	"github.com/imgrn/imgrn/internal/grn"
 	"github.com/imgrn/imgrn/internal/pagestore"
 	"github.com/imgrn/imgrn/internal/randgen"
+	"github.com/imgrn/imgrn/internal/stats"
 )
 
 // Per-query scratch pooled through the exec.Arena (DESIGN.md §11).
@@ -65,9 +67,13 @@ type queryScratch struct {
 	verifyUnit func(w, i int) error
 
 	// Query inference: the informative columns and, per target column
-	// cols[k], the estimates of its partners cols[:k] at offset k(k−1)/2.
+	// cols[k], the estimates of its partners cols[:k] at offset k(k−1)/2;
+	// the batch kernel's permutation table and the estimator it is drawn
+	// from.
 	inferCols  []int
 	inferProbs []float64
+	perms      stats.PermTable
+	permEst    *stats.Estimator
 
 	// Traversal scratch: the descent's priority queue, its candidate-pair
 	// output, the t-side test outcomes of one node pair's children, and
@@ -130,4 +136,20 @@ func (p *Processor) primeScorers(ws *workerScratch, coords ...uint64) (*grn.Rand
 	}
 	pr.OneSided = p.params.OneSided
 	return sc, pr
+}
+
+// drawPerms draws the batch kernel's permutation table of query matrix mq
+// into the query scratch and returns it: params.Samples permutations of
+// [0, mq.Samples()) from the query's own stream, seeded by Seed^seedPerms
+// and so distinct from every work unit's SeedFrom(Seed^·, t) streams. The
+// table depends on Seed, R and l alone, never on Workers.
+func (qs *queryScratch) drawPerms(params Params, mq *gene.Matrix) *stats.PermTable {
+	seed := params.Seed ^ seedPerms
+	if qs.permEst == nil {
+		qs.permEst = stats.NewEstimator(seed)
+	} else {
+		qs.permEst.Reseed(seed)
+	}
+	qs.perms.Draw(qs.permEst, mq.Samples(), params.Samples)
+	return &qs.perms
 }

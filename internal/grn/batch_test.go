@@ -40,7 +40,7 @@ func TestScoreColumnMatchesExact(t *testing.T) {
 		tcol := 5
 		srcs := []int{0, 1, 2, 3, 4}
 		got := make([]float64, len(srcs))
-		sc.ScoreColumn(m, tcol, srcs, got)
+		sc.ScoreColumn(m, tcol, srcs, sc.DrawPerms(m), got)
 		for i, s := range srcs {
 			var exact float64
 			if oneSided {
@@ -78,8 +78,8 @@ func TestUpperBoundColumnDominatesExact(t *testing.T) {
 
 // TestInferPrunedBatchNoPrunerMatchesInfer: with pruning off, the batched
 // InferPruned consumes the scorer RNG exactly like the batched Infer (one
-// batch per target column, all partners scored), so identically seeded
-// scorers must produce identical graphs.
+// permutation table per matrix, all partners scored), so identically
+// seeded scorers must produce identical graphs.
 func TestInferPrunedBatchNoPrunerMatchesInfer(t *testing.T) {
 	m := randTestMatrix(t, 12, 25, 25)
 	g1, err := Infer(m, NewRandomizedScorer(26, 64), 0.5)

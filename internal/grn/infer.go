@@ -145,9 +145,9 @@ type InferStats struct {
 	// kernel the permutations are shared across a whole target column, so
 	// it is BoundSamples per column with ≥1 candidate pair.
 	BoundCalls int
-	// Kernel is the time spent inside the batched inference kernel (batch
-	// fills, blocked inner products, bound/score reductions); zero on the
-	// scalar path. Exposed so the query tracer can split kernel time from
+	// Kernel is the time spent inside the batched inference kernel (the
+	// permutation table draw, batch fills and gathers, blocked inner
+	// products, bound/score reductions); zero on the scalar path. Exposed so the query tracer can split kernel time from
 	// the rest of inference.
 	Kernel time.Duration
 }
@@ -158,12 +158,19 @@ type InferStats struct {
 // expensive estimate is skipped. This is the query-graph inference step of
 // the IM-GRN_Processing algorithm (Fig. 4, line 1). It runs InferColumn on
 // every informative target column t in ascending order, against the
-// informative partners s < t, on the one stream of sc and pr.
+// informative partners s < t, on the one stream of sc and pr; the batch
+// kernel first draws m's permutation table from sc's stream.
 func InferPruned(m *gene.Matrix, sc *RandomizedScorer, pr *Pruner, gamma float64) (*Graph, InferStats, error) {
 	var st InferStats
 	g := NewGraph(m.Genes())
 	cols := InformativeColumns(m, make([]int, 0, m.NumGenes()))
 	probs := make([]float64, len(cols))
+	var perms *stats.PermTable
+	if sc.Batch && len(cols) > 1 {
+		begin := time.Now()
+		perms = sc.DrawPerms(m)
+		st.Kernel += time.Since(begin)
+	}
 	for k := 1; k < len(cols); k++ {
 		t, srcs := cols[k], cols[:k]
 		st.Pairs += k
@@ -175,7 +182,7 @@ func InferPruned(m *gene.Matrix, sc *RandomizedScorer, pr *Pruner, gamma float64
 			st.BoundCalls += calls
 		}
 		begin := time.Now()
-		est := sc.InferColumn(m, t, srcs, pr, gamma, probs[:k])
+		est := sc.InferColumn(m, t, srcs, pr, perms, gamma, probs[:k])
 		if sc.Batch {
 			st.Kernel += time.Since(begin)
 		}
@@ -209,12 +216,14 @@ func InformativeColumns(m *gene.Matrix, buf []int) []int {
 // whose bound exceeds gamma, and scores the survivors. dst[i] receives
 // srcs[i]'s estimate, or NaN where Lemma 3 pruned the pair; the result is
 // the number of survivors. A nil pr keeps every partner. sc.Batch picks
-// the kernel: shared permutation batches of column t (UpperBoundColumn,
-// ScoreColumn), or per-pair UpperBound and Score in srcs order. Either way
-// the scorer draws nothing for a column Lemma 3 prunes entirely. All
-// indices must be informative columns of m, srcs ascending and below t;
-// dst must have length len(srcs).
-func (s *RandomizedScorer) InferColumn(m *gene.Matrix, t int, srcs []int, pr *Pruner, gamma float64, dst []float64) int {
+// the kernel: a shared batch of column t for the bounds
+// (UpperBoundColumn, drawn from pr's stream) and one gathered through the
+// matrix's table perms for the estimates (ScoreColumn, which draws
+// nothing), or per-pair UpperBound and Score in srcs order, which ignores
+// perms. Either way the scorer draws nothing for a column Lemma 3 prunes
+// entirely. All indices must be informative columns of m, srcs ascending
+// and below t; dst must have length len(srcs).
+func (s *RandomizedScorer) InferColumn(m *gene.Matrix, t int, srcs []int, pr *Pruner, perms *stats.PermTable, gamma float64, dst []float64) int {
 	switch {
 	case pr == nil:
 		for i := range dst {
@@ -240,7 +249,7 @@ func (s *RandomizedScorer) InferColumn(m *gene.Matrix, t int, srcs []int, pr *Pr
 	switch {
 	case len(surv) == 0:
 	case s.Batch:
-		s.ScoreColumn(m, t, surv, vals)
+		s.ScoreColumn(m, t, surv, perms, vals)
 	default:
 		for k, src := range surv {
 			vals[k] = s.Score(m, src, t)

@@ -230,6 +230,18 @@ func (r *Rand) PermuteInto(dst, src []float64) {
 	r.Shuffle(dst)
 }
 
+// IndexPermInto writes a fresh uniform random permutation of [0, len(dst))
+// into dst: the identity, shuffled. It consumes exactly the words a
+// PermuteInto of a vector of the same length does and moves the same
+// positions, so src gathered through dst (dst[i] ↦ src[dst[i]]) is the
+// vector that PermuteInto(·, src) would have written.
+func (r *Rand) IndexPermInto(dst []int32) {
+	for i := range dst {
+		dst[i] = int32(i)
+	}
+	shuffle(r, dst)
+}
+
 // SampleWithoutReplacement returns k distinct uniform indices from [0, n).
 // It panics if k > n. The result is in selection order (itself uniform).
 func (r *Rand) SampleWithoutReplacement(n, k int) []int {

@@ -2,11 +2,16 @@
 //
 // The scalar estimators above pay, per candidate pair (s, t), R fresh
 // Fisher–Yates permutations of Xt plus R O(l) squared-distance passes. The
-// batched kernel restructures that work around a fixed target column:
+// batched kernel restructures that work around one query matrix:
 //
-//  1. Shared permutation batches: the R permutations of Xt are drawn once
-//     and materialized into an R×l row-major scratch matrix, amortizing
-//     permutation generation across every source paired with Xt.
+//  1. One permutation table per matrix: R index permutations of [0, l)
+//     are drawn once (PermTable) and shared read-only by every target
+//     column, so a matrix pays R shuffles, not R per column. A column's
+//     R×l row-major batch gathers Xt through the table (PermBatch.Gather).
+//     Each pair's estimate still has the distribution of R uniform
+//     permutations; estimates of different pairs share their draws and so
+//     are correlated, and a per-edge (ε, δ) guarantee needs no
+//     independence between edges.
 //  2. Dot-product hit tests: permutations preserve the norm, so
 //     dist²(Xs, Xt^π) = |Xs|² + |Xt|² − 2·⟨Xs, Xt^π⟩ with constant norms,
 //     and each hit test reduces to comparing an inner product against a
@@ -17,8 +22,8 @@
 //     permutation matrix once per four sources.
 //
 // Determinism contract: the batch path consumes the estimator RNG in a
-// different order than the scalar path (R permutations per target column,
-// not R per pair), so the two paths give different — but individually
+// different order than the scalar path (R permutations per matrix, not R
+// per pair), so the two paths give different — but individually
 // deterministic and statistically equivalent — fixed-seed estimates. The
 // scalar path remains the reference implementation.
 
@@ -30,11 +35,47 @@ import (
 	"github.com/imgrn/imgrn/internal/vecmath"
 )
 
+// PermTable is R uniform random permutations of the index range [0, l),
+// stored row-major: the permutations one query matrix's target columns
+// share. Draw it once per matrix, then Gather each column's batch through
+// it. A drawn table is only read, so any number of goroutines may gather
+// through it at once. Indices are int32, so a table takes half the bytes
+// of one R×l batch it fills.
+type PermTable struct {
+	l, samples int
+	idx        []int32 // samples×l: row r is the permutation π_r
+}
+
+// Draw replaces the table with samples fresh uniform permutations of
+// [0, l) from e's stream (DefaultSamples if samples <= 0). Each row is a
+// Fisher–Yates shuffle of the identity, so it consumes the stream exactly
+// as one PermuteInto of a length-l vector does, and gathering that vector
+// through row r gives the vector the r-th PermuteInto call would write.
+func (t *PermTable) Draw(e *Estimator, l, samples int) {
+	if samples <= 0 {
+		samples = DefaultSamples
+	}
+	t.l, t.samples = l, samples
+	if cap(t.idx) < samples*l {
+		t.idx = make([]int32, samples*l)
+	}
+	t.idx = t.idx[:samples*l]
+	for r := 0; r < samples; r++ {
+		e.rng.IndexPermInto(t.idx[r*l : (r+1)*l])
+	}
+}
+
+// Row returns permutation r as a slice aliasing the table storage.
+// Intended for tests checking the gathered batch against the scalar
+// distance comparisons over the very same permutations.
+func (t *PermTable) Row(r int) []int32 { return t.idx[r*t.l : (r+1)*t.l] }
+
 // PermBatch is a shared batch of random permutations of one target vector
-// Xt, materialized as an R×l row-major matrix. Fill it from an Estimator,
-// then score any number of source vectors against it. A PermBatch owns
-// reusable scratch and may be refilled for successive target columns; it
-// is not safe for concurrent use.
+// Xt, materialized as an R×l row-major matrix. Gather it through the
+// matrix's PermTable (or Fill it from an Estimator's stream), then score
+// any number of source vectors against it. A PermBatch owns reusable
+// scratch and may be refilled for successive target columns; it is not
+// safe for concurrent use.
 type PermBatch struct {
 	xt      []float64 // target vector (retained, not copied)
 	tNorm2  float64   // |Xt|²
@@ -66,6 +107,25 @@ func (b *PermBatch) Fill(e *Estimator, xt []float64, samples int) {
 	b.mat = growSlice(b.mat, samples*l)
 	for r := 0; r < samples; r++ {
 		e.rng.PermuteInto(b.mat[r*l:(r+1)*l], xt)
+	}
+}
+
+// Gather materializes the batch of xt through the permutations of t,
+// replacing any previous contents: row r is Xt^{π_r}, element i being
+// xt[π_r(i)]. It draws nothing. xt must have the table's length l.
+func (b *PermBatch) Gather(t *PermTable, xt []float64) {
+	l := len(xt)
+	if l != t.l {
+		panic("stats: PermBatch.Gather length mismatch")
+	}
+	b.xt = xt
+	b.tNorm2 = vecmath.Dot(xt, xt)
+	b.l = l
+	b.samples = t.samples
+	mat := growSlice(b.mat, len(t.idx))
+	b.mat = mat
+	for k, i := range t.idx[:len(mat)] {
+		mat[k] = xt[i]
 	}
 }
 
@@ -125,9 +185,9 @@ func (b *PermBatch) EdgeProbabilitiesInto(dst []float64, srcs [][]float64, oneSi
 				}
 			} else {
 				m := (vecmath.Dot(xs, xs) + b.tNorm2 - 2) / 2
-				ch := abs(m - c)
+				ch := math.Abs(m - c)
 				for _, d := range dots {
-					if abs(m-d) < ch {
+					if math.Abs(m-d) < ch {
 						hits++
 					}
 				}

@@ -77,14 +77,14 @@ func TestBatchHitTestMatchesScalarComparison(t *testing.T) {
 		for _, oneSided := range []bool{true, false} {
 			b.EdgeProbabilitiesInto(got, [][]float64{xs}, oneSided)
 			d := vecmath.SquaredEuclidean(xs, xt)
-			c := abs(d - 2)
+			c := math.Abs(d - 2)
 			hits := 0
 			for r := 0; r < samples; r++ {
 				d2 := vecmath.SquaredEuclidean(xs, b.Row(r))
 				if oneSided && d2 > d {
 					hits++
 				}
-				if !oneSided && abs(d2-2) < c {
+				if !oneSided && math.Abs(d2-2) < c {
 					hits++
 				}
 			}

@@ -27,12 +27,12 @@ func refEdgeProbability(rng *randgen.Rand, xs, xt []float64, samples int) float6
 }
 
 func refAbsEdgeProbability(rng *randgen.Rand, xs, xt []float64, samples int) float64 {
-	c := abs(vecmath.SquaredEuclidean(xs, xt) - 2)
+	c := math.Abs(vecmath.SquaredEuclidean(xs, xt) - 2)
 	perm := make([]float64, len(xt))
 	hits := 0
 	for i := 0; i < samples; i++ {
 		rng.PermuteInto(perm, xt)
-		if abs(vecmath.SquaredEuclidean(xs, perm)-2) < c {
+		if math.Abs(vecmath.SquaredEuclidean(xs, perm)-2) < c {
 			hits++
 		}
 	}
@@ -139,6 +139,83 @@ func TestPermBatchFillMatchesScalarDraws(t *testing.T) {
 		}
 		if *est.rng != *ref {
 			t.Errorf("l=%d: generator state differs after Fill", l)
+		}
+	}
+}
+
+// TestPermTableGatherMatchesFill: a batch gathered through a table drawn
+// from a stream holds, bit for bit, the rows Fill draws from the same
+// stream, and the table draw leaves the generator where Fill does.
+func TestPermTableGatherMatchesFill(t *testing.T) {
+	data := randgen.New(80)
+	for _, l := range []int{1, 2, 7, 20, 50} {
+		_, xt := rawPair(data, l)
+		est, ref := NewEstimator(81), NewEstimator(81)
+		var tab PermTable
+		tab.Draw(est, l, 37)
+		var got, want PermBatch
+		got.Gather(&tab, xt)
+		want.Fill(ref, xt, 37)
+		if got.Samples() != 37 || got.Len() != l {
+			t.Fatalf("l=%d: gathered %d rows of %d", l, got.Samples(), got.Len())
+		}
+		for r := 0; r < 37; r++ {
+			if fmt.Sprint(got.Row(r)) != fmt.Sprint(want.Row(r)) {
+				t.Fatalf("l=%d row %d: gathered %v, filled %v", l, r, got.Row(r), want.Row(r))
+			}
+		}
+		if *est.rng != *ref.rng {
+			t.Errorf("l=%d: generator state differs after Draw", l)
+		}
+	}
+}
+
+// TestPermTableBatchMatchesScalarHits: a batch gathered through a shared
+// table gives every source the hit count of the scalar distance
+// comparisons over the same table rows, applied to the target by hand
+// (row r of the target is xt[π_r(i)]). One table serves two targets, each
+// scored against 0 to 9 sources in one call — every tail of the kernel's
+// four-source blocking — on both sidednesses. The dot-product and
+// distance forms are algebraically identical; one flipped hit per pair is
+// allowed for a tie that fp rounding resolves differently.
+func TestPermTableBatchMatchesScalarHits(t *testing.T) {
+	data := randgen.New(82)
+	est := NewEstimator(83)
+	var tab PermTable
+	var b PermBatch
+	dst := make([]float64, 9)
+	for round := 0; round < 90; round++ {
+		l := 3 + round%29
+		samples := kernelSamples[round%len(kernelSamples)]
+		tab.Draw(est, l, samples)
+		row := make([]float64, l)
+		for target := 0; target < 2; target++ {
+			_, xt := stdPair(data, l)
+			b.Gather(&tab, xt)
+			srcs := make([][]float64, (round+target)%10)
+			for j := range srcs {
+				srcs[j], _ = stdPair(data, l)
+			}
+			for _, oneSided := range []bool{true, false} {
+				b.EdgeProbabilitiesInto(dst, srcs, oneSided)
+				for j, xs := range srcs {
+					d := vecmath.SquaredEuclidean(xs, xt)
+					hits := 0
+					for r := 0; r < samples; r++ {
+						for i, k := range tab.Row(r) {
+							row[i] = xt[k]
+						}
+						dr := vecmath.SquaredEuclidean(xs, row)
+						if oneSided && dr > d || !oneSided && math.Abs(dr-2) < math.Abs(d-2) {
+							hits++
+						}
+					}
+					if got := dst[j] * float64(samples); math.Abs(got-float64(hits)) > 1+1e-9 {
+						t.Fatalf("round %d (l=%d R=%d) target %d source %d oneSided=%v: batch %v hits, scalar %d",
+							round, l, samples, target, j, oneSided, got, hits)
+					}
+				}
+			}
 		}
 	}
 }

@@ -51,8 +51,9 @@ func SampleSizeErr(eps, delta float64) (int, error) {
 // MaxSamples is the largest Monte Carlo sample count R one estimate may
 // use, whether R is the Lemma-2 bound of a requested (ε, δ) or given
 // explicitly. It bounds what a single request can cost: time is R·l per
-// edge, and the batched kernel materializes R·l floats per target column
-// (PermBatch.Fill) — 160 MiB at the cap for l = 20. 2²⁰ still admits
+// edge, and the batched kernel holds an R·l int32 permutation table per
+// query matrix (PermTable) and gathers R·l floats per target column
+// (PermBatch) — 80 and 160 MiB at the cap for l = 20. 2²⁰ still admits
 // ε ≈ 0.0033 at δ = 0.05, an order of magnitude tighter than the paper's
 // experiments use.
 const MaxSamples = 1 << 20
@@ -206,7 +207,7 @@ func (e *Estimator) EdgeHits(xs, xt []float64, samples int, oneSided bool, stop 
 func (e *Estimator) SeqEdgeHits(xs, xt []float64, samples int, oneSided bool, stop int, delta float64) (hits, drawn int) {
 	seq := newSeqTest(samples, stop, delta)
 	d := vecmath.SquaredEuclidean(xs, xt)
-	c := abs(d - 2)
+	c := math.Abs(d - 2)
 	var d2 [permBlock]float64
 	for drawn < samples && hits+samples-drawn > stop {
 		if drawn%seqEvery == 0 && seq.rejects(hits, drawn) {
@@ -221,7 +222,7 @@ func (e *Estimator) SeqEdgeHits(xs, xt []float64, samples int, oneSided bool, st
 			}
 		} else {
 			for _, dr := range block {
-				if abs(dr-2) < c {
+				if math.Abs(dr-2) < c {
 					hits++
 				}
 			}
@@ -329,13 +330,6 @@ func (e *Estimator) AbsEdgeProbability(xs, xt []float64, samples int) float64 {
 	}
 	hits, _ := e.EdgeHits(xs, xt, samples, false, -1)
 	return float64(hits) / float64(samples)
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // ExpectedPermDistance estimates E[ dist(permuted^R, fixed) ], the expected
@@ -456,11 +450,11 @@ func ExactAbsEdgeProbability(xs, xt []float64) float64 {
 	if len(xt) > MaxExactLen {
 		panic("stats: ExactAbsEdgeProbability input too long")
 	}
-	c := abs(vecmath.SquaredEuclidean(xs, xt) - 2)
+	c := math.Abs(vecmath.SquaredEuclidean(xs, xt) - 2)
 	hits, total := 0, 0
 	forEachPermutation(vecmath.Clone(xt), func(p []float64) {
 		total++
-		if abs(vecmath.SquaredEuclidean(xs, p)-2) < c {
+		if math.Abs(vecmath.SquaredEuclidean(xs, p)-2) < c {
 			hits++
 		}
 	})
