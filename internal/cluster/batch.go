@@ -55,8 +55,14 @@ func (c *Coordinator) legs(ctx context.Context, items []core.BatchItem) shard.Le
 	}
 	c.met.scatter()
 	if topK && c.topo.NumShards > 1 && c.opts.FloorEvery > 0 {
+		last := make([]float64, len(sinks))
+		for item, sink := range sinks {
+			if sink != nil {
+				last[item] = sink.Floor() // the alpha floor
+			}
+		}
 		c.wg.Add(1)
-		go c.pushFloors(ctx, req.QueryID, sinks)
+		go c.pushFloors(ctx, req.QueryID, sinks, last)
 	}
 	onAccept := func(fr AcceptFrame) {
 		if fr.Item >= 0 && fr.Item < len(sinks) && sinks[fr.Item] != nil {

@@ -358,17 +358,14 @@ func (c *Coordinator) nextQueryID() string {
 // refinement on the cross-shard Markov bound — the networked version of
 // the in-process leg's shared sink. Best-effort by design: the merge is
 // computed from item frames only and never depends on a floor push
-// landing. It returns when ctx ends.
-func (c *Coordinator) pushFloors(ctx context.Context, queryID string, sinks []*core.TopKSink) {
+// landing. last holds each item's floor before any leg started (only
+// rises are worth pushing); the caller reads it, because a leg's accepts
+// may raise a floor before this goroutine first runs, and a rise read as
+// the starting floor would never be pushed. It returns when ctx ends.
+func (c *Coordinator) pushFloors(ctx context.Context, queryID string, sinks []*core.TopKSink, last []float64) {
 	defer c.wg.Done()
 	t := time.NewTicker(c.opts.FloorEvery)
 	defer t.Stop()
-	last := make([]float64, len(sinks)) // only rises are worth pushing
-	for item, sink := range sinks {
-		if sink != nil {
-			last[item] = sink.Floor() // the alpha floor
-		}
-	}
 	for {
 		select {
 		case <-ctx.Done():

@@ -11,11 +11,11 @@ import (
 // kernel (DESIGN.md §9). The scalar kernel scores each candidate pair
 // (s, t) independently — R fresh permutations of Xt and R distance passes
 // per pair. The batch kernel draws one stats.PermTable of R index
-// permutations per query matrix, gathers each target column t through it
-// into a stats.PermBatch, and scores every partner s < t against that
-// batch with blocked dot-product kernels, turning the O(n²·R·l) hot loop
-// into R shuffles per matrix, one gather per column and blocked mat-mat
-// inner products.
+// permutations per query matrix and scores each target column t through
+// it against every partner s < t: by sums over each pair's l×l product
+// table when l ≤ min(R, 64), or by a gathered batch and blocked mat-mat,
+// with the same estimates either way. The O(n²·R·l) hot loop becomes R shuffles
+// per matrix and R·l additions per pair.
 //
 // RNG-consumption order: both kernels run column by column (InferColumn),
 // t ascending. Within a column the scalar kernel draws per PAIR, s
@@ -36,14 +36,14 @@ func (s *RandomizedScorer) DrawPerms(m *gene.Matrix) *stats.PermTable {
 
 // ScoreColumn scores every source column in srcs against target column t
 // through the matrix's permutation table perms (see DrawPerms), writing
-// dst[i] for srcs[i]. It draws nothing from the scorer's stream. All
-// indices, t included, must be informative columns of m. dst must have
-// length ≥ len(srcs). Each estimate is distributed as Score's for its
-// pair, at a fraction of the permutation and arithmetic cost.
+// dst[i] for srcs[i] (stats.PermBatch.EdgeProbabilitiesThrough). It draws
+// nothing from the scorer's stream. All indices, t included, must be
+// informative columns of m. dst must have length ≥ len(srcs). Each
+// estimate is distributed as Score's for its pair, at a fraction of the
+// permutation and arithmetic cost.
 func (s *RandomizedScorer) ScoreColumn(m *gene.Matrix, t int, srcs []int, perms *stats.PermTable, dst []float64) {
-	s.batch.Gather(perms, m.StdCol(t))
 	s.cols = gatherStdCols(s.cols, m, srcs)
-	s.batch.EdgeProbabilitiesInto(dst, s.cols, s.OneSided)
+	s.batch.EdgeProbabilitiesThrough(dst, perms, m.StdCol(t), s.cols, s.OneSided)
 }
 
 // UpperBoundColumn computes the Lemma-4 pruning upper bound of every source

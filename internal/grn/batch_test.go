@@ -55,6 +55,26 @@ func TestScoreColumnMatchesExact(t *testing.T) {
 	}
 }
 
+// TestScoreColumnTableSumsAllocateNothing: once a scorer has scored one
+// column of a table-sum shape (l ≤ R), scoring more columns through the
+// table, of every partner count up to the widest seen, allocates nothing.
+func TestScoreColumnTableSumsAllocateNothing(t *testing.T) {
+	m := randTestMatrix(t, 8, 20, 23)
+	sc := NewRandomizedScorer(24, 1024)
+	perms := sc.DrawPerms(m)
+	srcs := []int{0, 1, 2, 3, 4, 5, 6}
+	dst := make([]float64, len(srcs))
+	sc.ScoreColumn(m, 7, srcs, perms, dst)
+	allocs := testing.AllocsPerRun(20, func() {
+		for k := 1; k < 8; k++ {
+			sc.ScoreColumn(m, k, srcs[:k], perms, dst[:k])
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("scoring 7 columns allocated %v times after warm-up", allocs)
+	}
+}
+
 // TestUpperBoundColumnDominatesExact: the batched Lemma-4 bound must stay
 // an upper bound on the exact edge probability (up to Monte Carlo slack on
 // the E(Z) estimate), like the scalar Pruner.UpperBound.

@@ -145,10 +145,11 @@ type InferStats struct {
 	// kernel the permutations are shared across a whole target column, so
 	// it is BoundSamples per column with ≥1 candidate pair.
 	BoundCalls int
-	// Kernel is the time spent inside the batched inference kernel (the
-	// permutation table draw, batch fills and gathers, blocked inner
-	// products, bound/score reductions); zero on the scalar path. Exposed so the query tracer can split kernel time from
-	// the rest of inference.
+	// Kernel is the time spent inside the batched inference kernel: the
+	// permutation table draw, the bounds' batch fills, the estimates'
+	// table sums or gathers and inner products, and the hit counts. It
+	// is zero on the scalar path. Exposed so the query tracer can split
+	// kernel time from the rest of inference.
 	Kernel time.Duration
 }
 

@@ -45,16 +45,15 @@ type RandomizedScorer struct {
 	// Batch enables the batched inference kernel (DESIGN.md §9): the bulk
 	// entry points (Infer, InferPruned, InferColumn, PairScores) draw one
 	// table of R permutations per matrix, shared by every target column,
-	// gather each column's batch through it and score all the column's
-	// partners with blocked dot-product kernels. Per-pair Score calls are
-	// unaffected. The batch kernel consumes the estimator RNG in a
-	// different order than the scalar one, so fixed-seed results differ
-	// between the two (both are individually deterministic and
-	// statistically equivalent).
+	// and score each column's partners through it with dot-product hit
+	// tests. Per-pair Score calls are unaffected. The batch kernel
+	// consumes the estimator RNG in a different order than the scalar
+	// one, so fixed-seed results differ between the two (both are
+	// individually deterministic and statistically equivalent).
 	Batch bool
 
 	perms stats.PermTable // DrawPerms scratch
-	batch stats.PermBatch // ScoreColumn gathered-batch scratch
+	batch stats.PermBatch // ScoreColumn scratch
 	cols  [][]float64     // ScoreColumn source-column scratch
 	surv  []int           // InferColumn survivor scratch
 	vals  []float64       // InferColumn survivor-estimate scratch

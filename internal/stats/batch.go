@@ -6,20 +6,25 @@
 //
 //  1. One permutation table per matrix: R index permutations of [0, l)
 //     are drawn once (PermTable) and shared read-only by every target
-//     column, so a matrix pays R shuffles, not R per column. A column's
-//     R×l row-major batch gathers Xt through the table (PermBatch.Gather).
-//     Each pair's estimate still has the distribution of R uniform
-//     permutations; estimates of different pairs share their draws and so
-//     are correlated, and a per-edge (ε, δ) guarantee needs no
-//     independence between edges.
+//     column, so a matrix pays R shuffles, not R per column. Each pair's
+//     estimate still has the distribution of R uniform permutations;
+//     estimates of different pairs share their draws and so are
+//     correlated, and a per-edge (ε, δ) guarantee needs no independence
+//     between edges.
 //  2. Dot-product hit tests: permutations preserve the norm, so
 //     dist²(Xs, Xt^π) = |Xs|² + |Xt|² − 2·⟨Xs, Xt^π⟩ with constant norms,
 //     and each hit test reduces to comparing an inner product against a
 //     per-pair precomputed threshold — half the arithmetic of a distance
 //     pass.
-//  3. Blocked kernels: the R inner products of a block of source columns
-//     are computed by vecmath.MatMulRowsInto, which streams the
-//     permutation matrix once per four sources.
+//  3. Table sums: every product a sample's inner product
+//     ⟨Xs, Xt^π⟩ = Σᵢ Xs[i]·Xt[π(i)] adds is one of the pair's l²
+//     products Xs[i]·Xt[j]. When l ≤ R a block of four pairs builds those
+//     tables once, and each inner product is l reads and adds through
+//     offsets drawn with the table (PermBatch.EdgeProbabilitiesThrough):
+//     no gather, no multiply per sample. Otherwise a column gathers its
+//     R×l batch (PermBatch.Gather) and vecmath.MatMulRowsInto streams it
+//     once per four sources. Both add the same products in the same
+//     order, so they give the same estimates bit for bit.
 //
 // Determinism contract: the batch path consumes the estimator RNG in a
 // different order than the scalar path (R permutations per matrix, not R
@@ -37,36 +42,65 @@ import (
 
 // PermTable is R uniform random permutations of the index range [0, l),
 // stored row-major: the permutations one query matrix's target columns
-// share. Draw it once per matrix, then Gather each column's batch through
-// it. A drawn table is only read, so any number of goroutines may gather
-// through it at once. Indices are int32, so a table takes half the bytes
-// of one R×l batch it fills.
+// share. Draw it once per matrix, then score each column through it
+// (PermBatch.EdgeProbabilitiesThrough). A drawn table is only read, so any
+// number of goroutines may score through it at once. Indices are int32,
+// so a table takes half the bytes of one R×l batch it fills, or as many
+// with its offsets.
 type PermTable struct {
 	l, samples int
+	sums       bool    // columns are scored by table sums: l ≤ min(R, maxSumLen)
 	idx        []int32 // samples×l: row r is the permutation π_r
+	off        []int32 // samples×l when sums: off[r·l+i] = i·l + π_r(i)
 }
+
+// maxSumLen caps l on the table-sum path: above it the four pair tables
+// of a block (4·l² floats) outgrow the core's cache and gathering is
+// faster. quadLen is the size of that block.
+const (
+	maxSumLen = 64
+	quadLen   = 4 * maxSumLen * maxSumLen
+)
 
 // Draw replaces the table with samples fresh uniform permutations of
 // [0, l) from e's stream (DefaultSamples if samples <= 0). Each row is a
 // Fisher–Yates shuffle of the identity, so it consumes the stream exactly
 // as one PermuteInto of a length-l vector does, and gathering that vector
 // through row r gives the vector the r-th PermuteInto call would write.
+//
+// When l ≤ min(R, maxSumLen) the same pass writes each row's offsets
+// into a pair's l×l product table, off[r·l+i] = i·l + π_r(i), and columns
+// are scored by table sums; otherwise they gather. The rule is one of
+// cost: a pair's l² products cost no more than its R·l additions, and
+// four pairs' tables stay in cache.
 func (t *PermTable) Draw(e *Estimator, l, samples int) {
 	if samples <= 0 {
 		samples = DefaultSamples
 	}
 	t.l, t.samples = l, samples
-	if cap(t.idx) < samples*l {
-		t.idx = make([]int32, samples*l)
+	t.sums = l <= samples && l <= maxSumLen
+	n := samples * l
+	t.idx = growSlice(t.idx, n)
+	if t.sums {
+		t.off = growSlice(t.off, n)
+	} else {
+		t.off = t.off[:0]
 	}
-	t.idx = t.idx[:samples*l]
 	for r := 0; r < samples; r++ {
-		e.rng.IndexPermInto(t.idx[r*l : (r+1)*l])
+		row := t.idx[r*l : (r+1)*l]
+		e.rng.IndexPermInto(row)
+		if t.sums {
+			off, base := t.off[r*l:(r+1)*l], int32(0)
+			for i, p := range row {
+				off[i] = base + p
+				base += int32(l)
+			}
+		}
 	}
 }
 
 // Row returns permutation r as a slice aliasing the table storage.
-// Intended for tests checking the gathered batch against the scalar
+// Intended for tests checking the scored columns against the scalar
 // distance comparisons over the very same permutations.
 func (t *PermTable) Row(r int) []int32 { return t.idx[r*t.l : (r+1)*t.l] }
 
@@ -81,8 +115,9 @@ type PermBatch struct {
 	tNorm2  float64   // |Xt|²
 	l       int
 	samples int
-	mat     []float64 // samples×l: row r = Xt^{π_r}
-	dots    []float64 // blocked inner-product scratch
+	mat     []float64         // samples×l: row r = Xt^{π_r}
+	dots    []float64         // blocked inner-product scratch
+	quad    *[quadLen]float64 // EdgeProbabilitiesThrough: four interleaved pair tables
 }
 
 // batchSrcBlock bounds how many source columns one kernel invocation
@@ -130,9 +165,9 @@ func (b *PermBatch) Gather(t *PermTable, xt []float64) {
 }
 
 // growSlice is grow for slices owned by value types (no pointer needed).
-func growSlice(buf []float64, n int) []float64 {
+func growSlice[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
@@ -174,26 +209,186 @@ func (b *PermBatch) EdgeProbabilitiesInto(dst []float64, srcs [][]float64, oneSi
 		b.dots = growSlice(b.dots, len(block)*b.samples)
 		vecmath.MatMulRowsInto(b.dots, b.mat, b.samples, b.l, block)
 		for i, xs := range block {
-			c := vecmath.Dot(xs, b.xt)
-			dots := b.dots[i*b.samples : (i+1)*b.samples]
-			hits := 0
-			if oneSided {
-				for _, d := range dots {
-					if d < c {
-						hits++
-					}
-				}
-			} else {
-				m := (vecmath.Dot(xs, xs) + b.tNorm2 - 2) / 2
-				ch := math.Abs(m - c)
-				for _, d := range dots {
-					if math.Abs(m-d) < ch {
-						hits++
-					}
-				}
-			}
-			dst[lo+i] = float64(hits) * inv
+			dst[lo+i] = hitShare(b.dots[i*b.samples:(i+1)*b.samples], xs, b.xt, b.tNorm2, oneSided, inv)
 		}
+	}
+}
+
+// hitShare is the estimate of one pair from its R inner products
+// dots[r] = ⟨Xs, Xt^{π_r}⟩: the share of samples that pass the
+// dot-product hit test (see EdgeProbabilitiesInto), inv being 1/R.
+func hitShare(dots, xs, xt []float64, tNorm2 float64, oneSided bool, inv float64) float64 {
+	c := vecmath.Dot(xs, xt)
+	hits := 0
+	if oneSided {
+		for _, d := range dots {
+			if d < c {
+				hits++
+			}
+		}
+	} else {
+		m := (vecmath.Dot(xs, xs) + tNorm2 - 2) / 2
+		ch := math.Abs(m - c)
+		for _, d := range dots {
+			if math.Abs(m-d) < ch {
+				hits++
+			}
+		}
+	}
+	return float64(hits) * inv
+}
+
+// EdgeProbabilitiesThrough is EdgeProbabilitiesInto for target column xt
+// scored through the matrix's table t: dst[i] is srcs[i]'s estimate over
+// the table's permutations, bit for bit the estimate of Gather(t, xt)
+// followed by EdgeProbabilitiesInto. It draws nothing, and b is only
+// scratch. xt and every source must have the table's length l; dst must
+// have length ≥ len(srcs).
+//
+// A table drawn without offsets is gathered. Otherwise nothing is
+// gathered and nothing multiplied per sample: every product a sample's
+// inner product ⟨Xs, Xt^π⟩ = Σᵢ Xs[i]·Xt[π(i)] can add is one of the
+// pair's l² products P[i·l+j] = Xs[i]·Xt[j], so each pair builds P once
+// and each inner product is Σᵢ P[off[r·l+i]], added in the ascending-i
+// order vecmath.MatMulRowsInto adds the same products in (l ≤ maxSumLen
+// is within one of its column blocks). Scratch is quadLen floats of
+// tables and 4·R of sums.
+func (b *PermBatch) EdgeProbabilitiesThrough(dst []float64, t *PermTable, xt []float64, srcs [][]float64, oneSided bool) {
+	if !t.sums {
+		b.Gather(t, xt)
+		b.EdgeProbabilitiesInto(dst, srcs, oneSided)
+		return
+	}
+	l, samples := t.l, t.samples
+	if len(xt) != l {
+		panic("stats: EdgeProbabilitiesThrough length mismatch")
+	}
+	if len(dst) < len(srcs) {
+		panic("stats: EdgeProbabilitiesThrough dst too short")
+	}
+	tNorm2 := vecmath.Dot(xt, xt)
+	inv := 1 / float64(samples)
+	if b.quad == nil {
+		b.quad = new([quadLen]float64)
+	}
+	b.dots = growSlice(b.dots, 4*samples)
+	si := 0
+	for ; si+4 <= len(srcs); si += 4 {
+		quadTable(b.quad, srcs[si:si+4], xt)
+		tableSums4(b.dots, t.off, l, samples, b.quad)
+		for j := 0; j < 4; j++ {
+			dst[si+j] = hitShare(b.dots[j*samples:(j+1)*samples], srcs[si+j], xt, tNorm2, oneSided, inv)
+		}
+	}
+	for ; si < len(srcs); si++ {
+		pairTable(b.quad, srcs[si], xt)
+		tableSums1(b.dots[:samples], t.off, l, b.quad)
+		dst[si] = hitShare(b.dots[:samples], srcs[si], xt, tNorm2, oneSided, inv)
+	}
+}
+
+// pairTable writes the l×l products p[i·l+j] = xs[i]·xt[j].
+func pairTable(p *[quadLen]float64, xs, xt []float64) {
+	if len(xs) != len(xt) {
+		panic("stats: pairTable source length mismatch")
+	}
+	l := len(xt)
+	for i, x := range xs {
+		row := p[i*l : (i+1)*l]
+		for j, y := range xt {
+			row[j] = x * y
+		}
+	}
+}
+
+// quadTable writes the pair tables of four sources interleaved, so that
+// product (i, j) of source s is p[4·(i·l+j)+s] = srcs[s][i]·xt[j]: the
+// four products one offset selects share a cache line.
+func quadTable(p *[quadLen]float64, srcs [][]float64, xt []float64) {
+	x0, x1, x2, x3 := srcs[0], srcs[1], srcs[2], srcs[3]
+	if len(x0) != len(xt) || len(x1) != len(xt) || len(x2) != len(xt) || len(x3) != len(xt) {
+		panic("stats: quadTable source length mismatch")
+	}
+	l := len(xt)
+	for i := range xt {
+		row := p[4*i*l : 4*(i+1)*l]
+		v0, v1, v2, v3 := x0[i], x1[i], x2[i], x3[i]
+		for j, y := range xt {
+			q := row[4*j : 4*j+4 : 4*j+4]
+			q[0], q[1], q[2], q[3] = v0*y, v1*y, v2*y, v3*y
+		}
+	}
+}
+
+// tableSums4 writes the R inner products of the four pairs of quadTable
+// p, dots[s·R+r] = Σᵢ p[4·off[r·l+i]+s], i ascending. Two rows run
+// together: eight independent add chains share each pair of offset loads.
+// An offset is below l² ≤ quadLen/4, so masking it to the table changes
+// nothing and lets the compiler drop the bounds checks.
+func tableSums4(dots []float64, off []int32, l, samples int, p *[quadLen]float64) {
+	d0, d1 := dots[:samples], dots[samples:2*samples]
+	d2, d3 := dots[2*samples:3*samples], dots[3*samples:4*samples]
+	r := 0
+	for ; r+2 <= samples; r += 2 {
+		oa := off[r*l : (r+1)*l]
+		ob := off[(r+1)*l : (r+2)*l]
+		ob = ob[:len(oa)]
+		var a0, a1, a2, a3, b0, b1, b2, b3 float64
+		for i, ka := range oa {
+			ia := int(ka<<2) & (quadLen - 4)
+			ib := int(ob[i]<<2) & (quadLen - 4)
+			a0 += p[ia]
+			a1 += p[ia+1]
+			a2 += p[ia+2]
+			a3 += p[ia+3]
+			b0 += p[ib]
+			b1 += p[ib+1]
+			b2 += p[ib+2]
+			b3 += p[ib+3]
+		}
+		d0[r], d1[r], d2[r], d3[r] = a0, a1, a2, a3
+		d0[r+1], d1[r+1], d2[r+1], d3[r+1] = b0, b1, b2, b3
+	}
+	if r < samples {
+		var a0, a1, a2, a3 float64
+		for _, k := range off[r*l : (r+1)*l] {
+			i := int(k<<2) & (quadLen - 4)
+			a0 += p[i]
+			a1 += p[i+1]
+			a2 += p[i+2]
+			a3 += p[i+3]
+		}
+		d0[r], d1[r], d2[r], d3[r] = a0, a1, a2, a3
+	}
+}
+
+// tableSums1 is tableSums4 for the one pair table pairTable writes, four
+// rows at a time.
+func tableSums1(dots []float64, off []int32, l int, p *[quadLen]float64) {
+	const mask = quadLen/4 - 1
+	samples := len(dots)
+	r := 0
+	for ; r+4 <= samples; r += 4 {
+		o0 := off[r*l : (r+1)*l]
+		o1 := off[(r+1)*l : (r+2)*l]
+		o2 := off[(r+2)*l : (r+3)*l]
+		o3 := off[(r+3)*l : (r+4)*l]
+		o1, o2, o3 = o1[:len(o0)], o2[:len(o0)], o3[:len(o0)]
+		var s0, s1, s2, s3 float64
+		for i, k := range o0 {
+			s0 += p[int(k)&mask]
+			s1 += p[int(o1[i])&mask]
+			s2 += p[int(o2[i])&mask]
+			s3 += p[int(o3[i])&mask]
+		}
+		dots[r], dots[r+1], dots[r+2], dots[r+3] = s0, s1, s2, s3
+	}
+	for ; r < samples; r++ {
+		var s float64
+		for _, k := range off[r*l : (r+1)*l] {
+			s += p[int(k)&mask]
+		}
+		dots[r] = s
 	}
 }
 

@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/imgrn/imgrn/internal/randgen"
@@ -170,7 +171,7 @@ func TestPermTableGatherMatchesFill(t *testing.T) {
 	}
 }
 
-// TestPermTableBatchMatchesScalarHits: a batch gathered through a shared
+// TestPermTableBatchMatchesScalarHits: a column scored through a shared
 // table gives every source the hit count of the scalar distance
 // comparisons over the same table rows, applied to the target by hand
 // (row r of the target is xt[π_r(i)]). One table serves two targets, each
@@ -191,13 +192,12 @@ func TestPermTableBatchMatchesScalarHits(t *testing.T) {
 		row := make([]float64, l)
 		for target := 0; target < 2; target++ {
 			_, xt := stdPair(data, l)
-			b.Gather(&tab, xt)
 			srcs := make([][]float64, (round+target)%10)
 			for j := range srcs {
 				srcs[j], _ = stdPair(data, l)
 			}
 			for _, oneSided := range []bool{true, false} {
-				b.EdgeProbabilitiesInto(dst, srcs, oneSided)
+				b.EdgeProbabilitiesThrough(dst, &tab, xt, srcs, oneSided)
 				for j, xs := range srcs {
 					d := vecmath.SquaredEuclidean(xs, xt)
 					hits := 0
@@ -216,6 +216,91 @@ func TestPermTableBatchMatchesScalarHits(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPermTableSumsMatchGather: scoring a column through a table by
+// pair-table sums gives every source, bit for bit, the estimate of the
+// gathered batch and its blocked mat-mat. It runs each l against each R,
+// so both sides of the l ≤ R rule are covered (l = 2, 3 and 33 against
+// R = 1, 2 or 3 gather, as does l = maxSumLen+1), with 0 to 9 sources:
+// every tail of the four-source block, the rows' tail of two, and the
+// single pair's tail of four. One scratch batch serves every shape in
+// turn, so stale scratch from a longer table cannot leak into a shorter
+// one.
+func TestPermTableSumsMatchGather(t *testing.T) {
+	data := randgen.New(84)
+	est := NewEstimator(85)
+	var tab PermTable
+	var sums, gather PermBatch
+	want, got := make([]float64, 9), make([]float64, 9)
+	round := 0
+	for _, l := range []int{2, 3, 10, 15, 20, 33, maxSumLen, maxSumLen + 1} {
+		for _, samples := range []int{1, 2, 3, 5, 48, 1023, 1024} {
+			tab.Draw(est, l, samples)
+			if wantSums := l <= samples && l <= maxSumLen; tab.sums != wantSums {
+				t.Fatalf("l=%d R=%d: table sums %v, want %v", l, samples, tab.sums, wantSums)
+			}
+			for target := 0; target < 2; target++ {
+				round++
+				_, xt := stdPair(data, l)
+				srcs := make([][]float64, round%10)
+				for j := range srcs {
+					srcs[j], _ = stdPair(data, l)
+				}
+				for _, oneSided := range []bool{true, false} {
+					gather.Gather(&tab, xt)
+					gather.EdgeProbabilitiesInto(want, srcs, oneSided)
+					sums.EdgeProbabilitiesThrough(got, &tab, xt, srcs, oneSided)
+					for j := range srcs {
+						if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+							t.Fatalf("l=%d R=%d target %d source %d of %d oneSided=%v: sums %v, gather %v",
+								l, samples, target, j, len(srcs), oneSided, got[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPermTableScratchStaysBounded: scoring a column through a table
+// allocates at most its path's stated scratch. The table-sum path holds
+// four l×l tables (quadLen floats at most) and 4·R sums, whatever the
+// number of sources; a table with l > R gathers instead and allocates
+// exactly what the gather path always has, the R×l batch and one sum per
+// sample and source — never an l×l table, which at that l would be
+// larger than the batch.
+func TestPermTableScratchStaysBounded(t *testing.T) {
+	data := randgen.New(86)
+	for _, c := range []struct{ l, samples, srcs int }{
+		{20, 1024, 9},
+		{maxSumLen, maxSumLen, 9},
+		{2000, 48, 9},
+	} {
+		var tab PermTable
+		tab.Draw(NewEstimator(87), c.l, c.samples)
+		_, xt := stdPair(data, c.l)
+		srcs := make([][]float64, c.srcs)
+		for j := range srcs {
+			srcs[j], _ = stdPair(data, c.l)
+		}
+		dst := make([]float64, c.srcs)
+		var b PermBatch
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.EdgeProbabilitiesThrough(dst, &tab, xt, srcs, false)
+		runtime.ReadMemStats(&after)
+		floats := quadLen + 4*c.samples
+		if !tab.sums {
+			floats = c.samples*c.l + c.srcs*c.samples
+		}
+		// Slack for size-class and page rounding, and for what the
+		// runtime allocates meanwhile.
+		const slack = 32 << 10
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(8*floats+slack); got > bound {
+			t.Errorf("l=%d R=%d (sums %v): scoring allocated %d bytes, bound %d", c.l, c.samples, tab.sums, got, bound)
 		}
 	}
 }
@@ -287,4 +372,37 @@ func rawPair(rng *randgen.Rand, l int) (xs, xt []float64) {
 		xt[i] = 0.5*xs[i] + rng.Gaussian(0, 1)
 	}
 	return xs, xt
+}
+
+// BenchmarkScoreThroughTable times one target column scored against seven
+// partners through a shared table of R permutations, by the path the
+// table picks ("through") and by gathering ("gather"). Up to
+// min(R, maxSumLen) the first is the table-sum path; above it both
+// gather.
+func BenchmarkScoreThroughTable(b *testing.B) {
+	for _, c := range []struct{ l, samples int }{
+		{10, 48}, {20, 48}, {10, 1024}, {20, 1024}, {48, 1024}, {maxSumLen, 1024}, {96, 1024},
+	} {
+		data := randgen.New(90)
+		var tab PermTable
+		tab.Draw(NewEstimator(91), c.l, c.samples)
+		_, xt := stdPair(data, c.l)
+		srcs := make([][]float64, 7)
+		for j := range srcs {
+			srcs[j], _ = stdPair(data, c.l)
+		}
+		dst := make([]float64, len(srcs))
+		var pb PermBatch
+		b.Run(fmt.Sprintf("l=%d/R=%d/through", c.l, c.samples), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pb.EdgeProbabilitiesThrough(dst, &tab, xt, srcs, false)
+			}
+		})
+		b.Run(fmt.Sprintf("l=%d/R=%d/gather", c.l, c.samples), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pb.Gather(&tab, xt)
+				pb.EdgeProbabilitiesInto(dst, srcs, false)
+			}
+		})
+	}
 }

@@ -51,9 +51,12 @@ func SampleSizeErr(eps, delta float64) (int, error) {
 // MaxSamples is the largest Monte Carlo sample count R one estimate may
 // use, whether R is the Lemma-2 bound of a requested (ε, δ) or given
 // explicitly. It bounds what a single request can cost: time is R·l per
-// edge, and the batched kernel holds an R·l int32 permutation table per
-// query matrix (PermTable) and gathers R·l floats per target column
-// (PermBatch) — 80 and 160 MiB at the cap for l = 20. 2²⁰ still admits
+// edge. The batched kernel holds a table of R·l int32 indices per query
+// matrix (PermTable), and as many offsets when l ≤ min(R, 64). Each worker
+// then holds four pair tables and their sums, 4·l² + 4·R floats; above
+// that l it gathers instead, R·l floats per target column plus up to
+// 32·R sums. At the cap, for l = 20: 160 MiB per matrix and 32 MiB per
+// worker, where gathering took 160 MiB plus 256 MiB of sums. 2²⁰ still admits
 // ε ≈ 0.0033 at δ = 0.05, an order of magnitude tighter than the paper's
 // experiments use.
 const MaxSamples = 1 << 20
